@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-race vet build test race bench bench-raft bench-resume bench-script bench-smoke bench-snapshot conformance fleet fuzz explore goldens harden raft resume snapshot
+.PHONY: check check-race vet build test race bench bench-e2e bench-raft bench-resume bench-script bench-smoke bench-snapshot conformance fleet fuzz explore goldens harden raft resume snapshot
 
 # check is the full PR gate: vet, build, race-enabled tests (the parallel
 # conformance runner and campaign pool run under -race via ./...), an
@@ -37,16 +37,26 @@ bench-smoke:
 bench:
 	$(GO) test -bench 'FilterProcess|InterpEval' -benchmem -benchtime 2s -count 1 -run @ . | \
 		$(GO) run ./tools/benchjson -out BENCH_script.json \
-		-note "before = tree-walking reference engine (PFI_SCRIPT_ENGINE=tree), after = compiled register VM, same host and run; PR 1 tree-walker baseline for BenchmarkFilterProcess was 962 ns/op, 116 B/op, 6 allocs/op"
+		-note "before = tree-walking reference engine (SetEngine(EngineTree), the *Tree benchmarks), after = compiled register VM, same host and run; PR 1 tree-walker baseline for BenchmarkFilterProcess was 962 ns/op, 116 B/op, 6 allocs/op"
 
 # bench-script is the CI smoke over the script hot path: the filter and
 # interpreter benchmarks at a fixed small iteration count (no timing
 # claims — CI machines are noisy) plus the allocation budgets, so a change
-# that re-introduces per-message garbage on the AOT-optimized path fails
-# the job even when it is too small to move wall-clock numbers.
+# that re-introduces per-message garbage on the filter path fails the job
+# even when it is too small to move wall-clock numbers.
 bench-script:
 	$(GO) test -bench 'FilterProcess|InterpEval' -benchmem -benchtime 100x -run @ .
 	$(GO) test -run 'AllocBudget' -count 1 -v .
+
+# bench-e2e gates every PR on the end-to-end ledger (bench/, its own
+# module): the ledger's unit tests, then a ~25 s smoke run of the four CLI
+# workloads with every output check on — the pinned fuzz fingerprint, the
+# campaign-verdict hash and the golden hashes in bench/expected/pins.json —
+# so an API deletion that breaks a ledger probe, or a change that moves a
+# pinned output, fails here rather than at benchmark time. No timing claims.
+bench-e2e:
+	$(GO) test -C bench ./...
+	bash bench/run.sh -quick
 
 # conformance replays every .pfi scenario against its golden trace, serial
 # and through the worker pool.

@@ -23,7 +23,7 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	const budget = 0 // ISSUE: AOT-optimized hot path must stay allocation-free
+	const budget = 0 // the per-message filter path must stay allocation-free
 
 	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
 	l := core.NewLayer(env, core.WithStub(benchStub{}))
@@ -53,48 +53,6 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 	})
 	if avg > budget {
 		t.Fatalf("FilterProcess steady state allocates %.1f/op, budget is %d", avg, budget)
-	}
-}
-
-// TestFilterProcessBatchAllocBudget pins the batched activation path to the
-// same allocation-free steady state as the per-message path: the SoA
-// recognition pass and its scratch arrays must reuse across bursts.
-func TestFilterProcessBatchAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	const budget = 0 // scratch reuse: batching must not add per-burst garbage
-
-	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
-	l := core.NewLayer(env, core.WithStub(benchStub{}))
-	stk := stack.New(env, l)
-	stk.OnTransmit(func(m *message.Message) error { return nil })
-	if err := l.SetSendScript(`if {[msg_type cur_msg] eq "DATA"} {
-	if {![info exists dropped]} { set dropped 0 }
-	if {$dropped < 3} {
-		incr dropped
-		xDrop cur_msg
-	}
-}
-`); err != nil {
-		t.Fatal(err)
-	}
-	burst := make([]*message.Message, 16)
-	for i := range burst {
-		burst[i] = message.NewString("payload-0123456789")
-	}
-	for i := 0; i < 8; i++ {
-		if err := stk.SendBatch(burst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := stk.SendBatch(burst); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > budget {
-		t.Fatalf("SendBatch steady state allocates %.1f/burst, budget is %d", avg, budget)
 	}
 }
 

@@ -58,7 +58,7 @@ func main() {
 		types   = flag.String("types", "HEARTBEAT,PROCLAIM,JOIN,MEMBERSHIP_CHANGE,ACK,COMMIT,RUDP-ACK", "comma-separated message types to target")
 		faults  = flag.String("faults", "drop,drop-first-n,delay,duplicate,reorder", "comma-separated fault kinds")
 		list    = flag.Bool("list", false, "print the generated cases and exit")
-		dump    = flag.Bool("dump-prog", false, "disassemble each generated filter program (before/after AOT optimization) and exit")
+		dump    = flag.Bool("dump-prog", false, "disassemble each generated filter program and exit")
 		quiet   = flag.Bool("quiet", false, "suppress per-verdict progress lines")
 		quar    = flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
 
@@ -275,8 +275,8 @@ func runFleet(ctx context.Context, spec campaign.Spec, n int, hcfg harden.Config
 }
 
 // dumpPrograms disassembles every generated case's filter script against a
-// real PFI-layer interpreter, so the listing shows the same superinstruction
-// fusion and fact specialization the sweep itself runs with.
+// real PFI-layer interpreter, so the listing shows the program the sweep
+// itself runs.
 func dumpPrograms(cases []campaign.Case) error {
 	env := &stack.Env{Sched: netsim.NewWorld(2026).Sched, Node: "gmd3"}
 	l := core.NewLayer(env, core.WithStub(gmp.PFIStub{}))

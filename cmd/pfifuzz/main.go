@@ -77,8 +77,7 @@ func main() {
 		out     = flag.String("out", "", "directory for minimized .pfi repros and golden traces (none: report only)")
 		quiet   = flag.Bool("q", false, "suppress per-generation progress lines")
 		quar    = flag.String("quarantine", "", "directory for .pfi repros of contained failures (tool-fault, livelock, budget-exceeded)")
-		snap    = flag.Bool("snapshot", true, "fork shared-prefix candidates from world snapshots (O(delta) per candidate)")
-		noSnap  = flag.Bool("no-snapshot", false, "replay every candidate in a fresh world (overrides -snapshot)")
+		noSnap  = flag.Bool("no-snapshot", false, "replay every candidate in a fresh world instead of forking shared-prefix candidates from world snapshots")
 
 		raftN    = flag.Int("raft", 0, "seed raft consensus schedules for an n-node cluster into the corpus (0: tcp/gmp only)")
 		raftBugs = flag.String("raft-bugs", "", "comma-separated raft implementation bugs to seed (skip-vote-persist, ack-before-quorum) — oracle self-test")
@@ -144,7 +143,7 @@ func main() {
 		OutDir:        *out,
 		QuarantineDir: *quar,
 		Harden:        *hcfg,
-		Snapshot:      *snap && !*noSnap,
+		Snapshot:      !*noSnap,
 		Context:       it.Context(),
 		Journal:       jl,
 	}
@@ -218,15 +217,13 @@ func main() {
 	fmt.Println(scriptStats())
 }
 
-// scriptStats renders the AOT script-engine summary: how much compilation
-// the run amortized (cache hits), how aggressively programs were lowered
-// (fused/folded/eliminated ops, specializations), and whether any guard
-// tripped back to the general VM (recompiles, deopts).
+// scriptStats renders the script-engine summary: how many filter programs
+// the run compiled, how much compilation it amortized (cache hits), and
+// how many instructions fusion and folding rewrote.
 func scriptStats() string {
 	ss := script.Stats()
-	return fmt.Sprintf("script: %d compiled (%d optimized, %d specialized, %d cache hits), %d fused / %d folded / %d dce ops, %d recompiles, %d deopts",
-		ss.Compiles, ss.Optimized, ss.Specialized, ss.CacheHits,
-		ss.FusedOps, ss.FoldedOps, ss.DCEOps, ss.Recompiles, ss.Deopts)
+	return fmt.Sprintf("script: %d compiled (%d cache hits), %d fused / %d folded ops",
+		ss.Compiles, ss.CacheHits, ss.FusedOps, ss.FoldedOps)
 }
 
 // runFleet shards candidate evaluation over a worker fleet: locally

@@ -48,7 +48,7 @@ func main() {
 		update  = flag.Bool("update", false, "re-bless golden traces instead of checking them")
 		diff    = flag.Bool("diff", false, "print golden diffs entry by entry")
 		verbose = flag.Bool("v", false, "print every verdict, not just failures")
-		dump    = flag.Bool("dump-prog", false, "disassemble each faultload filter program (before/after AOT optimization) as it is installed")
+		dump    = flag.Bool("dump-prog", false, "disassemble each faultload filter program as it is installed")
 		quar    = flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
 	)
 	hcfg := harden.Flags(flag.CommandLine)

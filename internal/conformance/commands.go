@@ -284,29 +284,6 @@ func registerCommands(in *script.Interp, h *harness) {
 		return args[3], nil
 	})
 
-	// filter_freeze is filter_set for immutable profile facts: the value is
-	// registered with the filter's AOT optimizer, which may specialize the
-	// installed faultload against it (vendor/protocol dispatch folds away).
-	in.Register("filter_freeze", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 4, "filter_freeze node send|receive varName value"); err != nil {
-			return "", err
-		}
-		l, err := h.pfi(args[0])
-		if err != nil {
-			return "", err
-		}
-		dir, err := parseDir(args[1])
-		if err != nil {
-			return "", err
-		}
-		f := l.SendFilter()
-		if dir == core.Receive {
-			f = l.ReceiveFilter()
-		}
-		f.Freeze(args[2], args[3])
-		return args[3], nil
-	})
-
 	in.Register("inject", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 3 && len(args) != 4 {
 			return "", fmt.Errorf("wrong # args: should be %q", "inject node send|receive type ?{field value ...}?")

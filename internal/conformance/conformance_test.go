@@ -198,6 +198,13 @@ func TestScenarioErrorsAreStructured(t *testing.T) {
 	if r.Err == nil {
 		t.Fatal("unknown command should be an execution error")
 	}
+
+	// filter_set is the one way to hand a filter a value; the removed
+	// filter_freeze must fail loudly, not be silently accepted.
+	r = Run(New("inline", "world tcp\nfilter_freeze vendor send mode strict"), Options{})
+	if r.Err == nil || !strings.Contains(r.Err.Error(), `invalid command name "filter_freeze"`) {
+		t.Fatalf("filter_freeze scenario: err %v, want invalid command name", r.Err)
+	}
 }
 
 // TestWorldGuards: workload commands demand the right world kind.

@@ -52,24 +52,32 @@ func TestQuarantinedRepros(t *testing.T) {
 
 // TestRunContainsRunawayScript: without a script-step budget the
 // interpreter's built-in guard reports an ordinary scenario failure;
-// with one, the same runaway loop is a BudgetExceeded containment.
+// with one, the same runaway loop — in either loop form — is a
+// BudgetExceeded containment.
 func TestRunContainsRunawayScript(t *testing.T) {
-	src := "world tcp\nset spin 0\nwhile {1} { set spin [expr {$spin + 1}] }\n"
+	for form, loop := range map[string]string{
+		"while": "while {1} { set spin [expr {$spin + 1}] }",
+		"for":   "for {set i 0} {1} {} {}", // empty body: only the loop's own step check can trip
+	} {
+		t.Run(form, func(t *testing.T) {
+			src := "world tcp\nset spin 0\n" + loop + "\n"
 
-	r := Run(New("runaway", src), Options{})
-	if r.Outcome != harden.Fail || r.Err == nil {
-		t.Fatalf("unbudgeted runaway: outcome %v err %v, want Fail with step-limit error", r.Outcome, r.Err)
-	}
-	if !strings.Contains(r.Err.Error(), "step limit") {
-		t.Errorf("err %v does not name the step limit", r.Err)
-	}
+			r := Run(New("runaway", src), Options{})
+			if r.Outcome != harden.Fail || r.Err == nil {
+				t.Fatalf("unbudgeted runaway: outcome %v err %v, want Fail with step-limit error", r.Outcome, r.Err)
+			}
+			if !strings.Contains(r.Err.Error(), "step limit") {
+				t.Errorf("err %v does not name the step limit", r.Err)
+			}
 
-	r = Run(New("runaway", src), Options{Harden: harden.Config{Budget: harden.Budget{ScriptSteps: 10_000}}})
-	if r.Outcome != harden.BudgetExceeded {
-		t.Fatalf("budgeted runaway: outcome %v, want BudgetExceeded (err: %v)", r.Outcome, r.Err)
-	}
-	if r.Isolation == nil || r.Isolation.Counter != "script-steps" {
-		t.Errorf("isolation record %+v, want script-steps counter", r.Isolation)
+			r = Run(New("runaway", src), Options{Harden: harden.Config{Budget: harden.Budget{ScriptSteps: 10_000}}})
+			if r.Outcome != harden.BudgetExceeded {
+				t.Fatalf("budgeted runaway: outcome %v, want BudgetExceeded (err: %v)", r.Outcome, r.Err)
+			}
+			if r.Isolation == nil || r.Isolation.Counter != "script-steps" {
+				t.Errorf("isolation record %+v, want script-steps counter", r.Isolation)
+			}
+		})
 	}
 }
 

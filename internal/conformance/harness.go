@@ -76,7 +76,7 @@ type harness struct {
 	monitor *harden.Monitor
 
 	// progDump, when set, receives a disassembly of every faultload
-	// script (unoptimized and AOT-optimized) as it is installed.
+	// script as it is installed.
 	progDump io.Writer
 
 	verdicts []Verdict

@@ -38,7 +38,7 @@ type Options struct {
 	// becomes a ToolFault result instead of a dead process.
 	Harden harden.Config
 	// ProgDump, when set, receives a disassembly of every faultload
-	// filter program (unoptimized and AOT-optimized) as it is installed —
+	// filter program as it is installed —
 	// the pfitest -dump-prog flag.
 	ProgDump io.Writer
 }

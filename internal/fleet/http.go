@@ -86,19 +86,14 @@ func (c *Coordinator) Handler() http.Handler {
 		m["journal_bytes"] = int(js.BytesWritten)
 		m["resume_cells_skipped"] = int(js.ResumedSkipped)
 		m["worker_reconnect_backoffs"] = int(ReconnectBackoffs())
-		// Script-engine telemetry: coordinator-local counters from the AOT
-		// optimizer and program caches (spawned/remote workers keep their
-		// own; these cover in-process scenario work).
+		// Script-engine telemetry: coordinator-local counters from the
+		// filter compiler and program caches (spawned/remote workers keep
+		// their own; these cover in-process scenario work).
 		ss := script.Stats()
 		for k, v := range map[string]uint64{
 			"script_compiles":     ss.Compiles,
-			"script_optimized":    ss.Optimized,
-			"script_recompiles":   ss.Recompiles,
-			"script_deopts":       ss.Deopts,
-			"script_specialized":  ss.Specialized,
 			"script_fused_ops":    ss.FusedOps,
 			"script_folded_ops":   ss.FoldedOps,
-			"script_dce_ops":      ss.DCEOps,
 			"script_cache_hits":   ss.CacheHits,
 			"script_cache_misses": ss.CacheMisses,
 		} {

@@ -1,6 +1,7 @@
 package interpose_test
 
 import (
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -214,6 +215,69 @@ func TestScriptStateCountsLiveMessages(t *testing.T) {
 	}
 	if got := sendRecv(t, c, "three", 300*time.Millisecond); got != "" {
 		t.Fatalf("third datagram passed: %q", got)
+	}
+}
+
+// TestBurstOrderAndDoPosition: the event loop runs one action at a time in
+// queue order. With 16 datagrams in flight toward the upstream (and their
+// 16 echoes in flight back), nothing is lost, each direction keeps its
+// order, both filters see every datagram exactly once, and a Do closure
+// queued mid-burst takes effect at one queue position — every datagram
+// before it runs the old script, every datagram after it the new one.
+func TestBurstOrderAndDoPosition(t *testing.T) {
+	upstream, stop := echoServer(t)
+	defer stop()
+	p := newProxy(t, upstream)
+	c := dialProxy(t, p)
+	const burst = 16
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := c.Write([]byte(fmt.Sprintf("d%02d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	send(0, burst/2)
+	seenAtDo := -1
+	if err := p.Do(func(l *core.Layer) {
+		seenAtDo = l.ReceiveFilter().Stats().Seen
+		if err := l.SetReceiveScript(`msg_set_byte cur_msg 0 88`); err != nil { // 'd' -> 'X'
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	send(burst/2, burst)
+	if seenAtDo < 0 || seenAtDo > burst/2 {
+		t.Fatalf("Do closure saw %d datagrams; only %d were sent before it was queued", seenAtDo, burst/2)
+	}
+
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	for i := 0; i < burst; i++ {
+		n, err := c.Read(buf)
+		if err != nil {
+			t.Fatalf("echo %d of %d never arrived: %v", i, burst, err)
+		}
+		want := fmt.Sprintf("d%02d", i)
+		if i >= seenAtDo {
+			want = fmt.Sprintf("X%02d", i)
+		}
+		if got := string(buf[:n]); got != want {
+			t.Fatalf("echo %d = %q, want %q (closure ran after %d datagrams)", i, got, want, seenAtDo)
+		}
+	}
+	var up, down core.Stats
+	if err := p.Do(func(l *core.Layer) {
+		up, down = l.ReceiveFilter().Stats(), l.SendFilter().Stats()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if up.Seen != burst || down.Seen != burst {
+		t.Errorf("filters saw %d up / %d down datagrams, want %d each", up.Seen, down.Seen, burst)
 	}
 }
 

@@ -26,15 +26,9 @@ type ID uint64
 type Message struct {
 	id     ID
 	origin ID // ID of the message this one was cloned from, or its own ID
-	ver    uint32
 	buf    []byte
 	attrs  map[string]any
 }
-
-// Version counts content mutations (bytes or attributes). Batch pipelines
-// use it to revalidate work derived from a message's content — recognition
-// done ahead of time stays valid exactly while the version is unchanged.
-func (m *Message) Version() uint32 { return m.ver }
 
 // New builds a message whose payload is a copy of data.
 func New(data []byte) *Message {
@@ -112,7 +106,6 @@ func (m *Message) SaveState() State {
 // RestoreState rewinds the message to a previously saved content. The saved
 // state stays valid for repeated restores.
 func (m *Message) RestoreState(st State) {
-	m.ver++
 	m.buf = append(m.buf[:0], st.buf...)
 	if st.attrs == nil {
 		m.attrs = nil
@@ -130,7 +123,6 @@ func (m *Message) Push(hdr []byte) {
 	if len(hdr) == 0 {
 		return
 	}
-	m.ver++
 	m.buf = append(m.buf, make([]byte, len(hdr))...)
 	copy(m.buf[len(hdr):], m.buf[:len(m.buf)-len(hdr)])
 	copy(m.buf, hdr)
@@ -142,7 +134,6 @@ func (m *Message) Pop(n int) ([]byte, error) {
 	if n < 0 || n > len(m.buf) {
 		return nil, fmt.Errorf("message: pop %d bytes from %d-byte message", n, len(m.buf))
 	}
-	m.ver++
 	hdr := make([]byte, n)
 	copy(hdr, m.buf[:n])
 	m.buf = m.buf[:copy(m.buf, m.buf[n:])]
@@ -165,7 +156,6 @@ func (m *Message) SetByte(off int, b byte) error {
 	if off < 0 || off >= len(m.buf) {
 		return fmt.Errorf("message: set byte at %d in %d-byte message", off, len(m.buf))
 	}
-	m.ver++
 	m.buf[off] = b
 	return nil
 }
@@ -183,7 +173,6 @@ func (m *Message) Truncate(n int) error {
 	if n < 0 || n > len(m.buf) {
 		return fmt.Errorf("message: truncate to %d bytes from %d", n, len(m.buf))
 	}
-	m.ver++
 	m.buf = m.buf[:n]
 	return nil
 }
@@ -191,7 +180,6 @@ func (m *Message) Truncate(n int) error {
 // SetAttr attaches an out-of-band attribute. Attributes travel with the
 // message through the local stack but are not serialized onto the wire.
 func (m *Message) SetAttr(key string, value any) {
-	m.ver++
 	if m.attrs == nil {
 		m.attrs = make(map[string]any)
 	}

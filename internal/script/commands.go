@@ -55,18 +55,6 @@ func registerCore(in *Interp) {
 	for name, cmd := range cmds {
 		in.Register(name, cmd)
 	}
-	// Var-pure core commands: they never write interpreter variables,
-	// define procs, or evaluate scripts, so invoke sites resolving to
-	// them cannot disturb frozen specialization facts mid-run. Anything
-	// that writes variables (set, incr, append, lappend, lassign, unset,
-	// global) or evaluates script text (if, while, for, foreach, switch,
-	// eval, catch, proc, expr) stays off this list.
-	in.MarkPure(
-		"list", "lindex", "llength", "lrange", "linsert", "lsearch",
-		"lsort", "lreverse", "lreplace", "concat", "join", "split",
-		"string", "format", "info", "puts", "error",
-		"return", "break", "continue",
-	)
 }
 
 func cmdSet(in *Interp, args []string) (string, error) {
@@ -231,6 +219,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 		if in.maxSteps > 0 {
 			in.steps++
 			if in.steps > in.maxSteps {
+				in.limitHit = true
 				return "", fmt.Errorf("step limit %d exceeded in for loop", in.maxSteps)
 			}
 		}

@@ -47,18 +47,27 @@ type cloop struct {
 	scope                                int // index into p.loops, filled at close
 }
 
-// compileProgram lowers s for the given frame mode. It never fails:
-// uncompilable constructs lower to generic dispatch and surface their
-// errors at runtime exactly as the tree-walker would.
+// compileProgram is the whole pipeline from a parsed script to the one
+// Program that runs it in the given frame mode: lower, then constant-fold
+// and fuse in place (optimize.go). It never fails: uncompilable constructs
+// lower to generic dispatch and surface their errors at runtime exactly as
+// the tree-walker would.
 func compileProgram(in *Interp, s *Script, mode progMode) *Program {
 	c := &compiler{
 		in:      in,
 		mode:    mode,
-		p:       &Program{script: s},
+		p:       &Program{},
 		constOf: make(map[string]int32),
 	}
 	c.p.wraps = append(c.p.wraps, wrapCtx{}) // index 0 = no wrap
 	c.script(s)
+	if in.lowerOnly {
+		return c.p
+	}
+	o := &optimizer{in: in, p: c.p}
+	for o.fold() {
+	}
+	o.fuse()
 	return c.p
 }
 
@@ -237,7 +246,7 @@ func (c *compiler) wordPush(w *word) {
 
 func (c *compiler) pushVar(name string, line int) {
 	if c.mode == modeGlobal {
-		if sl := c.in.gslotIndex(name, true); sl >= 0 {
+		if sl := c.in.gslotIndex(name); sl >= 0 {
 			c.emit(instr{op: opPushSlot, a: int32(sl), b: c.constIdx(name), line: int32(line)})
 			c.argDepth++
 			return
@@ -420,7 +429,7 @@ func (c *compiler) foreachForm(cmd *command) bool {
 	if c.mode == modeGlobal {
 		slots := make([]int32, 0, len(vars))
 		for _, v := range vars {
-			sl := c.in.gslotIndex(v, true)
+			sl := c.in.gslotIndex(v)
 			if sl < 0 {
 				slots = nil
 				break
@@ -515,7 +524,7 @@ func (c *compiler) setForm(cmd *command) bool {
 	}
 	slot := int32(-1)
 	if c.mode == modeGlobal {
-		slot = int32(c.in.gslotIndex(name, true))
+		slot = int32(c.in.gslotIndex(name))
 	}
 	g := c.guard(cmd, "set")
 	if len(cmd.words) == 3 {
@@ -561,7 +570,7 @@ func (c *compiler) incrForm(cmd *command) bool {
 	}
 	slot := int32(-1)
 	if c.mode == modeGlobal {
-		slot = int32(c.in.gslotIndex(name, true))
+		slot = int32(c.in.gslotIndex(name))
 	}
 	g := c.guard(cmd, "incr")
 	wrap := c.wrapIdx("incr", cmd.line)
@@ -666,7 +675,7 @@ func (c *compiler) exprOps(n exprNode, wrap int32) {
 		c.vDepth++
 	case *varNode:
 		if c.mode == modeGlobal {
-			if sl := c.in.gslotIndex(n.name, true); sl >= 0 {
+			if sl := c.in.gslotIndex(n.name); sl >= 0 {
 				c.emit(instr{op: opVSlot, a: int32(sl), b: c.constIdx(n.name), c: wrap})
 				c.vDepth++
 				return

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the Program disassembler: a readable rendering of the
-// lowered instruction stream, used by the -dump-prog CLI flags to debug
-// fused and specialized programs.
+// compiled instruction stream, used by the -dump-prog CLI flags to debug
+// fused programs.
 
 var opNames = [...]string{
 	opNop:            "nop",
@@ -67,7 +67,6 @@ var opNames = [...]string{
 	opEnterClear:     "nest.enter.clear",
 	opLeavePush:      "nest.leave.push",
 	opSetSlotConst:   "set.slot.const",
-	opAccConst:       "acc.const",
 	opInvokeCmpBr:    "invoke.cmp.br",
 	opClearStepGuard: "clear.step.guard",
 	opClearJump:      "clear.jump",
@@ -97,7 +96,7 @@ func Disassemble(p *Program) string {
 		case opGuard, opStepGuard, opClearStepGuard:
 			g := &p.guards[i.a]
 			fmt.Fprintf(&b, "mask=%#x deopt -> %d", g.mask, i.b)
-		case opPushConst, opAccConst:
+		case opPushConst:
 			fmt.Fprintf(&b, "%s", qconst(p.consts[i.a]))
 		case opPushSlot:
 			fmt.Fprintf(&b, "slot %d (%s)", i.a, qconst(p.consts[i.b]))
@@ -199,20 +198,15 @@ func Disassemble(p *Program) string {
 	return b.String()
 }
 
-// DumpProgram compiles src in in's global scope, runs it through the
-// optimizer with in's current facts, and writes both listings to w —
-// the -dump-prog rendering.
+// DumpProgram compiles src in in's global scope and writes the listing to
+// w — the -dump-prog rendering.
 func (in *Interp) DumpProgram(w io.Writer, title, src string) error {
 	s, err := Parse(src)
 	if err != nil {
 		return err
 	}
-	base := compileProgram(in, s, modeGlobal)
-	fmt.Fprintf(w, "=== %s: unoptimized (%d instructions)\n", title, len(base.ins))
-	io.WriteString(w, Disassemble(base))
-	opt, factSlots, _ := optimizeProgram(in, base, modeGlobal)
-	fmt.Fprintf(w, "--- %s: optimized (%d instructions, %d fused sites, %d frozen facts)\n",
-		title, len(opt.ins), len(opt.fused), len(factSlots))
-	io.WriteString(w, Disassemble(opt))
+	p := compileProgram(in, s, modeGlobal)
+	fmt.Fprintf(w, "=== %s: %d instructions, %d fused sites\n", title, len(p.ins), len(p.fused))
+	io.WriteString(w, Disassemble(p))
 	return nil
 }

@@ -1,14 +1,13 @@
 package script
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
 
-// TestDisassembleBenchScript renders the benchmark filter body before and
-// after optimization. Primarily a smoke test that Disassemble covers every
-// opcode the optimizer can emit; run with -v to inspect the listings.
+// TestDisassembleBenchScript renders the benchmark filter bodies. Primarily
+// a smoke test that Disassemble covers the opcodes the fuser emits; run with
+// -v to inspect the listings.
 func TestDisassembleBenchScript(t *testing.T) {
 	in := New()
 	in.Register("msg_type", func(_ *Interp, args []string) (string, error) { return "DATA", nil })
@@ -33,12 +32,10 @@ func TestDisassembleBenchScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"step.invoke", "optimized"} {
+	for _, want := range []string{"step.invoke", "invoke.cmp.br", "fused sites"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
 		}
 	}
-	if os.Getenv("PFI_DUMP") != "" {
-		t.Log("\n" + out)
-	}
+	t.Log("\n" + out)
 }

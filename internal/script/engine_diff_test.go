@@ -12,6 +12,13 @@ func runEngine(t *testing.T, eng Engine, src string, steps int) (string, string,
 	t.Helper()
 	in := New()
 	in.SetEngine(eng)
+	return evalCapture(in, src, steps)
+}
+
+// evalCapture runs src on in under a step limit (0 keeps the default). A
+// step-limit trip is folded into the returned error text, so every
+// differential table also compares StepLimitHit() across engines.
+func evalCapture(in *Interp, src string, steps int) (string, string, string) {
 	if steps > 0 {
 		in.SetStepLimit(steps)
 	}
@@ -21,6 +28,9 @@ func runEngine(t *testing.T, eng Engine, src string, steps int) (string, string,
 	errs := ""
 	if err != nil {
 		errs = err.Error()
+	}
+	if in.StepLimitHit() {
+		errs += " [step limit hit]"
 	}
 	return res, errs, out.String()
 }
@@ -236,11 +246,67 @@ func TestEngineDiffStepLimit(t *testing.T) {
 		`proc f {} { f }; f`,
 		`set i 0; while {$i < 100000} { incr i }`,
 		`foreach x {1 2 3 4 5 6 7 8 9 10} { foreach y {1 2 3 4 5 6 7 8 9 10} { set z $x$y } }`,
+		`for {set i 0} {1} {} {}`,
+		`for {set i 0} {1} {incr i} { set x $i }`,
 	}
 	for _, src := range cases {
 		for _, steps := range []int{1, 2, 3, 7, 25, 100} {
 			diffEvalSteps(t, src, steps)
 		}
+	}
+	// Every runaway loop form must also report the trip through
+	// StepLimitHit, which is how hosts tell a budget trip from a script bug.
+	for _, src := range []string{`while {1} {}`, `for {set i 0} {1} {} {}`, `while {1} { set x 1 }`} {
+		for _, eng := range []Engine{EngineTree, EngineVM} {
+			if _, errs, _ := runEngine(t, eng, src, 1000); !strings.HasSuffix(errs, "[step limit hit]") {
+				t.Errorf("engine %v: %q tripped the limit without StepLimitHit: %q", eng, src, errs)
+			}
+		}
+	}
+}
+
+// TestEngineDiffHostGlobals: the variables core.NewLayer presets
+// (pfi_node, pfi_dir, pfi_protocol) are ordinary globals — a script
+// installed once may branch on them, overwrite them, and read the new
+// value back on a later activation, identically on the tree-walker, the
+// unfused VM and the fused VM.
+func TestEngineDiffHostGlobals(t *testing.T) {
+	const filter = `if {$pfi_node eq "vendor"} { set seen vendor } else { set seen $pfi_node }
+if {$pfi_dir eq "send" && $pfi_protocol ne ""} { append seen /$pfi_dir/$pfi_protocol }
+set seen`
+	run := func(eng Engine, lowerOnly bool) string {
+		in := New()
+		in.SetEngine(eng)
+		in.lowerOnly = lowerOnly
+		in.SetVar("pfi_node", "vendor")
+		in.SetVar("pfi_dir", "send")
+		in.SetVar("pfi_protocol", "tcp")
+		pr := in.Prepare(MustParse(filter))
+		var log []string
+		step := func(res string, err error) {
+			if err != nil {
+				res = "ERR:" + err.Error()
+			}
+			log = append(log, res)
+		}
+		step(pr.Run())
+		step(in.Eval(`set pfi_node rewritten; set pfi_node`)) // a script write after install
+		step(pr.Run())
+		in.SetGlobal("pfi_protocol", "") // a host write after install
+		step(pr.Run())
+		step(in.Eval(`unset pfi_dir`))
+		step(pr.Run())
+		return strings.Join(log, "|")
+	}
+	want := run(EngineTree, false)
+	if !strings.HasPrefix(want, "vendor/send/tcp|rewritten|rewritten/send/tcp|rewritten|") {
+		t.Fatalf("tree-walker reference log is wrong: %q", want)
+	}
+	if got := run(EngineVM, true); got != want {
+		t.Errorf("unfused VM diverges:\n tree: %q\n   vm: %q", want, got)
+	}
+	if got := run(EngineVM, false); got != want {
+		t.Errorf("fused VM diverges:\n tree: %q\n   vm: %q", want, got)
 	}
 }
 

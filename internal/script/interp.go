@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
@@ -99,17 +98,6 @@ const (
 	EngineTree
 )
 
-// DefaultEngine returns the engine New installs: the VM, unless the
-// PFI_SCRIPT_ENGINE environment variable selects the tree-walker
-// ("tree" or "walker") as an escape hatch.
-func DefaultEngine() Engine {
-	switch os.Getenv("PFI_SCRIPT_ENGINE") {
-	case "tree", "walker":
-		return EngineTree
-	}
-	return EngineVM
-}
-
 // gslot is one global variable. Globals live in a flat slot table rather
 // than a map so the compiler can resolve a literal variable name to an
 // integer index once, and so the VM can memoize the numeric interpretation
@@ -143,14 +131,14 @@ type Interp struct {
 	frames    []*frame          // proc call stack (empty at top level)
 	commands  map[string]Command
 	procs     map[string]*proc
-	scripts   *srcCache[*Script]    // parse cache for control-flow bodies
-	exprs     *srcCache[exprNode]   // compile cache for expr conditions
-	progs     *srcCache[*progEntry] // VM programs compiled for the global frame
-	procProgs *srcCache[*progEntry] // VM programs compiled for proc frames
-	wordBufs  [][]string            // scratch buffers for expandCommand
-	out       io.Writer             // destination for puts
+	scripts   *srcCache[*Script]  // parse cache for control-flow bodies
+	exprs     *srcCache[exprNode] // compile cache for expr conditions
+	progs     *srcCache[*Program] // VM programs compiled for the global frame
+	procProgs *srcCache[*Program] // VM programs compiled for proc frames
+	wordBufs  [][]string          // scratch buffers for expandCommand
+	out       io.Writer           // destination for puts
 	engine    Engine
-	optimize  bool // run compiled programs through the AOT optimizer
+	lowerOnly bool // tests only: compileProgram skips fold+fuse (the unfused leg of TestOptimizeDiff*)
 	steps     int  // commands executed since limit reset
 	maxSteps  int  // 0 = unlimited
 	limitHit  bool // last top-level Eval/Run died on the step limit
@@ -164,22 +152,10 @@ type Interp struct {
 	cmdEpoch   uint64
 	shadowMask uint32
 
-	// defEpoch invalidates optimized programs: it bumps when the set of
-	// command/proc definitions (or the shadow mask) changes — strictly
-	// less often than cmdEpoch, which also bumps on snapshot restores so
-	// inline caches revalidate. factEpoch bumps when Freeze records a new
-	// fact. pureCmds marks host commands proven var-pure (they never
-	// write interpreter variables, define procs, or evaluate scripts) —
-	// the whitelist specialization's purity proof relies on.
-	defEpoch  uint64
-	factEpoch uint64
-	facts     map[string]string // frozen globals for specialization
-	pureCmds  map[string]bool
-
 	// One-entry memo for program(): repeated top-level runs of the same
 	// *Script (the per-message filter path) skip the source-cache lookup.
 	lastScript *Script
-	lastEntry  *progEntry
+	lastProg   *Program
 
 	// VM scratch stacks, shared across nested exec calls (each call
 	// operates above its saved base indices).
@@ -187,18 +163,6 @@ type Interp struct {
 	vmVals []value
 	vmFes  []feState
 	vmBuf  []byte // concat scratch
-}
-
-// progEntry is one cached compilation: the base program plus its
-// optimized lowering and the epochs/facts the optimization depends on.
-type progEntry struct {
-	base      *Program
-	opt       *Program
-	defEpoch  uint64
-	factEpoch uint64
-	deopted   bool    // sticky: a frozen fact changed underneath opt
-	factSlots []int32 // frozen slots folded into opt
-	factVals  []string
 }
 
 const maxDepth = 200
@@ -212,58 +176,19 @@ func New() *Interp {
 		procs:     make(map[string]*proc),
 		scripts:   newSrcCache[*Script](4096),
 		exprs:     newSrcCache[exprNode](4096),
-		progs:     newSrcCache[*progEntry](4096),
-		procProgs: newSrcCache[*progEntry](4096),
-		pureCmds:  make(map[string]bool),
+		progs:     newSrcCache[*Program](4096),
+		procProgs: newSrcCache[*Program](4096),
 		out:       io.Discard,
-		engine:    DefaultEngine(),
-		optimize:  DefaultOptimize(),
 		maxSteps:  5_000_000,
 	}
 	registerCore(in)
 	return in
 }
 
-// SetOptimize toggles the AOT optimizer (on by default under EngineVM).
-// Turning it off makes every activation run the base compiled program —
-// the configuration the optimizer is differentially tested against.
-func (in *Interp) SetOptimize(on bool) { in.optimize = on }
-
-// OptimizeEnabled reports whether the AOT optimizer is active.
-func (in *Interp) OptimizeEnabled() bool { return in.optimize }
-
-// MarkPure declares host commands var-pure: they never write interpreter
-// variables, define procs, or evaluate scripts. Only invoke sites whose
-// commands are all marked pure allow profile specialization to fold
-// frozen globals into straight-line code. Marking a command that does
-// mutate interpreter state breaks the specialization soundness proof, so
-// hosts should only mark commands they own.
-func (in *Interp) MarkPure(names ...string) {
-	for _, n := range names {
-		in.pureCmds[n] = true
-	}
-}
-
-// Freeze sets a global variable and records it as a specialization fact:
-// optimized programs may constant-fold reads of name, guarded by a
-// per-activation check that the slot still holds value (a mismatch deopts
-// that program back to the unspecialized path, sticky). Freeze is for
-// registration-time constants — protocol stubs, vendor-profile
-// parameters — that scripts read but are not expected to write.
-func (in *Interp) Freeze(name, value string) {
-	in.gset(name, value)
-	if in.facts == nil {
-		in.facts = make(map[string]string)
-	}
-	in.facts[name] = value
-	in.factEpoch++
-}
-
-// Facts returns the frozen specialization facts (nil when none).
-func (in *Interp) Facts() map[string]string { return in.facts }
-
-// SetEngine switches the execution engine. The tree-walker is the reference
-// implementation; the VM must be observationally identical to it.
+// SetEngine switches the execution engine. New installs EngineVM, the only
+// engine any CLI runs; SetEngine(EngineTree) selects the tree-walking
+// reference implementation that FuzzCompiledParity and TestEngineDiff*
+// compare the VM against.
 func (in *Interp) SetEngine(e Engine) { in.engine = e }
 
 // EngineInUse reports the active execution engine.
@@ -366,13 +291,6 @@ func (in *Interp) RestoreState(state any) {
 	for k, v := range st.procs {
 		in.procs[k] = v
 	}
-	if len(in.procs) != 0 || len(st.procs) != 0 || in.shadowMask != st.shadow {
-		// The definition set may differ; optimized programs must
-		// revalidate. Plain variable rewinds (the per-iteration fuzz
-		// path) don't bump defEpoch, so they don't force recompiles —
-		// the per-activation fact check covers restored values.
-		in.defEpoch++
-	}
 	in.shadowMask = st.shadow
 	in.cmdEpoch++
 }
@@ -387,7 +305,6 @@ func (in *Interp) Register(name string, cmd Command) {
 	}
 	in.commands[name] = cmd
 	in.cmdEpoch++
-	in.defEpoch++
 }
 
 // Unregister removes a host command.
@@ -395,7 +312,6 @@ func (in *Interp) Unregister(name string) {
 	delete(in.commands, name)
 	in.markShadowed(name)
 	in.cmdEpoch++
-	in.defEpoch++
 }
 
 // defineProc installs a script-defined procedure. Procs shadow host
@@ -405,7 +321,6 @@ func (in *Interp) defineProc(pr *proc) {
 	in.procs[pr.name] = pr
 	in.markShadowed(pr.name)
 	in.cmdEpoch++
-	in.defEpoch++
 }
 
 // specialFormBit returns the shadow-mask bit for a special-form name the
@@ -509,13 +424,12 @@ func (in *Interp) curFrame() *frame {
 }
 
 // gslotIndex interns name in the global slot table, returning -1 when the
-// table is full (the caller then uses the overflow map). With create=false
-// it only reports an existing slot.
-func (in *Interp) gslotIndex(name string, create bool) int {
+// table is full (the caller then uses the overflow map).
+func (in *Interp) gslotIndex(name string) int {
 	if i, ok := in.gslotOf[name]; ok {
 		return i
 	}
-	if !create || len(in.gslots) >= maxGlobalSlots {
+	if len(in.gslots) >= maxGlobalSlots {
 		return -1
 	}
 	i := len(in.gslots)
@@ -525,7 +439,7 @@ func (in *Interp) gslotIndex(name string, create bool) int {
 }
 
 func (in *Interp) gset(name, value string) {
-	if i := in.gslotIndex(name, true); i >= 0 {
+	if i := in.gslotIndex(name); i >= 0 {
 		s := &in.gslots[i]
 		s.val, s.set, s.numState = value, true, numUnknown
 		s.num = valueZero
@@ -613,70 +527,42 @@ func (in *Interp) runAny(s *Script) (string, error) {
 // the same *Script executed every message.
 func (in *Interp) program(s *Script) *Program {
 	if len(in.frames) > 0 {
-		return in.selectProgram(in.entryFor(s, in.procProgs, modeProc), modeProc)
+		return in.programFor(s, in.procProgs, modeProc)
 	}
 	if s == in.lastScript {
-		return in.selectProgram(in.lastEntry, modeGlobal)
+		return in.lastProg
 	}
-	e := in.entryFor(s, in.progs, modeGlobal)
-	in.lastScript, in.lastEntry = s, e
-	return in.selectProgram(e, modeGlobal)
+	p := in.programFor(s, in.progs, modeGlobal)
+	in.lastScript, in.lastProg = s, p
+	return p
 }
 
-// entryFor fetches (or creates) the cache entry holding s's compilation.
-func (in *Interp) entryFor(s *Script, cache *srcCache[*progEntry], mode progMode) *progEntry {
-	if e, ok := cache.get(s.src); ok {
-		return e
+// programFor fetches s's compilation from cache, compiling on miss. A
+// Program never needs revalidating: what can change after compilation
+// (command bindings, shadowed special forms) is checked at run time by
+// its inline caches and shadow guards.
+func (in *Interp) programFor(s *Script, cache *srcCache[*Program], mode progMode) *Program {
+	if p, ok := cache.get(s.src); ok {
+		return p
 	}
 	statCompiles.Add(1)
-	e := &progEntry{base: compileProgram(in, s, mode)}
-	cache.put(s.src, e)
-	return e
+	p := compileProgram(in, s, mode)
+	cache.put(s.src, p)
+	return p
 }
 
-// selectProgram picks the program an activation should run: the optimized
-// lowering when it is still valid, the base program otherwise. Validity
-// has three layers: the definition epoch (commands/procs changed →
-// re-optimize), the fact epoch (new Freeze calls → re-optimize), and the
-// per-activation fact check (a frozen global no longer holds its frozen
-// value → sticky deopt, because the specialization folded that value into
-// the instruction stream).
-func (in *Interp) selectProgram(e *progEntry, mode progMode) *Program {
-	if !in.optimize || e.deopted {
-		return e.base
-	}
-	if e.opt == nil || e.defEpoch != in.defEpoch || e.factEpoch != in.factEpoch {
-		if e.opt != nil {
-			statRecompiles.Add(1)
-		}
-		e.opt, e.factSlots, e.factVals = optimizeProgram(in, e.base, mode)
-		e.defEpoch, e.factEpoch = in.defEpoch, in.factEpoch
-	}
-	for k, sl := range e.factSlots {
-		s := &in.gslots[sl]
-		if !s.set || s.val != e.factVals[k] {
-			e.deopted = true
-			statDeopts.Add(1)
-			return e.base
-		}
-	}
-	return e.opt
-}
-
-// Prepared binds a parsed script to its compiled program entry so
-// per-message execution skips the source-cache lookup entirely. Prepare
-// compiles (but does not yet optimize) eagerly; optimization happens on
-// first run, once facts are settled.
+// Prepared binds a parsed script to its compiled program so per-message
+// execution skips the source-cache lookup entirely.
 type Prepared struct {
 	in *Interp
 	s  *Script
-	e  *progEntry
+	p  *Program
 }
 
-// Prepare resolves s against the global-scope program cache and returns a
-// handle whose Run is equivalent to Run(s).
+// Prepare compiles s for the global scope and returns a handle whose Run
+// is equivalent to Run(s).
 func (in *Interp) Prepare(s *Script) *Prepared {
-	return &Prepared{in: in, s: s, e: in.entryFor(s, in.progs, modeGlobal)}
+	return &Prepared{in: in, s: s, p: in.programFor(s, in.progs, modeGlobal)}
 }
 
 // Run executes the prepared script at the top level, like Interp.Run.
@@ -687,7 +573,7 @@ func (pr *Prepared) Run() (string, error) {
 	}
 	in.steps = 0
 	in.limitHit = false
-	res, err := in.exec(in.selectProgram(pr.e, modeGlobal))
+	res, err := in.exec(pr.p)
 	if err != nil {
 		var fl *flow
 		if errors.As(err, &fl) {

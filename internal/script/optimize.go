@@ -1,252 +1,68 @@
 package script
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// This file is the AOT optimization pipeline that lowers a compiled
-// Program further before execution. Pass order:
+// This file is the second half of compileProgram: the passes that rewrite
+// the lowered instruction stream, in place, before a Program is ever run.
 //
-//  1. specialization — constant-fold frozen globals (Interp.Freeze) into
-//     the instruction stream, when a purity analysis proves the program
-//     cannot write them;
-//  2. constant folding — evaluate operator trees and conditions whose
-//     operands became constants, turning dead conditionals into jumps;
-//  3. dead-code elimination — drop instructions unreachable from entry
-//     (branches pruned by folding, bodies behind constant conditions);
-//  4. superinstruction fusion — collapse the common instruction pairs and
+//  1. constant folding — evaluate operator trees and conditions over
+//     literal operands, turning constant conditionals into jumps and
+//     dropping the truth-normalization after a comparison (the identity
+//     that lets the compare-and-branch fusions below match);
+//  2. superinstruction fusion — collapse the common instruction pairs and
 //     triples of the filter corpus (step+guard, load+compare+branch,
 //     step+guard+incr, command dispatch with static args) into single
 //     opcodes.
 //
-// Every pass is an exact program transformation: fused opcodes reproduce
-// the unfused sequence's stack states, step accounting, and errors at
-// every observable point, and specialization is gated on a conservative
-// purity proof plus a per-activation fact check with sticky deopt (see
-// Interp.selectProgram). The differential parity harness (FuzzCompiledParity,
-// TestEngineDiff*) runs with the optimizer on, so byte-identical behavior
-// versus the tree-walker is continuously enforced.
+// Both passes are exact program transformations that depend only on the
+// program text: fused opcodes reproduce the unfused sequence's stack
+// states, step accounting, and errors at every observable point, and
+// everything that can change after compilation (command bindings, shadowed
+// special forms) is still checked at run time by the inline caches and
+// shadow guards the lowering emitted. A Program is therefore compiled once
+// and never revalidated. The differential parity harness
+// (FuzzCompiledParity, TestEngineDiff*, TestOptimizeDiff*) enforces
+// byte-identical behavior versus the tree-walker.
 
-// Optimizer and cache statistics, process-wide. Counters are atomic so
+// Compiler and cache statistics, process-wide. Counters are atomic so
 // the fleet /metrics endpoint can read them while campaign workers run.
 var (
 	statCompiles    atomic.Uint64 // programs compiled from source
-	statOptimized   atomic.Uint64 // programs run through the optimizer
-	statRecompiles  atomic.Uint64 // re-optimizations after a definition/fact epoch change
-	statDeopts      atomic.Uint64 // sticky deopts after a frozen fact changed
-	statSpecialized atomic.Uint64 // programs that folded at least one frozen fact
 	statFusedOps    atomic.Uint64 // superinstructions emitted
 	statFoldedOps   atomic.Uint64 // instructions removed by constant folding
-	statDCEOps      atomic.Uint64 // instructions removed as unreachable
 	statCacheHits   atomic.Uint64 // srcCache hits (scripts/exprs/programs)
 	statCacheMisses atomic.Uint64 // srcCache misses
 )
 
-// OptStats is a snapshot of the optimizer and script-cache counters.
+// OptStats is a snapshot of the compiler and script-cache counters.
 type OptStats struct {
 	Compiles    uint64
-	Optimized   uint64
-	Recompiles  uint64
-	Deopts      uint64
-	Specialized uint64
 	FusedOps    uint64
 	FoldedOps   uint64
-	DCEOps      uint64
 	CacheHits   uint64
 	CacheMisses uint64
 }
 
-// Stats returns the process-wide optimizer and cache counters.
+// Stats returns the process-wide compiler and cache counters.
 func Stats() OptStats {
 	return OptStats{
 		Compiles:    statCompiles.Load(),
-		Optimized:   statOptimized.Load(),
-		Recompiles:  statRecompiles.Load(),
-		Deopts:      statDeopts.Load(),
-		Specialized: statSpecialized.Load(),
 		FusedOps:    statFusedOps.Load(),
 		FoldedOps:   statFoldedOps.Load(),
-		DCEOps:      statDCEOps.Load(),
 		CacheHits:   statCacheHits.Load(),
 		CacheMisses: statCacheMisses.Load(),
 	}
 }
 
-// DefaultOptimize reports whether new interpreters enable the AOT
-// optimizer: on, unless the PFI_SCRIPT_OPT environment variable turns it
-// off ("off", "0", or "no") as an escape hatch.
-func DefaultOptimize() bool {
-	switch os.Getenv("PFI_SCRIPT_OPT") {
-	case "off", "0", "no":
-		return false
-	}
-	return true
-}
-
-// optimizeProgram lowers base through the pass pipeline. It returns a new
-// Program sharing base's immutable side tables; factSlots/factVals receive
-// the frozen globals the result depends on (empty when no specialization
-// applied), which selectProgram re-checks on every activation.
-func optimizeProgram(in *Interp, base *Program, mode progMode) (p *Program, factSlots []int32, factVals []string) {
-	statOptimized.Add(1)
-	o := &optimizer{in: in, base: base}
-	o.p = &Program{
-		script:  base.script,
-		ins:     append([]instr(nil), base.ins...),
-		consts:  append([]string(nil), base.consts...),
-		vconsts: append([]value(nil), base.vconsts...),
-		plans:   base.plans,
-		invokes: base.invokes, // shared: inline caches stay coherent across base/opt
-		guards:  base.guards,
-		wraps:   base.wraps,
-		fes:     base.fes,
-		deltas:  base.deltas,
-		calls:   base.calls,
-		loops:   append([]loopScope(nil), base.loops...),
-	}
-	if mode == modeGlobal && len(in.facts) > 0 {
-		o.specialize()
-	}
-	for o.fold() {
-	}
-	o.dce()
-	o.fuse()
-	if len(o.factSlots) > 0 {
-		statSpecialized.Add(1)
-	}
-	return o.p, o.factSlots, o.factVals
-}
-
+// optimizer rewrites p's instruction stream in place.
 type optimizer struct {
-	in        *Interp
-	base      *Program
-	p         *Program
-	factSlots []int32
-	factVals  []string
-}
-
-func (o *optimizer) constIdx(s string) int32 {
-	for i, c := range o.p.consts {
-		if c == s {
-			return int32(i)
-		}
-	}
-	o.p.consts = append(o.p.consts, s)
-	return int32(len(o.p.consts) - 1)
+	in *Interp
+	p  *Program
 }
 
 func (o *optimizer) vconstIdx(v value) int32 {
 	o.p.vconsts = append(o.p.vconsts, v)
 	return int32(len(o.p.vconsts) - 1)
-}
-
-// specialize folds frozen globals (Interp.Freeze) into the instruction
-// stream. Soundness requires that no frozen slot can change while the
-// optimized program runs:
-//
-//   - no dynamic dispatch (opInvokeDyn) and every opInvoke site resolves
-//     now to a host command marked var-pure (MarkPure) — so no invoked
-//     command can write interpreter variables, define procs, or evaluate
-//     scripts that do;
-//   - no compiled write (set/incr/foreach) targets a frozen slot or name;
-//   - no shadow guard in the program can deoptimize to the tree-walker
-//     (the deopt path re-runs arbitrary command ASTs).
-//
-// Writes between activations (snapshots, peer filters, scheduled bodies)
-// are caught by selectProgram's per-activation fact check, which deopts
-// sticky to the base program. Definition changes bump defEpoch and force
-// re-optimization before the next activation.
-func (o *optimizer) specialize() {
-	in := o.in
-	// Resolve fact names to slots; a fact without an interned slot cannot
-	// appear as a slot operand, but could still be read by name — treated
-	// as a blocking name below.
-	factOf := make(map[int32]string, len(in.facts))
-	for name, val := range in.facts {
-		if sl := in.gslotIndex(name, false); sl >= 0 {
-			factOf[int32(sl)] = val
-		}
-	}
-	if len(factOf) == 0 {
-		return
-	}
-	var guardMask uint32
-	for _, g := range o.base.guards {
-		guardMask |= g.mask
-	}
-	if in.shadowMask&guardMask != 0 {
-		return // a guard may deopt to the tree-walker: no purity proof
-	}
-	written := make(map[int32]bool)
-	blockedName := func(name string) bool {
-		_, isFact := in.facts[name]
-		return isFact
-	}
-	for k := range o.p.ins {
-		i := &o.p.ins[k]
-		switch i.op {
-		case opInvokeDyn:
-			return
-		case opInvoke:
-			site := &o.p.invokes[i.a]
-			if in.procs[site.name] != nil || !in.pureCmds[site.name] || in.commands[site.name] == nil {
-				return
-			}
-		case opSetSlot, opIncrSlot, opIncrSlotDyn:
-			written[i.a] = true
-		case opSetNamed, opIncrNamed, opIncrNamedDyn:
-			if blockedName(o.p.consts[i.a]) {
-				return
-			}
-		case opPushVarNamed, opGetNamed, opVNamed:
-			// Reads by name bypass the slot table; if they alias a fact,
-			// the substitution below would miss them. Block to stay exact.
-			if blockedName(o.p.consts[i.a]) {
-				return
-			}
-		case opForeachInit, opForeachInitPre, opForeachStep:
-			inf := &o.p.fes[i.a]
-			for _, sl := range inf.slots {
-				written[sl] = true
-			}
-			for _, nm := range inf.names {
-				if blockedName(nm) {
-					return
-				}
-			}
-		}
-	}
-	for k := range o.p.ins {
-		i := &o.p.ins[k]
-		switch i.op {
-		case opVSlot:
-			if val, ok := factOf[i.a]; ok && !written[i.a] {
-				o.useFact(i.a, val)
-				o.p.ins[k] = instr{op: opVConst, a: o.vconstIdx(coerce(val)), line: i.line}
-			}
-		case opPushSlot:
-			if val, ok := factOf[i.a]; ok && !written[i.a] {
-				o.useFact(i.a, val)
-				o.p.ins[k] = instr{op: opPushConst, a: o.constIdx(val), line: i.line}
-			}
-		case opGetSlot:
-			if val, ok := factOf[i.a]; ok && !written[i.a] {
-				o.useFact(i.a, val)
-				o.p.ins[k] = instr{op: opAccConst, a: o.constIdx(val), line: i.line}
-			}
-		}
-	}
-}
-
-func (o *optimizer) useFact(slot int32, val string) {
-	for _, s := range o.factSlots {
-		if s == slot {
-			return
-		}
-	}
-	o.factSlots = append(o.factSlots, slot)
-	o.factVals = append(o.factVals, val)
 }
 
 // leaders returns the set of instruction indices that are jump targets or
@@ -451,91 +267,6 @@ func (o *optimizer) fold() bool {
 	return changed
 }
 
-// dce removes instructions unreachable from entry. Reachability includes
-// guard deopt targets and — for any loop whose body is reachable — the
-// loop's break/continue landing pads, since a dynamically raised flow
-// error can jump there without a static predecessor.
-func (o *optimizer) dce() {
-	ins := o.p.ins
-	n := len(ins)
-	if n == 0 {
-		return
-	}
-	reach := make([]bool, n+1)
-	var stack []int32
-	push := func(t int32) {
-		if int(t) <= n && !reach[t] {
-			reach[t] = true
-			stack = append(stack, t)
-		}
-	}
-	push(0)
-	for {
-		for len(stack) > 0 {
-			pc := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if int(pc) >= n {
-				continue
-			}
-			i := &ins[pc]
-			switch i.op {
-			case opJump, opClearJump:
-				push(i.a)
-			case opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr:
-				push(i.a)
-				push(pc + 1)
-			case opGuard, opForeachStep, opStepGuard, opClearStepGuard:
-				push(i.b)
-				push(pc + 1)
-			case opCmpConstBr, opSlotCmpBr, opStepIncrSlot, opInvokeCmpBr:
-				push(o.p.fused[i.a].target)
-				push(pc + 1)
-			default:
-				push(pc + 1)
-			}
-		}
-		// Loop landing pads are reachable whenever any body pc is: a
-		// dynamically raised break/continue jumps there with no static
-		// predecessor.
-		added := false
-		for k := range o.p.loops {
-			lp := &o.p.loops[k]
-			bodyLive := false
-			for pc := lp.start; pc < lp.end; pc++ {
-				if reach[pc] {
-					bodyLive = true
-					break
-				}
-			}
-			if bodyLive && (!reach[lp.breakPC] || !reach[lp.contPC]) {
-				push(lp.breakPC)
-				push(lp.contPC)
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	removed := 0
-	for k := 0; k < n; k++ {
-		if !reach[k] {
-			removed++
-		}
-	}
-	if removed == 0 {
-		return
-	}
-	statDCEOps.Add(uint64(removed))
-	r := o.newRewrite()
-	for k := 0; k < n; k++ {
-		if reach[k] {
-			r.emit(ins[k], int32(k))
-		}
-	}
-	r.apply()
-}
-
 // fuse collapses common instruction sequences into superinstructions. A
 // group's interior instructions must not be jump targets; the head may be.
 // Wrap indices must agree across a group so fused errors wrap identically.
@@ -582,7 +313,7 @@ func (o *optimizer) fuse() {
 				if int(site.argc) != len(args) || ins[j].c != ins[k].c {
 					return instr{}, 0, false
 				}
-				f := fusedOp{site: ins[j].a, args: args, guard: -1}
+				f := fusedOp{site: ins[j].a, args: args}
 				if site.name == "info" && len(args) == 2 &&
 					args[0].kind == argConst && args[1].kind == argConst &&
 					o.p.consts[args[0].a] == "exists" {
@@ -592,7 +323,7 @@ func (o *optimizer) fuse() {
 					f.flags |= fuseInfoExists
 					f.nameC = args[1].a
 					f.slot = -1
-					if sl := o.in.gslotIndex(o.p.consts[args[1].a], true); sl >= 0 {
+					if sl := o.in.gslotIndex(o.p.consts[args[1].a]); sl >= 0 {
 						f.slot = int32(sl)
 					}
 				}
@@ -704,7 +435,7 @@ func (o *optimizer) fuse() {
 		if i.op == opVSlot && free(k, 3) &&
 			ins[k+1].op == opVConst && ins[k+2].op == opVBinop &&
 			ins[k+2].c == i.c {
-			f := fusedOp{slot: i.a, nameC: i.b, vconst: ins[k+1].a, binop: ins[k+2].a, guard: -1}
+			f := fusedOp{slot: i.a, nameC: i.b, vconst: ins[k+1].a, binop: ins[k+2].a}
 			if free(k, 4) && ins[k+3].op == opBranchFalse && ins[k+3].c == i.c {
 				f.target = ins[k+3].a
 				r.emit(instr{op: opSlotCmpBr, a: fusedIdx(f), c: i.c, line: i.line}, int32(k))
@@ -719,7 +450,7 @@ func (o *optimizer) fuse() {
 		}
 		if i.op == opVConst && free(k, 2) && ins[k+1].op == opVBinop {
 			if free(k, 3) && ins[k+2].op == opBranchFalse && ins[k+2].c == ins[k+1].c {
-				f := fusedOp{vconst: i.a, binop: ins[k+1].a, target: ins[k+2].a, guard: -1}
+				f := fusedOp{vconst: i.a, binop: ins[k+1].a, target: ins[k+2].a}
 				r.emit(instr{op: opCmpConstBr, a: fusedIdx(f), c: ins[k+1].c, line: i.line}, int32(k))
 				k += 3
 				statFusedOps.Add(1)

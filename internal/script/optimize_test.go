@@ -5,39 +5,28 @@ import (
 	"testing"
 )
 
-// runVM evaluates src on a fresh VM-engine interpreter with the optimizer
-// forced on or off, returning result, error text, and output.
-func runVM(t *testing.T, optimize bool, src string, steps int) (string, string, string) {
+// runVM evaluates src on a fresh VM-engine interpreter — fused (what ships)
+// or lowered only — returning result, error text, and output.
+func runVM(t *testing.T, fused bool, src string, steps int) (string, string, string) {
 	t.Helper()
 	in := New()
-	in.SetEngine(EngineVM)
-	in.SetOptimize(optimize)
-	if steps > 0 {
-		in.SetStepLimit(steps)
-	}
-	var out strings.Builder
-	in.SetOutput(&out)
-	res, err := in.Eval(src)
-	errs := ""
-	if err != nil {
-		errs = err.Error()
-	}
-	return res, errs, out.String()
+	in.lowerOnly = !fused
+	return evalCapture(in, src, steps)
 }
 
-// diffEval3 asserts the tree-walker, the unoptimized VM, and the optimized
-// VM agree byte-for-byte on result, error text, and output.
+// diffEval3 asserts the tree-walker, the unfused VM, and the fused VM agree
+// byte-for-byte on result, error text, and output.
 func diffEval3(t *testing.T, src string, steps int) {
 	t.Helper()
 	tr, te, to := runEngine(t, EngineTree, src, steps)
 	br, be, bo := runVM(t, false, src, steps)
 	or, oe, oo := runVM(t, true, src, steps)
 	if tr != br || te != be || to != bo {
-		t.Errorf("vm-noopt diverges from tree on %q:\n tree: res=%q err=%q out=%q\n   vm: res=%q err=%q out=%q",
+		t.Errorf("vm-unfused diverges from tree on %q:\n tree: res=%q err=%q out=%q\n   vm: res=%q err=%q out=%q",
 			src, tr, te, to, br, be, bo)
 	}
 	if tr != or || te != oe || to != oo {
-		t.Errorf("vm-opt diverges from tree on %q:\n tree: res=%q err=%q out=%q\n  opt: res=%q err=%q out=%q",
+		t.Errorf("vm-fused diverges from tree on %q:\n tree: res=%q err=%q out=%q\n  opt: res=%q err=%q out=%q",
 			src, tr, te, to, or, oe, oo)
 	}
 }
@@ -125,97 +114,18 @@ func TestOptimizeDiffStepLimits(t *testing.T) {
 	}
 }
 
-// TestOptimizeSpecialize checks fact-based specialization end to end:
-// frozen facts fold into the program, a mutated fact forces the sticky
-// deopt to the unspecialized base, and results stay correct throughout.
-func TestOptimizeSpecialize(t *testing.T) {
-	in := New()
-	in.SetOptimize(true)
-	in.Freeze("proto", "tcp")
-	s := MustParse(`if {$proto eq "tcp"} { set r tcp-path } else { set r other }; set r`)
-	res, err := in.Run(s)
-	if err != nil || res != "tcp-path" {
-		t.Fatalf("specialized run: %q, %v", res, err)
-	}
-	// Mutating a frozen fact is allowed but must deopt, not misexecute.
-	in.SetGlobal("proto", "udp")
-	res, err = in.Run(s)
-	if err != nil || res != "other" {
-		t.Fatalf("post-mutation run: %q, %v (sticky deopt must fall back)", res, err)
-	}
-	// And the deopt is sticky: restoring the old value stays on base.
-	in.SetGlobal("proto", "tcp")
-	res, err = in.Run(s)
-	if err != nil || res != "tcp-path" {
-		t.Fatalf("post-restore run: %q, %v", res, err)
-	}
-}
-
-// TestOptimizeSpecializeRefusals: writes to fact slots and dynamic aliases
-// must block specialization entirely rather than fold unsoundly.
-func TestOptimizeSpecializeRefusals(t *testing.T) {
-	cases := []string{
-		`set proto udp; if {$proto eq "tcp"} { set r 1 } else { set r 2 }; set r`,
-		`incr count; set count`,
-		`proc proto_probe {} { global proto; set proto udp; return x }
-proto_probe
-if {$proto eq "tcp"} { set r 1 } else { set r 2 }
-set r`,
-	}
-	for _, src := range cases {
-		in := New()
-		in.SetOptimize(true)
-		in.Freeze("proto", "tcp")
-		in.Freeze("count", "5")
-		tree := New()
-		tree.SetEngine(EngineTree)
-		tree.SetGlobal("proto", "tcp")
-		tree.SetGlobal("count", "5")
-		got, gerr := in.Eval(src)
-		want, werr := tree.Eval(src)
-		ge, we := "", ""
-		if gerr != nil {
-			ge = gerr.Error()
-		}
-		if werr != nil {
-			we = werr.Error()
-		}
-		if got != want || ge != we {
-			t.Errorf("specialization divergence on %q:\n opt: %q err=%q\ntree: %q err=%q", src, got, ge, want, we)
-		}
-	}
-}
-
-// TestOptimizeRecompileOnDefine: defining a proc re-optimizes (defEpoch),
-// so fused invoke sites cannot keep calling a replaced command.
-func TestOptimizeRecompileOnDefine(t *testing.T) {
-	in := New()
-	in.SetOptimize(true)
-	in.Register("probe", func(*Interp, []string) (string, error) { return "host", nil })
-	s := MustParse(`if {[probe] eq "host"} { set r builtin } else { set r replaced }; set r`)
-	if res, err := in.Run(s); err != nil || res != "builtin" {
-		t.Fatalf("first run: %q, %v", res, err)
-	}
-	if _, err := in.Eval(`proc probe {} { return nope }`); err != nil {
-		t.Fatalf("proc define: %v", err)
-	}
-	if res, err := in.Run(s); err != nil || res != "replaced" {
-		t.Fatalf("after proc shadow: %q, %v", res, err)
-	}
-}
-
 // TestPreparedRun: the Prepared handle must match Interp.Run byte for byte,
-// including across engine fallback and optimizer toggling.
+// including across engine fallback.
 func TestPreparedRun(t *testing.T) {
 	src := `if {![info exists n]} { set n 0 }; incr n; set n`
-	for _, opt := range []bool{true, false} {
+	for _, lowerOnly := range []bool{false, true} {
 		in := New()
-		in.SetOptimize(opt)
+		in.lowerOnly = lowerOnly
 		pr := in.Prepare(MustParse(src))
 		for want := 1; want <= 3; want++ {
 			res, err := pr.Run()
 			if err != nil || res != itoaFast(int64(want)) {
-				t.Fatalf("opt=%v run %d: %q, %v", opt, want, res, err)
+				t.Fatalf("lowerOnly=%v run %d: %q, %v", lowerOnly, want, res, err)
 			}
 		}
 	}
@@ -232,13 +142,12 @@ func TestPreparedRun(t *testing.T) {
 // proc afterwards must stand the fast path down at the site.
 func TestOptimizeInfoExistsFastPath(t *testing.T) {
 	in := New()
-	in.SetOptimize(true)
 	pr := in.Prepare(MustParse(`if {![info exists dropped]} { set dropped 0 }; incr dropped; set dropped`))
 	if res, err := pr.Run(); err != nil || res != "1" {
 		t.Fatalf("first run: %q, %v", res, err)
 	}
-	if lst := Disassemble(pr.e.opt); !strings.Contains(lst, "[info-exists slot") {
-		t.Fatalf("optimized listing lacks the info-exists tag:\n%s", lst)
+	if lst := Disassemble(pr.p); !strings.Contains(lst, "[info-exists slot") {
+		t.Fatalf("listing lacks the info-exists tag:\n%s", lst)
 	}
 	// Shadowed: `[info exists dropped]` now returns "77" (truthy), so the
 	// reset branch is skipped and incr continues from the first run.
@@ -250,32 +159,29 @@ func TestOptimizeInfoExistsFastPath(t *testing.T) {
 	}
 }
 
-// TestOptStatsCounters: the optimizer telemetry moves when the machinery
-// runs — fused sites, cache traffic, recompiles, deopts.
+// TestOptStatsCounters: the compiler telemetry moves when the machinery
+// runs — compiles, folded and fused sites, cache traffic.
 func TestOptStatsCounters(t *testing.T) {
 	before := Stats()
 	in := New()
-	in.SetOptimize(true)
-	in.Freeze("proto", "tcp")
-	s := MustParse(`if {$proto eq "tcp"} { set r 1 }; set r`)
-	if _, err := in.Run(s); err != nil {
-		t.Fatal(err)
-	}
-	in.SetGlobal("proto", "udp")
-	if _, err := in.Run(s); err != nil {
-		t.Fatal(err)
+	in.SetGlobal("proto", "tcp")
+	s := MustParse(`if {$proto ne "" && $proto eq "tcp"} { set r 1 }; set r`)
+	for i := 0; i < 2; i++ {
+		if _, err := in.Run(s); err != nil {
+			t.Fatal(err)
+		}
 	}
 	after := Stats()
-	if after.Compiles <= before.Compiles {
-		t.Errorf("Compiles did not advance: %+v -> %+v", before, after)
+	if after.Compiles != before.Compiles+1 {
+		t.Errorf("Compiles advanced by %d over two runs of one script, want 1", after.Compiles-before.Compiles)
 	}
-	if after.Optimized <= before.Optimized {
-		t.Errorf("Optimized did not advance")
+	if after.FoldedOps <= before.FoldedOps {
+		t.Errorf("FoldedOps did not advance")
 	}
 	if after.FusedOps <= before.FusedOps {
 		t.Errorf("FusedOps did not advance")
 	}
-	if after.Deopts <= before.Deopts {
-		t.Errorf("Deopts did not advance after fact mutation")
+	if after.CacheMisses <= before.CacheMisses {
+		t.Errorf("CacheMisses did not advance")
 	}
 }

@@ -143,3 +143,39 @@ func TestProgramCacheStepLimitReplay(t *testing.T) {
 		t.Fatalf("cached program ignored new step limit: err=%v", err)
 	}
 }
+
+// TestProgramCacheDefineDoesNotRecompile: a Program is compiled once per
+// (source, frame mode). Rebinding a command the installed program calls —
+// by proc or by Register — must not recompile it, and the next activation
+// must still see the new binding through the invoke site's inline cache.
+func TestProgramCacheDefineDoesNotRecompile(t *testing.T) {
+	in := New()
+	in.Register("probe", func(*Interp, []string) (string, error) { return "host", nil })
+	pr := in.Prepare(MustParse(`if {[probe] eq "host"} { set r builtin } else { set r [probe] }; set r`))
+	run := func(want string) {
+		t.Helper()
+		if res, err := pr.Run(); err != nil || res != want {
+			t.Fatalf("run = %q, %v; want %q", res, err, want)
+		}
+	}
+	run("builtin")
+	installed := pr.p
+	compiles := Stats().Compiles
+
+	in.Register("probe", func(*Interp, []string) (string, error) { return "v2", nil })
+	run("v2")
+	evalOK(t, in, `proc probe {} { return from-proc }`)
+	afterDefine := Stats().Compiles // the proc command itself compiled once
+	run("from-proc")
+	in.Unregister("probe") // procs shadow host commands
+	run("from-proc")
+
+	if pr.p != installed {
+		t.Fatalf("installed program was replaced")
+	}
+	// Only the `proc probe` definition and probe's one-command body compiled.
+	if got := Stats().Compiles; got != afterDefine+1 || afterDefine != compiles+1 {
+		t.Fatalf("compiles: %d at install, %d after the proc definition, %d at the end; want +1 and +1",
+			compiles, afterDefine, got)
+	}
+}

@@ -83,8 +83,8 @@ const (
 	opVCall      // math function call site a; c = wrap
 	opVResult    // acc = pop().String()  — result of a compiled expr command
 
-	// Superinstructions, emitted only by the optimizer (optimize.go) —
-	// the compiler never produces them. Each is an exact macro-expansion
+	// Superinstructions, emitted only by the fusion pass (optimize.go) —
+	// lowering never produces them. Each is an exact macro-expansion
 	// of the unfused sequence it replaces: identical stack states, step
 	// accounting, and errors at every observable point, so the parity
 	// harness covers them through the ordinary differential tests.
@@ -99,7 +99,6 @@ const (
 	opEnterClear   // opEnterNest+opClearAcc; line = word line
 	opLeavePush    // opLeaveNest+opPushAcc
 	opSetSlotConst // opPushConst+opSetSlot: slot a = consts[b]; acc = it
-	opAccConst     // acc = consts[a] — opGetSlot specialized on a frozen slot
 
 	// Second-order superinstructions: fusions across an invoke and the
 	// comparison consuming it, and branch-target landing pads.
@@ -140,7 +139,7 @@ type argSrc struct {
 
 // fusedOp is the operand record for superinstructions whose unfused
 // sequence carries more operands than one instr can hold. Indexed by
-// instr.a; owned by the optimized Program.
+// instr.a.
 type fusedOp struct {
 	site   int32    // opStepInvoke: invoke site index
 	args   []argSrc // opStepInvoke: argument pushes, in order
@@ -150,7 +149,7 @@ type fusedOp struct {
 	vconst int32 // opConstBinop family: vconsts index of the folded operand
 	binop  int32
 	target int32  // branch/deopt target (remapped by later passes)
-	guard  int32  // opStepIncrSlot: guard index, -1 when the guard was proven dead
+	guard  int32  // opStepIncrSlot: guard index
 	delta  int64  // opStepIncrSlot: literal increment
 	cstr   string // opInvokeCmpBr: vconsts[vconst].String(), precomputed
 }
@@ -262,7 +261,6 @@ type loopScope struct {
 // one interpreter (inline caches mutate at runtime) and cached in
 // Interp.progs/procProgs keyed by source text.
 type Program struct {
-	script  *Script
 	ins     []instr
 	consts  []string
 	vconsts []value
@@ -274,7 +272,7 @@ type Program struct {
 	deltas  []int64
 	calls   []callSite
 	loops   []loopScope
-	fused   []fusedOp // superinstruction operands (optimized programs only)
+	fused   []fusedOp // superinstruction operands
 }
 
 // loopAt returns the innermost loop whose body covers pc, or nil.
@@ -866,18 +864,15 @@ func (in *Interp) exec(p *Program) (string, error) {
 					break
 				}
 			}
-			if f.guard >= 0 {
-				g := &p.guards[f.guard]
-				if in.shadowMask&g.mask != 0 {
-					res, derr := in.evalCmdTree(g.cmd)
-					if derr != nil {
-						err = derr
-						break
-					}
-					acc = res
-					pc = f.target
-					continue
+			if g := &p.guards[f.guard]; in.shadowMask&g.mask != 0 {
+				res, derr := in.evalCmdTree(g.cmd)
+				if derr != nil {
+					err = derr
+					break
 				}
+				acc = res
+				pc = f.target
+				continue
 			}
 			acc, err = in.incrSlot(f.slot, f.delta)
 
@@ -912,9 +907,6 @@ func (in *Interp) exec(p *Program) (string, error) {
 			v := p.consts[i.b]
 			in.gsetSlot(i.a, v)
 			acc = v
-
-		case opAccConst:
-			acc = p.consts[i.a]
 
 		case opVConst:
 			in.vmVals = append(in.vmVals, p.vconsts[i.a])
