@@ -6,12 +6,17 @@ GO ?= go
 # conformance runner and campaign pool run under -race via ./...), an
 # explicit conformance pass, a short fuzz smoke over the script language,
 # and a one-iteration pass over every benchmark so the perf suite always
-# compiles. Allocation budgets (TestFilterProcessAllocBudget and friends)
-# run in the non-race `test` pass, so hot-path alloc creep fails the gate.
+# compiles. Allocation budgets (alloc_budget_test.go: the filter path, a
+# world fork, and the per-hop message path) run in the non-race `test`
+# pass, so hot-path alloc creep fails the gate.
 check: vet build test race conformance fuzz bench-smoke
 
+# vet also covers the end-to-end ledger (bench/, its own module, compiled
+# against internal/*): an internal API change that would stop a ledger
+# probe compiling fails here, in `make check`, not first in bench-e2e.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 build:
 	$(GO) build ./...
@@ -41,9 +46,11 @@ bench:
 
 # bench-script is the CI smoke over the script hot path: the filter and
 # interpreter benchmarks at a fixed small iteration count (no timing
-# claims — CI machines are noisy) plus the allocation budgets, so a change
-# that re-introduces per-message garbage on the filter path fails the job
-# even when it is too small to move wall-clock numbers.
+# claims — CI machines are noisy) plus every allocation budget in
+# alloc_budget_test.go — the filter path, a world fork, and the message
+# path (scheduler event, netsim hop, stub Recognize, msg_field, a GMP
+# heartbeat round) — so a change that re-introduces per-message garbage
+# fails the job even when it is too small to move wall-clock numbers.
 bench-script:
 	$(GO) test -bench 'FilterProcess|InterpEval' -benchmem -benchtime 100x -run @ .
 	$(GO) test -run 'AllocBudget' -count 1 -v .

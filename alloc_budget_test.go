@@ -2,13 +2,20 @@ package pfi
 
 import (
 	"testing"
+	"time"
 
 	"pfi/internal/conformance"
 	"pfi/internal/core"
+	"pfi/internal/exp"
+	"pfi/internal/gmp"
 	"pfi/internal/harden"
 	"pfi/internal/message"
+	"pfi/internal/netsim"
+	"pfi/internal/raft"
+	"pfi/internal/rudp"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
+	"pfi/internal/tcp"
 )
 
 // TestFilterProcessAllocBudget pins the steady-state allocation count of
@@ -20,11 +27,6 @@ import (
 // The race detector instruments allocations, so the budget is only
 // meaningful (and only enforced) in normal builds.
 func TestFilterProcessAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	const budget = 0 // the per-message filter path must stay allocation-free
-
 	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
 	l := core.NewLayer(env, core.WithStub(benchStub{}))
 	stk := stack.New(env, l)
@@ -40,20 +42,12 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := message.NewString("payload-0123456789")
-	// Warm up: first sends compile the script and grow interpreter stacks.
-	for i := 0; i < 16; i++ {
-		if err := stk.Send(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(200, func() {
+	// The per-message filter path must stay allocation-free.
+	allocBudget(t, "FilterProcess", 0, 200, func() {
 		if err := stk.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg > budget {
-		t.Fatalf("FilterProcess steady state allocates %.1f/op, budget is %d", avg, budget)
-	}
 }
 
 // TestWorldForkAllocBudget pins the allocation count of one snapshot-forked
@@ -64,27 +58,165 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 // recorded in BENCH_snapshot.json with headroom for runtime variance; raise
 // it only with a bench entry explaining why.
 func TestWorldForkAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	const budget = 256 // ISSUE: fork+suffix must stay O(suffix), not O(prefix)
-
 	sess, err := conformance.NewSession(forkPrefix, conformance.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: first forks grow interpreter and trace buffers.
-	for i := 0; i < 4; i++ {
-		if r, ok := sess.Run("alloc-warm", forkSuffix); !ok || r.Outcome != harden.Pass {
-			t.Fatalf("warm-up fork not clean: ok=%v", ok)
-		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
+	// ISSUE: fork+suffix must stay O(suffix), not O(prefix).
+	allocBudget(t, "WorldFork", 256, 50, func() {
 		if r, ok := sess.Run("alloc-fork", forkSuffix); !ok || r.Outcome != harden.Pass {
 			t.Fatalf("fork not clean: ok=%v", ok)
 		}
 	})
-	if avg > budget {
-		t.Fatalf("WorldFork steady state allocates %.0f/op, budget is %d", avg, budget)
+}
+
+// allocBudget fails the test when fn's steady-state allocation count per
+// call exceeds budget, so a change that re-introduces a per-hop map,
+// closure, label string or second copy shows up as a count, not as a noisy
+// timing. Raise a budget only with a bench entry explaining why.
+//
+// The race detector instruments allocations, so budgets are only
+// meaningful (and only enforced) in normal builds.
+func allocBudget(t *testing.T, what string, budget float64, runs int, fn func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
 	}
+	for i := 0; i < 16; i++ {
+		fn() // warm up: grow slices, trace blocks and interpreter stacks
+	}
+	if avg := testing.AllocsPerRun(runs, fn); avg > budget {
+		t.Fatalf("%s allocates %.1f/op, budget is %.1f", what, avg, budget)
+	}
+}
+
+// TestSchedulerEventAllocBudget: scheduling and running one event costs the
+// Event and nothing else — no boxing through a heap interface, no label.
+func TestSchedulerEventAllocBudget(t *testing.T) {
+	s := simtime.NewScheduler()
+	ran := 0
+	tick := func() { ran++ }
+	allocBudget(t, "Scheduler.After+Step", 1, 1000, func() {
+		s.After(time.Millisecond, "tick", tick)
+		s.Step()
+	})
+	var tm simtime.Timer
+	tm.Init(s, tick)
+	allocBudget(t, "Timer.Arm+Step", 0, 1000, func() {
+		tm.Arm(time.Millisecond, "tick")
+		s.Step()
+	})
+}
+
+// TestNetsimHopAllocBudget: one driver-to-driver hop through a two-node
+// world. The hop itself is the message, its bytes and one delivery object;
+// the receiving driver's "driver-recv" trace note is the fourth.
+func TestNetsimHopAllocBudget(t *testing.T) {
+	w := netsim.NewWorld(1)
+	var from *core.Driver
+	for _, name := range []string{"a", "b"} {
+		n := w.MustAddNode(name)
+		d := core.NewDriver(n.Env())
+		n.SetStack(stack.New(n.Env(), d))
+		if from == nil {
+			from = d
+		}
+	}
+	if err := w.Connect("a", "b", netsim.LinkConfig{Latency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("0123456789abcdef")
+	allocBudget(t, "netsim hop", 4, 2000, func() {
+		if err := from.Send(payload, "b"); err != nil {
+			t.Fatal(err)
+		}
+		w.Run()
+	})
+}
+
+// TestRecognizeAllocBudget: a stub's Recognize costs the decoded header it
+// hands back (boxed once into core.Info.Fields) plus the strings the header
+// itself carries — no field map, no rendered numbers.
+func TestRecognizeAllocBudget(t *testing.T) {
+	data := (&tcp.Segment{SrcPort: 9, DstPort: 80, Seq: 70000, Ack: 1, Flags: tcp.FlagACK | tcp.FlagPSH,
+		Window: 4096, Payload: make([]byte, 512)}).Encode()
+	appendMsg := (&raft.Msg{Type: raft.TypeAppend, Term: 3, From: "r1", PrevIndex: 5, PrevTerm: 3, Commit: 5,
+		Entries: []raft.LogEntry{{Term: 3, Data: "w1"}}}).Encode()
+	hb := rudp.Frame{Kind: rudp.KindRaw,
+		Payload: gmp.Msg{Type: gmp.TypeHeartbeat, Gen: 4, Origin: "n1", Sender: "n1"}.Encode()}.Encode()
+	for _, tc := range []struct {
+		name   string
+		stub   core.Stub
+		m      *message.Message
+		typ    string
+		budget float64
+	}{
+		{"tcp DATA", tcp.PFIStub{}, data, "DATA", 1},
+		{"raft APPEND_ENTRIES", raft.PFIStub{}, appendMsg, "APPEND_ENTRIES", 4}, // header, From, entry slice, entry data
+		{"gmp HEARTBEAT", gmp.PFIStub{}, hb, "HEARTBEAT", 3},                    // header, Origin, Sender
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocBudget(t, "Recognize", tc.budget, 1000, func() {
+				if info, err := tc.stub.Recognize(tc.m); err != nil || info.Type != tc.typ {
+					t.Fatalf("recognized %q, %v", info.Type, err)
+				}
+			})
+		})
+	}
+}
+
+// TestMsgFieldAllocBudget: a filter activation that reads one field of a
+// DATA segment pays for the recognized header and the one rendered field —
+// not for the six fields it did not ask for.
+func TestMsgFieldAllocBudget(t *testing.T) {
+	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
+	l := core.NewLayer(env, core.WithStub(tcp.PFIStub{}))
+	stk := stack.New(env, l)
+	stk.OnTransmit(func(m *message.Message) error { return nil })
+	if err := l.SetSendScript(`set seq [msg_field cur_msg seq]`); err != nil {
+		t.Fatal(err)
+	}
+	data := (&tcp.Segment{SrcPort: 9, DstPort: 80, Seq: 70000, Flags: tcp.FlagACK | tcp.FlagPSH,
+		Payload: make([]byte, 512)}).Encode()
+	allocBudget(t, "msg_field on a DATA segment", 2, 1000, func() {
+		if err := stk.Send(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, _ := l.SendFilter().Interp().Global("seq"); got != "70000" {
+		t.Fatalf("script read seq %q", got)
+	}
+}
+
+// TestGMPHeartbeatRoundAllocBudget: one heartbeat interval of a settled
+// three-daemon group — nine heartbeats sent, filtered (a script that reads
+// a field) in both directions, delivered, decoded, and nine expectation
+// timers re-armed in place. Twelve objects per heartbeat: the GMP bytes,
+// the frame bytes, the message and its delivery; three per Recognize
+// (TestRecognizeAllocBudget), twice; Origin and Sender in the daemon's
+// decode. The timers, the scheduler and the scripts add none.
+func TestGMPHeartbeatRoundAllocBudget(t *testing.T) {
+	rig, err := exp.NewGMPRig([]string{"n1", "n2", "n3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const script = `if {[msg_type cur_msg] eq "HEARTBEAT"} { set from [msg_field cur_msg origin] }`
+	for _, m := range rig.Ms {
+		if err := m.PFI.SetSendScript(script); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.PFI.SetReceiveScript(script); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.StartAll()
+	rig.W.RunFor(30 * time.Second)
+	for name, m := range rig.Ms {
+		if got := len(m.Gmd.Group().Members); got != 3 {
+			t.Fatalf("%s sees %d members", name, got)
+		}
+	}
+	allocBudget(t, "GMP heartbeat round (3 daemons)", 9*12, 100, func() {
+		rig.W.RunFor(time.Second)
+	})
 }

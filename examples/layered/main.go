@@ -76,7 +76,7 @@ func run() error {
 
 	send := func(fill byte) error {
 		m := message.New(bytes.Repeat([]byte{fill}, 2000)) // 4 fragments
-		m.SetAttr(netsim.AttrDst, "receiver")
+		m.SetDst("receiver")
 		node, _ := w.Node("sender")
 		return node.Stack().Send(m)
 	}

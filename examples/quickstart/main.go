@@ -34,7 +34,7 @@ func (toyStub) Recognize(m *message.Message) (core.Info, error) {
 	if !ok {
 		typ = "DATA"
 	}
-	return core.Info{Type: typ, Fields: map[string]string{
+	return core.Info{Type: typ, Fields: core.FieldMap{
 		"seq": strconv.Itoa(int(b >> 4)),
 	}}, nil
 }

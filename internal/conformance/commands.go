@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -398,12 +399,15 @@ func registerCommands(in *script.Interp, h *harness) {
 		if err != nil || spacing < 0 {
 			return "", fmt.Errorf("bad spacing %q", args[1])
 		}
-		mss := h.prof.MSS
+		// The total is known up front and every segment carries the same
+		// pattern: grow the sent record once, build the payload once
+		// (Conn.Send copies what it queues).
+		payload := make([]byte, h.prof.MSS)
+		for j := range payload {
+			payload[j] = byte('a' + j%26)
+		}
+		h.sent = slices.Grow(h.sent, n*len(payload))
 		for i := 0; i < n; i++ {
-			payload := make([]byte, mss)
-			for j := range payload {
-				payload[j] = byte('a' + j%26)
-			}
 			h.sent = append(h.sent, payload...)
 			if err := h.conn.Send(payload); err != nil {
 				return "", fmt.Errorf("segment %d: %w", i, err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pfi/internal/message"
-	"pfi/internal/netsim"
 	"pfi/internal/script"
 	"pfi/internal/stack"
 	"pfi/internal/trace"
@@ -101,9 +100,7 @@ func (d *Driver) Trace() *trace.Log { return d.log }
 // a destination node (for connectionless targets).
 func (d *Driver) Send(payload []byte, dst string) error {
 	m := message.New(payload)
-	if dst != "" {
-		m.SetAttr(netsim.AttrDst, dst)
-	}
+	m.SetDst(dst)
 	return d.base.Down(m)
 }
 

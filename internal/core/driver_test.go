@@ -139,9 +139,8 @@ func TestDriverAddressedSend(t *testing.T) {
 	if len(r.toNet) != 1 {
 		t.Fatal("no message")
 	}
-	dst, ok := r.toNet[0].Attr("netsim.dst")
-	if !ok || dst != "nodeB" {
-		t.Fatalf("dst attr = %v, %v", dst, ok)
+	if dst := r.toNet[0].Dst(); dst != "nodeB" {
+		t.Fatalf("dst = %q, want nodeB", dst)
 	}
 }
 

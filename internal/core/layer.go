@@ -6,7 +6,6 @@ import (
 
 	"pfi/internal/dist"
 	"pfi/internal/message"
-	"pfi/internal/netsim"
 	"pfi/internal/script"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
@@ -242,27 +241,19 @@ type Filter struct {
 	held     []*message.Message
 	stats    Stats
 
-	// delayed tracks messages parked on pending pfi-delayed-forward
-	// events, so world snapshots can rewind their content: a forward that
-	// fires during one forked child mutates the message (headers are
-	// popped downstream), and the next child re-fires the same event.
-	delayed map[*simtime.Event]*message.Message
-
 	// Per-message state, valid only during process(). verdictBuf and
 	// hookCtx are reused across messages — process() is strictly
 	// sequential per filter, so one buffer of each suffices and the
 	// per-message allocations disappear.
-	curMsg      *message.Message
-	curInfo     Info
-	cur         *verdict
-	verdictBuf  verdict
-	hookCtx     HookCtx
-	fieldsReady bool // curInfo.Fields materialized (dst/src merged)
+	curMsg     *message.Message
+	curInfo    Info
+	cur        *verdict
+	verdictBuf verdict
+	hookCtx    HookCtx
 }
 
 func newFilter(l *Layer, dir Direction) *Filter {
-	f := &Filter{layer: l, dir: dir, interp: script.New(),
-		delayed: make(map[*simtime.Event]*message.Message)}
+	f := &Filter{layer: l, dir: dir, interp: script.New()}
 	f.hookCtx = HookCtx{filter: f, Dir: dir}
 	registerFilterCommands(f)
 	return f
@@ -327,8 +318,7 @@ func (f *Filter) process(m *message.Message) error {
 	}
 	f.verdictBuf = verdict{}
 	f.curMsg, f.curInfo, f.cur = m, f.recognize(m), &f.verdictBuf
-	f.fieldsReady = false
-	defer func() { f.curMsg, f.cur = nil, nil }()
+	defer func() { f.curMsg, f.curInfo, f.cur = nil, Info{}, nil }()
 
 	if f.prepared != nil {
 		if _, err := f.prepared.Run(); err != nil {
@@ -336,9 +326,7 @@ func (f *Filter) process(m *message.Message) error {
 		}
 	}
 	if f.hook != nil {
-		// Hooks see the full Fields map (with dst/src merged), so force it.
-		f.materializeFields()
-		f.hookCtx.Msg, f.hookCtx.Info = m, f.curInfo
+		f.hookCtx.Msg, f.hookCtx.Info = m, f.hookInfo()
 		err := f.hook(&f.hookCtx)
 		f.hookCtx.Msg, f.hookCtx.Info = nil, Info{}
 		if err != nil {
@@ -348,43 +336,40 @@ func (f *Filter) process(m *message.Message) error {
 	return f.apply(m, &f.verdictBuf)
 }
 
-// materializeFields builds curInfo.Fields on first use, surfacing the
-// network addressing attributes so scripts can filter by destination ("the
+// fieldValue reads one recognized field. Empty dst/src fall back to the
+// message's network addressing, so scripts can filter by destination ("the
 // messages were dropped based on destination address", the paper's
-// partition experiment) without stub support. Deferring this skips the map
-// allocation and attr merge for traffic the script never inspects.
-func (f *Filter) materializeFields() {
-	if f.fieldsReady {
-		return
-	}
-	f.fieldsReady = true
-	if f.curInfo.Fields == nil {
-		f.curInfo.Fields = map[string]string{}
-	}
-	if s, ok := attrString(f.curMsg, netsim.AttrDst); ok && f.curInfo.Fields["dst"] == "" {
-		f.curInfo.Fields["dst"] = s
-	}
-	if s, ok := attrString(f.curMsg, netsim.AttrSrc); ok && f.curInfo.Fields["src"] == "" {
-		f.curInfo.Fields["src"] = s
-	}
-}
-
-// fieldValue reads one recognized field without forcing the Fields map:
-// empty dst/src fall back to the message's addressing attributes, exactly
-// the merge materializeFields performs.
+// partition experiment) without stub support.
 func (f *Filter) fieldValue(name string) string {
 	if v := f.curInfo.Field(name); v != "" {
 		return v
 	}
-	if f.fieldsReady || f.curMsg == nil || (name != "dst" && name != "src") {
-		return ""
+	switch name {
+	case "dst":
+		return f.curMsg.Dst()
+	case "src":
+		return f.curMsg.Src()
 	}
-	key := netsim.AttrSrc
-	if name == "dst" {
-		key = netsim.AttrDst
+	return ""
+}
+
+// hookInfo is the recognition result a Go hook sees: every field rendered
+// into a map, with the same dst/src fallback fieldValue applies. Only the
+// hook path pays for the map.
+func (f *Filter) hookInfo() Info {
+	var fields map[string]string
+	if f.curInfo.Fields != nil {
+		fields = f.curInfo.Fields.Fields()
 	}
-	s, _ := attrString(f.curMsg, key)
-	return s
+	if fields == nil {
+		fields = map[string]string{}
+	}
+	for _, name := range [...]string{"dst", "src"} {
+		if v := f.fieldValue(name); v != "" {
+			fields[name] = v
+		}
+	}
+	return Info{Type: f.curInfo.Type, Fields: FieldMap(fields)}
 }
 
 // holdNow parks the current message on the hold queue immediately (so a
@@ -411,33 +396,44 @@ func (f *Filter) apply(m *message.Message, v *verdict) error {
 		f.stats.Dropped++
 		return nil
 	}
-	var firstErr error
-	forward := func(msg *message.Message, after time.Duration) {
-		if after <= 0 {
-			if err := f.layer.forward(f.dir, msg); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		var ev *simtime.Event
-		ev = f.layer.env.Sched.After(after, "pfi-delayed-forward", func() {
-			delete(f.delayed, ev)
-			// Errors inside a delayed forward have no caller to return to.
-			_ = f.layer.forward(f.dir, msg)
-		})
-		f.delayed[ev] = msg
-	}
 	if v.delay > 0 {
 		f.stats.Delayed++
 	}
-	forward(m, v.delay)
+	err := f.forwardAfter(m, v.delay)
 	if v.dupExtra > 0 {
 		f.stats.Duplicated += v.dupExtra
 		for i := 1; i <= v.dupExtra; i++ {
-			forward(m.Clone(), v.delay+time.Duration(i)*v.dupGap)
+			if e := f.forwardAfter(m.Clone(), v.delay+time.Duration(i)*v.dupGap); err == nil {
+				err = e
+			}
 		}
 	}
-	return firstErr
+	return err
+}
+
+// delayedForward is one message parked by xDelay/xDuplicate: the pending
+// event and the message it will forward, in a single object. Snapshots find
+// it in the scheduler's queue to rewind the message's content: a forward
+// that fires during one forked child mutates the message downstream, and
+// the next child re-fires the same event.
+type delayedForward struct {
+	simtime.Event
+	f *Filter
+	m *message.Message
+}
+
+// Fire implements simtime.Handler. Errors inside a delayed forward have no
+// caller to return to.
+func (d *delayedForward) Fire() { _ = d.f.layer.forward(d.f.dir, d.m) }
+
+// forwardAfter continues m in the filter's direction, now or after a delay.
+func (f *Filter) forwardAfter(m *message.Message, after time.Duration) error {
+	if after <= 0 {
+		return f.layer.forward(f.dir, m)
+	}
+	d := &delayedForward{f: f, m: m}
+	f.layer.env.Sched.Arm(&d.Event, after, "pfi-delayed-forward", d)
+	return nil
 }
 
 // release forwards up to n held messages (n<=0: all), LIFO if reverse.
@@ -464,7 +460,7 @@ func (f *Filter) release(n int, reverse bool) error {
 
 // inject generates a message via the stub and forwards it. The injected
 // message needs network addressing to be credible: explicit "src"/"dst"
-// fields win, and otherwise it inherits the current message's attributes —
+// fields win, and otherwise it inherits the current message's addressing —
 // so a probe forged inside a filter run looks like it belongs to the flow
 // being filtered.
 func (f *Filter) inject(typ string, fields map[string]string, dir Direction) error {
@@ -472,29 +468,17 @@ func (f *Filter) inject(typ string, fields map[string]string, dir Direction) err
 	if err != nil {
 		return err
 	}
-	for _, key := range []string{netsim.AttrSrc, netsim.AttrDst} {
-		short := "src"
-		if key == netsim.AttrDst {
-			short = "dst"
+	src, dst := fields["src"], fields["dst"]
+	if f.curMsg != nil {
+		if src == "" {
+			src = f.curMsg.Src()
 		}
-		if v := fields[short]; v != "" {
-			m.SetAttr(key, v)
-		} else if f.curMsg != nil {
-			if v, ok := f.curMsg.Attr(key); ok {
-				m.SetAttr(key, v)
-			}
+		if dst == "" {
+			dst = f.curMsg.Dst()
 		}
 	}
+	m.SetSrc(src)
+	m.SetDst(dst)
 	f.stats.Injected++
 	return f.layer.forward(dir, m)
-}
-
-// attrString reads a string-valued message attribute.
-func attrString(m *message.Message, key string) (string, bool) {
-	v, ok := m.Attr(key)
-	if !ok {
-		return "", false
-	}
-	s, ok := v.(string)
-	return s, ok
 }

@@ -40,7 +40,7 @@ func (demoStub) Recognize(m *message.Message) (Info, error) {
 	default:
 		typ = "UNKNOWN"
 	}
-	return Info{Type: typ, Fields: map[string]string{
+	return Info{Type: typ, Fields: FieldMap{
 		"seq": strconv.Itoa(int(hdr[1])),
 	}}, nil
 }

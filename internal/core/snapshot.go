@@ -9,10 +9,10 @@ import (
 // This file makes the PFI layer snapshot-capable (see internal/snapshot).
 // A Layer's mutable state is its random stream position, its sync bus, and
 // the two filters; each filter adds script state (interpreter globals and
-// procs), the hold queue, pending delayed forwards, and counters. Pointers
-// — held messages, pending events, compiled scripts, hooks — are retained
-// so the closures the scheduler holds stay valid; message content is
-// saved/restored by value.
+// procs), the hold queue, pending delayed forwards (found on the
+// scheduler's queue, which carries them), and counters. Pointers — held
+// messages, compiled scripts, hooks — are retained so the events the
+// scheduler holds stay valid; message content is saved/restored by value.
 
 // busState is a SyncBus's flags and pending waiters.
 type busState struct {
@@ -51,17 +51,11 @@ func (b *SyncBus) RestoreState(state any) {
 	}
 }
 
-// heldMsg is one hold-queue entry: the message pointer plus its content at
-// capture time (a held message released during a forked child is mutated
+// heldMsg is one message the filter is sitting on — a hold-queue entry or
+// a pending delayed forward: the message pointer plus its content at
+// capture time (a message released during a forked child is mutated
 // downstream, so content must roll back).
 type heldMsg struct {
-	m  *message.Message
-	st message.State
-}
-
-// delayedMsg is one pending delayed forward.
-type delayedMsg struct {
-	ev *simtime.Event
 	m  *message.Message
 	st message.State
 }
@@ -72,7 +66,7 @@ type filterState struct {
 	prepared *script.Prepared
 	hook     Hook
 	held     []heldMsg
-	delayed  []delayedMsg
+	delayed  []heldMsg
 	stats    Stats
 	interp   any
 }
@@ -89,10 +83,11 @@ func (f *Filter) snapshotState() *filterState {
 	for i, m := range f.held {
 		st.held[i] = heldMsg{m: m, st: m.SaveState()}
 	}
-	st.delayed = make([]delayedMsg, 0, len(f.delayed))
-	for ev, m := range f.delayed {
-		st.delayed = append(st.delayed, delayedMsg{ev: ev, m: m, st: m.SaveState()})
-	}
+	f.layer.env.Sched.EachPending(func(h simtime.Handler) {
+		if d, ok := h.(*delayedForward); ok && d.f == f {
+			st.delayed = append(st.delayed, heldMsg{m: d.m, st: d.m.SaveState()})
+		}
+	})
 	return st
 }
 
@@ -107,10 +102,8 @@ func (f *Filter) restoreState(st *filterState) {
 		h.m.RestoreState(h.st)
 		f.held = append(f.held, h.m)
 	}
-	f.delayed = make(map[*simtime.Event]*message.Message, len(st.delayed))
 	for _, d := range st.delayed {
 		d.m.RestoreState(d.st)
-		f.delayed[d.ev] = d.m
 	}
 }
 

@@ -26,14 +26,45 @@ import (
 )
 
 // Info is what a recognition stub reports about a message: its
-// protocol-level type (e.g. "ACK", "COMMIT") and decoded header fields.
+// protocol-level type (e.g. "ACK", "COMMIT") and its decoded header.
 type Info struct {
-	Type   string
-	Fields map[string]string
+	Type string
+	// Fields is the decoded header; nil when the stub exposes no fields.
+	Fields FieldSource
 }
 
 // Field returns a decoded header field ("" when absent).
-func (i Info) Field(name string) string { return i.Fields[name] }
+func (i Info) Field(name string) string {
+	if i.Fields == nil {
+		return ""
+	}
+	return i.Fields.Field(name)
+}
+
+// FieldSource is a decoded header that renders its fields on demand. A
+// stub returns the header it decoded (by value, captured at recognition
+// time) rather than a map of every field rendered as a string: msg_field
+// renders exactly the field a script asks for, and a message whose fields
+// are never read costs no rendering at all. A source may alias the
+// message's bytes; it is valid only for the filter run that recognized it.
+type FieldSource interface {
+	// Field renders one header field ("" when the header has none by that
+	// name).
+	Field(name string) string
+	// Fields renders every field into a map the caller may add to. The PFI
+	// layer calls it only when a Go Hook is installed.
+	Fields() map[string]string
+}
+
+// FieldMap is a FieldSource over a ready-made map, for stubs whose
+// protocol has a field or two and no traffic volume to speak of.
+type FieldMap map[string]string
+
+// Field implements FieldSource.
+func (m FieldMap) Field(name string) string { return m[name] }
+
+// Fields implements FieldSource.
+func (m FieldMap) Fields() map[string]string { return m }
 
 // Stub is a packet recognition/generation stub: the protocol-specific
 // knowledge plugged into a PFI layer. Stubs are "written by people who know
@@ -60,8 +91,7 @@ type NopStub struct{}
 // Protocol implements Stub.
 func (NopStub) Protocol() string { return "unknown" }
 
-// Recognize implements Stub. Fields stays nil — the PFI layer materializes
-// a field map only when a script or hook actually reads fields.
+// Recognize implements Stub.
 func (NopStub) Recognize(m *message.Message) (Info, error) {
 	return Info{Type: "UNKNOWN"}, nil
 }

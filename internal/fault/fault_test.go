@@ -27,7 +27,7 @@ func (tinyStub) Recognize(m *message.Message) (core.Info, error) {
 	if b == 1 {
 		typ = "HB"
 	}
-	return core.Info{Type: typ, Fields: map[string]string{}}, nil
+	return core.Info{Type: typ}, nil
 }
 
 func (tinyStub) Generate(typ string, fields map[string]string) (*message.Message, error) {

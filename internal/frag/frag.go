@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"pfi/internal/message"
-	"pfi/internal/netsim"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
 )
@@ -66,7 +65,7 @@ type pendingMsg struct {
 	have    int
 	total   int
 	expires *simtime.Event
-	attrs   *message.Message // first fragment, for attribute propagation
+	first   *message.Message // first fragment, for its addressing
 }
 
 // Option configures the layer.
@@ -120,7 +119,7 @@ func (l *Layer) HandleDown(m *message.Message) error {
 	l.stats.MessagesSent++
 	l.nextID++
 	id := l.nextID
-	payload := m.CopyBytes()
+	payload := m.Bytes()
 	chunkSize := l.mtu - HeaderLen
 	count := (len(payload) + chunkSize - 1) / chunkSize
 	if count == 0 {
@@ -138,8 +137,8 @@ func (l *Layer) HandleDown(m *message.Message) error {
 		}
 		w := message.NewWriter(HeaderLen + hi - lo)
 		w.U32(id).U16(uint16(i)).U16(uint16(count)).Bytes(payload[lo:hi])
-		fragMsg := message.New(w.Done())
-		copyAttrs(m, fragMsg)
+		fragMsg := message.Wrap(w.Done())
+		copyAddr(m, fragMsg)
 		l.stats.FragmentsSent++
 		if err := l.base.Down(fragMsg); err != nil {
 			return fmt.Errorf("frag: fragment %d/%d: %w", i+1, count, err)
@@ -148,13 +147,10 @@ func (l *Layer) HandleDown(m *message.Message) error {
 	return nil
 }
 
-// copyAttrs propagates the addressing attributes onto each fragment.
-func copyAttrs(src, dst *message.Message) {
-	for _, key := range []string{netsim.AttrDst, netsim.AttrSrc} {
-		if v, ok := src.Attr(key); ok {
-			dst.SetAttr(key, v)
-		}
-	}
+// copyAddr propagates the network addressing from one message to another.
+func copyAddr(from, to *message.Message) {
+	to.SetSrc(from.Src())
+	to.SetDst(from.Dst())
 }
 
 // HandleUp collects fragments and delivers reassembled messages.
@@ -173,12 +169,10 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	chunk := append([]byte(nil), raw[HeaderLen:]...)
 	l.stats.FragmentsRecv++
 
-	srcAttr, _ := m.Attr(netsim.AttrSrc)
-	src, _ := srcAttr.(string)
-	key := pendingKey{src: src, id: id}
+	key := pendingKey{src: m.Src(), id: id}
 	p, ok := l.pending[key]
 	if !ok {
-		p = &pendingMsg{chunks: make([][]byte, count), total: count, attrs: m}
+		p = &pendingMsg{chunks: make([][]byte, count), total: count, first: m}
 		p.expires = l.env.Sched.After(l.timeout, "frag-reassembly-timeout", func() {
 			if _, still := l.pending[key]; still {
 				delete(l.pending, key)
@@ -203,8 +197,8 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	for _, c := range p.chunks {
 		whole = append(whole, c...)
 	}
-	out := message.New(whole)
-	copyAttrs(p.attrs, out)
+	out := message.Wrap(whole)
+	copyAddr(p.first, out)
 	l.stats.Reassembled++
 	return l.base.Up(out)
 }

@@ -54,7 +54,7 @@ func newRig(t *testing.T, opts ...frag.Option) *rig {
 func (r *rig) send(t *testing.T, from, to string, payload []byte) {
 	t.Helper()
 	m := message.New(payload)
-	m.SetAttr(netsim.AttrDst, to)
+	m.SetDst(to)
 	node, _ := r.w.Node(from)
 	if err := node.Stack().Send(m); err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func BenchmarkFragmentReassemble(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m := message.New(payload)
-		m.SetAttr(netsim.AttrDst, "b")
+		m.SetDst("b")
 		if err := sa.Send(m); err != nil {
 			b.Fatal(err)
 		}

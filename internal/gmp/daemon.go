@@ -143,7 +143,7 @@ func New(env *stack.Env, net *rudp.Layer, peers []string, opts ...Option) (*Daem
 	if err := d.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d.timers = newTimerTable(env.Sched, d.bugs.TimerUnset)
+	d.timers = newTimerTable(env.Sched, d.bugs.TimerUnset, d.onTimer)
 	net.OnDeliver(d.handleDatagram)
 	return d, nil
 }
@@ -199,8 +199,8 @@ func (d *Daemon) Start() {
 	d.started = true
 	d.genCounter++
 	d.commitLocal(NewGroup(d.genCounter, []string{d.id}))
-	d.timers.set(timerHBSend, "", d.cfg.HBInterval, "gmp-hb-send "+d.id, d.onHBSendTick)
-	d.timers.set(timerProclaim, "", jitteredProclaim(d), "gmp-proclaim "+d.id, d.onProclaimTick)
+	d.timers.set(timerHBSend, "", d.cfg.HBInterval)
+	d.timers.set(timerProclaim, "", jitteredProclaim(d))
 }
 
 // jitteredProclaim staggers proclaim timers by daemon id so simultaneous
@@ -256,8 +256,24 @@ func (d *Daemon) logEvent(kind, typ, note string) {
 
 // --- timers -------------------------------------------------------------------------
 
+// onTimer dispatches an expired timeout to its handler.
+func (d *Daemon) onTimer(kind, key string) {
+	switch kind {
+	case timerHBSend:
+		d.onHBSendTick()
+	case timerHBExpect:
+		d.onHBExpectExpired(key)
+	case timerProclaim:
+		d.onProclaimTick()
+	case timerMCCollect:
+		d.finishChange()
+	case timerTransition:
+		d.onTransitionTimeout()
+	}
+}
+
 func (d *Daemon) onHBSendTick() {
-	d.timers.set(timerHBSend, "", d.cfg.HBInterval, "gmp-hb-send "+d.id, d.onHBSendTick)
+	d.timers.set(timerHBSend, "", d.cfg.HBInterval)
 	if d.suspended || !d.started || d.inTransition {
 		return
 	}
@@ -279,20 +295,18 @@ func (d *Daemon) onHBSendTick() {
 }
 
 func (d *Daemon) armHBExpect(member string) {
-	d.timers.set(timerHBExpect, member, d.cfg.HBTimeout,
-		"gmp-hb-expect "+d.id+"<-"+member, func() { d.onHBExpectExpired(member) })
+	d.timers.set(timerHBExpect, member, d.cfg.HBTimeout)
 }
 
 func (d *Daemon) onHBExpectExpired(member string) {
-	d.timers.unsetExact(timerHBExpect, member) // it fired; drop the entry
-	if !d.started {
-		return
-	}
-	if d.suspended {
+	if d.started && d.suspended {
 		// The kernel keeps expiring timers while the process is stopped;
 		// the handler effectively runs when the process resumes.
-		d.timers.set(timerHBExpect, member, 50*time.Millisecond,
-			"gmp-hb-expect-deferred", func() { d.onHBExpectExpired(member) })
+		d.timers.set(timerHBExpect, member, 50*time.Millisecond)
+		return
+	}
+	d.timers.unsetExact(timerHBExpect, member) // it fired; drop the entry
+	if !d.started {
 		return
 	}
 	if d.inTransition {
@@ -356,7 +370,7 @@ func (d *Daemon) onSelfDeath() {
 }
 
 func (d *Daemon) onProclaimTick() {
-	d.timers.set(timerProclaim, "", d.cfg.ProclaimInterval, "gmp-proclaim "+d.id, d.onProclaimTick)
+	d.timers.set(timerProclaim, "", d.cfg.ProclaimInterval)
 	if d.suspended || !d.started || d.inTransition || d.selfDead {
 		return
 	}
@@ -419,7 +433,7 @@ func (d *Daemon) handleDatagram(src string, payload []byte) {
 	}
 }
 
-func (d *Daemon) handleHeartbeat(m *Msg) {
+func (d *Daemon) handleHeartbeat(m Msg) {
 	if d.inTransition || !d.group.Contains(m.Origin) {
 		return
 	}
@@ -428,7 +442,7 @@ func (d *Daemon) handleHeartbeat(m *Msg) {
 	d.armHBExpect(m.Origin)
 }
 
-func (d *Daemon) handleProclaim(m *Msg) {
+func (d *Daemon) handleProclaim(m Msg) {
 	if d.selfDead {
 		// The forwarding path in the buggy daemon calls a routine with the
 		// wrong parameter type: the packet is not forwarded at all.
@@ -471,7 +485,7 @@ func (d *Daemon) handleProclaim(m *Msg) {
 	d.sendReliable(m.Origin, &Msg{Type: TypeProclaim, Gen: d.group.Gen, Origin: d.id})
 }
 
-func (d *Daemon) handleJoin(m *Msg) {
+func (d *Daemon) handleJoin(m Msg) {
 	if d.selfDead {
 		d.logEvent("proclaim-forward-lost", "JOIN", "parameter bug: packet dropped")
 		return
@@ -514,7 +528,7 @@ func (d *Daemon) startChange(members []string) {
 		d.finishChange()
 		return
 	}
-	d.timers.set(timerMCCollect, "", d.cfg.MCTimeout, "gmp-mc-collect "+d.id, d.finishChange)
+	d.timers.set(timerMCCollect, "", d.cfg.MCTimeout)
 }
 
 // finishChange runs phase 2: COMMIT to everyone who ACKed.
@@ -541,7 +555,7 @@ func (d *Daemon) finishChange() {
 	d.commitLocal(g)
 }
 
-func (d *Daemon) handleMembershipChange(m *Msg) {
+func (d *Daemon) handleMembershipChange(m Msg) {
 	g := NewGroup(m.Gen, m.Members)
 	// Validity: the sender must be the would-be leader of the proposed
 	// group and the proposal must include us.
@@ -566,11 +580,11 @@ func (d *Daemon) handleMembershipChange(m *Msg) {
 	d.timers.unset(timerHBExpect, "")
 	d.timers.unset(timerMCCollect, "")
 	d.logEvent("transition-enter", "MEMBERSHIP_CHANGE", g.String())
-	d.timers.set(timerTransition, "", d.cfg.TransitionTimeout, "gmp-transition "+d.id, d.onTransitionTimeout)
+	d.timers.set(timerTransition, "", d.cfg.TransitionTimeout)
 	d.sendReliable(m.Origin, &Msg{Type: TypeAck, Gen: m.Gen, Origin: d.id})
 }
 
-func (d *Daemon) handleAckNak(m *Msg) {
+func (d *Daemon) handleAckNak(m Msg) {
 	if !d.changing || m.Gen != d.proposed.Gen {
 		return
 	}
@@ -587,7 +601,7 @@ func (d *Daemon) handleAckNak(m *Msg) {
 	d.finishChange()
 }
 
-func (d *Daemon) handleCommit(m *Msg) {
+func (d *Daemon) handleCommit(m Msg) {
 	g := NewGroup(m.Gen, m.Members)
 	if !g.Contains(d.id) {
 		return
@@ -603,7 +617,7 @@ func (d *Daemon) handleCommit(m *Msg) {
 	}
 }
 
-func (d *Daemon) handleDeadReport(m *Msg) {
+func (d *Daemon) handleDeadReport(m Msg) {
 	dead := ""
 	if len(m.Members) > 0 {
 		dead = m.Members[0]
@@ -646,7 +660,7 @@ func (d *Daemon) Leave() {
 }
 
 // handleDepart processes a graceful-leave notice.
-func (d *Daemon) handleDepart(m *Msg) {
+func (d *Daemon) handleDepart(m Msg) {
 	if m.Origin == d.id || !d.group.Contains(m.Origin) || d.inTransition {
 		return
 	}

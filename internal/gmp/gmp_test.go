@@ -388,6 +388,31 @@ func TestStubRecognizeAndGenerate(t *testing.T) {
 	}
 }
 
+// A stub generates what it recognizes: every type Recognize can report
+// for a GMP message (RUDP-ACK is the reliability layer's, not GMP's) comes
+// back from Generate. DEPART used to be recognized but not generated.
+func TestStubGeneratesWhatItRecognizes(t *testing.T) {
+	stub := gmp.PFIStub{}
+	for typ := uint8(gmp.TypeHeartbeat); typ <= gmp.TypeDepart; typ++ {
+		name := gmp.TypeName(typ)
+		m, err := stub.Generate(name, map[string]string{"origin": "n1"})
+		if err != nil {
+			t.Errorf("Generate(%s): %v", name, err)
+			continue
+		}
+		info, err := stub.Recognize(m)
+		if err != nil || info.Type != name || info.Field("origin") != "n1" {
+			t.Errorf("Generate(%s) recognized as %q origin %q, err %v", name, info.Type, info.Field("origin"), err)
+		}
+	}
+	if _, err := stub.Generate("TYPE(0)", nil); err == nil {
+		t.Error("generated the unnamed type 0")
+	}
+	if _, err := stub.Generate("", nil); err == nil {
+		t.Error("generated the empty type name")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if err := gmp.DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)

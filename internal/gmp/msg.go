@@ -42,7 +42,10 @@ const (
 	TypeDepart     = 9 // graceful leave (scheduled maintenance)
 )
 
-var typeNames = map[uint8]string{
+// typeNames is the one name<->id table: TypeName and DecodeMsg index it,
+// the stub's Generate searches it, so every type that can be recognized
+// can be generated.
+var typeNames = [...]string{
 	TypeHeartbeat:  "HEARTBEAT",
 	TypeProclaim:   "PROCLAIM",
 	TypeJoin:       "JOIN",
@@ -56,10 +59,20 @@ var typeNames = map[uint8]string{
 
 // TypeName renders a message type constant.
 func TypeName(t uint8) string {
-	if n, ok := typeNames[t]; ok {
-		return n
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("TYPE(%d)", t)
+}
+
+// typeID is TypeName's inverse; it reports false for an unknown name.
+func typeID(name string) (uint8, bool) {
+	for id, n := range typeNames {
+		if n != "" && n == name {
+			return uint8(id), true
+		}
+	}
+	return 0, false
 }
 
 // Msg is one GMP protocol message.
@@ -79,10 +92,10 @@ type Msg struct {
 }
 
 // TypeName renders the message's type.
-func (m *Msg) TypeName() string { return TypeName(m.Type) }
+func (m Msg) TypeName() string { return TypeName(m.Type) }
 
 // Encode serializes the message.
-func (m *Msg) Encode() []byte {
+func (m Msg) Encode() []byte {
 	w := message.NewWriter(16 + len(m.Origin) + len(m.Sender))
 	w.U8(m.Type).U32(m.Gen)
 	putStr(w, m.Origin)
@@ -102,30 +115,33 @@ func putStr(w *message.Writer, s string) {
 	w.Bytes([]byte(s))
 }
 
-// DecodeMsg parses a GMP message from raw payload bytes.
-func DecodeMsg(raw []byte) (*Msg, error) {
+// DecodeMsg parses a GMP message from raw payload bytes. The result shares
+// nothing with raw.
+func DecodeMsg(raw []byte) (Msg, error) {
 	r := message.NewReader(raw)
-	m := &Msg{Type: r.U8(), Gen: r.U32()}
+	m := Msg{Type: r.U8(), Gen: r.U32()}
 	var err error
 	if m.Origin, err = getStr(r); err != nil {
-		return nil, err
+		return Msg{}, err
 	}
 	if m.Sender, err = getStr(r); err != nil {
-		return nil, err
+		return Msg{}, err
 	}
-	n := int(r.U8())
-	for i := 0; i < n; i++ {
-		s, err := getStr(r)
-		if err != nil {
-			return nil, err
+	if n := int(r.U8()); n > 0 {
+		m.Members = make([]string, 0, n)
+		for i := 0; i < n; i++ {
+			s, err := getStr(r)
+			if err != nil {
+				return Msg{}, err
+			}
+			m.Members = append(m.Members, s)
 		}
-		m.Members = append(m.Members, s)
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("gmp: short message: %w", err)
+		return Msg{}, fmt.Errorf("gmp: short message: %w", err)
 	}
-	if _, ok := typeNames[m.Type]; !ok {
-		return nil, fmt.Errorf("gmp: unknown message type %d", m.Type)
+	if int(m.Type) >= len(typeNames) || typeNames[m.Type] == "" {
+		return Msg{}, fmt.Errorf("gmp: unknown message type %d", m.Type)
 	}
 	return m, nil
 }
@@ -139,14 +155,31 @@ func getStr(r *message.Reader) (string, error) {
 	return string(b), nil
 }
 
-// Fields exposes the message to PFI filter scripts.
-func (m *Msg) Fields() map[string]string {
-	return map[string]string{
-		"origin":  m.Origin,
-		"sender":  m.Sender,
-		"gen":     strconv.FormatUint(uint64(m.Gen), 10),
-		"members": strings.Join(m.Members, ","),
+// fieldNames lists what Field renders, in Fields' order.
+var fieldNames = [...]string{"origin", "sender", "gen", "members"}
+
+// Field exposes one header field to PFI filter scripts.
+func (m Msg) Field(name string) string {
+	switch name {
+	case "origin":
+		return m.Origin
+	case "sender":
+		return m.Sender
+	case "gen":
+		return strconv.FormatUint(uint64(m.Gen), 10)
+	case "members":
+		return strings.Join(m.Members, ",")
 	}
+	return ""
+}
+
+// Fields exposes the whole message to PFI filter scripts.
+func (m Msg) Fields() map[string]string {
+	f := make(map[string]string, len(fieldNames))
+	for _, name := range fieldNames {
+		f[name] = m.Field(name)
+	}
+	return f
 }
 
 // Group is a committed membership view.

@@ -3,10 +3,9 @@ package gmp
 import "pfi/internal/simtime"
 
 // Snapshot support (see internal/snapshot). The daemon's timers live in the
-// timerTable; entries are immutable once created (kind, key, and event
-// pointer never change — re-arming replaces the entry), so the table's
-// state is a copy of the entry list and the scheduler restores the events
-// themselves.
+// timerTable; an entry's kind and key never change and it is its own
+// scheduler event, so the table's state is a copy of the entry list (its
+// arming order) and the scheduler restores the events themselves.
 
 // timerTableState is a saved entry list.
 type timerTableState struct {

@@ -17,8 +17,8 @@ import (
 // to the GMP message inside.
 //
 // Reported types: the GMP message types (HEARTBEAT, PROCLAIM, JOIN,
-// MEMBERSHIP_CHANGE, ACK, NAK, COMMIT, DEAD_REPORT) for DATA/RAW frames,
-// and RUDP-ACK for the reliability layer's acknowledgments.
+// MEMBERSHIP_CHANGE, ACK, NAK, COMMIT, DEAD_REPORT, DEPART) for DATA/RAW
+// frames, and RUDP-ACK for the reliability layer's acknowledgments.
 type PFIStub struct{}
 
 var _ core.Stub = PFIStub{}
@@ -33,17 +33,37 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 		return core.Info{}, err
 	}
 	if f.Kind == rudp.KindAck {
-		return core.Info{Type: "RUDP-ACK", Fields: f.Fields()}, nil
+		return core.Info{Type: "RUDP-ACK", Fields: f}, nil
 	}
 	gm, err := DecodeMsg(f.Payload)
 	if err != nil {
 		return core.Info{}, fmt.Errorf("gmp stub: %w", err)
 	}
-	fields := gm.Fields()
-	for k, v := range f.Fields() {
+	return core.Info{Type: gm.TypeName(), Fields: framed{frame: f, msg: gm}}, nil
+}
+
+// framed is what Recognize decoded: the GMP message and the rudp frame
+// around it, whose fields scripts read under a "rudp_" prefix.
+type framed struct {
+	frame rudp.Frame
+	msg   Msg
+}
+
+// Field implements core.FieldSource.
+func (r framed) Field(name string) string {
+	if rest, ok := strings.CutPrefix(name, "rudp_"); ok {
+		return r.frame.Field(rest)
+	}
+	return r.msg.Field(name)
+}
+
+// Fields implements core.FieldSource.
+func (r framed) Fields() map[string]string {
+	fields := r.msg.Fields()
+	for k, v := range r.frame.Fields() {
 		fields["rudp_"+k] = v
 	}
-	return core.Info{Type: gm.TypeName(), Fields: fields}, nil
+	return fields
 }
 
 // Generate implements core.Stub: it builds a GMP message wrapped in an
@@ -51,21 +71,11 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 // reliability layer's sequence state — the same constraint the paper
 // describes for stateful TCP sends.
 func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
-	var t uint8
-	for id, name := range map[uint8]string{
-		TypeHeartbeat: "HEARTBEAT", TypeProclaim: "PROCLAIM", TypeJoin: "JOIN",
-		TypeMembership: "MEMBERSHIP_CHANGE", TypeAck: "ACK", TypeNak: "NAK",
-		TypeCommit: "COMMIT", TypeDeadReport: "DEAD_REPORT",
-	} {
-		if name == typ {
-			t = id
-			break
-		}
-	}
-	if t == 0 {
+	t, ok := typeID(typ)
+	if !ok {
 		return nil, fmt.Errorf("gmp stub: cannot generate %q", typ)
 	}
-	gm := &Msg{Type: t, Origin: fields["origin"], Sender: fields["sender"]}
+	gm := Msg{Type: t, Origin: fields["origin"], Sender: fields["sender"]}
 	if g := fields["gen"]; g != "" {
 		v, err := strconv.ParseUint(g, 10, 32)
 		if err != nil {
@@ -76,6 +86,5 @@ func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message,
 	if ms := fields["members"]; ms != "" {
 		gm.Members = strings.Split(ms, ",")
 	}
-	f := &rudp.Frame{Kind: rudp.KindRaw, Payload: gm.Encode()}
-	return f.Encode(), nil
+	return rudp.Frame{Kind: rudp.KindRaw, Payload: gm.Encode()}.Encode(), nil
 }

@@ -6,21 +6,27 @@ import (
 	"pfi/internal/simtime"
 )
 
-// Timer kinds used by the daemon.
+// Timer kinds used by the daemon. A kind doubles as the diagnostic label of
+// the timer's scheduler event.
 const (
-	timerHBSend     = "hb-send"
-	timerHBExpect   = "hb-expect"
-	timerProclaim   = "proclaim"
-	timerMCCollect  = "mc-collect"
-	timerTransition = "transition"
+	timerHBSend     = "gmp-hb-send"
+	timerHBExpect   = "gmp-hb-expect"
+	timerProclaim   = "gmp-proclaim"
+	timerMCCollect  = "gmp-mc-collect"
+	timerTransition = "gmp-transition"
 )
 
-// timerEntry is one registered timeout.
+// timerEntry is one registered timeout and its scheduler event, in one
+// object.
 type timerEntry struct {
+	simtime.Event
+	t    *timerTable
 	kind string
 	key  string
-	ev   *simtime.Event
 }
+
+// Fire implements simtime.Handler.
+func (e *timerEntry) Fire() { e.t.fire(e.kind, e.key) }
 
 // timerTable manages the daemon's named timeouts. The paper's Experiment 4
 // found a logic inversion in the original unregistration routine: "if an
@@ -29,25 +35,43 @@ type timerEntry struct {
 // opposite of how it should have." unsetBug reproduces that inversion.
 type timerTable struct {
 	sched    *simtime.Scheduler
-	entries  []*timerEntry // insertion order (deterministic "first")
+	fire     func(kind, key string) // the owner's expiry handler
+	entries  []*timerEntry          // arming order (deterministic "first")
 	unsetBug bool
 }
 
-func newTimerTable(s *simtime.Scheduler, unsetBug bool) *timerTable {
-	return &timerTable{sched: s, unsetBug: unsetBug}
+func newTimerTable(s *simtime.Scheduler, unsetBug bool, fire func(kind, key string)) *timerTable {
+	return &timerTable{sched: s, unsetBug: unsetBug, fire: fire}
 }
 
-// set arms (or re-arms) the (kind, key) timer.
-func (t *timerTable) set(kind, key string, d time.Duration, name string, fn func()) {
-	t.unsetExact(kind, key)
-	ev := t.sched.After(d, name, fn)
-	t.entries = append(t.entries, &timerEntry{kind: kind, key: key, ev: ev})
+// set arms the (kind, key) timer. Re-arming — the common case: every
+// heartbeat received re-arms an expectation — reuses the entry and its
+// event: the entry moves to the end of the arming order, exactly where a
+// fresh one would go, and the scheduler counts a fresh registration.
+func (t *timerTable) set(kind, key string, d time.Duration) {
+	e := t.take(kind, key)
+	if e == nil {
+		e = &timerEntry{t: t, kind: kind, key: key}
+	}
+	t.entries = append(t.entries, e)
+	t.sched.Arm(&e.Event, d, kind, e)
+}
+
+// take removes and returns the (kind, key) entry, or nil.
+func (t *timerTable) take(kind, key string) *timerEntry {
+	for i, e := range t.entries {
+		if e.kind == kind && e.key == key {
+			t.entries = append(t.entries[:i], t.entries[i+1:]...)
+			return e
+		}
+	}
+	return nil
 }
 
 // isSet reports whether the (kind, key) timer is armed.
 func (t *timerTable) isSet(kind, key string) bool {
 	for _, e := range t.entries {
-		if e.kind == kind && e.key == key && e.ev.Pending() {
+		if e.kind == kind && e.key == key && e.Pending() {
 			return true
 		}
 	}
@@ -58,7 +82,7 @@ func (t *timerTable) isSet(kind, key string) bool {
 func (t *timerTable) armedOf(kind string) int {
 	n := 0
 	for _, e := range t.entries {
-		if e.kind == kind && e.ev.Pending() {
+		if e.kind == kind && e.Pending() {
 			n++
 		}
 	}
@@ -66,14 +90,10 @@ func (t *timerTable) armedOf(kind string) int {
 }
 
 // unsetExact always removes exactly the (kind, key) entry, bypassing the
-// bug; it is the internal helper used when re-arming.
+// bug; expiry handlers use it to drop the entry that just fired.
 func (t *timerTable) unsetExact(kind, key string) {
-	for i, e := range t.entries {
-		if e.kind == kind && e.key == key {
-			t.sched.Cancel(e.ev)
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			return
-		}
+	if e := t.take(kind, key); e != nil {
+		t.sched.Cancel(&e.Event)
 	}
 }
 
@@ -89,7 +109,7 @@ func (t *timerTable) unset(kind, key string) {
 		kept := t.entries[:0]
 		for _, e := range t.entries {
 			if e.kind == kind {
-				t.sched.Cancel(e.ev)
+				t.sched.Cancel(&e.Event)
 				continue
 			}
 			kept = append(kept, e)
@@ -105,7 +125,7 @@ func (t *timerTable) unset(kind, key string) {
 			continue
 		}
 		if t.unsetBug || e.key == key {
-			t.sched.Cancel(e.ev)
+			t.sched.Cancel(&e.Event)
 			t.entries = append(t.entries[:i], t.entries[i+1:]...)
 			return
 		}
@@ -115,7 +135,7 @@ func (t *timerTable) unset(kind, key string) {
 // unsetAllKinds cancels everything (daemon shutdown).
 func (t *timerTable) unsetAllKinds() {
 	for _, e := range t.entries {
-		t.sched.Cancel(e.ev)
+		t.sched.Cancel(&e.Event)
 	}
 	t.entries = nil
 }

@@ -7,11 +7,19 @@ import (
 	"pfi/internal/simtime"
 )
 
+// nofire is an expiry handler for tables whose timers never matter.
+func nofire(kind, key string) {}
+
 func TestTimerTableSetFires(t *testing.T) {
 	s := simtime.NewScheduler()
-	tt := newTimerTable(s, false)
 	fired := 0
-	tt.set("hb-expect", "n1", time.Second, "t", func() { fired++ })
+	tt := newTimerTable(s, false, func(kind, key string) {
+		if kind != "hb-expect" || key != "n1" {
+			t.Errorf("fired (%q, %q)", kind, key)
+		}
+		fired++
+	})
+	tt.set("hb-expect", "n1", time.Second)
 	if !tt.isSet("hb-expect", "n1") {
 		t.Fatal("timer not armed")
 	}
@@ -29,26 +37,46 @@ func TestTimerTableSetFires(t *testing.T) {
 
 func TestTimerTableReArmReplaces(t *testing.T) {
 	s := simtime.NewScheduler()
-	tt := newTimerTable(s, false)
-	fired := 0
-	tt.set("hb-expect", "n1", time.Second, "t", func() { fired++ })
-	tt.set("hb-expect", "n1", 2*time.Second, "t", func() { fired += 10 })
+	var fired []simtime.Time
+	tt := newTimerTable(s, false, func(kind, key string) { fired = append(fired, s.Now()) })
+	tt.set("hb-expect", "n1", time.Second)
+	tt.set("hb-expect", "n1", 2*time.Second)
+	if s.Len() != 1 {
+		t.Fatalf("%d events pending after a re-arm, want 1", s.Len())
+	}
 	s.Run()
-	if fired != 10 {
-		t.Fatalf("fired = %d, want only the re-armed timer", fired)
+	if len(fired) != 1 || fired[0] != simtime.Time(2*time.Second) {
+		t.Fatalf("fired at %v, want only the re-armed timer at 2s", fired)
 	}
 	if tt.armedOf("hb-expect") != 0 {
 		t.Fatal("armed count after fire")
 	}
 }
 
+// A re-armed timer goes to the back of the arming order, where a freshly
+// registered one would: the buggy unset's "first of the kind" is the one
+// armed longest ago.
+func TestTimerTableReArmMovesToEnd(t *testing.T) {
+	s := simtime.NewScheduler()
+	tt := newTimerTable(s, true, nofire)
+	for _, k := range []string{"a", "b", "c"} {
+		tt.set("hb-expect", k, time.Second)
+	}
+	tt.set("hb-expect", "a", time.Second)
+	tt.unset("hb-expect", "") // buggy: removes only the first
+	if tt.isSet("hb-expect", "b") || !tt.isSet("hb-expect", "a") || !tt.isSet("hb-expect", "c") {
+		t.Fatalf("after re-arming a, the first of the kind should be b: a=%v b=%v c=%v",
+			tt.isSet("hb-expect", "a"), tt.isSet("hb-expect", "b"), tt.isSet("hb-expect", "c"))
+	}
+}
+
 func TestTimerTableUnsetCorrectSemantics(t *testing.T) {
 	s := simtime.NewScheduler()
-	tt := newTimerTable(s, false) // fixed code
+	tt := newTimerTable(s, false, nofire) // fixed code
 	for _, k := range []string{"a", "b", "c"} {
-		tt.set("hb-expect", k, time.Second, "t", func() {})
+		tt.set("hb-expect", k, time.Second)
 	}
-	tt.set("proclaim", "", time.Second, "t", func() {})
+	tt.set("proclaim", "", time.Second)
 
 	// Keyed unset removes exactly that entry.
 	tt.unset("hb-expect", "b")
@@ -67,9 +95,9 @@ func TestTimerTableUnsetCorrectSemantics(t *testing.T) {
 
 func TestTimerTableUnsetBuggySemantics(t *testing.T) {
 	s := simtime.NewScheduler()
-	tt := newTimerTable(s, true) // the inverted logic of the student code
+	tt := newTimerTable(s, true, nofire) // the inverted logic of the student code
 	for _, k := range []string{"a", "b", "c"} {
-		tt.set("hb-expect", k, time.Second, "t", func() {})
+		tt.set("hb-expect", k, time.Second)
 	}
 	// The NULL (unset-all) path removes only the FIRST entry.
 	tt.unset("hb-expect", "")
@@ -88,10 +116,10 @@ func TestTimerTableUnsetBuggySemantics(t *testing.T) {
 
 func TestTimerTableUnsetAllKinds(t *testing.T) {
 	s := simtime.NewScheduler()
-	tt := newTimerTable(s, false)
 	fired := 0
-	tt.set("a", "", time.Second, "t", func() { fired++ })
-	tt.set("b", "", time.Second, "t", func() { fired++ })
+	tt := newTimerTable(s, false, func(kind, key string) { fired++ })
+	tt.set("a", "", time.Second)
+	tt.set("b", "", time.Second)
 	tt.unsetAllKinds()
 	s.Run()
 	if fired != 0 {

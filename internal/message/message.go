@@ -3,9 +3,9 @@
 //
 // A Message is a byte payload onto which each protocol layer pushes its
 // header on the way down the stack and from which each layer pops its header
-// on the way up. Messages also carry out-of-band attributes (a small typed
-// map) so layers and the PFI tool can annotate packets without touching the
-// wire bytes, and a monotone ID so traces can follow one packet through
+// on the way up. Messages also carry their network addressing out of band
+// (the source and destination node, which are not serialized onto the
+// wire), and a monotone ID so traces can follow one packet through
 // clone/duplicate operations.
 package message
 
@@ -27,17 +27,25 @@ type Message struct {
 	id     ID
 	origin ID // ID of the message this one was cloned from, or its own ID
 	buf    []byte
-	attrs  map[string]any
+	src    string // sending node, stamped by the network on transmit
+	dst    string // destination node, set by the sender's stack
 }
 
 // New builds a message whose payload is a copy of data.
 func New(data []byte) *Message {
-	id := ID(lastID.Add(1))
-	m := &Message{id: id, origin: id}
+	var buf []byte
 	if len(data) > 0 {
-		m.buf = append(m.buf, data...)
+		buf = append(buf, data...)
 	}
-	return m
+	return Wrap(buf)
+}
+
+// Wrap builds a message that takes ownership of buf: an encoder that wrote
+// the wire bytes into a fresh buffer hands it over without a second copy.
+// The caller must not use buf afterwards.
+func Wrap(buf []byte) *Message {
+	id := ID(lastID.Add(1))
+	return &Message{id: id, origin: id, buf: buf}
 }
 
 // NewString builds a message from a string payload.
@@ -64,57 +72,38 @@ func (m *Message) CopyBytes() []byte {
 	return out
 }
 
-// Clone returns a deep copy with a fresh ID but the same origin chain.
-// Attributes are shallow-copied key-by-key.
+// Clone returns a deep copy with a fresh ID but the same origin chain and
+// the same addressing.
 func (m *Message) Clone() *Message {
-	c := &Message{
+	return &Message{
 		id:     ID(lastID.Add(1)),
 		origin: m.origin,
 		buf:    append([]byte(nil), m.buf...),
+		src:    m.src,
+		dst:    m.dst,
 	}
-	if m.attrs != nil {
-		c.attrs = make(map[string]any, len(m.attrs))
-		for k, v := range m.attrs {
-			c.attrs[k] = v
-		}
-	}
-	return c
 }
 
 // State is a saved copy of a message's mutable content (payload bytes and
-// attributes). The identity fields (ID, Origin) are immutable and excluded.
+// addressing). The identity fields (ID, Origin) are immutable and excluded.
 // World snapshots use it to rewind in-flight and held messages in place:
-// the *Message pointer — captured by delivery closures and retransmission
-// queues — stays the same, only its content rolls back.
+// the *Message pointer — held by pending delivery events and
+// retransmission queues — stays the same, only its content rolls back.
 type State struct {
-	buf   []byte
-	attrs map[string]any
+	buf      []byte
+	src, dst string
 }
 
 // SaveState captures the message's current content.
 func (m *Message) SaveState() State {
-	st := State{buf: append([]byte(nil), m.buf...)}
-	if m.attrs != nil {
-		st.attrs = make(map[string]any, len(m.attrs))
-		for k, v := range m.attrs {
-			st.attrs[k] = v
-		}
-	}
-	return st
+	return State{buf: append([]byte(nil), m.buf...), src: m.src, dst: m.dst}
 }
 
 // RestoreState rewinds the message to a previously saved content. The saved
 // state stays valid for repeated restores.
 func (m *Message) RestoreState(st State) {
 	m.buf = append(m.buf[:0], st.buf...)
-	if st.attrs == nil {
-		m.attrs = nil
-		return
-	}
-	m.attrs = make(map[string]any, len(st.attrs))
-	for k, v := range st.attrs {
-		m.attrs[k] = v
-	}
+	m.src, m.dst = st.src, st.dst
 }
 
 // Push prepends hdr to the message, growing it by len(hdr). This is the
@@ -177,20 +166,19 @@ func (m *Message) Truncate(n int) error {
 	return nil
 }
 
-// SetAttr attaches an out-of-band attribute. Attributes travel with the
-// message through the local stack but are not serialized onto the wire.
-func (m *Message) SetAttr(key string, value any) {
-	if m.attrs == nil {
-		m.attrs = make(map[string]any)
-	}
-	m.attrs[key] = value
-}
+// SetDst addresses the message to a node; the sender's stack sets it before
+// the message reaches the network. Addressing travels with the message
+// through the local stack but is not serialized onto the wire.
+func (m *Message) SetDst(node string) { m.dst = node }
 
-// Attr reads an out-of-band attribute.
-func (m *Message) Attr(key string) (any, bool) {
-	v, ok := m.attrs[key]
-	return v, ok
-}
+// Dst returns the destination node ("" when unaddressed).
+func (m *Message) Dst() string { return m.dst }
+
+// SetSrc records the sending node; the network stamps it on transmit.
+func (m *Message) SetSrc(node string) { m.src = node }
+
+// Src returns the sending node ("" before the message has been transmitted).
+func (m *Message) Src() string { return m.src }
 
 // String renders a short diagnostic form.
 func (m *Message) String() string {

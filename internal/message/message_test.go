@@ -84,7 +84,8 @@ func TestPeekDoesNotConsume(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	m := NewString("abc")
-	m.SetAttr("k", 1)
+	m.SetSrc("a")
+	m.SetDst("b")
 	c := m.Clone()
 	if c.ID() == m.ID() {
 		t.Fatal("clone shares ID")
@@ -98,9 +99,12 @@ func TestCloneIndependence(t *testing.T) {
 	if m.Bytes()[0] != 'a' {
 		t.Fatal("mutating clone changed original")
 	}
-	c.SetAttr("k", 2)
-	if v, _ := m.Attr("k"); v != 1 {
-		t.Fatal("clone attr map aliases original")
+	if c.Src() != "a" || c.Dst() != "b" {
+		t.Fatalf("clone addressing = %q -> %q, want a -> b", c.Src(), c.Dst())
+	}
+	c.SetDst("c")
+	if m.Dst() != "b" {
+		t.Fatal("readdressing the clone changed the original")
 	}
 }
 
@@ -142,15 +146,47 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestAttrs(t *testing.T) {
+func TestAddressing(t *testing.T) {
 	m := New(nil)
-	if _, ok := m.Attr("missing"); ok {
-		t.Fatal("Attr on empty map returned ok")
+	if m.Src() != "" || m.Dst() != "" {
+		t.Fatalf("fresh message addressed %q -> %q", m.Src(), m.Dst())
 	}
-	m.SetAttr("type", "ACK")
-	v, ok := m.Attr("type")
-	if !ok || v != "ACK" {
-		t.Fatalf("Attr = %v, %v", v, ok)
+	m.SetSrc("a")
+	m.SetDst("b")
+	if m.Src() != "a" || m.Dst() != "b" {
+		t.Fatalf("addressing = %q -> %q, want a -> b", m.Src(), m.Dst())
+	}
+}
+
+func TestSaveRestoreState(t *testing.T) {
+	m := NewString("abcdef")
+	m.SetSrc("a")
+	m.SetDst("b")
+	st := m.SaveState()
+	for round := 0; round < 2; round++ { // a saved state restores repeatedly
+		if err := m.Truncate(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetByte(0, 'z'); err != nil {
+			t.Fatal(err)
+		}
+		m.SetSrc("x")
+		m.SetDst("")
+		m.RestoreState(st)
+		if string(m.Bytes()) != "abcdef" || m.Src() != "a" || m.Dst() != "b" {
+			t.Fatalf("round %d: restored %q %q -> %q", round, m.Bytes(), m.Src(), m.Dst())
+		}
+	}
+}
+
+func TestWrapOwnsBuffer(t *testing.T) {
+	buf := []byte("abc")
+	m := Wrap(buf)
+	if &m.Bytes()[0] != &buf[0] {
+		t.Fatal("Wrap copied the buffer")
+	}
+	if m.Origin() != m.ID() {
+		t.Fatal("wrapped message is not its own origin")
 	}
 }
 

@@ -20,12 +20,6 @@ import (
 	"pfi/internal/trace"
 )
 
-// Attribute keys netsim reads/writes on messages.
-const (
-	AttrSrc = "netsim.src" // set by netsim on transmit
-	AttrDst = "netsim.dst" // must be set by the sender's stack
-)
-
 // Broadcast is the destination meaning "every other node".
 const Broadcast = "*"
 
@@ -60,17 +54,12 @@ type World struct {
 	Sched *simtime.Scheduler
 	rng   *dist.Source
 	nodes map[string]*Node
-	order []string // creation order, for deterministic broadcast fan-out
-	links map[[2]string]*link
+	order []*Node // creation order, for deterministic broadcast fan-out
+	links map[uint64]*link
 	def   *LinkConfig // default link config for unconnected pairs, if any
-	group map[string]int
 	stats Stats
 	log   *trace.Log // optional wire-level log
 
-	// inflight tracks messages captured by pending delivery closures, so a
-	// snapshot can rewind their content in place (delivery consumes message
-	// bytes in the receiving stack, but the closure keeps the pointer).
-	inflight map[*simtime.Event]*message.Message
 	// snaps is the world's snapshot roster: scheduler and world state are
 	// pre-registered; rigs add their protocol layers and shared log.
 	snaps *snapshot.Registry
@@ -80,12 +69,10 @@ type World struct {
 // random source.
 func NewWorld(seed int64) *World {
 	w := &World{
-		Sched:    simtime.NewScheduler(),
-		rng:      dist.NewSource(seed),
-		nodes:    make(map[string]*Node),
-		links:    make(map[[2]string]*link),
-		group:    make(map[string]int),
-		inflight: make(map[*simtime.Event]*message.Message),
+		Sched: simtime.NewScheduler(),
+		rng:   dist.NewSource(seed),
+		nodes: make(map[string]*Node),
+		links: make(map[uint64]*link),
 	}
 	w.snaps = snapshot.NewRegistry()
 	w.snaps.Register("sched", w.Sched)
@@ -112,9 +99,11 @@ func (w *World) Rand() *dist.Source { return w.rng }
 type Node struct {
 	name      string
 	world     *World
+	idx       int // position in World.order; half of a link key
 	stk       *stack.Stack
 	env       *stack.Env
 	unplugged bool
+	group     int // partition group; 0 = not named by the current partition
 }
 
 // AddNode registers a machine. Node names must be unique.
@@ -128,10 +117,11 @@ func (w *World) AddNode(name string) (*Node, error) {
 	n := &Node{
 		name:  name,
 		world: w,
+		idx:   len(w.order),
 		env:   &stack.Env{Sched: w.Sched, Node: name},
 	}
 	w.nodes[name] = n
-	w.order = append(w.order, name)
+	w.order = append(w.order, n)
 	return n, nil
 }
 
@@ -151,7 +141,13 @@ func (w *World) Node(name string) (*Node, bool) {
 }
 
 // Nodes returns node names in creation order.
-func (w *World) Nodes() []string { return append([]string(nil), w.order...) }
+func (w *World) Nodes() []string {
+	names := make([]string, len(w.order))
+	for i, n := range w.order {
+		names[i] = n.name
+	}
+	return names
+}
 
 // Name returns the node's name.
 func (n *Node) Name() string { return n.name }
@@ -168,7 +164,7 @@ func (n *Node) World() *World { return n.world }
 func (n *Node) SetStack(s *stack.Stack) {
 	n.stk = s
 	s.OnTransmit(func(m *message.Message) error {
-		return n.world.transmit(n.name, m)
+		return n.world.transmit(n, m)
 	})
 }
 
@@ -185,19 +181,23 @@ func (n *Node) Replug() { n.unplugged = false }
 // Unplugged reports the cable state.
 func (n *Node) Unplugged() bool { return n.unplugged }
 
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
+// linkKey is the unordered node pair as one map key.
+func linkKey(a, b *Node) uint64 {
+	lo, hi := a.idx, b.idx
+	if lo > hi {
+		lo, hi = hi, lo
 	}
-	return [2]string{a, b}
+	return uint64(lo)<<32 | uint64(hi)
 }
 
 // Connect creates (or reconfigures) the bidirectional link between a and b.
 func (w *World) Connect(a, b string, cfg LinkConfig) error {
-	if _, ok := w.nodes[a]; !ok {
+	na, ok := w.nodes[a]
+	if !ok {
 		return fmt.Errorf("netsim: unknown node %q", a)
 	}
-	if _, ok := w.nodes[b]; !ok {
+	nb, ok := w.nodes[b]
+	if !ok {
 		return fmt.Errorf("netsim: unknown node %q", b)
 	}
 	if a == b {
@@ -206,7 +206,7 @@ func (w *World) Connect(a, b string, cfg LinkConfig) error {
 	if cfg.Loss < 0 || cfg.Loss > 1 {
 		return fmt.Errorf("netsim: loss probability %v out of [0,1]", cfg.Loss)
 	}
-	w.links[pairKey(a, b)] = &link{cfg: cfg, up: true}
+	w.links[linkKey(na, nb)] = &link{cfg: cfg, up: true}
 	return nil
 }
 
@@ -215,7 +215,7 @@ func (w *World) Connect(a, b string, cfg LinkConfig) error {
 func (w *World) ConnectAll(cfg LinkConfig) error {
 	for i, a := range w.order {
 		for _, b := range w.order[i+1:] {
-			if err := w.Connect(a, b, cfg); err != nil {
+			if err := w.Connect(a.name, b.name, cfg); err != nil {
 				return err
 			}
 		}
@@ -225,8 +225,11 @@ func (w *World) ConnectAll(cfg LinkConfig) error {
 
 // SetLinkUp raises or cuts the a<->b link (link crash failures).
 func (w *World) SetLinkUp(a, b string, up bool) error {
-	l, ok := w.links[pairKey(a, b)]
-	if !ok {
+	var l *link
+	if na, nb := w.nodes[a], w.nodes[b]; na != nil && nb != nil {
+		l = w.links[linkKey(na, nb)]
+	}
+	if l == nil {
 		return fmt.Errorf("netsim: no link %s<->%s", a, b)
 	}
 	l.up = up
@@ -237,98 +240,117 @@ func (w *World) SetLinkUp(a, b string, up bool) error {
 // group boundaries are dropped. Nodes not mentioned keep connectivity only
 // among themselves (they form an implicit extra group).
 func (w *World) Partition(groups ...[]string) {
-	w.group = make(map[string]int)
+	w.Heal()
 	for gi, g := range groups {
 		for _, name := range g {
-			w.group[name] = gi + 1
+			if n, ok := w.nodes[name]; ok {
+				n.group = gi + 1
+			}
 		}
 	}
 }
 
 // Heal removes any partition.
-func (w *World) Heal() { w.group = make(map[string]int) }
-
-// Partitioned reports whether a partition separates a and b.
-func (w *World) Partitioned(a, b string) bool {
-	return w.group[a] != w.group[b]
+func (w *World) Heal() {
+	for _, n := range w.order {
+		n.group = 0
+	}
 }
 
-// transmit routes m from the named node, using the message's AttrDst.
-func (w *World) transmit(from string, m *message.Message) error {
-	dstAttr, ok := m.Attr(AttrDst)
-	if !ok {
-		return fmt.Errorf("netsim: message %v from %s has no destination", m.ID(), from)
+// delivery is one message on the wire: the pending arrival event, the
+// resolved endpoints and the message, in a single object. The scheduler
+// fires it; SnapshotState finds it in the scheduler's queue. A loopback has
+// src == dst.
+type delivery struct {
+	simtime.Event
+	src, dst *Node
+	m        *message.Message
+}
+
+// Fire implements simtime.Handler: the message arrives.
+func (d *delivery) Fire() {
+	w := d.dst.world
+	if d.src != d.dst {
+		// Re-check reachability at arrival: a cable pulled mid-flight
+		// loses the packet.
+		if d.src.unplugged || d.dst.unplugged || d.src.group != d.dst.group {
+			w.drop(d.src, d.dst, d.m, "lost in flight")
+			w.stats.LostDown++
+			return
+		}
+		if w.log != nil {
+			w.log.Addf(w.Sched.Now(), d.dst.name, "wire-recv", "", uint64(d.m.ID()), "from "+d.src.name)
+		}
 	}
-	dst, ok := dstAttr.(string)
-	if !ok {
-		return fmt.Errorf("netsim: message %v destination is %T, want string", m.ID(), dstAttr)
+	w.stats.Delivered++
+	if d.dst.stk != nil {
+		// Delivery errors are a node-local matter; the network does
+		// not propagate them back in time to the sender.
+		_ = d.dst.stk.Deliver(d.m)
 	}
-	m.SetAttr(AttrSrc, from)
+}
+
+// transmit routes m from a node, using the message's destination.
+func (w *World) transmit(from *Node, m *message.Message) error {
+	dst := m.Dst()
+	if dst == "" {
+		return fmt.Errorf("netsim: message %v from %s has no destination", m.ID(), from.name)
+	}
+	m.SetSrc(from.name)
 	if dst == Broadcast {
-		for _, name := range w.order {
-			if name == from {
-				continue
+		for _, to := range w.order {
+			if to != from {
+				w.sendOne(from, to, m.Clone())
 			}
-			w.sendOne(from, name, m.Clone())
 		}
 		return nil
 	}
-	if _, ok := w.nodes[dst]; !ok {
+	to, ok := w.nodes[dst]
+	if !ok {
 		return fmt.Errorf("netsim: unknown destination %q", dst)
 	}
-	if dst == from {
+	if to == from {
 		// Loopback: never leaves the host, so it ignores cables, links,
 		// and partitions — but it HAS traversed the sender's stack (and
 		// any PFI layer in it), which is what lets the paper's experiment
 		// drop a daemon's heartbeats to itself.
 		w.stats.Sent++
-		node := w.nodes[from]
-		var ev *simtime.Event
-		ev = w.Sched.After(0, "loopback "+from, func() {
-			delete(w.inflight, ev)
-			w.stats.Delivered++
-			if node.stk != nil {
-				_ = node.stk.Deliver(m)
-			}
-		})
-		w.inflight[ev] = m
+		d := &delivery{src: from, dst: from, m: m}
+		w.Sched.Arm(&d.Event, 0, "loopback", d)
 		return nil
 	}
-	w.sendOne(from, dst, m)
+	w.sendOne(from, to, m)
 	return nil
 }
 
-func (w *World) sendOne(from, to string, m *message.Message) {
+func (w *World) sendOne(src, dst *Node, m *message.Message) {
 	w.stats.Sent++
-	src := w.nodes[from]
-	dst := w.nodes[to]
 	if src.unplugged || dst.unplugged {
-		w.drop(from, to, m, "unplugged")
+		w.drop(src, dst, m, "unplugged")
 		w.stats.LostDown++
 		return
 	}
-	if w.Partitioned(from, to) {
-		w.drop(from, to, m, "partitioned")
+	if src.group != dst.group {
+		w.drop(src, dst, m, "partitioned")
 		w.stats.LostCut++
 		return
 	}
-	l, cfg := w.linkFor(from, to)
-	if l == nil && cfg == nil {
-		w.drop(from, to, m, "no route")
+	c := w.def
+	if l, ok := w.links[linkKey(src, dst)]; ok {
+		if !l.up {
+			w.drop(src, dst, m, "link down")
+			w.stats.LostDown++
+			return
+		}
+		c = &l.cfg
+	}
+	if c == nil {
+		w.drop(src, dst, m, "no route")
 		w.stats.LostNoRoute++
 		return
 	}
-	if l != nil && !l.up {
-		w.drop(from, to, m, "link down")
-		w.stats.LostDown++
-		return
-	}
-	c := cfg
-	if l != nil {
-		c = &l.cfg
-	}
 	if c.Loss > 0 && w.rng.Bernoulli(c.Loss) {
-		w.drop(from, to, m, "random loss")
+		w.drop(src, dst, m, "random loss")
 		w.stats.LostRandom++
 		return
 	}
@@ -337,50 +359,20 @@ func (w *World) sendOne(from, to string, m *message.Message) {
 		delay += time.Duration(w.rng.Uniform(0, float64(c.Jitter)))
 	}
 	if w.log != nil {
-		w.log.Addf(w.Sched.Now(), from, "wire-send", "", uint64(m.ID()), "to "+to)
+		w.log.Addf(w.Sched.Now(), src.name, "wire-send", "", uint64(m.ID()), "to "+dst.name)
 	}
-	var ev *simtime.Event
-	ev = w.Sched.After(delay, "deliver "+from+"->"+to, func() {
-		delete(w.inflight, ev)
-		// Re-check reachability at arrival: a cable pulled mid-flight
-		// loses the packet.
-		if w.nodes[from].unplugged || w.nodes[to].unplugged || w.Partitioned(from, to) {
-			w.drop(from, to, m, "lost in flight")
-			w.stats.LostDown++
-			return
-		}
-		w.stats.Delivered++
-		if w.log != nil {
-			w.log.Addf(w.Sched.Now(), to, "wire-recv", "", uint64(m.ID()), "from "+from)
-		}
-		if dst.stk != nil {
-			// Delivery errors are a node-local matter; the network does
-			// not propagate them back in time to the sender.
-			_ = dst.stk.Deliver(m)
-		}
-	})
-	w.inflight[ev] = m
-}
-
-// linkFor returns the explicit link or the default config for a pair.
-func (w *World) linkFor(a, b string) (*link, *LinkConfig) {
-	if l, ok := w.links[pairKey(a, b)]; ok {
-		return l, nil
-	}
-	if w.def != nil {
-		return nil, w.def
-	}
-	return nil, nil
+	d := &delivery{src: src, dst: dst, m: m}
+	w.Sched.Arm(&d.Event, delay, "deliver", d)
 }
 
 // SetDefaultLink makes unconnected node pairs reachable with cfg. Passing
 // nil removes the default (unconnected pairs drop traffic).
 func (w *World) SetDefaultLink(cfg *LinkConfig) { w.def = cfg }
 
-func (w *World) drop(from, to string, m *message.Message, why string) {
+func (w *World) drop(from, to *Node, m *message.Message, why string) {
 	if w.log != nil {
-		w.log.Addf(w.Sched.Now(), from, "wire-drop", "", uint64(m.ID()),
-			fmt.Sprintf("to %s: %s", to, why))
+		w.log.Addf(w.Sched.Now(), from.name, "wire-drop", "", uint64(m.ID()),
+			fmt.Sprintf("to %s: %s", to.name, why))
 	}
 }
 
@@ -389,58 +381,54 @@ func (w *World) drop(from, to string, m *message.Message, why string) {
 // linkState saves one link entry: the pointer (Connect may replace it) plus
 // the fields faults toggle.
 type linkState struct {
-	key [2]string
+	key uint64
 	l   *link
 	cfg LinkConfig
 	up  bool
 }
 
-// flightState saves one in-flight message: the pending event, the message
-// pointer its closure captured, and the message content at capture time.
+// nodeState saves the per-node switches faults toggle.
+type nodeState struct {
+	unplugged bool
+	group     int
+}
+
+// flightState saves one in-flight message: the pointer its pending
+// delivery holds, and the message content at capture time.
 type flightState struct {
-	ev *simtime.Event
 	m  *message.Message
 	st message.State
 }
 
 // worldState is the world's mutable state at one instant.
 type worldState struct {
-	links     []linkState
-	def       *LinkConfig
-	group     map[string]int
-	stats     Stats
-	order     []string
-	nodes     map[string]*Node
-	unplugged []bool // aligned with order
-	rngMark   uint64
-	log       *trace.Log
-	logLen    int
-	inflight  []flightState
+	links    []linkState
+	def      *LinkConfig
+	stats    Stats
+	order    []*Node
+	nodes    []nodeState // aligned with order
+	rngMark  uint64
+	log      *trace.Log
+	logLen   int
+	inflight []flightState
 }
 
 // SnapshotState captures the network substrate: topology, link and cable
 // state, partition groups, counters, the random stream position, and the
-// content of every message still in flight. The scheduler is registered
-// separately; stacks and layers snapshot themselves.
+// content of every message still in flight — found on the scheduler's
+// pending deliveries, which carry their message. The scheduler is
+// registered separately; stacks and layers snapshot themselves.
 func (w *World) SnapshotState() any {
 	st := &worldState{
 		def:     w.def,
-		group:   make(map[string]int, len(w.group)),
 		stats:   w.stats,
-		order:   append([]string(nil), w.order...),
-		nodes:   make(map[string]*Node, len(w.nodes)),
+		order:   append([]*Node(nil), w.order...),
+		nodes:   make([]nodeState, len(w.order)),
 		rngMark: w.rng.Mark(),
 		log:     w.log,
 	}
-	for k, v := range w.group {
-		st.group[k] = v
-	}
-	for name, n := range w.nodes {
-		st.nodes[name] = n
-	}
-	st.unplugged = make([]bool, len(w.order))
-	for i, name := range w.order {
-		st.unplugged[i] = w.nodes[name].unplugged
+	for i, n := range w.order {
+		st.nodes[i] = nodeState{unplugged: n.unplugged, group: n.group}
 	}
 	st.links = make([]linkState, 0, len(w.links))
 	for k, l := range w.links {
@@ -449,33 +437,28 @@ func (w *World) SnapshotState() any {
 	if w.log != nil {
 		st.logLen = w.log.Len()
 	}
-	st.inflight = make([]flightState, 0, len(w.inflight))
-	for ev, m := range w.inflight {
-		st.inflight = append(st.inflight, flightState{ev: ev, m: m, st: m.SaveState()})
-	}
+	w.Sched.EachPending(func(h simtime.Handler) {
+		if d, ok := h.(*delivery); ok {
+			st.inflight = append(st.inflight, flightState{m: d.m, st: d.m.SaveState()})
+		}
+	})
 	return st
 }
 
 // RestoreState rewinds the world to a captured state. Links, nodes, and
-// in-flight messages keep their identities (the pointers pending closures
-// captured); only their mutable content rolls back.
+// in-flight messages keep their identities (the pointers pending deliveries
+// hold); only their mutable content rolls back.
 func (w *World) RestoreState(state any) {
 	st := state.(*worldState)
 	w.def = st.def
-	w.group = make(map[string]int, len(st.group))
-	for k, v := range st.group {
-		w.group[k] = v
-	}
 	w.stats = st.stats
 	w.order = append(w.order[:0], st.order...)
-	w.nodes = make(map[string]*Node, len(st.nodes))
-	for name, n := range st.nodes {
-		w.nodes[name] = n
+	w.nodes = make(map[string]*Node, len(st.order))
+	for i, n := range st.order {
+		n.unplugged, n.group = st.nodes[i].unplugged, st.nodes[i].group
+		w.nodes[n.name] = n
 	}
-	for i, name := range st.order {
-		w.nodes[name].unplugged = st.unplugged[i]
-	}
-	w.links = make(map[[2]string]*link, len(st.links))
+	w.links = make(map[uint64]*link, len(st.links))
 	for _, ls := range st.links {
 		ls.l.cfg, ls.l.up = ls.cfg, ls.up
 		w.links[ls.key] = ls.l
@@ -485,10 +468,8 @@ func (w *World) RestoreState(state any) {
 		w.log.RestoreState(st.logLen)
 	}
 	w.rng.Rewind(st.rngMark)
-	w.inflight = make(map[*simtime.Event]*message.Message, len(st.inflight))
 	for _, fs := range st.inflight {
 		fs.m.RestoreState(fs.st)
-		w.inflight[fs.ev] = fs.m
 	}
 }
 

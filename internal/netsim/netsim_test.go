@@ -41,7 +41,7 @@ func newRig(t *testing.T, n int, cfg LinkConfig) *rig {
 func (r *rig) send(t *testing.T, from, to, payload string) {
 	t.Helper()
 	m := message.NewString(payload)
-	m.SetAttr(AttrDst, to)
+	m.SetDst(to)
 	node, _ := r.w.Node(from)
 	if err := node.Stack().Send(m); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestNoRoute(t *testing.T) {
 	sa := stack.New(a.Env())
 	a.SetStack(sa)
 	m := message.NewString("x")
-	m.SetAttr(AttrDst, "b")
+	m.SetDst("b")
 	if err := sa.Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestDefaultLink(t *testing.T) {
 	a.SetStack(sa)
 	w.SetDefaultLink(&LinkConfig{Latency: time.Millisecond})
 	m := message.NewString("x")
-	m.SetAttr(AttrDst, "b")
+	m.SetDst("b")
 	if err := sa.Send(m); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRandomLossIsSeededAndBounded(t *testing.T) {
 		}
 		for i := 0; i < 1000; i++ {
 			m := message.NewString("x")
-			m.SetAttr(AttrDst, "b")
+			m.SetDst("b")
 			if err := sa.Send(m); err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestErrorPaths(t *testing.T) {
 	}
 	// Message to unknown destination.
 	m := message.NewString("x")
-	m.SetAttr(AttrDst, "ghost")
+	m.SetDst("ghost")
 	if err := sa.Send(m); err == nil {
 		t.Error("message to unknown node accepted")
 	}
@@ -331,7 +331,7 @@ func TestJitterStaysWithinBounds(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		m := message.NewString("x")
-		m.SetAttr(AttrDst, "b")
+		m.SetDst("b")
 		if err := sa.Send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -363,9 +363,9 @@ func TestPropertyConservation(t *testing.T) {
 		for i := 0; i < int(nMsg); i++ {
 			m := message.NewString("x")
 			if i%3 == 0 {
-				m.SetAttr(AttrDst, Broadcast)
+				m.SetDst(Broadcast)
 			} else {
-				m.SetAttr(AttrDst, names[1+i%2])
+				m.SetDst(names[1+i%2])
 			}
 			if err := a.Stack().Send(m); err != nil {
 				return false

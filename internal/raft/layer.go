@@ -2,7 +2,6 @@ package raft
 
 import (
 	"pfi/internal/message"
-	"pfi/internal/netsim"
 	"pfi/internal/stack"
 )
 
@@ -44,7 +43,7 @@ func (l *Layer) Node() *Node { return l.node }
 // ship transmits one protocol message onto the simulated network.
 func (l *Layer) ship(dst string, m *Msg) {
 	sm := m.Encode()
-	sm.SetAttr(netsim.AttrDst, dst)
+	sm.SetDst(dst)
 	if err := l.base.Down(sm); err != nil {
 		l.node.logEvent("send-error", m.TypeName(), 0, err.Error())
 	}
@@ -71,7 +70,7 @@ func (l *Layer) HandleUp(sm *message.Message) error {
 		}
 		return nil
 	}
-	l.node.Handle(m)
+	l.node.Handle(&m)
 	return nil
 }
 

@@ -37,7 +37,9 @@ const (
 	TypeAppendResp  = 4
 )
 
-var typeNames = map[uint8]string{
+// typeNames is the one name<->id table: TypeName and DecodeBytes index it,
+// the stub's Generate searches it.
+var typeNames = [...]string{
 	TypeRequestVote: "REQUEST_VOTE",
 	TypeVoteResp:    "VOTE_RESP",
 	TypeAppend:      "APPEND_ENTRIES",
@@ -46,10 +48,20 @@ var typeNames = map[uint8]string{
 
 // TypeName renders a message type constant.
 func TypeName(t uint8) string {
-	if n, ok := typeNames[t]; ok {
-		return n
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("TYPE(%d)", t)
+}
+
+// typeID is TypeName's inverse; it reports false for an unknown name.
+func typeID(name string) (uint8, bool) {
+	for id, n := range typeNames {
+		if n != "" && n == name {
+			return uint8(id), true
+		}
+	}
+	return 0, false
 }
 
 // LogEntry is one replicated log slot. Index is implicit: the log is
@@ -130,7 +142,14 @@ func checksum(p []byte) uint32 {
 // Encode serializes the message for the wire: a 4-byte checksum followed by
 // the frame body.
 func (m *Msg) Encode() *message.Message {
-	w := message.NewWriter(36 + len(m.From))
+	// 4 checksum + 1 type + 8 term + 1+len(From), then the largest fixed
+	// body (APPEND_ENTRIES: 3×8 + 2) and each entry's 8 + 1+len(Data): the
+	// buffer never regrows.
+	n := 14 + len(m.From) + 26
+	for _, e := range m.Entries {
+		n += 9 + len(e.Data)
+	}
+	w := message.NewWriter(n)
 	w.U32(0) // checksum placeholder
 	w.U8(m.Type).U64(m.Term)
 	putStr(w, m.From)
@@ -153,28 +172,28 @@ func (m *Msg) Encode() *message.Message {
 	buf := w.Done()
 	sum := checksum(buf[4:])
 	buf[0], buf[1], buf[2], buf[3] = byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)
-	return message.New(buf)
+	return message.Wrap(buf)
 }
 
 // Decode parses a raft message without consuming the stack message.
-func Decode(sm *message.Message) (*Msg, error) {
+func Decode(sm *message.Message) (Msg, error) {
 	return DecodeBytes(sm.Bytes())
 }
 
 // DecodeBytes parses a raft message from raw payload bytes, verifying the
-// leading checksum.
-func DecodeBytes(raw []byte) (*Msg, error) {
+// leading checksum. The result shares nothing with raw.
+func DecodeBytes(raw []byte) (Msg, error) {
 	if len(raw) < 5 {
-		return nil, fmt.Errorf("raft: frame too short: %d bytes", len(raw))
+		return Msg{}, fmt.Errorf("raft: frame too short: %d bytes", len(raw))
 	}
 	r := message.NewReader(raw)
 	if sum := r.U32(); sum != checksum(raw[4:]) {
-		return nil, fmt.Errorf("raft: checksum mismatch")
+		return Msg{}, fmt.Errorf("raft: checksum mismatch")
 	}
-	m := &Msg{Type: r.U8(), Term: r.U64()}
+	m := Msg{Type: r.U8(), Term: r.U64()}
 	var err error
 	if m.From, err = getStr(r); err != nil {
-		return nil, err
+		return Msg{}, err
 	}
 	switch m.Type {
 	case TypeRequestVote:
@@ -183,54 +202,99 @@ func DecodeBytes(raw []byte) (*Msg, error) {
 		m.Granted = r.U8() != 0
 	case TypeAppend:
 		m.PrevIndex, m.PrevTerm, m.Commit = r.U64(), r.U64(), r.U64()
-		n := int(r.U16())
-		for i := 0; i < n; i++ {
-			term := r.U64()
-			data, err := getStr(r)
-			if err != nil {
-				return nil, err
+		if n := int(r.U16()); n > 0 {
+			// A corrupted count must not size an allocation: the frame
+			// cannot hold more entries than it has bytes left.
+			m.Entries = make([]LogEntry, 0, min(n, r.Remaining()))
+			for i := 0; i < n; i++ {
+				term := r.U64()
+				data, err := getStr(r)
+				if err != nil {
+					return Msg{}, err
+				}
+				m.Entries = append(m.Entries, LogEntry{Term: term, Data: data})
 			}
-			m.Entries = append(m.Entries, LogEntry{Term: term, Data: data})
 		}
 	case TypeAppendResp:
 		m.Success = r.U8() != 0
 		m.Match = r.U64()
 	default:
-		return nil, fmt.Errorf("raft: unknown message type %d", m.Type)
+		return Msg{}, fmt.Errorf("raft: unknown message type %d", m.Type)
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("raft: short message: %w", err)
+		return Msg{}, fmt.Errorf("raft: short message: %w", err)
 	}
 	return m, nil
 }
 
-// Fields exposes the message to PFI filter scripts.
-func (m *Msg) Fields() map[string]string {
-	f := map[string]string{
-		"from": m.From,
-		"term": strconv.FormatUint(m.Term, 10),
+// fieldNames lists, per message type, what Field renders beyond "from"
+// and "term".
+var fieldNames = [...][]string{
+	TypeRequestVote: {"last_index", "last_term"},
+	TypeVoteResp:    {"granted"},
+	TypeAppend:      {"prev_index", "prev_term", "commit", "entries", "data"},
+	TypeAppendResp:  {"success", "match"},
+}
+
+// Field exposes one header field to PFI filter scripts; a field the
+// message's type does not carry reads "".
+func (m Msg) Field(name string) string {
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	switch name {
+	case "from":
+		return m.From
+	case "term":
+		return u(m.Term)
 	}
 	switch m.Type {
 	case TypeRequestVote:
-		f["last_index"] = strconv.FormatUint(m.LastIndex, 10)
-		f["last_term"] = strconv.FormatUint(m.LastTerm, 10)
+		switch name {
+		case "last_index":
+			return u(m.LastIndex)
+		case "last_term":
+			return u(m.LastTerm)
+		}
 	case TypeVoteResp:
-		f["granted"] = boolStr(m.Granted)
+		if name == "granted" {
+			return boolStr(m.Granted)
+		}
 	case TypeAppend:
-		f["prev_index"] = strconv.FormatUint(m.PrevIndex, 10)
-		f["prev_term"] = strconv.FormatUint(m.PrevTerm, 10)
-		f["commit"] = strconv.FormatUint(m.Commit, 10)
-		f["entries"] = strconv.Itoa(len(m.Entries))
-		if len(m.Entries) > 0 {
+		switch name {
+		case "prev_index":
+			return u(m.PrevIndex)
+		case "prev_term":
+			return u(m.PrevTerm)
+		case "commit":
+			return u(m.Commit)
+		case "entries":
+			return strconv.Itoa(len(m.Entries))
+		case "data":
 			vals := make([]string, len(m.Entries))
 			for i, e := range m.Entries {
 				vals[i] = e.Data
 			}
-			f["data"] = strings.Join(vals, ",")
+			return strings.Join(vals, ",")
 		}
 	case TypeAppendResp:
-		f["success"] = boolStr(m.Success)
-		f["match"] = strconv.FormatUint(m.Match, 10)
+		switch name {
+		case "success":
+			return boolStr(m.Success)
+		case "match":
+			return u(m.Match)
+		}
+	}
+	return ""
+}
+
+// Fields exposes the whole message to PFI filter scripts.
+func (m Msg) Fields() map[string]string {
+	f := map[string]string{"from": m.From, "term": m.Field("term")}
+	if int(m.Type) < len(fieldNames) {
+		for _, name := range fieldNames[m.Type] {
+			if name != "data" || len(m.Entries) > 0 {
+				f[name] = m.Field(name)
+			}
+		}
 	}
 	return f
 }

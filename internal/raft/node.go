@@ -122,8 +122,8 @@ type Node struct {
 	started   bool
 	suspended bool
 
-	electionEv  *simtime.Event
-	heartbeatEv *simtime.Event
+	election  simtime.Timer
+	heartbeat simtime.Timer
 }
 
 // Option configures a Node.
@@ -160,6 +160,8 @@ func NewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc,
 		log:   trace.NewLog(),
 		send:  send,
 	}
+	n.election.Init(sched, n.onElectionTimeout)
+	n.heartbeat.Init(sched, n.onHeartbeatTick)
 	found := false
 	for _, p := range peers {
 		if p == id {
@@ -278,8 +280,8 @@ func (n *Node) Stop() {
 	}
 	n.started = false
 	n.suspended = false
-	n.cancelElection()
-	n.cancelHeartbeat()
+	n.election.Stop()
+	n.heartbeat.Stop()
 	n.state = StateFollower
 	n.leader = ""
 	n.logEvent("stop", "", n.term, "")
@@ -310,40 +312,19 @@ func (n *Node) Resume() {
 const suspendDefer = 50 * time.Millisecond
 
 func (n *Node) armElection() {
-	n.cancelElection()
 	span := int(n.cfg.ElectionMax - n.cfg.ElectionMin)
 	d := n.cfg.ElectionMin + time.Duration(n.rng.Intn(span))
-	n.electionEv = n.sched.After(d, "raft-election "+n.id, n.onElectionTimeout)
-}
-
-func (n *Node) cancelElection() {
-	if n.electionEv != nil {
-		n.sched.Cancel(n.electionEv)
-		n.electionEv = nil
-	}
-}
-
-func (n *Node) armHeartbeat() {
-	n.cancelHeartbeat()
-	n.heartbeatEv = n.sched.After(n.cfg.Heartbeat, "raft-heartbeat "+n.id, n.onHeartbeatTick)
-}
-
-func (n *Node) cancelHeartbeat() {
-	if n.heartbeatEv != nil {
-		n.sched.Cancel(n.heartbeatEv)
-		n.heartbeatEv = nil
-	}
+	n.election.Arm(d, "raft-election")
 }
 
 func (n *Node) onElectionTimeout() {
-	n.electionEv = nil
 	if !n.started {
 		return
 	}
 	if n.suspended {
 		// The kernel keeps expiring timers while the process is stopped;
 		// the handler effectively runs when the process resumes.
-		n.electionEv = n.sched.After(suspendDefer, "raft-election-deferred "+n.id, n.onElectionTimeout)
+		n.election.Arm(suspendDefer, "raft-election")
 		return
 	}
 	if n.state == StateLeader {
@@ -353,16 +334,15 @@ func (n *Node) onElectionTimeout() {
 }
 
 func (n *Node) onHeartbeatTick() {
-	n.heartbeatEv = nil
 	if !n.started || n.state != StateLeader {
 		return
 	}
 	if n.suspended {
-		n.heartbeatEv = n.sched.After(suspendDefer, "raft-heartbeat-deferred "+n.id, n.onHeartbeatTick)
+		n.heartbeat.Arm(suspendDefer, "raft-heartbeat")
 		return
 	}
 	n.broadcastAppend()
-	n.armHeartbeat()
+	n.heartbeat.Arm(n.cfg.Heartbeat, "raft-heartbeat")
 }
 
 // --- elections -----------------------------------------------------------
@@ -393,7 +373,7 @@ func (n *Node) stepDown(term uint64) {
 		n.votedFor = ""
 	}
 	if n.state == StateLeader {
-		n.cancelHeartbeat()
+		n.heartbeat.Stop()
 		n.armElection()
 	}
 	n.state = StateFollower
@@ -452,10 +432,10 @@ func (n *Node) maybeWin() {
 	// Seq carries the term: the election-safety oracle groups these events
 	// by term and flags any term elected on two distinct nodes.
 	n.logEvent("elected", "LEADER", n.term, fmt.Sprintf("last=%d commit=%d", n.LastIndex(), n.commit))
-	n.cancelElection()
+	n.election.Stop()
 	n.advanceCommit() // a single-node cluster commits immediately
 	n.broadcastAppend()
-	n.armHeartbeat()
+	n.heartbeat.Arm(n.cfg.Heartbeat, "raft-heartbeat")
 }
 
 // --- replication ---------------------------------------------------------

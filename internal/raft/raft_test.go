@@ -258,9 +258,63 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.TypeName(), err)
 		}
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", m) {
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", *m) {
 			t.Fatalf("roundtrip mismatch:\n in %+v\nout %+v", m, got)
 		}
+	}
+}
+
+// A stub generates what it recognizes: every raft message type comes back
+// from Generate as a validly checksummed frame of that type.
+func TestStubGeneratesWhatItRecognizes(t *testing.T) {
+	stub := PFIStub{}
+	for typ := uint8(TypeRequestVote); typ <= TypeAppendResp; typ++ {
+		name := TypeName(typ)
+		m, err := stub.Generate(name, map[string]string{"from": "r1", "term": "3"})
+		if err != nil {
+			t.Errorf("Generate(%s): %v", name, err)
+			continue
+		}
+		info, err := stub.Recognize(m)
+		if err != nil || info.Type != name || info.Field("from") != "r1" || info.Field("term") != "3" {
+			t.Errorf("Generate(%s) recognized as %q from %q term %q, err %v",
+				name, info.Type, info.Field("from"), info.Field("term"), err)
+		}
+	}
+	if _, err := stub.Generate("", nil); err == nil {
+		t.Error("generated the empty type name")
+	}
+}
+
+// Field and Fields are two renderings of one header: every field Fields
+// lists reads the same through Field, and a field of another message type
+// reads empty.
+func TestMsgFieldMatchesFields(t *testing.T) {
+	msgs := []Msg{
+		{Type: TypeRequestVote, Term: 7, From: "r12", LastIndex: 9, LastTerm: 6},
+		{Type: TypeVoteResp, Term: 7, From: "r3", Granted: true},
+		{Type: TypeAppend, Term: 9, From: "r1", PrevIndex: 4, PrevTerm: 8, Commit: 3,
+			Entries: []LogEntry{{Term: 9, Data: "alpha"}, {Term: 9, Data: "beta"}}},
+		{Type: TypeAppend, Term: 2, From: "r1000"},
+		{Type: TypeAppendResp, Term: 9, From: "r7", Success: true, Match: 6},
+	}
+	for _, m := range msgs {
+		fields := m.Fields()
+		for name, want := range fields {
+			if got := m.Field(name); got != want {
+				t.Errorf("%s: Field(%q) = %q, Fields has %q", m.TypeName(), name, got, want)
+			}
+		}
+		if fields["from"] != m.From || fields["term"] == "" {
+			t.Errorf("%s: Fields lacks from/term: %v", m.TypeName(), fields)
+		}
+	}
+	app := msgs[2]
+	if app.Field("data") != "alpha,beta" || app.Field("entries") != "2" || app.Field("granted") != "" {
+		t.Errorf("append fields: data %q entries %q granted %q", app.Field("data"), app.Field("entries"), app.Field("granted"))
+	}
+	if _, ok := msgs[3].Fields()["data"]; ok {
+		t.Error("an empty AppendEntries lists a data field")
 	}
 }
 
@@ -291,11 +345,11 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 
 	schedSt := c.sched.SnapshotState()
 	srcMark := c.src.Mark()
-	nodeSt := make(map[string]any, len(c.names))
-	logMarks := make(map[string]any, len(c.names))
-	for _, n := range c.names {
-		nodeSt[n] = c.nodes[n].SnapshotState()
-		logMarks[n] = c.nodes[n].Events().SnapshotState()
+	nodeSt := make([]any, len(c.names)) // aligned with c.names
+	logMarks := make([]any, len(c.names))
+	for i, n := range c.names {
+		nodeSt[i] = c.nodes[n].SnapshotState()
+		logMarks[i] = c.nodes[n].Events().SnapshotState()
 	}
 
 	record := func() string {
@@ -313,9 +367,9 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 	first := record()
 	c.sched.RestoreState(schedSt)
 	c.src.Rewind(srcMark)
-	for _, n := range c.names {
-		c.nodes[n].Events().RestoreState(logMarks[n])
-		c.nodes[n].RestoreState(nodeSt[n])
+	for i, n := range c.names {
+		c.nodes[n].Events().RestoreState(logMarks[i])
+		c.nodes[n].RestoreState(nodeSt[i])
 	}
 	second := record()
 	if first != second {

@@ -1,11 +1,9 @@
 package raft
 
-import "pfi/internal/simtime"
-
-// Snapshot support (see internal/snapshot). The node's pending timers are
-// *simtime.Event pointers; the scheduler's own snapshot restores the events
-// in place, so capturing the pointers is enough — the same contract the
-// GMP daemon uses. This is what makes O(delta) fuzzing work at 1000 nodes:
+// Snapshot support (see internal/snapshot). The node's two timers are fixed
+// parts of the node; the scheduler's own snapshot restores their events in
+// place, so they need no state here — the same contract the GMP daemon
+// uses. This is what makes O(delta) fuzzing work at 1000 nodes:
 // forking a warm world copies each node's maps and log slice headers
 // instead of replaying the whole election history.
 
@@ -25,9 +23,6 @@ type nodeState struct {
 
 	started   bool
 	suspended bool
-
-	electionEv  *simtime.Event
-	heartbeatEv *simtime.Event
 
 	rngMark uint64
 	logLen  int
@@ -58,22 +53,20 @@ func copyU64Map(m map[string]uint64) map[string]uint64 {
 // SnapshotState captures the node for the snapshot registry.
 func (n *Node) SnapshotState() any {
 	return &nodeState{
-		term:        n.term,
-		votedFor:    n.votedFor,
-		entries:     append([]LogEntry(nil), n.entries...),
-		state:       n.state,
-		commit:      n.commit,
-		applied:     n.applied,
-		leader:      n.leader,
-		votes:       copyBoolMap(n.votes),
-		next:        copyU64Map(n.next),
-		match:       copyU64Map(n.match),
-		started:     n.started,
-		suspended:   n.suspended,
-		electionEv:  n.electionEv,
-		heartbeatEv: n.heartbeatEv,
-		rngMark:     n.rng.Mark(),
-		logLen:      n.log.Len(),
+		term:      n.term,
+		votedFor:  n.votedFor,
+		entries:   append([]LogEntry(nil), n.entries...),
+		state:     n.state,
+		commit:    n.commit,
+		applied:   n.applied,
+		leader:    n.leader,
+		votes:     copyBoolMap(n.votes),
+		next:      copyU64Map(n.next),
+		match:     copyU64Map(n.match),
+		started:   n.started,
+		suspended: n.suspended,
+		rngMark:   n.rng.Mark(),
+		logLen:    n.log.Len(),
 	}
 }
 
@@ -94,8 +87,6 @@ func (n *Node) RestoreState(state any) {
 	n.match = copyU64Map(st.match)
 	n.started = st.started
 	n.suspended = st.suspended
-	n.electionEv = st.electionEv
-	n.heartbeatEv = st.heartbeatEv
 	n.rng.Rewind(st.rngMark)
 	n.log.RestoreState(st.logLen)
 }

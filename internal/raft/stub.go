@@ -25,20 +25,14 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 	if err != nil {
 		return core.Info{}, fmt.Errorf("raft stub: %w", err)
 	}
-	return core.Info{Type: rm.TypeName(), Fields: rm.Fields()}, nil
+	return core.Info{Type: rm.TypeName(), Fields: rm}, nil
 }
 
 // Generate implements core.Stub: it builds a validly checksummed raft
 // frame from filter-script fields.
 func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
-	var t uint8
-	for id, name := range typeNames {
-		if name == typ {
-			t = id
-			break
-		}
-	}
-	if t == 0 {
+	t, ok := typeID(typ)
+	if !ok {
 		return nil, fmt.Errorf("raft stub: cannot generate %q", typ)
 	}
 	m := &Msg{Type: t, From: fields["from"]}

@@ -10,12 +10,12 @@
 package rudp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"time"
 
 	"pfi/internal/message"
-	"pfi/internal/netsim"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
 )
@@ -44,7 +44,7 @@ type Frame struct {
 }
 
 // KindName renders the frame kind.
-func (f *Frame) KindName() string {
+func (f Frame) KindName() string {
 	switch f.Kind {
 	case KindData:
 		return "DATA"
@@ -57,46 +57,65 @@ func (f *Frame) KindName() string {
 	}
 }
 
-// Encode serializes the frame.
-func (f *Frame) Encode() *message.Message {
+// Encode serializes the frame into a message that owns the bytes.
+func (f Frame) Encode() *message.Message {
 	w := message.NewWriter(HeaderLen + len(f.Payload))
 	w.U8(f.Kind).U32(f.Seq).Bytes(f.Payload)
-	return message.New(w.Done())
+	return message.Wrap(w.Done())
 }
 
-// Decode parses a frame without consuming the message.
-func Decode(m *message.Message) (*Frame, error) {
+// Decode parses a frame without consuming the message. Payload aliases the
+// message's bytes: copy it to keep it beyond the message.
+func Decode(m *message.Message) (Frame, error) {
 	raw := m.Bytes()
 	if len(raw) < HeaderLen {
-		return nil, fmt.Errorf("rudp: frame too short: %d bytes", len(raw))
+		return Frame{}, fmt.Errorf("rudp: frame too short: %d bytes", len(raw))
 	}
-	r := message.NewReader(raw)
-	f := &Frame{Kind: r.U8(), Seq: r.U32()}
-	if n := r.Remaining(); n > 0 {
-		f.Payload = append([]byte(nil), r.Take(n)...)
-	}
-	return f, nil
+	return Frame{Kind: raw[0], Seq: binary.BigEndian.Uint32(raw[1:]), Payload: raw[HeaderLen:]}, nil
 }
 
-// Fields exposes the header to PFI scripts.
-func (f *Frame) Fields() map[string]string {
-	return map[string]string{
-		"kind": f.KindName(),
-		"seq":  strconv.FormatUint(uint64(f.Seq), 10),
-		"len":  strconv.Itoa(len(f.Payload)),
+// fieldNames lists what Field renders, in Fields' order.
+var fieldNames = [...]string{"kind", "seq", "len"}
+
+// Field renders one header field for PFI scripts (Frame is a
+// core.FieldSource).
+func (f Frame) Field(name string) string {
+	switch name {
+	case "kind":
+		return f.KindName()
+	case "seq":
+		return strconv.FormatUint(uint64(f.Seq), 10)
+	case "len":
+		return strconv.Itoa(len(f.Payload))
 	}
+	return ""
 }
 
-// DeliverFunc receives an inbound datagram's payload.
+// Fields renders every header field.
+func (f Frame) Fields() map[string]string {
+	m := make(map[string]string, len(fieldNames))
+	for _, name := range fieldNames {
+		m[name] = f.Field(name)
+	}
+	return m
+}
+
+// DeliverFunc receives an inbound datagram's payload. The slice aliases the
+// delivered message; a receiver that keeps it copies it.
 type DeliverFunc func(src string, payload []byte)
 
-// pendingSend is one unacknowledged reliable frame.
+// pendingSend is one unacknowledged reliable frame together with its
+// retransmission timer.
 type pendingSend struct {
-	frame   *Frame
+	simtime.Event
+	l       *Layer
+	frame   Frame
 	dst     string
 	retries int
-	timer   *simtime.Event
 }
+
+// Fire implements simtime.Handler: the retransmission timeout.
+func (ps *pendingSend) Fire() { ps.l.onRetransmit(ps) }
 
 // peerState tracks per-peer sequence bookkeeping.
 type peerState struct {
@@ -189,33 +208,30 @@ func (l *Layer) peer(name string) *peerState {
 func (l *Layer) Send(dst string, payload []byte) error {
 	p := l.peer(dst)
 	p.nextSeq++
-	f := &Frame{Kind: KindData, Seq: p.nextSeq, Payload: payload}
-	ps := &pendingSend{frame: f, dst: dst}
+	ps := &pendingSend{l: l, frame: Frame{Kind: KindData, Seq: p.nextSeq, Payload: payload}, dst: dst}
 	if l.pending[dst] == nil {
 		l.pending[dst] = make(map[uint32]*pendingSend)
 	}
-	l.pending[dst][f.Seq] = ps
+	l.pending[dst][ps.frame.Seq] = ps
 	l.stats.Sent++
 	l.armRetransmit(ps)
-	return l.ship(dst, f)
+	return l.ship(dst, ps.frame)
 }
 
 // SendRaw transmits payload unreliably (no ack, no retransmission).
 func (l *Layer) SendRaw(dst string, payload []byte) error {
 	l.stats.Sent++
-	return l.ship(dst, &Frame{Kind: KindRaw, Payload: payload})
+	return l.ship(dst, Frame{Kind: KindRaw, Payload: payload})
 }
 
-func (l *Layer) ship(dst string, f *Frame) error {
+func (l *Layer) ship(dst string, f Frame) error {
 	m := f.Encode()
-	m.SetAttr(netsim.AttrDst, dst)
+	m.SetDst(dst)
 	return l.base.Down(m)
 }
 
 func (l *Layer) armRetransmit(ps *pendingSend) {
-	ps.timer = l.env.Sched.After(l.rto, "rudp-rtx "+l.env.Node, func() {
-		l.onRetransmit(ps)
-	})
+	l.env.Sched.Arm(&ps.Event, l.rto, "rudp-rtx", ps)
 }
 
 func (l *Layer) onRetransmit(ps *pendingSend) {
@@ -240,14 +256,12 @@ func (l *Layer) onRetransmit(ps *pendingSend) {
 }
 
 // HandleDown implements stack.Layer. Raw pushes from above are sent as
-// unreliable frames, using the message's destination attribute.
+// unreliable frames, using the message's destination.
 func (l *Layer) HandleDown(m *message.Message) error {
-	dstAttr, ok := m.Attr(netsim.AttrDst)
-	if !ok {
+	if m.Dst() == "" {
 		return fmt.Errorf("rudp: message without destination")
 	}
-	dst, _ := dstAttr.(string)
-	return l.SendRaw(dst, m.CopyBytes())
+	return l.SendRaw(m.Dst(), m.Bytes())
 }
 
 // HandleUp implements stack.Layer: frame arrival from the network.
@@ -256,8 +270,7 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	if err != nil {
 		return nil // garbage is dropped
 	}
-	srcAttr, _ := m.Attr(netsim.AttrSrc)
-	src, _ := srcAttr.(string)
+	src := m.Src()
 	if src == "" {
 		return fmt.Errorf("rudp: frame without source")
 	}
@@ -269,8 +282,7 @@ func (l *Layer) HandleUp(m *message.Message) error {
 		}
 	case KindData:
 		// Ack first (even duplicates: the ack may have been lost).
-		ack := &Frame{Kind: KindAck, Seq: f.Seq}
-		if err := l.ship(src, ack); err != nil {
+		if err := l.ship(src, Frame{Kind: KindAck, Seq: f.Seq}); err != nil {
 			return err
 		}
 		p := l.peer(src)
@@ -286,9 +298,7 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	case KindAck:
 		if ps, ok := l.pending[src][f.Seq]; ok {
 			delete(l.pending[src], f.Seq)
-			if ps.timer != nil {
-				l.env.Sched.Cancel(ps.timer)
-			}
+			l.env.Sched.Cancel(&ps.Event)
 		}
 	}
 	return nil

@@ -176,7 +176,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestHandleDownSendsRaw(t *testing.T) {
 	w, ns := newNet(t, "a", "b")
 	m := message.NewString("pushed")
-	m.SetAttr(netsim.AttrDst, "b")
+	m.SetDst("b")
 	if err := ns["a"].n.Stack().Send(m); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package rudp
 
-import "pfi/internal/simtime"
-
 // Snapshot support (see internal/snapshot): peers and pending sends are
-// retained by pointer — retransmission closures capture *pendingSend and
-// identity-check it against the pending map — and their mutable fields are
-// saved by value.
+// retained by pointer — a pending send is its own retransmission event, and
+// the timeout identity-checks it against the pending map — and their
+// mutable fields are saved by value (the scheduler saves the event's).
 
 // peerSaved is one peer's sequence bookkeeping.
 type peerSaved struct {
@@ -18,7 +16,6 @@ type peerSaved struct {
 type pendingSaved struct {
 	ps      *pendingSend
 	retries int
-	timer   *simtime.Event
 }
 
 // layerState is the rudp layer's mutable state.
@@ -49,7 +46,7 @@ func (l *Layer) SnapshotState() any {
 	for dst, m := range l.pending {
 		mm := make(map[uint32]pendingSaved, len(m))
 		for seq, ps := range m {
-			mm[seq] = pendingSaved{ps: ps, retries: ps.retries, timer: ps.timer}
+			mm[seq] = pendingSaved{ps: ps, retries: ps.retries}
 		}
 		st.pending[dst] = mm
 	}
@@ -75,7 +72,6 @@ func (l *Layer) RestoreState(state any) {
 		mm := make(map[uint32]*pendingSend, len(m))
 		for seq, sv := range m {
 			sv.ps.retries = sv.retries
-			sv.ps.timer = sv.timer
 			mm[seq] = sv.ps
 		}
 		l.pending[dst] = mm

@@ -12,7 +12,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -37,13 +36,27 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 // String formats the instant as a duration since the epoch, e.g. "1m4s".
 func (t Time) String() string { return time.Duration(t).String() }
 
+// Handler is the work a pending event carries. At/After/Every wrap their
+// callback in one; a record that embeds an Event and implements Handler
+// (a network delivery, a protocol timer) is scheduled with Arm and is then
+// the only object its scheduling allocates.
+type Handler interface {
+	Fire()
+}
+
+// funcHandler adapts the callback form of At/After/Every.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
+
 // Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel or reschedule it.
+// callers can cancel or reschedule it. The zero Event is a valid unqueued
+// event, so records may embed one and hand it to Arm.
 type Event struct {
 	when   Time
 	seq    uint64
-	index  int // heap index, -1 when not queued
-	fn     func()
+	pos    int // heap index + 1; 0 when not queued
+	h      Handler
 	name   string
 	period Duration // 0 for one-shot events
 }
@@ -51,17 +64,40 @@ type Event struct {
 // When reports the instant the event will fire (or last fired).
 func (e *Event) When() Time { return e.when }
 
-// Name reports the diagnostic label given at scheduling time.
+// Name reports the diagnostic label given at scheduling time: a constant
+// naming the kind of event ("deliver", "tcp-rtx"), never built per event.
 func (e *Event) Name() string { return e.name }
 
 // Pending reports whether the event is still queued to fire.
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
+func (e *Event) Pending() bool { return e != nil && e.pos > 0 }
+
+// Timer is a protocol timeout that lives inside its owner: an Event bound
+// to the owner's scheduler and expiry callback. Arming and re-arming it
+// allocates nothing, and as a fixed part of its owner it needs no snapshot
+// state beyond what the scheduler keeps for every event.
+type Timer struct {
+	Event
+	s  *Scheduler
+	fn func()
+}
+
+// Init binds the timer; call it once, when the owner is built.
+func (t *Timer) Init(s *Scheduler, fn func()) { t.s, t.fn = s, fn }
+
+// Arm (re)starts the timer to expire d from now; see Scheduler.Arm.
+func (t *Timer) Arm(d Duration, name string) { t.s.Arm(&t.Event, d, name, t) }
+
+// Stop cancels the timer if it is running.
+func (t *Timer) Stop() { t.s.Cancel(&t.Event) }
+
+// Fire implements Handler.
+func (t *Timer) Fire() { t.fn() }
 
 // Scheduler is a discrete-event executor. It is not safe for concurrent use;
 // the entire simulation is single-threaded by design (see package comment).
 type Scheduler struct {
 	now     Time
-	queue   eventQueue
+	queue   []*Event // binary heap ordered by (when, seq)
 	seq     uint64
 	running bool
 	stopped bool
@@ -78,7 +114,7 @@ type Scheduler struct {
 func (s *Scheduler) SetStepHook(fn func()) { s.stepHook = fn }
 
 // SetScheduleHook installs fn to run whenever a fresh event is
-// registered via At/After/Every. Periodic re-arms inside Step and
+// registered via At/After/Every/Arm. Periodic re-arms inside Step and
 // Reschedule's re-push of an existing event do not count: the hook
 // meters new registrations, not queue churn. A nil fn removes the hook.
 func (s *Scheduler) SetScheduleHook(fn func()) { s.scheduleHook = fn }
@@ -119,15 +155,36 @@ func (s *Scheduler) At(t Time, name string, fn func()) *Event {
 	if fn == nil {
 		panic("simtime: nil event callback")
 	}
+	ev := &Event{}
+	s.arm(ev, t, name, funcHandler(fn))
+	return ev
+}
+
+// Arm schedules h to run d after the current instant on ev, an event the
+// caller owns — normally one embedded in the record that implements h, so
+// the record is the single allocation. An ev that is still pending is moved
+// rather than queued twice. Like After, Arm registers a fresh timeout: it
+// runs the schedule hook and draws one sequence number.
+func (s *Scheduler) Arm(ev *Event, d Duration, name string, h Handler) {
+	if h == nil {
+		panic("simtime: nil event handler")
+	}
+	if d < 0 {
+		d = 0
+	}
+	s.Cancel(ev)
+	s.arm(ev, s.now.Add(d), name, h)
+}
+
+func (s *Scheduler) arm(ev *Event, t Time, name string, h Handler) {
 	if s.scheduleHook != nil {
 		s.scheduleHook()
 	}
 	if t < s.now {
 		t = s.now
 	}
-	ev := &Event{when: t, seq: s.nextSeq(), fn: fn, name: name, index: -1}
-	heap.Push(&s.queue, ev)
-	return ev
+	ev.when, ev.seq, ev.h, ev.name = t, s.nextSeq(), h, name
+	s.push(ev)
 }
 
 // After schedules fn to run d after the current instant. A non-positive d
@@ -153,19 +210,19 @@ func (s *Scheduler) Every(period Duration, name string, fn func()) *Event {
 // Cancel removes ev from the queue. Cancelling a nil, fired, or already
 // cancelled event is a no-op. It reports whether the event was pending.
 func (s *Scheduler) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 {
+	if ev == nil || ev.pos == 0 {
 		return false
 	}
-	heap.Remove(&s.queue, ev.index)
-	ev.index = -1
+	s.remove(ev.pos - 1)
 	ev.period = 0
 	return true
 }
 
 // Reschedule moves a pending one-shot event to fire d after now. If the
-// event already fired it is re-armed.
+// event already fired it is re-armed. A caller-owned event that was never
+// armed has nothing to run and is left alone.
 func (s *Scheduler) Reschedule(ev *Event, d Duration) {
-	if ev == nil {
+	if ev == nil || ev.h == nil {
 		return
 	}
 	s.Cancel(ev)
@@ -174,7 +231,7 @@ func (s *Scheduler) Reschedule(ev *Event, d Duration) {
 	}
 	ev.when = s.now.Add(d)
 	ev.seq = s.nextSeq()
-	heap.Push(&s.queue, ev)
+	s.push(ev)
 }
 
 // Step runs the single next event, advancing the clock to its instant.
@@ -186,17 +243,16 @@ func (s *Scheduler) Step() bool {
 	if s.stepHook != nil {
 		s.stepHook()
 	}
-	ev := heap.Pop(&s.queue).(*Event)
-	ev.index = -1
+	ev := s.remove(0)
 	if ev.when > s.now {
 		s.now = ev.when // never backwards (AdvanceTo may have passed it)
 	}
 	if ev.period > 0 {
 		ev.when = s.now.Add(ev.period)
 		ev.seq = s.nextSeq()
-		heap.Push(&s.queue, ev)
+		s.push(ev)
 	}
-	ev.fn()
+	ev.h.Fire()
 	return true
 }
 
@@ -274,6 +330,16 @@ func (s *Scheduler) SnapshotState() any {
 	return st
 }
 
+// EachPending calls visit with the handler of every pending event, in no
+// particular order. Components whose records ride on events (in-flight
+// deliveries, delayed forwards) find them here when they snapshot, instead
+// of keeping a side table of what they scheduled.
+func (s *Scheduler) EachPending(visit func(Handler)) {
+	for _, ev := range s.queue {
+		visit(ev.h)
+	}
+}
+
 // RestoreState rewinds the scheduler to a state captured by SnapshotState.
 // Events scheduled after the snapshot simply leave the queue (their owners
 // are rewound by their own restores); events that fired or were cancelled
@@ -284,48 +350,92 @@ func (s *Scheduler) RestoreState(state any) {
 	// Un-queue everything currently pending so stale pointers report
 	// !Pending() and a Cancel on one stays a no-op.
 	for _, ev := range s.queue {
-		ev.index = -1
+		ev.pos = 0
 	}
 	s.queue = s.queue[:0]
 	for i, se := range st.events {
 		se.ev.when, se.ev.seq, se.ev.period = se.when, se.seq, se.period
-		se.ev.index = i
+		se.ev.pos = i + 1
 		s.queue = append(s.queue, se.ev)
 	}
 	s.now, s.seq = st.now, st.seq
 	s.stopped = false
 }
 
-// eventQueue is a binary heap ordered by (when, seq).
-type eventQueue []*Event
+// --- event heap ---------------------------------------------------------
+//
+// The queue is a binary min-heap on (when, seq), written out against
+// []*Event: the standard heap package would box every Push and Pop through
+// an interface and dispatch Less/Swap dynamically, on the hottest loop in
+// the repository. Sequence numbers are unique, so the order events pop in
+// is a function of the keys alone, not of the heap's internal layout.
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (e *Event) before(o *Event) bool {
+	if e.when != o.when {
+		return e.when < o.when
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+func (s *Scheduler) push(ev *Event) {
+	s.queue = append(s.queue, ev)
+	s.up(len(s.queue)-1, ev)
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
+// remove takes the event at heap index i out of the queue.
+func (s *Scheduler) remove(i int) *Event {
+	q := s.queue
+	ev := q[i]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	s.queue = q[:n]
+	ev.pos = 0
+	if i < n {
+		if !s.down(i, last) {
+			s.up(i, last)
+		}
+	}
 	return ev
+}
+
+// up places ev at or above the hole at index i.
+func (s *Scheduler) up(i int, ev *Event) {
+	q := s.queue
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].pos = i + 1
+		i = parent
+	}
+	q[i] = ev
+	ev.pos = i + 1
+}
+
+// down places ev at or below the hole at index i and reports whether it
+// moved below i.
+func (s *Scheduler) down(i int, ev *Event) bool {
+	q := s.queue
+	start := i
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if r := child + 1; r < len(q) && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(ev) {
+			break
+		}
+		q[i] = q[child]
+		q[i].pos = i + 1
+		i = child
+	}
+	q[i] = ev
+	ev.pos = i + 1
+	return i > start
 }

@@ -79,7 +79,7 @@ type Conn struct {
 	sendQ   []byte // data accepted from the app, not yet segmented
 	unacked []*sentSeg
 
-	rtxTimer *simtime.Event
+	rtxTimer simtime.Timer
 	// rtxCount counts consecutive timeouts of the oldest segment (the BSD
 	// per-segment retry counter).
 	rtxCount int
@@ -107,20 +107,20 @@ type Conn struct {
 
 	// Keep-alive.
 	keepAlive bool
-	kaTimer   *simtime.Event
+	kaTimer   simtime.Timer
 	kaProbing bool
 	kaRetrans int
 
 	// Zero-window probing.
-	zwpTimer *simtime.Event
+	zwpTimer simtime.Timer
 	zwpCount int
 	zwpEver  bool
 
 	// Delayed acknowledgment (RFC-1122 SHOULD; profile-dependent).
-	delackTimer   *simtime.Event
+	delackTimer   simtime.Timer
 	delackPending int
 
-	timeWaitTimer *simtime.Event
+	timeWaitTimer simtime.Timer
 
 	// Callbacks (any may be nil).
 	onEstablished func()
@@ -144,6 +144,11 @@ func (l *Layer) newConn(state State, localPort uint16, remoteNode string, remote
 		oooQ:        make(map[uint32][]byte),
 		autoConsume: true,
 	}
+	c.rtxTimer.Init(l.env.Sched, c.onRtxTimeout)
+	c.kaTimer.Init(l.env.Sched, c.onKeepAliveTimer)
+	c.zwpTimer.Init(l.env.Sched, c.onZWPTimer)
+	c.delackTimer.Init(l.env.Sched, c.onDelackTimeout)
+	c.timeWaitTimer.Init(l.env.Sched, func() { c.finish("connection closed") })
 	c.iss = l.nextISS()
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -186,8 +191,8 @@ func (c *Conn) SetKeepAlive(on bool) {
 	c.keepAlive = on
 	if on {
 		c.armKeepAliveIdle()
-	} else if c.kaTimer != nil {
-		c.sched().Cancel(c.kaTimer)
+	} else {
+		c.kaTimer.Stop()
 		c.kaProbing = false
 	}
 }
@@ -302,9 +307,7 @@ func (c *Conn) sendControl(flags uint8, track bool) {
 // Any withheld delayed ACK is satisfied by it.
 func (c *Conn) sendACK() {
 	c.delackPending = 0
-	if c.delackTimer != nil {
-		c.sched().Cancel(c.delackTimer)
-	}
+	c.delackTimer.Stop()
 	c.transmit(c.baseSegment(FlagACK))
 }
 
@@ -321,12 +324,14 @@ func (c *Conn) ackInOrderData() {
 		c.sendACK()
 		return
 	}
-	if c.delackTimer == nil || !c.delackTimer.Pending() {
-		c.delackTimer = c.sched().After(c.prof.DelackTimeout, "tcp-delack", func() {
-			if c.state == StateEstablished || c.state == StateCloseWait {
-				c.sendACK()
-			}
-		})
+	if !c.delackTimer.Pending() {
+		c.delackTimer.Arm(c.prof.DelackTimeout, "tcp-delack")
+	}
+}
+
+func (c *Conn) onDelackTimeout() {
+	if c.state == StateEstablished || c.state == StateCloseWait {
+		c.sendACK()
 	}
 }
 
@@ -377,20 +382,18 @@ func (c *Conn) pump() {
 
 func (c *Conn) armRtx() {
 	d := c.est.backedOff(c.backoff)
-	if c.rtxTimer != nil && c.rtxTimer.Pending() {
+	if c.rtxTimer.Pending() {
 		return // timer already running for the oldest segment
 	}
-	c.rtxTimer = c.sched().After(d, "tcp-rtx "+c.layer.env.Node, c.onRtxTimeout)
+	c.rtxTimer.Arm(d, "tcp-rtx")
 }
 
 func (c *Conn) rearmRtx() {
-	if c.rtxTimer != nil {
-		c.sched().Cancel(c.rtxTimer)
-	}
+	c.rtxTimer.Stop()
 	if len(c.unacked) == 0 {
 		return
 	}
-	c.rtxTimer = c.sched().After(c.est.backedOff(c.backoff), "tcp-rtx "+c.layer.env.Node, c.onRtxTimeout)
+	c.rtxTimer.Arm(c.est.backedOff(c.backoff), "tcp-rtx")
 }
 
 func (c *Conn) onRtxTimeout() {
@@ -422,7 +425,7 @@ func (c *Conn) onRtxTimeout() {
 	oldest.seg.Window = uint16(c.recvWindow())
 	c.layer.logEvent(c, "retransmit", oldest.seg)
 	c.transmit(oldest.seg)
-	c.rtxTimer = c.sched().After(c.est.backedOff(c.backoff), "tcp-rtx "+c.layer.env.Node, c.onRtxTimeout)
+	c.rtxTimer.Arm(c.est.backedOff(c.backoff), "tcp-rtx")
 }
 
 // --- segment arrival ------------------------------------------------------------
@@ -713,9 +716,7 @@ func (c *Conn) handleFIN() {
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.cancelTimers()
-	c.timeWaitTimer = c.sched().After(timeWaitDur, "tcp-timewait", func() {
-		c.finish("connection closed")
-	})
+	c.timeWaitTimer.Arm(timeWaitDur, "tcp-timewait")
 }
 
 // --- keep-alive -------------------------------------------------------------------
@@ -724,12 +725,9 @@ func (c *Conn) armKeepAliveIdle() {
 	if !c.keepAlive || c.state != StateEstablished {
 		return
 	}
-	if c.kaTimer != nil {
-		c.sched().Cancel(c.kaTimer)
-	}
 	c.kaProbing = false
 	c.kaRetrans = 0
-	c.kaTimer = c.sched().After(c.prof.KeepAliveIdle, "tcp-keepalive-idle", c.onKeepAliveTimer)
+	c.kaTimer.Arm(c.prof.KeepAliveIdle, "tcp-keepalive-idle")
 }
 
 func (c *Conn) keepAliveActivity() {
@@ -763,7 +761,7 @@ func (c *Conn) onKeepAliveTimer() {
 			}
 		}
 	}
-	c.kaTimer = c.sched().After(interval, "tcp-keepalive-probe", c.onKeepAliveTimer)
+	c.kaTimer.Arm(interval, "tcp-keepalive-probe")
 }
 
 // sendKeepAliveProbe emits the probe in the profile's format:
@@ -781,18 +779,16 @@ func (c *Conn) sendKeepAliveProbe() {
 // --- zero-window probing -----------------------------------------------------------
 
 func (c *Conn) startZWP() {
-	if c.zwpTimer != nil && c.zwpTimer.Pending() {
+	if c.zwpTimer.Pending() {
 		return
 	}
 	c.zwpEver = true
 	c.zwpCount = 0
-	c.zwpTimer = c.sched().After(c.zwpInterval(), "tcp-zwp", c.onZWPTimer)
+	c.zwpTimer.Arm(c.zwpInterval(), "tcp-zwp")
 }
 
 func (c *Conn) stopZWP() {
-	if c.zwpTimer != nil {
-		c.sched().Cancel(c.zwpTimer)
-	}
+	c.zwpTimer.Stop()
 	c.zwpEver = false
 	c.zwpCount = 0
 }
@@ -828,17 +824,14 @@ func (c *Conn) onZWPTimer() {
 	c.layer.logEvent(c, "zwp", seg)
 	c.transmit(seg)
 	c.zwpCount++
-	c.zwpTimer = c.sched().After(c.zwpInterval(), "tcp-zwp", c.onZWPTimer)
+	c.zwpTimer.Arm(c.zwpInterval(), "tcp-zwp")
 }
 
 // --- teardown ----------------------------------------------------------------------
 
 func (c *Conn) cancelTimers() {
-	s := c.sched()
-	for _, ev := range []*simtime.Event{c.rtxTimer, c.kaTimer, c.zwpTimer, c.timeWaitTimer, c.delackTimer} {
-		if ev != nil {
-			s.Cancel(ev)
-		}
+	for _, t := range [...]*simtime.Timer{&c.rtxTimer, &c.kaTimer, &c.zwpTimer, &c.timeWaitTimer, &c.delackTimer} {
+		t.Stop()
 	}
 }
 

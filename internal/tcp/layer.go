@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pfi/internal/message"
-	"pfi/internal/netsim"
 	"pfi/internal/stack"
 	"pfi/internal/trace"
 )
@@ -95,18 +94,17 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	if err != nil {
 		return nil // garbage on the wire is dropped, not fatal
 	}
-	srcAttr, _ := m.Attr(netsim.AttrSrc)
-	srcNode, _ := srcAttr.(string)
+	srcNode := m.Src()
 	if srcNode == "" {
 		return fmt.Errorf("tcp: segment without source node")
 	}
 	key := connKey{localPort: seg.DstPort, remoteNode: srcNode, remotePort: seg.SrcPort}
 	if c, ok := l.conns[key]; ok {
-		c.handleSegment(seg)
+		c.handleSegment(&seg)
 		return nil
 	}
 	if l.listeners[seg.DstPort] && seg.Has(FlagSYN) && !seg.Has(FlagACK) {
-		l.accept(srcNode, seg)
+		l.accept(srcNode, &seg)
 		return nil
 	}
 	// Segment to a closed port: answer with RST (unless it is itself one).
@@ -179,7 +177,7 @@ func (l *Layer) nextEphemeral() uint16 {
 // (through any PFI layer spliced in below).
 func (l *Layer) transmit(dstNode string, seg *Segment) {
 	m := seg.Encode()
-	m.SetAttr(netsim.AttrDst, dstNode)
+	m.SetDst(dstNode)
 	// Transmission failures below (e.g. a filter script error) surface in
 	// the experiment log; TCP itself treats the network as lossy anyway.
 	if err := l.base.Down(m); err != nil && l.log != nil {

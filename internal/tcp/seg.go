@@ -13,6 +13,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -107,50 +108,65 @@ func (s *Segment) String() string {
 		s.SrcPort, s.DstPort, s.FlagNames(), s.Seq, s.Ack, s.Window, len(s.Payload))
 }
 
-// Encode serializes the segment into a stack message.
+// Encode serializes the segment into a stack message that owns the bytes.
 func (s *Segment) Encode() *message.Message {
 	w := message.NewWriter(HeaderLen + len(s.Payload))
 	w.U16(s.SrcPort).U16(s.DstPort).U32(s.Seq).U32(s.Ack).U8(s.Flags).U16(s.Window)
 	w.Bytes(s.Payload)
-	return message.New(w.Done())
+	return message.Wrap(w.Done())
 }
 
 // Decode parses a segment from a stack message without consuming it.
-func Decode(m *message.Message) (*Segment, error) {
+// Payload aliases the message's bytes: copy it to keep it beyond the
+// message.
+func Decode(m *message.Message) (Segment, error) {
 	raw := m.Bytes()
 	if len(raw) < HeaderLen {
-		return nil, fmt.Errorf("tcp: segment too short: %d bytes", len(raw))
+		return Segment{}, fmt.Errorf("tcp: segment too short: %d bytes", len(raw))
 	}
-	r := message.NewReader(raw)
-	seg := &Segment{
-		SrcPort: r.U16(),
-		DstPort: r.U16(),
-		Seq:     r.U32(),
-		Ack:     r.U32(),
-		Flags:   r.U8(),
-		Window:  r.U16(),
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if n := r.Remaining(); n > 0 {
-		seg.Payload = append([]byte(nil), r.Take(n)...)
-	}
-	return seg, nil
+	return Segment{
+		SrcPort: binary.BigEndian.Uint16(raw[0:]),
+		DstPort: binary.BigEndian.Uint16(raw[2:]),
+		Seq:     binary.BigEndian.Uint32(raw[4:]),
+		Ack:     binary.BigEndian.Uint32(raw[8:]),
+		Flags:   raw[12],
+		Window:  binary.BigEndian.Uint16(raw[13:]),
+		Payload: raw[HeaderLen:],
+	}, nil
 }
 
-// Fields renders the header as the string map a PFI recognition stub
-// exposes to filter scripts.
-func (s *Segment) Fields() map[string]string {
-	return map[string]string{
-		"srcport": strconv.Itoa(int(s.SrcPort)),
-		"dstport": strconv.Itoa(int(s.DstPort)),
-		"seq":     strconv.FormatUint(uint64(s.Seq), 10),
-		"ack":     strconv.FormatUint(uint64(s.Ack), 10),
-		"flags":   s.FlagNames(),
-		"win":     strconv.Itoa(int(s.Window)),
-		"len":     strconv.Itoa(len(s.Payload)),
+// fieldNames lists what Field renders, in Fields' order.
+var fieldNames = [...]string{"srcport", "dstport", "seq", "ack", "flags", "win", "len"}
+
+// Field renders one header field for filter scripts (Segment is the
+// core.FieldSource the PFI stub reports).
+func (s Segment) Field(name string) string {
+	switch name {
+	case "srcport":
+		return strconv.Itoa(int(s.SrcPort))
+	case "dstport":
+		return strconv.Itoa(int(s.DstPort))
+	case "seq":
+		return strconv.FormatUint(uint64(s.Seq), 10)
+	case "ack":
+		return strconv.FormatUint(uint64(s.Ack), 10)
+	case "flags":
+		return s.FlagNames()
+	case "win":
+		return strconv.Itoa(int(s.Window))
+	case "len":
+		return strconv.Itoa(len(s.Payload))
 	}
+	return ""
+}
+
+// Fields renders the whole header as a string map.
+func (s Segment) Fields() map[string]string {
+	f := make(map[string]string, len(fieldNames))
+	for _, name := range fieldNames {
+		f[name] = s.Field(name)
+	}
+	return f
 }
 
 // seqLess reports a < b in 32-bit sequence arithmetic.

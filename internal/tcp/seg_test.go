@@ -236,6 +236,23 @@ func TestPFIStubRecognize(t *testing.T) {
 	}
 }
 
+// A stub generates what it recognizes: every segment type but DATA (which
+// needs the connection's sequence state) comes back from Generate.
+func TestPFIStubGeneratesWhatItRecognizes(t *testing.T) {
+	stub := PFIStub{}
+	for _, typ := range []string{"SYN", "SYN-ACK", "ACK", "FIN", "RST"} {
+		m, err := stub.Generate(typ, map[string]string{"seq": "7"})
+		if err != nil {
+			t.Errorf("Generate(%s): %v", typ, err)
+			continue
+		}
+		info, err := stub.Recognize(m)
+		if err != nil || info.Type != typ || info.Field("seq") != "7" {
+			t.Errorf("Generate(%s) recognized as %q seq %q, err %v", typ, info.Type, info.Field("seq"), err)
+		}
+	}
+}
+
 func TestPFIStubGenerate(t *testing.T) {
 	stub := PFIStub{}
 	m, err := stub.Generate("ACK", map[string]string{

@@ -7,10 +7,10 @@ import (
 )
 
 // This file makes the TCP layer snapshot-capable (see internal/snapshot).
-// Connections and tracked segments are retained by pointer — their timer
-// closures are method values on the same *Conn, and the scheduler restores
-// the events those pointers refer to — while every field the state machine
-// mutates is saved by value and written back on restore.
+// Connections and tracked segments are retained by pointer — a
+// connection's timers are fixed parts of the same *Conn, and the scheduler
+// restores their events — while every field the state machine mutates is
+// saved by value and written back on restore.
 
 // estState is the RTO estimator's mutable state (the configuration fields
 // are immutable).
@@ -42,7 +42,6 @@ type connState struct {
 	sendQ   []byte
 	unacked []sentSegState
 
-	rtxTimer  *simtime.Event
 	rtxCount  int
 	globalErr int
 	backoff   int
@@ -60,18 +59,13 @@ type connState struct {
 	autoConsume bool
 
 	keepAlive bool
-	kaTimer   *simtime.Event
 	kaProbing bool
 	kaRetrans int
 
-	zwpTimer *simtime.Event
 	zwpCount int
 	zwpEver  bool
 
-	delackTimer   *simtime.Event
 	delackPending int
-
-	timeWaitTimer *simtime.Event
 
 	onEstablished func()
 	onData        func(data []byte)
@@ -89,7 +83,6 @@ func (c *Conn) snapshotState() *connState {
 		sndNxt:        c.sndNxt,
 		sndWnd:        c.sndWnd,
 		sendQ:         append([]byte(nil), c.sendQ...),
-		rtxTimer:      c.rtxTimer,
 		rtxCount:      c.rtxCount,
 		globalErr:     c.globalErr,
 		backoff:       c.backoff,
@@ -103,15 +96,11 @@ func (c *Conn) snapshotState() *connState {
 		recvQ:         append([]byte(nil), c.recvQ...),
 		autoConsume:   c.autoConsume,
 		keepAlive:     c.keepAlive,
-		kaTimer:       c.kaTimer,
 		kaProbing:     c.kaProbing,
 		kaRetrans:     c.kaRetrans,
-		zwpTimer:      c.zwpTimer,
 		zwpCount:      c.zwpCount,
 		zwpEver:       c.zwpEver,
-		delackTimer:   c.delackTimer,
 		delackPending: c.delackPending,
-		timeWaitTimer: c.timeWaitTimer,
 		onEstablished: c.onEstablished,
 		onData:        c.onData,
 		onClose:       c.onClose,
@@ -143,7 +132,7 @@ func (c *Conn) restoreState(st *connState) {
 		sv.ss.seg.Window = sv.window
 		c.unacked = append(c.unacked, sv.ss)
 	}
-	c.rtxTimer, c.rtxCount, c.globalErr, c.backoff = st.rtxTimer, st.rtxCount, st.globalErr, st.backoff
+	c.rtxCount, c.globalErr, c.backoff = st.rtxCount, st.globalErr, st.backoff
 	c.timingValid, c.timedEnd, c.timedAt, c.timedRetrans = st.timingValid, st.timedEnd, st.timedAt, st.timedRetrans
 	c.irs, c.rcvNxt, c.recvBufSize = st.irs, st.rcvNxt, st.recvBufSize
 	c.recvQ = append(c.recvQ[:0], st.recvQ...)
@@ -152,10 +141,9 @@ func (c *Conn) restoreState(st *connState) {
 		c.oooQ[k] = v
 	}
 	c.autoConsume = st.autoConsume
-	c.keepAlive, c.kaTimer, c.kaProbing, c.kaRetrans = st.keepAlive, st.kaTimer, st.kaProbing, st.kaRetrans
-	c.zwpTimer, c.zwpCount, c.zwpEver = st.zwpTimer, st.zwpCount, st.zwpEver
-	c.delackTimer, c.delackPending = st.delackTimer, st.delackPending
-	c.timeWaitTimer = st.timeWaitTimer
+	c.keepAlive, c.kaProbing, c.kaRetrans = st.keepAlive, st.kaProbing, st.kaRetrans
+	c.zwpCount, c.zwpEver = st.zwpCount, st.zwpEver
+	c.delackPending = st.delackPending
 	c.onEstablished, c.onData, c.onClose = st.onEstablished, st.onData, st.onClose
 	c.closeReason = st.closeReason
 }

@@ -16,8 +16,8 @@ import (
 // and exposes the header fields (seq, ack, flags, win, len, srcport,
 // dstport) to filter scripts. Generation builds stateless segments —
 // spurious ACKs and RSTs, the paper's examples of messages that need no
-// protocol-state update. DATA generation is refused: sequence-consuming
-// sends belong to the driver layer.
+// protocol-state update — of every type it recognizes but DATA, which is
+// refused: sequence-consuming sends belong to the driver layer.
 type PFIStub struct{}
 
 var _ core.Stub = PFIStub{}
@@ -31,7 +31,7 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 	if err != nil {
 		return core.Info{}, err
 	}
-	return core.Info{Type: seg.Type(), Fields: seg.Fields()}, nil
+	return core.Info{Type: seg.Type(), Fields: seg}, nil
 }
 
 // Generate implements core.Stub.
@@ -44,6 +44,8 @@ func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message,
 		flags = FlagRST | FlagACK
 	case "SYN":
 		flags = FlagSYN
+	case "SYN-ACK":
+		flags = FlagSYN | FlagACK
 	case "FIN":
 		flags = FlagFIN | FlagACK
 	default:

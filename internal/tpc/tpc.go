@@ -13,6 +13,7 @@ package tpc
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"pfi/internal/core"
@@ -32,7 +33,8 @@ const (
 	TypeAbort   = 5
 )
 
-var typeNames = map[uint8]string{
+// typeNames is the one name<->id table, for recognition and generation.
+var typeNames = [...]string{
 	TypePrepare: "PREPARE",
 	TypeVoteYes: "VOTE-YES",
 	TypeVoteNo:  "VOTE-NO",
@@ -42,8 +44,8 @@ var typeNames = map[uint8]string{
 
 // TypeName renders a message type.
 func TypeName(t uint8) string {
-	if n, ok := typeNames[t]; ok {
-		return n
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("TYPE(%d)", t)
 }
@@ -53,6 +55,22 @@ type Msg struct {
 	Type uint8
 	TxID uint32
 	From string
+}
+
+// Field exposes one header field to PFI filter scripts.
+func (m *Msg) Field(name string) string {
+	switch name {
+	case "tx":
+		return strconv.FormatUint(uint64(m.TxID), 10)
+	case "from":
+		return m.From
+	}
+	return ""
+}
+
+// Fields exposes the whole message to PFI filter scripts.
+func (m *Msg) Fields() map[string]string {
+	return map[string]string{"tx": m.Field("tx"), "from": m.From}
 }
 
 // Encode serializes the message.
@@ -72,7 +90,7 @@ func DecodeMsg(raw []byte) (*Msg, error) {
 		return nil, fmt.Errorf("tpc: short message: %w", err)
 	}
 	m.From = string(b)
-	if _, ok := typeNames[m.Type]; !ok {
+	if int(m.Type) >= len(typeNames) || typeNames[m.Type] == "" {
 		return nil, fmt.Errorf("tpc: unknown type %d", m.Type)
 	}
 	return m, nil
@@ -454,16 +472,13 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 		return core.Info{}, err
 	}
 	if f.Kind == rudp.KindAck {
-		return core.Info{Type: "RUDP-ACK", Fields: f.Fields()}, nil
+		return core.Info{Type: "RUDP-ACK", Fields: f}, nil
 	}
 	tm, err := DecodeMsg(f.Payload)
 	if err != nil {
 		return core.Info{}, fmt.Errorf("tpc stub: %w", err)
 	}
-	return core.Info{Type: TypeName(tm.Type), Fields: map[string]string{
-		"tx":   fmt.Sprintf("%d", tm.TxID),
-		"from": tm.From,
-	}}, nil
+	return core.Info{Type: TypeName(tm.Type), Fields: tm}, nil
 }
 
 // Generate implements core.Stub: stateless 2PC messages (a spurious ABORT
@@ -471,9 +486,8 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
 	var t uint8
 	for id, name := range typeNames {
-		if name == typ {
-			t = id
-			break
+		if name != "" && name == typ {
+			t = uint8(id)
 		}
 	}
 	if t == 0 {
@@ -485,6 +499,5 @@ func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message,
 			return nil, fmt.Errorf("tpc stub: bad tx %q", s)
 		}
 	}
-	f := &rudp.Frame{Kind: rudp.KindRaw, Payload: m.Encode()}
-	return f.Encode(), nil
+	return rudp.Frame{Kind: rudp.KindRaw, Payload: m.Encode()}.Encode(), nil
 }

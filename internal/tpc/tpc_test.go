@@ -289,8 +289,20 @@ func TestMsgRoundTripAndStub(t *testing.T) {
 	if err != nil || info.Type != "ABORT" || info.Field("tx") != "7" {
 		t.Fatalf("stub round trip %+v, %v", info, err)
 	}
-	if _, err := stub.Generate("NOPE", nil); err == nil {
-		t.Fatal("unknown generate type accepted")
+	for typ := uint8(tpc.TypePrepare); typ <= tpc.TypeAbort; typ++ {
+		name := tpc.TypeName(typ)
+		frame, err := stub.Generate(name, map[string]string{"from": "c"})
+		if err != nil {
+			t.Fatalf("Generate(%s): %v", name, err)
+		}
+		if info, err := stub.Recognize(frame); err != nil || info.Type != name || info.Field("from") != "c" {
+			t.Fatalf("Generate(%s) recognized as %+v, %v", name, info, err)
+		}
+	}
+	for _, bad := range []string{"NOPE", ""} {
+		if _, err := stub.Generate(bad, nil); err == nil {
+			t.Fatalf("generate type %q accepted", bad)
+		}
 	}
 	if tpc.TypeName(42) != "TYPE(42)" {
 		t.Fatal("unknown type name")
