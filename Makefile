@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check check-race vet build test race bench bench-e2e bench-raft bench-resume bench-script bench-smoke bench-snapshot conformance fleet fuzz explore goldens harden raft resume snapshot
+.PHONY: check check-race vet build test race bench bench-e2e bench-raft bench-resume bench-script bench-smoke bench-snapshot conformance fleet fuzz explore goldens harden loc raft resume snapshot
 
 # check is the full PR gate: vet, build, race-enabled tests (the parallel
 # conformance runner and campaign pool run under -race via ./...), an
@@ -74,10 +74,13 @@ conformance:
 # detector: the determinism battery (fleet sweeps and fleet fuzzing
 # byte-identical to single-process at 1/2/4 spawned worker processes),
 # the control-plane fault-injection tests (kill -9 mid-batch, lease
-# stalls, truncated and garbage results, version skew), and the shard
-# planner and wire-protocol goldens.
+# stalls, truncated, invalid and garbage results through the one per-kind
+# check, version skew), and the shard planner and wire-protocol goldens;
+# then the CLI legs: the raft matrix identical through the pool and a
+# spawned fleet, and a -connect worker riding out a coordinator restart.
 fleet:
 	$(GO) test -race ./internal/fleet/
+	$(GO) test -race -run 'RaftSweep|KillResume/serve' ./cmd/pficampaign/
 
 # fuzz gives each native fuzz target a 10-second smoke. Corpus findings are
 # written to testdata/fuzz as usual; run longer locally when touching the
@@ -95,15 +98,17 @@ fuzz:
 
 # resume proves the crash-safety battery under the race detector: the
 # write-ahead journal's torn-tail recovery and format goldens, campaign
-# and fuzz journal/resume determinism, the durable fleet queue, worker
-# reconnect re-adoption across a coordinator restart, the crash-safety
-# /metrics counters, the two-stage interrupt helper, and the
-# process-level SIGKILL + -resume byte-identity batteries for pfifuzz
-# (1 and 4 workers) and pficampaign (pool, and fleet coordinator restart
-# at 2 and 4 real spawned worker processes).
+# and fuzz journal/resume determinism (the campaign tests through both
+# evaluators: the pool and a hostile fleet stand-in), worker reconnect
+# re-adoption across a coordinator restart, the crash-safety /metrics
+# counters, the two-stage interrupt helper, and the process-level
+# SIGKILL + -resume byte-identity batteries for pfifuzz (1 and 4
+# workers) and pficampaign (pool, fleet coordinator restart at 2 and 4
+# real spawned worker processes, and a -serve coordinator restarted under
+# one live -connect worker process).
 resume:
 	$(GO) test -race ./internal/journal/ ./internal/diag/
-	$(GO) test -race -run 'Journal|Resume|Queue|Reconnect|Streamed|CellStreaming|Metrics' \
+	$(GO) test -race -run 'Journal|Resume|Reconnect|Streamed|CellStreaming|Metrics' \
 		./internal/campaign/ ./internal/explore/ ./internal/fleet/
 	$(GO) test -race -run 'KillResume' ./cmd/pfifuzz/ ./cmd/pficampaign/
 
@@ -169,6 +174,15 @@ bench-snapshot:
 	$(GO) test -bench 'BenchmarkWorldFork' -benchmem -benchtime 2s -count 1 -run @ . | \
 		$(GO) run ./tools/benchjson -out BENCH_snapshot.json -before-suffix Replay \
 		-note "before = BenchmarkWorldForkReplay (fresh world replays the full 240s-sim lossy prefix plus suffix per candidate), after = BenchmarkWorldFork (restore captured world in place, execute only the mutated suffix), same host and run; prefix-heavy corpora see the full ratio, pfifuzz hit-rate bounds the realized speedup"
+
+# loc prints the size every ROADMAP anchor quotes: Go lines outside bench/,
+# non-test and test, in total and per top-level package.
+loc:
+	@count() { find "$$@" -name '*.go' -not -path './bench/*' | xargs cat | wc -l; }; \
+	printf '%7d non-test\n%7d test\n' "$$(count . -not -name '*_test.go')" "$$(count . -name '*_test.go')"; \
+	for d in . cmd/* internal/* examples/* tools/*; do \
+		printf '%7d %6d  %s\n' "$$(count $$d -maxdepth 1 -not -name '*_test.go')" "$$(count $$d -maxdepth 1 -name '*_test.go')" $$d; \
+	done
 
 # goldens re-blesses every pinned artifact: conformance traces and rendered
 # experiment tables. Inspect the diff before committing.

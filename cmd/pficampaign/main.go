@@ -30,8 +30,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,237 +39,164 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/core"
-	"pfi/internal/diag"
 	"pfi/internal/fleet"
 	"pfi/internal/gmp"
 	"pfi/internal/harden"
-	"pfi/internal/journal"
+	"pfi/internal/lifecycle"
 	"pfi/internal/netsim"
 	"pfi/internal/rudp"
 	"pfi/internal/stack"
 	"pfi/internal/trace"
 )
 
+// app is one invocation: its own flags plus the shared run lifecycle
+// (fleet, journal, isolation, profiling, interrupt — see
+// internal/lifecycle).
+type app struct {
+	lc      *lifecycle.Run
+	workers int
+	types   string
+	faults  string
+	list    bool
+	dump    bool
+	quiet   bool
+	// scenarios is every scenario this binary can drive, by the name that
+	// travels in a fleet job. Coordinator and spawned workers are the same
+	// binary, so they always agree on it.
+	scenarios map[string]campaign.Scenario
+}
+
 func main() {
-	var (
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
-		types   = flag.String("types", "HEARTBEAT,PROCLAIM,JOIN,MEMBERSHIP_CHANGE,ACK,COMMIT,RUDP-ACK", "comma-separated message types to target")
-		faults  = flag.String("faults", "drop,drop-first-n,delay,duplicate,reorder", "comma-separated fault kinds")
-		list    = flag.Bool("list", false, "print the generated cases and exit")
-		dump    = flag.Bool("dump-prog", false, "disassemble each generated filter program and exit")
-		quiet   = flag.Bool("quiet", false, "suppress per-verdict progress lines")
-		quar    = flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
-
-		raftSizes = flag.String("raft", "", "sweep the raft consensus matrix instead of GMP: comma-separated cluster sizes (e.g. 3,5,25)")
-		raftChurn = flag.String("raft-churn", "none,restart,suspend,partition", "churn models for the raft sweep")
-
-		serve       = flag.String("serve", "", "coordinate a fleet and serve HTTP workers plus /status and /metrics on this address")
-		connect     = flag.String("connect", "", "run as a remote worker against a coordinator URL (e.g. http://host:8080)")
-		spawn       = flag.Int("spawn-workers", 0, "coordinate a fleet of N locally spawned worker processes")
-		workerStdio = flag.Bool("worker-stdio", false, "run as a spawned stdio worker (internal)")
-		shards      = flag.Int("shards", 0, "fleet units per round (0: fleet default)")
-		unitTimeout = flag.Duration("unit-timeout", 30*time.Second, "fleet lease timeout before a silent worker's unit is reassigned (0: never reap)")
-
-		journalPath = flag.String("journal", "", "write-ahead log for crash-safe sweeps: every completed cell is banked as it lands")
-		resume      = flag.Bool("resume", false, "continue the sweep banked in -journal instead of refusing to reuse it")
-	)
-	hcfg := harden.Flags(flag.CommandLine)
-	prof := diag.Register()
-	flag.Parse()
-	hcfg.ReproDir = *quar
-	fleet.RegisterScenario("gmp", gmpScenario)
-	registerRaftScenarios()
-
-	if *workerStdio {
-		if err := fleet.ServeStdio("pficampaign"); err != nil {
-			fmt.Fprintln(os.Stderr, "pficampaign:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *connect != "" {
-		host, _ := os.Hostname()
-		if err := fleet.RunWorker(fleet.DialHTTP(*connect), "pficampaign@"+host); err != nil {
-			fmt.Fprintln(os.Stderr, "pficampaign:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pficampaign:", err)
-		os.Exit(1)
-	}
-	var jl *journal.Log
-	if *journalPath != "" {
-		if *raftSizes != "" {
-			fmt.Fprintln(os.Stderr, "pficampaign: -journal supports the single-matrix GMP sweep; the raft mode runs several sweeps per invocation")
-			os.Exit(1)
-		}
-		if jl, err = journal.OpenResumable(*journalPath, *resume); err != nil {
-			fmt.Fprintln(os.Stderr, "pficampaign:", err)
-			os.Exit(1)
-		}
-		defer jl.Close()
-	}
-	// Two-stage ctrl-c: the first signal drains the sweep (in-flight
-	// cells finish and are journaled; exit 0 with a resume hint), the
-	// second force-quits a stuck drain.
-	it := diag.NotifyInterrupt(nil,
-		func() {
-			fmt.Fprintln(os.Stderr, "\npficampaign: draining — in-flight cells will finish; interrupt again to force quit")
-		},
-		func() { fmt.Fprintln(os.Stderr, "pficampaign: forced exit") })
-	defer it.Stop()
-	fcfg := fleetMode{serve: *serve, spawn: *spawn, shards: *shards, unitTimeout: *unitTimeout}
-	typesSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "types" {
-			typesSet = true
-		}
+	a := &app{scenarios: raftScenarios()}
+	a.scenarios["gmp"] = gmpScenario
+	flag.IntVar(&a.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
+	flag.StringVar(&a.types, "types", "HEARTBEAT,PROCLAIM,JOIN,MEMBERSHIP_CHANGE,ACK,COMMIT,RUDP-ACK", "comma-separated message types to target")
+	flag.StringVar(&a.faults, "faults", "drop,drop-first-n,delay,duplicate,reorder", "comma-separated fault kinds")
+	flag.BoolVar(&a.list, "list", false, "print the generated cases and exit")
+	flag.BoolVar(&a.dump, "dump-prog", false, "disassemble each generated filter program and exit")
+	flag.BoolVar(&a.quiet, "quiet", false, "suppress per-verdict progress lines")
+	quar := flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
+	raftSizes := flag.String("raft", "", "sweep the raft consensus matrix instead of GMP: comma-separated cluster sizes (e.g. 3,5,25)")
+	raftChurn := flag.String("raft-churn", "none,restart,suspend,partition", "churn models for the raft sweep")
+	a.lc = lifecycle.Register(lifecycle.Tool{
+		Name:  "pficampaign",
+		Noun:  "sweep",
+		Banks: "every completed cell is banked as it lands",
+		Drain: "in-flight cells will finish",
 	})
-	var runErr error
-	if *raftSizes != "" {
-		runErr = runRaftMode(it.Context(), *raftSizes, *raftChurn, *workers, *types, typesSet, *faults, *list, *dump, *quiet, *hcfg, fcfg)
-	} else {
-		runErr = run(it.Context(), *workers, *types, *faults, *list, *dump, *quiet, *hcfg, fcfg, jl)
+	flag.Parse()
+	a.lc.Harden.ReproDir = *quar
+	for name, s := range a.scenarios {
+		fleet.RegisterScenario(name, s)
 	}
-	it.Stop()
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "pficampaign:", err)
-	}
-	if jl != nil {
-		if serr := jl.Sync(); serr != nil && runErr == nil {
-			runErr = serr
-		}
-	}
-	if it.Interrupted() && errors.Is(runErr, context.Canceled) {
-		// A drained sweep is an orderly stop, not a failure.
-		if jl != nil {
-			fmt.Fprintf(os.Stderr, "pficampaign: sweep interrupted; resume with -journal %s -resume\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "pficampaign: sweep interrupted (use -journal to make interrupted sweeps resumable)")
-		}
-		return
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "pficampaign:", runErr)
+	if *raftSizes != "" && a.lc.JournalPath != "" {
+		fmt.Fprintln(os.Stderr, "pficampaign: -journal supports the single-matrix GMP sweep; the raft mode runs several sweeps per invocation")
 		os.Exit(1)
 	}
+	a.lc.Start()
+	var err error
+	if *raftSizes != "" {
+		// The raft sweep retargets the default type vocabulary from GMP to
+		// the raft wire protocol; an explicit -types still wins.
+		typesSet := false
+		flag.Visit(func(f *flag.Flag) { typesSet = typesSet || f.Name == "types" })
+		if !typesSet {
+			a.types = raftTypesDefault
+		}
+		err = a.runRaft(*raftSizes, *raftChurn)
+	} else {
+		err = a.runGMP()
+	}
+	a.lc.Finish(err) // a drained sweep exits 0 after the resume hint
 }
 
-// fleetMode carries the coordinator-side fleet flags; zero means the
-// classic in-process pool.
-type fleetMode struct {
-	serve       string
-	spawn       int
-	shards      int
-	unitTimeout time.Duration
-}
-
-func (f fleetMode) active() bool { return f.serve != "" || f.spawn > 0 }
-
-func run(ctx context.Context, workers int, types, faults string, list, dump, quiet bool, hcfg harden.Config, fcfg fleetMode, jl *journal.Log) error {
-	kinds, err := parseFaults(faults)
+// spec builds the faultload matrix the flags select.
+func (a *app) spec(protocol string) (campaign.Spec, []campaign.Case, error) {
+	kinds, err := parseFaults(a.faults)
 	if err != nil {
-		return err
+		return campaign.Spec{}, nil, err
 	}
-	spec := campaign.Spec{
-		Protocol: "gmp",
-		Types:    splitList(types),
-		Faults:   kinds,
-	}
+	spec := campaign.Spec{Protocol: protocol, Types: splitList(a.types), Faults: kinds}
 	cases, err := campaign.Generate(spec)
+	return spec, cases, err
+}
+
+func (a *app) runGMP() error {
+	spec, cases, err := a.spec("gmp")
 	if err != nil {
 		return err
 	}
-	if list {
+	if a.list {
 		for _, c := range cases {
 			fmt.Println(c.Name)
 		}
 		return nil
 	}
-	if dump {
+	if a.dump {
 		return dumpPrograms(cases)
 	}
-	if fcfg.active() {
-		return runFleet(ctx, spec, len(cases), hcfg, fcfg, jl)
+	if a.lc.FleetActive() {
+		fmt.Printf("sweeping %d cases over a fleet (%d spawned worker(s))\n", len(cases), a.lc.Spawn)
+	} else {
+		fmt.Printf("sweeping %d cases with %d worker(s)\n", len(cases), a.workers)
 	}
-	fmt.Printf("sweeping %d cases with %d worker(s)\n", len(cases), workers)
-	opts := campaign.Options{Workers: workers, Harden: hcfg, Repro: reproScenario, Context: ctx, Journal: jl}
-	if !quiet {
-		opts.OnVerdict = func(v campaign.Verdict) {
-			fmt.Printf("%-8s %s (%s)\n", v.Status(), v.Case.Name, v.Elapsed.Round(time.Millisecond))
-		}
-	}
-	verdicts, stats, err := campaign.RunParallel(spec, gmpScenario, opts)
+	verdicts, err := a.sweep(spec, "gmp", "")
 	if err != nil {
 		return err
 	}
-	if stats.Resumed > 0 {
-		fmt.Printf("resumed %d journaled cell(s); ran %d\n", stats.Resumed, stats.Cases-stats.Resumed)
-	}
-	fmt.Print(campaign.Summary(verdicts, stats))
 	if fails := campaign.Failures(verdicts); len(fails) > 0 {
 		return fmt.Errorf("%d cases failed", len(fails))
 	}
 	return nil
 }
 
-// runFleet sweeps the matrix over a worker fleet: locally spawned stdio
-// workers (-spawn-workers), remote HTTP workers joining via -serve, or
-// both. The merged verdict stream is bit-identical to the in-process
-// sweep; only wall-clock isolation knobs (-run-timeout) stay local, as
-// they do not travel to workers.
-func runFleet(ctx context.Context, spec campaign.Spec, n int, hcfg harden.Config, fcfg fleetMode, jl *journal.Log) error {
-	coord := fleet.NewCampaign(spec, "gmp", fleet.HardenWire(hcfg), fleet.Config{
-		Shards:      fcfg.shards,
-		UnitTimeout: fcfg.unitTimeout,
-		Journal:     jl,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if fcfg.serve != "" {
-		srv, err := coord.Serve(fcfg.serve)
+// sweep runs one campaign matrix through the named scenario and prints its
+// summary: the whole GMP sweep (label ""), or one (size, churn) cell of the
+// raft sweep (label = the cell). There is one path: campaign.RunParallel
+// plans, resumes, journals, merges and counts; the in-process pool
+// evaluates unless the fleet flags ask for a coordinator, which plugs in
+// as the evaluator and sends the same cells to worker processes. The
+// merged verdict stream is bit-identical either way; only wall-clock
+// isolation knobs (-run-timeout) stay local, as they do not travel.
+func (a *app) sweep(spec campaign.Spec, scenario, label string) ([]campaign.Verdict, error) {
+	opts := campaign.Options{Workers: a.workers, Harden: *a.lc.Harden, Context: a.lc.Context(), Journal: a.lc.Journal}
+	prefix := ""
+	if label == "" {
+		opts.Repro = reproScenario // only the GMP world has a .pfi rendering
+	} else {
+		prefix = label + "/"
+	}
+	if !a.quiet {
+		opts.OnVerdict = func(v campaign.Verdict) {
+			fmt.Printf("%-8s %s%s (%s)\n", v.Status(), prefix, v.Case.Name, v.Elapsed.Round(time.Millisecond))
+		}
+	}
+	var verdicts []campaign.Verdict
+	run := func(evaluate func(campaign.Options) ([]campaign.Verdict, campaign.RunStats, error)) error {
+		vs, stats, err := evaluate(opts)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fleet: serving workers on http://%s (status: /status, metrics: /metrics)\n", srv.Addr)
-	}
-	var pool *fleet.Pool
-	if fcfg.spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
+		if label != "" {
+			fmt.Printf("-- %s --\n", label)
 		}
-		pool, err = coord.SpawnWorkers(fcfg.spawn, []string{exe, "-worker-stdio"}, nil)
-		if err != nil {
-			return err
+		if stats.Resumed > 0 {
+			fmt.Printf("resumed %d journaled cell(s); ran %d\n", stats.Resumed, stats.Cases-stats.Resumed)
 		}
+		fmt.Print(campaign.Summary(vs, stats))
+		verdicts = vs
+		return nil
 	}
-	fmt.Printf("sweeping %d cases over a fleet (%d spawned worker(s))\n", n, fcfg.spawn)
-	verdicts, stats, err := coord.RunCampaign(ctx)
-	coord.Close()
-	if pool != nil {
-		pool.Wait()
+	var err error
+	if a.lc.FleetActive() {
+		coord := fleet.NewCampaign(spec, scenario, fleet.HardenWire(*a.lc.Harden), a.lc.FleetConfig())
+		err = a.lc.RunFleet(coord, os.Stdout, func() error { return run(coord.RunCampaign) })
+	} else {
+		err = run(func(o campaign.Options) ([]campaign.Verdict, campaign.RunStats, error) {
+			return campaign.RunParallel(spec, a.scenarios[scenario], o)
+		})
 	}
-	if err != nil {
-		return err
-	}
-	fs := coord.Stats()
-	if stats.Resumed > 0 {
-		fmt.Printf("resumed %d journaled cell(s); ran %d\n", stats.Resumed, stats.Cases-stats.Resumed)
-	}
-	fmt.Print(campaign.Summary(verdicts, stats))
-	fmt.Printf("fleet: %d units over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames\n",
-		fs.Units, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
-	if fails := campaign.Failures(verdicts); len(fails) > 0 {
-		return fmt.Errorf("%d cases failed", len(fails))
-	}
-	return nil
+	return verdicts, err
 }
 
 // dumpPrograms disassembles every generated case's filter script against a

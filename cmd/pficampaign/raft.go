@@ -1,18 +1,15 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"pfi/internal/campaign"
 	"pfi/internal/exp"
-	"pfi/internal/fleet"
 	"pfi/internal/harden"
+	"pfi/internal/raft"
 )
 
 // The raft sweep is a three-axis matrix: cluster size × faultload × churn.
@@ -31,15 +28,17 @@ func raftScenarioName(size int, churn string) string {
 	return fmt.Sprintf("raft-%d-%s", size, churn)
 }
 
-// registerRaftScenarios publishes every supported (size, churn) cell.
-// Registration is unconditional at startup so a spawned stdio worker can
-// resolve whatever cell the coordinator is sweeping.
-func registerRaftScenarios() {
+// raftScenarios builds every supported (size, churn) cell, keyed by its
+// registry name. The whole grid is built unconditionally at startup so a
+// spawned stdio worker can resolve whatever cell the coordinator sweeps.
+func raftScenarios() map[string]campaign.Scenario {
+	m := map[string]campaign.Scenario{}
 	for _, n := range raftSweepSizes {
 		for _, churn := range raftSweepChurn {
-			fleet.RegisterScenario(raftScenarioName(n, churn), raftScenario(n, churn))
+			m[raftScenarioName(n, churn)] = raftScenario(n, churn)
 		}
 	}
+	return m
 }
 
 // raftTypesDefault is the raft wire vocabulary the faultload axis targets.
@@ -153,10 +152,14 @@ func raftScenario(size int, churn string) campaign.Scenario {
 		propose(3)
 		rig.W.RunFor(15 * time.Second)
 
-		// Safety: scan the shared trace exactly like the explore oracles —
-		// one winner per term, one identity per applied index.
-		if detail, bad := raftSafetyConflicts(rig); bad {
-			return false, detail, nil
+		// Safety: the same whole-history oracle explore and conformance
+		// use — one winner per term, one identity per applied index.
+		elections, applies := raft.SafetyConflicts(rig.Log.Entries())
+		if len(elections) > 0 {
+			return false, fmt.Sprintf("election safety: term %d elected %s", elections[0].Key, strings.Join(elections[0].Members, ", ")), nil
+		}
+		if len(applies) > 0 {
+			return false, fmt.Sprintf("commit safety: index %d applied as %s", applies[0].Key, strings.Join(applies[0].Members, ", ")), nil
 		}
 		// Liveness: a single faulted node plus bounded churn must not stop
 		// the quorum from committing.
@@ -177,60 +180,11 @@ func raftScenario(size int, churn string) campaign.Scenario {
 	}
 }
 
-// raftSafetyConflicts scans the rig's trace for election-safety (two
-// winners of one term) and commit-safety (one index applied with two
-// identities) conflicts, mirroring explore's judgeRaft oracles. The lowest
-// conflicting key is reported so the detail text is deterministic.
-func raftSafetyConflicts(rig *exp.RaftRig) (string, bool) {
-	winners := map[uint64]map[string]bool{}
-	applied := map[uint64]map[string]bool{}
-	for _, e := range rig.Log.Entries() {
-		switch e.Kind {
-		case "elected":
-			if winners[e.Seq] == nil {
-				winners[e.Seq] = map[string]bool{}
-			}
-			winners[e.Seq][e.Node] = true
-		case "apply":
-			if applied[e.Seq] == nil {
-				applied[e.Seq] = map[string]bool{}
-			}
-			applied[e.Seq][e.Note] = true
-		}
-	}
-	if term, who := lowestConflict(winners); who != "" {
-		return fmt.Sprintf("election safety: term %d elected %s", term, who), true
-	}
-	if idx, ids := lowestConflict(applied); ids != "" {
-		return fmt.Sprintf("commit safety: index %d applied as %s", idx, ids), true
-	}
-	return "", false
-}
-
-// lowestConflict returns the smallest key with more than one member, with
-// the members sorted.
-func lowestConflict(m map[uint64]map[string]bool) (uint64, string) {
-	best, found := uint64(0), false
-	for k, set := range m {
-		if len(set) > 1 && (!found || k < best) {
-			best, found = k, true
-		}
-	}
-	if !found {
-		return 0, ""
-	}
-	keys := make([]string, 0, len(m[best]))
-	for k := range m[best] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return best, strings.Join(keys, ", ")
-}
-
-// runRaftMode is the -raft entry point: parse the size and churn axes,
-// retarget the default type vocabulary from GMP to the raft wire protocol
-// (an explicit -types still wins), and hand the spec to the sweep.
-func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, types string, typesSet bool, faults string, list, dump, quiet bool, hcfg harden.Config, fcfg fleetMode) error {
+// runRaft is the -raft entry point: it sweeps the full consensus matrix,
+// one sweep of the faultload case matrix per (size, churn) cell — the
+// scenario name carries the cell, so in fleet mode each cell is one fleet
+// round over freshly spawned workers and the wire carries case indices.
+func (a *app) runRaft(sizesStr, churnStr string) error {
 	sizes, err := parseRaftSizes(sizesStr)
 	if err != nil {
 		return err
@@ -239,23 +193,11 @@ func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, ty
 	if err != nil {
 		return err
 	}
-	if !typesSet {
-		types = raftTypesDefault
-	}
-	kinds, err := parseFaults(faults)
+	spec, cases, err := a.spec("raft")
 	if err != nil {
 		return err
 	}
-	spec := campaign.Spec{
-		Protocol: "raft",
-		Types:    splitList(types),
-		Faults:   kinds,
-	}
-	if list {
-		cases, err := campaign.Generate(spec)
-		if err != nil {
-			return err
-		}
+	if a.list {
 		for _, size := range sizes {
 			for _, churn := range churns {
 				for _, c := range cases {
@@ -265,23 +207,11 @@ func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, ty
 		}
 		return nil
 	}
-	if dump {
+	if a.dump {
 		return fmt.Errorf("-dump-prog disassembles against the GMP stub; run it without -raft")
 	}
-	return runRaft(ctx, sizes, churns, spec, workers, quiet, hcfg, fcfg)
-}
-
-// runRaft sweeps the full consensus matrix: for each (size, churn) cell,
-// the faultload case matrix runs through the in-process pool or, in fleet
-// mode, is sharded over worker processes (one fleet round per cell — the
-// scenario name carries the cell, the wire carries the case indices).
-func runRaft(ctx context.Context, sizes []int, churns []string, spec campaign.Spec, workers int, quiet bool, hcfg harden.Config, fcfg fleetMode) error {
-	if fcfg.serve != "" {
+	if a.lc.Serve != "" {
 		return fmt.Errorf("-raft sweeps run one fleet round per matrix cell; use -spawn-workers (a -serve listener cannot rebind per cell)")
-	}
-	cases, err := campaign.Generate(spec)
-	if err != nil {
-		return err
 	}
 	total := len(sizes) * len(churns) * len(cases)
 	fmt.Printf("sweeping raft matrix: %d sizes x %d churn models x %d faultloads = %d cases\n",
@@ -290,41 +220,10 @@ func runRaft(ctx context.Context, sizes []int, churns []string, spec campaign.Sp
 	for _, size := range sizes {
 		for _, churn := range churns {
 			cell := raftScenarioName(size, churn)
-			var verdicts []campaign.Verdict
-			var stats campaign.RunStats
-			if fcfg.active() {
-				coord := fleet.NewCampaign(spec, cell, fleet.HardenWire(hcfg), fleet.Config{
-					Shards:      fcfg.shards,
-					UnitTimeout: fcfg.unitTimeout,
-				})
-				exe, err := os.Executable()
-				if err != nil {
-					return err
-				}
-				pool, err := coord.SpawnWorkers(fcfg.spawn, []string{exe, "-worker-stdio"}, nil)
-				if err != nil {
-					return err
-				}
-				verdicts, stats, err = coord.RunCampaign(ctx)
-				coord.Close()
-				pool.Wait()
-				if err != nil {
-					return fmt.Errorf("%s: %w", cell, err)
-				}
-			} else {
-				opts := campaign.Options{Workers: workers, Harden: hcfg, Context: ctx}
-				if !quiet {
-					opts.OnVerdict = func(v campaign.Verdict) {
-						fmt.Printf("%-8s %s/%s (%s)\n", v.Status(), cell, v.Case.Name, v.Elapsed.Round(time.Millisecond))
-					}
-				}
-				var err error
-				verdicts, stats, err = campaign.RunParallel(spec, raftScenario(size, churn), opts)
-				if err != nil {
-					return fmt.Errorf("%s: %w", cell, err)
-				}
+			verdicts, err := a.sweep(spec, cell, cell)
+			if err != nil {
+				return fmt.Errorf("%s: %w", cell, err)
 			}
-			fmt.Printf("-- %s --\n%s", cell, campaign.Summary(verdicts, stats))
 			all = append(all, verdicts...)
 		}
 	}

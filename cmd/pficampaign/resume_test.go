@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -97,7 +98,9 @@ func comparableSummary(out string) string {
 // verdict stream byte for byte — for the in-process pool and for a fleet
 // coordinator restart at 2 and at 4 real spawned worker processes (the
 // orphaned workers of the killed coordinator exit on stdin EOF; the
-// restart spawns a fresh fleet and re-runs only the missing cells).
+// restart spawns a fresh fleet and re-runs only the missing cells), and
+// for a -serve coordinator restarted on the same port under one live
+// -connect worker process, which redials, is re-adopted and exits 0.
 func TestSweepKillResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots full GMP clusters in subprocesses")
@@ -109,6 +112,12 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 		t.Fatalf("reference sweep produced no summary:\n%s", refOut)
 	}
 
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String() // a free port for the -serve leg
+	ln.Close()
 	legs := []struct {
 		name string
 		args []string
@@ -116,12 +125,21 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 		{"pool", []string{"-workers", "1"}},
 		{"fleet-2-workers", []string{"-spawn-workers", "2"}},
 		{"fleet-4-workers", []string{"-spawn-workers", "4"}},
+		{"serve-connect-worker", []string{"-serve", addr}},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			args := append(append([]string{}, leg.args...), "-quiet", "-journal", "j.wal")
 			cmd, out, errb := startSelf(t, dir, args...)
+			if leg.args[0] == "-serve" {
+				worker, wout, werrb := startSelf(t, dir, "-connect", "http://"+addr)
+				defer func() {
+					if err := worker.Wait(); err != nil || !strings.Contains(werrb.String(), "re-adopted by restarted coordinator") {
+						t.Errorf("worker did not ride out the restart: exit %v\nstdout:\n%s\nstderr:\n%s", err, wout, werrb)
+					}
+				}()
+			}
 			killAfterJournal(t, cmd, out, errb, filepath.Join(dir, "j.wal"), []byte(`"type":"verdict"`))
 
 			gotOut, _ := runSelf(t, dir, append(args, "-resume")...)
@@ -132,5 +150,22 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 				t.Errorf("resumed summary diverged\ngot:\n%s\nwant:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestRaftSweepEvaluatorInvariant runs the raft matrix through the pool at
+// 1 and 2 workers and through a spawned fleet: stdout, less the wall-clock
+// and topology lines the end-to-end ledger also drops, is identical.
+func TestRaftSweepEvaluatorInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots raft clusters in subprocesses")
+	}
+	var outs []string
+	for _, mode := range [][]string{{"-workers", "1"}, {"-workers", "2"}, {"-spawn-workers", "2"}} {
+		out, _ := runSelf(t, t.TempDir(), append(mode, "-quiet", "-raft", "3,5", "-raft-churn", "none,partition", "-faults", "drop")...)
+		outs = append(outs, strings.TrimSpace(comparableSummary(out)))
+	}
+	if outs[1] != outs[0] || outs[2] != outs[0] || !strings.Contains(outs[0][strings.LastIndex(outs[0], "\n")+1:], "raft matrix clean") {
+		t.Errorf("sweep output diverged or did not end clean\npool 1:\n%s\npool 2:\n%s\nfleet:\n%s", outs[0], outs[1], outs[2])
 	}
 }

@@ -50,19 +50,15 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
-	"pfi/internal/diag"
 	"pfi/internal/explore"
 	"pfi/internal/fleet"
-	"pfi/internal/harden"
-	"pfi/internal/journal"
+	"pfi/internal/lifecycle"
 	"pfi/internal/script"
 	"pfi/internal/tcp"
 )
@@ -81,59 +77,21 @@ func main() {
 
 		raftN    = flag.Int("raft", 0, "seed raft consensus schedules for an n-node cluster into the corpus (0: tcp/gmp only)")
 		raftBugs = flag.String("raft-bugs", "", "comma-separated raft implementation bugs to seed (skip-vote-persist, ack-before-quorum) — oracle self-test")
-
-		serve       = flag.String("serve", "", "coordinate a fleet and serve HTTP workers plus /status and /metrics on this address")
-		connect     = flag.String("connect", "", "run as a remote worker against a coordinator URL (e.g. http://host:8080)")
-		spawn       = flag.Int("spawn-workers", 0, "coordinate a fleet of N locally spawned worker processes")
-		workerStdio = flag.Bool("worker-stdio", false, "run as a spawned stdio worker (internal)")
-		shards      = flag.Int("shards", 0, "fleet units per round (0: fleet default)")
-		unitTimeout = flag.Duration("unit-timeout", 30*time.Second, "fleet lease timeout before a silent worker's unit is reassigned (0: never reap)")
-
-		journalPath = flag.String("journal", "", "write-ahead log for crash-safe runs: the exploration checkpoints at every generation boundary")
-		resume      = flag.Bool("resume", false, "continue the run banked in -journal instead of refusing to reuse it")
 	)
-	hcfg := harden.Flags(flag.CommandLine)
-	prof := diag.Register()
+	// The shared run lifecycle: fleet, journal, isolation, profiling and
+	// interrupt flags, worker dispatch, and the exit path.
+	lc := lifecycle.Register(lifecycle.Tool{
+		Name:  "pfifuzz",
+		Noun:  "run",
+		Banks: "the exploration checkpoints at every generation boundary",
+		Drain: "the run stops at the next generation boundary",
+	})
 	flag.Parse()
-
-	if *workerStdio {
-		if err := fleet.ServeStdio("pfifuzz"); err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *connect != "" {
-		host, _ := os.Hostname()
-		if err := fleet.RunWorker(fleet.DialHTTP(*connect), "pfifuzz@"+host); err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
+	lc.Start()
+	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "pfifuzz:", err)
 		os.Exit(1)
 	}
-	var jl *journal.Log
-	if *journalPath != "" {
-		if jl, err = journal.OpenResumable(*journalPath, *resume); err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
-		}
-		defer jl.Close()
-	}
-	// Two-stage ctrl-c: the first signal drains the run at the next
-	// generation boundary (the journal checkpoint makes it resumable;
-	// exit 0 with the hint), the second force-quits a stuck drain.
-	it := diag.NotifyInterrupt(nil,
-		func() {
-			fmt.Fprintln(os.Stderr, "\npfifuzz: draining at the generation boundary — interrupt again to force quit")
-		},
-		func() { fmt.Fprintln(os.Stderr, "pfifuzz: forced exit") })
-	defer it.Stop()
 
 	opts := explore.Options{
 		Seed:          *seed,
@@ -142,16 +100,15 @@ func main() {
 		BatchSize:     *batch,
 		OutDir:        *out,
 		QuarantineDir: *quar,
-		Harden:        *hcfg,
+		Harden:        *lc.Harden,
 		Snapshot:      !*noSnap,
-		Context:       it.Context(),
-		Journal:       jl,
+		Context:       lc.Context(),
+		Journal:       lc.Journal,
 	}
 	if *profile != "" {
 		p, err := tcp.ProfileByName(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		opts.Profile = p
 	}
@@ -168,8 +125,7 @@ func main() {
 		opts.Seeds = append(explore.RaftSeedCorpus(*raftN, bugs),
 			explore.RaftStaleLeaderProbe(bugs), explore.RaftDoubleVoteProbe(bugs))
 	} else if *raftBugs != "" {
-		fmt.Fprintln(os.Stderr, "pfifuzz: -raft-bugs needs -raft to seed raft schedules")
-		os.Exit(1)
+		fatal(fmt.Errorf("-raft-bugs needs -raft to seed raft schedules"))
 	}
 	if !*quiet {
 		opts.Log = func(format string, args ...any) {
@@ -180,37 +136,26 @@ func main() {
 	start := time.Now()
 	var rep *explore.Report
 	var ferr error
-	if *spawn > 0 || *serve != "" {
-		rep, ferr = runFleet(opts, *profile, *hcfg, *serve, *spawn, *shards, *unitTimeout)
+	if lc.FleetActive() {
+		// Candidate evaluation shards over the fleet; derivation, corpus,
+		// shrinking and the journal stay here. Only deterministic isolation
+		// knobs travel to workers; wall-clock -run-timeout does not (it is
+		// machine-dependent).
+		coord := fleet.NewFuzz(*profile, fleet.HardenWire(*lc.Harden), lc.FleetConfig())
+		ferr = lc.RunFleet(coord, os.Stderr, func() (err error) {
+			rep, err = coord.RunFuzz(opts)
+			return err
+		})
 	} else {
 		rep, ferr = explore.Fuzz(opts)
 	}
 	elapsed := time.Since(start)
-	it.Stop()
-	if perr := stopProf(); perr != nil {
-		fmt.Fprintln(os.Stderr, "pfifuzz:", perr)
-	}
-	if jl != nil {
-		if serr := jl.Sync(); serr != nil && ferr == nil {
-			ferr = serr
-		}
-	}
-	if it.Interrupted() && errors.Is(ferr, context.Canceled) {
-		// A drained run is an orderly stop, not a failure: report what
-		// was explored and how to pick it back up.
+	if lc.Finish(ferr) {
+		// A drained run still reports what was explored.
 		if rep != nil {
 			fmt.Print(rep)
 		}
-		if jl != nil {
-			fmt.Fprintf(os.Stderr, "pfifuzz: run interrupted at a generation boundary; resume with -journal %s -resume\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "pfifuzz: run interrupted (use -journal to make interrupted runs resumable)")
-		}
 		return
-	}
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "pfifuzz:", ferr)
-		os.Exit(1)
 	}
 	fmt.Print(rep)
 	fmt.Println(throughput(rep, elapsed))
@@ -224,51 +169,6 @@ func scriptStats() string {
 	ss := script.Stats()
 	return fmt.Sprintf("script: %d compiled (%d cache hits), %d fused / %d folded ops",
 		ss.Compiles, ss.CacheHits, ss.FusedOps, ss.FoldedOps)
-}
-
-// runFleet shards candidate evaluation over a worker fleet: locally
-// spawned stdio workers (-spawn-workers), remote HTTP workers joining
-// via -serve, or both. Only deterministic isolation knobs travel to
-// workers; wall-clock -run-timeout does not (it is machine-dependent),
-// so fleet runs use the deterministic watchdogs alone.
-func runFleet(opts explore.Options, profile string, hcfg harden.Config, serve string, spawn, shards int, unitTimeout time.Duration) (*explore.Report, error) {
-	coord := fleet.NewFuzz(profile, fleet.HardenWire(hcfg), fleet.Config{
-		Shards:      shards,
-		UnitTimeout: unitTimeout,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if serve != "" {
-		srv, err := coord.Serve(serve)
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fleet: serving workers on http://%s (status: /status, metrics: /metrics)\n", srv.Addr)
-	}
-	var pool *fleet.Pool
-	if spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		pool, err = coord.SpawnWorkers(spawn, []string{exe, "-worker-stdio"}, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rep, err := coord.RunFuzz(opts)
-	coord.Close()
-	if pool != nil {
-		pool.Wait()
-	}
-	if err == nil {
-		fs := coord.Stats()
-		fmt.Fprintf(os.Stderr, "fleet: %d units in %d rounds over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames\n",
-			fs.Units, fs.Rounds, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
-	}
-	return rep, err
 }
 
 // throughput renders the end-of-run summary line: total evaluations,

@@ -9,9 +9,11 @@ import (
 	"pfi/internal/journal"
 )
 
-// Journal record types for campaign sweeps. The fleet coordinator
-// writes the same records, so a journal started by an in-process sweep
-// resumes under a fleet coordinator and vice versa.
+// Journal record types for campaign sweeps. RunParallel is their only
+// writer, whichever evaluator lands the cells, so a journal started by an
+// in-process sweep resumes under a fleet coordinator and vice versa. A
+// fleet coordinator adds its own epoch records to the same log; replay
+// skips record types it does not own.
 const (
 	// RecCampaignMeta pins the sweep a journal belongs to; always the
 	// first campaign record. Resuming against a different matrix is a
@@ -19,8 +21,6 @@ const (
 	RecCampaignMeta = "campaign-meta"
 	// RecVerdict is one completed cell, keyed by generation index.
 	RecVerdict = "verdict"
-	// RecEpoch counts coordinator restarts (fleet journals only).
-	RecEpoch = "epoch"
 )
 
 // JournalMeta identifies the sweep: cell count plus a hash of the
@@ -31,10 +31,11 @@ type JournalMeta struct {
 	Hash  string `json:"hash"`
 }
 
-// JournalVerdict is the durable projection of one cell's verdict — the
-// same deterministic fields the fleet wire protocol carries (no
-// wall-clock-dependent isolation stacks or local paths beyond the
-// note), so restored verdicts canonicalize identically to fresh ones.
+// JournalVerdict is the durable projection of one cell's verdict, and —
+// through JournalOf and Restore, which the fleet wire conversion also
+// goes through — the single source of which verdict fields are durable:
+// no wall-clock-dependent isolation stacks or local paths beyond the
+// note, so restored verdicts canonicalize identically to fresh ones.
 type JournalVerdict struct {
 	Index     int    `json:"i"`
 	Name      string `json:"name"`

@@ -35,16 +35,46 @@ func sameVerdict(a, b campaign.Verdict) bool {
 		a.Outcome == b.Outcome && errText(a.Err) == errText(b.Err)
 }
 
+// evaluators are the two ways a sweep's cells get evaluated: the pool
+// (Eval nil) at 1 and 4 workers and, as 0, a hostile stand-in for the
+// fleet. It lands cells in reverse order and each one twice (a re-earned
+// duplicate must be ignored: journaled and observed once), and once ctx is
+// canceled lands the cell it was on as context-aborted — which must not
+// be journaled.
+var evaluators = []int{1, 4, 0}
+
+func evalFor(workers int, scenario campaign.Scenario) func(context.Context, []campaign.Case, []bool, func(int, campaign.Verdict)) error {
+	if workers != 0 {
+		return nil
+	}
+	return func(ctx context.Context, cases []campaign.Case, held []bool, land func(int, campaign.Verdict)) error {
+		for i := len(cases) - 1; i >= 0; i-- {
+			if held[i] {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				land(i, campaign.Verdict{Case: cases[i], Err: err, Outcome: harden.Timeout,
+					Isolation: &harden.Outcome{Kind: harden.Timeout, Counter: "context", Err: err}})
+				return err
+			}
+			v := campaign.RunCase(cases[i], scenario, harden.Config{}, nil)
+			land(i, v)
+			land(i, v)
+		}
+		return nil
+	}
+}
+
 // TestJournalResume is the in-process acceptance path: a sweep canceled
-// partway leaves a journal; resuming with it re-runs only the missing
-// cells and produces a verdict stream identical to an uninterrupted
-// run, at several worker counts.
+// partway leaves a journal; resuming with it re-runs (and re-reports)
+// only the missing cells and produces a verdict stream identical to an
+// uninterrupted run, through every evaluator.
 func TestJournalResume(t *testing.T) {
 	clean, _, err := campaign.Run(sweepSpec, sweepScenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
+	for _, workers := range evaluators {
 		path := filepath.Join(t.TempDir(), "sweep.journal")
 		jl := openJournal(t, path)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -53,6 +83,7 @@ func TestJournalResume(t *testing.T) {
 			Workers: workers,
 			Context: ctx,
 			Journal: jl,
+			Eval:    evalFor(workers, sweepScenario),
 			OnVerdict: func(campaign.Verdict) {
 				seen++
 				if seen == 10 {
@@ -74,9 +105,12 @@ func TestJournalResume(t *testing.T) {
 			ran.Add(1)
 			return sweepScenario(m, c)
 		}
+		fresh := 0
 		vs, stats, err := campaign.RunParallel(sweepSpec, counting, campaign.Options{
-			Workers: workers,
-			Journal: jl2,
+			Workers:   workers,
+			Journal:   jl2,
+			Eval:      evalFor(workers, counting),
+			OnVerdict: func(campaign.Verdict) { fresh++ },
 		})
 		jl2.Close()
 		if err != nil {
@@ -93,9 +127,12 @@ func TestJournalResume(t *testing.T) {
 		if stats.Resumed < 10 || stats.Resumed >= len(clean) {
 			t.Errorf("workers=%d: stats.Resumed = %d, want in [10,%d)", workers, stats.Resumed, len(clean))
 		}
-		if got := int(ran.Load()); got != len(clean)-stats.Resumed {
-			t.Errorf("workers=%d: scenario ran %d times, want %d (resumed cells must not re-run)",
-				workers, got, len(clean)-stats.Resumed)
+		if got := int(ran.Load()); got != len(clean)-stats.Resumed || fresh != got {
+			t.Errorf("workers=%d: scenario ran %d times and OnVerdict fired %d times, want %d each (resumed cells must not re-run or re-report)",
+				workers, got, fresh, len(clean)-stats.Resumed)
+		}
+		if workers == 0 && stats.Resumed != 10 {
+			t.Errorf("fake evaluator: resumed %d cells, want exactly the 10 landed before the cancel (the context-aborted one is not journaled)", stats.Resumed)
 		}
 	}
 }
@@ -213,24 +250,23 @@ func TestJournalSpecMismatchRejected(t *testing.T) {
 // aborts the sweep with a tool-fault-classified error — completed work
 // is never silently unjournaled.
 func TestJournalWriteFailureIsToolFault(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	jl := openJournal(t, path)
-	var once sync.Once
-	_, _, err := campaign.RunParallel(sweepSpec, sweepScenario, campaign.Options{
-		Workers: 2,
-		Journal: jl,
-		OnVerdict: func(campaign.Verdict) {
-			once.Do(func() { jl.Close() }) // the disk goes away
-		},
-	})
-	if err == nil {
-		t.Fatal("sweep with a dead journal should fail")
-	}
-	var f *journal.Fault
-	if !errors.As(err, &f) {
-		t.Fatalf("err %T (%v) is not a *journal.Fault", err, err)
-	}
-	if f.Kind() != harden.ToolFault {
-		t.Fatalf("journal fault kind %v, want ToolFault", f.Kind())
+	for _, workers := range evaluators {
+		jl := openJournal(t, filepath.Join(t.TempDir(), "sweep.journal"))
+		var once sync.Once
+		_, _, err := campaign.RunParallel(sweepSpec, sweepScenario, campaign.Options{
+			Workers: workers,
+			Journal: jl,
+			Eval:    evalFor(workers, sweepScenario),
+			OnVerdict: func(campaign.Verdict) {
+				once.Do(func() { jl.Close() }) // the disk goes away
+			},
+		})
+		var f *journal.Fault
+		if !errors.As(err, &f) {
+			t.Fatalf("workers=%d: err %T (%v) is not a *journal.Fault", workers, err, err)
+		}
+		if f.Kind() != harden.ToolFault {
+			t.Fatalf("workers=%d: journal fault kind %v, want ToolFault", workers, f.Kind())
+		}
 	}
 }

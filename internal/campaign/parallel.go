@@ -39,6 +39,16 @@ type Options struct {
 	// identically to fresh ones. A journal write failure aborts the
 	// sweep as a tool fault; completed work is never silently dropped.
 	Journal *journal.Log
+	// Eval, when non-nil, replaces only the in-process pool — the campaign
+	// counterpart of explore.Options.EvalBatch, and how a fleet coordinator
+	// plugs in. It evaluates every case whose held[i] is false (held cells
+	// were restored from the journal) wherever it likes and hands each
+	// finished cell to land as it arrives, in any order, from any
+	// goroutine; a cell landed twice keeps its first verdict. It returns
+	// when nothing more will land; a canceled ctx should end it early.
+	// Resume, journaling, OnVerdict, ordering and stats stay here, identical
+	// for both evaluators. Workers, Harden and Repro govern the pool only.
+	Eval func(ctx context.Context, cases []Case, held []bool, land func(i int, v Verdict)) error
 }
 
 // RunStats summarizes a sweep's outcome and throughput.
@@ -134,12 +144,12 @@ func runCases(cases []Case, scenario Scenario, opts Options) ([]Verdict, RunStat
 	}
 
 	var mu sync.Mutex // guards verdicts/done/jerr and serializes OnVerdict
-	err := ForEach(ctx, workers, len(cases), func(i int) {
-		if done[i] {
-			return // restored from the journal
-		}
-		v := runCase(cases[i], scenario, hcfg, opts.Repro)
+	land := func(i int, v Verdict) {
 		mu.Lock()
+		defer mu.Unlock()
+		if done[i] {
+			return // an evaluator re-earned a cell it already landed
+		}
 		verdicts[i] = v
 		done[i] = true
 		// A cell the context watchdog aborted mid-flight is not
@@ -155,8 +165,20 @@ func runCases(cases []Case, scenario Scenario, opts Options) ([]Verdict, RunStat
 		if opts.OnVerdict != nil {
 			opts.OnVerdict(v)
 		}
-		mu.Unlock()
-	})
+	}
+	var err error
+	if opts.Eval != nil {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		err = opts.Eval(ctx, cases, append([]bool(nil), done...), land)
+	} else {
+		err = ForEach(ctx, workers, len(cases), func(i int) {
+			if !done[i] { // else restored from the journal
+				land(i, RunCase(cases[i], scenario, hcfg, opts.Repro))
+			}
+		})
+	}
 	if jerr != nil {
 		err = jerr
 	} else if opts.Context != nil && opts.Context.Err() != nil {
@@ -168,17 +190,11 @@ func runCases(cases []Case, scenario Scenario, opts Options) ([]Verdict, RunStat
 }
 
 // RunCase executes one generated case through the isolation layer and
-// returns its verdict — the single-cell unit of work a fleet worker
-// executes for a leased shard. It is exactly what RunParallel does per
-// cell, so a remotely executed case yields the same verdict as a local
-// one for the same deterministic scenario and config.
+// folds the containment record into its verdict — the single-cell unit of
+// work, whether the pool runs it here or a fleet worker runs it for a
+// leased shard: a remotely executed case yields the same verdict as a
+// local one for the same deterministic scenario and config.
 func RunCase(c Case, scenario Scenario, cfg harden.Config, repro func(Case) string) Verdict {
-	return runCase(c, scenario, cfg, repro)
-}
-
-// runCase executes one cell through the isolation layer and folds the
-// containment record into the verdict.
-func runCase(c Case, scenario Scenario, cfg harden.Config, repro func(Case) string) Verdict {
 	if repro != nil {
 		cfg.ReproSource = func() string { return repro(c) }
 	}

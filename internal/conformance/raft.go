@@ -313,23 +313,8 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 		if err := h.needRaft(); err != nil {
 			return "", err
 		}
-		winners := map[uint64]map[string]bool{}
-		for _, e := range h.entries() {
-			if e.Kind != "elected" {
-				continue
-			}
-			if winners[e.Seq] == nil {
-				winners[e.Seq] = map[string]bool{}
-			}
-			winners[e.Seq][e.Node] = true
-		}
-		conflicts := 0
-		for _, set := range winners {
-			if len(set) > 1 {
-				conflicts++
-			}
-		}
-		return strconv.Itoa(conflicts), nil
+		elections, _ := raft.SafetyConflicts(h.entries())
+		return strconv.Itoa(len(elections)), nil
 	})
 
 	// raft_apply_conflicts counts log indexes applied with two different
@@ -339,22 +324,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 		if err := h.needRaft(); err != nil {
 			return "", err
 		}
-		applied := map[uint64]map[string]bool{}
-		for _, e := range h.entries() {
-			if e.Kind != "apply" {
-				continue
-			}
-			if applied[e.Seq] == nil {
-				applied[e.Seq] = map[string]bool{}
-			}
-			applied[e.Seq][e.Note] = true
-		}
-		conflicts := 0
-		for _, set := range applied {
-			if len(set) > 1 {
-				conflicts++
-			}
-		}
-		return strconv.Itoa(conflicts), nil
+		_, applies := raft.SafetyConflicts(h.entries())
+		return strconv.Itoa(len(applies)), nil
 	})
 }

@@ -3,13 +3,13 @@ package explore
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"pfi/internal/conformance"
 	"pfi/internal/harden"
+	"pfi/internal/raft"
 	"pfi/internal/tcp"
 	"pfi/internal/trace"
 )
@@ -284,56 +284,20 @@ func silenceMS(entries []trace.Entry, endMS int) int {
 // shrinker strips genes, and pinning them would stop ddmin cold.
 func judgeRaft(s Schedule, r *conformance.Result) []Violation {
 	var vs []Violation
-	winners := map[uint64]map[string]bool{} // term -> elected nodes
-	applied := map[uint64]map[string]bool{} // index -> applied identities
-	for _, e := range r.Trace {
-		switch e.Kind {
-		case "elected":
-			if winners[e.Seq] == nil {
-				winners[e.Seq] = map[string]bool{}
-			}
-			winners[e.Seq][e.Node] = true
-		case "apply":
-			if applied[e.Seq] == nil {
-				applied[e.Seq] = map[string]bool{}
-			}
-			applied[e.Seq][e.Note] = true
-		}
-	}
-	if term, names := firstConflict(winners); names != "" {
+	elections, applies := raft.SafetyConflicts(r.Trace)
+	if len(elections) > 0 {
 		vs = append(vs, Violation{
 			Kind:   ViolElectionSafety,
-			Detail: fmt.Sprintf("term %d elected two leaders: %s", term, names),
+			Detail: fmt.Sprintf("term %d elected two leaders: %s", elections[0].Key, strings.Join(elections[0].Members, ", ")),
 		})
 	}
-	if idx, ids := firstConflict(applied); ids != "" {
+	if len(applies) > 0 {
 		vs = append(vs, Violation{
 			Kind:   ViolCommitSafety,
-			Detail: fmt.Sprintf("log index %d applied with conflicting identities: %s", idx, ids),
+			Detail: fmt.Sprintf("log index %d applied with conflicting identities: %s", applies[0].Key, strings.Join(applies[0].Members, ", ")),
 		})
 	}
 	return vs
-}
-
-// firstConflict returns the lowest key holding more than one member, with
-// the members sorted — deterministic detail text for dedup and reports.
-func firstConflict(m map[uint64]map[string]bool) (uint64, string) {
-	best := uint64(0)
-	found := false
-	for k, set := range m {
-		if len(set) > 1 && (!found || k < best) {
-			best, found = k, true
-		}
-	}
-	if !found {
-		return 0, ""
-	}
-	names := make([]string, 0, len(m[best]))
-	for n := range m[best] {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return best, strings.Join(names, ", ")
 }
 
 // gmpProbe is one member's terminal state.

@@ -2,14 +2,11 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"strings"
-	"time"
+	"sync"
 
 	"pfi/internal/campaign"
 	"pfi/internal/harden"
-	"pfi/internal/journal"
 )
 
 // NewCampaign builds a coordinator that shards the given campaign matrix
@@ -21,110 +18,111 @@ func NewCampaign(spec campaign.Spec, scenario string, hw WireHarden, cfg Config)
 	return NewCoordinator(Job{Kind: JobCampaign, Spec: &sp, Scenario: scenario, Harden: hw}, cfg)
 }
 
-// RunCampaign shards the job's case matrix into units, dispatches them
-// to whatever workers join, and merges the verdict stream back in
-// generation order — bit-identical (status, name, ok, note, error text)
-// to single-process campaign.RunParallel with the same spec, scenario,
-// and harden knobs, at any shard count and any completion order. With
-// Config.Journal set, cells already journaled (by a previous
-// coordinator, or an in-process sweep — the records are shared) are
-// restored instead of dispatched, and every newly merged cell streams
-// into the log as it lands.
-func (c *Coordinator) RunCampaign(ctx context.Context) ([]campaign.Verdict, campaign.RunStats, error) {
-	if c.job.Kind != JobCampaign {
-		return nil, campaign.RunStats{}, fmt.Errorf("fleet: RunCampaign on a %s coordinator", c.job.Kind)
+// RunCampaign runs the job's sweep with cell evaluation sharded over
+// whatever workers join. Everything that makes it a sweep stays in
+// campaign.RunParallel — resume from opts.Journal, a RecVerdict per landed
+// cell, OnVerdict, generation-order merge, stats — so the verdict stream
+// is bit-identical (status, name, ok, note, error text) to the in-process
+// pool with the same spec, scenario and harden knobs, at any shard count
+// and any completion order, and a journal started by either resumes under
+// the other. The fleet is only opts.Eval; the coordinator additionally
+// stamps its epoch into the journal so re-adopted workers can be told
+// apart. opts.Workers, Harden and Repro do not apply: workers run cells
+// under the job's wire-safe harden knobs.
+func (c *Coordinator) RunCampaign(opts campaign.Options) ([]campaign.Verdict, campaign.RunStats, error) {
+	if c.job.Kind != JobCampaign || c.job.Spec == nil {
+		return nil, campaign.RunStats{}, fmt.Errorf("fleet: RunCampaign on a %s coordinator without a campaign spec", c.job.Kind)
 	}
-	cases, err := campaign.Generate(*c.job.Spec)
-	if err != nil {
-		return nil, campaign.RunStats{}, err
-	}
-	resumed, err := c.attachCampaignJournal(cases)
-	if err != nil {
-		return nil, campaign.RunStats{}, err
-	}
-	journal.CountResumed(resumed)
-	start := time.Now()
-	results, err := c.RunRound(ctx, c.newRound(len(cases), nil))
-
-	verdicts := make([]campaign.Verdict, 0, len(cases))
-	retries := 0
-	for _, res := range results {
-		if res == nil {
-			continue // round aborted before this unit landed
+	opts.Eval = func(ctx context.Context, cases []campaign.Case, held []bool, land func(int, campaign.Verdict)) error {
+		if opts.Journal != nil {
+			if err := c.adoptJournal(opts.Journal); err != nil {
+				return err
+			}
 		}
-		for _, wv := range res.Verdicts {
-			verdicts = append(verdicts, verdictFromWire(cases[wv.Index], wv))
-			retries += wv.Retries
-		}
+		_, err := c.RunRound(ctx, c.newRound(len(cases), held, nil, func(i int, cell *WireCell) {
+			land(i, verdictFromWire(cases[i], *cell.Verdict))
+		}))
+		return err
 	}
-	if c.cfg.Journal != nil {
-		if serr := c.cfg.Journal.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	stats := campaignStats(verdicts, retries, c.Stats().WorkersSeen, time.Since(start))
-	stats.Resumed = resumed
-	return verdicts, stats, err
+	vs, stats, err := campaign.RunParallel(*c.job.Spec, nil, opts)
+	stats.Workers = c.Stats().WorkersSeen
+	return vs, stats, err
 }
 
-// verdictFromWire rebuilds a campaign.Verdict from its wire projection,
-// reattaching the locally regenerated case. Isolation records do not
-// travel (their stacks are worker-side); the outcome kind and error text
-// do.
+// verdictToWire and verdictFromWire are the only wire <-> verdict
+// conversions. Both go through campaign.JournalOf / Restore, the single
+// source of which verdict fields are durable, so a cell means the same
+// whether it was journaled, streamed, or both.
+func verdictToWire(index int, v campaign.Verdict) WireVerdict {
+	jv := campaign.JournalOf(index, v)
+	return WireVerdict{Index: jv.Index, OK: jv.OK, Note: jv.Note, Err: jv.Err,
+		Outcome: jv.Outcome, Retries: jv.Retries, ElapsedUS: jv.ElapsedUS}
+}
+
 func verdictFromWire(cs campaign.Case, w WireVerdict) campaign.Verdict {
-	v := campaign.Verdict{
-		Case:    cs,
-		OK:      w.OK,
-		Note:    w.Note,
-		Outcome: harden.Kind(w.Outcome),
-		Elapsed: time.Duration(w.ElapsedUS) * time.Microsecond,
-	}
-	if w.Err != "" {
-		v.Err = errors.New(w.Err)
-	}
-	return v
+	return campaign.JournalVerdict{Index: w.Index, Name: cs.Name, OK: w.OK, Note: w.Note, Err: w.Err,
+		Outcome: w.Outcome, Retries: w.Retries, ElapsedUS: w.ElapsedUS}.Restore(cs)
 }
 
-// campaignStats recomputes sweep statistics from merged verdicts — the
-// same classification finish() applies in-process.
-func campaignStats(vs []campaign.Verdict, retries, workers int, elapsed time.Duration) campaign.RunStats {
-	stats := campaign.RunStats{Cases: len(vs), Workers: workers, Elapsed: elapsed, Retries: retries}
-	for i := range vs {
-		switch {
-		case vs[i].Err != nil:
-			stats.Errored++
-		case vs[i].OK:
-			stats.Passed++
-		default:
-			stats.Failed++
-		}
-		switch vs[i].Outcome {
-		case harden.ToolFault:
-			stats.Crashes++
-		case harden.Timeout, harden.Livelock:
-			stats.Timeouts++
-		}
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		stats.CasesPerSecond = float64(stats.Cases) / s
-	}
-	return stats
+var (
+	scenarioMu sync.RWMutex
+	scenarios  = map[string]campaign.Scenario{}
+)
+
+// RegisterScenario publishes a campaign scenario under a name workers
+// resolve jobs against. Coordinator and workers must register the same
+// deterministic scenario for the fleet's merge to equal the in-process
+// sweep — the name is the contract, the registry keeps functions out of
+// the wire protocol.
+func RegisterScenario(name string, s campaign.Scenario) {
+	scenarioMu.Lock()
+	defer scenarioMu.Unlock()
+	scenarios[name] = s
 }
 
-// CanonVerdicts renders a verdict stream canonically for cross-process
-// comparison: one line per verdict with every deterministic field —
-// status, case name, ok, note, error text, outcome — and none of the
-// wall-clock ones (elapsed, isolation stacks, repro paths live outside
-// this projection). Two runs are "the same sweep" exactly when their
-// canonical streams are byte-identical.
-func CanonVerdicts(vs []campaign.Verdict) string {
-	var b strings.Builder
-	for _, v := range vs {
-		errText := ""
-		if v.Err != nil {
-			errText = v.Err.Error()
+func scenarioByName(name string) (campaign.Scenario, bool) {
+	scenarioMu.RLock()
+	defer scenarioMu.RUnlock()
+	s, ok := scenarios[name]
+	return s, ok
+}
+
+// campaignOps is the campaign job kind: a cell is one WireVerdict indexed
+// into the generated case matrix.
+var campaignOps = jobOps{
+	check: func(cell WireCell) (int, error) {
+		if cell.Verdict == nil || cell.Outcome != nil {
+			return 0, fmt.Errorf("campaign cell without a verdict")
 		}
-		fmt.Fprintf(&b, "%s|%s|%t|%s|%s|%d\n", v.Status(), v.Case.Name, v.OK, v.Note, errText, int(v.Outcome))
-	}
-	return b.String()
+		return cell.Verdict.Index, nil
+	},
+	contain: func(u Unit, i int, kind harden.Kind, why string) WireCell {
+		return WireCell{Unit: u.ID, Verdict: &WireVerdict{Index: i, Err: why, Outcome: int(kind)}}
+	},
+	// Workers regenerate the deterministic matrix from the spec; only
+	// index ranges travel.
+	execute: func(job Job, u Unit, emit func(WireCell) error) error {
+		if job.Spec == nil {
+			return fmt.Errorf("fleet: campaign job carries no spec")
+		}
+		scenario, ok := scenarioByName(job.Scenario)
+		if !ok {
+			return fmt.Errorf("fleet: scenario %q not registered in this worker", job.Scenario)
+		}
+		cases, err := campaign.Generate(*job.Spec)
+		if err != nil {
+			return err
+		}
+		if u.Lo < 0 || u.Hi > len(cases) || u.Lo > u.Hi {
+			return fmt.Errorf("fleet: unit [%d,%d) outside matrix of %d cases", u.Lo, u.Hi, len(cases))
+		}
+		cfg := job.Harden.Config()
+		for i := u.Lo; i < u.Hi; i++ {
+			wv := verdictToWire(i, campaign.RunCase(cases[i], scenario, cfg, nil))
+			if err := emit(WireCell{Unit: u.ID, Verdict: &wv}); err != nil {
+				return err
+			}
+		}
+		return nil
+	},
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"pfi/internal/campaign"
-	"pfi/internal/explore"
 	"pfi/internal/harden"
 	"pfi/internal/journal"
 )
@@ -27,17 +25,6 @@ type Config struct {
 	// LeaseWait bounds how long a lease request blocks server-side before
 	// answering wait (long-poll interval; default 250ms).
 	LeaseWait time.Duration
-	// Journal, when non-nil, makes a campaign coordinator crash-safe:
-	// every merged cell streams into the write-ahead log, journaled
-	// cells are pre-filled (not re-dispatched) on the next RunCampaign
-	// against the same log, and each attachment appends an epoch record
-	// so reconnecting workers can tell a restarted coordinator from the
-	// one they left. Leases are deliberately not persisted — a restarted
-	// coordinator re-leases the missing cells, and first-write-wins
-	// keeps anything a worker streamed before the crash. Fuzz runs
-	// journal explore-side instead (pass explore.Options.Journal to
-	// RunFuzz).
-	Journal *journal.Log
 	// Log receives progress lines (nil: silent).
 	Log func(format string, args ...any)
 }
@@ -84,6 +71,16 @@ type Stats struct {
 	WorkersLost int `json:"workers_lost"`
 }
 
+// Summary renders the end-of-run fleet line the CLIs print.
+func (s Stats) Summary() string {
+	rounds := ""
+	if s.Rounds != 1 {
+		rounds = fmt.Sprintf(" in %d rounds", s.Rounds)
+	}
+	return fmt.Sprintf("fleet: %d units%s over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames",
+		s.Units, rounds, s.WorkersSeen, s.Reassigned, s.Contained, s.Stale, s.BadFrames)
+}
+
 // unit lifecycle states.
 const (
 	unitPending = iota
@@ -96,39 +93,47 @@ type session struct {
 	id        string
 	worker    string
 	lost      bool
+	drained   bool         // has been answered MsgDrain
 	leased    map[int]bool // unit IDs currently held
 	completed int
 	lastSeen  time.Time
 }
 
-// round is one dispatched batch of units.
+// round is one dispatched batch of units over an index space of cells.
 type round struct {
-	id      int
-	n       int // cells in the round's index space
-	units   []Unit
-	byID    map[int]int // unit ID -> position
-	state   []int
-	owner   []string
-	losses  []int
-	expiry  []time.Time
-	results []*Result
-	left    int
-	done    chan struct{}
-	// Per-cell partials, indexed by global cell index. Streamed cells,
-	// journal-restored cells, and full-result payload entries all land
-	// here first-write-wins; a unit completes when its whole [Lo,Hi) is
-	// filled. Exactly one slice is used, matching the job kind.
-	cellV []*WireVerdict
-	cellO []*WireOutcome
+	id     int
+	units  []Unit
+	byID   map[int]int // unit ID -> position
+	state  []int
+	owner  []string
+	losses []int
+	expiry []time.Time
+	left   int
+	done   chan struct{}
+	// cells holds the round's results by global cell index. have marks
+	// the indices that need no (more) work: held by the run's owner before
+	// dispatch, or filled since — streamed, carried in a result payload, or
+	// synthesized by containment, all first-write-wins. A unit completes
+	// when its whole [Lo,Hi) is had.
+	cells []*WireCell
+	have  []bool
+	// landed, when non-nil, observes each newly filled cell. It runs with
+	// the coordinator's mutex held — a cell is never acked before the
+	// run's owner has banked it, and a round never completes before its
+	// last cell landed — so it must not call back into the coordinator.
+	landed func(i int, cell *WireCell)
 }
 
 // Coordinator is the fleet's single source of truth: it owns the job,
 // the work plan, every session, and the merge. One handler core serves
 // both transports; all state lives behind one mutex, so completion order
-// can never influence what gets merged where.
+// can never influence what gets merged where. It shards index spans and
+// tracks leases, loss and staleness; what a cell means lives in the job's
+// ops table.
 type Coordinator struct {
 	cfg   Config
 	job   Job
+	ops   jobOps
 	start time.Time
 
 	mu       sync.Mutex
@@ -141,18 +146,13 @@ type Coordinator struct {
 	draining bool
 	stats    Stats
 
-	// Journal state (campaign jobs with Config.Journal).
-	epoch     int                 // restart count from RecEpoch records (0: no journal)
-	restored  map[int]WireVerdict // journaled cells, pre-filled into the next round
-	cellNames []string            // case names, for journal records
-	jerr      error               // first journal-write failure
-	jfail     chan struct{}       // closed when jerr is set; aborts RunRound
+	epoch int // restart count from RecEpoch records (0: no journal adopted)
 }
 
 // NewCoordinator builds a coordinator for the given job. Use NewCampaign
 // or NewFuzz for the job-shaped constructors.
 func NewCoordinator(job Job, cfg Config) *Coordinator {
-	c := &Coordinator{cfg: cfg.withDefaults(), job: job, start: time.Now(), sessions: map[string]*session{}}
+	c := &Coordinator{cfg: cfg.withDefaults(), job: job, ops: job.ops(), start: time.Now(), sessions: map[string]*session{}}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -174,6 +174,30 @@ func (c *Coordinator) Close() {
 	c.draining = true
 	c.cond.Broadcast()
 	c.mu.Unlock()
+}
+
+// WaitDrained blocks until every live session has been answered drain, or
+// grace expires. Spawned workers are waited on as processes; this is the
+// equivalent for HTTP workers, so that a coordinator about to stop serving
+// lets them exit cleanly instead of redialing a server that is gone. A
+// worker that died silently never asks again — hence the bound.
+func (c *Coordinator) WaitDrained(grace time.Duration) {
+	deadline := time.Now().Add(grace)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		pending := false
+		for _, s := range c.sessions {
+			pending = pending || !(s.lost || s.drained)
+		}
+		remaining := time.Until(deadline)
+		if !pending || remaining <= 0 {
+			return
+		}
+		t := time.AfterFunc(remaining, c.cond.Broadcast)
+		c.cond.Wait()
+		t.Stop()
+	}
 }
 
 // Draining reports whether Close has been called.
@@ -212,10 +236,8 @@ func (c *Coordinator) HandleEnvelope(e Envelope) Envelope {
 		return c.hello(e)
 	case MsgLease:
 		return c.lease(e)
-	case MsgCell:
-		return c.cell(e)
-	case MsgResult:
-		return c.result(e)
+	case MsgCell, MsgResult:
+		return c.unitFrame(e)
 	default:
 		c.mu.Lock()
 		c.stats.BadFrames++
@@ -251,6 +273,8 @@ func (c *Coordinator) lease(e Envelope) Envelope {
 	deadline := time.Now().Add(c.cfg.LeaseWait)
 	for {
 		if c.draining {
+			s.drained = true
+			c.cond.Broadcast()
 			return Envelope{V: ProtocolVersion, Type: MsgDrain}
 		}
 		if r := c.round; r != nil {
@@ -280,11 +304,16 @@ func (c *Coordinator) lease(e Envelope) Envelope {
 	}
 }
 
-// cell merges one streamed cell of a leased unit — or drops it as stale
-// if the unit moved on (completed, or reassigned away from the sender).
-// A structurally invalid cell is treated like an invalid result: the
-// unit is lost, never merged.
-func (c *Coordinator) cell(e Envelope) Envelope {
+// unitFrame handles the two frames that carry work back. A MsgCell merges
+// one streamed cell of a leased unit. A MsgResult completes a unit whose
+// cells are all had — streamed, held by the run's owner, or carried in
+// this frame's payload (a v1-style full result), which goes through the
+// same per-cell check and fill. Either is dropped as stale if the unit
+// moved on (completed, or reassigned away from the sender). A
+// structurally invalid or incomplete frame (wrong payload, out-of-range
+// indices, bad coverage words, cells still missing) loses the unit:
+// reassigned once, contained on the second strike, never merged.
+func (c *Coordinator) unitFrame(e Envelope) Envelope {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.sessions[e.Session]
@@ -292,210 +321,91 @@ func (c *Coordinator) cell(e Envelope) Envelope {
 		return errEnvelope(fmt.Sprintf("fleet: unknown session %q", e.Session))
 	}
 	s.lastSeen = time.Now()
-	if e.Cell == nil {
-		c.stats.BadFrames++
-		return errEnvelope("fleet: cell frame carries no cell")
-	}
-	r := c.round
-	if r == nil {
-		c.stats.Stale++
-		return Envelope{V: ProtocolVersion, Type: MsgAck}
-	}
-	pos, ok := r.byID[e.Cell.Unit]
-	if !ok || r.state[pos] == unitDone || r.owner[pos] != s.id {
-		c.stats.Stale++
-		return Envelope{V: ProtocolVersion, Type: MsgAck}
-	}
-	if err := c.mergeCellLocked(r, r.units[pos], *e.Cell); err != nil {
-		c.stats.BadFrames++
-		c.loseUnitLocked(r, pos, harden.ToolFault, fmt.Sprintf("fleet: unit %d: invalid cell from %s: %v", e.Cell.Unit, s.id, err))
-		return errEnvelope(err.Error())
-	}
-	return Envelope{V: ProtocolVersion, Type: MsgAck}
-}
-
-// result completes a unit whose cells are already held — streamed, pre-
-// filled from the journal, or carried in this frame's payload (a v1-
-// style full result) — or drops it as stale if the unit was already
-// completed or reassigned away from the sender. A structurally invalid
-// or incomplete result (out-of-range indices, bad coverage words, cells
-// still missing) is treated as losing the unit: reassigned once,
-// contained on the second strike, never merged.
-func (c *Coordinator) result(e Envelope) Envelope {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.sessions[e.Session]
-	if s == nil {
-		return errEnvelope(fmt.Sprintf("fleet: unknown session %q", e.Session))
-	}
-	s.lastSeen = time.Now()
-	if e.Result == nil {
-		c.stats.BadFrames++
-		return errEnvelope("fleet: result frame carries no result")
-	}
-	r := c.round
-	if r == nil {
-		c.stats.Stale++
-		return Envelope{V: ProtocolVersion, Type: MsgAck}
-	}
-	pos, ok := r.byID[e.Result.Unit]
-	if !ok || r.state[pos] == unitDone || r.owner[pos] != s.id {
-		c.stats.Stale++
-		return Envelope{V: ProtocolVersion, Type: MsgAck}
-	}
-	u := r.units[pos]
-	if err := c.foldResultLocked(r, u, e.Result); err != nil {
-		c.stats.BadFrames++
-		c.loseUnitLocked(r, pos, harden.ToolFault, fmt.Sprintf("fleet: unit %d: invalid result from %s: %v", e.Result.Unit, s.id, err))
-		return errEnvelope(err.Error())
-	}
-	delete(s.leased, e.Result.Unit)
-	s.completed++
-	c.completeLocked(r, pos, c.assembleLocked(r, u))
-	return Envelope{V: ProtocolVersion, Type: MsgAck}
-}
-
-// foldResultLocked validates a result's payload entries, folds them into
-// the round's cell partials, and enforces the merge precondition: every
-// cell of the unit held, with in-range indices and coverage words. The
-// payload is validated in full before anything is folded, so a garbled
-// result never reaches the merge even partially.
-func (c *Coordinator) foldResultLocked(r *round, u Unit, res *Result) error {
-	for _, v := range res.Verdicts {
-		v := v
-		if err := c.checkCellLocked(r, u, WireCell{Unit: u.ID, Verdict: &v}); err != nil {
-			return err
-		}
-	}
-	for _, o := range res.Outcomes {
-		o := o
-		if err := c.checkCellLocked(r, u, WireCell{Unit: u.ID, Outcome: &o}); err != nil {
-			return err
-		}
-	}
-	for _, v := range res.Verdicts {
-		v := v
-		c.fillCellLocked(r, WireCell{Unit: u.ID, Verdict: &v}, false)
-	}
-	for _, o := range res.Outcomes {
-		o := o
-		c.fillCellLocked(r, WireCell{Unit: u.ID, Outcome: &o}, false)
-	}
-	for i := u.Lo; i < u.Hi; i++ {
-		if (c.job.Kind == JobCampaign && r.cellV[i] == nil) ||
-			(c.job.Kind == JobFuzz && r.cellO[i] == nil) {
-			return fmt.Errorf("fleet: unit %d: cell %d neither streamed nor carried", u.ID, i)
-		}
-	}
-	return nil
-}
-
-// checkCellLocked validates one cell payload against the unit and job
-// kind without merging it.
-func (c *Coordinator) checkCellLocked(r *round, u Unit, cell WireCell) error {
-	switch c.job.Kind {
-	case JobCampaign:
-		if cell.Verdict == nil || cell.Outcome != nil {
-			return fmt.Errorf("fleet: unit %d: campaign cell without a verdict", u.ID)
-		}
-		if i := cell.Verdict.Index; i < u.Lo || i >= u.Hi {
-			return fmt.Errorf("fleet: unit %d: verdict index %d outside [%d,%d)", u.ID, i, u.Lo, u.Hi)
-		}
-	case JobFuzz:
-		if cell.Outcome == nil || cell.Verdict != nil {
-			return fmt.Errorf("fleet: unit %d: fuzz cell without an outcome", u.ID)
-		}
-		if i := cell.Outcome.Index; i < u.Lo || i >= u.Hi {
-			return fmt.Errorf("fleet: unit %d: outcome index %d outside [%d,%d)", u.ID, i, u.Lo, u.Hi)
-		}
-		if _, err := covFromWire(cell.Outcome.Cov); err != nil {
-			return fmt.Errorf("fleet: unit %d: outcome %d: %w", u.ID, cell.Outcome.Index, err)
-		}
-	default:
-		return fmt.Errorf("fleet: unknown job kind %q", c.job.Kind)
-	}
-	return nil
-}
-
-// mergeCellLocked validates and merges one streamed cell.
-func (c *Coordinator) mergeCellLocked(r *round, u Unit, cell WireCell) error {
-	if err := c.checkCellLocked(r, u, cell); err != nil {
-		return err
-	}
-	c.fillCellLocked(r, cell, true)
-	return nil
-}
-
-// fillCellLocked stores a validated cell first-write-wins and journals
-// newly filled campaign cells. Duplicates (a reassigned worker re-
-// earning a cell the first owner already streamed) are ignored — cells
-// are pure functions of their case, so any duplicate is identical.
-func (c *Coordinator) fillCellLocked(r *round, cell WireCell, streamed bool) {
+	var (
+		unit   int
+		cells  []WireCell
+		marker = e.Type == MsgResult
+	)
 	switch {
-	case cell.Verdict != nil:
-		i := cell.Verdict.Index
-		if r.cellV[i] != nil {
-			return
+	case !marker && e.Cell != nil:
+		unit, cells = e.Cell.Unit, []WireCell{*e.Cell}
+	case marker && e.Result != nil:
+		unit, cells = e.Result.Unit, e.Result.cells()
+	default:
+		c.stats.BadFrames++
+		return errEnvelope(fmt.Sprintf("fleet: %s frame carries no %s", e.Type, e.Type))
+	}
+	r, pos, ok := c.round, 0, false
+	if r != nil {
+		pos, ok = r.byID[unit]
+	}
+	if !ok || r.state[pos] == unitDone || r.owner[pos] != s.id {
+		c.stats.Stale++
+		return Envelope{V: ProtocolVersion, Type: MsgAck}
+	}
+	if err := c.mergeLocked(r, r.units[pos], cells, marker); err != nil {
+		c.stats.BadFrames++
+		c.loseUnitLocked(r, pos, harden.ToolFault, fmt.Sprintf("fleet: unit %d: invalid %s from %s: %v", unit, e.Type, s.id, err))
+		return errEnvelope(err.Error())
+	}
+	if marker {
+		delete(s.leased, unit)
+		s.completed++
+		c.completeLocked(r, pos)
+	}
+	return Envelope{V: ProtocolVersion, Type: MsgAck}
+}
+
+// mergeLocked validates every cell of a frame — the payload is input from
+// outside the process — before filling any, so a garbled frame never
+// reaches the merge even partially. A completion marker additionally
+// requires every cell of the unit to be had once its payload is in.
+func (c *Coordinator) mergeLocked(r *round, u Unit, cells []WireCell, marker bool) error {
+	idx := make([]int, len(cells))
+	for k, cell := range cells {
+		i, err := c.ops.check(cell)
+		if err != nil {
+			return fmt.Errorf("fleet: unit %d: %w", u.ID, err)
 		}
-		v := *cell.Verdict
-		r.cellV[i] = &v
-		if streamed {
+		if i < u.Lo || i >= u.Hi {
+			return fmt.Errorf("fleet: unit %d: cell index %d outside [%d,%d)", u.ID, i, u.Lo, u.Hi)
+		}
+		idx[k] = i
+	}
+	for k := range cells {
+		if c.fillLocked(r, idx[k], cells[k]) && !marker {
 			c.stats.Cells++
 		}
-		c.journalCellLocked(i, v)
-	case cell.Outcome != nil:
-		i := cell.Outcome.Index
-		if r.cellO[i] != nil {
-			return
-		}
-		o := *cell.Outcome
-		r.cellO[i] = &o
-		if streamed {
-			c.stats.Cells++
+	}
+	if marker {
+		for i := u.Lo; i < u.Hi; i++ {
+			if !r.have[i] {
+				return fmt.Errorf("fleet: unit %d: cell %d neither streamed nor carried", u.ID, i)
+			}
 		}
 	}
+	return nil
 }
 
-// assembleLocked builds a unit's merged Result from the round's cell
-// partials; every cell is guaranteed filled by foldResultLocked or the
-// containment path.
-func (c *Coordinator) assembleLocked(r *round, u Unit) *Result {
-	res := &Result{Unit: u.ID}
-	for i := u.Lo; i < u.Hi; i++ {
-		switch c.job.Kind {
-		case JobCampaign:
-			res.Verdicts = append(res.Verdicts, *r.cellV[i])
-		case JobFuzz:
-			res.Outcomes = append(res.Outcomes, *r.cellO[i])
-		}
+// fillLocked stores a validated cell first-write-wins, hands it to the
+// round's observer, and reports whether it was new. Duplicates (a
+// reassigned worker re-earning a cell the first owner already streamed)
+// are ignored — cells are pure functions of their index, so any
+// duplicate is identical.
+func (c *Coordinator) fillLocked(r *round, i int, cell WireCell) bool {
+	if r.have[i] {
+		return false
 	}
-	return res
+	r.cells[i], r.have[i] = &cell, true
+	if r.landed != nil {
+		r.landed(i, &cell)
+	}
+	return true
 }
 
-// journalCellLocked streams one merged campaign cell into the write-
-// ahead log. A write failure latches jerr and aborts the running round —
-// completed work is never silently unjournaled.
-func (c *Coordinator) journalCellLocked(i int, v WireVerdict) {
-	if c.cfg.Journal == nil || c.jerr != nil || c.job.Kind != JobCampaign || i >= len(c.cellNames) {
-		return
-	}
-	jv := campaign.JournalVerdict{
-		Index: i, Name: c.cellNames[i],
-		OK: v.OK, Note: v.Note, Err: v.Err,
-		Outcome: v.Outcome, Retries: v.Retries, ElapsedUS: v.ElapsedUS,
-	}
-	if err := c.cfg.Journal.Append(campaign.RecVerdict, jv); err != nil {
-		c.jerr = err
-		if c.jfail != nil {
-			close(c.jfail)
-		}
-	}
-}
-
-// completeLocked records a unit's results and wakes the round waiter
-// when the last unit lands.
-func (c *Coordinator) completeLocked(r *round, pos int, res *Result) {
-	r.results[pos] = res
+// completeLocked marks a unit done and wakes the round waiter when the
+// last unit lands.
+func (c *Coordinator) completeLocked(r *round, pos int) {
 	r.state[pos] = unitDone
 	r.owner[pos] = ""
 	r.left--
@@ -552,45 +462,17 @@ func (c *Coordinator) loseUnitLocked(r *round, pos int, kind harden.Kind, why st
 	}
 	c.stats.Contained++
 	c.cfg.Log("fleet: unit %d lost twice; recording missing cells as contained", r.units[pos].ID)
-	c.containMissingLocked(r, r.units[pos], kind, why)
-	c.completeLocked(r, pos, c.assembleLocked(r, r.units[pos]))
-}
-
-// containMissingLocked synthesizes the cells a twice-lost unit never
-// streamed: each missing cell becomes a contained record under the
-// harden taxonomy (campaign) or an exec-error violation (fuzz —
-// machine-dependent losses are reported, never emitted, matching how
-// wall-clock timeouts degrade elsewhere). Cells the lost workers did
-// stream are kept — they are real completed work.
-func (c *Coordinator) containMissingLocked(r *round, u Unit, kind harden.Kind, why string) {
+	// Synthesize only the cells nobody streamed: what the lost workers did
+	// stream is real completed work and is kept.
 	if kind != harden.Timeout {
 		kind = harden.ToolFault
 	}
-	for i := u.Lo; i < u.Hi; i++ {
-		switch c.job.Kind {
-		case JobCampaign:
-			if r.cellV[i] != nil {
-				continue
-			}
-			c.fillCellLocked(r, WireCell{Unit: u.ID, Verdict: &WireVerdict{
-				Index:   i,
-				Err:     why + " (reassignment exhausted)",
-				Outcome: int(kind),
-			}}, false)
-		case JobFuzz:
-			if r.cellO[i] != nil {
-				continue
-			}
-			c.fillCellLocked(r, WireCell{Unit: u.ID, Outcome: &WireOutcome{
-				Index:    i,
-				Schedule: u.Schedules[i-u.Lo],
-				Violations: []explore.Violation{{
-					Kind:   explore.ViolExecError,
-					Detail: why + " (reassignment exhausted)",
-				}},
-			}}, false)
+	for u, i := r.units[pos], r.units[pos].Lo; i < u.Hi; i++ {
+		if !r.have[i] {
+			c.fillLocked(r, i, c.ops.contain(u, i, kind, why+" (reassignment exhausted)"))
 		}
 	}
+	c.completeLocked(r, pos)
 }
 
 // reapExpired loses every leased unit whose worker has been silent past
@@ -612,32 +494,35 @@ func (c *Coordinator) reapExpired() {
 }
 
 // newRound plans one dispatch: spans over n cells, stamped with fresh
-// unit IDs. payload fills the per-unit fuzz schedules (nil for campaign
-// jobs, whose workers regenerate cells from the spec).
-func (c *Coordinator) newRound(n int, payload func(Span) []explore.Schedule) *round {
+// unit IDs. held marks the cells the run's owner already has (nil: none):
+// a fully held unit completes without a lease, a partially held one still
+// dispatches — the worker re-earns the gap and first-write-wins ignores
+// the rest. prep stamps each unit's payload (nil when workers regenerate
+// cells from the job alone); landed observes each filled cell (see round).
+func (c *Coordinator) newRound(n int, held []bool, prep func(*Unit), landed func(int, *WireCell)) *round {
 	spans := Plan(n, c.cfg.Shards)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r := &round{
-		id:      c.roundSeq,
-		n:       n,
-		byID:    map[int]int{},
-		state:   make([]int, len(spans)),
-		owner:   make([]string, len(spans)),
-		losses:  make([]int, len(spans)),
-		expiry:  make([]time.Time, len(spans)),
-		results: make([]*Result, len(spans)),
-		left:    len(spans),
-		done:    make(chan struct{}),
-		cellV:   make([]*WireVerdict, n),
-		cellO:   make([]*WireOutcome, n),
+		id:     c.roundSeq,
+		byID:   map[int]int{},
+		state:  make([]int, len(spans)),
+		owner:  make([]string, len(spans)),
+		losses: make([]int, len(spans)),
+		expiry: make([]time.Time, len(spans)),
+		left:   len(spans),
+		done:   make(chan struct{}),
+		cells:  make([]*WireCell, n),
+		have:   make([]bool, n),
+		landed: landed,
 	}
+	copy(r.have, held)
 	c.roundSeq++
 	for _, sp := range spans {
 		u := Unit{ID: c.unitSeq, Round: r.id, Lo: sp.Lo, Hi: sp.Hi}
 		c.unitSeq++
-		if payload != nil {
-			u.Schedules = payload(sp)
+		if prep != nil {
+			prep(&u)
 		}
 		r.byID[u.ID] = len(r.units)
 		r.units = append(r.units, u)
@@ -647,30 +532,14 @@ func (c *Coordinator) newRound(n int, payload func(Span) []explore.Schedule) *ro
 	}
 	c.stats.Rounds++
 	c.stats.Units += len(r.units)
-
-	// Resume: pre-fill journaled cells, and complete (without leasing)
-	// every unit whose whole span the journal already holds. Partially
-	// journaled units still dispatch — the worker re-earns the gap and
-	// first-write-wins keeps the restored cells.
-	if len(c.restored) > 0 {
-		for i, wv := range c.restored {
-			if i < n && r.cellV[i] == nil {
-				v := wv
-				r.cellV[i] = &v
-			}
+	for pos, u := range r.units {
+		full := true
+		for i := u.Lo; i < u.Hi && full; i++ {
+			full = r.have[i]
 		}
-		for pos, u := range r.units {
-			full := true
-			for i := u.Lo; i < u.Hi; i++ {
-				if r.cellV[i] == nil {
-					full = false
-					break
-				}
-			}
-			if full {
-				c.cfg.Log("fleet: unit %d restored from journal", u.ID)
-				c.completeLocked(r, pos, c.assembleLocked(r, u))
-			}
+		if full {
+			c.cfg.Log("fleet: unit %d already held; not dispatched", u.ID)
+			c.completeLocked(r, pos)
 		}
 	}
 	return r
@@ -678,9 +547,10 @@ func (c *Coordinator) newRound(n int, payload func(Span) []explore.Schedule) *ro
 
 // RunRound dispatches one planned round to the fleet and blocks until
 // every unit is done (completed or contained), the context is canceled,
-// or the coordinator is drained. Results come back in unit order — the
-// positions workers finished them in never matter.
-func (c *Coordinator) RunRound(ctx context.Context, r *round) ([]*Result, error) {
+// or the coordinator is drained. Cells come back in index order — the
+// order workers finished them in never matters — with nil for cells the
+// owner held and for whatever an aborted round never filled.
+func (c *Coordinator) RunRound(ctx context.Context, r *round) ([]*WireCell, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -695,9 +565,6 @@ func (c *Coordinator) RunRound(ctx context.Context, r *round) ([]*Result, error)
 
 	tick := time.NewTicker(c.tickInterval())
 	defer tick.Stop()
-	c.mu.Lock()
-	jfail := c.jfail
-	c.mu.Unlock()
 	var err error
 loop:
 	for {
@@ -707,8 +574,6 @@ loop:
 		case <-ctx.Done():
 			err = ctx.Err()
 			break loop
-		case <-jfail: // nil when no journal; never fires then
-			break loop
 		case <-tick.C:
 			c.reapExpired()
 		}
@@ -716,17 +581,17 @@ loop:
 	c.mu.Lock()
 	c.round = nil
 	c.cond.Broadcast()
-	if c.jerr != nil {
-		err = c.jerr // losing the crash-safety log outranks a cancel
-	}
-	results := append([]*Result(nil), r.results...)
+	cells := append([]*WireCell(nil), r.cells...)
 	c.mu.Unlock()
-	return results, err
+	return cells, err
 }
 
-// epochRecord is the payload of a RecEpoch journal record: one per
+// RecEpoch is the one journal record the fleet writes: one per
 // coordinator attachment, so epoch = how many coordinators have owned
-// this journal.
+// this journal. It rides in the same log as the run owner's work records;
+// the campaign and explore replay paths skip record types they do not own.
+const RecEpoch = "epoch"
+
 type epochRecord struct {
 	Epoch int `json:"epoch"`
 }
@@ -740,60 +605,23 @@ func (c *Coordinator) Epoch() int {
 	return c.epoch
 }
 
-// adoptJournal counts prior epochs in the log, appends this
-// coordinator's own epoch record, and arms the journal-failure abort.
-// Epoch records ride in the same log as the work records; both the
-// campaign and explore replay paths skip record types they do not own.
+// adoptJournal counts prior epochs in the log and appends this
+// coordinator's own epoch record.
 func (c *Coordinator) adoptJournal(l *journal.Log) error {
 	epoch := 1
 	for _, rec := range l.Records() {
-		if rec.Type == campaign.RecEpoch {
+		if rec.Type == RecEpoch {
 			epoch++
 		}
 	}
-	if err := l.Append(campaign.RecEpoch, epochRecord{Epoch: epoch}); err != nil {
+	if err := l.Append(RecEpoch, epochRecord{Epoch: epoch}); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	c.epoch = epoch
-	if c.jfail == nil {
-		c.jfail = make(chan struct{})
-	}
 	c.mu.Unlock()
 	c.cfg.Log("fleet: journal %s adopted (epoch %d)", l.Path(), epoch)
 	return nil
-}
-
-// attachCampaignJournal readies Config.Journal for a campaign run:
-// validate-or-stamp the sweep metadata, load the journaled cells for
-// round pre-fill, and bump the epoch. Returns how many cells resume
-// from the journal.
-func (c *Coordinator) attachCampaignJournal(cases []campaign.Case) (int, error) {
-	l := c.cfg.Journal
-	if l == nil {
-		return 0, nil
-	}
-	restored, err := campaign.PrepareJournal(l, cases)
-	if err != nil {
-		return 0, err
-	}
-	if err := c.adoptJournal(l); err != nil {
-		return 0, err
-	}
-	c.mu.Lock()
-	c.restored = make(map[int]WireVerdict, len(restored))
-	for i, jv := range restored {
-		c.restored[i] = WireVerdict{
-			Index: jv.Index, OK: jv.OK, Note: jv.Note, Err: jv.Err,
-			Outcome: jv.Outcome, Retries: jv.Retries, ElapsedUS: jv.ElapsedUS,
-		}
-	}
-	c.cellNames = make([]string, len(cases))
-	for i, cs := range cases {
-		c.cellNames[i] = cs.Name
-	}
-	c.mu.Unlock()
-	return len(restored), nil
 }
 
 // tickInterval paces the reaper well inside the unit timeout.

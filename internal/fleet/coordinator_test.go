@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,13 +28,36 @@ type campaignOut struct {
 	err   error
 }
 
-func startCampaign(c *Coordinator) <-chan campaignOut {
+func startCampaign(c *Coordinator, opts campaign.Options) <-chan campaignOut {
 	out := make(chan campaignOut, 1)
 	go func() {
-		vs, stats, err := c.RunCampaign(context.Background())
+		vs, stats, err := c.RunCampaign(opts)
 		out <- campaignOut{vs, stats, err}
 	}()
 	return out
+}
+
+// executeUnit runs one leased campaign unit in-process and collects its
+// cells into a full Result, the v1-style payload the coordinator accepts.
+func executeUnit(job Job, u Unit) (*Result, error) {
+	res := &Result{Unit: u.ID}
+	return res, job.ops().execute(job, u, func(cell WireCell) error {
+		res.Verdicts = append(res.Verdicts, *cell.Verdict)
+		return nil
+	})
+}
+
+// CanonVerdicts renders a verdict stream canonically: one line per verdict
+// with its status and its durable projection less the wall-clock fields.
+// Two runs are "the same sweep" exactly when these are byte-identical.
+func CanonVerdicts(vs []campaign.Verdict) string {
+	var b strings.Builder
+	for _, v := range vs {
+		jv := campaign.JournalOf(0, v)
+		jv.ElapsedUS, jv.Retries = 0, 0
+		fmt.Fprintf(&b, "%s %+v\n", v.Status(), jv)
+	}
+	return b.String()
 }
 
 // hello admits a test worker through the handler core and returns its
@@ -47,17 +71,17 @@ func hello(t *testing.T, c *Coordinator, name string) string {
 	return resp.Session
 }
 
-// leaseAll drives lease requests round-robin across the sessions until n
-// units are held, returning them keyed by holder.
-func leaseAll(t *testing.T, c *Coordinator, sessions []string, n int) []struct {
+// lease is one unit held by a test worker session.
+type lease struct {
 	session string
 	unit    Unit
-} {
+}
+
+// leaseAll drives lease requests round-robin across the sessions until n
+// units are held, returning them keyed by holder.
+func leaseAll(t *testing.T, c *Coordinator, sessions []string, n int) []lease {
 	t.Helper()
-	var held []struct {
-		session string
-		unit    Unit
-	}
+	var held []lease
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; len(held) < n; i++ {
 		if time.Now().After(deadline) {
@@ -67,10 +91,7 @@ func leaseAll(t *testing.T, c *Coordinator, sessions []string, n int) []struct {
 		resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgLease, Session: s})
 		switch resp.Type {
 		case MsgUnit:
-			held = append(held, struct {
-				session string
-				unit    Unit
-			}{s, *resp.Unit})
+			held = append(held, lease{s, *resp.Unit})
 		case MsgWait:
 			// round not dispatched yet; poll again
 		default:
@@ -116,7 +137,7 @@ func TestMergeOrderInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(7))
-	out := startCampaign(c)
+	out := startCampaign(c, campaign.Options{})
 	sessions := []string{hello(t, c, "a"), hello(t, c, "b"), hello(t, c, "c")}
 	held := leaseAll(t, c, sessions, 7)
 	// Complete in reverse dispatch order — the coordinator must not care.
@@ -153,7 +174,7 @@ func TestPoolShrinksMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(6))
-	out := startCampaign(c)
+	out := startCampaign(c, campaign.Options{})
 	doomed, survivor := hello(t, c, "doomed"), hello(t, c, "survivor")
 	held := leaseAll(t, c, []string{doomed}, 1)
 	c.LoseSession(doomed, harden.ToolFault)
@@ -193,7 +214,7 @@ func TestDoubleLossContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCampaign(spec, "sweep", WireHarden{}, fastCfg(1))
-	out := startCampaign(c)
+	out := startCampaign(c, campaign.Options{})
 	s1 := hello(t, c, "flappy1")
 	leaseAll(t, c, []string{s1}, 1)
 	c.LoseSession(s1, harden.ToolFault)
@@ -217,40 +238,56 @@ func TestDoubleLossContained(t *testing.T) {
 	}
 }
 
-// TestTruncatedResultReassigned feeds the coordinator a structurally
-// truncated result: it must be rejected (never merged), the unit lost
-// once and re-executed, and the final sweep clean.
+// TestTruncatedResultReassigned feeds the coordinator result payloads
+// wrong in each way the campaign check knows, through the one check path
+// streamed cells take too: each is rejected, the unit lost once and
+// re-executed, the final sweep clean. A frame is validated whole before
+// anything merges: only the truncated one, all valid cells, lands any.
 func TestTruncatedResultReassigned(t *testing.T) {
-	serial, _, err := campaign.Run(sweepSpec, sweepScenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(2))
-	out := startCampaign(c)
-	s1 := hello(t, c, "w")
-	held := leaseAll(t, c, []string{s1}, 1)
-	full, err := executeUnit(c.Job(), held[0].unit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truncated := &Result{Unit: full.Unit, Verdicts: full.Verdicts[:len(full.Verdicts)-1]}
-	if resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgResult, Session: s1, Result: truncated}); resp.Type != MsgError {
-		t.Fatalf("truncated result accepted: %+v", resp)
-	}
-	// The same worker picks the unit back up and completes it properly,
-	// along with the rest of the round.
-	for done := 0; done < 2; done++ {
-		h := leaseAll(t, c, []string{s1}, 1)
-		if resp := submit(t, c, s1, h[0].unit); resp.Type != MsgAck {
-			t.Fatalf("result: got %+v", resp)
+	want := CanonVerdicts(serialSweep(t))
+	for name, mangle := range map[string]func(u Unit, r *Result) (landed int){
+		"truncated": func(u Unit, r *Result) int {
+			r.Verdicts = r.Verdicts[:len(r.Verdicts)-1]
+			return len(r.Verdicts)
+		},
+		"verdict index out of range": func(u Unit, r *Result) int {
+			r.Verdicts[len(r.Verdicts)-1].Index = u.Hi
+			return 0
+		},
+		"the other kind's payload": func(u Unit, r *Result) int {
+			r.Outcomes = []WireOutcome{{Index: u.Lo}}
+			return 0
+		},
+	} {
+		c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(2))
+		var landed atomic.Int32
+		out := startCampaign(c, campaign.Options{OnVerdict: func(campaign.Verdict) { landed.Add(1) }})
+		s1 := hello(t, c, "w")
+		held := leaseAll(t, c, []string{s1}, 1)
+		bad, err := executeUnit(c.Job(), held[0].unit)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	got := awaitCampaign(t, out)
-	if CanonVerdicts(got.vs) != CanonVerdicts(serial) {
-		t.Errorf("merge after truncated result differs from serial sweep")
-	}
-	if s := c.Stats(); s.BadFrames != 1 || s.Reassigned != 1 || s.Contained != 0 {
-		t.Errorf("stats = %+v, want BadFrames=1 Reassigned=1 Contained=0", s)
+		wantLanded := mangle(held[0].unit, bad)
+		if resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgResult, Session: s1, Result: bad}); resp.Type != MsgError {
+			t.Fatalf("%s: result accepted: %+v", name, resp)
+		}
+		if got := int(landed.Load()); got != wantLanded {
+			t.Errorf("%s: %d cells merged from the rejected payload, want %d", name, got, wantLanded)
+		}
+		// The same worker completes the unit properly, and the other one.
+		for done := 0; done < 2; done++ {
+			h := leaseAll(t, c, []string{s1}, 1)
+			if resp := submit(t, c, s1, h[0].unit); resp.Type != MsgAck {
+				t.Fatalf("%s: result: got %+v", name, resp)
+			}
+		}
+		if got := awaitCampaign(t, out); CanonVerdicts(got.vs) != want {
+			t.Errorf("%s: merge after the rejected result differs from serial sweep", name)
+		}
+		if s := c.Stats(); s.BadFrames != 1 || s.Reassigned != 1 || s.Contained != 0 {
+			t.Errorf("%s: stats = %+v, want BadFrames=1 Reassigned=1 Contained=0", name, s)
+		}
 	}
 }
 
@@ -286,18 +323,34 @@ func TestGarbageFrames(t *testing.T) {
 	if resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgResult, Session: "w999", Result: &Result{}}); resp.Type != MsgError {
 		t.Errorf("unknown session accepted: %+v", resp)
 	}
+	// A fuzz outcome with a garbage coverage word is rejected by the same
+	// path, and the valid outcome ahead of it in the frame is not merged.
+	fc := NewFuzz("", WireHarden{}, fastCfg(1))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	landed := 0
+	go fc.RunRound(ctx, fc.newRound(2, nil, nil, func(int, *WireCell) { landed++ }))
+	fs := hello(t, fc, "w")
+	bad := &Result{Unit: leaseAll(t, fc, []string{fs}, 1)[0].unit.ID,
+		Outcomes: []WireOutcome{{Index: 0}, {Index: 1, Cov: []CovWord{{I: -1, W: 1}}}}}
+	if resp := fc.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgResult, Session: fs, Result: bad}); resp.Type != MsgError {
+		t.Errorf("bad coverage word accepted: %+v", resp)
+	}
+	if st := fc.Stats(); landed != 0 || st.BadFrames != 1 || st.Reassigned != 1 {
+		t.Errorf("bad coverage word: %d outcomes merged, stats %+v; want 0, BadFrames=1 Reassigned=1", landed, st)
+	}
 }
 
 // TestEmptyMatrix dispatches a zero-cell round: it completes instantly
 // with no workers at all.
 func TestEmptyMatrix(t *testing.T) {
 	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(4))
-	results, err := c.RunRound(context.Background(), c.newRound(0, nil))
+	cells, err := c.RunRound(context.Background(), c.newRound(0, nil, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Errorf("got %d results, want 0", len(results))
+	if len(cells) != 0 {
+		t.Errorf("got %d cells, want 0", len(cells))
 	}
 	if s := c.Stats(); s.Rounds != 1 || s.Units != 0 {
 		t.Errorf("stats = %+v, want Rounds=1 Units=0", s)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pfi/internal/explore"
+	"pfi/internal/harden"
 	"pfi/internal/tcp"
 )
 
@@ -25,29 +26,21 @@ func (c *Coordinator) EvalBatch(ctx context.Context, batch []explore.Schedule) (
 	if c.job.Kind != JobFuzz {
 		return nil, fmt.Errorf("fleet: EvalBatch on a %s coordinator", c.job.Kind)
 	}
-	r := c.newRound(len(batch), func(sp Span) []explore.Schedule {
-		return append([]explore.Schedule(nil), batch[sp.Lo:sp.Hi]...)
-	})
-	results, err := c.RunRound(ctx, r)
+	cells, err := c.RunRound(ctx, c.newRound(len(batch), nil, func(u *Unit) {
+		u.Schedules = append([]explore.Schedule(nil), batch[u.Lo:u.Hi]...)
+	}, nil))
 	if err != nil {
 		return nil, err
 	}
 	outs := make([]*explore.Outcome, len(batch))
-	for _, res := range results {
-		if res == nil {
-			continue
-		}
-		for _, wo := range res.Outcomes {
-			o, oerr := outcomeFromWire(wo)
-			if oerr != nil {
-				return nil, oerr // validated at merge time; reaching this is a coordinator bug
-			}
-			outs[wo.Index] = o
-		}
-	}
-	for i, o := range outs {
-		if o == nil {
+	for i, cell := range cells {
+		if cell == nil {
 			return nil, fmt.Errorf("fleet: candidate %d never evaluated", i)
+		}
+		// Coverage words were validated at merge time; an error here is a
+		// coordinator bug.
+		if outs[i], err = outcomeFromWire(*cell.Outcome); err != nil {
+			return nil, err
 		}
 	}
 	return outs, nil
@@ -98,4 +91,50 @@ func outcomeFromWire(w WireOutcome) (*explore.Outcome, error) {
 		return nil, err
 	}
 	return &explore.Outcome{Schedule: w.Schedule, Cov: cov, Violations: w.Violations}, nil
+}
+
+// outcomeToWire projects an outcome onto its wire form.
+func outcomeToWire(index int, o *explore.Outcome) WireOutcome {
+	return WireOutcome{Index: index, Schedule: o.Schedule, Cov: covToWire(o.Cov), Violations: o.Violations}
+}
+
+// fuzzOps is the fuzz job kind: a cell is one WireOutcome indexed into the
+// generation batch, and units carry their candidate schedules inline.
+var fuzzOps = jobOps{
+	check: func(cell WireCell) (int, error) {
+		if cell.Outcome == nil || cell.Verdict != nil {
+			return 0, fmt.Errorf("fuzz cell without an outcome")
+		}
+		if _, err := covFromWire(cell.Outcome.Cov); err != nil {
+			return 0, fmt.Errorf("outcome %d: %w", cell.Outcome.Index, err)
+		}
+		return cell.Outcome.Index, nil
+	},
+	// A lost candidate becomes an exec-error violation: machine-dependent
+	// losses are reported, never emitted, matching how wall-clock timeouts
+	// degrade elsewhere.
+	contain: func(u Unit, i int, _ harden.Kind, why string) WireCell {
+		return WireCell{Unit: u.ID, Outcome: &WireOutcome{
+			Index:      i,
+			Schedule:   u.Schedules[i-u.Lo],
+			Violations: []explore.Violation{{Kind: explore.ViolExecError, Detail: why}},
+		}}
+	},
+	execute: func(job Job, u Unit, emit func(WireCell) error) error {
+		prof, err := tcp.ProfileByName(job.Profile)
+		if err != nil {
+			return err
+		}
+		if len(u.Schedules) != u.Hi-u.Lo {
+			return fmt.Errorf("fleet: unit [%d,%d) carries %d schedules", u.Lo, u.Hi, len(u.Schedules))
+		}
+		cfg := job.Harden.Config()
+		for i, s := range u.Schedules {
+			wo := outcomeToWire(u.Lo+i, explore.EvaluateWith(s, prof, cfg))
+			if err := emit(WireCell{Unit: u.ID, Outcome: &wo}); err != nil {
+				return err
+			}
+		}
+		return nil
+	},
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -131,11 +132,18 @@ func (c *Coordinator) Serve(addr string) (*Server, error) {
 	return s, nil
 }
 
-// Close stops accepting connections and waits for the serve loop to
-// return. In-flight worker requests are cut; the coordinator's drain
-// state, not this, is what ends a fleet cleanly.
+// Close stops accepting connections, lets in-flight requests finish — a
+// drain reply already computed must still reach its worker — and waits
+// for the serve loop to return. Requests still running after a second
+// (several long-poll windows) are cut; the coordinator's drain state, not
+// this, is what ends a fleet cleanly.
 func (s *Server) Close() error {
-	err := s.srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	err := s.srv.Shutdown(ctx)
+	if err != nil {
+		err = s.srv.Close()
+	}
 	<-s.done
 	return err
 }

@@ -25,13 +25,18 @@
 //
 // Crash safety (v2): workers stream each completed cell (MsgCell) before
 // the unit-completion marker (MsgResult), so a lost unit only forfeits
-// the cells not yet reported. A coordinator given Config.Journal streams
-// every merged campaign cell into the write-ahead log and pre-fills the
-// journaled cells on the next run — a kill -9'd coordinator restarted
-// against the same journal re-runs only the gap, and each restart bumps
-// an epoch (RecEpoch) that reconnecting workers observe when they are
-// re-adopted. Fuzz runs journal on the explore side instead (the
-// coordinator owns derivation there; see Coordinator.RunFuzz).
+// the cells not yet reported. The fleet itself keeps no journal: the run's
+// owner (campaign.RunParallel, explore.Fuzz) journals what the fleet
+// lands, resumes from it, and tells each round which cells it already
+// holds; the coordinator only stamps an epoch record (RecEpoch) per
+// attachment, which reconnecting workers observe when a restarted
+// coordinator re-adopts them.
+//
+// The coordinator core (coordinator.go) shards an index space and knows
+// leases, sessions, loss, reassignment and staleness — never what a cell
+// means. What differs per job kind is the jobOps table defined next to
+// each job (campaign.go, fuzz.go): validate a cell payload, synthesize a
+// contained cell, execute a unit on the worker.
 package fleet
 
 import (
@@ -69,6 +74,38 @@ const (
 	JobCampaign = "campaign" // shard a generated case matrix
 	JobFuzz     = "fuzz"     // evaluate fuzz candidate schedules
 )
+
+// jobOps is everything the fleet knows about what a cell of one job kind
+// means. The coordinator core and the worker loop call through it and
+// stay kind-agnostic.
+type jobOps struct {
+	// check validates one cell payload — input from outside the process —
+	// and returns its index in the round; the coordinator bounds it to the
+	// unit's span.
+	check func(cell WireCell) (int, error)
+	// contain synthesizes cell i of a unit lost twice: a contained record
+	// under the harden taxonomy, never a silent gap.
+	contain func(u Unit, i int, kind harden.Kind, why string) WireCell
+	// execute runs one leased unit on the worker, cell by cell in order,
+	// handing each finished cell to emit; an emit error aborts the unit.
+	execute func(job Job, u Unit, emit func(WireCell) error) error
+}
+
+var jobKinds = map[string]jobOps{JobCampaign: campaignOps, JobFuzz: fuzzOps}
+
+// ops resolves the job's kind table. An unknown kind (a drifted peer)
+// yields ops that reject every cell and every unit.
+func (j Job) ops() jobOps {
+	if ops, ok := jobKinds[j.Kind]; ok {
+		return ops
+	}
+	unknown := fmt.Errorf("fleet: unknown job kind %q", j.Kind)
+	return jobOps{
+		check:   func(WireCell) (int, error) { return 0, unknown },
+		contain: func(u Unit, _ int, _ harden.Kind, _ string) WireCell { return WireCell{Unit: u.ID} },
+		execute: func(Job, Unit, func(WireCell) error) error { return unknown },
+	}
+}
 
 // Envelope is the single wire frame both transports carry: one JSON
 // object per message, newline-delimited on stdio, one per HTTP POST.
@@ -208,9 +245,23 @@ type Result struct {
 	Outcomes []WireOutcome `json:"outcomes,omitempty"`
 }
 
-// WireVerdict is the deterministic projection of a campaign.Verdict.
-// Wall-clock cost travels for observability but is excluded from
-// CanonVerdicts, and isolation stacks never travel at all.
+// cells lists a result's payload entries as cells of its unit, whatever
+// their kind; the job's check rejects the ones that do not belong.
+func (r *Result) cells() []WireCell {
+	out := make([]WireCell, 0, len(r.Verdicts)+len(r.Outcomes))
+	for i := range r.Verdicts {
+		out = append(out, WireCell{Unit: r.Unit, Verdict: &r.Verdicts[i]})
+	}
+	for i := range r.Outcomes {
+		out = append(out, WireCell{Unit: r.Unit, Outcome: &r.Outcomes[i]})
+	}
+	return out
+}
+
+// WireVerdict is the wire form of a campaign.JournalVerdict — the durable,
+// deterministic projection of a campaign.Verdict (see verdictToWire).
+// Wall-clock cost travels for observability; isolation stacks never
+// travel at all.
 type WireVerdict struct {
 	// Index is the global case index in the generated matrix.
 	Index int `json:"index"`

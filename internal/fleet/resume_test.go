@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pfi/internal/campaign"
 	"pfi/internal/harden"
 	"pfi/internal/journal"
 )
@@ -25,22 +27,26 @@ func openJournal(t *testing.T, dir, name string) *journal.Log {
 	return l
 }
 
-// streamUnit plays a worker streaming one unit through the handler
-// core: every cell as a MsgCell frame, then the empty completion
-// marker. Each frame must be acked.
+// streamCells plays a worker streaming cells of one unit through the
+// handler core as MsgCell frames. Each frame must be acked.
+func streamCells(t *testing.T, c *Coordinator, session string, unit int, vs ...WireVerdict) {
+	t.Helper()
+	for i := range vs {
+		resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: session, Cell: &WireCell{Unit: unit, Verdict: &vs[i]}})
+		if resp.Type != MsgAck {
+			t.Fatalf("cell %d: got %+v, want ack", vs[i].Index, resp)
+		}
+	}
+}
+
+// streamUnit streams a whole unit, then the empty completion marker.
 func streamUnit(t *testing.T, c *Coordinator, session string, u Unit) {
 	t.Helper()
 	res, err := executeUnit(c.Job(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res.Verdicts {
-		v := res.Verdicts[i]
-		resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: session, Cell: &WireCell{Unit: u.ID, Verdict: &v}})
-		if resp.Type != MsgAck {
-			t.Fatalf("cell %d: got %+v, want ack", v.Index, resp)
-		}
-	}
+	streamCells(t, c, session, u.ID, res.Verdicts...)
 	resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgResult, Session: session, Result: &Result{Unit: u.ID}})
 	if resp.Type != MsgAck {
 		t.Fatalf("completion marker: got %+v, want ack", resp)
@@ -56,7 +62,7 @@ func streamUnit(t *testing.T, c *Coordinator, session string, u Unit) {
 func TestCellStreamingCompletesUnits(t *testing.T) {
 	want := CanonVerdicts(serialSweep(t))
 	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(2))
-	out := startCampaign(c)
+	out := startCampaign(c, campaign.Options{})
 	s := hello(t, c, "streamer")
 	held := leaseAll(t, c, []string{s}, 2)
 	// Duplicate one cell mid-unit: the re-stream is acked and dropped.
@@ -65,12 +71,7 @@ func TestCellStreamingCompletesUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := first.Verdicts[0]
-	for i := 0; i < 2; i++ {
-		resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: s, Cell: &WireCell{Unit: held[0].unit.ID, Verdict: &dup}})
-		if resp.Type != MsgAck {
-			t.Fatalf("duplicate stream %d: got %+v", i, resp)
-		}
-	}
+	streamCells(t, c, s, held[0].unit.ID, dup, dup)
 	for _, h := range held {
 		streamUnit(t, c, s, h.unit)
 	}
@@ -86,10 +87,7 @@ func TestCellStreamingCompletesUnits(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 clean units", st)
 	}
 	// A cell for a completed unit is stale, not merged and not an error.
-	resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: s, Cell: &WireCell{Unit: held[0].unit.ID, Verdict: &dup}})
-	if resp.Type != MsgAck {
-		t.Errorf("late cell: got %+v, want stale ack", resp)
-	}
+	streamCells(t, c, s, held[0].unit.ID, dup)
 	if st := c.Stats(); st.Stale != 1 {
 		t.Errorf("Stale = %d, want 1", st.Stale)
 	}
@@ -102,7 +100,7 @@ func TestCellStreamingCompletesUnits(t *testing.T) {
 func TestLossKeepsStreamedCells(t *testing.T) {
 	serial := serialSweep(t)
 	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, fastCfg(1))
-	out := startCampaign(c)
+	out := startCampaign(c, campaign.Options{})
 	s1 := hello(t, c, "doomed-1")
 	held := leaseAll(t, c, []string{s1}, 1)
 	u := held[0].unit
@@ -111,12 +109,7 @@ func TestLossKeepsStreamedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	const streamed = 5
-	for i := 0; i < streamed; i++ {
-		v := full.Verdicts[i]
-		if resp := c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: s1, Cell: &WireCell{Unit: u.ID, Verdict: &v}}); resp.Type != MsgAck {
-			t.Fatalf("cell %d: got %+v", i, resp)
-		}
-	}
+	streamCells(t, c, s1, u.ID, full.Verdicts[:streamed]...)
 	c.LoseSession(s1, harden.ToolFault)
 	// The reassigned holder dies without streaming anything: second
 	// strike, unit contained.
@@ -156,22 +149,14 @@ func TestLossKeepsStreamedCells(t *testing.T) {
 func TestFleetCampaignJournalResume(t *testing.T) {
 	want := CanonVerdicts(serialSweep(t))
 	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.journal")
-	l, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openJournal(t, dir, "sweep.journal")
 
 	// Phase 1: journal a deterministic partial sweep through the handler
 	// core — unit 0 streamed and completed, unit 1 streamed only twice —
 	// then cancel mid-round, exactly like a killed coordinator.
-	c1 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 9, LeaseWait: 5 * time.Millisecond, Journal: l})
+	c1 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 9, LeaseWait: 5 * time.Millisecond})
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	out1 := make(chan campaignOut, 1)
-	go func() {
-		vs, stats, err := c1.RunCampaign(ctx1)
-		out1 <- campaignOut{vs, stats, err}
-	}()
+	out1 := startCampaign(c1, campaign.Options{Context: ctx1, Journal: l})
 	s := hello(t, c1, "interrupted")
 	held := leaseAll(t, c1, []string{s}, 2)
 	streamUnit(t, c1, s, held[0].unit)
@@ -179,12 +164,7 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		v := partial.Verdicts[i]
-		if resp := c1.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: s, Cell: &WireCell{Unit: held[1].unit.ID, Verdict: &v}}); resp.Type != MsgAck {
-			t.Fatalf("partial cell %d: got %+v", i, resp)
-		}
-	}
+	streamCells(t, c1, s, held[1].unit.ID, partial.Verdicts[:2]...)
 	cancel1()
 	if o := <-out1; o.err == nil {
 		t.Fatal("canceled run reported success")
@@ -202,13 +182,10 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	// banked (everything phase 2 streamed).
 	minResumed := journaled
 	for phase, workers := range []int{2, 4} {
-		l, err := journal.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 9, LeaseWait: 5 * time.Millisecond, Journal: l})
+		l := openJournal(t, dir, "sweep.journal")
+		c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 9, LeaseWait: 5 * time.Millisecond})
 		pool := spawnSelf(t, c, workers)
-		vs, stats, err := c.RunCampaign(context.Background())
+		vs, stats, err := c.RunCampaign(campaign.Options{Journal: l})
 		c.Close()
 		pool.Wait()
 		if err != nil {
@@ -233,13 +210,10 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	}
 
 	// Phase 4: the journal alone is the sweep — no workers joined.
-	l4, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l4 := openJournal(t, dir, "sweep.journal")
 	defer l4.Close()
-	c4 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 9, LeaseWait: 5 * time.Millisecond, Journal: l4})
-	vs, stats, err := c4.RunCampaign(context.Background())
+	c4 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 9, LeaseWait: 5 * time.Millisecond})
+	vs, stats, err := c4.RunCampaign(campaign.Options{Journal: l4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +226,31 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	if c4.Epoch() != 4 {
 		t.Errorf("fourth adoption epoch = %d, want 4", c4.Epoch())
 	}
+
+	// One journal format, one writer: the log those four fleet sweeps
+	// built holds exactly the verdict records an in-process sweep writes.
+	lp := openJournal(t, dir, "pool.journal")
+	defer lp.Close()
+	if _, _, err := campaign.RunParallel(sweepSpec, sweepScenario, campaign.Options{Journal: lp}); err != nil {
+		t.Fatal(err)
+	}
+	cases, err := campaign.Generate(sweepSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [2]map[int]campaign.JournalVerdict
+	for k, l := range []*journal.Log{l4, lp} {
+		if recs[k], err = campaign.PrepareJournal(l, cases); err != nil {
+			t.Fatal(err)
+		}
+		for i, jv := range recs[k] {
+			jv.ElapsedUS = 0 // wall-clock
+			recs[k][i] = jv
+		}
+	}
+	if len(recs[1]) != 36 || !reflect.DeepEqual(recs[0], recs[1]) {
+		t.Errorf("fleet-written journal decodes to\n%+v\nin-process journal to\n%+v", recs[0], recs[1])
+	}
 }
 
 // TestJournalWriteFailureAbortsRound proves the coordinator refuses to
@@ -260,12 +259,8 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 // cells are never silently unjournaled.
 func TestJournalWriteFailureAbortsRound(t *testing.T) {
 	l := openJournal(t, t.TempDir(), "doomed.journal")
-	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 2, LeaseWait: 5 * time.Millisecond, Journal: l})
-	out := make(chan campaignOut, 1)
-	go func() {
-		vs, stats, err := c.RunCampaign(context.Background())
-		out <- campaignOut{vs, stats, err}
-	}()
+	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 2, LeaseWait: 5 * time.Millisecond})
+	out := startCampaign(c, campaign.Options{Journal: l})
 	s := hello(t, c, "writer")
 	held := leaseAll(t, c, []string{s}, 1)
 	full, err := executeUnit(c.Job(), held[0].unit)
@@ -275,8 +270,7 @@ func TestJournalWriteFailureAbortsRound(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v := full.Verdicts[0]
-	c.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgCell, Session: s, Cell: &WireCell{Unit: held[0].unit.ID, Verdict: &v}})
+	streamCells(t, c, s, held[0].unit.ID, full.Verdicts[0]) // acked: the round, not the frame, fails
 	select {
 	case o := <-out:
 		if o.err == nil || !strings.Contains(o.err.Error(), "journal") {
@@ -295,23 +289,15 @@ func TestJournalWriteFailureAbortsRound(t *testing.T) {
 func TestWorkerReconnectReAdoption(t *testing.T) {
 	want := CanonVerdicts(serialSweep(t))
 	dir := t.TempDir()
-	path := filepath.Join(dir, "sweep.journal")
-	l1, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 12, LeaseWait: 20 * time.Millisecond, Journal: l1})
+	l1 := openJournal(t, dir, "sweep.journal")
+	c1 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 12, LeaseWait: 20 * time.Millisecond})
 	srv1, err := c1.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv1.Addr
 	ctx1, cancel1 := context.WithCancel(context.Background())
-	out1 := make(chan campaignOut, 1)
-	go func() {
-		vs, stats, err := c1.RunCampaign(ctx1)
-		out1 <- campaignOut{vs, stats, err}
-	}()
+	out1 := startCampaign(c1, campaign.Options{Context: ctx1, Journal: l1})
 
 	var logMu sync.Mutex
 	var logBuf strings.Builder
@@ -350,12 +336,9 @@ func TestWorkerReconnectReAdoption(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	l2, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openJournal(t, dir, "sweep.journal")
 	defer l2.Close()
-	c2 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 12, LeaseWait: 20 * time.Millisecond, Journal: l2})
+	c2 := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 12, LeaseWait: 20 * time.Millisecond})
 	var srv2 *Server
 	for i := 0; ; i++ {
 		srv2, err = c2.Serve(addr)
@@ -368,7 +351,7 @@ func TestWorkerReconnectReAdoption(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	defer srv2.Close()
-	out2 := startCampaign(c2)
+	out2 := startCampaign(c2, campaign.Options{Journal: l2})
 	got := awaitCampaign(t, out2)
 	c2.Close() // drain: the reconnected worker exits cleanly
 	select {
@@ -399,118 +382,19 @@ func TestWorkerReconnectReAdoption(t *testing.T) {
 	}
 }
 
-// TestQueueDurability proves the multi-campaign queue is a pure
-// function of its journal: adds, leases, and completions all survive a
-// process restart (reopening the log), an in-flight lease resumes ahead
-// of fresh work, and IDs never collide across generations.
-func TestQueueDurability(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "queue.journal")
-	jobs := []Job{
-		{Kind: JobCampaign, Spec: &sweepSpec, Scenario: "sweep"},
-		{Kind: JobFuzz, Profile: "solaris"},
-		{Kind: JobCampaign, Spec: &sweepSpec, Scenario: "sweep-2"},
-	}
-
-	l, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := OpenQueue(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, job := range jobs {
-		qj, err := q.Add(job, fmt.Sprintf("cells-%d.journal", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qj.ID != i {
-			t.Fatalf("job %d got ID %d", i, qj.ID)
-		}
-	}
-	leased, ok, err := q.Lease()
-	if err != nil || !ok || leased.ID != 0 {
-		t.Fatalf("first lease = %+v ok=%t err=%v, want job 0", leased, ok, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Coordinator restart": replay the log. The in-flight lease is
-	// still pending — first in line — with its cell journal intact.
-	l, err = journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err = OpenQueue(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending := q.Pending()
-	if len(pending) != 3 || q.Done() != 0 {
-		t.Fatalf("after restart: %d pending %d done, want 3 and 0", len(pending), q.Done())
-	}
-	if !pending[0].Leased || pending[0].ID != 0 || pending[0].JournalPath != "cells-0.journal" {
-		t.Fatalf("in-flight job not first: %+v", pending[0])
-	}
-	released, ok, err := q.Lease()
-	if err != nil || !ok || released.ID != 0 {
-		t.Fatalf("re-lease = %+v ok=%t err=%v, want in-flight job 0 again", released, ok, err)
-	}
-	if err := q.Complete(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Complete(0); err == nil {
-		t.Fatal("completing a finished job twice succeeded")
-	}
-	next, ok, err := q.Lease()
-	if err != nil || !ok || next.ID != 1 {
-		t.Fatalf("next lease = %+v ok=%t err=%v, want job 1", next, ok, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second restart: completion stuck, lease stuck, new IDs are fresh.
-	l, err = journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	q, err = OpenQueue(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Done() != 1 {
-		t.Errorf("Done = %d, want 1", q.Done())
-	}
-	pending = q.Pending()
-	if len(pending) != 2 || pending[0].ID != 1 || !pending[0].Leased || pending[1].ID != 2 {
-		t.Fatalf("pending after second restart = %+v", pending)
-	}
-	added, err := q.Add(Job{Kind: JobFuzz}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added.ID != 3 {
-		t.Errorf("new job got recycled ID %d, want 3", added.ID)
-	}
-}
-
 // TestMetricsExposeCrashSafetyCounters scrapes /metrics on a journaled
 // coordinator after a sweep: the write-ahead-log counters and the
 // reconnect counter are present, and the journal ones are live.
 func TestMetricsExposeCrashSafetyCounters(t *testing.T) {
 	l := openJournal(t, t.TempDir(), "sweep.journal")
 	defer l.Close()
-	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 3, LeaseWait: 20 * time.Millisecond, Journal: l})
+	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{Shards: 3, LeaseWait: 20 * time.Millisecond})
 	srv, err := c.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	out := startCampaign(c)
+	out := startCampaign(c, campaign.Options{Journal: l})
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- RunWorker(DialHTTP("http://"+srv.Addr), "scraped")

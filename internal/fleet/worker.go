@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"pfi/internal/campaign"
-	"pfi/internal/explore"
-	"pfi/internal/tcp"
 )
 
 // Worker-side fault-injection hooks, read from the environment so the
@@ -28,29 +23,6 @@ const (
 	// the worker stays alive but silent, exercising the lease reaper.
 	EnvStallOnLease = "PFI_FLEET_STALL_ON_LEASE"
 )
-
-var (
-	scenarioMu sync.RWMutex
-	scenarios  = map[string]campaign.Scenario{}
-)
-
-// RegisterScenario publishes a campaign scenario under a name workers
-// resolve jobs against. Coordinator and workers must register the same
-// deterministic scenario for the fleet's merge to equal the in-process
-// sweep — the name is the contract, the registry keeps functions out of
-// the wire protocol.
-func RegisterScenario(name string, s campaign.Scenario) {
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	scenarios[name] = s
-}
-
-func scenarioByName(name string) (campaign.Scenario, bool) {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	s, ok := scenarios[name]
-	return s, ok
-}
 
 // Conn is a worker's request/response channel to the coordinator. Both
 // transports satisfy it: stdio frames (stdioConn) and HTTP POSTs
@@ -98,6 +70,7 @@ func runWorker(conn Conn, name string, hooks workerHooks) error {
 		return fmt.Errorf("fleet: job reply missing job or session")
 	}
 	job, session := *resp.Job, resp.Session
+	execute := job.ops().execute
 	if hooks.onJob != nil {
 		hooks.onJob(job, resp.Epoch)
 	}
@@ -124,7 +97,7 @@ func runWorker(conn Conn, name string, hooks workerHooks) error {
 			// with an empty result — the coordinator already holds every
 			// cell, and anything streamed survives even if this process
 			// dies before the marker.
-			err := executeUnitStream(job, *resp.Unit, func(cell WireCell) error {
+			err := execute(job, *resp.Unit, func(cell WireCell) error {
 				ack, cerr := conn.RoundTrip(Envelope{V: ProtocolVersion, Type: MsgCell, Session: session, Cell: &cell})
 				if cerr != nil {
 					return cerr
@@ -290,103 +263,5 @@ func applyFaultHooks() {
 	}
 	if os.Getenv(EnvStallOnLease) == "1" {
 		select {} // hold the lease forever; only the reaper ends this
-	}
-}
-
-// executeUnitStream runs one leased unit cell by cell, in order, through
-// the isolation layer, handing each finished cell to emit — the worker's
-// streaming hook. An emit error aborts the unit (the transport is gone;
-// the coordinator's loss recovery owns the rest).
-func executeUnitStream(job Job, u Unit, emit func(WireCell) error) error {
-	cfg := job.Harden.Config()
-	switch job.Kind {
-	case JobCampaign:
-		if job.Spec == nil {
-			return fmt.Errorf("fleet: campaign job carries no spec")
-		}
-		scenario, ok := scenarioByName(job.Scenario)
-		if !ok {
-			return fmt.Errorf("fleet: scenario %q not registered in this worker", job.Scenario)
-		}
-		cases, err := campaign.Generate(*job.Spec)
-		if err != nil {
-			return err
-		}
-		if u.Lo < 0 || u.Hi > len(cases) || u.Lo > u.Hi {
-			return fmt.Errorf("fleet: unit [%d,%d) outside matrix of %d cases", u.Lo, u.Hi, len(cases))
-		}
-		for i := u.Lo; i < u.Hi; i++ {
-			v := campaign.RunCase(cases[i], scenario, cfg, nil)
-			wv := verdictToWire(i, v)
-			if err := emit(WireCell{Unit: u.ID, Verdict: &wv}); err != nil {
-				return err
-			}
-		}
-	case JobFuzz:
-		prof, err := tcp.ProfileByName(job.Profile)
-		if err != nil {
-			return err
-		}
-		if len(u.Schedules) != u.Hi-u.Lo {
-			return fmt.Errorf("fleet: unit [%d,%d) carries %d schedules", u.Lo, u.Hi, len(u.Schedules))
-		}
-		for i, s := range u.Schedules {
-			o := explore.EvaluateWith(s, prof, cfg)
-			wo := outcomeToWire(u.Lo+i, o)
-			if err := emit(WireCell{Unit: u.ID, Outcome: &wo}); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("fleet: unknown job kind %q", job.Kind)
-	}
-	return nil
-}
-
-// executeUnit runs one leased unit to completion and collects its cells
-// into a full Result — the v1-style payload, still used by handler-core
-// tests and accepted by the coordinator's fold path.
-func executeUnit(job Job, u Unit) (*Result, error) {
-	res := &Result{Unit: u.ID}
-	err := executeUnitStream(job, u, func(cell WireCell) error {
-		switch {
-		case cell.Verdict != nil:
-			res.Verdicts = append(res.Verdicts, *cell.Verdict)
-		case cell.Outcome != nil:
-			res.Outcomes = append(res.Outcomes, *cell.Outcome)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// verdictToWire projects a verdict onto its wire form.
-func verdictToWire(index int, v campaign.Verdict) WireVerdict {
-	w := WireVerdict{
-		Index:     index,
-		OK:        v.OK,
-		Note:      v.Note,
-		Outcome:   int(v.Outcome),
-		ElapsedUS: v.Elapsed.Microseconds(),
-	}
-	if v.Err != nil {
-		w.Err = v.Err.Error()
-	}
-	if v.Isolation != nil {
-		w.Retries = v.Isolation.Retries
-	}
-	return w
-}
-
-// outcomeToWire projects an outcome onto its wire form.
-func outcomeToWire(index int, o *explore.Outcome) WireOutcome {
-	return WireOutcome{
-		Index:      index,
-		Schedule:   o.Schedule,
-		Cov:        covToWire(o.Cov),
-		Violations: o.Violations,
 	}
 }
