@@ -24,8 +24,13 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs every package under the detector — cmd/pfiproxy's process-level
+# test included — and then the live proxy's tests five times over: its
+# readers, timer goroutine, Do and Drain meet on one mutex, and an ordering
+# bug there shows up in some schedules only.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 ./internal/interpose/
 
 # check-race is the standalone race gate for CI pipelines that split the
 # detector run from the main check.
@@ -124,12 +129,12 @@ explore:
 # harden exercises the run-isolation layer under the race detector: the
 # harden package's watchdog/budget/retry edge cases plus the containment
 # and worker-invariance regressions it feeds in campaign, conformance,
-# explore, and interpose (quarantine replay, crash/livelock sweeps,
-# graceful drain).
+# explore, interpose and pfiproxy (quarantine replay, crash/livelock
+# sweeps, graceful drain — in-process and as an interrupted process).
 harden:
 	$(GO) test -race ./internal/harden/
 	$(GO) test -race -run 'ForEach|Sweep|Quarantin|Runaway|TraceBudget|ZeroConfig|ContainedFailures|EvaluateContains|Drain|Oversized' \
-		./internal/campaign/ ./internal/conformance/ ./internal/explore/ ./internal/interpose/
+		./internal/campaign/ ./internal/conformance/ ./internal/explore/ ./internal/interpose/ ./cmd/pfiproxy/
 
 # snapshot proves the world-snapshot fast path is invisible, under the race
 # detector: session forks byte-identical to fresh replays across every

@@ -1,6 +1,8 @@
 package pfi
 
 import (
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"pfi/internal/exp"
 	"pfi/internal/gmp"
 	"pfi/internal/harden"
+	"pfi/internal/interpose"
 	"pfi/internal/message"
 	"pfi/internal/netsim"
 	"pfi/internal/raft"
@@ -219,4 +222,127 @@ func TestGMPHeartbeatRoundAllocBudget(t *testing.T) {
 	allocBudget(t, "GMP heartbeat round (3 daemons)", 9*12, 100, func() {
 		rig.W.RunFor(time.Second)
 	})
+}
+
+// TestProxyRoundTripAllocBudget: one round trip through a live proxy with a
+// counting script in both directions is two filter-and-forward steps, and
+// each allocates the message and its buffer — the one copy out of the
+// reader's scratch buffer — and nothing else: no address per read, no
+// hand-off record, no timer. The client and the echo upstream below
+// allocate nothing per datagram, so the count is the proxy's.
+func TestProxyRoundTripAllocBudget(t *testing.T) {
+	echo, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer echo.Close()
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			n, from, err := echo.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return
+			}
+			_, _ = echo.WriteToUDPAddrPort(buf[:n], from)
+		}
+	}()
+	p, err := interpose.New(interpose.Config{Listen: "127.0.0.1:0", Upstream: echo.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const counting = `if {![info exists n]} { set n 0 }; incr n`
+	if err := p.Do(func(l *core.Layer) {
+		if err := l.SetSendScript(counting); err != nil {
+			t.Error(err)
+		}
+		if err := l.SetReceiveScript(counting); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.DialUDP("udp", nil, p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	send, recv := make([]byte, 64), make([]byte, 128)
+	allocBudget(t, "proxy round trip (2 datagrams)", 2*2, 500, func() {
+		if _, err := c.Write(send); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := c.Read(recv); err != nil || n != len(send) {
+			t.Fatalf("echo: %d bytes, %v", n, err)
+		}
+	})
+}
+
+// TestRaftRigBuildAllocBudget: filter engines are built on first use, so a
+// raft world pays for none until a node is scripted. Building a 25-node rig
+// allocated 4,271 objects when every layer built both engines eagerly
+// (PR 15) and allocates 970 now; the budget is half the former.
+func TestRaftRigBuildAllocBudget(t *testing.T) {
+	allocBudget(t, "NewRaftRig(25)", 4271/2, 10, func() {
+		if _, err := exp.NewRaftRig(25); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestConnSendBacklogAllocBudget: 1,000 Sends of one MSS behind a stalled
+// window — 64 KB already queued, the receiver freeing one segment's worth
+// per Send — allocate in proportion to the bytes sent, and for the queue
+// only the chunk each Send is copied into. The queue used to be one byte
+// slice consumed by re-slicing, which gave its capacity away from the
+// front: append kept running out of room and re-allocated and re-copied the
+// whole backlog every few dozen Sends, and pump copied every payload out
+// again. 10.5 bytes allocated per byte sent at PR 15, 6.6 now (the chunk,
+// the segment's encoding, the message, its delivery, the ACK coming back,
+// the trace entries).
+func TestConnSendBacklogAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not stable under -race")
+	}
+	rig, err := exp.NewTCPRig(tcp.SunOS413())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var server *tcp.Conn
+	conn, err := rig.Dial(func(sc *tcp.Conn) {
+		server = sc
+		sc.SetAutoConsume(false)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mss := rig.Vendor.TCP.Profile().MSS
+	if err := conn.Send(make([]byte, 64*1024)); err != nil {
+		t.Fatal(err)
+	}
+	rig.W.RunFor(10 * time.Second)
+	if server.RecvBuffered() == 0 || conn.UnackedSegments() != 0 {
+		t.Fatalf("window not stalled: %d buffered at the receiver, %d segments in flight",
+			server.RecvBuffered(), conn.UnackedSegments())
+	}
+
+	const sends = 1000
+	payload := make([]byte, mss)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sends; i++ {
+		server.Consume(mss)
+		rig.W.RunFor(100 * time.Millisecond)
+		if err := conn.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 8.5
+	if perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(sends*mss); perByte > budget {
+		t.Fatalf("%.1f bytes allocated per byte sent through a backlogged connection, budget is %.1f", perByte, budget)
+	}
 }

@@ -95,13 +95,17 @@ func run(listen, upstream, sendScript, recvScript string, maxDgram int, drainTO 
 	if err := p.Drain(drainTO); err != nil {
 		return err
 	}
-	// Drain waited for the event loop to exit, so the layer is quiescent.
+	// Drain returns once the readers and the timer goroutine have exited,
+	// so the layer is quiescent.
 	recvStats := p.Layer().ReceiveFilter().Stats()
 	sendStats := p.Layer().SendFilter().Stats()
 	fmt.Printf("pfiproxy: toward upstream: %+v\n", recvStats)
 	fmt.Printf("pfiproxy: toward clients:  %+v\n", sendStats)
 	if n := p.OversizedDropped(); n > 0 {
 		fmt.Printf("pfiproxy: dropped %d oversized datagram(s)\n", n)
+	}
+	if n := p.ForeignDropped(); n > 0 {
+		fmt.Printf("pfiproxy: dropped %d datagram(s) from other clients (one client per proxy: the first sender)\n", n)
 	}
 	return nil
 }

@@ -341,7 +341,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		c, err := h.rig.Dial(func(sc *tcp.Conn) {
 			h.server = sc
 			sc.SetAutoConsume(autoConsume)
-			sc.OnData(func(d []byte) { h.recv = append(h.recv, d...) })
+			sc.OnData(h.delivered)
 		})
 		if err != nil {
 			return "", err
@@ -435,7 +435,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		if err := h.needTCP(); err != nil {
 			return "", err
 		}
-		return strconv.Itoa(len(h.recv)), nil
+		return strconv.Itoa(h.recvN), nil
 	})
 
 	in.Register("sent_len", func(_ *script.Interp, args []string) (string, error) {
@@ -449,7 +449,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		if err := h.needTCP(); err != nil {
 			return "", err
 		}
-		if len(h.recv) == len(h.sent) && string(h.recv) == string(h.sent) {
+		if h.recvMatches() {
 			return "1", nil
 		}
 		return "0", nil

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -62,7 +63,16 @@ type harness struct {
 	conn   *tcp.Conn // client (vendor) connection
 	server *tcp.Conn // accepted (xkernel) connection
 	sent   []byte    // bytes pushed through tcp_send/tcp_stream
-	recv   []byte    // bytes the server delivered to the application
+
+	// What the server delivered to the application, compared with sent as
+	// it arrives instead of kept: the count, whether any delivered byte
+	// differed from the byte sent at its offset (append-only on both
+	// sides, so a difference never heals), and the delivered bytes that
+	// still lie beyond len(sent) — an injected DATA segment can get ahead
+	// of the sender — waiting to be compared when sent catches up.
+	recvN     int
+	recvBad   bool
+	recvAhead []byte
 
 	// gmp world state
 	gr *exp.GMPRig
@@ -88,6 +98,33 @@ func newHarness(defaultProf tcp.Profile) *harness {
 		tol:         500 * time.Millisecond,
 		pfis:        map[string]*core.Layer{},
 	}
+}
+
+// delivered accounts for d, the next bytes the server's application read.
+func (h *harness) delivered(d []byte) {
+	h.recvAhead = append(h.recvAhead, d...)
+	h.recvN += len(d)
+	h.settle()
+}
+
+// settle compares the delivered bytes sent has caught up with. Normally
+// that is all of them and recvAhead stays empty.
+func (h *harness) settle() {
+	at := h.recvN - len(h.recvAhead)
+	n := min(len(h.recvAhead), len(h.sent)-at)
+	if n <= 0 {
+		return
+	}
+	if !bytes.Equal(h.recvAhead[:n], h.sent[at:at+n]) {
+		h.recvBad = true
+	}
+	h.recvAhead = h.recvAhead[:copy(h.recvAhead, h.recvAhead[n:])]
+}
+
+// recvMatches reports whether the delivered stream equals the sent one.
+func (h *harness) recvMatches() bool {
+	h.settle()
+	return h.recvN == len(h.sent) && !h.recvBad
 }
 
 func (h *harness) needWorld() error {

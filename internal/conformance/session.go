@@ -14,14 +14,18 @@ import (
 
 // harnessSaved is the harness's own mutable state at a capture point —
 // everything the scenario commands change that lives outside the world's
-// snapshot registry. The sent/recv/verdict slices are append-only during a
-// run, so their state is their length; the connection pointers keep their
-// identity across a world restore (the TCP layer snapshots them in place).
+// snapshot registry. The sent and verdict slices are append-only during a
+// run, so their state is their length; the delivered-stream comparison is
+// its three fields (recvAhead is consumed from the front, so it is copied);
+// the connection pointers keep their identity across a world restore (the
+// TCP layer snapshots them in place).
 type harnessSaved struct {
 	tol          time.Duration
 	conn, server *tcp.Conn
 	sentLen      int
-	recvLen      int
+	recvN        int
+	recvBad      bool
+	recvAhead    []byte
 	verdictsLen  int
 }
 
@@ -31,7 +35,9 @@ func (h *harness) save() harnessSaved {
 		conn:        h.conn,
 		server:      h.server,
 		sentLen:     len(h.sent),
-		recvLen:     len(h.recv),
+		recvN:       h.recvN,
+		recvBad:     h.recvBad,
+		recvAhead:   append([]byte(nil), h.recvAhead...),
 		verdictsLen: len(h.verdicts),
 	}
 }
@@ -40,7 +46,8 @@ func (h *harness) rewind(sv harnessSaved) {
 	h.tol = sv.tol
 	h.conn, h.server = sv.conn, sv.server
 	h.sent = h.sent[:sv.sentLen]
-	h.recv = h.recv[:sv.recvLen]
+	h.recvN, h.recvBad = sv.recvN, sv.recvBad
+	h.recvAhead = append(h.recvAhead[:0], sv.recvAhead...)
 	h.verdicts = h.verdicts[:sv.verdictsLen]
 }
 

@@ -382,7 +382,7 @@ func registerFilterCommands(f *Filter) {
 		if err := needArgs(args, 2, "peer_set varName value"); err != nil {
 			return "", err
 		}
-		f.peer().interp.SetGlobal(args[0], args[1])
+		f.peer().engine().SetGlobal(args[0], args[1])
 		return args[1], nil
 	})
 
@@ -390,7 +390,7 @@ func registerFilterCommands(f *Filter) {
 		if len(args) != 1 && len(args) != 2 {
 			return "", fmt.Errorf("wrong # args: should be %q", "peer_get varName ?default?")
 		}
-		v, ok := f.peer().interp.Global(args[0])
+		v, ok := f.peer().engine().Global(args[0])
 		if !ok {
 			if len(args) == 2 {
 				return args[1], nil

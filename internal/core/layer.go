@@ -99,13 +99,6 @@ func NewLayer(env *stack.Env, opts ...Option) *Layer {
 	}
 	l.send = newFilter(l, Send)
 	l.recv = newFilter(l, Receive)
-	// Where the filter sits, for scripts shared across nodes, directions
-	// and vendor profiles to branch on.
-	for _, f := range []*Filter{l.send, l.recv} {
-		f.interp.SetVar("pfi_node", l.env.Node)
-		f.interp.SetVar("pfi_dir", f.dir.String())
-		f.interp.SetVar("pfi_protocol", l.stub.Protocol())
-	}
 	return l
 }
 
@@ -234,7 +227,7 @@ func (c *HookCtx) Log(kind, note string) {
 type Filter struct {
 	layer    *Layer
 	dir      Direction
-	interp   *script.Interp
+	interp   *script.Interp // nil until engine() first needs it
 	compiled *script.Script
 	prepared *script.Prepared
 	hook     Hook
@@ -253,10 +246,25 @@ type Filter struct {
 }
 
 func newFilter(l *Layer, dir Direction) *Filter {
-	f := &Filter{layer: l, dir: dir, interp: script.New()}
+	f := &Filter{layer: l, dir: dir}
 	f.hookCtx = HookCtx{filter: f, Dir: dir}
-	registerFilterCommands(f)
 	return f
+}
+
+// engine returns the filter's interpreter, building it on first use: most
+// filters of a large world never see a script, and an interpreter with the
+// PFI command set registered is the costliest part of a layer.
+func (f *Filter) engine() *script.Interp {
+	if f.interp == nil {
+		f.interp = script.New()
+		registerFilterCommands(f)
+		// Where the filter sits, for scripts shared across nodes,
+		// directions and vendor profiles to branch on.
+		f.interp.SetVar("pfi_node", f.layer.env.Node)
+		f.interp.SetVar("pfi_dir", f.dir.String())
+		f.interp.SetVar("pfi_protocol", f.layer.stub.Protocol())
+	}
+	return f.interp
 }
 
 // Dir returns the filter's direction.
@@ -264,7 +272,7 @@ func (f *Filter) Dir() Direction { return f.dir }
 
 // Interp exposes the filter's interpreter so tests and experiment drivers
 // can read/set script state (the paper's driver/PFI communication).
-func (f *Filter) Interp() *script.Interp { return f.interp }
+func (f *Filter) Interp() *script.Interp { return f.engine() }
 
 // Stats returns a copy of the filter's counters.
 func (f *Filter) Stats() Stats { return f.stats }
@@ -285,7 +293,7 @@ func (f *Filter) SetScript(src string) error {
 	f.compiled = s
 	// Compile once at registration: process() then skips the per-message
 	// source-cache lookup.
-	f.prepared = f.interp.Prepare(s)
+	f.prepared = f.engine().Prepare(s)
 	return nil
 }
 

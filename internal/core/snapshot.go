@@ -68,6 +68,7 @@ type filterState struct {
 	held     []heldMsg
 	delayed  []heldMsg
 	stats    Stats
+	engine   *script.Interp // nil: not built yet; prepared is bound to it
 	interp   any
 }
 
@@ -77,7 +78,9 @@ func (f *Filter) snapshotState() *filterState {
 		prepared: f.prepared,
 		hook:     f.hook,
 		stats:    f.stats,
-		interp:   f.interp.SnapshotState(),
+	}
+	if st.engine = f.interp; st.engine != nil {
+		st.interp = st.engine.SnapshotState()
 	}
 	st.held = make([]heldMsg, len(f.held))
 	for i, m := range f.held {
@@ -96,7 +99,12 @@ func (f *Filter) restoreState(st *filterState) {
 	f.prepared = st.prepared
 	f.hook = st.hook
 	f.stats = st.stats
-	f.interp.RestoreState(st.interp)
+	// A capture taken before the engine was built restores "no engine":
+	// whatever a fork installed since goes with it, and the next use builds
+	// a fresh one.
+	if f.interp = st.engine; f.interp != nil {
+		f.interp.RestoreState(st.interp)
+	}
 	f.held = f.held[:0]
 	for _, h := range st.held {
 		h.m.RestoreState(h.st)

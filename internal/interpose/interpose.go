@@ -13,12 +13,22 @@
 // Direction naming follows the PFI layer: traffic toward the upstream runs
 // the RECEIVE filter (it is "popped up" toward the target protocol);
 // traffic back toward clients runs the SEND filter.
+//
+// Threading is run-to-completion, as in the paper's x-Kernel: the goroutine
+// that reads a datagram filters it and writes it out, under the one mutex
+// that owns the PFI layer and the scheduler. There is one reader per
+// socket, so each direction is filtered in arrival order and at most one
+// filter runs at a time. A third goroutine sleeps until the scheduler's
+// earliest event (a delayed or duplicated forward) and fires it under the
+// same mutex.
 package interpose
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,21 +43,32 @@ import (
 type Proxy struct {
 	listenConn   *net.UDPConn
 	upstreamConn *net.UDPConn
-	layer        *core.Layer
-	sched        *simtime.Scheduler
 	start        time.Time
 	maxDatagram  int
 	writeTimeout time.Duration
 	oversized    atomic.Int64
+	foreign      atomic.Int64
 
-	mu         sync.Mutex // guards actions, closed, draining
-	actions    chan action
-	closed     bool
-	draining   bool
-	done       chan struct{}
-	loopExit   chan struct{}
-	clientAddr *net.UDPAddr // last client seen (single-client proxy)
+	// mu owns the layer and the scheduler: a filter run, a scheduler event
+	// and a Do closure each hold it from start to finish, socket write
+	// included, so scripts that share state across directions see one
+	// activation at a time.
+	mu       sync.Mutex
+	layer    *core.Layer
+	sched    *simtime.Scheduler
+	client   netip.AddrPort // the one client served: the first sender
+	wakeAt   simtime.Time   // the instant the timer goroutine sleeps toward
+	closed   bool
+	draining bool
+
+	poke      chan struct{} // the earliest event moved ahead of wakeAt
+	done      chan struct{}
+	readers   sync.WaitGroup
+	timerExit chan struct{}
 }
+
+// never is wakeAt while the scheduler is empty.
+const never = simtime.Time(math.MaxInt64)
 
 // Config describes a proxy.
 type Config struct {
@@ -60,7 +81,7 @@ type Config struct {
 	// the filter — a hostile peer cannot feed the layer unbounded input.
 	MaxDatagram int
 	// WriteTimeout bounds each forwarding write (default 5s), so a wedged
-	// destination cannot stall the event loop forever.
+	// destination cannot stall the proxy forever.
 	WriteTimeout time.Duration
 	// Options configure the embedded PFI layer (stub, trace, rand, bus).
 	Options []core.Option
@@ -87,56 +108,33 @@ func New(cfg Config) (*Proxy, error) {
 	}
 
 	sched := simtime.NewScheduler()
-	env := &stack.Env{Sched: sched, Node: "interpose"}
-	layer := core.NewLayer(env, cfg.Options...)
-
-	maxDatagram := cfg.MaxDatagram
-	if maxDatagram <= 0 {
-		maxDatagram = 64 * 1024
-	}
-	writeTimeout := cfg.WriteTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = 5 * time.Second
-	}
 	p := &Proxy{
 		listenConn:   lc,
 		upstreamConn: uc,
-		layer:        layer,
-		sched:        sched,
 		start:        time.Now(),
-		maxDatagram:  maxDatagram,
-		writeTimeout: writeTimeout,
-		actions:      make(chan action, 256),
+		maxDatagram:  cfg.MaxDatagram,
+		writeTimeout: cfg.WriteTimeout,
+		layer:        core.NewLayer(&stack.Env{Sched: sched, Node: "interpose"}, cfg.Options...),
+		sched:        sched,
+		wakeAt:       never,
+		poke:         make(chan struct{}, 1),
 		done:         make(chan struct{}),
-		loopExit:     make(chan struct{}),
+		timerExit:    make(chan struct{}),
 	}
-
+	if p.maxDatagram <= 0 {
+		p.maxDatagram = 64 * 1024
+	}
+	if p.writeTimeout <= 0 {
+		p.writeTimeout = 5 * time.Second
+	}
 	// The PFI layer's "up" direction forwards to the upstream; "down"
 	// forwards back to the client.
-	s := stack.New(env, layer)
-	s.OnDeliver(func(m *message.Message) error { // cleared the receive filter
-		_ = p.upstreamConn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
-		_, err := p.upstreamConn.Write(m.Bytes())
-		return err
-	})
-	s.OnTransmit(func(m *message.Message) error { // cleared the send filter
-		p.mu.Lock()
-		addr := p.clientAddr
-		p.mu.Unlock()
-		if addr == nil {
-			return errors.New("interpose: no client yet")
-		}
-		_ = p.listenConn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
-		_, err := p.listenConn.WriteToUDP(m.Bytes(), addr)
-		return err
-	})
+	p.layer.Wire(p.toClient, p.toUpstream)
 
-	go func() {
-		p.loop(s)
-		close(p.loopExit)
-	}()
-	go p.readClient()
-	go p.readUpstream()
+	p.readers.Add(2)
+	go p.serve(lc, p.layer.HandleUp, true)    // toward the upstream: the receive filter
+	go p.serve(uc, p.layer.HandleDown, false) // toward the client: the send filter
+	go p.runTimer()
 	return p, nil
 }
 
@@ -146,30 +144,24 @@ func (p *Proxy) Addr() *net.UDPAddr {
 }
 
 // Layer exposes the embedded PFI layer so callers can install filter
-// scripts and read stats. Scripts must be installed via Do to stay on the
-// proxy's event loop.
+// scripts and read stats. While the proxy runs, touch it only inside Do;
+// after Drain or Close has returned it is quiescent and free to inspect.
 func (p *Proxy) Layer() *core.Layer { return p.layer }
 
-// Do runs fn on the proxy's event loop and waits for it — the safe way to
-// change scripts or read stats while traffic flows.
+// Do runs fn on the caller's goroutine while holding the layer — the safe
+// way to change scripts or read stats while traffic flows. fn takes effect
+// at one position in each direction's datagram order. It must not call
+// back into the proxy.
 func (p *Proxy) Do(fn func(l *core.Layer)) error {
-	doneCh := make(chan struct{})
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return errors.New("interpose: proxy closed")
 	}
-	p.actions <- action{fn: func() {
-		fn(p.layer)
-		close(doneCh)
-	}}
-	p.mu.Unlock()
-	select {
-	case <-doneCh:
-		return nil
-	case <-p.done:
-		return errors.New("interpose: proxy closed")
-	}
+	p.fireDue()
+	fn(p.layer)
+	p.rearm()
+	return nil
 }
 
 // OversizedDropped reports how many datagrams exceeded Config.MaxDatagram
@@ -178,10 +170,20 @@ func (p *Proxy) OversizedDropped() int64 {
 	return p.oversized.Load()
 }
 
+// ForeignDropped reports how many datagrams arrived on the listening
+// socket from an address other than the first client's and were discarded
+// there: the proxy has one upstream socket, so the upstream cannot tell two
+// clients apart and every reply goes to the one client served.
+func (p *Proxy) ForeignDropped() int64 {
+	return p.foreign.Load()
+}
+
 // Drain shuts the proxy down gracefully: it stops accepting datagrams,
-// lets in-flight work — queued actions and delayed forwards already on
-// the scheduler — flush for up to timeout, then closes the sockets. Safe
-// to call once; concurrent or repeated calls degrade to Close.
+// waits for the readers to finish the ones they hold, lets delayed forwards
+// already on the scheduler flush for up to timeout, then closes. When it
+// returns no goroutine of the proxy is left, so the layer may be read
+// without Do. Safe to call once; concurrent or repeated calls degrade to
+// Close.
 func (p *Proxy) Drain(timeout time.Duration) error {
 	p.mu.Lock()
 	already := p.closed || p.draining
@@ -190,52 +192,41 @@ func (p *Proxy) Drain(timeout time.Duration) error {
 	if already {
 		return p.Close()
 	}
-	// Wake the reader goroutines; every read past this deadline fails
-	// immediately, so no new datagrams enter the pipeline.
+	// Every read past this deadline fails immediately, so each reader
+	// returns after the filter run it is in, if any.
 	_ = p.listenConn.SetReadDeadline(time.Now())
 	_ = p.upstreamConn.SetReadDeadline(time.Now())
+	p.readers.Wait()
 
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		idle := false
-		if err := p.Do(func(*core.Layer) { idle = p.sched.Len() == 0 }); err != nil {
-			break
-		}
-		if idle {
+		if err := p.Do(func(*core.Layer) { idle = p.sched.Len() == 0 }); err != nil || idle {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	err := p.Close()
-	<-p.loopExit // after this, the layer is quiescent and safe to inspect
-	return err
+	return p.Close()
 }
 
-// Close shuts the proxy down and releases its sockets.
+// Close shuts the proxy down, releases its sockets and waits for its
+// goroutines: once it returns the layer is quiescent.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
+	first := !p.closed
 	p.closed = true
 	p.mu.Unlock()
-	close(p.done)
-	err1 := p.listenConn.Close()
-	err2 := p.upstreamConn.Close()
-	if err1 != nil {
-		return err1
+	var err error
+	if first {
+		close(p.done)
+		err = p.listenConn.Close()
+		if err2 := p.upstreamConn.Close(); err == nil {
+			err = err2
+		}
 	}
-	return err2
-}
-
-// action is one unit of event-loop work: either an arbitrary closure
-// (script changes, stats reads) or one inbound datagram tagged with its
-// direction.
-type action struct {
-	fn   func()
-	data []byte
-	up   bool // true: client→upstream (receive filter); false: send filter
+	p.readers.Wait()
+	<-p.timerExit
+	return err
 }
 
 // now maps the wall clock onto the proxy's virtual clock.
@@ -243,69 +234,96 @@ func (p *Proxy) now() simtime.Time {
 	return simtime.Time(time.Since(p.start))
 }
 
-// loop is the single goroutine that owns the scheduler and the PFI layer.
-// Incoming datagrams and script changes arrive as actions; delayed
-// forwards are scheduler events fired when the wall clock catches up.
-func (p *Proxy) loop(s *stack.Stack) {
+// fireDue advances the virtual clock to the wall clock and fires every
+// scheduler event that has come due. Every filter run starts with it, so an
+// event due at or before a datagram's arrival fires before that datagram is
+// filtered and the clock a script reads through `now` never runs backwards.
+func (p *Proxy) fireDue() {
+	p.sched.AdvanceTo(p.now())
+	for {
+		next, ok := p.sched.Peek()
+		if !ok || next > p.sched.Now() {
+			return
+		}
+		p.sched.Step()
+	}
+}
+
+// rearm pokes the timer goroutine when the work just done put an event on
+// the scheduler ahead of the instant it is sleeping toward.
+func (p *Proxy) rearm() {
+	if next, ok := p.sched.Peek(); ok && next < p.wakeAt {
+		p.wakeAt = next
+		select {
+		case p.poke <- struct{}{}:
+		default: // a poke is already waiting; it will see this event too
+		}
+	}
+}
+
+// runTimer fires delayed and duplicated forwards when the wall clock
+// reaches them. It is off the datagram path: a filter run wakes it only
+// when the earliest event changes.
+func (p *Proxy) runTimer() {
+	defer close(p.timerExit)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
-		// Fire everything due by wall-clock now.
-		p.sched.AdvanceTo(p.now())
-		for {
-			next, ok := p.sched.Peek()
-			if !ok || next > p.sched.Now() {
-				break
-			}
-			p.sched.Step()
+		p.mu.Lock()
+		p.fireDue()
+		next, pending := p.sched.Peek()
+		if !pending {
+			next = never
 		}
-		// Sleep until the next event or the next action.
-		wait := time.Hour
-		if next, ok := p.sched.Peek(); ok {
-			wait = time.Duration(next - p.now())
-			if wait < 0 {
-				wait = 0
+		p.wakeAt = next
+		p.mu.Unlock()
+
+		var due <-chan time.Time // nil, and so never ready, while nothing is pending
+		if pending {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
 			}
+			timer.Reset(time.Duration(next - p.now()))
+			due = timer.C
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
 		select {
 		case <-p.done:
 			return
-		case a := <-p.actions:
-			p.runAction(a)
-		case <-timer.C:
+		case <-p.poke:
+		case <-due:
 		}
 	}
 }
 
-// runAction executes one dequeued action: a closure, or one datagram
-// through the filter of its direction. Actions run strictly in queue
-// order, so datagrams of one direction are filtered in arrival order and
-// a Do() closure runs at its queue position.
-func (p *Proxy) runAction(a action) {
-	switch {
-	case a.fn != nil:
-		a.fn()
-	case a.up:
-		_ = p.layer.HandleUp(message.New(a.data))
-	default:
-		_ = p.layer.HandleDown(message.New(a.data))
-	}
+// toUpstream is where a datagram that cleared the receive filter goes.
+func (p *Proxy) toUpstream(m *message.Message) error {
+	_ = p.upstreamConn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+	_, err := p.upstreamConn.Write(m.Bytes())
+	return err
 }
 
-// readClient pumps datagrams from clients into the receive filter.
-// The buffer is one byte larger than the cap so oversized datagrams are
-// detectable rather than silently truncated.
-func (p *Proxy) readClient() {
+// toClient is where a datagram that cleared the send filter goes.
+func (p *Proxy) toClient(m *message.Message) error {
+	if !p.client.IsValid() {
+		return errors.New("interpose: no client yet")
+	}
+	_ = p.listenConn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+	_, err := p.listenConn.WriteToUDPAddrPort(m.Bytes(), p.client)
+	return err
+}
+
+// serve is a reader's loop: every datagram conn receives runs through
+// handle — one direction of the layer — and out the other socket on this
+// goroutine. The buffer is one byte larger than the cap so oversized
+// datagrams are detectable rather than silently truncated.
+func (p *Proxy) serve(conn *net.UDPConn, handle func(*message.Message) error, fromClients bool) {
+	defer p.readers.Done()
 	buf := make([]byte, p.maxDatagram+1)
 	for {
-		n, addr, err := p.listenConn.ReadFromUDP(buf)
+		n, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // closed or draining
 		}
@@ -313,45 +331,21 @@ func (p *Proxy) readClient() {
 			p.oversized.Add(1)
 			continue
 		}
-		data := make([]byte, n)
-		copy(data, buf[:n])
 		p.mu.Lock()
-		p.clientAddr = addr
-		closed := p.closed
-		if !closed {
-			// Toward the upstream: the receive filter.
-			p.actions <- action{data: data, up: true}
-		}
-		p.mu.Unlock()
-		if closed {
+		if p.closed {
+			p.mu.Unlock()
 			return
 		}
-	}
-}
-
-// readUpstream pumps datagrams from the upstream into the send filter.
-func (p *Proxy) readUpstream() {
-	buf := make([]byte, p.maxDatagram+1)
-	for {
-		n, err := p.upstreamConn.Read(buf)
-		if err != nil {
-			return // closed or draining
+		if fromClients && !p.client.IsValid() {
+			p.client = from
 		}
-		if n > p.maxDatagram {
-			p.oversized.Add(1)
-			continue
-		}
-		data := make([]byte, n)
-		copy(data, buf[:n])
-		p.mu.Lock()
-		closed := p.closed
-		if !closed {
-			// Toward the client: the send filter.
-			p.actions <- action{data: data, up: false}
+		if fromClients && from != p.client {
+			p.foreign.Add(1)
+		} else {
+			p.fireDue()
+			_ = handle(message.New(buf[:n]))
+			p.rearm()
 		}
 		p.mu.Unlock()
-		if closed {
-			return
-		}
 	}
 }

@@ -76,8 +76,14 @@ type Conn struct {
 	sndNxt uint32
 	sndWnd int
 
-	sendQ   []byte // data accepted from the app, not yet segmented
-	unacked []*sentSeg
+	// sendQ[sendHead:] is the data accepted from the app and not yet
+	// segmented — unsent bytes in all — as the chunks Send copied it into.
+	// A chunk is never written again, so pump hands out sub-slices of it as
+	// segment payloads and snapshots share it.
+	sendQ    [][]byte
+	sendHead int
+	unsent   int
+	unacked  []*sentSeg
 
 	rtxTimer simtime.Timer
 	// rtxCount counts consecutive timeouts of the oldest segment (the BSD
@@ -241,9 +247,50 @@ func (c *Conn) Send(data []byte) error {
 	default:
 		return fmt.Errorf("tcp: send in state %v", c.state)
 	}
-	c.sendQ = append(c.sendQ, data...)
+	// pump consumes chunks by advancing sendHead, so the queue keeps its
+	// capacity. The consumed front is reclaimed once it is at least as long
+	// as the backlog: each entry then moves at most once more, however many
+	// Sends a stalled window queues up behind it.
+	if backlog := len(c.sendQ) - c.sendHead; c.sendHead >= backlog {
+		copy(c.sendQ, c.sendQ[c.sendHead:])
+		clear(c.sendQ[backlog:])
+		c.sendQ, c.sendHead = c.sendQ[:backlog], 0
+	}
+	if len(data) > 0 {
+		c.sendQ = append(c.sendQ, append([]byte(nil), data...))
+		c.unsent += len(data)
+	}
 	c.pump()
 	return nil
+}
+
+// take removes the next n unsent bytes from the queue. Within one chunk
+// that is a sub-slice of it; a segment that spans chunks (Sends smaller
+// than the MSS) is gathered into a buffer of its own.
+func (c *Conn) take(n int) []byte {
+	c.unsent -= n
+	if head := c.sendQ[c.sendHead]; len(head) >= n {
+		c.advance(n)
+		return head[:n:n]
+	}
+	p := make([]byte, 0, n)
+	for len(p) < n {
+		head := c.sendQ[c.sendHead]
+		k := min(n-len(p), len(head))
+		p = append(p, head[:k]...)
+		c.advance(k)
+	}
+	return p
+}
+
+// advance drops the first k bytes of the head chunk, and the chunk with its
+// last byte.
+func (c *Conn) advance(k int) {
+	head := &c.sendQ[c.sendHead]
+	if *head = (*head)[k:]; len(*head) == 0 {
+		*head = nil
+		c.sendHead++
+	}
 }
 
 // Close initiates an orderly shutdown (FIN).
@@ -352,7 +399,7 @@ func (c *Conn) pump() {
 	if c.state != StateEstablished && c.state != StateCloseWait {
 		return
 	}
-	for len(c.sendQ) > 0 {
+	for c.unsent > 0 {
 		inFlight := int(c.sndNxt - c.sndUna)
 		room := c.sndWnd - inFlight
 		if room <= 0 {
@@ -365,13 +412,11 @@ func (c *Conn) pump() {
 		if n > room {
 			n = room
 		}
-		if n > len(c.sendQ) {
-			n = len(c.sendQ)
+		if n > c.unsent {
+			n = c.unsent
 		}
-		payload := append([]byte(nil), c.sendQ[:n]...)
-		c.sendQ = c.sendQ[n:]
 		seg := c.baseSegment(FlagACK | FlagPSH)
-		seg.Payload = payload
+		seg.Payload = c.take(n)
 		c.sndNxt += uint32(n)
 		c.trackSent(seg)
 		c.transmit(seg)
@@ -603,7 +648,7 @@ func (c *Conn) processAck(seg *Segment) {
 	if c.sndWnd > 0 {
 		c.stopZWP()
 		c.pump()
-	} else if len(c.sendQ) > 0 || c.zwpEver {
+	} else if c.unsent > 0 || c.zwpEver {
 		c.startZWP()
 	}
 }
@@ -814,12 +859,12 @@ func (c *Conn) onZWPTimer() {
 	if c.state != StateEstablished || c.sndWnd > 0 {
 		return
 	}
-	if len(c.sendQ) == 0 && len(c.unacked) == 0 {
+	if c.unsent == 0 && len(c.unacked) == 0 {
 		return
 	}
 	seg := c.baseSegment(FlagACK)
-	if len(c.sendQ) > 0 {
-		seg.Payload = []byte{c.sendQ[0]} // probe carries one byte past the window
+	if c.unsent > 0 {
+		seg.Payload = []byte{c.sendQ[c.sendHead][0]} // probe carries one byte past the window
 	}
 	c.layer.logEvent(c, "zwp", seg)
 	c.transmit(seg)

@@ -39,7 +39,8 @@ type connState struct {
 	sndNxt uint32
 	sndWnd int
 
-	sendQ   []byte
+	sendQ   [][]byte // the unsent chunks, shared: only their headers are copied
+	unsent  int
 	unacked []sentSegState
 
 	rtxCount  int
@@ -82,7 +83,8 @@ func (c *Conn) snapshotState() *connState {
 		sndUna:        c.sndUna,
 		sndNxt:        c.sndNxt,
 		sndWnd:        c.sndWnd,
-		sendQ:         append([]byte(nil), c.sendQ...),
+		sendQ:         append([][]byte(nil), c.sendQ[c.sendHead:]...),
+		unsent:        c.unsent,
 		rtxCount:      c.rtxCount,
 		globalErr:     c.globalErr,
 		backoff:       c.backoff,
@@ -124,7 +126,8 @@ func (c *Conn) restoreState(st *connState) {
 	c.est.srtt, c.est.rttvar, c.est.sampled = st.est.srtt, st.est.rttvar, st.est.sampled
 	c.state = st.state
 	c.iss, c.sndUna, c.sndNxt, c.sndWnd = st.iss, st.sndUna, st.sndNxt, st.sndWnd
-	c.sendQ = append(c.sendQ[:0], st.sendQ...)
+	clear(c.sendQ)
+	c.sendQ, c.sendHead, c.unsent = append(c.sendQ[:0], st.sendQ...), 0, st.unsent
 	c.unacked = c.unacked[:0]
 	for _, sv := range st.unacked {
 		sv.ss.retransmits = sv.retransmits

@@ -877,3 +877,40 @@ func TestPropertyStreamIntegrityUnderLoss(t *testing.T) {
 		}
 	}
 }
+
+// TestSendQueueSegmentsAcrossChunks: the send queue keeps what each Send
+// handed it as a chunk of its own. Sends of every size relative to the MSS —
+// queued faster than the window drains, from one buffer the caller keeps
+// overwriting — still leave as one byte stream: segments are cut across
+// chunk boundaries and nothing the caller does after Send shows through.
+func TestSendQueueSegmentsAcrossChunks(t *testing.T) {
+	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
+	var got bytes.Buffer
+	c := p.dial(t, 80, func(sc *tcp.Conn) {
+		sc.OnData(func(d []byte) { got.Write(d) })
+	})
+	mss := p.a.tcp.Profile().MSS
+	var want []byte
+	scratch := make([]byte, 3*mss)
+	for round, next := 0, byte(0); round < 40; round++ {
+		for _, n := range []int{1, mss - 1, mss, mss + 1, 0, 100, 3 * mss, 37} {
+			buf := scratch[:n]
+			for i := range buf {
+				buf[i] = next
+				next++
+			}
+			want = append(want, buf...)
+			if err := c.Send(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.w.RunFor(time.Millisecond) // far less than the backlog needs
+	}
+	p.w.RunFor(time.Minute)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("delivered %d bytes, sent %d, equal=%v", got.Len(), len(want), bytes.Equal(got.Bytes(), want))
+	}
+	if c.UnackedSegments() != 0 {
+		t.Fatalf("%d segments still unacknowledged", c.UnackedSegments())
+	}
+}
