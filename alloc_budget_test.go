@@ -21,11 +21,23 @@ import (
 	"pfi/internal/tcp"
 )
 
+// benchStub is a minimal recognition stub for the filter-path budget: it
+// types every packet without decoding header fields.
+type benchStub struct{}
+
+func (benchStub) Protocol() string { return "bench" }
+func (benchStub) Recognize(m *message.Message) (core.Info, error) {
+	return core.Info{Type: "DATA"}, nil
+}
+func (benchStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
+	return message.NewString(typ), nil
+}
+
 // TestFilterProcessAllocBudget pins the steady-state allocation count of
 // the per-message filter path so regressions fail `make check` instead of
-// silently eroding campaign throughput. The budget matches the compiled-VM
-// number recorded in BENCH_script.json; raise it only with a bench entry
-// explaining why.
+// silently eroding campaign throughput. The budget is the compiled VM's
+// steady state (the ledger times the same path as script.filter_ns_per_msg);
+// raise it only with a ledger entry explaining why.
 //
 // The race detector instruments allocations, so the budget is only
 // meaningful (and only enforced) in normal builds.
@@ -53,13 +65,29 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 	})
 }
 
+// forkPrefix is a deliberately expensive shared prefix: a lossy first
+// minute forces the vendor stack through its full retransmission machinery
+// before the world settles. Fuzzing candidates that mutate only the tail
+// share all of this work.
+const forkPrefix = `world tcp
+faultload vendor send {
+if {[msg_type cur_msg] eq "DATA" && [now] < 60000} { xDrop cur_msg }
+}
+tcp_dial
+tcp_stream 32 250
+run 240000
+`
+
+// forkSuffix is the cheap mutated tail a candidate actually varies.
+const forkSuffix = "run 5000\nsent_len\n"
+
 // TestWorldForkAllocBudget pins the allocation count of one snapshot-forked
 // fuzzing iteration (restore the captured world, run the mutated suffix,
 // package the Result). The point of the fork path is that its cost scales
 // with the suffix, not the prefix — a ballooning per-fork allocation count
-// would quietly hand the prefix work back. The budget tracks the number
-// recorded in BENCH_snapshot.json with headroom for runtime variance; raise
-// it only with a bench entry explaining why.
+// would quietly hand the prefix work back. The budget is the measured count
+// with headroom for runtime variance (the ledger times the same path as
+// snapshot.fork_us); raise it only with a ledger entry explaining why.
 func TestWorldForkAllocBudget(t *testing.T) {
 	sess, err := conformance.NewSession(forkPrefix, conformance.Options{})
 	if err != nil {

@@ -107,5 +107,8 @@ func run(listen, upstream, sendScript, recvScript string, maxDgram int, drainTO 
 	if n := p.ForeignDropped(); n > 0 {
 		fmt.Printf("pfiproxy: dropped %d datagram(s) from other clients (one client per proxy: the first sender)\n", n)
 	}
+	if n := p.ReadErrors(); n > 0 {
+		fmt.Printf("pfiproxy: rode out %d socket read error(s) (e.g. the upstream was not listening yet)\n", n)
+	}
 	return nil
 }

@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 
 	"pfi/internal/conformance"
 	"pfi/internal/diag"
@@ -146,7 +145,7 @@ func run(ctx context.Context, out io.Writer, cfg config) (bool, error) {
 		opts.ProgDump = out
 	}
 	if cfg.profile != "" {
-		prof, err := profileByName(cfg.profile)
+		prof, err := tcp.ProfileByName(cfg.profile)
 		if err != nil {
 			return false, err
 		}
@@ -228,30 +227,4 @@ func worldLabel(r *conformance.Result) string {
 		return "(no world)"
 	}
 	return r.World
-}
-
-// profileByName resolves a -profile flag value with the same forgiving
-// matching the scenario `world tcp <name>` command uses.
-func profileByName(name string) (tcp.Profile, error) {
-	canon := func(s string) string {
-		s = strings.ToLower(s)
-		return strings.Map(func(r rune) rune {
-			if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' {
-				return r
-			}
-			return -1
-		}, s)
-	}
-	want := canon(name)
-	all := append(tcp.Profiles(), tcp.XKernel())
-	for _, p := range all {
-		if pc := canon(p.Name); pc == want || strings.HasPrefix(pc, want) {
-			return p, nil
-		}
-	}
-	names := make([]string, len(all))
-	for i, p := range all {
-		names[i] = p.Name
-	}
-	return tcp.Profile{}, fmt.Errorf("unknown profile %q (have %s)", name, strings.Join(names, ", "))
 }

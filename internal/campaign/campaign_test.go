@@ -13,7 +13,6 @@ import (
 	"pfi/internal/netsim"
 	"pfi/internal/rudp"
 	"pfi/internal/stack"
-	"pfi/internal/tpc"
 )
 
 func TestGenerateMatrix(t *testing.T) {
@@ -197,72 +196,5 @@ func TestFaultKindString(t *testing.T) {
 	}
 	if len(campaign.AllFaults()) != 6 {
 		t.Error("AllFaults count")
-	}
-}
-
-// TestCampaignAgainstTPC sweeps the generated matrix over two-phase commit
-// and checks atomicity: under every structural single-fault attack, no two
-// participants decide different outcomes.
-func TestCampaignAgainstTPC(t *testing.T) {
-	spec := campaign.Spec{
-		Protocol: "tpc",
-		Types:    []string{"PREPARE", "VOTE-YES", "COMMIT", "ABORT", "RUDP-ACK"},
-		Faults: []campaign.FaultKind{
-			campaign.Drop, campaign.Delay, campaign.Duplicate, campaign.Reorder,
-		},
-	}
-	scenario := func(m *harden.Monitor, c campaign.Case) (bool, string, error) {
-		w := netsim.NewWorld(7)
-		names := []string{"p1", "p2", "p3"}
-		participants := map[string]*tpc.Participant{}
-		var coord *tpc.Coordinator
-		var victim *core.Layer
-		for _, name := range append([]string{"coord"}, names...) {
-			node, err := w.AddNode(name)
-			if err != nil {
-				return false, "", err
-			}
-			net := rudp.NewLayer(node.Env())
-			pfi := core.NewLayer(node.Env(), core.WithStub(tpc.PFIStub{}))
-			node.SetStack(stack.New(node.Env(), net, pfi))
-			if name == "coord" {
-				coord = tpc.NewCoordinator(node.Env(), net)
-			} else {
-				participants[name] = tpc.NewParticipant(node.Env(), net)
-			}
-			if name == "p2" {
-				victim = pfi
-			}
-		}
-		if err := w.ConnectAll(netsim.LinkConfig{Latency: 2 * time.Millisecond}); err != nil {
-			return false, "", err
-		}
-		if err := c.Apply(victim); err != nil {
-			return false, "", err
-		}
-		tx, err := coord.Begin(names, nil)
-		if err != nil {
-			return false, "", err
-		}
-		w.RunFor(2 * time.Minute)
-		decided := map[tpc.TxState]bool{}
-		for _, name := range names {
-			s := participants[name].State(tx)
-			if s == tpc.StateCommitted || s == tpc.StateAborted {
-				decided[s] = true
-			}
-		}
-		if len(decided) > 1 {
-			return false, fmt.Sprintf("split decision: %v", decided), nil
-		}
-		return true, fmt.Sprintf("coordinator outcome %v", coord.Outcome(tx)), nil
-	}
-	verdicts, _, err := campaign.Run(spec, scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fails := campaign.Failures(verdicts); len(fails) > 0 {
-		t.Errorf("%d generated cases broke 2PC atomicity:\n%s",
-			len(fails), campaign.Summary(fails))
 	}
 }

@@ -296,35 +296,14 @@ func (h *harness) entries() []trace.Entry {
 	return h.log.Entries()
 }
 
-// profileByName resolves a vendor profile from a scenario token. Matching is
-// forgiving: "sunos", "SunOS 4.1.3" and "sunos-4.1.3" all hit the same
-// profile, and "default" (or "") selects the runner's default.
+// profileByName resolves a vendor profile from a scenario token: "default"
+// (or "") selects the runner's default, anything else goes through
+// tcp.ProfileByName's forgiving match.
 func (h *harness) profileByName(name string) (tcp.Profile, error) {
 	if name == "" || strings.EqualFold(name, "default") {
 		return h.defaultProf, nil
 	}
-	canon := func(s string) string {
-		s = strings.ToLower(s)
-		return strings.Map(func(r rune) rune {
-			if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' {
-				return r
-			}
-			return -1
-		}, s)
-	}
-	want := canon(name)
-	all := append(tcp.Profiles(), tcp.XKernel())
-	for _, p := range all {
-		pc := canon(p.Name)
-		if pc == want || strings.HasPrefix(pc, want) {
-			return p, nil
-		}
-	}
-	names := make([]string, len(all))
-	for i, p := range all {
-		names[i] = p.Name
-	}
-	return tcp.Profile{}, fmt.Errorf("unknown tcp profile %q (have %s)", name, strings.Join(names, ", "))
+	return tcp.ProfileByName(name)
 }
 
 // parseBugs maps scenario bug tokens onto gmp.Bugs.

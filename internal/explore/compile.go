@@ -3,9 +3,11 @@ package explore
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"pfi/internal/campaign"
 	"pfi/internal/core"
+	"pfi/internal/fault"
 )
 
 // streamSpacingMS is the fixed inter-segment spacing of the TCP workload.
@@ -72,7 +74,12 @@ func compile(s Schedule, checks []string) (string, error) {
 		if _, seen := scripts[k]; !seen {
 			order = append(order, k)
 		}
-		snippet, err := campaign.FaultSnippet(g.Fault, faultGuard(g), campaign.SnippetParams{
+		typ := g.Type
+		if typ == "*" {
+			typ = ""
+		}
+		guard := fault.Guard(time.Duration(g.AtMS)*time.Millisecond, time.Duration(g.DurMS)*time.Millisecond, typ, g.Prob)
+		snippet, err := campaign.FaultSnippet(g.Fault, guard, campaign.SnippetParams{
 			DelayMS:       g.Param,
 			FirstN:        g.Param,
 			CorruptOffset: g.Param,
@@ -139,28 +146,6 @@ func compile(s Schedule, checks []string) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// faultGuard renders a fault gene's activation condition: time window,
-// type selector, and probabilistic coin.
-func faultGuard(g Gene) string {
-	var conds []string
-	if g.AtMS > 0 {
-		conds = append(conds, fmt.Sprintf("[now] >= %d", g.AtMS))
-	}
-	if g.DurMS > 0 {
-		conds = append(conds, fmt.Sprintf("[now] < %d", g.AtMS+g.DurMS))
-	}
-	if g.Type != "" && g.Type != "*" {
-		conds = append(conds, fmt.Sprintf("[string match {%s} [msg_type cur_msg]]", g.Type))
-	}
-	if g.Prob > 0 && g.Prob < 1 {
-		conds = append(conds, fmt.Sprintf("[coin %g]", g.Prob))
-	}
-	if len(conds) == 0 {
-		return "1"
-	}
-	return strings.Join(conds, " && ")
 }
 
 // event is one timeline entry.

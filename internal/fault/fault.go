@@ -130,29 +130,25 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-func (p Plan) prob() float64 {
-	if p.Prob == 0 {
-		return 1
-	}
-	return p.Prob
-}
-
-// guard renders the activation window + type filter + probability test as
-// a Tcl condition. A fault acts only when the guard is true.
-func (p Plan) guard() string {
+// Guard renders a fault's activation condition — time window, message-type
+// glob, per-message probability — as a Tcl expression; a fault acts only
+// when it is true. It is the one renderer of this vocabulary: Plan.Scripts
+// and the fuzzer's fault genes both go through it. Zero start or dur leaves
+// that side of the window open, an empty typeGlob matches every type, and
+// prob outside (0,1) means every message.
+func Guard(start, dur time.Duration, typeGlob string, prob float64) string {
 	var conds []string
-	if p.Start > 0 {
-		conds = append(conds, fmt.Sprintf("[now] >= %d", p.Start.Milliseconds()))
+	if start > 0 {
+		conds = append(conds, fmt.Sprintf("[now] >= %d", start.Milliseconds()))
 	}
-	if p.Duration > 0 {
-		end := p.Start + p.Duration
-		conds = append(conds, fmt.Sprintf("[now] < %d", end.Milliseconds()))
+	if dur > 0 {
+		conds = append(conds, fmt.Sprintf("[now] < %d", (start+dur).Milliseconds()))
 	}
-	if p.TypeGlob != "" {
-		conds = append(conds, fmt.Sprintf("[string match {%s} [msg_type cur_msg]]", p.TypeGlob))
+	if typeGlob != "" {
+		conds = append(conds, fmt.Sprintf("[string match {%s} [msg_type cur_msg]]", typeGlob))
 	}
-	if pr := p.prob(); pr < 1 {
-		conds = append(conds, fmt.Sprintf("[coin %g]", pr))
+	if prob > 0 && prob < 1 {
+		conds = append(conds, fmt.Sprintf("[coin %g]", prob))
 	}
 	if len(conds) == 0 {
 		return "1"
@@ -166,14 +162,13 @@ func (p Plan) Scripts() (send, recv string, err error) {
 	if err := p.Validate(); err != nil {
 		return "", "", err
 	}
-	drop := fmt.Sprintf("if {%s} { xDrop cur_msg }\n", p.guard())
+	guard := Guard(p.Start, p.Duration, p.TypeGlob, p.Prob)
+	drop := fmt.Sprintf("if {%s} { xDrop cur_msg }\n", guard)
 	switch p.Model {
 	case ProcessCrash:
 		// A crashed process neither sends nor receives. Crashes never
 		// recover, so Duration is ignored.
-		crash := p
-		crash.Duration = 0
-		crashDrop := fmt.Sprintf("if {%s} { xDrop cur_msg }\n", crash.guard())
+		crashDrop := fmt.Sprintf("if {%s} { xDrop cur_msg }\n", Guard(p.Start, 0, p.TypeGlob, p.Prob))
 		return crashDrop, crashDrop, nil
 	case LinkCrash:
 		// The link loses messages in transit: model at the sender's wire
@@ -189,22 +184,23 @@ func (p Plan) Scripts() (send, recv string, err error) {
 	case Timing:
 		delay := fmt.Sprintf(
 			"if {%s} { xDelay cur_msg [expr {abs([dst_normal %d %d])}] }\n",
-			p.guard(), p.MeanDelay.Milliseconds(), p.DelayVariance.Milliseconds())
+			guard, p.MeanDelay.Milliseconds(), p.DelayVariance.Milliseconds())
 		return delay, delay, nil
 	case Byzantine:
-		return p.byzantineScript(), p.byzantineScript(), nil
+		byz := p.byzantineScript(guard)
+		return byz, byz, nil
 	default:
 		return "", "", fmt.Errorf("fault: unhandled model %v", p.Model)
 	}
 }
 
-func (p Plan) byzantineScript() string {
+func (p Plan) byzantineScript(guard string) string {
 	corrupt, duplicate, reorder := p.Corrupt, p.Duplicate, p.Reorder
 	if !corrupt && !duplicate && !reorder {
 		corrupt = true
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "if {%s} {\n", p.guard())
+	fmt.Fprintf(&b, "if {%s} {\n", guard)
 	var arms []string
 	if corrupt {
 		arms = append(arms, `

@@ -129,3 +129,39 @@ func TestDrainIdleIsFast(t *testing.T) {
 		t.Errorf("second Drain: %v", err)
 	}
 }
+
+// TestUpstreamNotYetListening: a datagram forwarded before the upstream
+// listens comes back as ECONNREFUSED on the upstream socket's next read.
+// The reader rides that out (counted) instead of exiting, so once the
+// upstream is up replies flow again without a restart.
+func TestUpstreamNotYetListening(t *testing.T) {
+	// Reserve a port, then free it: nothing listens there yet.
+	probe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.LocalAddr().(*net.UDPAddr)
+	probe.Close()
+
+	p := newProxy(t, addr.String())
+	c := dialProxy(t, p)
+	if got := sendRecv(t, c, "too-early", 50*time.Millisecond); got != "" {
+		t.Fatalf("reply %q from an upstream that does not exist", got)
+	}
+	for deadline := time.Now().Add(2 * time.Second); p.ReadErrors() == 0; {
+		if time.Now().After(deadline) {
+			t.Skip("no ICMP error reached the upstream socket on this host")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	up, err := net.ListenUDP("udp", addr)
+	if err != nil {
+		t.Skipf("port %d was taken meanwhile: %v", addr.Port, err)
+	}
+	defer up.Close()
+	go echo(up)
+	if got := sendRecv(t, c, "now-listening", 2*time.Second); got != "now-listening" {
+		t.Fatalf("reply after the upstream came up = %q, want the echo", got)
+	}
+}

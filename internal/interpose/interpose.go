@@ -48,6 +48,7 @@ type Proxy struct {
 	writeTimeout time.Duration
 	oversized    atomic.Int64
 	foreign      atomic.Int64
+	readErrors   atomic.Int64
 
 	// mu owns the layer and the scheduler: a filter run, a scheduler event
 	// and a Do closure each hold it from start to finish, socket write
@@ -176,6 +177,14 @@ func (p *Proxy) OversizedDropped() int64 {
 // clients apart and every reply goes to the one client served.
 func (p *Proxy) ForeignDropped() int64 {
 	return p.foreign.Load()
+}
+
+// ReadErrors reports how many socket reads failed while the proxy was
+// running and were ridden out — typically ECONNREFUSED on the connected
+// upstream socket: a datagram forwarded before the upstream listened comes
+// back as an ICMP error on the next receive.
+func (p *Proxy) ReadErrors() int64 {
+	return p.readErrors.Load()
 }
 
 // Drain shuts the proxy down gracefully: it stops accepting datagrams,
@@ -325,7 +334,17 @@ func (p *Proxy) serve(conn *net.UDPConn, handle func(*message.Message) error, fr
 	for {
 		n, from, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			return // closed or draining
+			// Once Drain or Close has begun a failed read means "stop";
+			// before that it is the socket reporting on one datagram (see
+			// ReadErrors) and every later datagram is still good.
+			p.mu.Lock()
+			stop := p.closed || p.draining
+			p.mu.Unlock()
+			if stop || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			p.readErrors.Add(1)
+			continue
 		}
 		if n > p.maxDatagram {
 			p.oversized.Add(1)

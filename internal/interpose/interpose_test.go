@@ -18,19 +18,22 @@ func echoServer(t *testing.T) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		buf := make([]byte, 64*1024)
-		for {
-			n, addr, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			if _, err := conn.WriteToUDP(buf[:n], addr); err != nil {
-				return
-			}
-		}
-	}()
+	go echo(conn)
 	return conn.LocalAddr().String(), func() { conn.Close() }
+}
+
+// echo answers every datagram conn receives until conn is closed.
+func echo(conn *net.UDPConn) {
+	buf := make([]byte, 64*1024)
+	for {
+		n, addr, err := conn.ReadFromUDP(buf)
+		if err != nil {
+			return
+		}
+		if _, err := conn.WriteToUDP(buf[:n], addr); err != nil {
+			return
+		}
+	}
 }
 
 // dialProxy returns a client socket pointed at the proxy.

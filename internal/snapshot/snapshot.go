@@ -13,10 +13,10 @@
 // across a restore.
 //
 // A Registry is the world's roster of Snapshotters, registered at build
-// time in a fixed order. Capture walks the roster once; Restore (or Fork)
-// walks it again writing the saved states back. Restores are idempotent —
-// the saved states are never consumed — so one snapshot serves any number
-// of children.
+// time in a fixed order. Capture walks the roster once; Restore walks it
+// again writing the saved states back. Restores are idempotent — the saved
+// states are never consumed — so one snapshot serves any number of
+// children.
 package snapshot
 
 import "fmt"
@@ -89,19 +89,4 @@ func (s *Snapshot) Restore() {
 	for i, c := range s.reg.comps {
 		c.RestoreState(s.states[i])
 	}
-}
-
-// Fork runs fn n times, rewinding the world to the snapshot before each
-// child. Children run sequentially — the world is single-threaded — each
-// starting from the identical warm parent state. The first error stops the
-// remaining children; the world is left in whatever state the last child
-// produced (call Restore to rewind once more).
-func (s *Snapshot) Fork(n int, fn func(child int) error) error {
-	for i := 0; i < n; i++ {
-		s.Restore()
-		if err := fn(i); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"pfi/internal/conformance"
-	"pfi/internal/exp"
 )
 
 // raftChurnSource renders the scale battery's churn scenario for an n-node
@@ -106,31 +104,3 @@ func TestRaftReplayDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// benchRaftSteps measures the steady-state cost of one simulated scheduler
-// step in an n-node raft world that has already elected a leader — the
-// denominator of every scale claim the battery makes. One benchmark op is
-// one scheduler step, so ns/op in BENCH_raft.json reads directly as ns per
-// simulated step.
-func benchRaftSteps(b *testing.B, n int) {
-	r, err := exp.NewRaftRig(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.StartAll()
-	r.W.RunFor(20 * time.Second)
-	if ls := r.Leaders(); len(ls) != 1 {
-		b.Fatalf("no stable leader after settle: %v", ls)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	steps := 0
-	for steps < b.N {
-		steps += r.W.RunFor(100 * time.Millisecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(steps)/float64(b.N), "steps/op-actual")
-}
-
-func BenchmarkRaftStep100(b *testing.B)  { benchRaftSteps(b, 100) }
-func BenchmarkRaftStep1000(b *testing.B) { benchRaftSteps(b, 1000) }
