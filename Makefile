@@ -3,9 +3,10 @@ GO ?= go
 .PHONY: check vet build test race bench-e2e bench-smoke fuzz explore goldens loc
 
 # check is the full PR gate: vet, build, every test once plain and once
-# under the race detector, a short fuzz smoke over the script language and
-# the journal parser, and a one-iteration pass over every benchmark so they
-# always compile. Allocation budgets (alloc_budget_test.go: the filter
+# under the race detector, a short fuzz smoke over the script language, the
+# journal parser and the conformance harness's sent-stream log, and a
+# one-iteration pass over every benchmark so they always compile.
+# Allocation budgets (alloc_budget_test.go: the filter
 # path, a world fork, and the per-hop message path) are enforced in the
 # plain `test` pass — the detector instruments allocations — so hot-path
 # alloc creep fails the gate. There are no per-subsystem targets: a
@@ -58,12 +59,16 @@ bench-e2e:
 # byte-for-byte on result, error text, and output. FuzzJournalParse
 # hammers the write-ahead log's frame parser with hostile bytes — the
 # recovery scan must never panic, loop, or accept a corrupt frame.
+# FuzzDeliveredStream drives the conformance harness's run-length log of
+# what it sent — sends, repeats, deliveries, captures, rewinds — against the
+# keep-every-byte definition of sent_len / recv_len / recv_matches.
 fuzz:
 	$(GO) test -run @ -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/script/
 	$(GO) test -run @ -fuzz 'FuzzEval$$' -fuzztime 10s ./internal/script/
 	$(GO) test -run @ -fuzz 'FuzzEvalExpr$$' -fuzztime 10s ./internal/script/
 	$(GO) test -run @ -fuzz 'FuzzCompiledParity$$' -fuzztime 10s ./internal/script/
 	$(GO) test -run @ -fuzz 'FuzzJournalParse$$' -fuzztime 10s ./internal/journal/
+	$(GO) test -run @ -fuzz 'FuzzDeliveredStream$$' -fuzztime 10s ./internal/conformance/
 
 # explore runs a pinned-seed coverage-guided fuzz over the fault-schedule
 # space (~30s): a deterministic smoke that the explorer still converges and

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -22,6 +21,23 @@ func needArgs(args []string, n int, usage string) error {
 		return fmt.Errorf("wrong # args: should be %q", usage)
 	}
 	return nil
+}
+
+// maxSendBytes bounds one tcp_send. The command allocates its argument, and
+// scenario files are outside input: 1 MiB is 256 default receive buffers
+// and 170 times the largest send any shipped scenario makes (6144), while
+// a count like 300000000000 is refused instead of killing the process.
+// Longer streams are tcp_stream's job, whose memory does not grow with its
+// count.
+const maxSendBytes = 1 << 20
+
+// patternBytes builds the workload payload: n bytes of a–z repeating.
+func patternBytes(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte('a' + i%26)
+	}
+	return p
 }
 
 func parseDir(s string) (core.Direction, error) {
@@ -365,6 +381,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
+	// tcp_send queues one write of n pattern bytes, n at most maxSendBytes.
 	in.Register("tcp_send", func(_ *script.Interp, args []string) (string, error) {
 		if err := needArgs(args, 1, "tcp_send bytes"); err != nil {
 			return "", err
@@ -376,11 +393,11 @@ func registerCommands(in *script.Interp, h *harness) {
 		if err != nil || n <= 0 {
 			return "", fmt.Errorf("bad byte count %q", args[0])
 		}
-		payload := make([]byte, n)
-		for i := range payload {
-			payload[i] = byte('a' + i%26)
+		if n > maxSendBytes {
+			return "", fmt.Errorf("byte count %d exceeds the tcp_send limit of %d; stream more with tcp_stream", n, maxSendBytes)
 		}
-		h.sent = append(h.sent, payload...)
+		payload := patternBytes(n)
+		h.sent.add(payload)
 		return "", h.conn.Send(payload)
 	})
 
@@ -399,16 +416,13 @@ func registerCommands(in *script.Interp, h *harness) {
 		if err != nil || spacing < 0 {
 			return "", fmt.Errorf("bad spacing %q", args[1])
 		}
-		// The total is known up front and every segment carries the same
-		// pattern: grow the sent record once, build the payload once
-		// (Conn.Send copies what it queues).
-		payload := make([]byte, h.prof.MSS)
-		for j := range payload {
-			payload[j] = byte('a' + j%26)
-		}
-		h.sent = slices.Grow(h.sent, n*len(payload))
+		// Every segment carries the same pattern: one payload, never written
+		// again, is what Conn.Send queues n times and what the sent log
+		// records as one run — nothing here grows with n, so a hostile count
+		// runs into the run's budgets, not out of memory.
+		payload := patternBytes(h.prof.MSS)
 		for i := 0; i < n; i++ {
-			h.sent = append(h.sent, payload...)
+			h.sent.add(payload)
 			if err := h.conn.Send(payload); err != nil {
 				return "", fmt.Errorf("segment %d: %w", i, err)
 			}
@@ -442,7 +456,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		if err := h.needTCP(); err != nil {
 			return "", err
 		}
-		return strconv.Itoa(len(h.sent)), nil
+		return strconv.Itoa(h.sent.len()), nil
 	})
 
 	in.Register("recv_matches", func(_ *script.Interp, args []string) (string, error) {

@@ -1,7 +1,9 @@
 package conformance
 
 import (
+	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -107,5 +109,34 @@ func TestRunKeepsZeroConfigBehavior(t *testing.T) {
 	r := Run(New("clean", "world tcp\nrun 1s\n"), Options{})
 	if r.Err != nil || r.Outcome != harden.Pass || r.Isolation != nil {
 		t.Fatalf("clean run: outcome %v isolation %+v err %v", r.Outcome, r.Isolation, r.Err)
+	}
+}
+
+// TestHostileCountsAreContained: scenario files are outside input, and a
+// count in one must not be able to take the process down with a runtime
+// out-of-memory throw, which no recover contains. tcp_stream's memory does
+// not grow with its count, so three billion segments end where any long
+// run does, at a budget; tcp_send allocates its argument and refuses a
+// count above its limit with an ordinary script error.
+func TestHostileCountsAreContained(t *testing.T) {
+	r := Run(New("hostile-stream", "world tcp\ntcp_dial\n"+
+		"faultload vendor send { msg_log cur_msg seen }\ntcp_stream 3000000000 1ms\n"),
+		Options{Harden: harden.Config{Budget: harden.Budget{TraceEntries: 5_000}}})
+	if r.Outcome != harden.BudgetExceeded {
+		t.Fatalf("tcp_stream 3000000000: outcome %v, want BudgetExceeded (err: %v)", r.Outcome, r.Err)
+	}
+	if r.Isolation == nil || r.Isolation.Counter != "trace-entries" {
+		t.Errorf("isolation record %+v, want trace-entries counter", r.Isolation)
+	}
+
+	r = Run(New("hostile-send", "world tcp\ntcp_dial\ntcp_send 300000000000\n"), Options{})
+	if r.Outcome != harden.Fail || r.Err == nil {
+		t.Fatalf("tcp_send 300000000000: outcome %v err %v, want Fail", r.Outcome, r.Err)
+	}
+	if want := strconv.Itoa(maxSendBytes); !strings.Contains(r.Err.Error(), "limit of "+want) {
+		t.Errorf("err %v does not name the limit %s", r.Err, want)
+	}
+	if r := Run(New("largest-send", fmt.Sprintf("world tcp\ntcp_dial\ntcp_send %d\n", maxSendBytes)), Options{}); r.Outcome != harden.Pass {
+		t.Errorf("tcp_send %d (the limit itself): outcome %v err %v, want Pass", maxSendBytes, r.Outcome, r.Err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -62,14 +63,19 @@ type harness struct {
 	rig    *exp.TCPRig
 	conn   *tcp.Conn // client (vendor) connection
 	server *tcp.Conn // accepted (xkernel) connection
-	sent   []byte    // bytes pushed through tcp_send/tcp_stream
+	// sent is the stream pushed through tcp_send/tcp_stream, as runs of the
+	// payload slices Conn.Send was handed — it aliases them instead of
+	// keeping a second copy, which the Send contract (immutable once
+	// handed over) makes safe.
+	sent sentLog
 
 	// What the server delivered to the application, compared with sent as
 	// it arrives instead of kept: the count, whether any delivered byte
 	// differed from the byte sent at its offset (append-only on both
 	// sides, so a difference never heals), and the delivered bytes that
-	// still lie beyond len(sent) — an injected DATA segment can get ahead
-	// of the sender — waiting to be compared when sent catches up.
+	// still lie beyond sent.len() — an injected DATA segment can get ahead
+	// of the sender — copied (OnData only lends them) to be compared when
+	// sent catches up.
 	recvN     int
 	recvBad   bool
 	recvAhead []byte
@@ -100,22 +106,96 @@ func newHarness(defaultProf tcp.Profile) *harness {
 	}
 }
 
+// sentRun is one payload slice sent back to back: stream byte start+i is
+// payload[i%len(payload)], up to the next run's start (the log's length
+// for the last run), so the repeat count is implied. A run cut short by
+// truncate may end mid-pattern.
+type sentRun struct {
+	payload []byte
+	start   int
+}
+
+// sentLog is an append-only byte stream kept as runs: tcp_stream's 10,000
+// sends of one slice are one run, a tcp_send is a run of one.
+type sentLog struct {
+	runs []sentRun
+	n    int
+}
+
+func (l *sentLog) len() int { return l.n }
+
+// add appends p, extending the last run when p is the slice that run
+// repeats and the run ends on a pattern boundary.
+func (l *sentLog) add(p []byte) {
+	if len(p) == 0 {
+		return
+	}
+	if k := len(l.runs) - 1; k < 0 || !sameSlice(l.runs[k].payload, p) || (l.n-l.runs[k].start)%len(p) != 0 {
+		l.runs = append(l.runs, sentRun{payload: p, start: l.n})
+	}
+	l.n += len(p)
+}
+
+func sameSlice(a, b []byte) bool { return len(a) == len(b) && &a[0] == &b[0] }
+
+// truncate rewinds the log to its first n bytes.
+func (l *sentLog) truncate(n int) {
+	k := len(l.runs)
+	for k > 0 && l.runs[k-1].start >= n {
+		k--
+	}
+	l.runs, l.n = l.runs[:k], n
+}
+
+// equalAt reports whether d equals the logged bytes [off, off+len(d)),
+// which must lie within the log.
+func (l *sentLog) equalAt(off int, d []byte) bool {
+	// The run holding off: the last one that starts at or before it.
+	k := sort.Search(len(l.runs), func(i int) bool { return l.runs[i].start > off }) - 1
+	for len(d) > 0 {
+		r, end := l.runs[k], l.n
+		if k+1 < len(l.runs) {
+			end = l.runs[k+1].start
+		}
+		for len(d) > 0 && off < end {
+			p := r.payload[(off-r.start)%len(r.payload):]
+			n := min(len(p), len(d), end-off)
+			if !bytes.Equal(p[:n], d[:n]) {
+				return false
+			}
+			d, off = d[n:], off+n
+		}
+		k++
+	}
+	return true
+}
+
 // delivered accounts for d, the next bytes the server's application read.
+// d is lent (Conn.OnData): it is compared in place, and only the part
+// beyond what has been sent is copied.
 func (h *harness) delivered(d []byte) {
-	h.recvAhead = append(h.recvAhead, d...)
-	h.recvN += len(d)
 	h.settle()
+	at := h.recvN
+	h.recvN += len(d)
+	if len(h.recvAhead) == 0 {
+		n := min(len(d), h.sent.len()-at)
+		if !h.sent.equalAt(at, d[:n]) {
+			h.recvBad = true
+		}
+		d = d[n:]
+	}
+	h.recvAhead = append(h.recvAhead, d...)
 }
 
 // settle compares the delivered bytes sent has caught up with. Normally
-// that is all of them and recvAhead stays empty.
+// nothing was ahead and recvAhead is empty.
 func (h *harness) settle() {
 	at := h.recvN - len(h.recvAhead)
-	n := min(len(h.recvAhead), len(h.sent)-at)
+	n := min(len(h.recvAhead), h.sent.len()-at)
 	if n <= 0 {
 		return
 	}
-	if !bytes.Equal(h.recvAhead[:n], h.sent[at:at+n]) {
+	if !h.sent.equalAt(at, h.recvAhead[:n]) {
 		h.recvBad = true
 	}
 	h.recvAhead = h.recvAhead[:copy(h.recvAhead, h.recvAhead[n:])]
@@ -124,7 +204,7 @@ func (h *harness) settle() {
 // recvMatches reports whether the delivered stream equals the sent one.
 func (h *harness) recvMatches() bool {
 	h.settle()
-	return h.recvN == len(h.sent) && !h.recvBad
+	return h.recvN == h.sent.len() && !h.recvBad
 }
 
 func (h *harness) needWorld() error {

@@ -14,11 +14,11 @@ import (
 
 // harnessSaved is the harness's own mutable state at a capture point —
 // everything the scenario commands change that lives outside the world's
-// snapshot registry. The sent and verdict slices are append-only during a
-// run, so their state is their length; the delivered-stream comparison is
-// its three fields (recvAhead is consumed from the front, so it is copied);
-// the connection pointers keep their identity across a world restore (the
-// TCP layer snapshots them in place).
+// snapshot registry. The sent log and the verdict slice are append-only
+// during a run, so their state is their length; the delivered-stream
+// comparison is its three fields (recvAhead is consumed from the front, so
+// it is copied); the connection pointers keep their identity across a world
+// restore (the TCP layer snapshots them in place).
 type harnessSaved struct {
 	tol          time.Duration
 	conn, server *tcp.Conn
@@ -34,7 +34,7 @@ func (h *harness) save() harnessSaved {
 		tol:         h.tol,
 		conn:        h.conn,
 		server:      h.server,
-		sentLen:     len(h.sent),
+		sentLen:     h.sent.len(),
 		recvN:       h.recvN,
 		recvBad:     h.recvBad,
 		recvAhead:   append([]byte(nil), h.recvAhead...),
@@ -45,7 +45,7 @@ func (h *harness) save() harnessSaved {
 func (h *harness) rewind(sv harnessSaved) {
 	h.tol = sv.tol
 	h.conn, h.server = sv.conn, sv.server
-	h.sent = h.sent[:sv.sentLen]
+	h.sent.truncate(sv.sentLen)
 	h.recvN, h.recvBad = sv.recvN, sv.recvBad
 	h.recvAhead = append(h.recvAhead[:0], sv.recvAhead...)
 	h.verdicts = h.verdicts[:sv.verdictsLen]

@@ -50,9 +50,10 @@ func (s State) String() string {
 // timeWaitDur is 2*MSL for the TIME-WAIT hold.
 const timeWaitDur = 60 * time.Second
 
-// sentSeg is one transmitted, not-yet-acknowledged segment.
+// sentSeg is one transmitted, not-yet-acknowledged segment. It holds the
+// segment itself: a retransmission refreshes seg's ACK and window in place.
 type sentSeg struct {
-	seg         *Segment
+	seg         Segment
 	end         uint32 // Seq + SeqSpace
 	firstSentAt simtime.Time
 	retransmits int
@@ -77,9 +78,9 @@ type Conn struct {
 	sndWnd int
 
 	// sendQ[sendHead:] is the data accepted from the app and not yet
-	// segmented — unsent bytes in all — as the chunks Send copied it into.
-	// A chunk is never written again, so pump hands out sub-slices of it as
-	// segment payloads and snapshots share it.
+	// segmented — unsent bytes in all — as the slices Send was handed. They
+	// are immutable (Send's contract), so pump hands out sub-slices of them
+	// as segment payloads and snapshots share them.
 	sendQ    [][]byte
 	sendHead int
 	unsent   int
@@ -186,7 +187,9 @@ func (c *Conn) UnackedSegments() int { return len(c.unacked) }
 func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
 
 // OnData registers the inbound-data callback. With auto-consume enabled
-// (the default) it fires as data arrives in order.
+// (the default) it fires as data arrives in order. data is lent for the
+// duration of the call — it aliases the arriving message — so fn copies
+// what it keeps and does not write to it.
 func (c *Conn) OnData(fn func(data []byte)) { c.onData = fn }
 
 // OnClose registers the teardown callback with a human-readable reason.
@@ -240,7 +243,9 @@ func (c *Conn) recvWindow() int {
 	return w
 }
 
-// Send queues application data for transmission.
+// Send queues application data for transmission. It keeps data itself, not
+// a copy: the caller must not modify data afterwards, and may send the same
+// slice again.
 func (c *Conn) Send(data []byte) error {
 	switch c.state {
 	case StateEstablished, StateCloseWait, StateSynSent, StateSynRcvd:
@@ -257,7 +262,7 @@ func (c *Conn) Send(data []byte) error {
 		c.sendQ, c.sendHead = c.sendQ[:backlog], 0
 	}
 	if len(data) > 0 {
-		c.sendQ = append(c.sendQ, append([]byte(nil), data...))
+		c.sendQ = append(c.sendQ, data)
 		c.unsent += len(data)
 	}
 	c.pump()
@@ -321,13 +326,15 @@ func (c *Conn) sched() *simtime.Scheduler { return c.layer.env.Sched }
 
 func (c *Conn) now() simtime.Time { return c.sched().Now() }
 
-// transmit encodes and ships a segment toward the peer.
-func (c *Conn) transmit(seg *Segment) {
+// transmit encodes and ships a segment toward the peer. Segments travel by
+// value: the only ones on the heap are inside the sentSeg trackSent keeps
+// for retransmission.
+func (c *Conn) transmit(seg Segment) {
 	c.layer.transmit(c.remoteNode, seg)
 }
 
-func (c *Conn) baseSegment(flags uint8) *Segment {
-	return &Segment{
+func (c *Conn) baseSegment(flags uint8) Segment {
+	return Segment{
 		SrcPort: c.localPort,
 		DstPort: c.remotePort,
 		Seq:     c.sndNxt,
@@ -382,7 +389,7 @@ func (c *Conn) onDelackTimeout() {
 	}
 }
 
-func (c *Conn) trackSent(seg *Segment) {
+func (c *Conn) trackSent(seg Segment) {
 	ss := &sentSeg{seg: seg, end: seg.Seq + seg.SeqSpace(), firstSentAt: c.now()}
 	c.unacked = append(c.unacked, ss)
 	if !c.timingValid {
@@ -468,7 +475,7 @@ func (c *Conn) onRtxTimeout() {
 	// Refresh ack/window fields on the retransmission.
 	oldest.seg.Ack = c.rcvNxt
 	oldest.seg.Window = uint16(c.recvWindow())
-	c.layer.logEvent(c, "retransmit", oldest.seg)
+	c.layer.logEvent(c, "retransmit", &oldest.seg)
 	c.transmit(oldest.seg)
 	c.rtxTimer.Arm(c.est.backedOff(c.backoff), "tcp-rtx")
 }
@@ -700,15 +707,11 @@ func (c *Conn) acceptInOrder(seg *Segment) {
 	}
 	if len(data) > 0 {
 		c.rcvNxt += uint32(len(data))
-		if c.autoConsume {
-			if c.onData != nil {
-				c.onData(append([]byte(nil), data...))
-			}
-		} else {
+		if !c.autoConsume {
 			c.recvQ = append(c.recvQ, data...)
-			if c.onData != nil {
-				c.onData(append([]byte(nil), data...))
-			}
+		}
+		if c.onData != nil {
+			c.onData(data) // lent: data is the arriving message's bytes
 		}
 	}
 	// Drain any queued out-of-order segments that are now in order.
@@ -726,15 +729,11 @@ func (c *Conn) acceptInOrder(seg *Segment) {
 			break
 		}
 		c.rcvNxt += uint32(len(next))
-		if c.autoConsume {
-			if c.onData != nil {
-				c.onData(next)
-			}
-		} else {
+		if !c.autoConsume {
 			c.recvQ = append(c.recvQ, next...)
-			if c.onData != nil {
-				c.onData(next)
-			}
+		}
+		if c.onData != nil {
+			c.onData(next)
 		}
 	}
 	if seg.Has(FlagFIN) && seg.Seq+uint32(seg.Len()) == c.rcvNxt {
@@ -817,7 +816,7 @@ func (c *Conn) sendKeepAliveProbe() {
 	if c.prof.KeepAliveGarbage {
 		seg.Payload = []byte{0}
 	}
-	c.layer.logEvent(c, "keepalive", seg)
+	c.layer.logEvent(c, "keepalive", &seg)
 	c.transmit(seg)
 }
 
@@ -866,7 +865,7 @@ func (c *Conn) onZWPTimer() {
 	if c.unsent > 0 {
 		seg.Payload = []byte{c.sendQ[c.sendHead][0]} // probe carries one byte past the window
 	}
-	c.layer.logEvent(c, "zwp", seg)
+	c.layer.logEvent(c, "zwp", &seg)
 	c.transmit(seg)
 	c.zwpCount++
 	c.zwpTimer.Arm(c.zwpInterval(), "tcp-zwp")
@@ -887,7 +886,7 @@ func (c *Conn) drop(reason string, sendRST bool) {
 	}
 	if sendRST {
 		seg := c.baseSegment(FlagRST | FlagACK)
-		c.layer.logEvent(c, "reset", seg)
+		c.layer.logEvent(c, "reset", &seg)
 		c.transmit(seg)
 	}
 	c.finish(reason)

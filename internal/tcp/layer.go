@@ -110,14 +110,13 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	// Segment to a closed port: answer with RST (unless it is itself one).
 	// This is what lets a rebooted receiver kill a zero-window prober.
 	if !seg.Has(FlagRST) {
-		rst := &Segment{
+		l.transmit(srcNode, Segment{
 			SrcPort: seg.DstPort,
 			DstPort: seg.SrcPort,
 			Seq:     seg.Ack,
 			Ack:     seg.Seq + seg.SeqSpace(),
 			Flags:   FlagRST | FlagACK,
-		}
-		l.transmit(srcNode, rst)
+		})
 	}
 	return nil
 }
@@ -175,7 +174,7 @@ func (l *Layer) nextEphemeral() uint16 {
 
 // transmit encodes a segment, addresses it, and pushes it down the stack
 // (through any PFI layer spliced in below).
-func (l *Layer) transmit(dstNode string, seg *Segment) {
+func (l *Layer) transmit(dstNode string, seg Segment) {
 	m := seg.Encode()
 	m.SetDst(dstNode)
 	// Transmission failures below (e.g. a filter script error) surface in

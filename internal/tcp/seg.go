@@ -108,7 +108,10 @@ func (s *Segment) String() string {
 		s.SrcPort, s.DstPort, s.FlagNames(), s.Seq, s.Ack, s.Window, len(s.Payload))
 }
 
-// Encode serializes the segment into a stack message that owns the bytes.
+// Encode serializes the segment into a stack message that owns its bytes.
+// This is the one copy a stream byte gets between Send and OnData: a
+// message is what a fault may mutate (SetByte, Truncate), the payload it
+// was cut from is not.
 func (s *Segment) Encode() *message.Message {
 	w := message.NewWriter(HeaderLen + len(s.Payload))
 	w.U16(s.SrcPort).U16(s.DstPort).U32(s.Seq).U32(s.Ack).U8(s.Flags).U16(s.Window)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pfi/internal/core"
+	"pfi/internal/message"
 	"pfi/internal/netsim"
 	"pfi/internal/stack"
 	"pfi/internal/tcp"
@@ -878,11 +879,11 @@ func TestPropertyStreamIntegrityUnderLoss(t *testing.T) {
 	}
 }
 
-// TestSendQueueSegmentsAcrossChunks: the send queue keeps what each Send
-// handed it as a chunk of its own. Sends of every size relative to the MSS —
-// queued faster than the window drains, from one buffer the caller keeps
-// overwriting — still leave as one byte stream: segments are cut across
-// chunk boundaries and nothing the caller does after Send shows through.
+// TestSendQueueSegmentsAcrossChunks: the send queue keeps the slices Send
+// was handed, as they are. Sends of every size relative to the MSS — a fresh
+// slice each, queued faster than the window drains, and one slice sent twice
+// in a row — still leave as one byte stream: segments are cut across slice
+// boundaries, and a repeated slice is repeated bytes.
 func TestSendQueueSegmentsAcrossChunks(t *testing.T) {
 	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
 	var got bytes.Buffer
@@ -891,26 +892,62 @@ func TestSendQueueSegmentsAcrossChunks(t *testing.T) {
 	})
 	mss := p.a.tcp.Profile().MSS
 	var want []byte
-	scratch := make([]byte, 3*mss)
 	for round, next := 0, byte(0); round < 40; round++ {
 		for _, n := range []int{1, mss - 1, mss, mss + 1, 0, 100, 3 * mss, 37} {
-			buf := scratch[:n]
+			buf := make([]byte, n)
 			for i := range buf {
 				buf[i] = next
 				next++
 			}
-			want = append(want, buf...)
-			if err := c.Send(buf); err != nil {
-				t.Fatal(err)
+			for sends := 1 + round%2; sends > 0; sends-- { // odd rounds send every slice twice
+				want = append(want, buf...)
+				if err := c.Send(buf); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		p.w.RunFor(time.Millisecond) // far less than the backlog needs
 	}
-	p.w.RunFor(time.Minute)
+	p.w.RunFor(2 * time.Minute)
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("delivered %d bytes, sent %d, equal=%v", got.Len(), len(want), bytes.Equal(got.Bytes(), want))
 	}
 	if c.UnackedSegments() != 0 {
 		t.Fatalf("%d segments still unacknowledged", c.UnackedSegments())
+	}
+}
+
+// TestStreamBytesAreHandedOver pins the ownership rule at both ends of the
+// stack: Send queues the caller's slice and pump cuts segments out of it
+// (the first segment's payload is the front of that slice, not a copy), and
+// OnData is lent the arriving message's own bytes. The one copy in between
+// is Segment.Encode's.
+func TestStreamBytesAreHandedOver(t *testing.T) {
+	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
+	var arrived *message.Message
+	p.b.pfi.ReceiveFilter().SetHook(func(ctx *core.HookCtx) error {
+		arrived = ctx.Msg
+		return nil
+	})
+	var got bytes.Buffer
+	c := p.dial(t, 80, func(sc *tcp.Conn) {
+		sc.OnData(func(d []byte) {
+			if wire := arrived.Bytes()[tcp.HeaderLen:]; &d[0] != &wire[0] || len(d) != len(wire) {
+				t.Errorf("OnData got %d bytes that are not the message's own %d", len(d), len(wire))
+			}
+			got.Write(d)
+		})
+	})
+	mss := p.a.tcp.Profile().MSS
+	data := bytes.Repeat([]byte("0123456789"), mss/5) // two segments
+	if err := c.Send(data); err != nil {
+		t.Fatal(err)
+	}
+	if first := c.OldestUnackedPayload(); len(first) != mss || &first[0] != &data[0] {
+		t.Fatalf("the first segment's payload (%d bytes) is not the front of the slice given to Send", len(first))
+	}
+	p.w.RunFor(10 * time.Second)
+	if !bytes.Equal(got.Bytes(), data) {
+		t.Fatalf("delivered %d bytes, sent %d, equal=false", got.Len(), len(data))
 	}
 }
