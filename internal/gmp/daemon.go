@@ -245,7 +245,7 @@ func (d *Daemon) sendReliable(dst string, m *Msg) {
 
 func (d *Daemon) sendRaw(dst string, m *Msg) {
 	m.Sender = d.id
-	if err := d.net.SendRaw(dst, m.Encode()); err != nil {
+	if err := d.net.SendRawFrame(dst, m.AppendTo(rudp.RawFrame(m.EncodedLen()))); err != nil {
 		d.logEvent("send-error", m.TypeName(), err.Error())
 	}
 }
@@ -408,7 +408,7 @@ func (d *Daemon) handleDatagram(src string, payload []byte) {
 	if !d.started || d.suspended {
 		return
 	}
-	m, err := DecodeMsg(payload)
+	m, err := decodeMsg(payload, src, d.peers)
 	if err != nil {
 		d.logEvent("decode-error", "", err.Error())
 		return

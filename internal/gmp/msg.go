@@ -95,42 +95,50 @@ type Msg struct {
 func (m Msg) TypeName() string { return TypeName(m.Type) }
 
 // Encode serializes the message.
-func (m Msg) Encode() []byte {
-	w := message.NewWriter(16 + len(m.Origin) + len(m.Sender))
-	w.U8(m.Type).U32(m.Gen)
-	putStr(w, m.Origin)
-	putStr(w, m.Sender)
-	w.U8(uint8(len(m.Members)))
+func (m Msg) Encode() []byte { return m.AppendTo(message.NewWriter(m.EncodedLen())).Done() }
+
+// EncodedLen is the number of bytes AppendTo writes (fewer if a name is
+// longer than the 255 bytes its length prefix can say).
+func (m Msg) EncodedLen() int {
+	n := 8 + len(m.Origin) + len(m.Sender)
 	for _, mem := range m.Members {
-		putStr(w, mem)
+		n += 1 + len(mem)
 	}
-	return w.Done()
+	return n
 }
 
-func putStr(w *message.Writer, s string) {
-	if len(s) > 255 {
-		s = s[:255]
+// AppendTo serializes the message behind whatever w already holds — the
+// RUDP header of a raw frame, so a heartbeat is encoded once.
+func (m Msg) AppendTo(w message.Writer) message.Writer {
+	w = w.U8(m.Type).U32(m.Gen).Str8(m.Origin).Str8(m.Sender).U8(uint8(len(m.Members)))
+	for _, mem := range m.Members {
+		w = w.Str8(mem)
 	}
-	w.U8(uint8(len(s)))
-	w.Bytes([]byte(s))
+	return w
 }
 
 // DecodeMsg parses a GMP message from raw payload bytes. The result shares
 // nothing with raw.
-func DecodeMsg(raw []byte) (Msg, error) {
+func DecodeMsg(raw []byte) (Msg, error) { return decodeMsg(raw, "", nil) }
+
+// decodeMsg is DecodeMsg for a receiver that knows who it may hear from and
+// about: a name that spells src (the datagram's network source — Sender
+// always, Origin unless forwarded) or one of peers reuses that string
+// instead of allocating a copy.
+func decodeMsg(raw []byte, src string, peers []string) (Msg, error) {
 	r := message.NewReader(raw)
 	m := Msg{Type: r.U8(), Gen: r.U32()}
 	var err error
-	if m.Origin, err = getStr(r); err != nil {
+	if m.Origin, err = getStr(r, src, peers); err != nil {
 		return Msg{}, err
 	}
-	if m.Sender, err = getStr(r); err != nil {
+	if m.Sender, err = getStr(r, src, peers); err != nil {
 		return Msg{}, err
 	}
 	if n := int(r.U8()); n > 0 {
 		m.Members = make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			s, err := getStr(r)
+			s, err := getStr(r, src, peers)
 			if err != nil {
 				return Msg{}, err
 			}
@@ -146,13 +154,13 @@ func DecodeMsg(raw []byte) (Msg, error) {
 	return m, nil
 }
 
-func getStr(r *message.Reader) (string, error) {
-	n := int(r.U8())
-	b := r.Take(n)
+// getStr reads a length-prefixed name (message.Reader.Name).
+func getStr(r *message.Reader, first string, rest []string) (string, error) {
+	s := r.Name(first, rest)
 	if err := r.Err(); err != nil {
 		return "", fmt.Errorf("gmp: short string: %w", err)
 	}
-	return string(b), nil
+	return s, nil
 }
 
 // fieldNames lists what Field renders, in Fields' order.

@@ -35,7 +35,7 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 	if f.Kind == rudp.KindAck {
 		return core.Info{Type: "RUDP-ACK", Fields: f}, nil
 	}
-	gm, err := DecodeMsg(f.Payload)
+	gm, err := decodeMsg(f.Payload, m.Src(), nil)
 	if err != nil {
 		return core.Info{}, fmt.Errorf("gmp stub: %w", err)
 	}
@@ -86,5 +86,5 @@ func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message,
 	if ms := fields["members"]; ms != "" {
 		gm.Members = strings.Split(ms, ",")
 	}
-	return rudp.Frame{Kind: rudp.KindRaw, Payload: gm.Encode()}.Encode(), nil
+	return gm.AppendTo(rudp.RawFrame(gm.EncodedLen())).Message(), nil
 }

@@ -21,31 +21,54 @@ var lastID atomic.Uint64
 // IDs but remember their origin.
 type ID uint64
 
+// InlineCap is how many bytes a message holds inside itself: a frame that
+// fits — a raft heartbeat, a GMP heartbeat in its RUDP frame, a bare TCP
+// ACK, a 64-byte datagram — is one heap object, not a header plus a buffer.
+// It is a constant because it fixes the size of every Message (72 bytes of
+// header + 72 inline = one 144-byte allocation class): a stream segment
+// that spills carries the unused array along, so it has to stay small, and
+// the control frames above are all under it.
+const InlineCap = 72
+
 // Message is a mutable packet travelling through a protocol stack. The zero
-// value is not useful; use New.
+// value is not useful; use New or Build. A Message is handled by pointer
+// only: its bytes may live in its own inline array, so a by-value copy would
+// alias the original's storage (go vet's copylocks pass reports one).
 type Message struct {
+	_      noCopy
 	id     ID
 	origin ID // ID of the message this one was cloned from, or its own ID
 	buf    []byte
 	src    string // sending node, stamped by the network on transmit
 	dst    string // destination node, set by the sender's stack
+	inline [InlineCap]byte
+}
+
+// noCopy marks Message for vet's copylocks check (it looks for Lock and
+// Unlock methods on a field's type); it occupies no space.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// alloc returns a fresh, empty message with room for n bytes: in its inline
+// array when they fit, otherwise in a buffer of exactly that capacity.
+func alloc(n int) *Message {
+	id := ID(lastID.Add(1))
+	m := &Message{id: id, origin: id}
+	if n <= InlineCap {
+		m.buf = m.inline[:0]
+	} else {
+		m.buf = make([]byte, 0, n)
+	}
+	return m
 }
 
 // New builds a message whose payload is a copy of data.
 func New(data []byte) *Message {
-	var buf []byte
-	if len(data) > 0 {
-		buf = append(buf, data...)
-	}
-	return Wrap(buf)
-}
-
-// Wrap builds a message that takes ownership of buf: an encoder that wrote
-// the wire bytes into a fresh buffer hands it over without a second copy.
-// The caller must not use buf afterwards.
-func Wrap(buf []byte) *Message {
-	id := ID(lastID.Add(1))
-	return &Message{id: id, origin: id, buf: buf}
+	m := alloc(len(data))
+	m.buf = append(m.buf, data...)
+	return m
 }
 
 // NewString builds a message from a string payload.
@@ -75,13 +98,9 @@ func (m *Message) CopyBytes() []byte {
 // Clone returns a deep copy with a fresh ID but the same origin chain and
 // the same addressing.
 func (m *Message) Clone() *Message {
-	return &Message{
-		id:     ID(lastID.Add(1)),
-		origin: m.origin,
-		buf:    append([]byte(nil), m.buf...),
-		src:    m.src,
-		dst:    m.dst,
-	}
+	c := New(m.buf)
+	c.origin, c.src, c.dst = m.origin, m.src, m.dst
+	return c
 }
 
 // State is a saved copy of a message's mutable content (payload bytes and
@@ -189,41 +208,75 @@ func (m *Message) String() string {
 	return fmt.Sprintf("msg#%d(%d bytes % x…)", m.id, n, m.buf[:16])
 }
 
-// Writer builds headers field by field in network byte order. It is a
-// convenience for protocol codecs.
+// Writer builds wire bytes field by field in network byte order: a whole
+// frame inside a new message (Build … Message) or a bare byte slice
+// (NewWriter … Done). It is the one builder every protocol codec encodes
+// through. A Writer is a value, used like append: every method returns the
+// Writer to continue with.
 type Writer struct {
 	buf []byte
+	m   *Message // the message buf started in; nil for NewWriter
 }
 
 // NewWriter returns a Writer with capacity preallocated for n bytes.
-func NewWriter(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
+func NewWriter(n int) Writer { return Writer{buf: make([]byte, 0, n)} }
+
+// Build starts a new message with room for n bytes and returns the Writer
+// that fills it. The encoder writes into the message's own buffer — inline
+// when n <= InlineCap — so a frame is encoded once, where it will travel.
+// Only this Writer may write there, and only until Message hands the
+// message over.
+func Build(n int) Writer {
+	m := alloc(n)
+	return Writer{buf: m.buf, m: m}
+}
+
+// Message finishes a Build and returns the message holding what was
+// written. The Writer must not be used afterwards. It panics on a Writer
+// that NewWriter made: there is no message to finish.
+func (w Writer) Message() *Message {
+	if w.m == nil {
+		panic("message: Writer.Message on a Writer not started by Build")
+	}
+	w.m.buf = w.buf
+	return w.m
+}
 
 // U8 appends a byte.
-func (w *Writer) U8(v uint8) *Writer { w.buf = append(w.buf, v); return w }
+func (w Writer) U8(v uint8) Writer { w.buf = append(w.buf, v); return w }
 
 // U16 appends a big-endian uint16.
-func (w *Writer) U16(v uint16) *Writer {
+func (w Writer) U16(v uint16) Writer {
 	w.buf = binary.BigEndian.AppendUint16(w.buf, v)
 	return w
 }
 
 // U32 appends a big-endian uint32.
-func (w *Writer) U32(v uint32) *Writer {
+func (w Writer) U32(v uint32) Writer {
 	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
 	return w
 }
 
 // U64 appends a big-endian uint64.
-func (w *Writer) U64(v uint64) *Writer {
+func (w Writer) U64(v uint64) Writer {
 	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
 	return w
 }
 
 // Bytes appends raw bytes.
-func (w *Writer) Bytes(p []byte) *Writer { w.buf = append(w.buf, p...); return w }
+func (w Writer) Bytes(p []byte) Writer { w.buf = append(w.buf, p...); return w }
 
-// Done returns the accumulated header.
-func (w *Writer) Done() []byte { return w.buf }
+// Str8 appends s behind a one-byte length, cutting it at 255 bytes.
+func (w Writer) Str8(s string) Writer {
+	if len(s) > 255 {
+		s = s[:255]
+	}
+	w.buf = append(append(w.buf, uint8(len(s))), s...)
+	return w
+}
+
+// Done returns the accumulated bytes.
+func (w Writer) Done() []byte { return w.buf }
 
 // Reader consumes headers field by field in network byte order. Errors are
 // sticky: after the first short read every subsequent call returns zero and
@@ -294,3 +347,20 @@ func (r *Reader) U64() uint64 {
 
 // Take reads n raw bytes (aliasing the underlying buffer).
 func (r *Reader) Take(n int) []byte { return r.take(n) }
+
+// Name reads a string written by Writer.Str8. A message that names a node
+// nearly always names one the receiver already holds a string for — the
+// datagram's network source, or a peer — so the bytes are matched against
+// first and then against each of rest, and only an unknown name allocates.
+func (r *Reader) Name(first string, rest []string) string {
+	b := r.take(int(r.U8()))
+	if string(b) == first {
+		return first
+	}
+	for _, s := range rest {
+		if string(b) == s {
+			return s
+		}
+	}
+	return string(b)
+}

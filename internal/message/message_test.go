@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewCopiesData(t *testing.T) {
@@ -179,14 +180,103 @@ func TestSaveRestoreState(t *testing.T) {
 	}
 }
 
-func TestWrapOwnsBuffer(t *testing.T) {
-	buf := []byte("abc")
-	m := Wrap(buf)
-	if &m.Bytes()[0] != &buf[0] {
-		t.Fatal("Wrap copied the buffer")
+// TestBuildWritesIntoTheMessage: what an encoder writes through Build is
+// the message's bytes — in the message's own inline array when the frame
+// was sized to fit, in one exactly-sized buffer when not — and a frame that
+// outgrows the size it announced still arrives whole.
+func TestBuildWritesIntoTheMessage(t *testing.T) {
+	small := Build(8).U8(7).U32(1 << 30).Str8("ab").Message()
+	if got := small.Bytes(); !bytes.Equal(got, []byte{7, 0x40, 0, 0, 0, 2, 'a', 'b'}) {
+		t.Fatalf("built % x", got)
 	}
-	if m.Origin() != m.ID() {
-		t.Fatal("wrapped message is not its own origin")
+	if &small.Bytes()[0] != &small.inline[0] {
+		t.Fatal("a frame under InlineCap was not built inline")
+	}
+	if small.Origin() != small.ID() {
+		t.Fatal("built message is not its own origin")
+	}
+	payload := bytes.Repeat([]byte("x"), InlineCap)
+	big := Build(1 + len(payload)).U8(9).Bytes(payload).Message()
+	if big.Len() != 1+InlineCap || cap(big.Bytes()) != 1+InlineCap || big.Bytes()[0] != 9 {
+		t.Fatalf("spilled frame: %d bytes, capacity %d", big.Len(), cap(big.Bytes()))
+	}
+	grown := Build(4).Bytes(payload).Message()
+	if !bytes.Equal(grown.Bytes(), payload) {
+		t.Fatal("a frame that outgrew its announced size lost bytes")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Message on a NewWriter Writer did not panic")
+		}
+	}()
+	NewWriter(4).U8(1).Message()
+}
+
+// TestCopiesShareNoStorage: Clone and SaveState/RestoreState give copies
+// that share no bytes with the original, whether the payload lives in the
+// message's inline array or has spilled to a buffer — corrupt either side
+// and the other is unchanged.
+func TestCopiesShareNoStorage(t *testing.T) {
+	for _, size := range []int{InlineCap / 2, InlineCap, InlineCap + 1, 4 * InlineCap} {
+		payload := bytes.Repeat([]byte("p"), size)
+		m := New(payload)
+		m.SetSrc("a")
+		c := m.Clone()
+		st := m.SaveState()
+		corrupt := func(x *Message) {
+			t.Helper()
+			for off := 0; off < x.Len(); off++ {
+				if err := x.SetByte(off, 'X'); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		corrupt(m)
+		if !bytes.Equal(c.Bytes(), payload) {
+			t.Fatalf("%d bytes: corrupting the original changed its clone", size)
+		}
+		corrupt(c)
+		m.RestoreState(st)
+		if !bytes.Equal(m.Bytes(), payload) || m.Src() != "a" {
+			t.Fatalf("%d bytes: restore did not bring back the saved content", size)
+		}
+		corrupt(m)
+		m.Push([]byte("grow past any inline room, then restore again"))
+		m.RestoreState(st)
+		if !bytes.Equal(m.Bytes(), payload) {
+			t.Fatalf("%d bytes: corrupting a restored message reached the saved state", size)
+		}
+		if size <= InlineCap && &c.Bytes()[0] != &c.inline[0] {
+			t.Fatalf("%d bytes: the clone's payload is not in its own inline array", size)
+		}
+	}
+}
+
+// TestNameReusesKnownStrings: Reader.Name hands back the very string the
+// receiver already holds when the wire bytes spell it, and allocates only
+// for a name it was not told about.
+func TestNameReusesKnownStrings(t *testing.T) {
+	wire := NewWriter(16).Str8("r12").Str8("r7").Str8("stranger").Str8("").Done()
+	src, peers := "r12", []string{"r1", "r7", "r12"}
+	r := NewReader(wire)
+	if got := r.Name(src, peers); got != "r12" || unsafe.StringData(got) != unsafe.StringData(src) {
+		t.Fatalf("network source not reused: %q", got)
+	}
+	if got := r.Name(src, peers); got != "r7" || unsafe.StringData(got) != unsafe.StringData(peers[1]) {
+		t.Fatalf("peer name not reused: %q", got)
+	}
+	if got := r.Name(src, peers); got != "stranger" {
+		t.Fatalf("unknown name read as %q", got)
+	}
+	if got := r.Name(src, peers); got != "" || r.Err() != nil {
+		t.Fatalf("empty name read as %q, %v", got, r.Err())
+	}
+	if got := r.Name(src, peers); got != "" || r.Err() == nil {
+		t.Fatalf("a name past the end read as %q, %v", got, r.Err())
+	}
+	long := NewWriter(300).Str8(string(bytes.Repeat([]byte("n"), 300))).Done()
+	if got := NewReader(long).Name("", nil); len(long) != 256 || len(got) != 255 {
+		t.Fatalf("a 300-byte name was written as %d bytes and read back as %d", len(long), len(got))
 	}
 }
 

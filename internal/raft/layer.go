@@ -41,7 +41,7 @@ func MustNewLayer(env *stack.Env, peers []string, opts ...Option) *Layer {
 func (l *Layer) Node() *Node { return l.node }
 
 // ship transmits one protocol message onto the simulated network.
-func (l *Layer) ship(dst string, m *Msg) {
+func (l *Layer) ship(dst string, m Msg) {
 	sm := m.Encode()
 	sm.SetDst(dst)
 	if err := l.base.Down(sm); err != nil {
@@ -61,7 +61,7 @@ func (l *Layer) HandleDown(m *message.Message) error { return l.base.Down(m) }
 
 // HandleUp implements stack.Layer: frame arrival from the network.
 func (l *Layer) HandleUp(sm *message.Message) error {
-	m, err := Decode(sm)
+	m, err := decode(sm.Bytes(), sm.Src(), l.node.peers)
 	if err != nil {
 		// Corrupted in flight (or by a fault filter): checksummed transports
 		// turn corruption into loss, and raft tolerates loss.

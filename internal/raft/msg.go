@@ -22,6 +22,7 @@
 package raft
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -100,29 +101,21 @@ type Msg struct {
 // TypeName renders the message's type.
 func (m *Msg) TypeName() string { return TypeName(m.Type) }
 
-func putStr(w *message.Writer, s string) {
-	if len(s) > 255 {
-		s = s[:255]
-	}
-	w.U8(uint8(len(s)))
-	w.Bytes([]byte(s))
-}
-
-func getStr(r *message.Reader) (string, error) {
-	n := int(r.U8())
-	b := r.Take(n)
+// getStr reads a length-prefixed string, reusing first or one of rest when
+// the bytes spell it (message.Reader.Name).
+func getStr(r *message.Reader, first string, rest []string) (string, error) {
+	s := r.Name(first, rest)
 	if err := r.Err(); err != nil {
 		return "", fmt.Errorf("raft: short string: %w", err)
 	}
-	return string(b), nil
+	return s, nil
 }
 
-func putBool(w *message.Writer, v bool) {
+func boolByte(v bool) uint8 {
 	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+		return 1
 	}
+	return 0
 }
 
 // checksum is FNV-1a over the frame body. Raft assumes a non-Byzantine
@@ -149,40 +142,40 @@ func (m *Msg) Encode() *message.Message {
 	for _, e := range m.Entries {
 		n += 9 + len(e.Data)
 	}
-	w := message.NewWriter(n)
-	w.U32(0) // checksum placeholder
-	w.U8(m.Type).U64(m.Term)
-	putStr(w, m.From)
+	w := message.Build(n).U32(0) // checksum placeholder
+	w = w.U8(m.Type).U64(m.Term).Str8(m.From)
 	switch m.Type {
 	case TypeRequestVote:
-		w.U64(m.LastIndex).U64(m.LastTerm)
+		w = w.U64(m.LastIndex).U64(m.LastTerm)
 	case TypeVoteResp:
-		putBool(w, m.Granted)
+		w = w.U8(boolByte(m.Granted))
 	case TypeAppend:
-		w.U64(m.PrevIndex).U64(m.PrevTerm).U64(m.Commit)
-		w.U16(uint16(len(m.Entries)))
+		w = w.U64(m.PrevIndex).U64(m.PrevTerm).U64(m.Commit).U16(uint16(len(m.Entries)))
 		for _, e := range m.Entries {
-			w.U64(e.Term)
-			putStr(w, e.Data)
+			w = w.U64(e.Term).Str8(e.Data)
 		}
 	case TypeAppendResp:
-		putBool(w, m.Success)
-		w.U64(m.Match)
+		w = w.U8(boolByte(m.Success)).U64(m.Match)
 	}
-	buf := w.Done()
-	sum := checksum(buf[4:])
-	buf[0], buf[1], buf[2], buf[3] = byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)
-	return message.Wrap(buf)
+	sm := w.Message()
+	buf := sm.Bytes()
+	binary.BigEndian.PutUint32(buf, checksum(buf[4:]))
+	return sm
 }
 
 // Decode parses a raft message without consuming the stack message.
 func Decode(sm *message.Message) (Msg, error) {
-	return DecodeBytes(sm.Bytes())
+	return decode(sm.Bytes(), sm.Src(), nil)
 }
 
 // DecodeBytes parses a raft message from raw payload bytes, verifying the
 // leading checksum. The result shares nothing with raw.
-func DecodeBytes(raw []byte) (Msg, error) {
+func DecodeBytes(raw []byte) (Msg, error) { return decode(raw, "", nil) }
+
+// decode is DecodeBytes for a receiver that knows who it may hear from: a
+// From that spells src (the datagram's network source — nearly always) or
+// one of peers reuses that string instead of allocating a copy.
+func decode(raw []byte, src string, peers []string) (Msg, error) {
 	if len(raw) < 5 {
 		return Msg{}, fmt.Errorf("raft: frame too short: %d bytes", len(raw))
 	}
@@ -192,7 +185,7 @@ func DecodeBytes(raw []byte) (Msg, error) {
 	}
 	m := Msg{Type: r.U8(), Term: r.U64()}
 	var err error
-	if m.From, err = getStr(r); err != nil {
+	if m.From, err = getStr(r, src, peers); err != nil {
 		return Msg{}, err
 	}
 	switch m.Type {
@@ -208,7 +201,7 @@ func DecodeBytes(raw []byte) (Msg, error) {
 			m.Entries = make([]LogEntry, 0, min(n, r.Remaining()))
 			for i := 0; i < n; i++ {
 				term := r.U64()
-				data, err := getStr(r)
+				data, err := getStr(r, "", nil)
 				if err != nil {
 					return Msg{}, err
 				}

@@ -88,8 +88,9 @@ type Bugs struct {
 
 // SendFunc transmits one protocol message to a peer. The layer adapter
 // encodes onto the simulated network; in-memory property tests enqueue the
-// *Msg directly.
-type SendFunc func(dst string, m *Msg)
+// Msg. It travels by value, so a message the transport encodes and forgets
+// never reaches the heap.
+type SendFunc func(dst string, m Msg)
 
 // Node is one raft participant. Its core is transport-agnostic: it talks
 // to peers only through the SendFunc and to time only through the
@@ -359,7 +360,7 @@ func (n *Node) startElection() {
 		if p == n.id {
 			continue
 		}
-		n.send(p, &Msg{Type: TypeRequestVote, Term: n.term, From: n.id, LastIndex: li, LastTerm: lt})
+		n.send(p, Msg{Type: TypeRequestVote, Term: n.term, From: n.id, LastIndex: li, LastTerm: lt})
 	}
 	n.armElection()
 	n.maybeWin()
@@ -390,7 +391,7 @@ func (n *Node) handleRequestVote(m *Msg) {
 		n.votedFor = m.From
 		n.armElection()
 	}
-	n.send(m.From, &Msg{Type: TypeVoteResp, Term: n.term, From: n.id, Granted: granted})
+	n.send(m.From, Msg{Type: TypeVoteResp, Term: n.term, From: n.id, Granted: granted})
 }
 
 // logUpToDate implements the §5.4.1 voting restriction.
@@ -492,11 +493,11 @@ func (n *Node) sendAppend(p string) {
 		if len(tail) > n.maxBatch() {
 			tail = tail[:n.maxBatch()]
 		}
-		// Copy: the in-memory transport hands the *Msg across nodes, and the
+		// Copy: the in-memory transport queues the Msg across nodes, and the
 		// leader's log may be truncated while the message is in flight.
 		ents = append([]LogEntry(nil), tail...)
 	}
-	n.send(p, &Msg{
+	n.send(p, Msg{
 		Type: TypeAppend, Term: n.term, From: n.id,
 		PrevIndex: prevIdx, PrevTerm: prevTerm, Commit: n.commit, Entries: ents,
 	})
@@ -504,7 +505,7 @@ func (n *Node) sendAppend(p string) {
 
 func (n *Node) handleAppend(m *Msg) {
 	if m.Term < n.term {
-		n.send(m.From, &Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: false})
+		n.send(m.From, Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: false})
 		return
 	}
 	// Equal or higher term: the sender is the legitimate leader of that
@@ -521,7 +522,7 @@ func (n *Node) handleAppend(m *Msg) {
 		if hint > 0 {
 			hint--
 		}
-		n.send(m.From, &Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: false, Match: hint})
+		n.send(m.From, Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: false, Match: hint})
 		return
 	}
 	idx := m.PrevIndex
@@ -548,7 +549,7 @@ func (n *Node) handleAppend(m *Msg) {
 			n.applyCommitted()
 		}
 	}
-	n.send(m.From, &Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: true, Match: lastNew})
+	n.send(m.From, Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: true, Match: lastNew})
 }
 
 func (n *Node) handleAppendResp(m *Msg) {

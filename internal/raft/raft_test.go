@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pfi/internal/dist"
 	"pfi/internal/simtime"
 )
 
-// memCluster is the pure in-memory harness: nodes exchange *Msg values
+// memCluster is the pure in-memory harness: nodes exchange Msg values
 // through the scheduler with per-message delays drawn from one seeded
 // source. No netsim, no encoding — just the consensus core and time.
 type memCluster struct {
@@ -33,7 +34,7 @@ func newMemCluster(t testing.TB, n int, seed int64, maxDelay time.Duration, opts
 	}
 	for _, name := range c.names {
 		name := name
-		send := func(dst string, m *Msg) { c.deliver(name, dst, m) }
+		send := func(dst string, m Msg) { c.deliver(name, dst, m) }
 		perNode := []Option{WithRand(c.src.Split("node:" + name))}
 		node, err := NewNode(c.sched, name, c.names, send, append(perNode, opts...)...)
 		if err != nil {
@@ -44,7 +45,7 @@ func newMemCluster(t testing.TB, n int, seed int64, maxDelay time.Duration, opts
 	return c
 }
 
-func (c *memCluster) deliver(from, to string, m *Msg) {
+func (c *memCluster) deliver(from, to string, m Msg) {
 	if c.drop != nil && c.drop(from, to) {
 		return
 	}
@@ -53,7 +54,7 @@ func (c *memCluster) deliver(from, to string, m *Msg) {
 		delay += time.Duration(c.src.Intn(int(c.maxDelay - time.Millisecond)))
 	}
 	dst := c.nodes[to]
-	c.sched.After(delay, "deliver "+from+">"+to, func() { dst.Handle(m) })
+	c.sched.After(delay, "deliver "+from+">"+to, func() { dst.Handle(&m) })
 }
 
 func (c *memCluster) startAll() {
@@ -205,7 +206,7 @@ func TestSkipVotePersistDoubleVote(t *testing.T) {
 	for _, buggy := range []bool{false, true} {
 		var granted []bool
 		sched := simtime.NewScheduler()
-		send := func(dst string, m *Msg) {
+		send := func(dst string, m Msg) {
 			if m.Type == TypeVoteResp {
 				granted = append(granted, m.Granted)
 			}
@@ -260,6 +261,29 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		}
 		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", *m) {
 			t.Fatalf("roundtrip mismatch:\n in %+v\nout %+v", m, got)
+		}
+		// A receiver that knows the sender — as the datagram's source or
+		// as a peer — decodes the same message and reuses its own string.
+		src, peers := m.From, []string{"r0", m.From}
+		for _, known := range []struct {
+			src   string
+			peers []string
+			from  string
+		}{{src, nil, src}, {"elsewhere", peers, peers[1]}, {"elsewhere", nil, ""}} {
+			sm := m.Encode()
+			got, err := decode(sm.Bytes(), known.src, known.peers)
+			if err != nil || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", *m) {
+				t.Fatalf("decode knowing %q %v: %+v, %v", known.src, known.peers, got, err)
+			}
+			if known.from != "" && unsafe.StringData(got.From) != unsafe.StringData(known.from) {
+				t.Fatalf("decode knowing %q %v allocated a copy of From", known.src, known.peers)
+			}
+			if err := sm.SetByte(sm.Len()-1, 0xEE); err != nil {
+				t.Fatal(err)
+			}
+			if got.From != m.From {
+				t.Fatal("decoded From aliases the frame's bytes")
+			}
 		}
 	}
 }

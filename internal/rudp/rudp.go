@@ -12,6 +12,7 @@ package rudp
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -59,9 +60,7 @@ func (f Frame) KindName() string {
 
 // Encode serializes the frame into a message that owns the bytes.
 func (f Frame) Encode() *message.Message {
-	w := message.NewWriter(HeaderLen + len(f.Payload))
-	w.U8(f.Kind).U32(f.Seq).Bytes(f.Payload)
-	return message.Wrap(w.Done())
+	return message.Build(HeaderLen + len(f.Payload)).U8(f.Kind).U32(f.Seq).Bytes(f.Payload).Message()
 }
 
 // Decode parses a frame without consuming the message. Payload aliases the
@@ -117,10 +116,36 @@ type pendingSend struct {
 // Fire implements simtime.Handler: the retransmission timeout.
 func (ps *pendingSend) Fire() { ps.l.onRetransmit(ps) }
 
-// peerState tracks per-peer sequence bookkeeping.
+// peerState tracks per-peer sequence bookkeeping. Which reliable seqs were
+// already handed up (dedup) is a floor plus the exceptions above it: a
+// sender numbers from 1 and a receiver mostly hears them in order, so the
+// state stays O(1) per peer however long the run, instead of one entry per
+// datagram ever delivered.
 type peerState struct {
-	nextSeq   uint32
-	delivered map[uint32]bool // reliable seqs already handed up (dedup)
+	nextSeq uint32
+	floor   uint32          // every seq in [1, floor] was delivered
+	above   map[uint32]bool // delivered seqs outside [1, floor]; nil until one arrives
+}
+
+// delivered reports whether seq was already handed up.
+func (p *peerState) delivered(seq uint32) bool {
+	return (seq >= 1 && seq <= p.floor) || p.above[seq]
+}
+
+// markDelivered records seq, raising the floor over any run it completes.
+func (p *peerState) markDelivered(seq uint32) {
+	if seq == 0 || seq != p.floor+1 {
+		if p.above == nil {
+			p.above = make(map[uint32]bool)
+		}
+		p.above[seq] = true
+		return
+	}
+	p.floor = seq
+	for p.floor != math.MaxUint32 && p.above[p.floor+1] {
+		p.floor++
+		delete(p.above, p.floor)
+	}
 }
 
 // Layer is the reliable-UDP layer.
@@ -197,7 +222,7 @@ func (l *Layer) Pending(dst string) int { return len(l.pending[dst]) }
 func (l *Layer) peer(name string) *peerState {
 	p, ok := l.peers[name]
 	if !ok {
-		p = &peerState{delivered: make(map[uint32]bool)}
+		p = &peerState{}
 		l.peers[name] = p
 	}
 	return p
@@ -220,8 +245,26 @@ func (l *Layer) Send(dst string, payload []byte) error {
 
 // SendRaw transmits payload unreliably (no ack, no retransmission).
 func (l *Layer) SendRaw(dst string, payload []byte) error {
+	return l.SendRawFrame(dst, RawFrame(len(payload)).Bytes(payload))
+}
+
+// RawFrame starts an unreliable frame with room for an n-byte payload. The
+// caller appends the payload and passes the Writer to SendRawFrame: nothing
+// retains a raw datagram, so its payload is encoded once, straight behind
+// the header in the message that carries it. (A reliable payload is kept
+// for retransmission, so Send takes it as bytes and every transmission
+// copies it into a fresh message.)
+func RawFrame(n int) message.Writer {
+	return message.Build(HeaderLen + n).U8(KindRaw).U32(0)
+}
+
+// SendRawFrame transmits a frame started by RawFrame, unreliably like
+// SendRaw.
+func (l *Layer) SendRawFrame(dst string, w message.Writer) error {
 	l.stats.Sent++
-	return l.ship(dst, Frame{Kind: KindRaw, Payload: payload})
+	m := w.Message()
+	m.SetDst(dst)
+	return l.base.Down(m)
 }
 
 func (l *Layer) ship(dst string, f Frame) error {
@@ -286,11 +329,11 @@ func (l *Layer) HandleUp(m *message.Message) error {
 			return err
 		}
 		p := l.peer(src)
-		if p.delivered[f.Seq] {
+		if p.delivered(f.Seq) {
 			l.stats.Duplicates++
 			return nil
 		}
-		p.delivered[f.Seq] = true
+		p.markDelivered(f.Seq)
 		l.stats.Delivered++
 		if l.deliver != nil {
 			l.deliver(src, f.Payload)

@@ -5,11 +5,14 @@ package rudp
 // the timeout identity-checks it against the pending map — and their
 // mutable fields are saved by value (the scheduler saves the event's).
 
+import "maps"
+
 // peerSaved is one peer's sequence bookkeeping.
 type peerSaved struct {
-	p         *peerState
-	nextSeq   uint32
-	delivered map[uint32]bool
+	p       *peerState
+	nextSeq uint32
+	floor   uint32
+	above   map[uint32]bool
 }
 
 // pendingSaved is one unacknowledged reliable frame.
@@ -37,11 +40,7 @@ func (l *Layer) SnapshotState() any {
 		stats:    l.stats,
 	}
 	for name, p := range l.peers {
-		del := make(map[uint32]bool, len(p.delivered))
-		for k, v := range p.delivered {
-			del[k] = v
-		}
-		st.peers[name] = peerSaved{p: p, nextSeq: p.nextSeq, delivered: del}
+		st.peers[name] = peerSaved{p: p, nextSeq: p.nextSeq, floor: p.floor, above: maps.Clone(p.above)}
 	}
 	for dst, m := range l.pending {
 		mm := make(map[uint32]pendingSaved, len(m))
@@ -60,11 +59,7 @@ func (l *Layer) RestoreState(state any) {
 	st := state.(*layerState)
 	l.peers = make(map[string]*peerState, len(st.peers))
 	for name, sv := range st.peers {
-		sv.p.nextSeq = sv.nextSeq
-		sv.p.delivered = make(map[uint32]bool, len(sv.delivered))
-		for k, v := range sv.delivered {
-			sv.p.delivered[k] = v
-		}
+		sv.p.nextSeq, sv.p.floor, sv.p.above = sv.nextSeq, sv.floor, maps.Clone(sv.above)
 		l.peers[name] = sv.p
 	}
 	l.pending = make(map[string]map[uint32]*pendingSend, len(st.pending))

@@ -115,7 +115,7 @@ func (s *Scheduler) SetStepHook(fn func()) { s.stepHook = fn }
 
 // SetScheduleHook installs fn to run whenever a fresh event is
 // registered via At/After/Every/Arm. Periodic re-arms inside Step and
-// Reschedule's re-push of an existing event do not count: the hook
+// Reschedule's move of an existing event do not count: the hook
 // meters new registrations, not queue churn. A nil fn removes the hook.
 func (s *Scheduler) SetScheduleHook(fn func()) { s.scheduleHook = fn }
 
@@ -162,9 +162,12 @@ func (s *Scheduler) At(t Time, name string, fn func()) *Event {
 
 // Arm schedules h to run d after the current instant on ev, an event the
 // caller owns — normally one embedded in the record that implements h, so
-// the record is the single allocation. An ev that is still pending is moved
-// rather than queued twice. Like After, Arm registers a fresh timeout: it
-// runs the schedule hook and draws one sequence number.
+// the record is the single allocation. An ev that is still pending is
+// re-keyed where it sits rather than queued twice. Like After, Arm
+// registers a fresh timeout: it runs the schedule hook and draws one
+// sequence number. The hook runs first; if it panics (a timer budget
+// aborting the run) ev is left exactly as it was, still queued if it was
+// pending.
 func (s *Scheduler) Arm(ev *Event, d Duration, name string, h Handler) {
 	if h == nil {
 		panic("simtime: nil event handler")
@@ -172,7 +175,6 @@ func (s *Scheduler) Arm(ev *Event, d Duration, name string, h Handler) {
 	if d < 0 {
 		d = 0
 	}
-	s.Cancel(ev)
 	s.arm(ev, s.now.Add(d), name, h)
 }
 
@@ -183,8 +185,24 @@ func (s *Scheduler) arm(ev *Event, t Time, name string, h Handler) {
 	if t < s.now {
 		t = s.now
 	}
-	ev.when, ev.seq, ev.h, ev.name = t, s.nextSeq(), h, name
-	s.push(ev)
+	ev.h, ev.name = h, name
+	s.rekey(ev, t)
+}
+
+// rekey gives ev a new instant and the next sequence number and puts it
+// where those sort: a pending event — which stops being periodic, as if
+// cancelled first — is sifted from its slot, any other is pushed. The
+// queue pops in (when, seq) order and sequence numbers are unique, so the
+// firing order is a function of the keys alone: moving an event in place
+// and removing then re-adding it are the same schedule.
+func (s *Scheduler) rekey(ev *Event, t Time) {
+	ev.when, ev.seq = t, s.nextSeq()
+	if ev.pos == 0 {
+		s.push(ev)
+		return
+	}
+	ev.period = 0
+	s.sift(ev.pos-1, ev)
 }
 
 // After schedules fn to run d after the current instant. A non-positive d
@@ -225,13 +243,10 @@ func (s *Scheduler) Reschedule(ev *Event, d Duration) {
 	if ev == nil || ev.h == nil {
 		return
 	}
-	s.Cancel(ev)
 	if d < 0 {
 		d = 0
 	}
-	ev.when = s.now.Add(d)
-	ev.seq = s.nextSeq()
-	s.push(ev)
+	s.rekey(ev, s.now.Add(d))
 }
 
 // Step runs the single next event, advancing the clock to its instant.
@@ -392,11 +407,17 @@ func (s *Scheduler) remove(i int) *Event {
 	s.queue = q[:n]
 	ev.pos = 0
 	if i < n {
-		if !s.down(i, last) {
-			s.up(i, last)
-		}
+		s.sift(i, last)
 	}
 	return ev
+}
+
+// sift places ev, whose key may have moved either way, from the slot at
+// index i.
+func (s *Scheduler) sift(i int, ev *Event) {
+	if !s.down(i, ev) {
+		s.up(i, ev)
+	}
 }
 
 // up places ev at or above the hole at index i.

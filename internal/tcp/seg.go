@@ -113,10 +113,9 @@ func (s *Segment) String() string {
 // message is what a fault may mutate (SetByte, Truncate), the payload it
 // was cut from is not.
 func (s *Segment) Encode() *message.Message {
-	w := message.NewWriter(HeaderLen + len(s.Payload))
-	w.U16(s.SrcPort).U16(s.DstPort).U32(s.Seq).U32(s.Ack).U8(s.Flags).U16(s.Window)
-	w.Bytes(s.Payload)
-	return message.Wrap(w.Done())
+	return message.Build(HeaderLen + len(s.Payload)).
+		U16(s.SrcPort).U16(s.DstPort).U32(s.Seq).U32(s.Ack).U8(s.Flags).U16(s.Window).
+		Bytes(s.Payload).Message()
 }
 
 // Decode parses a segment from a stack message without consuming it.
