@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-e2e bench-smoke fuzz explore goldens loc
+.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector, a short fuzz smoke over the script language, the
@@ -51,6 +51,21 @@ bench-smoke:
 bench-e2e:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -quick
+
+# pairs is how a PR measures itself against its parent: N alternating
+# parent/change pairs of workload W on seeds SEED, SEED+1, …, each side
+# through its own `bench/run.sh --workload W --seed S --seconds 12 --trace 0`,
+# then per end-to-end metric each side's median and quartiles, the pairs the
+# change won, and the verdict (a gain needs >= 9/10 wins and a median gap
+# beyond the parent's inter-quartile spread). PARENT is a commit — checked
+# out into a temporary git worktree — or a directory that holds one. Writes
+# only under bench/out/.
+W ?= conformance-dense
+N ?= 10
+SEED ?= 601
+PARENT ?= HEAD~1
+pairs:
+	bash scripts/pairs.sh $(W) $(N) $(SEED) $(PARENT)
 
 # fuzz gives each native fuzz target a 10-second smoke. Corpus findings are
 # written to testdata/fuzz as usual; run longer locally when touching the

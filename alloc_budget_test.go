@@ -188,9 +188,13 @@ func TestNetsimHopAllocBudget(t *testing.T) {
 	})
 }
 
-// TestRecognizeAllocBudget: a stub's Recognize costs the decoded header it
-// hands back (boxed once into core.Info.Fields) plus the strings the header
-// itself carries — no field map, no rendered numbers.
+// TestRecognizeAllocBudget measures recognition on both of its paths. A bare
+// stub.Recognize through the core.Stub interface — what the ledger's
+// core.recognize_ns_tcp probe calls — costs the decoded header it hands back
+// (boxed once into core.Info.Fields) plus the strings the header itself
+// carries: no field map, no rendered numbers. The filter path — what a PFI
+// layer runs per message — decodes into a core.Header the filter owns, so
+// the box goes and a TCP DATA segment costs nothing.
 func TestRecognizeAllocBudget(t *testing.T) {
 	data := (&tcp.Segment{SrcPort: 9, DstPort: 80, Seq: 70000, Ack: 1, Flags: tcp.FlagACK | tcp.FlagPSH,
 		Window: 4096, Payload: make([]byte, 512)}).Encode()
@@ -200,28 +204,39 @@ func TestRecognizeAllocBudget(t *testing.T) {
 		Payload: gmp.Msg{Type: gmp.TypeHeartbeat, Gen: 4, Origin: "n1", Sender: "n1"}.Encode()}.Encode()
 	for _, tc := range []struct {
 		name   string
-		stub   core.Stub
+		stub   core.HeaderStub
 		m      *message.Message
 		typ    string
-		budget float64
+		budget float64 // bare Recognize; the filter path is one less
 	}{
 		{"tcp DATA", tcp.PFIStub{}, data, "DATA", 1},
 		{"raft APPEND_ENTRIES", raft.PFIStub{}, appendMsg, "APPEND_ENTRIES", 4}, // header, From, entry slice, entry data
 		{"gmp HEARTBEAT", gmp.PFIStub{}, hb, "HEARTBEAT", 3},                    // header, Origin, Sender
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			allocBudget(t, "Recognize", tc.budget, 1000, func() {
-				if info, err := tc.stub.Recognize(tc.m); err != nil || info.Type != tc.typ {
-					t.Fatalf("recognized %q, %v", info.Type, err)
-				}
+			t.Run("bare stub", func(t *testing.T) {
+				allocBudget(t, "Recognize", tc.budget, 1000, func() {
+					if info, err := tc.stub.Recognize(tc.m); err != nil || info.Type != tc.typ {
+						t.Fatalf("recognized %q, %v", info.Type, err)
+					}
+				})
+			})
+			t.Run("filter path", func(t *testing.T) {
+				h := tc.stub.NewHeader()
+				allocBudget(t, "Header.Recognize", tc.budget-1, 1000, func() {
+					if typ, err := h.Recognize(tc.m); err != nil || typ != tc.typ {
+						t.Fatalf("recognized %q, %v", typ, err)
+					}
+				})
 			})
 		})
 	}
 }
 
 // TestMsgFieldAllocBudget: a filter activation that reads one field of a
-// DATA segment pays for the recognized header and the one rendered field —
-// not for the six fields it did not ask for.
+// DATA segment allocates nothing: the header is decoded into storage the
+// filter owns, and the field reaches the variable as the integer it is —
+// the digits are rendered when something (here, the test) reads them.
 func TestMsgFieldAllocBudget(t *testing.T) {
 	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
 	l := core.NewLayer(env, core.WithStub(tcp.PFIStub{}))
@@ -232,7 +247,7 @@ func TestMsgFieldAllocBudget(t *testing.T) {
 	}
 	data := (&tcp.Segment{SrcPort: 9, DstPort: 80, Seq: 70000, Flags: tcp.FlagACK | tcp.FlagPSH,
 		Payload: make([]byte, 512)}).Encode()
-	allocBudget(t, "msg_field on a DATA segment", 2, 1000, func() {
+	allocBudget(t, "msg_field on a DATA segment", 0, 1000, func() {
 		if err := stk.Send(data); err != nil {
 			t.Fatal(err)
 		}
@@ -242,16 +257,71 @@ func TestMsgFieldAllocBudget(t *testing.T) {
 	}
 }
 
+// denseFaultload is the vendor send faultload bench/ledger generates for
+// conformance-dense (ledger.DenseSendFilter), shape by shape.
+var denseFaultload = []struct{ name, script string }{
+	{"counter past 512", `incr n`},
+	{"sum of a field", `set len [msg_field cur_msg len]; set bytes [expr {$bytes + $len}]`},
+	{"foreach over a literal list", `set seq [msg_field cur_msg seq]
+		foreach k {5 7 8} { set w [expr {($seq / 512 + $k) % 11}] }`},
+	{"modulo ladder", `if {$n % 109 == 0} {
+			incr dropped
+		} elseif {$n % 41 == 0} {
+			incr late
+		} elseif {$n % 55 == 0} {
+			incr dup
+		}`},
+}
+
+// TestDenseFaultloadAllocBudget: the four shapes of the dense faultload —
+// a counter past the range whose digits are cached, a running sum of a
+// header field, a foreach over a literal list with arithmetic on a field,
+// and the modulo if/elseif ladder — run over a 512-byte DATA segment
+// without allocating, one by one and together. Numbers stay numbers from
+// the decoded header to the slots: nothing is rendered, nothing re-parsed,
+// no header boxed. (The fault verbs the ladder picks in the real faultload —
+// xDrop with a msg_log line, xDelay, xDuplicate — allocate what they must:
+// a trace entry, an event, a copy.)
+func TestDenseFaultloadAllocBudget(t *testing.T) {
+	data := (&tcp.Segment{SrcPort: 32769, DstPort: 80, Seq: 65513, Ack: 65001, Flags: tcp.FlagACK | tcp.FlagPSH,
+		Window: 4096, Payload: make([]byte, 512)}).Encode()
+	const prologue = `if {![info exists n]} { set n 600; set dropped 0; set late 0; set dup 0; set bytes 0 }
+		if {[msg_type cur_msg] ne "DATA"} { error "not DATA" }
+	`
+	all := prologue
+	shapes := denseFaultload
+	for _, sh := range denseFaultload {
+		all += sh.script + "\n"
+	}
+	shapes = append(shapes[:len(shapes):len(shapes)], struct{ name, script string }{"whole faultload", all})
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
+			l := core.NewLayer(env, core.WithStub(tcp.PFIStub{}))
+			stk := stack.New(env, l)
+			stk.OnTransmit(func(m *message.Message) error { return nil })
+			if err := l.SetSendScript(prologue + sh.script); err != nil {
+				t.Fatal(err)
+			}
+			allocBudget(t, sh.name, 0, 2000, func() {
+				if err := stk.Send(data); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 // TestGMPHeartbeatRoundAllocBudget: one heartbeat interval of a settled
 // three-daemon group — nine heartbeats sent, delivered, decoded, and nine
 // expectation timers re-armed in place. Unscripted, a heartbeat is two
 // objects: the message — RUDP header and GMP payload encoded once, inside
 // it — and its delivery; the daemon's decode finds Origin and Sender in the
 // datagram's source and allocates neither. With a script that reads a field
-// on both sides of every node, each of the two Recognize calls boxes the
-// decoded header (TestRecognizeAllocBudget) and the send side, which runs
-// before the network has stamped a source, allocates Origin and Sender:
-// six. The timers, the scheduler and the scripts add none. This is the hop
+// on both sides of every node, each filter decodes into the header it owns
+// (TestRecognizeAllocBudget), so recognition adds only what the send side,
+// which runs before the network has stamped a source, allocates for Origin
+// and Sender: four. The timers, the scheduler and the scripts add none. This is the hop
 // fuzz-mixed spends most of its time in; the ledger counts it in
 // explore.allocs_per_candidate.
 func TestGMPHeartbeatRoundAllocBudget(t *testing.T) {
@@ -260,7 +330,7 @@ func TestGMPHeartbeatRoundAllocBudget(t *testing.T) {
 		name, script string
 		perHeartbeat float64
 	}{
-		{"scripted", script, 6},
+		{"scripted", script, 4},
 		{"unscripted", "", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -162,22 +162,22 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	// --- time and topology -------------------------------------------------
 
-	in.Register("run", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("run", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := needArgs(args, 1, "run duration"); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		if err := h.needWorld(); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		d, err := parseDur(args[0])
 		if err != nil || d < 0 {
-			return "", fmt.Errorf("bad run duration %q", args[0])
+			return script.Value{}, fmt.Errorf("bad run duration %q", args[0])
 		}
-		return strconv.Itoa(h.w.RunFor(d)), nil
+		return script.Int(int64(h.w.RunFor(d))), nil
 	})
 
-	in.Register("now", func(_ *script.Interp, args []string) (string, error) {
-		return strconv.FormatInt(time.Duration(h.now()).Milliseconds(), 10), nil
+	in.RegisterTyped("now", func(_ *script.Interp, args []string) (script.Value, error) {
+		return script.Int(time.Duration(h.now()).Milliseconds()), nil
 	})
 
 	in.Register("unplug", func(_ *script.Interp, args []string) (string, error) {
@@ -438,25 +438,25 @@ func registerCommands(in *script.Interp, h *harness) {
 		return h.conn.State().String(), nil
 	})
 
-	in.Register("tcp_unacked", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("tcp_unacked", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needConn(); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
-		return strconv.Itoa(h.conn.UnackedSegments()), nil
+		return script.Int(int64(h.conn.UnackedSegments())), nil
 	})
 
-	in.Register("recv_len", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("recv_len", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needTCP(); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
-		return strconv.Itoa(h.recvN), nil
+		return script.Int(int64(h.recvN)), nil
 	})
 
-	in.Register("sent_len", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("sent_len", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needTCP(); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
-		return strconv.Itoa(h.sent.len()), nil
+		return script.Int(int64(h.sent.len())), nil
 	})
 
 	in.Register("recv_matches", func(_ *script.Interp, args []string) (string, error) {

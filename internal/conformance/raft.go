@@ -309,22 +309,22 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// raft_election_conflicts counts terms in which the trace records two
 	// distinct nodes winning — the election-safety oracle over the whole
 	// history, not just the current instant.
-	in.Register("raft_election_conflicts", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("raft_election_conflicts", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needRaft(); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		elections, _ := raft.SafetyConflicts(h.entries())
-		return strconv.Itoa(len(elections)), nil
+		return script.Int(int64(len(elections))), nil
 	})
 
 	// raft_apply_conflicts counts log indexes applied with two different
 	// identities (payload#term) anywhere in the cluster — the commit-safety
 	// oracle over the whole history.
-	in.Register("raft_apply_conflicts", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("raft_apply_conflicts", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needRaft(); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		_, applies := raft.SafetyConflicts(h.entries())
-		return strconv.Itoa(len(applies)), nil
+		return script.Int(int64(len(applies))), nil
 	})
 }

@@ -55,25 +55,25 @@ func registerFilterCommands(f *Filter) {
 		return f.curInfo.Type, nil
 	})
 
-	in.Register("msg_field", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("msg_field", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := needArgs(args, 2, "msg_field msgHandle fieldName"); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		if _, err := curOf(f, args[0]); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		return f.fieldValue(args[1]), nil
 	})
 
-	in.Register("msg_len", func(_ *script.Interp, args []string) (string, error) {
+	in.RegisterTyped("msg_len", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := needArgs(args, 1, "msg_len msgHandle"); err != nil {
-			return "", err
+			return script.Value{}, err
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
-			return "", err
+			return script.Value{}, err
 		}
-		return strconv.Itoa(m.Len()), nil
+		return script.Int(int64(m.Len())), nil
 	})
 
 	in.Register("msg_data", func(_ *script.Interp, args []string) (string, error) {
@@ -289,8 +289,8 @@ func registerFilterCommands(f *Filter) {
 
 	// --- time and timers ---------------------------------------------------
 
-	in.Register("now", func(_ *script.Interp, args []string) (string, error) {
-		return strconv.FormatInt(time.Duration(l.env.Now()).Milliseconds(), 10), nil
+	in.RegisterTyped("now", func(_ *script.Interp, args []string) (script.Value, error) {
+		return script.Int(time.Duration(l.env.Now()).Milliseconds()), nil
 	})
 
 	in.Register("now_s", func(_ *script.Interp, args []string) (string, error) {

@@ -233,6 +233,7 @@ type Filter struct {
 	hook     Hook
 	held     []*message.Message
 	stats    Stats
+	header   Header // owned decode storage; nil until a HeaderStub's first message
 
 	// Per-message state, valid only during process(). verdictBuf and
 	// hookCtx are reused across messages — process() is strictly
@@ -311,11 +312,21 @@ func (f *Filter) peer() *Filter {
 // recognize types one message, falling back to UNRECOGNIZED: the PFI layer
 // must be transparent for traffic its stub does not understand.
 func (f *Filter) recognize(m *message.Message) Info {
-	info, err := f.layer.stub.Recognize(m)
-	if err != nil {
-		info = Info{Type: "UNRECOGNIZED"}
+	if f.header == nil {
+		hs, ok := f.layer.stub.(HeaderStub)
+		if !ok {
+			if info, err := f.layer.stub.Recognize(m); err == nil {
+				return info
+			}
+			return Info{Type: "UNRECOGNIZED"}
+		}
+		f.header = hs.NewHeader()
 	}
-	return info
+	typ, err := f.header.Recognize(m)
+	if err != nil {
+		return Info{Type: "UNRECOGNIZED"}
+	}
+	return Info{Type: typ, Fields: f.header}
 }
 
 // process runs the filter over one message and applies the verdict.
@@ -344,21 +355,27 @@ func (f *Filter) process(m *message.Message) error {
 	return f.apply(m, &f.verdictBuf)
 }
 
-// fieldValue reads one recognized field. Empty dst/src fall back to the
+// fieldValue reads one recognized field: a number as a number when the
+// header is the filter's own, text otherwise. Empty dst/src fall back to the
 // message's network addressing, so scripts can filter by destination ("the
 // messages were dropped based on destination address", the paper's
 // partition experiment) without stub support.
-func (f *Filter) fieldValue(name string) string {
+func (f *Filter) fieldValue(name string) script.Value {
+	if f.header != nil && f.curInfo.Fields != nil {
+		if n, ok := f.header.IntField(name); ok {
+			return script.Int(n)
+		}
+	}
 	if v := f.curInfo.Field(name); v != "" {
-		return v
+		return script.Str(v)
 	}
 	switch name {
 	case "dst":
-		return f.curMsg.Dst()
+		return script.Str(f.curMsg.Dst())
 	case "src":
-		return f.curMsg.Src()
+		return script.Str(f.curMsg.Src())
 	}
-	return ""
+	return script.Value{}
 }
 
 // hookInfo is the recognition result a Go hook sees: every field rendered
@@ -373,7 +390,7 @@ func (f *Filter) hookInfo() Info {
 		fields = map[string]string{}
 	}
 	for _, name := range [...]string{"dst", "src"} {
-		if v := f.fieldValue(name); v != "" {
+		if v := f.fieldValue(name).String(); v != "" {
 			fields[name] = v
 		}
 	}

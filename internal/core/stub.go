@@ -56,6 +56,34 @@ type FieldSource interface {
 	Fields() map[string]string
 }
 
+// Header is decoded-header storage a filter owns. A filter whose stub is a
+// HeaderStub asks it for one Header, once, and decodes every message it
+// recognizes into that same storage — so recognition allocates nothing per
+// message, and what FieldSource already says holds strictly: the header a
+// run reads is overwritten by the filter's next run. The PFI layer never
+// reads it outside the run (a Go hook is handed a rendered copy).
+type Header interface {
+	FieldSource
+	// Recognize decodes m into the header, replacing what it held, and
+	// reports the message's protocol-level type. It must not consume bytes
+	// from m.
+	Recognize(m *message.Message) (typ string, err error)
+	// IntField reads a numeric field as the number it is, so msg_field can
+	// hand a script an integer instead of its digits. ok is false for a
+	// field that is text or absent, or does not fit an int64; Field still
+	// renders it.
+	IntField(name string) (n int64, ok bool)
+}
+
+// HeaderStub is a Stub that can also recognize into storage its caller
+// owns. Stubs of protocols with real traffic volume implement it; Stub
+// alone remains a complete stub.
+type HeaderStub interface {
+	Stub
+	// NewHeader returns empty header storage for one filter.
+	NewHeader() Header
+}
+
 // FieldMap is a FieldSource over a ready-made map, for stubs whose
 // protocol has a field or two and no traffic volume to speak of.
 type FieldMap map[string]string

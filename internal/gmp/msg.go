@@ -166,6 +166,11 @@ func getStr(r *message.Reader, first string, rest []string) (string, error) {
 // fieldNames lists what Field renders, in Fields' order.
 var fieldNames = [...]string{"origin", "sender", "gen", "members"}
 
+// IntField reads the one numeric header field, gen, for PFI filter scripts.
+func (m Msg) IntField(name string) (int64, bool) {
+	return int64(m.Gen), name == "gen"
+}
+
 // Field exposes one header field to PFI filter scripts.
 func (m Msg) Field(name string) string {
 	switch name {

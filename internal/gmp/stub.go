@@ -21,36 +21,68 @@ import (
 // frames, and RUDP-ACK for the reliability layer's acknowledgments.
 type PFIStub struct{}
 
-var _ core.Stub = PFIStub{}
+var _ core.HeaderStub = PFIStub{}
 
 // Protocol implements core.Stub.
 func (PFIStub) Protocol() string { return "gmp" }
 
 // Recognize implements core.Stub.
 func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
-	f, err := rudp.Decode(m)
+	h := new(framed)
+	typ, err := h.Recognize(m)
 	if err != nil {
 		return core.Info{}, err
 	}
-	if f.Kind == rudp.KindAck {
-		return core.Info{Type: "RUDP-ACK", Fields: f}, nil
-	}
-	gm, err := decodeMsg(f.Payload, m.Src(), nil)
-	if err != nil {
-		return core.Info{}, fmt.Errorf("gmp stub: %w", err)
-	}
-	return core.Info{Type: gm.TypeName(), Fields: framed{frame: f, msg: gm}}, nil
+	return core.Info{Type: typ, Fields: h}, nil
 }
 
-// framed is what Recognize decoded: the GMP message and the rudp frame
-// around it, whose fields scripts read under a "rudp_" prefix.
+// NewHeader implements core.HeaderStub.
+func (PFIStub) NewHeader() core.Header { return new(framed) }
+
+// framed is what recognition decoded: the rudp frame and, unless the frame
+// is a bare reliability-layer ACK, the GMP message inside it. A GMP
+// message's fields read under their own names and the frame's under a
+// "rudp_" prefix; an ACK has only the frame's, unprefixed.
 type framed struct {
 	frame rudp.Frame
 	msg   Msg
+	ack   bool
+}
+
+// Recognize implements core.Header.
+func (r *framed) Recognize(m *message.Message) (string, error) {
+	f, err := rudp.Decode(m)
+	if err != nil {
+		return "", err
+	}
+	if f.Kind == rudp.KindAck {
+		*r = framed{frame: f, ack: true}
+		return "RUDP-ACK", nil
+	}
+	gm, err := decodeMsg(f.Payload, m.Src(), nil)
+	if err != nil {
+		return "", fmt.Errorf("gmp stub: %w", err)
+	}
+	*r = framed{frame: f, msg: gm}
+	return gm.TypeName(), nil
+}
+
+// IntField implements core.Header.
+func (r *framed) IntField(name string) (int64, bool) {
+	if r.ack {
+		return r.frame.IntField(name)
+	}
+	if rest, ok := strings.CutPrefix(name, "rudp_"); ok {
+		return r.frame.IntField(rest)
+	}
+	return r.msg.IntField(name)
 }
 
 // Field implements core.FieldSource.
-func (r framed) Field(name string) string {
+func (r *framed) Field(name string) string {
+	if r.ack {
+		return r.frame.Field(name)
+	}
 	if rest, ok := strings.CutPrefix(name, "rudp_"); ok {
 		return r.frame.Field(rest)
 	}
@@ -58,7 +90,10 @@ func (r framed) Field(name string) string {
 }
 
 // Fields implements core.FieldSource.
-func (r framed) Fields() map[string]string {
+func (r *framed) Fields() map[string]string {
+	if r.ack {
+		return r.frame.Fields()
+	}
 	fields := r.msg.Fields()
 	for k, v := range r.frame.Fields() {
 		fields["rudp_"+k] = v

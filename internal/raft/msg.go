@@ -24,6 +24,7 @@ package raft
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -229,52 +230,69 @@ var fieldNames = [...][]string{
 	TypeAppendResp:  {"success", "match"},
 }
 
-// Field exposes one header field to PFI filter scripts; a field the
-// message's type does not carry reads "".
-func (m Msg) Field(name string) string {
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	switch name {
-	case "from":
-		return m.From
-	case "term":
-		return u(m.Term)
+// numField reads one numeric header field (a flag reads 0 or 1); ok is
+// false for a field the message's type does not carry, and for the two
+// that are text.
+func (m Msg) numField(name string) (v uint64, ok bool) {
+	if name == "term" {
+		return m.Term, true
 	}
 	switch m.Type {
 	case TypeRequestVote:
 		switch name {
 		case "last_index":
-			return u(m.LastIndex)
+			return m.LastIndex, true
 		case "last_term":
-			return u(m.LastTerm)
+			return m.LastTerm, true
 		}
 	case TypeVoteResp:
 		if name == "granted" {
-			return boolStr(m.Granted)
+			return uint64(boolByte(m.Granted)), true
 		}
 	case TypeAppend:
 		switch name {
 		case "prev_index":
-			return u(m.PrevIndex)
+			return m.PrevIndex, true
 		case "prev_term":
-			return u(m.PrevTerm)
+			return m.PrevTerm, true
 		case "commit":
-			return u(m.Commit)
+			return m.Commit, true
 		case "entries":
-			return strconv.Itoa(len(m.Entries))
-		case "data":
-			vals := make([]string, len(m.Entries))
-			for i, e := range m.Entries {
-				vals[i] = e.Data
-			}
-			return strings.Join(vals, ",")
+			return uint64(len(m.Entries)), true
 		}
 	case TypeAppendResp:
 		switch name {
 		case "success":
-			return boolStr(m.Success)
+			return uint64(boolByte(m.Success)), true
 		case "match":
-			return u(m.Match)
+			return m.Match, true
 		}
+	}
+	return 0, false
+}
+
+// IntField reads one numeric header field for PFI filter scripts. A term
+// or index past int64 (only a forged frame carries one) is left to Field.
+func (m Msg) IntField(name string) (int64, bool) {
+	v, ok := m.numField(name)
+	return int64(v), ok && v <= math.MaxInt64
+}
+
+// Field exposes one header field to PFI filter scripts; a field the
+// message's type does not carry reads "".
+func (m Msg) Field(name string) string {
+	if v, ok := m.numField(name); ok {
+		return strconv.FormatUint(v, 10)
+	}
+	switch {
+	case name == "from":
+		return m.From
+	case name == "data" && m.Type == TypeAppend:
+		vals := make([]string, len(m.Entries))
+		for i, e := range m.Entries {
+			vals[i] = e.Data
+		}
+		return strings.Join(vals, ",")
 	}
 	return ""
 }
@@ -290,11 +308,4 @@ func (m Msg) Fields() map[string]string {
 		}
 	}
 	return f
-}
-
-func boolStr(v bool) string {
-	if v {
-		return "1"
-	}
-	return "0"
 }

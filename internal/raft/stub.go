@@ -14,18 +14,33 @@ import (
 // as-is (no reliability wrapper to look through).
 type PFIStub struct{}
 
-var _ core.Stub = PFIStub{}
+var _ core.HeaderStub = PFIStub{}
 
 // Protocol implements core.Stub.
 func (PFIStub) Protocol() string { return "raft" }
 
 // Recognize implements core.Stub.
 func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
-	rm, err := Decode(m)
+	rm := new(Msg)
+	typ, err := rm.Recognize(m)
 	if err != nil {
-		return core.Info{}, fmt.Errorf("raft stub: %w", err)
+		return core.Info{}, err
 	}
-	return core.Info{Type: rm.TypeName(), Fields: rm}, nil
+	return core.Info{Type: typ, Fields: rm}, nil
+}
+
+// NewHeader implements core.HeaderStub: a filter decodes every frame it
+// sees over one Msg of its own.
+func (PFIStub) NewHeader() core.Header { return new(Msg) }
+
+// Recognize implements core.Header.
+func (m *Msg) Recognize(sm *message.Message) (string, error) {
+	rm, err := Decode(sm)
+	if err != nil {
+		return "", fmt.Errorf("raft stub: %w", err)
+	}
+	*m = rm
+	return m.TypeName(), nil
 }
 
 // Generate implements core.Stub: it builds a validly checksummed raft

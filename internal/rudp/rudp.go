@@ -76,16 +76,25 @@ func Decode(m *message.Message) (Frame, error) {
 // fieldNames lists what Field renders, in Fields' order.
 var fieldNames = [...]string{"kind", "seq", "len"}
 
+// IntField reads one numeric header field (seq, len) for PFI scripts.
+func (f Frame) IntField(name string) (int64, bool) {
+	switch name {
+	case "seq":
+		return int64(f.Seq), true
+	case "len":
+		return int64(len(f.Payload)), true
+	}
+	return 0, false
+}
+
 // Field renders one header field for PFI scripts (Frame is a
 // core.FieldSource).
 func (f Frame) Field(name string) string {
-	switch name {
-	case "kind":
+	if n, ok := f.IntField(name); ok {
+		return strconv.FormatInt(n, 10)
+	}
+	if name == "kind" {
 		return f.KindName()
-	case "seq":
-		return strconv.FormatUint(uint64(f.Seq), 10)
-	case "len":
-		return strconv.Itoa(len(f.Payload))
 	}
 	return ""
 }

@@ -12,9 +12,15 @@ func argErr(usage string) error {
 	return fmt.Errorf("wrong # args: should be %q", usage)
 }
 
-// registerCore installs the built-in command set on a new interpreter.
-func registerCore(in *Interp) {
-	cmds := map[string]Command{
+// builtins is the core command set, one table for the process: built
+// before main runs and never written again, so every interpreter (and every
+// goroutine's) may read it. An interpreter's own table holds only what its
+// host registered or removed (Interp.lookup). It is filled by init because
+// the commands reach back to the table through the interpreter.
+var builtins map[string]Command
+
+func init() {
+	builtins = map[string]Command{
 		"set":      cmdSet,
 		"unset":    cmdUnset,
 		"incr":     cmdIncr,
@@ -52,9 +58,6 @@ func registerCore(in *Interp) {
 		"format":   cmdFormat,
 		"info":     cmdInfo,
 	}
-	for name, cmd := range cmds {
-		in.Register(name, cmd)
-	}
 }
 
 func cmdSet(in *Interp, args []string) (string, error) {
@@ -89,19 +92,17 @@ func cmdIncr(in *Interp, args []string) (string, error) {
 	}
 	delta := int64(1)
 	if len(args) == 2 {
-		d, err := strconv.ParseInt(args[1], 0, 64)
-		if err != nil {
+		d, ok := parseInt(args[1])
+		if !ok {
 			return "", fmt.Errorf("expected integer but got %q", args[1])
 		}
 		delta = d
 	}
 	cur := int64(0)
 	if v, ok := in.Var(args[0]); ok {
-		c, err := strconv.ParseInt(strings.TrimSpace(v), 0, 64)
-		if err != nil {
+		if cur, ok = parseInt(strings.TrimSpace(v)); !ok {
 			return "", fmt.Errorf("expected integer but got %q", v)
 		}
-		cur = c
 	}
 	res := strconv.FormatInt(cur+delta, 10)
 	in.SetVar(args[0], res)
@@ -995,8 +996,8 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 		vi++
 		switch verb {
 		case 'd', 'i':
-			n, err := strconv.ParseInt(strings.TrimSpace(arg), 0, 64)
-			if err != nil {
+			n, ok := parseInt(strings.TrimSpace(arg))
+			if !ok {
 				return "", fmt.Errorf("expected integer but got %q", arg)
 			}
 			fmt.Fprintf(&b, "%"+flags+"d", n)
@@ -1007,8 +1008,8 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 			}
 			fmt.Fprintf(&b, "%"+flags+"d", n)
 		case 'x', 'X', 'o':
-			n, err := strconv.ParseInt(strings.TrimSpace(arg), 0, 64)
-			if err != nil {
+			n, ok := parseInt(strings.TrimSpace(arg))
+			if !ok {
 				return "", fmt.Errorf("expected integer but got %q", arg)
 			}
 			fmt.Fprintf(&b, "%"+flags+string(verb), n)

@@ -1,9 +1,6 @@
 package script
 
-import (
-	"strconv"
-	"strings"
-)
+import "strings"
 
 // This file lowers a parsed *Script into a Program for the VM in vm.go.
 //
@@ -34,17 +31,16 @@ type compiler struct {
 
 	// Static stack depths at the current emission point, used to register
 	// loop scopes and to decide when break/continue can be plain jumps.
-	argDepth, vDepth, feDepth, nestDepth int32
+	depth, feDepth, nestDepth int32
 
 	loops []cloop
 }
 
 // cloop is an open (still being compiled) loop.
 type cloop struct {
-	contPC                               int32
-	breakPatches                         []int32
-	argDepth, vDepth, feDepth, nestDepth int32
-	scope                                int // index into p.loops, filled at close
+	contPC                    int32
+	breakPatches              []int32
+	depth, feDepth, nestDepth int32
 }
 
 // compileProgram is the whole pipeline from a parsed script to the one
@@ -61,6 +57,7 @@ func compileProgram(in *Interp, s *Script, mode progMode) *Program {
 	}
 	c.p.wraps = append(c.p.wraps, wrapCtx{}) // index 0 = no wrap
 	c.script(s)
+	c.noteDepths()
 	if in.lowerOnly {
 		return c.p
 	}
@@ -72,9 +69,17 @@ func compileProgram(in *Interp, s *Script, mode progMode) *Program {
 }
 
 func (c *compiler) emit(i instr) int32 {
+	c.noteDepths()
 	idx := int32(len(c.p.ins))
 	c.p.ins = append(c.p.ins, i)
 	return idx
+}
+
+// noteDepths keeps the program's stack bounds: the depth an instruction
+// leaves is seen when the next one is emitted, and once more at the end.
+func (c *compiler) noteDepths() {
+	c.p.maxStack = max(c.p.maxStack, c.depth)
+	c.p.maxFes = max(c.p.maxFes, c.feDepth)
 }
 
 // patchTo points the jump target of the instruction at idx to the next
@@ -99,7 +104,8 @@ func (c *compiler) constIdx(s string) int32 {
 	return i
 }
 
-func (c *compiler) vconstIdx(v value) int32 {
+func (c *compiler) vconstIdx(v Value) int32 {
+	v.number() // a quoted "5" is parsed here, not on every comparison
 	i := int32(len(c.p.vconsts))
 	c.p.vconsts = append(c.p.vconsts, v)
 	return i
@@ -191,18 +197,18 @@ func (c *compiler) generic(cmd *command) {
 		si := int32(len(c.p.invokes))
 		c.p.invokes = append(c.p.invokes, invokeSite{name: name, argc: argc})
 		c.emit(instr{op: opInvoke, a: si, line: int32(cmd.line)})
-		c.argDepth -= argc
+		c.depth -= argc
 	} else {
 		c.emit(instr{op: opInvokeDyn, a: argc, line: int32(cmd.line)})
-		c.argDepth -= argc + 1
+		c.depth -= argc + 1
 	}
 }
 
-// wordPush emits instructions that leave w's expansion on the arg stack.
+// wordPush emits instructions that leave w's expansion on the stack.
 func (c *compiler) wordPush(w *word) {
 	if t, ok := literalText(w); ok {
 		c.emit(instr{op: opPushConst, a: c.constIdx(t)})
-		c.argDepth++
+		c.depth++
 		return
 	}
 	if len(w.segs) == 1 {
@@ -213,7 +219,7 @@ func (c *compiler) wordPush(w *word) {
 		case segCmd:
 			c.inlineNested(seg.body, w.line)
 			c.emit(instr{op: opPushAcc})
-			c.argDepth++
+			c.depth++
 		}
 		return
 	}
@@ -233,7 +239,7 @@ func (c *compiler) wordPush(w *word) {
 		case segCmd:
 			c.inlineNested(seg.body, w.line)
 			c.emit(instr{op: opPushAcc})
-			c.argDepth++
+			c.depth++
 			plan.parts = append(plan.parts, concatPart{dyn: true})
 			nDyn++
 		}
@@ -241,19 +247,19 @@ func (c *compiler) wordPush(w *word) {
 	pi := int32(len(c.p.plans))
 	c.p.plans = append(c.p.plans, plan)
 	c.emit(instr{op: opConcat, a: pi, b: nDyn})
-	c.argDepth -= nDyn - 1
+	c.depth -= nDyn - 1
 }
 
 func (c *compiler) pushVar(name string, line int) {
 	if c.mode == modeGlobal {
 		if sl := c.in.gslotIndex(name); sl >= 0 {
 			c.emit(instr{op: opPushSlot, a: int32(sl), b: c.constIdx(name), line: int32(line)})
-			c.argDepth++
+			c.depth++
 			return
 		}
 	}
 	c.emit(instr{op: opPushVarNamed, a: c.constIdx(name), line: int32(line)})
-	c.argDepth++
+	c.depth++
 }
 
 // inlineNested compiles a [command] substitution: a nested script run with
@@ -356,7 +362,7 @@ func (c *compiler) ifForm(cmd *command) bool {
 	for _, cl := range clauses {
 		c.exprOps(cl.cond, wrap)
 		bf := c.emit(instr{op: opBranchFalse, c: wrap})
-		c.vDepth--
+		c.depth--
 		c.emit(instr{op: opClearAcc})
 		c.script(cl.body)
 		endJumps = append(endJumps, c.emit(instr{op: opJump}))
@@ -392,7 +398,7 @@ func (c *compiler) whileForm(cmd *command) bool {
 	head := c.emit(instr{op: opStepWhile, c: wrap})
 	c.exprOps(cond, wrap)
 	bf := c.emit(instr{op: opBranchFalse, c: wrap})
-	c.vDepth--
+	c.depth--
 	c.openLoop(head)
 	bodyStart := int32(len(c.p.ins))
 	c.script(body)
@@ -449,9 +455,9 @@ func (c *compiler) foreachForm(cmd *command) bool {
 			// keep that behavior via generic dispatch.
 			return false
 		}
-		inf.preSplit = items
-		if inf.preSplit == nil {
-			inf.preSplit = []string{}
+		inf.preSplit = strValues(items)
+		for k := range inf.preSplit {
+			inf.preSplit[k].number()
 		}
 	}
 	fi := int32(len(c.p.fes))
@@ -464,7 +470,7 @@ func (c *compiler) foreachForm(cmd *command) bool {
 	} else {
 		c.wordPush(&cmd.words[2])
 		c.emit(instr{op: opForeachInit, a: fi, c: wrap})
-		c.argDepth--
+		c.depth--
 	}
 	c.feDepth++
 	head := c.emit(instr{op: opForeachStep, a: fi})
@@ -487,8 +493,7 @@ func (c *compiler) foreachForm(cmd *command) bool {
 func (c *compiler) openLoop(contPC int32) {
 	c.loops = append(c.loops, cloop{
 		contPC:    contPC,
-		argDepth:  c.argDepth,
-		vDepth:    c.vDepth,
+		depth:     c.depth,
 		feDepth:   c.feDepth,
 		nestDepth: c.nestDepth,
 	})
@@ -507,8 +512,7 @@ func (c *compiler) closeLoop(start, end, breakPC int32) {
 		end:       end,
 		breakPC:   breakPC,
 		contPC:    lp.contPC,
-		argDepth:  lp.argDepth,
-		vDepth:    lp.vDepth,
+		depth:     lp.depth,
 		feDepth:   lp.feDepth,
 		nestDepth: lp.nestDepth,
 	})
@@ -534,7 +538,7 @@ func (c *compiler) setForm(cmd *command) bool {
 		} else {
 			c.emit(instr{op: opSetNamed, a: c.constIdx(name)})
 		}
-		c.argDepth--
+		c.depth--
 	} else {
 		wrap := c.wrapIdx("set", cmd.line)
 		if slot >= 0 {
@@ -559,8 +563,8 @@ func (c *compiler) incrForm(cmd *command) bool {
 	dynDelta := false
 	if len(cmd.words) == 3 {
 		if t, ok := literalText(&cmd.words[2]); ok {
-			d, err := strconv.ParseInt(t, 0, 64)
-			if err != nil {
+			d, ok := parseInt(t)
+			if !ok {
 				return false // runtime "expected integer" via cmdIncr
 			}
 			delta = d
@@ -581,7 +585,7 @@ func (c *compiler) incrForm(cmd *command) bool {
 		} else {
 			c.emit(instr{op: opIncrNamedDyn, a: c.constIdx(name), c: wrap})
 		}
-		c.argDepth--
+		c.depth--
 	} else {
 		di := int32(len(c.p.deltas))
 		c.p.deltas = append(c.p.deltas, delta)
@@ -608,7 +612,7 @@ func (c *compiler) exprForm(cmd *command) bool {
 	wrap := c.wrapIdx("expr", cmd.line)
 	c.exprOps(n, wrap)
 	c.emit(instr{op: opVResult})
-	c.vDepth--
+	c.depth--
 	c.patchTo(g)
 	return true
 }
@@ -621,7 +625,7 @@ func (c *compiler) returnForm(cmd *command) bool {
 	if len(cmd.words) == 2 {
 		c.wordPush(&cmd.words[1])
 		c.emit(instr{op: opReturnVal})
-		c.argDepth--
+		c.depth--
 	} else {
 		c.emit(instr{op: opReturnNil})
 	}
@@ -644,8 +648,7 @@ func (c *compiler) flowForm(cmd *command, code flowCode) bool {
 	g := c.guard(cmd, name)
 	if n := len(c.loops); n > 0 {
 		lp := &c.loops[n-1]
-		if lp.argDepth == c.argDepth && lp.vDepth == c.vDepth &&
-			lp.feDepth == c.feDepth && lp.nestDepth == c.nestDepth {
+		if lp.depth == c.depth && lp.feDepth == c.feDepth && lp.nestDepth == c.nestDepth {
 			if code == flowBreak {
 				j := c.emit(instr{op: opJump})
 				lp.breakPatches = append(lp.breakPatches, j)
@@ -672,59 +675,57 @@ func (c *compiler) exprOps(n exprNode, wrap int32) {
 	switch n := n.(type) {
 	case *litNode:
 		c.emit(instr{op: opVConst, a: c.vconstIdx(n.v)})
-		c.vDepth++
+		c.depth++
 	case *varNode:
 		if c.mode == modeGlobal {
 			if sl := c.in.gslotIndex(n.name); sl >= 0 {
 				c.emit(instr{op: opVSlot, a: int32(sl), b: c.constIdx(n.name), c: wrap})
-				c.vDepth++
+				c.depth++
 				return
 			}
 		}
 		c.emit(instr{op: opVNamed, a: c.constIdx(n.name), c: wrap})
-		c.vDepth++
+		c.depth++
 	case *cmdNode:
 		// cmdNode runs the body without the word-substitution depth
 		// bump (matching cmdNode.eval), so no opEnterNest here.
 		c.emit(instr{op: opClearAcc})
 		c.script(n.body)
 		c.emit(instr{op: opVFromAcc})
-		c.vDepth++
+		c.depth++
 	case *strNode:
 		c.wordPush(&n.w)
 		c.emit(instr{op: opVFromStack})
-		c.argDepth--
-		c.vDepth++
 	case *ternNode:
 		c.exprOps(n.cond, wrap)
 		cj := c.emit(instr{op: opVCondJump, c: wrap})
-		c.vDepth--
-		branchDepth := c.vDepth
+		c.depth--
+		branchDepth := c.depth
 		c.exprOps(n.thenN, wrap)
 		ej := c.emit(instr{op: opJump})
 		c.patchTo(cj)
-		c.vDepth = branchDepth // else branch starts below the then result
+		c.depth = branchDepth // else branch starts below the then result
 		c.exprOps(n.elseN, wrap)
 		c.patchTo(ej)
 	case *andNode:
 		c.exprOps(n.l, wrap)
 		aj := c.emit(instr{op: opVAnd, c: wrap})
-		c.vDepth--
+		c.depth--
 		c.exprOps(n.r, wrap)
 		c.emit(instr{op: opVTruth, c: wrap})
 		c.patchTo(aj)
 	case *orNode:
 		c.exprOps(n.l, wrap)
 		oj := c.emit(instr{op: opVOr, c: wrap})
-		c.vDepth--
+		c.depth--
 		c.exprOps(n.r, wrap)
 		c.emit(instr{op: opVTruth, c: wrap})
 		c.patchTo(oj)
 	case *binNode:
 		c.exprOps(n.l, wrap)
 		c.exprOps(n.r, wrap)
-		c.emit(instr{op: opVBinop, a: binopCode[n.op], c: wrap})
-		c.vDepth--
+		c.emit(instr{op: opVBinop, a: n.op, c: wrap})
+		c.depth--
 	case *unaryNode:
 		c.exprOps(n.x, wrap)
 		c.emit(instr{op: opVUnary, a: int32(n.op), c: wrap})
@@ -735,6 +736,6 @@ func (c *compiler) exprOps(n exprNode, wrap int32) {
 		ci := int32(len(c.p.calls))
 		c.p.calls = append(c.p.calls, callSite{name: n.name, argc: int32(len(n.args))})
 		c.emit(instr{op: opVCall, a: ci, c: wrap})
-		c.vDepth -= int32(len(n.args)) - 1
+		c.depth -= int32(len(n.args)) - 1
 	}
 }

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -10,9 +11,29 @@ import (
 // the script printed with puts.
 func runEngine(t *testing.T, eng Engine, src string, steps int) (string, string, string) {
 	t.Helper()
-	in := New()
+	in := newDiffInterp()
 	in.SetEngine(eng)
 	return evalCapture(in, src, steps)
+}
+
+// newDiffInterp is the interpreter every differential leg runs on: New plus
+// one host command with a typed result, `hostint ?n?`, which returns its
+// argument (default 70000) as an integer it never rendered — so the
+// tree-walker, which sees every result as text, and the VM, whose fast path
+// carries the integer into slots and operators, are diffed across it.
+func newDiffInterp() *Interp {
+	in := New()
+	in.RegisterTyped("hostint", func(_ *Interp, args []string) (Value, error) {
+		if len(args) == 0 {
+			return Int(70000), nil
+		}
+		n, ok := parseInt(args[0])
+		if !ok {
+			return Value{}, fmt.Errorf("hostint: bad integer %q", args[0])
+		}
+		return Int(n), nil
+	})
+	return in
 }
 
 // evalCapture runs src on in under a step limit (0 keeps the default). A
@@ -118,6 +139,27 @@ func TestEngineDiffBasics(t *testing.T) {
 		`continue`,
 		`return`,
 		`return hello`,
+		// A host command's integer result, never rendered by the host, in
+		// every position a result can land.
+		`set s [hostint]; list $s [string length $s]`,
+		`set s [hostint 512]; incr s; incr s [hostint 3]; set s`,
+		`expr {[hostint] + 1}`,
+		`expr {[hostint 7] % 3 == 1 && [hostint 0] == 0}`,
+		`expr {~[hostint 5]}`,
+		`expr {abs([hostint -4])}`,
+		`expr {"[hostint 5]" eq "5"}`,
+		`expr {~"[hostint 5]"}`,
+		`if {[hostint 7] eq "7"} { puts seven }`,
+		`if {[hostint 7] eq "007"} { puts seven } else { puts spelled }`,
+		`puts "n=[hostint 1000000]"`,
+		`foreach k [list [hostint 1] [hostint 2]] { puts $k }`,
+		`proc id {x} { return $x }; id [hostint 99999]`,
+		`set v [hostint]; set w $v; incr w; list $v $w`,
+		`[hostint 5]`,
+		`catch {hostint zz} m; set m`,
+		`hostint`,
+		`return [hostint -9]`,
+		`set big [hostint 9223372036854775807]; incr big; set big`,
 		`proc p {} { return }; p`,
 		`proc p {} { return x y }; catch {p} m; set m`,
 		`puts -nonewline abc; puts def`,
@@ -289,13 +331,17 @@ set seen`
 			}
 			log = append(log, res)
 		}
-		step(pr.Run())
+		prepared := func() (string, error) {
+			v, err := pr.Run()
+			return v.String(), err
+		}
+		step(prepared())
 		step(in.Eval(`set pfi_node rewritten; set pfi_node`)) // a script write after install
-		step(pr.Run())
+		step(prepared())
 		in.SetGlobal("pfi_protocol", "") // a host write after install
-		step(pr.Run())
+		step(prepared())
 		step(in.Eval(`unset pfi_dir`))
-		step(pr.Run())
+		step(prepared())
 		return strings.Join(log, "|")
 	}
 	want := run(EngineTree, false)

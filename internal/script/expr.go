@@ -7,115 +7,8 @@ import (
 	"strings"
 )
 
-// value is an expr operand: an int64, float64, or string.
-type value struct {
-	kind valueKind
-	i    int64
-	f    float64
-	s    string
-}
-
-type valueKind int
-
-const (
-	intVal valueKind = iota + 1
-	floatVal
-	strVal
-)
-
-func intv(i int64) value     { return value{kind: intVal, i: i} }
-func floatv(f float64) value { return value{kind: floatVal, f: f} }
-func strv(s string) value    { return value{kind: strVal, s: s} }
-func boolv(b bool) value {
-	if b {
-		return intv(1)
-	}
-	return intv(0)
-}
-
-// String renders the value in Tcl's canonical form.
-func (v value) String() string {
-	switch v.kind {
-	case intVal:
-		return itoaFast(v.i)
-	case floatVal:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eEnI") { // NaN/Inf contain n/I
-			s += ".0"
-		}
-		return s
-	default:
-		return v.s
-	}
-}
-
-func (v value) isNumeric() bool { return v.kind == intVal || v.kind == floatVal }
-
-func (v value) asFloat() float64 {
-	if v.kind == intVal {
-		return float64(v.i)
-	}
-	return v.f
-}
-
-func (v value) truth() (bool, error) {
-	switch v.kind {
-	case intVal:
-		return v.i != 0, nil
-	case floatVal:
-		return v.f != 0, nil
-	default:
-		switch strings.ToLower(v.s) {
-		case "true", "yes", "on":
-			return true, nil
-		case "false", "no", "off":
-			return false, nil
-		}
-		if n, ok := parseNumber(v.s); ok {
-			return n.truth()
-		}
-		return false, fmt.Errorf("expected boolean value but got %q", v.s)
-	}
-}
-
-// parseNumber interprets s as an integer (decimal or 0x hex) or float.
-//
-// The first-byte prefilter matters for the per-message hot path: strconv
-// allocates a *NumError on failure, and coerce calls parseNumber on every
-// operand — including plainly non-numeric message types like "DATA". Only
-// strings that could possibly start a number reach strconv. (i/I/n/N admit
-// Inf and NaN, which ParseFloat accepts.)
-func parseNumber(s string) (value, bool) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return value{}, false
-	}
-	switch c := s[0]; {
-	case c >= '0' && c <= '9', c == '+', c == '-', c == '.',
-		c == 'i', c == 'I', c == 'n', c == 'N':
-	default:
-		return value{}, false
-	}
-	// A '.' anywhere rules out an integer; skip the guaranteed ParseInt
-	// failure (and its error allocation) for float literals like "0.25".
-	if !strings.ContainsRune(s, '.') {
-		if i, err := strconv.ParseInt(s, 0, 64); err == nil {
-			return intv(i), true
-		}
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return floatv(f), true
-	}
-	return value{}, false
-}
-
-// coerce turns a raw operand string into a typed value, preferring numbers.
-func coerce(s string) value {
-	if n, ok := parseNumber(s); ok {
-		return n
-	}
-	return strv(s)
-}
+// This file is expr: the parser, the expression tree the tree-walker
+// evaluates and the compiler lowers, and the operators both share.
 
 // EvalExpr evaluates a Tcl expression, performing $variable and [command]
 // substitution against the interpreter, and returns the canonical result.
@@ -136,10 +29,10 @@ func (in *Interp) EvalExprBool(text string) (bool, error) {
 	return v.truth()
 }
 
-func (in *Interp) exprValue(text string) (value, error) {
+func (in *Interp) exprValue(text string) (Value, error) {
 	n, err := in.compileExpr(text)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	return n.eval(in)
 }
@@ -171,29 +64,29 @@ func (in *Interp) compileExpr(text string) (exprNode, error) {
 // commands, and arithmetic are never touched.
 
 type exprNode interface {
-	eval(in *Interp) (value, error)
+	eval(in *Interp) (Value, error)
 }
 
-type litNode struct{ v value }
+type litNode struct{ v Value }
 
-func (n *litNode) eval(*Interp) (value, error) { return n.v, nil }
+func (n *litNode) eval(*Interp) (Value, error) { return n.v, nil }
 
 type varNode struct{ name string }
 
-func (n *varNode) eval(in *Interp) (value, error) {
+func (n *varNode) eval(in *Interp) (Value, error) {
 	v, ok := in.Var(n.name)
 	if !ok {
-		return value{}, fmt.Errorf("can't read %q: no such variable", n.name)
+		return Value{}, fmt.Errorf("can't read %q: no such variable", n.name)
 	}
 	return coerce(v), nil
 }
 
 type cmdNode struct{ body *Script }
 
-func (n *cmdNode) eval(in *Interp) (value, error) {
+func (n *cmdNode) eval(in *Interp) (Value, error) {
 	res, err := in.runAny(n.body)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	return coerce(res), nil
 }
@@ -201,24 +94,24 @@ func (n *cmdNode) eval(in *Interp) (value, error) {
 // strNode is a quoted operand with substitutions ("v=$v").
 type strNode struct{ w word }
 
-func (n *strNode) eval(in *Interp) (value, error) {
+func (n *strNode) eval(in *Interp) (Value, error) {
 	s, err := in.expandWord(&n.w)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-	return strv(s), nil
+	return Str(s), nil
 }
 
 type ternNode struct{ cond, thenN, elseN exprNode }
 
-func (n *ternNode) eval(in *Interp) (value, error) {
+func (n *ternNode) eval(in *Interp) (Value, error) {
 	c, err := n.cond.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	b, err := c.truth()
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	if b {
 		return n.thenN.eval(in)
@@ -228,92 +121,70 @@ func (n *ternNode) eval(in *Interp) (value, error) {
 
 type andNode struct{ l, r exprNode }
 
-func (n *andNode) eval(in *Interp) (value, error) {
+func (n *andNode) eval(in *Interp) (Value, error) {
 	lv, err := n.l.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	lb, err := lv.truth()
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	if !lb {
 		return boolv(false), nil // lazy: right side unevaluated
 	}
 	rv, err := n.r.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	rb, err := rv.truth()
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	return boolv(rb), nil
 }
 
 type orNode struct{ l, r exprNode }
 
-func (n *orNode) eval(in *Interp) (value, error) {
+func (n *orNode) eval(in *Interp) (Value, error) {
 	lv, err := n.l.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	lb, err := lv.truth()
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	if lb {
 		return boolv(true), nil // lazy: right side unevaluated
 	}
 	rv, err := n.r.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	rb, err := rv.truth()
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	return boolv(rb), nil
 }
 
 // binNode covers arithmetic, bitwise/shift, comparison, and string equality.
 type binNode struct {
-	op   string
+	op   int32 // a vb* code
 	l, r exprNode
 }
 
-func (n *binNode) eval(in *Interp) (value, error) {
+func (n *binNode) eval(in *Interp) (Value, error) {
 	a, err := n.l.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
 	b, err := n.r.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-	switch n.op {
-	case "+", "-", "*", "/", "%":
-		return arith(n.op, a, b)
-	case "&", "|", "^", "<<", ">>":
-		return intBinop(n.op, a, b)
-	case "eq":
-		return boolv(a.String() == b.String()), nil
-	case "ne":
-		return boolv(a.String() != b.String()), nil
-	case "==":
-		return boolv(compare(a, b) == 0), nil
-	case "!=":
-		return boolv(compare(a, b) != 0), nil
-	case "<":
-		return boolv(compare(a, b) < 0), nil
-	case ">":
-		return boolv(compare(a, b) > 0), nil
-	case "<=":
-		return boolv(compare(a, b) <= 0), nil
-	case ">=":
-		return boolv(compare(a, b) >= 0), nil
-	}
-	return value{}, fmt.Errorf("expr: unknown operator %q", n.op)
+	return binop(n.op, &a, &b)
 }
 
 type unaryNode struct {
@@ -321,47 +192,12 @@ type unaryNode struct {
 	x  exprNode
 }
 
-func (n *unaryNode) eval(in *Interp) (value, error) {
+func (n *unaryNode) eval(in *Interp) (Value, error) {
 	v, err := n.x.eval(in)
 	if err != nil {
-		return value{}, err
+		return Value{}, err
 	}
-	switch n.op {
-	case '+':
-		if !v.isNumeric() {
-			if num, ok := parseNumber(v.s); ok {
-				return num, nil
-			}
-			return value{}, fmt.Errorf("expr: unary + on non-number %q", v.s)
-		}
-		return v, nil
-	case '-':
-		switch v.kind {
-		case intVal:
-			return intv(-v.i), nil
-		case floatVal:
-			return floatv(-v.f), nil
-		default:
-			if num, ok := parseNumber(v.s); ok {
-				if num.kind == intVal {
-					return intv(-num.i), nil
-				}
-				return floatv(-num.f), nil
-			}
-			return value{}, fmt.Errorf("expr: unary - on non-number %q", v.s)
-		}
-	case '!':
-		b, err := v.truth()
-		if err != nil {
-			return value{}, err
-		}
-		return boolv(!b), nil
-	default: // '~'
-		if v.kind != intVal {
-			return value{}, fmt.Errorf("expr: ~ requires an integer")
-		}
-		return intv(^v.i), nil
-	}
+	return unop(n.op, &v)
 }
 
 type funcNode struct {
@@ -369,12 +205,12 @@ type funcNode struct {
 	args []exprNode
 }
 
-func (n *funcNode) eval(in *Interp) (value, error) {
-	args := make([]value, len(n.args))
+func (n *funcNode) eval(in *Interp) (Value, error) {
+	args := make([]Value, len(n.args))
 	for i, a := range n.args {
 		v, err := a.eval(in)
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		args[i] = v
 	}
@@ -495,7 +331,7 @@ func (p *exprParser) parseBitOr() (exprNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = &binNode{op: "|", l: left, r: right}
+			left = &binNode{op: vbBitOr, l: left, r: right}
 			continue
 		}
 		return left, nil
@@ -513,7 +349,7 @@ func (p *exprParser) parseBitXor() (exprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binNode{op: "^", l: left, r: right}
+		left = &binNode{op: vbBitXor, l: left, r: right}
 	}
 	return left, nil
 }
@@ -532,7 +368,7 @@ func (p *exprParser) parseBitAnd() (exprNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			left = &binNode{op: "&", l: left, r: right}
+			left = &binNode{op: vbBitAnd, l: left, r: right}
 			continue
 		}
 		return left, nil
@@ -554,7 +390,7 @@ func (p *exprParser) parseEquality() (exprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binNode{op: op, l: left, r: right}
+		left = &binNode{op: binopCode[op], l: left, r: right}
 	}
 }
 
@@ -577,7 +413,7 @@ func (p *exprParser) parseRelational() (exprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binNode{op: op, l: left, r: right}
+		left = &binNode{op: binopCode[op], l: left, r: right}
 	}
 }
 
@@ -596,7 +432,7 @@ func (p *exprParser) parseShift() (exprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binNode{op: op, l: left, r: right}
+		left = &binNode{op: binopCode[op], l: left, r: right}
 	}
 }
 
@@ -615,7 +451,7 @@ func (p *exprParser) parseAdditive() (exprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binNode{op: op, l: left, r: right}
+		left = &binNode{op: binopCode[op], l: left, r: right}
 	}
 }
 
@@ -634,7 +470,7 @@ func (p *exprParser) parseMultiplicative() (exprNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &binNode{op: op, l: left, r: right}
+		left = &binNode{op: binopCode[op], l: left, r: right}
 	}
 }
 
@@ -730,7 +566,7 @@ func (p *exprParser) parseStringOperand() (exprNode, error) {
 		for i := range segs {
 			b.WriteString(segs[i].text)
 		}
-		return &litNode{v: strv(b.String())}, nil
+		return &litNode{v: Str(b.String())}, nil
 	}
 	return &strNode{w: word{segs: segs}}, nil
 }
@@ -742,7 +578,7 @@ func (p *exprParser) parseBracedOperand() (exprNode, error) {
 		return nil, err
 	}
 	p.pos = sub.pos
-	return &litNode{v: strv(text)}, nil
+	return &litNode{v: Str(text)}, nil
 }
 
 func (p *exprParser) parseNumberOperand() (exprNode, error) {
@@ -757,7 +593,7 @@ func (p *exprParser) parseNumberOperand() (exprNode, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expr: bad hex literal %q", p.src[start:p.pos])
 		}
-		return &litNode{v: intv(i)}, nil
+		return &litNode{v: Int(i)}, nil
 	}
 	for p.pos < len(p.src) {
 		c := p.src[p.pos]
@@ -784,7 +620,7 @@ done:
 		if err != nil {
 			return nil, fmt.Errorf("expr: bad integer literal %q", text)
 		}
-		return &litNode{v: intv(i)}, nil
+		return &litNode{v: Int(i)}, nil
 	}
 	f, err := strconv.ParseFloat(text, 64)
 	if err != nil {
@@ -855,73 +691,70 @@ var knownFuncs = map[string]struct{}{
 	"tan": {}, "pow": {}, "fmod": {}, "atan2": {}, "hypot": {}, "min": {}, "max": {},
 }
 
-func applyFunc(name string, args []value) (value, error) {
+func applyFunc(name string, args []Value) (Value, error) {
 	need := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("expr: %s() takes %d argument(s), got %d", name, n, len(args))
 		}
 		return nil
 	}
-	num := func(v value) (float64, error) {
-		if !v.isNumeric() {
-			n, ok := parseNumber(v.s)
-			if !ok {
-				return 0, fmt.Errorf("expr: %s() requires numeric argument, got %q", name, v.s)
-			}
-			v = n
+	num := func(v Value) (float64, error) {
+		n, ok := v.number()
+		if !ok {
+			return 0, fmt.Errorf("expr: %s() requires numeric argument, got %q", name, v.s)
 		}
-		return v.asFloat(), nil
+		return n.asFloat(), nil
 	}
 	switch name {
 	case "abs":
 		if err := need(1); err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		if args[0].kind == intVal {
-			if args[0].i < 0 {
-				return intv(-args[0].i), nil
+			if args[0].n < 0 {
+				return Int(-args[0].n), nil
 			}
 			return args[0], nil
 		}
 		f, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		return floatv(math.Abs(f)), nil
 	case "int":
 		if err := need(1); err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		f, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
-		return intv(int64(f)), nil
+		return Int(int64(f)), nil
 	case "double":
 		if err := need(1); err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		f, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		return floatv(f), nil
 	case "round":
 		if err := need(1); err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		f, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
-		return intv(int64(math.Round(f))), nil
+		return Int(int64(math.Round(f))), nil
 	case "floor", "ceil", "sqrt", "exp", "log", "log10", "sin", "cos", "tan":
 		if err := need(1); err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		f, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		fns := map[string]func(float64) float64{
 			"floor": math.Floor, "ceil": math.Ceil, "sqrt": math.Sqrt,
@@ -931,15 +764,15 @@ func applyFunc(name string, args []value) (value, error) {
 		return floatv(fns[name](f)), nil
 	case "pow", "fmod", "atan2", "hypot":
 		if err := need(2); err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		a, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		b, err := num(args[1])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		fns := map[string]func(float64, float64) float64{
 			"pow": math.Pow, "fmod": math.Mod, "atan2": math.Atan2, "hypot": math.Hypot,
@@ -947,17 +780,17 @@ func applyFunc(name string, args []value) (value, error) {
 		return floatv(fns[name](a, b)), nil
 	case "min", "max":
 		if len(args) == 0 {
-			return value{}, fmt.Errorf("expr: %s() needs at least one argument", name)
+			return Value{}, fmt.Errorf("expr: %s() needs at least one argument", name)
 		}
 		best, err := num(args[0])
 		if err != nil {
-			return value{}, err
+			return Value{}, err
 		}
 		allInt := args[0].kind == intVal
 		for _, a := range args[1:] {
 			f, err := num(a)
 			if err != nil {
-				return value{}, err
+				return Value{}, err
 			}
 			if a.kind != intVal {
 				allInt = false
@@ -967,148 +800,202 @@ func applyFunc(name string, args []value) (value, error) {
 			}
 		}
 		if allInt {
-			return intv(int64(best)), nil
+			return Int(int64(best)), nil
 		}
 		return floatv(best), nil
 	default:
-		return value{}, fmt.Errorf("expr: unknown function %q", name)
+		return Value{}, fmt.Errorf("expr: unknown function %q", name)
 	}
 }
 
-// compare orders two values: numerically when both parse as numbers,
-// lexically otherwise. Returns -1, 0, or 1.
-func compare(a, b value) int {
-	an, aok := a, a.isNumeric()
-	if !aok {
-		an, aok = parseNumber(a.s)
+// Binary operator codes, shared by binNode and the VM's opVBinop family.
+const (
+	vbAdd int32 = iota
+	vbSub
+	vbMul
+	vbDiv
+	vbMod
+	vbBitAnd
+	vbBitOr
+	vbBitXor
+	vbShl
+	vbShr
+	vbEqStr
+	vbNeStr
+	vbEqNum
+	vbNeNum
+	vbLt
+	vbGt
+	vbLe
+	vbGe
+)
+
+var binopCode = map[string]int32{
+	"+": vbAdd, "-": vbSub, "*": vbMul, "/": vbDiv, "%": vbMod,
+	"&": vbBitAnd, "|": vbBitOr, "^": vbBitXor, "<<": vbShl, ">>": vbShr,
+	"eq": vbEqStr, "ne": vbNeStr, "==": vbEqNum, "!=": vbNeNum,
+	"<": vbLt, ">": vbGt, "<=": vbLe, ">=": vbGe,
+}
+
+var binopName = [...]string{
+	vbAdd: "+", vbSub: "-", vbMul: "*", vbDiv: "/", vbMod: "%",
+	vbBitAnd: "&", vbBitOr: "|", vbBitXor: "^", vbShl: "<<", vbShr: ">>",
+	vbEqStr: "eq", vbNeStr: "ne", vbEqNum: "==", vbNeNum: "!=",
+	vbLt: "<", vbGt: ">", vbLe: "<=", vbGe: ">=",
+}
+
+// binop applies one binary operator — the one implementation the
+// tree-walker's binNode, the VM and the constant folder all call. Two
+// integers, which is what a filter's counters, header fields and moduli
+// are, never leave intBinop; everything else reads its operands as numbers
+// where it can (parsing text once) and falls back to text where it cannot.
+func binop(code int32, a, b *Value) (Value, error) {
+	if a.kind == intVal && b.kind == intVal {
+		return intBinop(code, a.n, b.n)
 	}
-	bn, bok := b, b.isNumeric()
-	if !bok {
-		bn, bok = parseNumber(b.s)
+	switch code {
+	case vbEqStr:
+		return boolv(a.String() == b.String()), nil
+	case vbNeStr:
+		return boolv(a.String() != b.String()), nil
 	}
-	if aok && bok {
-		if an.kind == intVal && bn.kind == intVal {
-			switch {
-			case an.i < bn.i:
-				return -1
-			case an.i > bn.i:
-				return 1
-			default:
-				return 0
+	an, aok := a.number()
+	bn, bok := b.number()
+	switch {
+	case code >= vbEqNum:
+		// Ordered numerically when both sides are numbers, lexically
+		// otherwise.
+		var c int
+		switch {
+		case !aok || !bok:
+			c = strings.Compare(a.String(), b.String())
+		case an.kind == intVal && bn.kind == intVal:
+			return intBinop(code, an.n, bn.n)
+		default:
+			af, bf := an.asFloat(), bn.asFloat()
+			if af < bf {
+				c = -1
+			} else if af > bf {
+				c = 1
 			}
 		}
-		af, bf := an.asFloat(), bn.asFloat()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		default:
-			return 0
+		return intBinop(code, int64(c), 0)
+	case code >= vbBitAnd:
+		if !aok || !bok || an.kind != intVal || bn.kind != intVal {
+			return Value{}, fmt.Errorf("expr: %q requires integer operands", binopName[code])
 		}
-	}
-	return strings.Compare(a.String(), b.String())
-}
-
-// arith applies + - * / % with Tcl's int/float promotion rules.
-func arith(op string, a, b value) (value, error) {
-	an, aok := a, a.isNumeric()
-	if !aok {
-		an, aok = parseNumber(a.s)
-	}
-	bn, bok := b, b.isNumeric()
-	if !bok {
-		bn, bok = parseNumber(b.s)
+		return intBinop(code, an.n, bn.n)
 	}
 	if !aok || !bok {
 		bad := a
 		if aok {
 			bad = b
 		}
-		return value{}, fmt.Errorf("expr: can't use %q as operand of %q", bad.String(), op)
+		return Value{}, fmt.Errorf("expr: can't use %q as operand of %q", bad.String(), binopName[code])
 	}
 	if an.kind == intVal && bn.kind == intVal {
-		switch op {
-		case "+":
-			return intv(an.i + bn.i), nil
-		case "-":
-			return intv(an.i - bn.i), nil
-		case "*":
-			return intv(an.i * bn.i), nil
-		case "/":
-			if bn.i == 0 {
-				return value{}, fmt.Errorf("expr: divide by zero")
-			}
-			// Tcl floors integer division toward negative infinity.
-			q := an.i / bn.i
-			if (an.i%bn.i != 0) && ((an.i < 0) != (bn.i < 0)) {
-				q--
-			}
-			return intv(q), nil
-		case "%":
-			if bn.i == 0 {
-				return value{}, fmt.Errorf("expr: divide by zero")
-			}
-			r := an.i % bn.i
-			if r != 0 && ((an.i < 0) != (bn.i < 0)) {
-				r += bn.i
-			}
-			return intv(r), nil
-		}
+		return intBinop(code, an.n, bn.n)
 	}
 	af, bf := an.asFloat(), bn.asFloat()
-	switch op {
-	case "+":
+	switch code {
+	case vbAdd:
 		return floatv(af + bf), nil
-	case "-":
+	case vbSub:
 		return floatv(af - bf), nil
-	case "*":
+	case vbMul:
 		return floatv(af * bf), nil
-	case "/":
+	case vbDiv:
 		if bf == 0 {
-			return value{}, fmt.Errorf("expr: divide by zero")
+			return Value{}, fmt.Errorf("expr: divide by zero")
 		}
 		return floatv(af / bf), nil
-	case "%":
-		return value{}, fmt.Errorf("expr: %% requires integer operands")
 	}
-	return value{}, fmt.Errorf("expr: unknown operator %q", op)
+	return Value{}, fmt.Errorf("expr: %% requires integer operands")
 }
 
-// intBinop applies the bitwise/shift operators, which require integers.
-func intBinop(op string, a, b value) (value, error) {
-	an, aok := a, a.kind == intVal
-	if !aok {
-		if n, ok := parseNumber(a.String()); ok && n.kind == intVal {
-			an, aok = n, true
+// intBinop is every binary operator over two integers, decided by opcode.
+// (eq/ne compare canonical renderings, which are equal exactly when the
+// integers are.)
+func intBinop(code int32, x, y int64) (Value, error) {
+	switch code {
+	case vbAdd:
+		return Int(x + y), nil
+	case vbSub:
+		return Int(x - y), nil
+	case vbMul:
+		return Int(x * y), nil
+	case vbDiv:
+		if y == 0 {
+			return Value{}, fmt.Errorf("expr: divide by zero")
 		}
-	}
-	bn, bok := b, b.kind == intVal
-	if !bok {
-		if n, ok := parseNumber(b.String()); ok && n.kind == intVal {
-			bn, bok = n, true
+		// Tcl floors integer division toward negative infinity.
+		q := x / y
+		if x%y != 0 && (x < 0) != (y < 0) {
+			q--
 		}
+		return Int(q), nil
+	case vbMod:
+		if y == 0 {
+			return Value{}, fmt.Errorf("expr: divide by zero")
+		}
+		r := x % y
+		if r != 0 && (x < 0) != (y < 0) {
+			r += y
+		}
+		return Int(r), nil
+	case vbBitAnd:
+		return Int(x & y), nil
+	case vbBitOr:
+		return Int(x | y), nil
+	case vbBitXor:
+		return Int(x ^ y), nil
+	case vbShl, vbShr:
+		if y < 0 || y > 63 {
+			return Value{}, fmt.Errorf("expr: shift count %d out of range", y)
+		}
+		if code == vbShl {
+			return Int(x << uint(y)), nil
+		}
+		return Int(x >> uint(y)), nil
+	case vbEqStr, vbEqNum:
+		return boolv(x == y), nil
+	case vbNeStr, vbNeNum:
+		return boolv(x != y), nil
+	case vbLt:
+		return boolv(x < y), nil
+	case vbGt:
+		return boolv(x > y), nil
+	case vbLe:
+		return boolv(x <= y), nil
 	}
-	if !aok || !bok {
-		return value{}, fmt.Errorf("expr: %q requires integer operands", op)
-	}
+	return boolv(x >= y), nil
+}
+
+// unop applies one unary operator.
+func unop(op byte, v *Value) (Value, error) {
 	switch op {
-	case "&":
-		return intv(an.i & bn.i), nil
-	case "|":
-		return intv(an.i | bn.i), nil
-	case "^":
-		return intv(an.i ^ bn.i), nil
-	case "<<":
-		if bn.i < 0 || bn.i > 63 {
-			return value{}, fmt.Errorf("expr: shift count %d out of range", bn.i)
+	case '+', '-':
+		n, ok := v.number()
+		if !ok {
+			return Value{}, fmt.Errorf("expr: unary %c on non-number %q", op, v.s)
 		}
-		return intv(an.i << uint(bn.i)), nil
-	case ">>":
-		if bn.i < 0 || bn.i > 63 {
-			return value{}, fmt.Errorf("expr: shift count %d out of range", bn.i)
+		switch {
+		case op == '+':
+			return n, nil
+		case n.kind == intVal:
+			return Int(-n.n), nil
 		}
-		return intv(an.i >> uint(bn.i)), nil
+		return floatv(-n.float()), nil
+	case '!':
+		b, err := v.truth()
+		if err != nil {
+			return Value{}, err
+		}
+		return boolv(!b), nil
+	default: // '~'
+		if v.kind != intVal {
+			return Value{}, fmt.Errorf("expr: ~ requires an integer")
+		}
+		return Int(^v.n), nil
 	}
-	return value{}, fmt.Errorf("expr: unknown operator %q", op)
 }

@@ -15,9 +15,14 @@ func FuzzCompiledParity(f *testing.F) {
 	f.Add(`proc if {args} { return shadowed }; if {1} { puts never }`)
 	f.Add(`foreach {a b} {1 2 3} { puts $a$b }`)
 	f.Add(`expr {1 ? [concat a] : $nope}`)
+	f.Add(`set n [hostint 600]; incr n [hostint 3]; puts "$n [expr {$n % 7}]"`)
+	for _, c := range numberGrammarCases {
+		f.Add("expr {" + c.text + " + 0}")
+		f.Add("set x {" + c.text + "}; list [expr {$x == 10}] [catch {incr x} m] $m $x")
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		run := func(eng Engine) (res, errs, out string) {
-			in := New()
+			in := newDiffInterp()
 			in.SetEngine(eng)
 			in.SetStepLimit(20000)
 			var b strings.Builder

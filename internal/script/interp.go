@@ -13,6 +13,22 @@ import (
 // result (Tcl semantics: every command returns a string).
 type Command func(in *Interp, args []string) (string, error)
 
+// TypedCommand is a Command whose result need not be text: a command that
+// computed an integer (a header field, a length, a counter) returns Int(n)
+// and the digits are rendered only if something reads the result as text.
+// A script cannot tell the two apart.
+type TypedCommand func(in *Interp, args []string) (Value, error)
+
+// binding is what a command name resolves to on the host side. The zero
+// binding is "no such command" — also what Unregister leaves in an
+// interpreter's table to hide a builtin.
+type binding struct {
+	cmd   Command
+	typed TypedCommand
+}
+
+func (b binding) bound() bool { return b.cmd != nil || b.typed != nil }
+
 // flow carries Tcl's non-error result codes (return/break/continue) through
 // Go's error plumbing. It never escapes Eval's public API.
 type flow struct {
@@ -100,20 +116,12 @@ const (
 
 // gslot is one global variable. Globals live in a flat slot table rather
 // than a map so the compiler can resolve a literal variable name to an
-// integer index once, and so the VM can memoize the numeric interpretation
-// of a value between writes (num/numState).
+// integer index once; the Value in it keeps whichever of text and number
+// has been asked for since the last write.
 type gslot struct {
-	val      string
-	num      value // memoized numeric form, valid when numState == numIs
-	numState uint8
-	set      bool
+	v   Value
+	set bool
 }
-
-const (
-	numUnknown uint8 = iota // val not yet parsed
-	numIs                   // num holds parseNumber(val)
-	numNot                  // val does not parse as a number
-)
 
 // maxGlobalSlots caps the name-interning table. Scripts that synthesize
 // unbounded variable names fall through to the overflow map, keeping the
@@ -126,10 +134,10 @@ const maxGlobalSlots = 8192
 // the simulation is single-threaded by design.
 type Interp struct {
 	gslots    []gslot
-	gslotOf   map[string]int    // global name -> slot index
-	goverflow map[string]string // globals past the intern cap
-	frames    []*frame          // proc call stack (empty at top level)
-	commands  map[string]Command
+	gslotOf   map[string]int     // global name -> slot index
+	goverflow map[string]string  // globals past the intern cap
+	frames    []*frame           // proc call stack (empty at top level)
+	commands  map[string]binding // host commands and overridden builtins; see lookup
 	procs     map[string]*proc
 	scripts   *srcCache[*Script]  // parse cache for control-flow bodies
 	exprs     *srcCache[exprNode] // compile cache for expr conditions
@@ -159,10 +167,9 @@ type Interp struct {
 
 	// VM scratch stacks, shared across nested exec calls (each call
 	// operates above its saved base indices).
-	vmArgs []string
-	vmVals []value
-	vmFes  []feState
-	vmBuf  []byte // concat scratch
+	vmStack []Value
+	vmFes   []feState
+	vmBuf   []byte // concat scratch
 }
 
 const maxDepth = 200
@@ -172,7 +179,7 @@ const maxDepth = 200
 func New() *Interp {
 	in := &Interp{
 		gslotOf:   make(map[string]int),
-		commands:  make(map[string]Command),
+		commands:  make(map[string]binding),
 		procs:     make(map[string]*proc),
 		scripts:   newSrcCache[*Script](4096),
 		exprs:     newSrcCache[exprNode](4096),
@@ -180,8 +187,8 @@ func New() *Interp {
 		procProgs: newSrcCache[*Program](4096),
 		out:       io.Discard,
 		maxSteps:  5_000_000,
+		cmdEpoch:  1, // 0 marks a call site that never resolved
 	}
-	registerCore(in)
 	return in
 }
 
@@ -223,19 +230,12 @@ func (in *Interp) StepLimitHit() bool { return in.limitHit }
 // from a snapshot.
 func (in *Interp) Steps() int { return in.steps }
 
-// savedGlobal is one global slot's scripted state. The numeric memo
-// (num/numState) is a pure cache and is reset on restore.
-type savedGlobal struct {
-	val string
-	set bool
-}
-
 // interpState is the script-visible mutable state of an interpreter:
 // global variables and script-defined procs. Host commands, caches, and
 // scratch space are excluded — commands are installed by the host once,
 // and the caches are semantically transparent.
 type interpState struct {
-	slots    []savedGlobal
+	slots    []gslot
 	overflow map[string]string
 	procs    map[string]*proc
 	shadow   uint32
@@ -245,12 +245,9 @@ type interpState struct {
 // snapshot registry.
 func (in *Interp) SnapshotState() any {
 	st := &interpState{
-		slots:  make([]savedGlobal, len(in.gslots)),
+		slots:  append([]gslot(nil), in.gslots...),
 		procs:  make(map[string]*proc, len(in.procs)),
 		shadow: in.shadowMask,
-	}
-	for i := range in.gslots {
-		st.slots[i] = savedGlobal{val: in.gslots[i].val, set: in.gslots[i].set}
 	}
 	if in.goverflow != nil {
 		st.overflow = make(map[string]string, len(in.goverflow))
@@ -270,15 +267,7 @@ func (in *Interp) SnapshotState() any {
 // interned-but-unset slot reads exactly like a never-mentioned variable.
 func (in *Interp) RestoreState(state any) {
 	st := state.(*interpState)
-	for i := range in.gslots {
-		s := &in.gslots[i]
-		if i < len(st.slots) {
-			s.val, s.set = st.slots[i].val, st.slots[i].set
-		} else {
-			s.val, s.set = "", false
-		}
-		s.num, s.numState = valueZero, numUnknown
-	}
+	clear(in.gslots[copy(in.gslots, st.slots):])
 	if st.overflow == nil {
 		in.goverflow = nil
 	} else {
@@ -300,18 +289,47 @@ func (in *Interp) Register(name string, cmd Command) {
 	if cmd == nil {
 		panic("script: nil command for " + name)
 	}
-	if _, replaced := in.commands[name]; replaced {
+	in.bind(name, binding{cmd: cmd})
+}
+
+// RegisterTyped installs (or replaces) a host command whose result is a
+// Value.
+func (in *Interp) RegisterTyped(name string, cmd TypedCommand) {
+	if cmd == nil {
+		panic("script: nil command for " + name)
+	}
+	in.bind(name, binding{typed: cmd})
+}
+
+func (in *Interp) bind(name string, b binding) {
+	if in.lookup(name).bound() {
 		in.markShadowed(name)
 	}
-	in.commands[name] = cmd
+	in.commands[name] = b
 	in.cmdEpoch++
 }
 
 // Unregister removes a host command.
 func (in *Interp) Unregister(name string) {
-	delete(in.commands, name)
+	if _, builtin := builtins[name]; builtin {
+		in.commands[name] = binding{}
+	} else {
+		delete(in.commands, name)
+	}
 	in.markShadowed(name)
 	in.cmdEpoch++
+}
+
+// lookup resolves a host command name: what this interpreter registered or
+// removed first, the process-wide builtin table otherwise. The builtins are
+// never copied into an interpreter — a world builds hundreds, and filling
+// a map with the same thirty-six entries each time was the largest map
+// cost a fuzz round had left.
+func (in *Interp) lookup(name string) binding {
+	if b, ok := in.commands[name]; ok {
+		return b
+	}
+	return binding{cmd: builtins[name]}
 }
 
 // defineProc installs a script-defined procedure. Procs shadow host
@@ -358,18 +376,22 @@ func (in *Interp) markShadowed(name string) {
 
 // HasCommand reports whether name resolves to a host command or proc.
 func (in *Interp) HasCommand(name string) bool {
-	if _, ok := in.commands[name]; ok {
-		return true
-	}
 	_, ok := in.procs[name]
-	return ok
+	return ok || in.lookup(name).bound()
 }
 
 // CommandNames lists registered host commands and procs (unsorted).
 func (in *Interp) CommandNames() []string {
-	names := make([]string, 0, len(in.commands)+len(in.procs))
-	for n := range in.commands {
-		names = append(names, n)
+	names := make([]string, 0, len(builtins)+len(in.commands)+len(in.procs))
+	for n := range builtins {
+		if _, own := in.commands[n]; !own {
+			names = append(names, n)
+		}
+	}
+	for n, b := range in.commands {
+		if b.bound() {
+			names = append(names, n)
+		}
 	}
 	for n := range in.procs {
 		names = append(names, n)
@@ -440,9 +462,7 @@ func (in *Interp) gslotIndex(name string) int {
 
 func (in *Interp) gset(name, value string) {
 	if i := in.gslotIndex(name); i >= 0 {
-		s := &in.gslots[i]
-		s.val, s.set, s.numState = value, true, numUnknown
-		s.num = valueZero
+		in.gslots[i] = gslot{v: Str(value), set: true}
 		return
 	}
 	if in.goverflow == nil {
@@ -451,10 +471,12 @@ func (in *Interp) gset(name, value string) {
 	in.goverflow[name] = value
 }
 
+// gget reads a global as text, which a slot holding a computed number
+// renders here, once.
 func (in *Interp) gget(name string) (string, bool) {
 	if i, ok := in.gslotOf[name]; ok {
 		s := &in.gslots[i]
-		return s.val, s.set
+		return s.v.text(), s.set
 	}
 	v, ok := in.goverflow[name]
 	return v, ok
@@ -468,8 +490,6 @@ func (in *Interp) gunset(name string) {
 	delete(in.goverflow, name)
 }
 
-var valueZero value
-
 // Eval parses (with caching) and runs src at the top level, resetting the
 // step budget. It returns the result of the last command.
 func (in *Interp) Eval(src string) (string, error) {
@@ -479,15 +499,21 @@ func (in *Interp) Eval(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := in.runAny(s)
-	if err != nil {
-		var fl *flow
-		if errors.As(err, &fl) {
-			if fl.code == flowReturn {
-				return fl.value, nil // top-level return is permitted
-			}
-			return "", &EvalError{Msg: fl.Error()}
+	return in.Run(s)
+}
+
+// topLevel ends a top-level evaluation: a return is permitted there, a
+// break or continue with no loop around it is an error.
+func topLevel(res string, err error) (string, error) {
+	if err == nil {
+		return res, nil
+	}
+	var fl *flow
+	if errors.As(err, &fl) {
+		if fl.code == flowReturn {
+			return fl.value, nil
 		}
+		return "", &EvalError{Msg: fl.Error()}
 	}
 	return res, err
 }
@@ -496,17 +522,7 @@ func (in *Interp) Eval(src string) (string, error) {
 func (in *Interp) Run(s *Script) (string, error) {
 	in.steps = 0
 	in.limitHit = false
-	res, err := in.runAny(s)
-	if err != nil {
-		var fl *flow
-		if errors.As(err, &fl) {
-			if fl.code == flowReturn {
-				return fl.value, nil
-			}
-			return "", &EvalError{Msg: fl.Error()}
-		}
-	}
-	return res, err
+	return topLevel(in.runAny(s))
 }
 
 // runAny executes a parsed script in the current frame with the active
@@ -517,7 +533,8 @@ func (in *Interp) runAny(s *Script) (string, error) {
 	if in.engine == EngineTree {
 		return in.run(s)
 	}
-	return in.exec(in.program(s))
+	v, err := in.exec(in.program(s))
+	return v.String(), err
 }
 
 // program returns the VM program for s, compiling and memoizing on miss.
@@ -565,25 +582,23 @@ func (in *Interp) Prepare(s *Script) *Prepared {
 	return &Prepared{in: in, s: s, p: in.programFor(s, in.progs, modeGlobal)}
 }
 
-// Run executes the prepared script at the top level, like Interp.Run.
-func (pr *Prepared) Run() (string, error) {
+// Run executes the prepared script at the top level, like Interp.Run, but
+// hands the result over as it stands: a filter run discards it, and a
+// script that ends in `incr n` should not pay for the digits.
+func (pr *Prepared) Run() (Value, error) {
 	in := pr.in
 	if in.engine == EngineTree {
-		return in.Run(pr.s)
+		res, err := in.Run(pr.s)
+		return Str(res), err
 	}
 	in.steps = 0
 	in.limitHit = false
-	res, err := in.exec(pr.p)
+	v, err := in.exec(pr.p)
 	if err != nil {
-		var fl *flow
-		if errors.As(err, &fl) {
-			if fl.code == flowReturn {
-				return fl.value, nil
-			}
-			return "", &EvalError{Msg: fl.Error()}
-		}
+		res, err := topLevel("", err)
+		return Str(res), err
 	}
-	return res, err
+	return v, nil
 }
 
 // compile parses src, memoizing results so control-flow bodies evaluated
@@ -668,10 +683,7 @@ func (in *Interp) putWords(buf []string) {
 	if cap(buf) == 0 || len(in.wordBufs) >= 32 {
 		return
 	}
-	buf = buf[:cap(buf)]
-	for i := range buf {
-		buf[i] = "" // release string references
-	}
+	clear(buf) // release string references; a pooled buffer is empty past its length
 	in.wordBufs = append(in.wordBufs, buf[:0])
 }
 
@@ -711,26 +723,52 @@ func (in *Interp) expandWord(w *word) (string, error) {
 	return b.String(), nil
 }
 
-// invoke dispatches an expanded command: procs first, then host commands.
+// invoke dispatches an expanded command by name — the tree-walker's call,
+// which sees the result as text.
 func (in *Interp) invoke(words []string, line int) (string, error) {
 	name := words[0]
-	if pr, ok := in.procs[name]; ok {
-		return in.callProc(pr, words[1:], line)
+	v, err := in.call(name, in.procs[name], in.lookup(name), words[1:], line)
+	return v.String(), err
+}
+
+// call runs what a command name resolved to — procs first, then host
+// commands — and is the only place either is invoked: the tree-walker, the
+// VM's cached and dynamic call sites all come through here, so a result is
+// typed, and an error wrapped, the same way whoever asked.
+func (in *Interp) call(name string, pr *proc, b binding, args []string, line int) (Value, error) {
+	if pr != nil {
+		res, err := in.callProc(pr, args, line)
+		return Str(res), err
 	}
-	if cmd, ok := in.commands[name]; ok {
-		res, err := cmd(in, words[1:])
-		if err != nil {
-			var fl *flow
-			var ev *EvalError
-			var pe *ParseError
-			if errors.As(err, &fl) || errors.As(err, &ev) || errors.As(err, &pe) {
-				return res, err
-			}
-			return res, &EvalError{Cmd: name, Line: line, Msg: err.Error()}
-		}
-		return res, nil
+	var v Value
+	var err error
+	switch {
+	case b.typed != nil:
+		v, err = b.typed(in, args)
+	case b.cmd != nil:
+		var res string
+		res, err = b.cmd(in, args)
+		v = Str(res)
+	default:
+		err = fmt.Errorf("invalid command name %q", name)
 	}
-	return "", &EvalError{Cmd: name, Line: line, Msg: fmt.Sprintf("invalid command name %q", name)}
+	if err != nil {
+		return Value{}, wrapCmdErr(err, name, line)
+	}
+	return v, nil
+}
+
+// wrapCmdErr attributes a host command's error to the command: flow and
+// already-annotated errors pass through, anything else becomes an EvalError
+// naming it.
+func wrapCmdErr(err error, name string, line int) error {
+	var fl *flow
+	var ev *EvalError
+	var pe *ParseError
+	if errors.As(err, &fl) || errors.As(err, &ev) || errors.As(err, &pe) {
+		return err
+	}
+	return &EvalError{Cmd: name, Line: line, Msg: err.Error()}
 }
 
 // callProc binds arguments and runs the proc body in a fresh frame.
@@ -782,11 +820,4 @@ func procUsage(pr *proc) string {
 		}
 	}
 	return strings.Join(parts, " ")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -60,7 +60,7 @@ type optimizer struct {
 	p  *Program
 }
 
-func (o *optimizer) vconstIdx(v value) int32 {
+func (o *optimizer) vconstIdx(v Value) int32 {
 	o.p.vconsts = append(o.p.vconsts, v)
 	return int32(len(o.p.vconsts) - 1)
 }
@@ -181,7 +181,7 @@ func (o *optimizer) fold() bool {
 		}
 		if i.op == opVConst && free(3) &&
 			at(k+1).op == opVConst && at(k+2).op == opVBinop {
-			if v, err := evalBinop(at(k+2).a, o.p.vconsts[i.a], o.p.vconsts[at(k+1).a]); err == nil {
+			if v, err := binop(at(k+2).a, &o.p.vconsts[i.a], &o.p.vconsts[at(k+1).a]); err == nil {
 				r.emit(instr{op: opVConst, a: o.vconstIdx(v), line: i.line}, int32(k))
 				k += 3
 				changed = true
@@ -190,7 +190,7 @@ func (o *optimizer) fold() bool {
 			}
 		}
 		if i.op == opVConst && free(2) && at(k+1).op == opVUnary {
-			if v, err := evalUnary(byte(at(k+1).a), o.p.vconsts[i.a]); err == nil {
+			if v, err := unop(byte(at(k+1).a), &o.p.vconsts[i.a]); err == nil {
 				r.emit(instr{op: opVConst, a: o.vconstIdx(v), line: i.line}, int32(k))
 				k += 2
 				changed = true
@@ -355,7 +355,7 @@ func (o *optimizer) fuse() {
 					f.binop = ins[j+2].a
 					f.target = ins[j+3].a
 					f.cstr = o.p.vconsts[f.vconst].String()
-					if coerce(f.cstr).String() == f.cstr {
+					if c := coerce(f.cstr); c.String() == f.cstr {
 						f.flags |= fuseRawEq
 					}
 					r.emit(instr{op: opInvokeCmpBr, a: fi.a, c: fi.c, line: fi.line}, int32(k))

@@ -9,7 +9,7 @@ import (
 // or lowered only — returning result, error text, and output.
 func runVM(t *testing.T, fused bool, src string, steps int) (string, string, string) {
 	t.Helper()
-	in := New()
+	in := newDiffInterp()
 	in.lowerOnly = !fused
 	return evalCapture(in, src, steps)
 }
@@ -87,6 +87,15 @@ list $i`,
 		`proc p {} { global g; info exists g }; set g 5; list [p] [info exists g]`,
 		`proc p {} { info exists q }; set q 1; p`,
 		`set a 1; set r [info exists a]; proc info {args} { return shadow }; list $r [info exists a]`,
+		// A typed host result through the fused dispatch shapes: the
+		// invoke+compare+branch, the invoke feeding an operator, a slot
+		// argument rendered in place, and the proc that later shadows it.
+		`if {[hostint 7] eq "7"} { puts hit } else { puts miss }`,
+		`if {[hostint 7] ne "7.0"} { puts hit } else { puts miss }`,
+		`set n [hostint 600]; set m [expr {$n * 2 + [hostint 1]}]; list $n $m [string length $m]`,
+		`set n [hostint 600]; incr n; hostint $n`,
+		`set r [hostint 3]; proc hostint {args} { return "03" }; list $r [hostint] [expr {[hostint] + 1}]`,
+		`set n 0; foreach k {5 7 8} { set n [expr {($n / 512 + $k) % 11 + [hostint]}] }; set n`,
 	}
 	for _, src := range cases {
 		diffEval3(t, src, 0)
@@ -124,7 +133,7 @@ func TestPreparedRun(t *testing.T) {
 		pr := in.Prepare(MustParse(src))
 		for want := 1; want <= 3; want++ {
 			res, err := pr.Run()
-			if err != nil || res != itoaFast(int64(want)) {
+			if err != nil || res.String() != itoaFast(int64(want)) {
 				t.Fatalf("lowerOnly=%v run %d: %q, %v", lowerOnly, want, res, err)
 			}
 		}
@@ -132,7 +141,7 @@ func TestPreparedRun(t *testing.T) {
 	in := New()
 	in.SetEngine(EngineTree)
 	pr := in.Prepare(MustParse(src))
-	if res, err := pr.Run(); err != nil || res != "1" {
+	if res, err := pr.Run(); err != nil || res.String() != "1" {
 		t.Fatalf("tree-engine Prepared run: %q, %v", res, err)
 	}
 }
@@ -143,7 +152,7 @@ func TestPreparedRun(t *testing.T) {
 func TestOptimizeInfoExistsFastPath(t *testing.T) {
 	in := New()
 	pr := in.Prepare(MustParse(`if {![info exists dropped]} { set dropped 0 }; incr dropped; set dropped`))
-	if res, err := pr.Run(); err != nil || res != "1" {
+	if res, err := pr.Run(); err != nil || res.String() != "1" {
 		t.Fatalf("first run: %q, %v", res, err)
 	}
 	if lst := Disassemble(pr.p); !strings.Contains(lst, "[info-exists slot") {
@@ -154,7 +163,7 @@ func TestOptimizeInfoExistsFastPath(t *testing.T) {
 	if _, err := in.Eval(`proc info {args} { return "77" }`); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := pr.Run(); err != nil || res != "2" {
+	if res, err := pr.Run(); err != nil || res.String() != "2" {
 		t.Fatalf("post-shadow run: %q, %v", res, err)
 	}
 }

@@ -154,7 +154,7 @@ func TestProgramCacheDefineDoesNotRecompile(t *testing.T) {
 	pr := in.Prepare(MustParse(`if {[probe] eq "host"} { set r builtin } else { set r [probe] }; set r`))
 	run := func(want string) {
 		t.Helper()
-		if res, err := pr.Run(); err != nil || res != want {
+		if res, err := pr.Run(); err != nil || res.String() != want {
 			t.Fatalf("run = %q, %v; want %q", res, err, want)
 		}
 	}

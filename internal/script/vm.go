@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 )
 
@@ -13,10 +12,12 @@ import (
 // Programs; the tree-walker in interp.go remains the reference
 // implementation the VM is differentially tested against.
 //
-// Execution model: a string accumulator holds the last command result (the
-// tree-walker's `result`), an argument stack of strings builds command
-// words, and a value stack of typed values evaluates expr operands.
-// Control flow (if/while/foreach and expr's &&/||/?:) is jumps. Command
+// Execution model: an accumulator holds the last command result (the
+// tree-walker's `result`) and one operand stack builds command words and
+// evaluates expr operands; both hold Values, as the global slots do, so a
+// number moves between a header field, a variable and an operator without
+// being rendered or parsed on the way (value.go). Control flow
+// (if/while/foreach and expr's &&/||/?:) is jumps. Command
 // dispatch sites carry inline caches validated against the interpreter's
 // cmdEpoch, and compiled special forms are protected by shadow guards that
 // deoptimize to the tree-walker for the one command when a script or host
@@ -34,7 +35,7 @@ const (
 	opJump      // pc = a
 	opGuard     // a = guard index, b = jump target on deopt
 
-	// Argument-stack ops (command word assembly).
+	// Command-word assembly.
 	opPushConst    // push consts[a]
 	opPushSlot     // push global slot a (b = name const, for the error); line = word line
 	opPushVarNamed // push in.Var(consts[a]); line = word line
@@ -68,12 +69,12 @@ const (
 	opForeachStep    // assign vars and advance, or jump b when exhausted; a = fe index
 	opForeachDone    // pop iterator state; acc = ""
 
-	// Value-stack ops (expr).
+	// Expr operands and operators.
 	opVConst     // push vconsts[a]
-	opVSlot      // push global slot a coerced, memoized (b = name const, c = wrap)
+	opVSlot      // push global slot a coerced (b = name const, c = wrap)
 	opVNamed     // push coerce(in.Var(consts[a])) (c = wrap)
 	opVFromAcc   // push coerce(acc)  — [command] operand result
-	opVFromStack // pop arg stack, push as string value — "quoted" operand
+	opVFromStack // retag the top entry as text — "quoted" operand
 	opVBinop     // binary operator a over top two values; c = wrap
 	opVUnary     // unary operator a over top value; c = wrap
 	opVTruth     // replace top with boolv(truth(top)); c = wrap
@@ -81,7 +82,7 @@ const (
 	opVOr        // pop l; if truth push 1 and jump a; c = wrap
 	opVCondJump  // pop cond; if !truth jump a; c = wrap
 	opVCall      // math function call site a; c = wrap
-	opVResult    // acc = pop().String()  — result of a compiled expr command
+	opVResult    // acc = pop()  — result of a compiled expr command
 
 	// Superinstructions, emitted only by the fusion pass (optimize.go) —
 	// lowering never produces them. Each is an exact macro-expansion
@@ -179,8 +180,8 @@ type invokeSite struct {
 	argc   int32
 	epoch  uint64 // 0 = never resolved (cmdEpoch starts above 0)
 	pr     *proc
-	cmd    Command
-	isInfo bool // cmd is the builtin info command (fuseInfoExists fast path)
+	b      binding
+	isInfo bool // b is the builtin info command (fuseInfoExists fast path)
 }
 
 // infoBuiltinPtr identifies the builtin info command by code pointer;
@@ -192,12 +193,12 @@ var infoBuiltinPtr = reflect.ValueOf(Command(cmdInfo)).Pointer()
 // change, retagging whether the site still binds the builtin info command.
 func (site *invokeSite) revalidate(in *Interp) {
 	site.pr = in.procs[site.name]
-	site.cmd = nil
+	site.b = binding{}
 	site.isInfo = false
 	if site.pr == nil {
-		site.cmd = in.commands[site.name]
-		if site.cmd != nil && site.name == "info" {
-			site.isInfo = reflect.ValueOf(site.cmd).Pointer() == infoBuiltinPtr
+		site.b = in.lookup(site.name)
+		if site.b.cmd != nil && site.name == "info" {
+			site.isInfo = reflect.ValueOf(site.b.cmd).Pointer() == infoBuiltinPtr
 		}
 	}
 	site.epoch = in.cmdEpoch
@@ -217,18 +218,18 @@ type guardInfo struct {
 type feInfo struct {
 	slots    []int32 // nil → use names
 	names    []string
-	preSplit []string // non-nil for opForeachInitPre
+	preSplit []Value // non-nil for opForeachInitPre; numbers already parsed
 	nvars    int32
 }
 
 // feState is the runtime half: the items being iterated and the cursor.
 type feState struct {
-	items []string
+	items []Value
 	pos   int
 }
 
 // concatPlan rebuilds a multi-segment word: literal parts interleaved with
-// dynamic parts popped from the argument stack.
+// dynamic parts popped from the stack.
 type concatPlan struct {
 	parts []concatPart
 }
@@ -250,11 +251,11 @@ type callSite struct {
 // the jump equivalent of the error unwinding the tree-walker gets for
 // free from Go's call stack.
 type loopScope struct {
-	start, end       int32 // pc range of the loop body
-	breakPC, contPC  int32
-	argDepth, vDepth int32 // stack depths at loop entry, relative to exec base
-	feDepth          int32
-	nestDepth        int32 // in.depth relative to exec entry
+	start, end      int32 // pc range of the loop body
+	breakPC, contPC int32
+	depth           int32 // stack depth at loop entry, relative to exec base
+	feDepth         int32
+	nestDepth       int32 // in.depth relative to exec entry
 }
 
 // Program is a compiled script plus its side tables. Programs are owned by
@@ -263,7 +264,7 @@ type loopScope struct {
 type Program struct {
 	ins     []instr
 	consts  []string
-	vconsts []value
+	vconsts []Value
 	plans   []concatPlan
 	invokes []invokeSite
 	guards  []guardInfo
@@ -273,6 +274,10 @@ type Program struct {
 	calls   []callSite
 	loops   []loopScope
 	fused   []fusedOp // superinstruction operands
+
+	// Static bounds on how far above its entry bases a run reaches into the
+	// shared stacks.
+	maxStack, maxFes int32
 }
 
 // loopAt returns the innermost loop whose body covers pc, or nil.
@@ -289,21 +294,14 @@ func (p *Program) loopAt(pc int32) *loopScope {
 	return best
 }
 
-// wrapCmdErr applies invoke's wrapping rules to an error raised inside a
-// compiled special form: flow and already-annotated errors pass through,
-// anything else becomes an EvalError attributed to the builtin.
-func wrapCmdErr(err error, name string, line int) error {
-	var fl *flow
-	var ev *EvalError
-	var pe *ParseError
-	if errors.As(err, &fl) || errors.As(err, &ev) || errors.As(err, &pe) {
-		return err
-	}
-	return &EvalError{Cmd: name, Line: line, Msg: err.Error()}
+// deopt executes the command an inlined special form was compiled from via
+// the tree-walker — the path behind a shadow guard whose name was rebound.
+// The step was already counted.
+func (in *Interp) deopt(g *guardInfo) (Value, error) {
+	res, err := in.evalCmdTree(g.cmd)
+	return Str(res), err
 }
 
-// evalCmdTree executes one command AST via the tree-walker — the deopt
-// path behind opGuard. The step was already counted by opStep.
 func (in *Interp) evalCmdTree(cmd *command) (string, error) {
 	words, err := in.expandCommand(cmd)
 	if err != nil {
@@ -318,57 +316,58 @@ func (in *Interp) evalCmdTree(cmd *command) (string, error) {
 	return res, err
 }
 
-// gsetSlot writes a global slot directly, invalidating the numeric memo.
-func (in *Interp) gsetSlot(i int32, v string) {
-	s := &in.gslots[i]
-	s.val, s.set, s.numState = v, true, numUnknown
-	s.num = valueZero
+// overBudget counts one step and reports whether it was one too many.
+func (in *Interp) overBudget() bool {
+	if in.maxSteps <= 0 {
+		return false
+	}
+	in.steps++
+	return in.steps > in.maxSteps
 }
 
-// slotNumber memoizes parseNumber over a slot's current value.
-func (in *Interp) slotNumber(s *gslot) (value, bool) {
-	if s.numState == numUnknown {
-		if n, ok := parseNumber(s.val); ok {
-			s.num, s.numState = n, numIs
-		} else {
-			s.numState = numNot
-		}
+func (in *Interp) stepLimitErr(line int32) error {
+	in.limitHit = true
+	return &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: int(line)}
+}
+
+func unsetMsg(name string) string {
+	return fmt.Sprintf("can't read %q: no such variable", name)
+}
+
+// invokeStack calls a command with the top argc stack entries, rendered,
+// as its arguments, and pops them.
+func (in *Interp) invokeStack(name string, pr *proc, b binding, argc int, line int32) (Value, error) {
+	base := len(in.vmStack) - argc
+	words := in.getWords(argc)
+	for k := base; k < base+argc; k++ {
+		words = append(words, in.vmStack[k].text())
 	}
-	return s.num, s.numState == numIs
+	in.vmStack = in.vmStack[:base]
+	v, err := in.call(name, pr, b, words, int(line))
+	in.putWords(words)
+	return v, err
 }
 
 // exec runs a compiled program in the current frame. It is reentrant:
 // nested evaluations (proc bodies, eval, control-flow fallbacks) run their
 // own exec above this one's saved stack bases.
-func (in *Interp) exec(p *Program) (string, error) {
-	argBase := len(in.vmArgs)
-	vBase := len(in.vmVals)
+func (in *Interp) exec(p *Program) (Value, error) {
+	base := len(in.vmStack)
 	feBase := len(in.vmFes)
 	depthBase := in.depth
 	defer func() {
-		// Zero everything at or above the entry bases — including slots
-		// beyond the truncated length that transiently held values — so
-		// the shared stacks never retain script strings.
-		args := in.vmArgs[argBase:cap(in.vmArgs)]
-		for k := range args {
-			args[k] = ""
-		}
-		in.vmArgs = in.vmArgs[:argBase]
-		vals := in.vmVals[vBase:cap(in.vmVals)]
-		for k := range vals {
-			vals[k] = value{}
-		}
-		in.vmVals = in.vmVals[:vBase]
-		fes := in.vmFes[feBase:cap(in.vmFes)]
-		for k := range fes {
-			fes[k] = feState{}
-		}
+		// Zero what this run reached above the entry bases — including
+		// entries beyond the truncated length that transiently held values
+		// — so the shared stacks never retain script strings.
+		clear(in.vmStack[base:min(base+int(p.maxStack), cap(in.vmStack))])
+		in.vmStack = in.vmStack[:base]
+		clear(in.vmFes[feBase:min(feBase+int(p.maxFes), cap(in.vmFes))])
 		in.vmFes = in.vmFes[:feBase]
 		in.depth = depthBase
 	}()
 
 	ins := p.ins
-	acc := ""
+	var acc Value
 	var pc int32
 	for int(pc) < len(ins) {
 		i := &ins[pc]
@@ -377,74 +376,62 @@ func (in *Interp) exec(p *Program) (string, error) {
 		case opNop:
 
 		case opStep:
-			if in.maxSteps > 0 {
-				in.steps++
-				if in.steps > in.maxSteps {
-					in.limitHit = true
-					err = &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: int(i.line)}
-				}
+			if in.overBudget() {
+				err = in.stepLimitErr(i.line)
 			}
 
 		case opStepWhile:
-			if in.maxSteps > 0 {
-				in.steps++
-				if in.steps > in.maxSteps {
-					in.limitHit = true
-					err = fmt.Errorf("step limit %d exceeded in while loop", in.maxSteps)
-				}
+			if in.overBudget() {
+				in.limitHit = true
+				err = fmt.Errorf("step limit %d exceeded in while loop", in.maxSteps)
 			}
 
 		case opClearAcc:
-			acc = ""
+			acc = Value{}
 
 		case opJump:
 			pc = i.a
 			continue
 
 		case opGuard:
-			g := &p.guards[i.a]
-			if in.shadowMask&g.mask != 0 {
-				res, derr := in.evalCmdTree(g.cmd)
-				if derr != nil {
-					err = derr
+			if g := &p.guards[i.a]; in.shadowMask&g.mask != 0 {
+				if acc, err = in.deopt(g); err != nil {
 					break
 				}
-				acc = res
 				pc = i.b
 				continue
 			}
 
 		case opPushConst:
-			in.vmArgs = append(in.vmArgs, p.consts[i.a])
+			in.vmStack = append(in.vmStack, Str(p.consts[i.a]))
 
 		case opPushSlot:
 			s := &in.gslots[i.a]
 			if !s.set {
-				err = &EvalError{Msg: fmt.Sprintf("can't read %q: no such variable", p.consts[i.b]), Line: int(i.line)}
+				err = &EvalError{Msg: unsetMsg(p.consts[i.b]), Line: int(i.line)}
 				break
 			}
-			in.vmArgs = append(in.vmArgs, s.val)
+			in.vmStack = append(in.vmStack, s.v)
 
 		case opPushVarNamed:
 			v, ok := in.Var(p.consts[i.a])
 			if !ok {
-				err = &EvalError{Msg: fmt.Sprintf("can't read %q: no such variable", p.consts[i.a]), Line: int(i.line)}
+				err = &EvalError{Msg: unsetMsg(p.consts[i.a]), Line: int(i.line)}
 				break
 			}
-			in.vmArgs = append(in.vmArgs, v)
+			in.vmStack = append(in.vmStack, Str(v))
 
 		case opPushAcc:
-			in.vmArgs = append(in.vmArgs, acc)
+			in.vmStack = append(in.vmStack, acc)
 
 		case opConcat:
-			n := int(i.b)
-			base := len(in.vmArgs) - n
-			dyn := in.vmArgs[base:]
+			base := len(in.vmStack) - int(i.b)
+			dyn := in.vmStack[base:]
 			buf := in.vmBuf[:0]
 			di := 0
 			for _, part := range p.plans[i.a].parts {
 				if part.dyn {
-					buf = append(buf, dyn[di]...)
+					buf = dyn[di].appendText(buf)
 					di++
 				} else {
 					buf = append(buf, part.lit...)
@@ -452,7 +439,7 @@ func (in *Interp) exec(p *Program) (string, error) {
 			}
 			s := string(buf)
 			in.vmBuf = buf[:0]
-			in.vmArgs = append(in.vmArgs[:base], s)
+			in.vmStack = append(in.vmStack[:base], Str(s))
 
 		case opEnterNest:
 			in.depth++
@@ -466,114 +453,75 @@ func (in *Interp) exec(p *Program) (string, error) {
 
 		case opInvoke:
 			site := &p.invokes[i.a]
-			base := len(in.vmArgs) - int(site.argc)
-			args := in.vmArgs[base:]
 			if site.epoch != in.cmdEpoch {
 				site.revalidate(in)
 			}
-			var res string
-			switch {
-			case site.pr != nil:
-				res, err = in.callProc(site.pr, args, int(i.line))
-			case site.cmd != nil:
-				res, err = site.cmd(in, args)
-				if err != nil {
-					err = wrapCmdErr(err, site.name, int(i.line))
-				}
-			default:
-				err = &EvalError{Cmd: site.name, Line: int(i.line),
-					Msg: fmt.Sprintf("invalid command name %q", site.name)}
-			}
-			in.vmArgs = in.vmArgs[:base]
-			if err != nil {
-				break
-			}
-			acc = res
+			acc, err = in.invokeStack(site.name, site.pr, site.b, int(site.argc), i.line)
 
 		case opInvokeDyn:
-			base := len(in.vmArgs) - int(i.a) - 1
-			name := in.vmArgs[base]
-			args := in.vmArgs[base+1:]
-			var res string
-			if pr, ok := in.procs[name]; ok {
-				res, err = in.callProc(pr, args, int(i.line))
-			} else if cmd, ok := in.commands[name]; ok {
-				res, err = cmd(in, args)
-				if err != nil {
-					err = wrapCmdErr(err, name, int(i.line))
-				}
-			} else {
-				err = &EvalError{Cmd: name, Line: int(i.line),
-					Msg: fmt.Sprintf("invalid command name %q", name)}
-			}
-			in.vmArgs = in.vmArgs[:base]
-			if err != nil {
-				break
-			}
-			acc = res
+			n := len(in.vmStack) - int(i.a) - 1
+			name := in.vmStack[n].text()
+			acc, err = in.invokeStack(name, in.procs[name], in.lookup(name), int(i.a), i.line)
+			in.vmStack = in.vmStack[:n]
 
 		case opSetSlot:
-			n := len(in.vmArgs) - 1
-			v := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			in.gsetSlot(i.a, v)
-			acc = v
+			n := len(in.vmStack) - 1
+			acc = in.vmStack[n]
+			in.vmStack = in.vmStack[:n]
+			in.gslots[i.a] = gslot{v: acc, set: true}
 
 		case opGetSlot:
 			s := &in.gslots[i.a]
 			if !s.set {
-				err = fmt.Errorf("can't read %q: no such variable", p.consts[i.b])
+				err = errors.New(unsetMsg(p.consts[i.b]))
 				break
 			}
-			acc = s.val
+			acc = s.v
 
 		case opSetNamed:
-			n := len(in.vmArgs) - 1
-			v := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			in.SetVar(p.consts[i.a], v)
-			acc = v
+			n := len(in.vmStack) - 1
+			acc = in.vmStack[n]
+			in.vmStack = in.vmStack[:n]
+			in.SetVar(p.consts[i.a], acc.text())
 
 		case opGetNamed:
 			v, ok := in.Var(p.consts[i.a])
 			if !ok {
-				err = fmt.Errorf("can't read %q: no such variable", p.consts[i.a])
+				err = errors.New(unsetMsg(p.consts[i.a]))
 				break
 			}
-			acc = v
+			acc = Str(v)
 
 		case opIncrSlot:
 			acc, err = in.incrSlot(i.a, p.deltas[i.b])
 
-		case opIncrSlotDyn:
-			n := len(in.vmArgs) - 1
-			ds := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			var d int64
-			d, err = parseIncrDelta(ds)
-			if err == nil {
-				acc, err = in.incrSlot(i.a, d)
-			}
-
 		case opIncrNamed:
 			acc, err = in.incrNamed(p.consts[i.a], p.deltas[i.b])
 
-		case opIncrNamedDyn:
-			n := len(in.vmArgs) - 1
-			ds := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			var d int64
-			d, err = parseIncrDelta(ds)
-			if err == nil {
+		case opIncrSlotDyn, opIncrNamedDyn:
+			n := len(in.vmStack) - 1
+			d, ok := in.vmStack[n].n, in.vmStack[n].kind == intVal
+			if !ok {
+				// cmdIncr's reading of its increment: no surrounding space.
+				t := in.vmStack[n].text()
+				if d, ok = parseInt(t); !ok {
+					err = fmt.Errorf("expected integer but got %q", t)
+				}
+			}
+			in.vmStack = in.vmStack[:n]
+			switch {
+			case err != nil:
+			case i.op == opIncrSlotDyn:
+				acc, err = in.incrSlot(i.a, d)
+			default:
 				acc, err = in.incrNamed(p.consts[i.a], d)
 			}
 
-		case opBranchFalse:
-			n := len(in.vmVals) - 1
-			v := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
+		case opBranchFalse, opVCondJump:
+			n := len(in.vmStack) - 1
 			var b bool
-			b, err = v.truth()
+			b, err = in.vmStack[n].truth()
+			in.vmStack = in.vmStack[:n]
 			if err != nil {
 				break
 			}
@@ -586,10 +534,9 @@ func (in *Interp) exec(p *Program) (string, error) {
 			err = &flow{code: flowReturn}
 
 		case opReturnVal:
-			n := len(in.vmArgs) - 1
-			v := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			err = &flow{code: flowReturn, value: v}
+			n := len(in.vmStack) - 1
+			err = &flow{code: flowReturn, value: in.vmStack[n].text()}
+			in.vmStack = in.vmStack[:n]
 
 		case opFlowBreak:
 			err = flowBreakErr
@@ -598,15 +545,14 @@ func (in *Interp) exec(p *Program) (string, error) {
 			err = flowContinueErr
 
 		case opForeachInit:
-			n := len(in.vmArgs) - 1
-			list := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			var items []string
-			items, err = ListSplit(list)
+			n := len(in.vmStack) - 1
+			var elems []string
+			elems, err = ListSplit(in.vmStack[n].text())
+			in.vmStack = in.vmStack[:n]
 			if err != nil {
 				break
 			}
-			in.vmFes = append(in.vmFes, feState{items: items})
+			in.vmFes = append(in.vmFes, feState{items: strValues(elems)})
 
 		case opForeachInitPre:
 			in.vmFes = append(in.vmFes, feState{items: p.fes[i.a].preSplit})
@@ -618,21 +564,15 @@ func (in *Interp) exec(p *Program) (string, error) {
 				continue
 			}
 			inf := &p.fes[i.a]
-			if inf.slots != nil {
-				for j, sl := range inf.slots {
-					if fe.pos+j < len(fe.items) {
-						in.gsetSlot(sl, fe.items[fe.pos+j])
-					} else {
-						in.gsetSlot(sl, "")
-					}
+			for j := 0; j < int(inf.nvars); j++ {
+				var v Value
+				if fe.pos+j < len(fe.items) {
+					v = fe.items[fe.pos+j]
 				}
-			} else {
-				for j, nm := range inf.names {
-					if fe.pos+j < len(fe.items) {
-						in.SetVar(nm, fe.items[fe.pos+j])
-					} else {
-						in.SetVar(nm, "")
-					}
+				if inf.slots != nil {
+					in.gslots[inf.slots[j]] = gslot{v: v, set: true}
+				} else {
+					in.SetVar(inf.names[j], v.s)
 				}
 			}
 			fe.pos += int(inf.nvars)
@@ -641,25 +581,20 @@ func (in *Interp) exec(p *Program) (string, error) {
 			n := len(in.vmFes) - 1
 			in.vmFes[n] = feState{}
 			in.vmFes = in.vmFes[:n]
-			acc = ""
+			acc = Value{}
 
-		case opStepGuard:
-			if in.maxSteps > 0 {
-				in.steps++
-				if in.steps > in.maxSteps {
-					in.limitHit = true
-					err = &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: int(i.line)}
-					break
-				}
+		case opStepGuard, opClearStepGuard:
+			if i.op == opClearStepGuard {
+				acc = Value{}
 			}
-			g := &p.guards[i.a]
-			if in.shadowMask&g.mask != 0 {
-				res, derr := in.evalCmdTree(g.cmd)
-				if derr != nil {
-					err = derr
+			if in.overBudget() {
+				err = in.stepLimitErr(i.line)
+				break
+			}
+			if g := &p.guards[i.a]; in.shadowMask&g.mask != 0 {
+				if acc, err = in.deopt(g); err != nil {
 					break
 				}
-				acc = res
 				pc = i.b
 				continue
 			}
@@ -667,26 +602,21 @@ func (in *Interp) exec(p *Program) (string, error) {
 		case opStepInvoke, opInvokeCmpBr:
 			f := &p.fused[i.a]
 			if f.flags&fuseClearAcc != 0 {
-				acc = ""
+				acc = Value{}
 			}
-			if in.maxSteps > 0 {
-				in.steps++
-				if in.steps > in.maxSteps {
-					in.limitHit = true
-					err = &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: int(i.line)}
-					break
-				}
+			if in.overBudget() {
+				err = in.stepLimitErr(i.line)
+				break
 			}
 			site := &p.invokes[f.site]
 			if site.epoch != in.cmdEpoch {
 				site.revalidate(in)
 			}
-			var res string
 			if f.flags&fuseInfoExists != 0 && site.isInfo {
 				// `info exists <literal>` on the builtin: both arguments
 				// are constants and the command cannot error, so skip the
-				// pushes and dispatch and answer from the variable table —
-				// the interned slot when the script runs at global scope.
+				// dispatch and answer from the variable table — the
+				// interned slot when the script runs at global scope.
 				name := p.consts[f.nameC]
 				var ok bool
 				if in.curFrame() != nil {
@@ -696,122 +626,84 @@ func (in *Interp) exec(p *Program) (string, error) {
 				} else {
 					_, ok = in.gget(name)
 				}
-				res = boolStr(ok)
+				acc = boolv(ok)
 			} else {
-				for k := 0; k < len(f.args) && err == nil; k++ {
+				// The arguments are constants and variables: they go
+				// straight into the command's word list, never onto the
+				// stack. A slot holding a computed number is rendered in
+				// place, so the next call finds the text.
+				words := in.getWords(len(f.args))
+				for k := range f.args {
 					as := &f.args[k]
 					switch as.kind {
 					case argConst:
-						in.vmArgs = append(in.vmArgs, p.consts[as.a])
+						words = append(words, p.consts[as.a])
+						continue
 					case argSlot:
-						s := &in.gslots[as.a]
-						if !s.set {
-							err = &EvalError{Msg: fmt.Sprintf("can't read %q: no such variable", p.consts[as.b]), Line: int(as.line)}
-						} else {
-							in.vmArgs = append(in.vmArgs, s.val)
+						if s := &in.gslots[as.a]; s.set {
+							words = append(words, s.v.text())
+							continue
 						}
+						err = &EvalError{Msg: unsetMsg(p.consts[as.b]), Line: int(as.line)}
 					case argNamed:
-						v, ok := in.Var(p.consts[as.a])
-						if !ok {
-							err = &EvalError{Msg: fmt.Sprintf("can't read %q: no such variable", p.consts[as.a]), Line: int(as.line)}
-						} else {
-							in.vmArgs = append(in.vmArgs, v)
+						if v, ok := in.Var(p.consts[as.a]); ok {
+							words = append(words, v)
+							continue
 						}
+						err = &EvalError{Msg: unsetMsg(p.consts[as.a]), Line: int(as.line)}
 					}
-				}
-				if err != nil {
 					break
 				}
-				base := len(in.vmArgs) - int(site.argc)
-				args := in.vmArgs[base:]
-				switch {
-				case site.pr != nil:
-					res, err = in.callProc(site.pr, args, int(i.line))
-				case site.cmd != nil:
-					res, err = site.cmd(in, args)
-					if err != nil {
-						err = wrapCmdErr(err, site.name, int(i.line))
-					}
-				default:
-					err = &EvalError{Cmd: site.name, Line: int(i.line),
-						Msg: fmt.Sprintf("invalid command name %q", site.name)}
+				if err == nil {
+					acc, err = in.call(site.name, site.pr, site.b, words, int(i.line))
 				}
-				in.vmArgs = in.vmArgs[:base]
+				in.putWords(words)
 				if err != nil {
 					break
 				}
 			}
-			acc = res
 			if i.op == opInvokeCmpBr {
 				// eq/ne against a canonical constant: raw equality proves
 				// the coerced comparison; only a raw mismatch needs the
 				// numeric-normalizing parse.
-				eq := f.flags&fuseRawEq != 0 && acc == f.cstr
+				eq := f.flags&fuseRawEq != 0 && acc.kind == strVal && acc.s == f.cstr
 				if !eq {
-					eq = coerce(acc).String() == f.cstr
+					c := acc.coerced()
+					eq = c.String() == f.cstr
 				}
 				if eq == (f.binop == vbNeStr) {
 					pc = f.target
 					continue
 				}
-				pc++
-				continue
-			}
-			if f.flags&fusePushCoerce != 0 {
-				in.vmVals = append(in.vmVals, coerce(acc))
-			}
-
-		case opClearStepGuard:
-			acc = ""
-			if in.maxSteps > 0 {
-				in.steps++
-				if in.steps > in.maxSteps {
-					in.limitHit = true
-					err = &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: int(i.line)}
-					break
-				}
-			}
-			g := &p.guards[i.a]
-			if in.shadowMask&g.mask != 0 {
-				res, derr := in.evalCmdTree(g.cmd)
-				if derr != nil {
-					err = derr
-					break
-				}
-				acc = res
-				pc = i.b
-				continue
+			} else if f.flags&fusePushCoerce != 0 {
+				in.vmStack = append(in.vmStack, acc.coerced())
 			}
 
 		case opClearJump:
-			acc = ""
+			acc = Value{}
 			pc = i.a
 			continue
 
 		case opConstBinop:
-			n := len(in.vmVals) - 1
-			x := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
-			var v value
-			v, err = evalBinop(i.b, x, p.vconsts[i.a])
-			if err != nil {
-				break
-			}
-			in.vmVals = append(in.vmVals, v)
+			x := &in.vmStack[len(in.vmStack)-1]
+			*x, err = binop(i.b, x, &p.vconsts[i.a])
+
+		case opVBinop:
+			n := len(in.vmStack) - 2
+			in.vmStack[n], err = binop(i.a, &in.vmStack[n], &in.vmStack[n+1])
+			in.vmStack = in.vmStack[:n+1]
 
 		case opCmpConstBr:
 			f := &p.fused[i.a]
-			n := len(in.vmVals) - 1
-			x := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
-			var v value
-			v, err = evalBinop(f.binop, x, p.vconsts[f.vconst])
+			n := len(in.vmStack) - 1
+			var v Value
+			v, err = binop(f.binop, &in.vmStack[n], &p.vconsts[f.vconst])
+			in.vmStack = in.vmStack[:n]
 			if err != nil {
 				break
 			}
 			var b bool
-			b, err = v.truth()
-			if err != nil {
+			if b, err = v.truth(); err != nil {
 				break
 			}
 			if !b {
@@ -823,27 +715,20 @@ func (in *Interp) exec(p *Program) (string, error) {
 			f := &p.fused[i.a]
 			s := &in.gslots[f.slot]
 			if !s.set {
-				err = fmt.Errorf("can't read %q: no such variable", p.consts[f.nameC])
+				err = errors.New(unsetMsg(p.consts[f.nameC]))
 				break
 			}
-			var av value
-			if n, ok := in.slotNumber(s); ok {
-				av = n
-			} else {
-				av = strv(s.val)
-			}
-			var v value
-			v, err = evalBinop(f.binop, av, p.vconsts[f.vconst])
-			if err != nil {
+			av := s.v.coerced()
+			var v Value
+			if v, err = binop(f.binop, &av, &p.vconsts[f.vconst]); err != nil {
 				break
 			}
 			if i.op == opSlotBinop {
-				in.vmVals = append(in.vmVals, v)
+				in.vmStack = append(in.vmStack, v)
 				break
 			}
 			var b bool
-			b, err = v.truth()
-			if err != nil {
+			if b, err = v.truth(); err != nil {
 				break
 			}
 			if !b {
@@ -854,34 +739,26 @@ func (in *Interp) exec(p *Program) (string, error) {
 		case opStepIncrSlot:
 			f := &p.fused[i.a]
 			if f.flags&fuseClearAcc != 0 {
-				acc = ""
+				acc = Value{}
 			}
-			if in.maxSteps > 0 {
-				in.steps++
-				if in.steps > in.maxSteps {
-					in.limitHit = true
-					err = &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: int(i.line)}
-					break
-				}
+			if in.overBudget() {
+				err = in.stepLimitErr(i.line)
+				break
 			}
 			if g := &p.guards[f.guard]; in.shadowMask&g.mask != 0 {
-				res, derr := in.evalCmdTree(g.cmd)
-				if derr != nil {
-					err = derr
+				if acc, err = in.deopt(g); err != nil {
 					break
 				}
-				acc = res
 				pc = f.target
 				continue
 			}
 			acc, err = in.incrSlot(f.slot, f.delta)
 
 		case opNotBr:
-			n := len(in.vmVals) - 1
-			v := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
+			n := len(in.vmStack) - 1
 			var b bool
-			b, err = v.truth()
+			b, err = in.vmStack[n].truth()
+			in.vmStack = in.vmStack[:n]
 			if err != nil {
 				break
 			}
@@ -897,139 +774,78 @@ func (in *Interp) exec(p *Program) (string, error) {
 				err = &EvalError{Msg: "too many nested evaluations", Line: int(i.line)}
 				break
 			}
-			acc = ""
+			acc = Value{}
 
 		case opLeavePush:
 			in.depth--
-			in.vmArgs = append(in.vmArgs, acc)
+			in.vmStack = append(in.vmStack, acc)
 
 		case opSetSlotConst:
-			v := p.consts[i.b]
-			in.gsetSlot(i.a, v)
-			acc = v
+			acc = Str(p.consts[i.b])
+			in.gslots[i.a] = gslot{v: acc, set: true}
 
 		case opVConst:
-			in.vmVals = append(in.vmVals, p.vconsts[i.a])
+			in.vmStack = append(in.vmStack, p.vconsts[i.a])
 
 		case opVSlot:
 			s := &in.gslots[i.a]
 			if !s.set {
-				err = fmt.Errorf("can't read %q: no such variable", p.consts[i.b])
+				err = errors.New(unsetMsg(p.consts[i.b]))
 				break
 			}
-			if n, ok := in.slotNumber(s); ok {
-				in.vmVals = append(in.vmVals, n)
-			} else {
-				in.vmVals = append(in.vmVals, strv(s.val))
-			}
+			in.vmStack = append(in.vmStack, s.v.coerced())
 
 		case opVNamed:
 			v, ok := in.Var(p.consts[i.a])
 			if !ok {
-				err = fmt.Errorf("can't read %q: no such variable", p.consts[i.a])
+				err = errors.New(unsetMsg(p.consts[i.a]))
 				break
 			}
-			in.vmVals = append(in.vmVals, coerce(v))
+			in.vmStack = append(in.vmStack, coerce(v))
 
 		case opVFromAcc:
-			in.vmVals = append(in.vmVals, coerce(acc))
+			in.vmStack = append(in.vmStack, acc.coerced())
 
 		case opVFromStack:
-			n := len(in.vmArgs) - 1
-			s := in.vmArgs[n]
-			in.vmArgs = in.vmArgs[:n]
-			in.vmVals = append(in.vmVals, strv(s))
-
-		case opVBinop:
-			n := len(in.vmVals) - 2
-			a, b := in.vmVals[n], in.vmVals[n+1]
-			in.vmVals = in.vmVals[:n]
-			var v value
-			v, err = evalBinop(i.a, a, b)
-			if err != nil {
-				break
-			}
-			in.vmVals = append(in.vmVals, v)
+			top := &in.vmStack[len(in.vmStack)-1]
+			*top = Str(top.text())
 
 		case opVUnary:
-			n := len(in.vmVals) - 1
-			x := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
-			var v value
-			v, err = evalUnary(byte(i.a), x)
-			if err != nil {
-				break
-			}
-			in.vmVals = append(in.vmVals, v)
+			x := &in.vmStack[len(in.vmStack)-1]
+			*x, err = unop(byte(i.a), x)
 
 		case opVTruth:
-			n := len(in.vmVals) - 1
+			x := &in.vmStack[len(in.vmStack)-1]
 			var b bool
-			b, err = in.vmVals[n].truth()
-			if err != nil {
-				break
+			if b, err = x.truth(); err == nil {
+				*x = boolv(b)
 			}
-			in.vmVals[n] = boolv(b)
 
-		case opVAnd:
-			n := len(in.vmVals) - 1
-			v := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
+		case opVAnd, opVOr:
+			n := len(in.vmStack) - 1
 			var b bool
-			b, err = v.truth()
-			if err != nil {
+			if b, err = in.vmStack[n].truth(); err != nil {
 				break
 			}
-			if !b {
-				in.vmVals = append(in.vmVals, boolv(false))
+			if b == (i.op == opVOr) {
+				// Decided by the left side: it becomes the result.
+				in.vmStack[n] = boolv(b)
 				pc = i.a
 				continue
 			}
-
-		case opVOr:
-			n := len(in.vmVals) - 1
-			v := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
-			var b bool
-			b, err = v.truth()
-			if err != nil {
-				break
-			}
-			if b {
-				in.vmVals = append(in.vmVals, boolv(true))
-				pc = i.a
-				continue
-			}
-
-		case opVCondJump:
-			n := len(in.vmVals) - 1
-			v := in.vmVals[n]
-			in.vmVals = in.vmVals[:n]
-			var b bool
-			b, err = v.truth()
-			if err != nil {
-				break
-			}
-			if !b {
-				pc = i.a
-				continue
-			}
+			in.vmStack = in.vmStack[:n]
 
 		case opVCall:
 			cs := &p.calls[i.a]
-			base := len(in.vmVals) - int(cs.argc)
-			var v value
-			v, err = applyFunc(cs.name, in.vmVals[base:])
-			in.vmVals = in.vmVals[:base]
-			if err != nil {
-				break
-			}
-			in.vmVals = append(in.vmVals, v)
+			n := len(in.vmStack) - int(cs.argc)
+			var v Value
+			v, err = applyFunc(cs.name, in.vmStack[n:])
+			in.vmStack = append(in.vmStack[:n], v)
 
 		case opVResult:
-			n := len(in.vmVals) - 1
-			acc = in.vmVals[n].String()
-			in.vmVals = in.vmVals[:n]
+			n := len(in.vmStack) - 1
+			acc = in.vmStack[n]
+			in.vmStack = in.vmStack[:n]
 		}
 
 		if err != nil {
@@ -1037,8 +853,7 @@ func (in *Interp) exec(p *Program) (string, error) {
 			if errors.As(err, &fl) {
 				if fl.code != flowReturn {
 					if lp := p.loopAt(pc); lp != nil {
-						in.vmArgs = in.vmArgs[:argBase+int(lp.argDepth)]
-						in.vmVals = in.vmVals[:vBase+int(lp.vDepth)]
+						in.vmStack = in.vmStack[:base+int(lp.depth)]
 						in.vmFes = in.vmFes[:feBase+int(lp.feDepth)]
 						in.depth = depthBase + int(lp.nestDepth)
 						if fl.code == flowBreak {
@@ -1049,182 +864,55 @@ func (in *Interp) exec(p *Program) (string, error) {
 						continue
 					}
 				}
-				return "", err
+				return Value{}, err
 			}
 			if i.c != 0 {
 				w := &p.wraps[i.c]
 				err = wrapCmdErr(err, w.name, int(w.line))
 			}
-			return "", err
+			return Value{}, err
 		}
 		pc++
 	}
 	return acc, nil
 }
 
-// parseIncrDelta parses a dynamic increment argument with cmdIncr's exact
-// semantics and error.
-func parseIncrDelta(s string) (int64, error) {
-	d, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		return 0, fmt.Errorf("expected integer but got %q", s)
+// strValues is a list's elements as Values.
+func strValues(elems []string) []Value {
+	vals := make([]Value, len(elems))
+	for k, e := range elems {
+		vals[k] = Str(e)
 	}
-	return d, nil
-}
-
-// smallIntStrs caches the decimal form of small integers so counter
-// bookkeeping (incr, expr results) doesn't allocate a fresh string per
-// message on the hot path.
-var smallIntStrs = func() (a [640]string) {
-	for i := range a {
-		a[i] = strconv.FormatInt(int64(i-128), 10)
-	}
-	return
-}()
-
-// itoaFast is strconv.FormatInt(n, 10) with an allocation-free fast path
-// for the small values counters actually take.
-func itoaFast(n int64) string {
-	if n >= -128 && n < 512 {
-		return smallIntStrs[n+128]
-	}
-	return strconv.FormatInt(n, 10)
+	return vals
 }
 
 // incrSlot is the compiled `incr` over an interned global slot, with
-// cmdIncr's parse semantics (ParseInt of the trimmed value, base 0) and
-// the numeric memo kept coherent.
-func (in *Interp) incrSlot(idx int32, delta int64) (string, error) {
+// cmdIncr's reading of the variable (an integer, surrounding space
+// ignored). The sum stays a number: nothing is rendered until something
+// reads the variable as text.
+func (in *Interp) incrSlot(idx int32, delta int64) (Value, error) {
 	s := &in.gslots[idx]
 	var cur int64
 	if s.set {
-		if n, ok := in.slotNumber(s); ok && n.kind == intVal {
-			cur = n.i
-		} else {
-			return "", fmt.Errorf("expected integer but got %q", s.val)
+		var ok bool
+		if cur, ok = s.v.integer(); !ok {
+			return Value{}, fmt.Errorf("expected integer but got %q", s.v.text())
 		}
 	}
-	next := cur + delta
-	res := itoaFast(next)
-	s.val, s.set = res, true
-	s.num, s.numState = intv(next), numIs
-	return res, nil
+	*s = gslot{v: Int(cur + delta), set: true}
+	return s.v, nil
 }
 
-// incrNamed is the compiled `incr` for proc frames and non-interned names.
-func (in *Interp) incrNamed(name string, delta int64) (string, error) {
+// incrNamed is the compiled `incr` for proc frames and non-interned names,
+// whose variables are text.
+func (in *Interp) incrNamed(name string, delta int64) (Value, error) {
 	var cur int64
 	if v, ok := in.Var(name); ok {
-		c, err := strconv.ParseInt(strings.TrimSpace(v), 0, 64)
-		if err != nil {
-			return "", fmt.Errorf("expected integer but got %q", v)
+		if cur, ok = parseInt(strings.TrimSpace(v)); !ok {
+			return Value{}, fmt.Errorf("expected integer but got %q", v)
 		}
-		cur = c
 	}
 	res := itoaFast(cur + delta)
 	in.SetVar(name, res)
-	return res, nil
-}
-
-// Binary operator codes for opVBinop, mirroring binNode.eval's dispatch.
-const (
-	vbAdd int32 = iota
-	vbSub
-	vbMul
-	vbDiv
-	vbMod
-	vbBitAnd
-	vbBitOr
-	vbBitXor
-	vbShl
-	vbShr
-	vbEqStr
-	vbNeStr
-	vbEqNum
-	vbNeNum
-	vbLt
-	vbGt
-	vbLe
-	vbGe
-)
-
-var binopCode = map[string]int32{
-	"+": vbAdd, "-": vbSub, "*": vbMul, "/": vbDiv, "%": vbMod,
-	"&": vbBitAnd, "|": vbBitOr, "^": vbBitXor, "<<": vbShl, ">>": vbShr,
-	"eq": vbEqStr, "ne": vbNeStr, "==": vbEqNum, "!=": vbNeNum,
-	"<": vbLt, ">": vbGt, "<=": vbLe, ">=": vbGe,
-}
-
-var binopName = [...]string{
-	vbAdd: "+", vbSub: "-", vbMul: "*", vbDiv: "/", vbMod: "%",
-	vbBitAnd: "&", vbBitOr: "|", vbBitXor: "^", vbShl: "<<", vbShr: ">>",
-	vbEqStr: "eq", vbNeStr: "ne", vbEqNum: "==", vbNeNum: "!=",
-	vbLt: "<", vbGt: ">", vbLe: "<=", vbGe: ">=",
-}
-
-// evalBinop applies one binary operator, delegating to the same helpers
-// the tree-walker's binNode uses so results and errors stay identical.
-func evalBinop(code int32, a, b value) (value, error) {
-	switch code {
-	case vbAdd, vbSub, vbMul, vbDiv, vbMod:
-		return arith(binopName[code], a, b)
-	case vbBitAnd, vbBitOr, vbBitXor, vbShl, vbShr:
-		return intBinop(binopName[code], a, b)
-	case vbEqStr:
-		return boolv(a.String() == b.String()), nil
-	case vbNeStr:
-		return boolv(a.String() != b.String()), nil
-	case vbEqNum:
-		return boolv(compare(a, b) == 0), nil
-	case vbNeNum:
-		return boolv(compare(a, b) != 0), nil
-	case vbLt:
-		return boolv(compare(a, b) < 0), nil
-	case vbGt:
-		return boolv(compare(a, b) > 0), nil
-	case vbLe:
-		return boolv(compare(a, b) <= 0), nil
-	default:
-		return boolv(compare(a, b) >= 0), nil
-	}
-}
-
-// evalUnary mirrors unaryNode.eval.
-func evalUnary(op byte, v value) (value, error) {
-	switch op {
-	case '+':
-		if !v.isNumeric() {
-			if num, ok := parseNumber(v.s); ok {
-				return num, nil
-			}
-			return value{}, fmt.Errorf("expr: unary + on non-number %q", v.s)
-		}
-		return v, nil
-	case '-':
-		switch v.kind {
-		case intVal:
-			return intv(-v.i), nil
-		case floatVal:
-			return floatv(-v.f), nil
-		default:
-			if num, ok := parseNumber(v.s); ok {
-				if num.kind == intVal {
-					return intv(-num.i), nil
-				}
-				return floatv(-num.f), nil
-			}
-			return value{}, fmt.Errorf("expr: unary - on non-number %q", v.s)
-		}
-	case '!':
-		b, err := v.truth()
-		if err != nil {
-			return value{}, err
-		}
-		return boolv(!b), nil
-	default: // '~'
-		if v.kind != intVal {
-			return value{}, fmt.Errorf("expr: ~ requires an integer")
-		}
-		return intv(^v.i), nil
-	}
+	return Str(res), nil
 }

@@ -140,24 +140,33 @@ func Decode(m *message.Message) (Segment, error) {
 // fieldNames lists what Field renders, in Fields' order.
 var fieldNames = [...]string{"srcport", "dstport", "seq", "ack", "flags", "win", "len"}
 
-// Field renders one header field for filter scripts (Segment is the
-// core.FieldSource the PFI stub reports).
-func (s Segment) Field(name string) string {
+// IntField reads one numeric header field (every field but flags) for
+// filter scripts — Segment is the core.Header the PFI stub decodes into.
+func (s Segment) IntField(name string) (int64, bool) {
 	switch name {
 	case "srcport":
-		return strconv.Itoa(int(s.SrcPort))
+		return int64(s.SrcPort), true
 	case "dstport":
-		return strconv.Itoa(int(s.DstPort))
+		return int64(s.DstPort), true
 	case "seq":
-		return strconv.FormatUint(uint64(s.Seq), 10)
+		return int64(s.Seq), true
 	case "ack":
-		return strconv.FormatUint(uint64(s.Ack), 10)
-	case "flags":
-		return s.FlagNames()
+		return int64(s.Ack), true
 	case "win":
-		return strconv.Itoa(int(s.Window))
+		return int64(s.Window), true
 	case "len":
-		return strconv.Itoa(len(s.Payload))
+		return int64(len(s.Payload)), true
+	}
+	return 0, false
+}
+
+// Field renders one header field for filter scripts.
+func (s Segment) Field(name string) string {
+	if n, ok := s.IntField(name); ok {
+		return strconv.FormatInt(n, 10)
+	}
+	if name == "flags" {
+		return s.FlagNames()
 	}
 	return ""
 }

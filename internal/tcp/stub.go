@@ -20,7 +20,7 @@ import (
 // refused: sequence-consuming sends belong to the driver layer.
 type PFIStub struct{}
 
-var _ core.Stub = PFIStub{}
+var _ core.HeaderStub = PFIStub{}
 
 // Protocol implements core.Stub.
 func (PFIStub) Protocol() string { return "tcp" }
@@ -32,6 +32,20 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 		return core.Info{}, err
 	}
 	return core.Info{Type: seg.Type(), Fields: seg}, nil
+}
+
+// NewHeader implements core.HeaderStub: a filter decodes every segment it
+// sees over one Segment of its own.
+func (PFIStub) NewHeader() core.Header { return new(Segment) }
+
+// Recognize implements core.Header.
+func (s *Segment) Recognize(m *message.Message) (string, error) {
+	seg, err := Decode(m)
+	if err != nil {
+		return "", err
+	}
+	*s = seg
+	return s.Type(), nil
 }
 
 // Generate implements core.Stub.
