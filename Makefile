@@ -31,7 +31,11 @@ test:
 # kill/resume and pfiproxy tests are all ordinary tests in ./... — and then
 # the live proxy's tests five times over: its readers, timer goroutine, Do
 # and Drain meet on one mutex, and an ordering bug there shows up in some
-# schedules only.
+# schedules only. The detector's build tag also turns message reuse into
+# poisoning (internal/message/pool_race.go): a message the simulated wire
+# releases is overwritten with 0xDB and loses its ID and addressing rather
+# than going back for the next Build, so a layer that retains a message
+# without Keep() fails a decode, a golden or a fingerprint in this target.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/interpose/

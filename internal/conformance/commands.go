@@ -223,21 +223,9 @@ func registerCommands(in *script.Interp, h *harness) {
 		if len(args) < 1 {
 			return "", fmt.Errorf("wrong # args: should be %q", "partition {node ...} ?{node ...} ...?")
 		}
-		groups := make([][]string, 0, len(args))
-		for _, g := range args {
-			members, err := script.ListSplit(g)
-			if err != nil {
-				return "", err
-			}
-			if members, err = expandNodeSet(members); err != nil {
-				return "", err
-			}
-			for _, m := range members {
-				if _, err := h.node(m); err != nil {
-					return "", err
-				}
-			}
-			groups = append(groups, members)
+		groups, err := h.partitionGroups(args)
+		if err != nil {
+			return "", err
 		}
 		h.w.Partition(groups...)
 		return "", nil

@@ -224,6 +224,32 @@ func TestWorldGuards(t *testing.T) {
 	}
 }
 
+// TestPartitionGroups: a partition names existing nodes, each in one group.
+// netsim would leave a node named twice in the last group naming it, so
+// `partition {a b} {b c}` used to cut a|b c while reading as something else.
+func TestPartitionGroups(t *testing.T) {
+	for _, tc := range []struct{ cmd, wantErr string }{
+		{"partition {a b} {c}", ""},
+		{"partition {a a} {b c}", ""}, // twice in one group is still one group
+		{"partition {a b} {nobody}", `unknown node "nobody"`},
+		{"partition {a b} {b c}", "node b named in two groups"},
+		{"partition {a} {b} {c a}", "node a named in two groups"},
+	} {
+		r := Run(New("inline", "world gmp a b c\n"+tc.cmd), Options{})
+		switch {
+		case tc.wantErr == "" && r.Err != nil:
+			t.Errorf("%q: %v", tc.cmd, r.Err)
+		case tc.wantErr != "" && (r.Err == nil || !strings.Contains(r.Err.Error(), tc.wantErr)):
+			t.Errorf("%q: err %v, want %q", tc.cmd, r.Err, tc.wantErr)
+		}
+	}
+	// raft_partition_heal parses its groups the same way, ranges included.
+	r := Run(New("inline", "world raft 5\nraft_partition_heal 1s {r1..r3} {r3 r4}"), Options{})
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "node r3 named in two groups") {
+		t.Errorf("raft_partition_heal: err %v, want r3 named in two groups", r.Err)
+	}
+}
+
 // TestProfileSelection covers the forgiving profile matcher.
 func TestProfileSelection(t *testing.T) {
 	h := newHarness(tcp.SunOS413())

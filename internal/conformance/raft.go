@@ -33,6 +33,35 @@ func expandNodeSet(tokens []string) ([]string, error) {
 	return out, nil
 }
 
+// partitionGroups parses the {node ...} groups of a partition command. Every
+// node must exist and belong to one group only: netsim leaves a node named
+// twice in the last group that names it, so a typo would quietly test a
+// different cut from the one the scenario wrote down.
+func (h *harness) partitionGroups(lists []string) ([][]string, error) {
+	groups := make([][]string, 0, len(lists))
+	groupOf := make(map[string]int)
+	for gi, list := range lists {
+		members, err := script.ListSplit(list)
+		if err != nil {
+			return nil, err
+		}
+		if members, err = expandNodeSet(members); err != nil {
+			return nil, err
+		}
+		for _, m := range members {
+			if _, err := h.node(m); err != nil {
+				return nil, err
+			}
+			if first, named := groupOf[m]; named && first != gi {
+				return nil, fmt.Errorf("node %s named in two groups", m)
+			}
+			groupOf[m] = gi
+		}
+		groups = append(groups, members)
+	}
+	return groups, nil
+}
+
 // splitNodeName splits "r17" into ("r", 17).
 func splitNodeName(s string) (prefix string, n int, err error) {
 	i := len(s)
@@ -257,21 +286,9 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 		if err != nil || d < 0 {
 			return "", fmt.Errorf("bad duration %q", args[0])
 		}
-		groups := make([][]string, 0, len(args)-1)
-		for _, g := range args[1:] {
-			members, err := script.ListSplit(g)
-			if err != nil {
-				return "", err
-			}
-			if members, err = expandNodeSet(members); err != nil {
-				return "", err
-			}
-			for _, m := range members {
-				if _, err := h.node(m); err != nil {
-					return "", err
-				}
-			}
-			groups = append(groups, members)
+		groups, err := h.partitionGroups(args[1:])
+		if err != nil {
+			return "", err
 		}
 		h.w.Partition(groups...)
 		steps := h.w.RunFor(d)

@@ -75,6 +75,7 @@ func (d *Driver) HandleDown(m *message.Message) error { return d.base.Down(m) }
 // HandleUp implements stack.Layer: inbound messages that cleared the
 // target protocol arrive here.
 func (d *Driver) HandleUp(m *message.Message) error {
+	m.Keep() // Received and recv_data read it long after this hop
 	d.received = append(d.received, m)
 	d.log.Addf(d.env.Now(), d.env.Node, "driver-recv", "", uint64(m.ID()),
 		fmt.Sprintf("%d bytes", m.Len()))

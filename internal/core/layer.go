@@ -177,7 +177,8 @@ type Hook func(ctx *HookCtx) error
 // Go hook.
 type HookCtx struct {
 	filter *Filter
-	// Msg is the message traversing the filter.
+	// Msg is the message traversing the filter, valid for this hook run: a
+	// hook that stores it calls Msg.Keep() (see stack.Layer).
 	Msg *message.Message
 	// Info is the stub's recognition result.
 	Info Info
@@ -406,6 +407,7 @@ func (f *Filter) holdNow() {
 	}
 	f.cur.hold = true
 	f.stats.Held++
+	f.curMsg.Keep() // it outlives this call: the wire must not reuse it
 	f.held = append(f.held, f.curMsg)
 }
 
@@ -456,6 +458,7 @@ func (f *Filter) forwardAfter(m *message.Message, after time.Duration) error {
 	if after <= 0 {
 		return f.layer.forward(f.dir, m)
 	}
+	m.Keep() // it outlives this call: the wire must not reuse it
 	d := &delayedForward{f: f, m: m}
 	f.layer.env.Sched.Arm(&d.Event, after, "pfi-delayed-forward", d)
 	return nil

@@ -14,8 +14,11 @@ import (
 
 // Source is a seeded random source for one experiment. It seeds its
 // generator on the first draw: math/rand's generator state is 4.9 KB and
-// takes a few microseconds to fill, and most sources a world builds — one
-// per PFI layer, for scripts that may call dst_* — are never drawn from.
+// takes 12–15 µs to fill, and most sources a world builds — one per PFI
+// layer, for scripts that may call dst_* — are never drawn from. (The ones
+// that are — every started raft node draws its election jitter — are what a
+// many-node world pays next: see EXPERIMENTS "A hop that allocates
+// nothing".)
 type Source struct {
 	seed int64
 	cnt  *countingSource // nil until the first draw

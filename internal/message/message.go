@@ -25,15 +25,20 @@ type ID uint64
 // fits — a raft heartbeat, a GMP heartbeat in its RUDP frame, a bare TCP
 // ACK, a 64-byte datagram — is one heap object, not a header plus a buffer.
 // It is a constant because it fixes the size of every Message (72 bytes of
-// header + 72 inline = one 144-byte allocation class): a stream segment
-// that spills carries the unused array along, so it has to stay small, and
-// the control frames above are all under it.
-const InlineCap = 72
+// header + the kept flag + 71 inline = one 144-byte allocation class): a
+// stream segment that spills carries the unused array along, so it has to
+// stay small, and the control frames above are all under it.
+const InlineCap = 71
 
 // Message is a mutable packet travelling through a protocol stack. The zero
 // value is not useful; use New or Build. A Message is handled by pointer
 // only: its bytes may live in its own inline array, so a by-value copy would
 // alias the original's storage (go vet's copylocks pass reports one).
+//
+// Ownership: a message belongs to whoever was handed it, for the length of
+// that call. The simulated wire reuses a message once its hop is over (see
+// Release), so a layer, hook or sink that holds on to a *Message — or to a
+// slice of its Bytes — after returning calls Keep first.
 type Message struct {
 	_      noCopy
 	id     ID
@@ -41,6 +46,7 @@ type Message struct {
 	buf    []byte
 	src    string // sending node, stamped by the network on transmit
 	dst    string // destination node, set by the sender's stack
+	kept   bool   // someone holds this message past its hop: never reused
 	inline [InlineCap]byte
 }
 
@@ -51,17 +57,47 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
-// alloc returns a fresh, empty message with room for n bytes: in its inline
-// array when they fit, otherwise in a buffer of exactly that capacity.
+// alloc returns an empty message with room for n bytes: in its inline array
+// when they fit, otherwise in a buffer of at least that capacity. It is a
+// message the wire gave back (Release) when there is one, and then carries
+// nothing over but a spill buffer's capacity: the ID is drawn here either
+// way, and a released message has no addressing and is not kept.
 func alloc(n int) *Message {
+	m := recycled()
+	if m == nil {
+		m = new(Message)
+	}
 	id := ID(lastID.Add(1))
-	m := &Message{id: id, origin: id}
-	if n <= InlineCap {
+	m.id, m.origin = id, id
+	switch {
+	case n <= InlineCap:
 		m.buf = m.inline[:0]
-	} else {
+	case cap(m.buf) >= n: // more than InlineCap, so not the inline array
+		m.buf = m.buf[:0]
+	default:
 		m.buf = make([]byte, 0, n)
 	}
 	return m
+}
+
+// Keep tells the wire that someone holds this message, or a slice of its
+// bytes, beyond the call that handed it over — a hold queue, a delayed
+// forward, a receive log, a reassembly buffer, a snapshot. A kept message is
+// never reused; it stays kept (and garbage-collected like any other object)
+// for good. A Clone starts out not kept.
+func (m *Message) Keep() { m.kept = true }
+
+// Release gives the message back for a later New or Build to reuse, unless
+// it was kept. It is the simulated wire's call and nobody else's: netsim
+// makes it when a hop is over — the receiving stack has returned, or the
+// message was lost in flight — which is the one point where no frame on the
+// stack still has the message in hand. Under the race detector a released
+// message is poisoned instead of reused (pool_race.go), so a retainer that
+// forgot Keep reads 0xDB bytes and a zero ID there.
+func (m *Message) Release() {
+	if !m.kept {
+		recycle(m)
+	}
 }
 
 // New builds a message whose payload is a copy of data.
@@ -96,7 +132,7 @@ func (m *Message) CopyBytes() []byte {
 }
 
 // Clone returns a deep copy with a fresh ID but the same origin chain and
-// the same addressing.
+// the same addressing. The copy is not kept, whatever the original is.
 func (m *Message) Clone() *Message {
 	c := New(m.buf)
 	c.origin, c.src, c.dst = m.origin, m.src, m.dst
@@ -113,8 +149,11 @@ type State struct {
 	src, dst string
 }
 
-// SaveState captures the message's current content.
+// SaveState captures the message's current content and keeps the message:
+// whoever restores the state later needs the same *Message to still be this
+// message, so what a snapshot has seen is never reused.
 func (m *Message) SaveState() State {
+	m.Keep()
 	return State{buf: append([]byte(nil), m.buf...), src: m.src, dst: m.dst}
 }
 

@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -249,6 +250,44 @@ func TestCopiesShareNoStorage(t *testing.T) {
 		if size <= InlineCap && &c.Bytes()[0] != &c.inline[0] {
 			t.Fatalf("%d bytes: the clone's payload is not in its own inline array", size)
 		}
+	}
+}
+
+// TestKeepOutlivesRelease: Release is a no-op on a message someone kept or a
+// snapshot saved — ID, origin, addressing and bytes stay what they were, in a
+// normal build (where an unkept message goes back for reuse) and under the
+// race detector (where it is poisoned) alike. Keeping is the holder's own
+// business: it does not pass to a Clone.
+func TestKeepOutlivesRelease(t *testing.T) {
+	intact := func(m *Message, id, origin ID, body string) {
+		t.Helper()
+		if m.ID() != id || m.Origin() != origin || m.Src() != "a" || m.Dst() != "b" || string(m.Bytes()) != body {
+			t.Fatalf("released though kept: %v origin %d %s->%s", m, m.Origin(), m.Src(), m.Dst())
+		}
+	}
+	for _, body := range []string{"held", strings.Repeat("spilled ", InlineCap)} {
+		parent := NewString(body)
+		m := parent.Clone()
+		m.SetSrc("a")
+		m.SetDst("b")
+		id := m.ID()
+		m.Keep()
+		c := m.Clone()
+		if c.kept {
+			t.Fatal("the clone of a kept message is kept")
+		}
+		c.Release()
+		m.Release()
+		intact(m, id, parent.ID(), body)
+
+		s := m.Clone()
+		sid := s.ID()
+		st := s.SaveState()
+		s.Release()
+		intact(s, sid, parent.ID(), body)
+		_ = s.Truncate(1)
+		s.RestoreState(st)
+		intact(s, sid, parent.ID(), body)
 	}
 }
 

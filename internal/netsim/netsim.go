@@ -60,6 +60,11 @@ type World struct {
 	stats Stats
 	log   *trace.Log // optional wire-level log
 
+	// free holds deliveries whose hop is over, for newDelivery to hand out
+	// again. The world is single-threaded, so a plain stack will do; a
+	// delivery a snapshot has seen never comes here (delivery.pinned).
+	free []*delivery
+
 	// snaps is the world's snapshot roster: scheduler and world state are
 	// pre-registered; rigs add their protocol layers and shared log.
 	snaps *snapshot.Registry
@@ -238,7 +243,10 @@ func (w *World) SetLinkUp(a, b string, up bool) error {
 
 // Partition splits the network into the given groups: messages crossing
 // group boundaries are dropped. Nodes not mentioned keep connectivity only
-// among themselves (they form an implicit extra group).
+// among themselves (they form an implicit extra group). A node belongs to
+// one group: if several name it, the last one wins (the scenario language
+// rejects such a partition before it gets here), and unknown names are
+// skipped.
 func (w *World) Partition(groups ...[]string) {
 	w.Heal()
 	for gi, g := range groups {
@@ -265,11 +273,41 @@ type delivery struct {
 	simtime.Event
 	src, dst *Node
 	m        *message.Message
+	// pinned marks a delivery that was pending when a snapshot was taken:
+	// the snapshot's scheduler state holds its event and a restore queues
+	// it again, so it is never reused.
+	pinned bool
 }
 
-// Fire implements simtime.Handler: the message arrives.
+// newDelivery returns a delivery for one hop, reusing one whose hop is over.
+func (w *World) newDelivery(src, dst *Node, m *message.Message) *delivery {
+	n := len(w.free)
+	if n == 0 {
+		return &delivery{src: src, dst: dst, m: m}
+	}
+	d := w.free[n-1]
+	w.free = w.free[:n-1]
+	d.src, d.dst, d.m = src, dst, m
+	return d
+}
+
+// Fire implements simtime.Handler: the message arrives, and the hop gives
+// back what it used. This is the one place that does: Fire runs directly
+// under Scheduler.Step, so the receiving stack's whole call chain has
+// unwound and no sender's frame is on the stack — whoever still wants the
+// message has said so with Keep by now. (A send-side drop is no such place:
+// the PFI layer forwards a message and then clones it for xDuplicate.)
 func (d *delivery) Fire() {
-	w := d.dst.world
+	w, m := d.dst.world, d.m
+	d.arrive(w)
+	if !d.pinned {
+		d.m = nil
+		w.free = append(w.free, d)
+	}
+	m.Release()
+}
+
+func (d *delivery) arrive(w *World) {
 	if d.src != d.dst {
 		// Re-check reachability at arrival: a cable pulled mid-flight
 		// loses the packet.
@@ -315,7 +353,7 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 		// any PFI layer in it), which is what lets the paper's experiment
 		// drop a daemon's heartbeats to itself.
 		w.stats.Sent++
-		d := &delivery{src: from, dst: from, m: m}
+		d := w.newDelivery(from, from, m)
 		w.Sched.Arm(&d.Event, 0, "loopback", d)
 		return nil
 	}
@@ -361,7 +399,7 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 	if w.log != nil {
 		w.log.Addf(w.Sched.Now(), src.name, "wire-send", "", uint64(m.ID()), "to "+dst.name)
 	}
-	d := &delivery{src: src, dst: dst, m: m}
+	d := w.newDelivery(src, dst, m)
 	w.Sched.Arm(&d.Event, delay, "deliver", d)
 }
 
@@ -394,7 +432,8 @@ type nodeState struct {
 }
 
 // flightState saves one in-flight message: the pointer its pending
-// delivery holds, and the message content at capture time.
+// delivery holds, and the message content at capture time. Capturing pins
+// both: the message is kept (SaveState) and the delivery is never reused.
 type flightState struct {
 	m  *message.Message
 	st message.State
@@ -439,6 +478,7 @@ func (w *World) SnapshotState() any {
 	}
 	w.Sched.EachPending(func(h simtime.Handler) {
 		if d, ok := h.(*delivery); ok {
+			d.pinned = true
 			st.inflight = append(st.inflight, flightState{m: d.m, st: d.m.SaveState()})
 		}
 	})
@@ -447,7 +487,10 @@ func (w *World) SnapshotState() any {
 
 // RestoreState rewinds the world to a captured state. Links, nodes, and
 // in-flight messages keep their identities (the pointers pending deliveries
-// hold); only their mutable content rolls back.
+// hold); only their mutable content rolls back. Deliveries sent since the
+// capture leave the scheduler's queue with its restore and are simply
+// dropped, their messages with them: nothing a capture saw was ever reused,
+// so there is nothing to take back from the free list.
 func (w *World) RestoreState(state any) {
 	st := state.(*worldState)
 	w.def = st.def

@@ -14,20 +14,36 @@ import (
 	"pfi/internal/stack"
 )
 
-// TestSnapshotRestoreReplaysDeliveries proves the restore path invisible
-// for everything that rides on a scheduler event or a message pointer: a
-// three-daemon GMP group is snapshotted while messages are in flight, a PFI
-// delayed forward is pending, a message sits on a hold queue and
-// heartbeat-expect timers are armed; the world then runs, is rewound, runs
-// again, is rewound, and runs a third time. Every run must deliver the same
-// messages — order, instant, source, destination and bytes — and end on
-// the same counters.
-func TestSnapshotRestoreReplaysDeliveries(t *testing.T) {
-	w := NewWorld(7)
+// snapWorld is the world TestSnapshotRestoreReplaysDeliveries runs: a
+// three-daemon GMP group with a tap on the wire side of every PFI layer.
+type snapWorld struct {
+	w         *World
+	pfi       map[string]*core.Layer
+	gmds      map[string]*gmp.Daemon
+	delivered []string
+	// Message IDs are process-wide, so the tap reports them as offsets: a
+	// message built before the snapshot point counts back from captureMark,
+	// one built since counts up from runMark (both are the ID of a probe
+	// message built at that instant).
+	captureMark, runMark message.ID
+}
+
+// relID renders a message's ID relative to the marks.
+func (sw *snapWorld) relID(id message.ID) string {
+	if id < sw.captureMark {
+		return fmt.Sprintf("capture-%d", sw.captureMark-id)
+	}
+	return fmt.Sprintf("run+%d", id-sw.runMark)
+}
+
+// newSnapWorld builds the group and steps it to an instant with datagrams on
+// the wire, heartbeats parked in n1's delayed forwards, a message on n3's
+// hold queue and heartbeat-expect timers armed.
+func newSnapWorld(t *testing.T) *snapWorld {
+	t.Helper()
+	sw := &snapWorld{w: NewWorld(7), pfi: map[string]*core.Layer{}, gmds: map[string]*gmp.Daemon{}}
+	w := sw.w
 	names := []string{"n1", "n2", "n3"}
-	var delivered []string
-	pfi := map[string]*core.Layer{}
-	gmds := map[string]*gmp.Daemon{}
 	for _, name := range names {
 		node := w.MustAddNode(name)
 		net := rudp.NewLayer(node.Env())
@@ -38,8 +54,8 @@ func TestSnapshotRestoreReplaysDeliveries(t *testing.T) {
 		// would, so a rewind that did not put an in-flight or delayed
 		// message's content back would deliver the wreckage next run.
 		tap := stack.NewFunc("tap", nil, func(m *message.Message, next stack.Sink) error {
-			delivered = append(delivered, fmt.Sprintf("%v %s: %s->%s %x",
-				w.Now(), name, m.Src(), m.Dst(), m.Bytes()))
+			sw.delivered = append(sw.delivered, fmt.Sprintf("%v %s: %s->%s %s %x",
+				w.Now(), name, m.Src(), m.Dst(), sw.relID(m.ID()), m.Bytes()))
 			err := next(m)
 			if name == "n2" {
 				_ = m.Truncate(0)
@@ -52,77 +68,121 @@ func TestSnapshotRestoreReplaysDeliveries(t *testing.T) {
 		w.Snapshots().Register("rudp:"+name, net)
 		w.Snapshots().Register("pfi:"+name, pl)
 		w.Snapshots().Register("gmd:"+name, gmd)
-		pfi[name], gmds[name] = pl, gmd
+		sw.pfi[name], sw.gmds[name] = pl, gmd
 	}
 	if err := w.ConnectAll(LinkConfig{Latency: 5 * time.Millisecond, Jitter: 2 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	// n1 delays every heartbeat it sends; n3 parks every third message it
 	// receives and lets the backlog go two messages later.
-	if err := pfi["n1"].SetSendScript(`if {[msg_type cur_msg] eq "HEARTBEAT"} { xDelay cur_msg 300 }`); err != nil {
+	if err := sw.pfi["n1"].SetSendScript(`if {[msg_type cur_msg] eq "HEARTBEAT"} { xDelay cur_msg 300 }`); err != nil {
 		t.Fatal(err)
 	}
-	if err := pfi["n3"].SetReceiveScript(`
+	if err := sw.pfi["n3"].SetReceiveScript(`
 		incr seen
 		if {$seen % 3 == 0} { xHold cur_msg } elseif {$seen % 3 == 2} { xRelease }`); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		gmds[name].Start()
+		sw.gmds[name].Start()
 	}
-
-	// Warm up until the group has formed, then step to an instant with
-	// datagrams on the wire, heartbeats parked in n1's delayed forwards
-	// and a message on n3's hold queue.
 	w.RunFor(20 * time.Second)
 	for _, name := range names {
-		if got := len(gmds[name].Group().Members); got != 3 {
+		if got := len(sw.gmds[name].Group().Members); got != 3 {
 			t.Fatalf("%s sees %d members after warm-up", name, got)
 		}
 	}
 	for w.Sched.Len() > 0 {
 		flights, delayed := pendingByKind(w.Sched)
-		if flights > 0 && delayed > 0 && pfi["n3"].ReceiveFilter().HeldCount() > 0 {
+		if flights > 0 && delayed > 0 && sw.pfi["n3"].ReceiveFilter().HeldCount() > 0 {
 			break
 		}
 		w.Sched.Step()
 	}
+	sw.captureMark = message.New(nil).ID()
+	return sw
+}
+
+// run plays the ten seconds after the snapshot point and returns what the
+// taps saw and the counters the world ended on.
+func (sw *snapWorld) run() (string, Stats) {
+	sw.delivered = sw.delivered[:0]
+	sw.runMark = message.New(nil).ID()
+	sw.w.RunFor(10 * time.Second)
+	return strings.Join(sw.delivered, "\n"), sw.w.Stats()
+}
+
+// TestSnapshotRestoreReplaysDeliveries proves the restore path — and the
+// wire's reuse of deliveries and messages underneath it — invisible for
+// everything that rides on a scheduler event or a message pointer: a
+// three-daemon GMP group is snapshotted while messages are in flight, a PFI
+// delayed forward is pending, a message sits on a hold queue and
+// heartbeat-expect timers are armed; the world then runs, is rewound, runs
+// again, is rewound, and runs a third time. Each run is long enough for
+// every captured delivery to fire and for the free list to go round many
+// times. Every run must deliver what a second world, built the same way and
+// never snapshotted (so its in-flight messages are reused, not pinned),
+// delivers over the same ten seconds — order, instant, source, destination,
+// bytes and the sequence of message IDs — and end on the same counters.
+func TestSnapshotRestoreReplaysDeliveries(t *testing.T) {
+	fresh := newSnapWorld(t)
+	want, wantStats := fresh.run()
+	if n := len(fresh.delivered); n < 50 {
+		t.Fatalf("only %d deliveries in the replayed window", n)
+	}
+
+	sw := newSnapWorld(t)
+	w := sw.w
 	flights, delayed := pendingByKind(w.Sched)
-	held := pfi["n3"].ReceiveFilter().HeldCount()
-	armed := gmds["n2"].ArmedHBExpect()
+	held := sw.pfi["n3"].ReceiveFilter().HeldCount()
+	armed := sw.gmds["n2"].ArmedHBExpect()
 	if flights == 0 || delayed == 0 || held == 0 || armed == 0 {
 		t.Fatalf("snapshot point lacks state to rewind: %d in flight, %d delayed forwards, %d held, %d hb-expect armed",
 			flights, delayed, held, armed)
 	}
-
 	snap := w.Snapshots().Capture()
-	run := func() (string, Stats) {
-		delivered = delivered[:0]
-		w.RunFor(10 * time.Second)
-		return strings.Join(delivered, "\n"), w.Stats()
-	}
-	first, firstStats := run()
-	if n := len(delivered); n < 50 {
-		t.Fatalf("only %d deliveries in the replayed window", n)
-	}
-	for round := 2; round <= 3; round++ {
-		snap.Restore()
-		if f, d := pendingByKind(w.Sched); f != flights || d != delayed ||
-			pfi["n3"].ReceiveFilter().HeldCount() != held || gmds["n2"].ArmedHBExpect() != armed {
-			t.Fatalf("run %d: restore left %d in flight, %d delayed, want %d, %d", round, f, d, flights, delayed)
+	var captured []*delivery
+	w.Sched.EachPending(func(h simtime.Handler) {
+		if d, ok := h.(*delivery); ok {
+			captured = append(captured, d)
 		}
-		got, gotStats := run()
-		if gotStats != firstStats {
-			t.Fatalf("run %d: stats %+v, first run %+v", round, gotStats, firstStats)
+	})
+	for round := 1; round <= 3; round++ {
+		if round > 1 {
+			snap.Restore()
+			if f, d := pendingByKind(w.Sched); f != flights || d != delayed ||
+				sw.pfi["n3"].ReceiveFilter().HeldCount() != held || sw.gmds["n2"].ArmedHBExpect() != armed {
+				t.Fatalf("run %d: restore left %d in flight, %d delayed, want %d, %d", round, f, d, flights, delayed)
+			}
 		}
-		if got != first {
-			a, b := strings.Split(first, "\n"), strings.Split(got, "\n")
+		got, gotStats := sw.run()
+		if gotStats != wantStats {
+			t.Fatalf("run %d: stats %+v, never-snapshotted world %+v", round, gotStats, wantStats)
+		}
+		if got != want {
+			a, b := strings.Split(want, "\n"), strings.Split(got, "\n")
 			for i := range a {
 				if i >= len(b) || a[i] != b[i] {
-					t.Fatalf("run %d diverges at delivery %d:\n first: %s\n again: %s", round, i, a[i], append(b, "<none>")[min(i, len(b))])
+					t.Fatalf("run %d diverges at delivery %d:\n fresh: %s\n  this: %s", round, i, a[i], append(b, "<none>")[min(i, len(b))])
 				}
 			}
-			t.Fatalf("run %d delivered %d messages, first run %d", round, len(b), len(a))
+			t.Fatalf("run %d delivered %d messages, never-snapshotted world %d", round, len(b), len(a))
+		}
+		// Everything the capture saw has fired and is still the capture's:
+		// none of it is on the free list, which the run's own deliveries
+		// went through many times over.
+		for _, d := range captured {
+			if d.Pending() {
+				t.Fatalf("run %d: a captured delivery is still pending", round)
+			}
+			for _, f := range w.free {
+				if f == d {
+					t.Fatalf("run %d: a captured delivery is on the free list", round)
+				}
+			}
+		}
+		if n := len(w.free); n == 0 || len(sw.delivered) < 5*n {
+			t.Fatalf("run %d: %d deliveries through a free list of %d: not reused many times over", round, len(sw.delivered), n)
 		}
 	}
 }

@@ -100,6 +100,11 @@ type Node struct {
 	sched *simtime.Scheduler
 	id    string
 	peers []string // all node ids including self; shared, never mutated
+	self  int      // this node's position in peers
+	// index resolves a name to its position in peers. Only a node that
+	// tallies responses — a candidate, a leader — asks, so it is built on
+	// the first question: a follower of a 250-node cluster never pays for it.
+	index map[string]int
 	cfg   Config
 	bugs  Bugs
 	log   *trace.Log
@@ -115,10 +120,12 @@ type Node struct {
 	state   State
 	commit  uint64
 	applied uint64
-	leader  string          // latest known leader ("" if none)
-	votes   map[string]bool // candidate: granted votes
-	next    map[string]uint64
-	match   map[string]uint64
+	leader  string // latest known leader ("" if none)
+	// Per-peer tallies, indexed by position in peers; nil unless the state
+	// says otherwise.
+	votes []bool   // candidate: who granted its vote
+	next  []uint64 // leader: the next log index to send
+	match []uint64 // leader: the highest index known replicated
 
 	started   bool
 	suspended bool
@@ -163,14 +170,14 @@ func NewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc,
 	}
 	n.election.Init(sched, n.onElectionTimeout)
 	n.heartbeat.Init(sched, n.onHeartbeatTick)
-	found := false
-	for _, p := range peers {
+	n.self = -1
+	for i, p := range peers {
 		if p == id {
-			found = true
+			n.self = i
 			break
 		}
 	}
-	if !found {
+	if n.self < 0 {
 		return nil, fmt.Errorf("raft: peer list does not include self %q", id)
 	}
 	for _, opt := range opts {
@@ -353,11 +360,12 @@ func (n *Node) startElection() {
 	n.state = StateCandidate
 	n.votedFor = n.id
 	n.leader = ""
-	n.votes = map[string]bool{n.id: true}
+	n.votes = make([]bool, len(n.peers))
+	n.votes[n.self] = true
 	n.logEvent("candidate", "REQUEST_VOTE", n.term, "")
 	li, lt := n.LastIndex(), n.lastTerm()
-	for _, p := range n.peers {
-		if p == n.id {
+	for i, p := range n.peers {
+		if i == n.self {
 			continue
 		}
 		n.send(p, Msg{Type: TypeRequestVote, Term: n.term, From: n.id, LastIndex: li, LastTerm: lt})
@@ -411,24 +419,48 @@ func (n *Node) handleVoteResp(m *Msg) {
 	if n.state != StateCandidate || m.Term != n.term || !m.Granted {
 		return
 	}
-	n.votes[m.From] = true
+	from, ok := n.peerIndex(m.From)
+	if !ok {
+		return
+	}
+	n.votes[from] = true
 	n.maybeWin()
 }
 
+// peerIndex resolves a sender to its position in peers. A name from outside
+// the cluster (a forged From) has none, and its responses count for nothing.
+func (n *Node) peerIndex(name string) (int, bool) {
+	if n.index == nil {
+		n.index = make(map[string]int, len(n.peers))
+		for i, p := range n.peers {
+			n.index[p] = i
+		}
+	}
+	i, ok := n.index[name]
+	return i, ok
+}
+
 func (n *Node) maybeWin() {
-	if n.state != StateCandidate || len(n.votes) < n.quorum() {
+	if n.state != StateCandidate {
+		return
+	}
+	granted := 0
+	for _, v := range n.votes {
+		if v {
+			granted++
+		}
+	}
+	if granted < n.quorum() {
 		return
 	}
 	n.state = StateLeader
 	n.leader = n.id
 	n.votes = nil
-	n.next = make(map[string]uint64, len(n.peers)-1)
-	n.match = make(map[string]uint64, len(n.peers)-1)
+	n.next = make([]uint64, len(n.peers))
+	n.match = make([]uint64, len(n.peers))
 	ni := n.LastIndex() + 1
-	for _, p := range n.peers {
-		if p != n.id {
-			n.next[p] = ni
-		}
+	for i := range n.next {
+		n.next[i] = ni
 	}
 	// Seq carries the term: the election-safety oracle groups these events
 	// by term and flags any term elected on two distinct nodes.
@@ -470,15 +502,17 @@ func (n *Node) maxBatch() int {
 }
 
 func (n *Node) broadcastAppend() {
-	for _, p := range n.peers {
-		if p != n.id {
-			n.sendAppend(p)
+	for i := range n.peers {
+		if i != n.self {
+			n.sendAppend(i)
 		}
 	}
 }
 
-func (n *Node) sendAppend(p string) {
-	ni := n.next[p]
+// sendAppend sends the peer at position to the entries it is missing, or a
+// bare heartbeat.
+func (n *Node) sendAppend(to int) {
+	ni := n.next[to]
 	if ni < 1 {
 		ni = 1
 	}
@@ -497,7 +531,7 @@ func (n *Node) sendAppend(p string) {
 		// leader's log may be truncated while the message is in flight.
 		ents = append([]LogEntry(nil), tail...)
 	}
-	n.send(p, Msg{
+	n.send(n.peers[to], Msg{
 		Type: TypeAppend, Term: n.term, From: n.id,
 		PrevIndex: prevIdx, PrevTerm: prevTerm, Commit: n.commit, Entries: ents,
 	})
@@ -560,29 +594,33 @@ func (n *Node) handleAppendResp(m *Msg) {
 	if n.state != StateLeader || m.Term != n.term {
 		return
 	}
+	from, ok := n.peerIndex(m.From)
+	if !ok {
+		return
+	}
 	if m.Success {
-		if m.Match > n.match[m.From] {
-			n.match[m.From] = m.Match
+		if m.Match > n.match[from] {
+			n.match[from] = m.Match
 		}
-		if m.Match+1 > n.next[m.From] {
-			n.next[m.From] = m.Match + 1
+		if m.Match+1 > n.next[from] {
+			n.next[from] = m.Match + 1
 		}
 		n.advanceCommit()
-		if n.next[m.From] <= n.LastIndex() {
-			n.sendAppend(m.From) // keep streaming the backlog
+		if n.next[from] <= n.LastIndex() {
+			n.sendAppend(from) // keep streaming the backlog
 		}
 		return
 	}
 	// Rejected: back up to the follower's hint and re-probe.
 	ni := m.Match + 1
-	if cur := n.next[m.From]; ni >= cur && cur > 1 {
+	if cur := n.next[from]; ni >= cur && cur > 1 {
 		ni = cur - 1
 	}
 	if ni < 1 {
 		ni = 1
 	}
-	n.next[m.From] = ni
-	n.sendAppend(m.From)
+	n.next[from] = ni
+	n.sendAppend(from)
 }
 
 // advanceCommit moves the leader's commit index to the highest
@@ -597,8 +635,8 @@ func (n *Node) advanceCommit() {
 			continue
 		}
 		cnt := 1 // self
-		for _, p := range n.peers {
-			if p != n.id && n.match[p] >= idx {
+		for i, match := range n.match {
+			if i != n.self && match >= idx {
 				cnt++
 			}
 		}

@@ -3,8 +3,8 @@ package raft
 // Snapshot support (see internal/snapshot). The node's two timers are fixed
 // parts of the node; the scheduler's own snapshot restores their events in
 // place, so they need no state here — the same contract the GMP daemon
-// uses. This is what makes O(delta) fuzzing work at 1000 nodes:
-// forking a warm world copies each node's maps and log slice headers
+// uses. This is what makes O(delta) fuzzing work at 1000 nodes: forking a
+// warm world copies each node's per-peer slices and log slice headers
 // instead of replaying the whole election history.
 
 // nodeState is the node's mutable protocol state.
@@ -17,37 +17,15 @@ type nodeState struct {
 	commit  uint64
 	applied uint64
 	leader  string
-	votes   map[string]bool
-	next    map[string]uint64
-	match   map[string]uint64
+	votes   []bool
+	next    []uint64
+	match   []uint64
 
 	started   bool
 	suspended bool
 
 	rngMark uint64
 	logLen  int
-}
-
-func copyBoolMap(m map[string]bool) map[string]bool {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyU64Map(m map[string]uint64) map[string]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // SnapshotState captures the node for the snapshot registry.
@@ -60,9 +38,9 @@ func (n *Node) SnapshotState() any {
 		commit:    n.commit,
 		applied:   n.applied,
 		leader:    n.leader,
-		votes:     copyBoolMap(n.votes),
-		next:      copyU64Map(n.next),
-		match:     copyU64Map(n.match),
+		votes:     append([]bool(nil), n.votes...),
+		next:      append([]uint64(nil), n.next...),
+		match:     append([]uint64(nil), n.match...),
 		started:   n.started,
 		suspended: n.suspended,
 		rngMark:   n.rng.Mark(),
@@ -82,9 +60,9 @@ func (n *Node) RestoreState(state any) {
 	n.commit = st.commit
 	n.applied = st.applied
 	n.leader = st.leader
-	n.votes = copyBoolMap(st.votes)
-	n.next = copyU64Map(st.next)
-	n.match = copyU64Map(st.match)
+	n.votes = append([]bool(nil), st.votes...)
+	n.next = append([]uint64(nil), st.next...)
+	n.match = append([]uint64(nil), st.match...)
 	n.started = st.started
 	n.suspended = st.suspended
 	n.rng.Rewind(st.rngMark)

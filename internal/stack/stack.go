@@ -16,12 +16,23 @@ import (
 	"pfi/internal/simtime"
 )
 
-// Sink consumes a message travelling in one direction.
+// Sink consumes a message travelling in one direction. It is bound by the
+// same ownership rule as a Layer.
 type Sink func(m *message.Message) error
 
 // Layer is one protocol layer. Implementations receive both directions of
 // traffic and forward (possibly transformed, delayed, duplicated, or not at
 // all) via the sinks provided in Wire.
+//
+// Who owns a message: whoever was handed it, until that call returns. A
+// layer may read it, change it, pass it on or drop it; once HandleUp or
+// HandleDown has returned, the message is no longer the layer's — the
+// simulated wire reuses a delivered message for a later frame as soon as
+// the receiving stack has returned. A layer that holds on to the *Message,
+// or to a slice of its Bytes (a decoded payload that aliases them), beyond
+// its own return — a hold queue, a delayed forward, a reassembly buffer, a
+// receive log — calls m.Keep() first, or copies what it needs. A message a
+// layer has passed down is the wire's: send a Clone to send it twice.
 type Layer interface {
 	// Name identifies the layer in traces.
 	Name() string

@@ -94,6 +94,12 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	if err != nil {
 		return nil // garbage on the wire is dropped, not fatal
 	}
+	if len(seg.Payload) > 0 {
+		// The payload is a slice of m and OnData lends it onwards instead
+		// of copying it, so m stays out of the wire's reuse. A bare ACK,
+		// SYN, FIN or RST lends nothing.
+		m.Keep()
+	}
 	srcNode := m.Src()
 	if srcNode == "" {
 		return fmt.Errorf("tcp: segment without source node")
