@@ -75,7 +75,9 @@ pairs:
 # written to testdata/fuzz as usual; run longer locally when touching the
 # script parser or compiler. FuzzCompiledParity is the differential oracle
 # for the register VM: tree-walker and compiled program must agree
-# byte-for-byte on result, error text, and output. FuzzJournalParse
+# byte-for-byte on result, error text, and output, refusals included — its
+# seeds start from a `proc` of each special form, which both must refuse
+# with the same error. FuzzJournalParse
 # hammers the write-ahead log's frame parser with hostile bytes — the
 # recovery scan must never panic, loop, or accept a corrupt frame.
 # FuzzDeliveredStream drives the conformance harness's run-length log of

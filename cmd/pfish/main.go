@@ -28,6 +28,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -101,7 +102,7 @@ func evalAndPrint(in *script.Interp, src string) error {
 }
 
 // repl reads commands line by line, accumulating continuation lines while
-// braces or brackets are unbalanced.
+// a brace, bracket, quote or ${name} is still open.
 func repl(in *script.Interp) {
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -116,7 +117,7 @@ func repl(in *script.Interp) {
 		pending.WriteString(line)
 		pending.WriteString("\n")
 		src := pending.String()
-		if !balanced(src) {
+		if unfinished(src) {
 			fmt.Print("    ... ")
 			continue
 		}
@@ -132,31 +133,10 @@ func repl(in *script.Interp) {
 	}
 }
 
-// balanced reports whether braces and brackets are closed (quotes and
-// backslashes respected) so the REPL knows when a command is complete.
-func balanced(src string) bool {
-	depth := 0
-	inQuote := false
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if c == '\\' {
-			i++
-			continue
-		}
-		if inQuote {
-			if c == '"' {
-				inQuote = false
-			}
-			continue
-		}
-		switch c {
-		case '"':
-			inQuote = true
-		case '{', '[':
-			depth++
-		case '}', ']':
-			depth--
-		}
-	}
-	return depth <= 0 && !inQuote
+// unfinished asks the parser whether src stopped inside a construct that
+// more input could close. Any other parse error is the script's to report.
+func unfinished(src string) bool {
+	var pe *script.ParseError
+	_, err := script.Parse(src)
+	return errors.As(err, &pe) && pe.Incomplete
 }

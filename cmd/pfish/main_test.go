@@ -9,7 +9,7 @@ import (
 func TestBalanced(t *testing.T) {
 	tests := []struct {
 		src  string
-		want bool
+		want bool // balanced: the REPL evaluates it now
 	}{
 		{"set x 1", true},
 		{"if {1} {", false},
@@ -21,10 +21,15 @@ func TestBalanced(t *testing.T) {
 		{`set x \{`, true}, // escaped brace does not count
 		{`set x "quoted { brace"`, true},
 		{"proc f {a b} {\n", false},
+		{"set x ${na", false},
 		{"", true},
+		{`puts {say "hi}`, true}, // a quote inside braces is text
+		{`set x a"b`, true},      // so is one inside a word
+		{`puts "a {b"`, true},    // and a brace inside quotes
+		{`set x {a}b`, true},     // an error, but not one more input fixes
 	}
 	for _, tt := range tests {
-		if got := balanced(tt.src); got != tt.want {
+		if got := !unfinished(tt.src); got != tt.want {
 			t.Errorf("balanced(%q) = %v, want %v", tt.src, got, tt.want)
 		}
 	}

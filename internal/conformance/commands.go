@@ -16,13 +16,6 @@ import (
 // any is the wildcard token for expect's node/kind/type selectors.
 const any = "*"
 
-func needArgs(args []string, n int, usage string) error {
-	if len(args) != n {
-		return fmt.Errorf("wrong # args: should be %q", usage)
-	}
-	return nil
-}
-
 // maxSendBytes bounds one tcp_send. The command allocates its argument, and
 // scenario files are outside input: 1 MiB is 256 default receive buffers
 // and 170 times the largest send any shipped scenario makes (6144), while
@@ -73,12 +66,12 @@ func registerCommands(in *script.Interp, h *harness) {
 			return "", fmt.Errorf("world already declared (%q)", h.kind)
 		}
 		if len(args) == 0 {
-			return "", fmt.Errorf("wrong # args: should be %q", "world tcp ?profile? | world gmp node ?node ...? ?bugs {list}? | world raft n ?bugs {list}?")
+			return "", script.WrongArgs("world tcp ?profile? | world gmp node ?node ...? ?bugs {list}? | world raft n ?bugs {list}?")
 		}
 		switch args[0] {
 		case "tcp":
 			if len(args) > 2 {
-				return "", fmt.Errorf("wrong # args: should be %q", "world tcp ?profile?")
+				return "", script.WrongArgs("world tcp ?profile?")
 			}
 			name := ""
 			if len(args) == 2 {
@@ -116,7 +109,7 @@ func registerCommands(in *script.Interp, h *harness) {
 			return strings.Join(nodes, " "), h.buildGMP(nodes, b)
 		case "raft":
 			if len(args) != 2 && len(args) != 4 {
-				return "", fmt.Errorf("wrong # args: should be %q", "world raft n ?bugs {list}?")
+				return "", script.WrongArgs("world raft n ?bugs {list}?")
 			}
 			n, err := strconv.Atoi(args[1])
 			if err != nil || n < 1 {
@@ -125,7 +118,7 @@ func registerCommands(in *script.Interp, h *harness) {
 			var b raft.Bugs
 			if len(args) == 4 {
 				if args[2] != "bugs" {
-					return "", fmt.Errorf("wrong # args: should be %q", "world raft n ?bugs {list}?")
+					return "", script.WrongArgs("world raft n ?bugs {list}?")
 				}
 				tokens, err := script.ListSplit(args[3])
 				if err != nil {
@@ -149,8 +142,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("within", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "within tolerance"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("within tolerance")
 		}
 		d, err := parseDur(args[0])
 		if err != nil || d < 0 {
@@ -163,8 +156,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	// --- time and topology -------------------------------------------------
 
 	in.RegisterTyped("run", func(_ *script.Interp, args []string) (script.Value, error) {
-		if err := needArgs(args, 1, "run duration"); err != nil {
-			return script.Value{}, err
+		if len(args) != 1 {
+			return script.Value{}, script.WrongArgs("run duration")
 		}
 		if err := h.needWorld(); err != nil {
 			return script.Value{}, err
@@ -182,7 +175,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	in.Register("unplug", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) < 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "unplug node ?node ...?")
+			return "", script.WrongArgs("unplug node ?node ...?")
 		}
 		names, err := expandNodeSet(args)
 		if err != nil {
@@ -200,7 +193,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	in.Register("replug", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) < 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "replug node ?node ...?")
+			return "", script.WrongArgs("replug node ?node ...?")
 		}
 		names, err := expandNodeSet(args)
 		if err != nil {
@@ -221,7 +214,7 @@ func registerCommands(in *script.Interp, h *harness) {
 			return "", err
 		}
 		if len(args) < 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "partition {node ...} ?{node ...} ...?")
+			return "", script.WrongArgs("partition {node ...} ?{node ...} ...?")
 		}
 		groups, err := h.partitionGroups(args)
 		if err != nil {
@@ -242,8 +235,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	// --- faultload ---------------------------------------------------------
 
 	in.Register("faultload", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 3, "faultload node send|receive script"); err != nil {
-			return "", err
+		if len(args) != 3 {
+			return "", script.WrongArgs("faultload node send|receive script")
 		}
 		l, err := h.pfi(args[0])
 		if err != nil {
@@ -270,8 +263,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("filter_set", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 4, "filter_set node send|receive varName value"); err != nil {
-			return "", err
+		if len(args) != 4 {
+			return "", script.WrongArgs("filter_set node send|receive varName value")
 		}
 		l, err := h.pfi(args[0])
 		if err != nil {
@@ -291,7 +284,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	in.Register("inject", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 3 && len(args) != 4 {
-			return "", fmt.Errorf("wrong # args: should be %q", "inject node send|receive type ?{field value ...}?")
+			return "", script.WrongArgs("inject node send|receive type ?{field value ...}?")
 		}
 		l, err := h.pfi(args[0])
 		if err != nil {
@@ -329,7 +322,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		autoConsume := true
 		for i := 0; i < len(args); i += 2 {
 			if i+1 >= len(args) {
-				return "", fmt.Errorf("wrong # args: should be %q", "tcp_dial ?autoconsume on|off?")
+				return "", script.WrongArgs("tcp_dial ?autoconsume on|off?")
 			}
 			switch args[i] {
 			case "autoconsume":
@@ -355,8 +348,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("tcp_keepalive", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "tcp_keepalive on|off"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("tcp_keepalive on|off")
 		}
 		if err := h.needConn(); err != nil {
 			return "", err
@@ -371,8 +364,8 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	// tcp_send queues one write of n pattern bytes, n at most maxSendBytes.
 	in.Register("tcp_send", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "tcp_send bytes"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("tcp_send bytes")
 		}
 		if err := h.needConn(); err != nil {
 			return "", err
@@ -390,8 +383,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("tcp_stream", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "tcp_stream segments spacing"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("tcp_stream segments spacing")
 		}
 		if err := h.needConn(); err != nil {
 			return "", err
@@ -478,8 +471,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("gmp_suspend", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "gmp_suspend node"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("gmp_suspend node")
 		}
 		m, err := h.member(args[0])
 		if err != nil {
@@ -490,8 +483,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("gmp_resume", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "gmp_resume node"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("gmp_resume node")
 		}
 		m, err := h.member(args[0])
 		if err != nil {
@@ -502,8 +495,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("gmp_group", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "gmp_group node"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("gmp_group node")
 		}
 		m, err := h.member(args[0])
 		if err != nil {
@@ -513,8 +506,8 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	in.Register("gmp_in_transition", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "gmp_in_transition node"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("gmp_in_transition node")
 		}
 		m, err := h.member(args[0])
 		if err != nil {
@@ -542,7 +535,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	in.Register("assert", func(si *script.Interp, args []string) (string, error) {
 		if len(args) != 1 && len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "assert exprString ?label?")
+			return "", script.WrongArgs("assert exprString ?label?")
 		}
 		ok, err := si.EvalExprBool(args[0])
 		if err != nil {
@@ -640,8 +633,7 @@ func parseExpectArgs(args []string, defaultTol time.Duration) (expectCriteria, e
 		sel = append(sel, args[i])
 	}
 	if len(sel) < 2 {
-		return c, fmt.Errorf("wrong # args: should be %q",
-			"expect node kind ?type? ?count|min|max n? ?at t? ?within tol? ?after t? ?before t? ?note substr? ?seq n?")
+		return c, script.WrongArgs("expect node kind ?type? ?count|min|max n? ?at t? ?within tol? ?after t? ?before t? ?note substr? ?seq n?")
 	}
 	c.node, c.kind = sel[0], sel[1]
 	if len(sel) == 3 {

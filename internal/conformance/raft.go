@@ -146,7 +146,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// fault injection.
 	in.Register("raft_propose", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 && len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "raft_propose data ?node?")
+			return "", script.WrongArgs("raft_propose data ?node?")
 		}
 		if err := h.needRaft(); err != nil {
 			return "", err
@@ -176,7 +176,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// Returns the leader's name so scripts can target it.
 	in.Register("raft_expect_leader", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) > 2 || len(args) == 1 || (len(args) == 2 && args[0] != "among") {
-			return "", fmt.Errorf("wrong # args: should be %q", "raft_expect_leader ?among {node ...}?")
+			return "", script.WrongArgs("raft_expect_leader ?among {node ...}?")
 		}
 		if err := h.needRaft(); err != nil {
 			return "", err
@@ -223,7 +223,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// of the whole cluster). Returns the count of nodes holding it.
 	in.Register("raft_expect_committed", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) < 1 || len(args)%2 != 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "raft_expect_committed index ?data payload? ?min n?")
+			return "", script.WrongArgs("raft_expect_committed index ?data payload? ?min n?")
 		}
 		if err := h.needRaft(); err != nil {
 			return "", err
@@ -277,7 +277,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// given groups, run for the duration, heal. One line per fault epoch.
 	in.Register("raft_partition_heal", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) < 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "raft_partition_heal duration {node ...} ?{node ...} ...?")
+			return "", script.WrongArgs("raft_partition_heal duration {node ...} ?{node ...} ...?")
 		}
 		if err := h.needRaft(); err != nil {
 			return "", err
@@ -307,8 +307,8 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 
 	raftValue := func(name string, get func(*raft.Node) string) {
 		in.Register(name, func(_ *script.Interp, args []string) (string, error) {
-			if err := needArgs(args, 1, name+" node"); err != nil {
-				return "", err
+			if len(args) != 1 {
+				return "", script.WrongArgs(name + " node")
 			}
 			m, err := h.raftMember(args[0])
 			if err != nil {

@@ -209,7 +209,7 @@ func NewShell(opts Options) *Shell {
 
 	in.Register("snapshot", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) > 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "snapshot ?name?")
+			return "", script.WrongArgs("snapshot ?name?")
 		}
 		if err := h.needWorld(); err != nil {
 			return "", err
@@ -228,7 +228,7 @@ func NewShell(opts Options) *Shell {
 
 	in.Register("restore", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) > 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "restore ?name?")
+			return "", script.WrongArgs("restore ?name?")
 		}
 		name := "last"
 		if len(args) == 1 {

@@ -29,13 +29,6 @@ func curOf(f *Filter, handle string) (*message.Message, error) {
 	return f.curMsg, nil
 }
 
-func needArgs(args []string, n int, usage string) error {
-	if len(args) != n {
-		return fmt.Errorf("wrong # args: should be %q", usage)
-	}
-	return nil
-}
-
 // registerFilterCommands installs the PFI command set into a filter's
 // interpreter. The same set is available in both directions; the filter's
 // own direction decides where xInject sends by default.
@@ -46,8 +39,8 @@ func registerFilterCommands(f *Filter) {
 	// --- recognition stubs ---------------------------------------------
 
 	in.Register("msg_type", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "msg_type msgHandle"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("msg_type msgHandle")
 		}
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
@@ -56,8 +49,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.RegisterTyped("msg_field", func(_ *script.Interp, args []string) (script.Value, error) {
-		if err := needArgs(args, 2, "msg_field msgHandle fieldName"); err != nil {
-			return script.Value{}, err
+		if len(args) != 2 {
+			return script.Value{}, script.WrongArgs("msg_field msgHandle fieldName")
 		}
 		if _, err := curOf(f, args[0]); err != nil {
 			return script.Value{}, err
@@ -66,8 +59,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.RegisterTyped("msg_len", func(_ *script.Interp, args []string) (script.Value, error) {
-		if err := needArgs(args, 1, "msg_len msgHandle"); err != nil {
-			return script.Value{}, err
+		if len(args) != 1 {
+			return script.Value{}, script.WrongArgs("msg_len msgHandle")
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
@@ -77,8 +70,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("msg_data", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "msg_data msgHandle"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("msg_data msgHandle")
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
@@ -88,8 +81,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("msg_hex", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "msg_hex msgHandle"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("msg_hex msgHandle")
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
@@ -100,7 +93,7 @@ func registerFilterCommands(f *Filter) {
 
 	in.Register("msg_log", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 && len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "msg_log msgHandle ?note?")
+			return "", script.WrongArgs("msg_log msgHandle ?note?")
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
@@ -124,8 +117,8 @@ func registerFilterCommands(f *Filter) {
 	// --- manipulation ----------------------------------------------------
 
 	in.Register("xDrop", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "xDrop msgHandle"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("xDrop msgHandle")
 		}
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
@@ -135,8 +128,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("xDelay", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "xDelay msgHandle milliseconds"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("xDelay msgHandle milliseconds")
 		}
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
@@ -151,7 +144,7 @@ func registerFilterCommands(f *Filter) {
 
 	in.Register("xDuplicate", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) < 1 || len(args) > 3 {
-			return "", fmt.Errorf("wrong # args: should be %q", "xDuplicate msgHandle ?copies? ?gap_ms?")
+			return "", script.WrongArgs("xDuplicate msgHandle ?copies? ?gap_ms?")
 		}
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
@@ -178,8 +171,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("msg_set_byte", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 3, "msg_set_byte msgHandle offset value"); err != nil {
-			return "", err
+		if len(args) != 3 {
+			return "", script.WrongArgs("msg_set_byte msgHandle offset value")
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
@@ -197,8 +190,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("msg_byte", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "msg_byte msgHandle offset"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("msg_byte msgHandle offset")
 		}
 		m, err := curOf(f, args[0])
 		if err != nil {
@@ -218,8 +211,8 @@ func registerFilterCommands(f *Filter) {
 	// --- hold / release (deterministic reordering) -----------------------
 
 	in.Register("xHold", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "xHold msgHandle"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("xHold msgHandle")
 		}
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
@@ -237,14 +230,14 @@ func registerFilterCommands(f *Filter) {
 			}
 			n = v
 		} else if len(args) > 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "xRelease ?count?")
+			return "", script.WrongArgs("xRelease ?count?")
 		}
 		return "", f.release(n, false)
 	})
 
 	in.Register("xReleaseLIFO", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 0 {
-			return "", fmt.Errorf("wrong # args: should be %q", "xReleaseLIFO")
+			return "", script.WrongArgs("xReleaseLIFO")
 		}
 		return "", f.release(0, true)
 	})
@@ -257,7 +250,7 @@ func registerFilterCommands(f *Filter) {
 
 	in.Register("xInject", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) < 1 || len(args) > 3 {
-			return "", fmt.Errorf("wrong # args: should be %q", "xInject type ?{field value ...}? ?down|up?")
+			return "", script.WrongArgs("xInject type ?{field value ...}? ?down|up?")
 		}
 		typ := args[0]
 		fields := map[string]string{}
@@ -298,8 +291,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("after", func(si *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "after milliseconds script"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("after milliseconds script")
 		}
 		ms, err := strconv.ParseFloat(args[0], 64)
 		if err != nil || ms < 0 {
@@ -317,8 +310,8 @@ func registerFilterCommands(f *Filter) {
 	// --- probability distributions (the paper's dst_* utilities) ----------
 
 	in.Register("dst_normal", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "dst_normal mean variance"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("dst_normal mean variance")
 		}
 		mean, err1 := strconv.ParseFloat(args[0], 64)
 		variance, err2 := strconv.ParseFloat(args[1], 64)
@@ -329,8 +322,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("dst_uniform", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "dst_uniform lo hi"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("dst_uniform lo hi")
 		}
 		lo, err1 := strconv.ParseFloat(args[0], 64)
 		hi, err2 := strconv.ParseFloat(args[1], 64)
@@ -341,8 +334,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("dst_exponential", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "dst_exponential mean"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("dst_exponential mean")
 		}
 		mean, err := strconv.ParseFloat(args[0], 64)
 		if err != nil {
@@ -352,8 +345,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("coin", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "coin probability"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("coin probability")
 		}
 		p, err := strconv.ParseFloat(args[0], 64)
 		if err != nil {
@@ -366,8 +359,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("rand_int", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "rand_int n"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("rand_int n")
 		}
 		n, err := strconv.Atoi(args[0])
 		if err != nil || n <= 0 {
@@ -379,8 +372,8 @@ func registerFilterCommands(f *Filter) {
 	// --- cross-interpreter state (send <-> receive) ------------------------
 
 	in.Register("peer_set", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "peer_set varName value"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("peer_set varName value")
 		}
 		f.peer().engine().SetGlobal(args[0], args[1])
 		return args[1], nil
@@ -388,7 +381,7 @@ func registerFilterCommands(f *Filter) {
 
 	in.Register("peer_get", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 && len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "peer_get varName ?default?")
+			return "", script.WrongArgs("peer_get varName ?default?")
 		}
 		v, ok := f.peer().engine().Global(args[0])
 		if !ok {
@@ -403,24 +396,24 @@ func registerFilterCommands(f *Filter) {
 	// --- cross-node synchronization ----------------------------------------
 
 	in.Register("sync_signal", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "sync_signal name"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("sync_signal name")
 		}
 		l.bus.Signal(args[0])
 		return "", nil
 	})
 
 	in.Register("sync_clear", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "sync_clear name"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("sync_clear name")
 		}
 		l.bus.Clear(args[0])
 		return "", nil
 	})
 
 	in.Register("sync_test", func(_ *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 1, "sync_test name"); err != nil {
-			return "", err
+		if len(args) != 1 {
+			return "", script.WrongArgs("sync_test name")
 		}
 		if l.bus.IsSet(args[0]) {
 			return "1", nil
@@ -429,8 +422,8 @@ func registerFilterCommands(f *Filter) {
 	})
 
 	in.Register("sync_wait", func(si *script.Interp, args []string) (string, error) {
-		if err := needArgs(args, 2, "sync_wait name script"); err != nil {
-			return "", err
+		if len(args) != 2 {
+			return "", script.WrongArgs("sync_wait name script")
 		}
 		body := args[1]
 		l.bus.OnSignal(args[0], func() {

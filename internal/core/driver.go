@@ -127,7 +127,7 @@ func registerDriverCommands(d *Driver) {
 			args = args[2:]
 		}
 		if len(args) != 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "send ?-to node? payload")
+			return "", script.WrongArgs("send ?-to node? payload")
 		}
 		return "", d.Send([]byte(args[0]), dst)
 	})
@@ -135,7 +135,7 @@ func registerDriverCommands(d *Driver) {
 	// send_repeat count payload — a paced burst, one message per call.
 	in.Register("send_repeat", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "send_repeat count payload")
+			return "", script.WrongArgs("send_repeat count payload")
 		}
 		n, err := strconv.Atoi(args[0])
 		if err != nil || n < 0 {
@@ -157,7 +157,7 @@ func registerDriverCommands(d *Driver) {
 	// recv_data index — payload of the i-th received message.
 	in.Register("recv_data", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "recv_data index")
+			return "", script.WrongArgs("recv_data index")
 		}
 		i, err := strconv.Atoi(args[0])
 		if err != nil || i < 0 || i >= len(d.received) {
@@ -172,7 +172,7 @@ func registerDriverCommands(d *Driver) {
 
 	in.Register("after", func(si *script.Interp, args []string) (string, error) {
 		if len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "after milliseconds script")
+			return "", script.WrongArgs("after milliseconds script")
 		}
 		ms, err := strconv.ParseFloat(args[0], 64)
 		if err != nil || ms < 0 {
@@ -189,7 +189,7 @@ func registerDriverCommands(d *Driver) {
 
 	in.Register("sync_signal", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "sync_signal name")
+			return "", script.WrongArgs("sync_signal name")
 		}
 		d.bus.Signal(args[0])
 		return "", nil
@@ -197,7 +197,7 @@ func registerDriverCommands(d *Driver) {
 
 	in.Register("sync_test", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 {
-			return "", fmt.Errorf("wrong # args: should be %q", "sync_test name")
+			return "", script.WrongArgs("sync_test name")
 		}
 		if d.bus.IsSet(args[0]) {
 			return "1", nil
@@ -207,7 +207,7 @@ func registerDriverCommands(d *Driver) {
 
 	in.Register("sync_wait", func(si *script.Interp, args []string) (string, error) {
 		if len(args) != 2 {
-			return "", fmt.Errorf("wrong # args: should be %q", "sync_wait name script")
+			return "", script.WrongArgs("sync_wait name script")
 		}
 		body := args[1]
 		d.bus.OnSignal(args[0], func() {

@@ -67,11 +67,11 @@ while {$i < 8} { incr i }`)
 	}
 }
 
-// TestTreeEngineStillWorks guards the reference implementation: the flag
-// and env-var escape hatch must keep the tree-walker fully functional.
+// TestTreeEngineStillWorks guards the reference implementation the
+// differential tests select with the tree flag.
 func TestTreeEngineStillWorks(t *testing.T) {
 	in := New()
-	in.SetEngine(EngineTree)
+	in.tree = true
 	var out strings.Builder
 	in.SetOutput(&out)
 	r, err := in.Eval(`set s 0; foreach x {1 2 3} { set s [expr {$s + $x}] }; puts $s; set s`)

@@ -8,7 +8,10 @@ import (
 	"strings"
 )
 
-func argErr(usage string) error {
+// WrongArgs is the language's one wrong-number-of-arguments error, spelled
+// as Tcl spells it: `wrong # args: should be "usage"`. Builtins, procs and
+// host commands all report a bad argument count with it.
+func WrongArgs(usage string) error {
 	return fmt.Errorf("wrong # args: should be %q", usage)
 }
 
@@ -72,13 +75,13 @@ func cmdSet(in *Interp, args []string) (string, error) {
 		in.SetVar(args[0], args[1])
 		return args[1], nil
 	default:
-		return "", argErr("set varName ?newValue?")
+		return "", WrongArgs("set varName ?newValue?")
 	}
 }
 
 func cmdUnset(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("unset varName ?varName ...?")
+		return "", WrongArgs("unset varName ?varName ...?")
 	}
 	for _, name := range args {
 		in.UnsetVar(name)
@@ -88,7 +91,7 @@ func cmdUnset(in *Interp, args []string) (string, error) {
 
 func cmdIncr(in *Interp, args []string) (string, error) {
 	if len(args) != 1 && len(args) != 2 {
-		return "", argErr("incr varName ?increment?")
+		return "", WrongArgs("incr varName ?increment?")
 	}
 	delta := int64(1)
 	if len(args) == 2 {
@@ -111,7 +114,7 @@ func cmdIncr(in *Interp, args []string) (string, error) {
 
 func cmdAppend(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("append varName ?value ...?")
+		return "", WrongArgs("append varName ?value ...?")
 	}
 	cur, _ := in.Var(args[0])
 	cur += strings.Join(args[1:], "")
@@ -123,7 +126,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 	i := 0
 	for {
 		if i >= len(args) {
-			return "", argErr("if cond ?then? body ?elseif cond body ...? ?else body?")
+			return "", WrongArgs("if cond ?then? body ?elseif cond body ...? ?else body?")
 		}
 		cond := args[i]
 		i++
@@ -176,7 +179,7 @@ func (in *Interp) evalBody(body string) (string, error) {
 
 func cmdWhile(in *Interp, args []string) (string, error) {
 	if len(args) != 2 {
-		return "", argErr("while test command")
+		return "", WrongArgs("while test command")
 	}
 	for {
 		if in.maxSteps > 0 {
@@ -211,7 +214,7 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 
 func cmdFor(in *Interp, args []string) (string, error) {
 	if len(args) != 4 {
-		return "", argErr("for start test next command")
+		return "", WrongArgs("for start test next command")
 	}
 	if _, err := in.evalBody(args[0]); err != nil {
 		return "", err
@@ -253,7 +256,7 @@ func cmdFor(in *Interp, args []string) (string, error) {
 
 func cmdForeach(in *Interp, args []string) (string, error) {
 	if len(args) != 3 {
-		return "", argErr("foreach varList list command")
+		return "", WrongArgs("foreach varList list command")
 	}
 	vars, err := ListSplit(args[0])
 	if err != nil {
@@ -309,7 +312,7 @@ func cmdSwitch(in *Interp, args []string) (string, error) {
 		}
 	}
 	if i >= len(args) {
-		return "", argErr("switch ?options? string pattern body ?pattern body ...?")
+		return "", WrongArgs("switch ?options? string pattern body ?pattern body ...?")
 	}
 	subject := args[i]
 	i++
@@ -353,9 +356,12 @@ func cmdSwitch(in *Interp, args []string) (string, error) {
 
 func cmdProc(in *Interp, args []string) (string, error) {
 	if len(args) != 3 {
-		return "", argErr("proc name args body")
+		return "", WrongArgs("proc name args body")
 	}
 	name := args[0]
+	if isSpecialForm(name) {
+		return "", fmt.Errorf("can't redefine special form %q", name)
+	}
 	paramList, err := ListSplit(args[1])
 	if err != nil {
 		return "", err
@@ -392,35 +398,35 @@ func cmdReturn(in *Interp, args []string) (string, error) {
 	if len(args) == 1 {
 		val = args[0]
 	} else if len(args) > 1 {
-		return "", argErr("return ?value?")
+		return "", WrongArgs("return ?value?")
 	}
 	return "", &flow{code: flowReturn, value: val}
 }
 
 func cmdBreak(in *Interp, args []string) (string, error) {
 	if len(args) != 0 {
-		return "", argErr("break")
+		return "", WrongArgs("break")
 	}
 	return "", flowBreakErr
 }
 
 func cmdContinue(in *Interp, args []string) (string, error) {
 	if len(args) != 0 {
-		return "", argErr("continue")
+		return "", WrongArgs("continue")
 	}
 	return "", flowContinueErr
 }
 
 func cmdExpr(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("expr arg ?arg ...?")
+		return "", WrongArgs("expr arg ?arg ...?")
 	}
 	return in.EvalExpr(strings.Join(args, " "))
 }
 
 func cmdEval(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("eval arg ?arg ...?")
+		return "", WrongArgs("eval arg ?arg ...?")
 	}
 	src := strings.Join(args, " ")
 	s, err := in.compile(src)
@@ -432,7 +438,7 @@ func cmdEval(in *Interp, args []string) (string, error) {
 
 func cmdCatch(in *Interp, args []string) (string, error) {
 	if len(args) != 1 && len(args) != 2 {
-		return "", argErr("catch command ?varName?")
+		return "", WrongArgs("catch command ?varName?")
 	}
 	res, err := in.evalBody(args[0])
 	code := 0
@@ -467,14 +473,14 @@ func cmdCatch(in *Interp, args []string) (string, error) {
 
 func cmdError(in *Interp, args []string) (string, error) {
 	if len(args) < 1 {
-		return "", argErr("error message")
+		return "", WrongArgs("error message")
 	}
 	return "", errors.New(args[0])
 }
 
 func cmdGlobal(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("global varName ?varName ...?")
+		return "", WrongArgs("global varName ?varName ...?")
 	}
 	f := in.curFrame()
 	if f == nil {
@@ -496,7 +502,7 @@ func cmdPuts(in *Interp, args []string) (string, error) {
 		args = args[1:]
 	}
 	if len(args) != 1 {
-		return "", argErr("puts ?-nonewline? string")
+		return "", WrongArgs("puts ?-nonewline? string")
 	}
 	if newline {
 		fmt.Fprintln(in.out, args[0])
@@ -531,7 +537,7 @@ func listIndex(term string, length int) (int, error) {
 
 func cmdLindex(in *Interp, args []string) (string, error) {
 	if len(args) != 2 {
-		return "", argErr("lindex list index")
+		return "", WrongArgs("lindex list index")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -549,7 +555,7 @@ func cmdLindex(in *Interp, args []string) (string, error) {
 
 func cmdLlength(in *Interp, args []string) (string, error) {
 	if len(args) != 1 {
-		return "", argErr("llength list")
+		return "", WrongArgs("llength list")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -560,7 +566,7 @@ func cmdLlength(in *Interp, args []string) (string, error) {
 
 func cmdLappend(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("lappend varName ?value ...?")
+		return "", WrongArgs("lappend varName ?value ...?")
 	}
 	cur, _ := in.Var(args[0])
 	for _, v := range args[1:] {
@@ -576,7 +582,7 @@ func cmdLappend(in *Interp, args []string) (string, error) {
 
 func cmdLrange(in *Interp, args []string) (string, error) {
 	if len(args) != 3 {
-		return "", argErr("lrange list first last")
+		return "", WrongArgs("lrange list first last")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -604,7 +610,7 @@ func cmdLrange(in *Interp, args []string) (string, error) {
 
 func cmdLinsert(in *Interp, args []string) (string, error) {
 	if len(args) < 3 {
-		return "", argErr("linsert list index element ?element ...?")
+		return "", WrongArgs("linsert list index element ?element ...?")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -643,7 +649,7 @@ func cmdLsearch(in *Interp, args []string) (string, error) {
 		args = args[1:]
 	}
 	if len(args) != 2 {
-		return "", argErr("lsearch ?mode? list pattern")
+		return "", WrongArgs("lsearch ?mode? list pattern")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -676,7 +682,7 @@ func cmdLsort(in *Interp, args []string) (string, error) {
 		args = args[1:]
 	}
 	if len(args) != 1 {
-		return "", argErr("lsort ?options? list")
+		return "", WrongArgs("lsort ?options? list")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -708,7 +714,7 @@ func cmdLsort(in *Interp, args []string) (string, error) {
 
 func cmdLreplace(in *Interp, args []string) (string, error) {
 	if len(args) < 3 {
-		return "", argErr("lreplace list first last ?element ...?")
+		return "", WrongArgs("lreplace list first last ?element ...?")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -744,7 +750,7 @@ func cmdLreplace(in *Interp, args []string) (string, error) {
 
 func cmdLassign(in *Interp, args []string) (string, error) {
 	if len(args) < 2 {
-		return "", argErr("lassign list varName ?varName ...?")
+		return "", WrongArgs("lassign list varName ?varName ...?")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -765,7 +771,7 @@ func cmdLassign(in *Interp, args []string) (string, error) {
 
 func cmdLreverse(in *Interp, args []string) (string, error) {
 	if len(args) != 1 {
-		return "", argErr("lreverse list")
+		return "", WrongArgs("lreverse list")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -790,7 +796,7 @@ func cmdConcat(in *Interp, args []string) (string, error) {
 
 func cmdJoin(in *Interp, args []string) (string, error) {
 	if len(args) != 1 && len(args) != 2 {
-		return "", argErr("join list ?joinString?")
+		return "", WrongArgs("join list ?joinString?")
 	}
 	sep := " "
 	if len(args) == 2 {
@@ -805,7 +811,7 @@ func cmdJoin(in *Interp, args []string) (string, error) {
 
 func cmdSplit(in *Interp, args []string) (string, error) {
 	if len(args) != 1 && len(args) != 2 {
-		return "", argErr("split string ?splitChars?")
+		return "", WrongArgs("split string ?splitChars?")
 	}
 	s := args[0]
 	chars := " \t\n\r"
@@ -838,7 +844,7 @@ func splitKeepEmpty(s, chars string) []string {
 
 func cmdString(in *Interp, args []string) (string, error) {
 	if len(args) < 2 {
-		return "", argErr("string option arg ?arg ...?")
+		return "", WrongArgs("string option arg ?arg ...?")
 	}
 	op := args[0]
 	rest := args[1:]
@@ -866,7 +872,7 @@ func cmdString(in *Interp, args []string) (string, error) {
 		return strings.TrimRight(rest[0], " \t\n\r"), nil
 	case "index":
 		if len(rest) != 2 {
-			return "", argErr("string index string charIndex")
+			return "", WrongArgs("string index string charIndex")
 		}
 		idx, err := listIndex(rest[1], len(rest[0]))
 		if err != nil {
@@ -878,7 +884,7 @@ func cmdString(in *Interp, args []string) (string, error) {
 		return string(rest[0][idx]), nil
 	case "range":
 		if len(rest) != 3 {
-			return "", argErr("string range string first last")
+			return "", WrongArgs("string range string first last")
 		}
 		s := rest[0]
 		first, err := listIndex(rest[1], len(s))
@@ -901,32 +907,32 @@ func cmdString(in *Interp, args []string) (string, error) {
 		return s[first : last+1], nil
 	case "first":
 		if len(rest) != 2 {
-			return "", argErr("string first needle haystack")
+			return "", WrongArgs("string first needle haystack")
 		}
 		return strconv.Itoa(strings.Index(rest[1], rest[0])), nil
 	case "last":
 		if len(rest) != 2 {
-			return "", argErr("string last needle haystack")
+			return "", WrongArgs("string last needle haystack")
 		}
 		return strconv.Itoa(strings.LastIndex(rest[1], rest[0])), nil
 	case "match":
 		if len(rest) != 2 {
-			return "", argErr("string match pattern string")
+			return "", WrongArgs("string match pattern string")
 		}
 		return boolStr(MatchGlob(rest[0], rest[1])), nil
 	case "compare":
 		if len(rest) != 2 {
-			return "", argErr("string compare string1 string2")
+			return "", WrongArgs("string compare string1 string2")
 		}
 		return strconv.Itoa(strings.Compare(rest[0], rest[1])), nil
 	case "equal":
 		if len(rest) != 2 {
-			return "", argErr("string equal string1 string2")
+			return "", WrongArgs("string equal string1 string2")
 		}
 		return boolStr(rest[0] == rest[1]), nil
 	case "repeat":
 		if len(rest) != 2 {
-			return "", argErr("string repeat string count")
+			return "", WrongArgs("string repeat string count")
 		}
 		n, err := strconv.Atoi(rest[1])
 		if err != nil || n < 0 {
@@ -935,7 +941,7 @@ func cmdString(in *Interp, args []string) (string, error) {
 		return strings.Repeat(rest[0], n), nil
 	case "map":
 		if len(rest) != 2 {
-			return "", argErr("string map {key value ...} string")
+			return "", WrongArgs("string map {key value ...} string")
 		}
 		pairs, err := ListSplit(rest[0])
 		if err != nil {
@@ -961,7 +967,7 @@ func boolStr(b bool) string {
 // Go's fmt. Supported verbs: d i u x X o c s f e g % with width/precision.
 func cmdFormat(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("format formatString ?arg ...?")
+		return "", WrongArgs("format formatString ?arg ...?")
 	}
 	spec := args[0]
 	vals := args[1:]
@@ -1036,12 +1042,12 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 
 func cmdInfo(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
-		return "", argErr("info option ?arg ...?")
+		return "", WrongArgs("info option ?arg ...?")
 	}
 	switch args[0] {
 	case "exists":
 		if len(args) != 2 {
-			return "", argErr("info exists varName")
+			return "", WrongArgs("info exists varName")
 		}
 		_, ok := in.Var(args[1])
 		return boolStr(ok), nil

@@ -11,9 +11,9 @@ import "strings"
 // back to a generic dispatch instruction that calls the same Command
 // functions the tree-walker does, so behavior — including every error
 // message and the order effects happen in — is identical by construction
-// rather than by re-implementation. Each inlined special form is preceded
-// by a shadow guard (opGuard) that tree-walks the original command if the
-// builtin's name has been rebound since compilation.
+// rather than by re-implementation. The inlined names are keywords (see
+// isSpecialForm): nothing can rebind them after compilation, so an inlined
+// form needs no guard.
 
 type progMode int
 
@@ -87,7 +87,7 @@ func (c *compiler) noteDepths() {
 func (c *compiler) patchTo(idx int32) {
 	target := int32(len(c.p.ins))
 	ins := &c.p.ins[idx]
-	if ins.op == opGuard || ins.op == opForeachStep {
+	if ins.op == opForeachStep {
 		ins.b = target
 	} else {
 		ins.a = target
@@ -149,33 +149,29 @@ func (c *compiler) script(s *Script) {
 func (c *compiler) command(cmd *command) {
 	c.emit(instr{op: opStep, line: int32(cmd.line)})
 	if name, ok := literalText(&cmd.words[0]); ok {
-		// Skip special-forming names that are already shadowed; the guard
-		// would deoptimize every execution anyway.
-		if bit := specialFormBit(name); bit != 0 && c.in.shadowMask&bit == 0 {
-			compiled := false
-			switch name {
-			case "if":
-				compiled = c.ifForm(cmd)
-			case "while":
-				compiled = c.whileForm(cmd)
-			case "foreach":
-				compiled = c.foreachForm(cmd)
-			case "set":
-				compiled = c.setForm(cmd)
-			case "incr":
-				compiled = c.incrForm(cmd)
-			case "expr":
-				compiled = c.exprForm(cmd)
-			case "return":
-				compiled = c.returnForm(cmd)
-			case "break":
-				compiled = c.flowForm(cmd, flowBreak)
-			case "continue":
-				compiled = c.flowForm(cmd, flowContinue)
-			}
-			if compiled {
-				return
-			}
+		compiled := false
+		switch name {
+		case "if":
+			compiled = c.ifForm(cmd)
+		case "while":
+			compiled = c.whileForm(cmd)
+		case "foreach":
+			compiled = c.foreachForm(cmd)
+		case "set":
+			compiled = c.setForm(cmd)
+		case "incr":
+			compiled = c.incrForm(cmd)
+		case "expr":
+			compiled = c.exprForm(cmd)
+		case "return":
+			compiled = c.returnForm(cmd)
+		case "break":
+			compiled = c.flowForm(cmd, flowBreak)
+		case "continue":
+			compiled = c.flowForm(cmd, flowContinue)
+		}
+		if compiled {
+			return
 		}
 	}
 	c.generic(cmd)
@@ -273,14 +269,6 @@ func (c *compiler) inlineNested(body *Script, line int) {
 	c.nestDepth--
 }
 
-// guard emits the shadow guard for an inlined special form. The caller
-// must patchTo the returned index once the inline block is complete.
-func (c *compiler) guard(cmd *command, name string) int32 {
-	gi := int32(len(c.p.guards))
-	c.p.guards = append(c.p.guards, guardInfo{cmd: cmd, mask: specialFormBit(name)})
-	return c.emit(instr{op: opGuard, a: gi, line: int32(cmd.line)})
-}
-
 // literalArgs extracts the static expansions of every argument word, or
 // reports that some word is dynamic.
 func literalArgs(cmd *command) ([]string, bool) {
@@ -356,7 +344,6 @@ func (c *compiler) ifForm(cmd *command) bool {
 		break
 	}
 
-	g := c.guard(cmd, "if")
 	wrap := c.wrapIdx("if", cmd.line)
 	var endJumps []int32
 	for _, cl := range clauses {
@@ -375,7 +362,6 @@ func (c *compiler) ifForm(cmd *command) bool {
 	for _, j := range endJumps {
 		c.patchTo(j)
 	}
-	c.patchTo(g)
 	return true
 }
 
@@ -393,7 +379,6 @@ func (c *compiler) whileForm(cmd *command) bool {
 		return false
 	}
 
-	g := c.guard(cmd, "while")
 	wrap := c.wrapIdx("while", cmd.line)
 	head := c.emit(instr{op: opStepWhile, c: wrap})
 	c.exprOps(cond, wrap)
@@ -407,7 +392,6 @@ func (c *compiler) whileForm(cmd *command) bool {
 	c.patchTo(bf) // cond false → Lend
 	c.closeLoop(bodyStart, lend, lend)
 	c.emit(instr{op: opClearAcc}) // while returns ""
-	c.patchTo(g)
 	return true
 }
 
@@ -463,7 +447,6 @@ func (c *compiler) foreachForm(cmd *command) bool {
 	fi := int32(len(c.p.fes))
 	c.p.fes = append(c.p.fes, inf)
 
-	g := c.guard(cmd, "foreach")
 	wrap := c.wrapIdx("foreach", cmd.line)
 	if itemsStatic {
 		c.emit(instr{op: opForeachInitPre, a: fi})
@@ -483,7 +466,6 @@ func (c *compiler) foreachForm(cmd *command) bool {
 	c.closeLoop(bodyStart, ld, ld)
 	c.emit(instr{op: opForeachDone})
 	c.feDepth--
-	c.patchTo(g)
 	return true
 }
 
@@ -530,7 +512,6 @@ func (c *compiler) setForm(cmd *command) bool {
 	if c.mode == modeGlobal {
 		slot = int32(c.in.gslotIndex(name))
 	}
-	g := c.guard(cmd, "set")
 	if len(cmd.words) == 3 {
 		c.wordPush(&cmd.words[2])
 		if slot >= 0 {
@@ -547,7 +528,6 @@ func (c *compiler) setForm(cmd *command) bool {
 			c.emit(instr{op: opGetNamed, a: c.constIdx(name), c: wrap})
 		}
 	}
-	c.patchTo(g)
 	return true
 }
 
@@ -576,7 +556,6 @@ func (c *compiler) incrForm(cmd *command) bool {
 	if c.mode == modeGlobal {
 		slot = int32(c.in.gslotIndex(name))
 	}
-	g := c.guard(cmd, "incr")
 	wrap := c.wrapIdx("incr", cmd.line)
 	if dynDelta {
 		c.wordPush(&cmd.words[2])
@@ -595,7 +574,6 @@ func (c *compiler) incrForm(cmd *command) bool {
 			c.emit(instr{op: opIncrNamed, a: c.constIdx(name), b: di, c: wrap})
 		}
 	}
-	c.patchTo(g)
 	return true
 }
 
@@ -608,12 +586,10 @@ func (c *compiler) exprForm(cmd *command) bool {
 	if err != nil {
 		return false
 	}
-	g := c.guard(cmd, "expr")
 	wrap := c.wrapIdx("expr", cmd.line)
 	c.exprOps(n, wrap)
 	c.emit(instr{op: opVResult})
 	c.depth--
-	c.patchTo(g)
 	return true
 }
 
@@ -621,7 +597,6 @@ func (c *compiler) returnForm(cmd *command) bool {
 	if len(cmd.words) > 2 {
 		return false
 	}
-	g := c.guard(cmd, "return")
 	if len(cmd.words) == 2 {
 		c.wordPush(&cmd.words[1])
 		c.emit(instr{op: opReturnVal})
@@ -629,7 +604,6 @@ func (c *compiler) returnForm(cmd *command) bool {
 	} else {
 		c.emit(instr{op: opReturnNil})
 	}
-	c.patchTo(g)
 	return true
 }
 
@@ -641,11 +615,6 @@ func (c *compiler) flowForm(cmd *command, code flowCode) bool {
 	if len(cmd.words) != 1 {
 		return false
 	}
-	name := "break"
-	if code == flowContinue {
-		name = "continue"
-	}
-	g := c.guard(cmd, name)
 	if n := len(c.loops); n > 0 {
 		lp := &c.loops[n-1]
 		if lp.depth == c.depth && lp.feDepth == c.feDepth && lp.nestDepth == c.nestDepth {
@@ -655,7 +624,6 @@ func (c *compiler) flowForm(cmd *command, code flowCode) bool {
 			} else {
 				c.emit(instr{op: opJump, a: lp.contPC})
 			}
-			c.patchTo(g)
 			return true
 		}
 	}
@@ -664,7 +632,6 @@ func (c *compiler) flowForm(cmd *command, code flowCode) bool {
 	} else {
 		c.emit(instr{op: opFlowContinue})
 	}
-	c.patchTo(g)
 	return true
 }
 

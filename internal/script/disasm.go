@@ -16,7 +16,6 @@ var opNames = [...]string{
 	opStepWhile:      "step.while",
 	opClearAcc:       "clear",
 	opJump:           "jump",
-	opGuard:          "guard",
 	opPushConst:      "push.const",
 	opPushSlot:       "push.slot",
 	opPushVarNamed:   "push.named",
@@ -56,20 +55,15 @@ var opNames = [...]string{
 	opVCondJump:      "v.condjump",
 	opVCall:          "v.call",
 	opVResult:        "v.result",
-	opStepGuard:      "step.guard",
 	opStepInvoke:     "step.invoke",
 	opConstBinop:     "const.binop",
 	opCmpConstBr:     "cmp.const.br",
 	opSlotBinop:      "slot.binop",
-	opSlotCmpBr:      "slot.cmp.br",
 	opStepIncrSlot:   "step.incr.slot",
 	opNotBr:          "not.br",
 	opEnterClear:     "nest.enter.clear",
 	opLeavePush:      "nest.leave.push",
-	opSetSlotConst:   "set.slot.const",
 	opInvokeCmpBr:    "invoke.cmp.br",
-	opClearStepGuard: "clear.step.guard",
-	opClearJump:      "clear.jump",
 }
 
 func qconst(s string) string {
@@ -91,11 +85,8 @@ func Disassemble(p *Program) string {
 		}
 		fmt.Fprintf(&b, "%4d  %-17s", k, name)
 		switch i.op {
-		case opJump, opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr, opClearJump:
+		case opJump, opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr:
 			fmt.Fprintf(&b, "-> %d", i.a)
-		case opGuard, opStepGuard, opClearStepGuard:
-			g := &p.guards[i.a]
-			fmt.Fprintf(&b, "mask=%#x deopt -> %d", g.mask, i.b)
 		case opPushConst:
 			fmt.Fprintf(&b, "%s", qconst(p.consts[i.a]))
 		case opPushSlot:
@@ -175,14 +166,9 @@ func Disassemble(p *Program) string {
 		case opSlotBinop:
 			f := &p.fused[i.a]
 			fmt.Fprintf(&b, "slot %d %s %s", f.slot, binopName[f.binop], qconst(p.vconsts[f.vconst].String()))
-		case opSlotCmpBr:
-			f := &p.fused[i.a]
-			fmt.Fprintf(&b, "slot %d %s %s false -> %d", f.slot, binopName[f.binop], qconst(p.vconsts[f.vconst].String()), f.target)
 		case opStepIncrSlot:
 			f := &p.fused[i.a]
-			fmt.Fprintf(&b, "slot %d += %d deopt -> %d", f.slot, f.delta, f.target)
-		case opSetSlotConst:
-			fmt.Fprintf(&b, "slot %d = %s", i.a, qconst(p.consts[i.b]))
+			fmt.Fprintf(&b, "slot %d += %d", f.slot, f.delta)
 		}
 		if i.line > 0 {
 			fmt.Fprintf(&b, "  ; line %d", i.line)

@@ -1,6 +1,10 @@
 package script
 
 import (
+	"go/ast"
+	goparser "go/parser"
+	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,4 +42,29 @@ func TestDisassembleBenchScript(t *testing.T) {
 		}
 	}
 	t.Log("\n" + out)
+}
+
+// TestEveryOpcodeNamed: every opcode vm.go declares, from opNop to the
+// last, has an opNames entry, so deleting or adding one cannot leave a gap
+// that a listing renders as "?".
+func TestEveryOpcodeNamed(t *testing.T) {
+	f, err := goparser.ParseFile(token.NewFileSet(), "vm.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := 0
+	for _, d := range f.Decls {
+		if g, ok := d.(*ast.GenDecl); ok && g.Tok == token.CONST && g.Specs[0].(*ast.ValueSpec).Names[0].Name == "opNop" {
+			declared = len(g.Specs)
+		}
+	}
+	if declared == 0 || len(opNames) != declared || slices.Contains(opNames[:], "") {
+		t.Fatalf("vm.go declares %d opcodes; opNames has %d entries: %q", declared, len(opNames), opNames)
+	}
+	var b strings.Builder
+	err = New().DumpProgram(&b, "probe", `if {!$n} { incr n } elseif {[string length x] eq "1"} { set y [expr {$n*2+1}] } else { puts "a$n" }
+set i 0; while {$i < 3} { incr i; if {$i == 2} { continue }; break }; foreach {a b} $l { eval $a; return }`)
+	if err != nil || strings.Contains(b.String(), "  ? ") {
+		t.Fatalf("listing (%v):\n%s", err, b.String())
+	}
 }

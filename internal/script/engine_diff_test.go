@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// runEngine evaluates src on a fresh interpreter using the given engine
-// and returns the final result, error string ("" if nil), and everything
-// the script printed with puts.
-func runEngine(t *testing.T, eng Engine, src string, steps int) (string, string, string) {
+// runEngine evaluates src on a fresh interpreter, on the tree-walker or the
+// VM, and returns the final result, error string ("" if nil), and
+// everything the script printed with puts.
+func runEngine(t *testing.T, tree bool, src string, steps int) (string, string, string) {
 	t.Helper()
 	in := newDiffInterp()
-	in.SetEngine(eng)
+	in.tree = tree
 	return evalCapture(in, src, steps)
 }
 
@@ -65,8 +65,8 @@ func diffEval(t *testing.T, src string) {
 
 func diffEvalSteps(t *testing.T, src string, steps int) {
 	t.Helper()
-	tr, te, to := runEngine(t, EngineTree, src, steps)
-	vr, ve, vo := runEngine(t, EngineVM, src, steps)
+	tr, te, to := runEngine(t, true, src, steps)
+	vr, ve, vo := runEngine(t, false, src, steps)
 	if tr != vr || te != ve || to != vo {
 		t.Errorf("engine divergence on %q:\n tree: res=%q err=%q out=%q\n   vm: res=%q err=%q out=%q",
 			src, tr, te, to, vr, ve, vo)
@@ -212,31 +212,30 @@ func TestEngineDiffFlowEdges(t *testing.T) {
 	}
 }
 
+// TestEngineDiffShadowing: both engines refuse `proc` of each special form
+// alike, and the form still means the builtin, inlined and as $f alike.
 func TestEngineDiffShadowing(t *testing.T) {
-	cases := []string{
-		// Redefine special forms mid-script: compiled code must deoptimize.
-		`proc if {args} { return shadowed }; if {1} { puts never }`,
-		`set i 0
-while {$i < 3} { incr i }
-proc while {args} { return w2 }
-set r [while {$i < 99} { incr i }]
-list $i $r`,
-		`proc incr {v} { return fake }; set x 1; set r [incr x]; list $x $r`,
-		`proc set {args} { return shadow-set }; set x 5`,
-		`proc foreach {args} { return fe }; foreach x {1 2} { puts $x }`,
-		`proc expr {args} { return ee }; expr {1 + 1}`,
-		`proc break {} { return bb }; set i 0; while {$i < 2} { incr i; break }; set i`,
-		`proc return {args} { puts r }; proc f {} { return 5 }; f`,
-		// Shadow defined inside a loop that is already running.
-		`set out {}
-foreach i {1 2 3} {
-  if {$i == 2} { proc if {args} { return late } }
-  lappend out [if {1} { concat x$i }]
-}
-set out`,
-	}
-	for _, src := range cases {
-		diffEval(t, src)
+	for _, c := range []struct{ form, use, out string }{
+		{"if", `if {1} { puts a }; $f {0} { puts no } else { puts b }`, "a\nb"},
+		{"while", `set i 0; while {$i < 2} { incr i }; $f {$i < 4} { incr i }; puts $i`, "4"},
+		{"foreach", `foreach x {1 2} { puts $x }; $f x {3} { puts $x }`, "1\n2\n3"},
+		{"set", `set x 5; $f y 6; puts $x$y`, "56"},
+		{"incr", `set x 1; incr x; $f x 2; puts $x`, "4"},
+		{"expr", `puts [expr {1 + 1}][$f 2 + 1]`, "23"},
+		{"return", `proc g {} { return 5 }; proc h {} { global f; $f 6 }; puts [g][h]`, "56"},
+		{"break", `set i 0; while {1} { incr i; break }; while {1} { incr i; $f }; puts $i`, "2"},
+		{"continue", `set n 0; foreach x {1 2} { continue; incr n }; foreach x {1 2} { $f; incr n }; puts $n`, "0"},
+	} {
+		wantErr := fmt.Sprintf(`can't redefine special form %q (while executing "proc" near line 1)`, c.form)
+		for _, tree := range []bool{true, false} {
+			in := newDiffInterp()
+			in.tree = tree
+			_, errs, _ := evalCapture(in, "proc "+c.form+" {args} { return shadowed }", 0)
+			_, useErr, out := evalCapture(in, "set f "+c.form+"; "+c.use, 0)
+			if errs != wantErr || useErr != "" || out != c.out+"\n" {
+				t.Errorf("tree=%v, proc %s: %q; then err=%q out=%q, want %q", tree, c.form, errs, useErr, out, c.out)
+			}
+		}
 	}
 }
 
@@ -299,9 +298,9 @@ func TestEngineDiffStepLimit(t *testing.T) {
 	// Every runaway loop form must also report the trip through
 	// StepLimitHit, which is how hosts tell a budget trip from a script bug.
 	for _, src := range []string{`while {1} {}`, `for {set i 0} {1} {} {}`, `while {1} { set x 1 }`} {
-		for _, eng := range []Engine{EngineTree, EngineVM} {
-			if _, errs, _ := runEngine(t, eng, src, 1000); !strings.HasSuffix(errs, "[step limit hit]") {
-				t.Errorf("engine %v: %q tripped the limit without StepLimitHit: %q", eng, src, errs)
+		for _, tree := range []bool{true, false} {
+			if _, errs, _ := runEngine(t, tree, src, 1000); !strings.HasSuffix(errs, "[step limit hit]") {
+				t.Errorf("tree=%v: %q tripped the limit without StepLimitHit: %q", tree, src, errs)
 			}
 		}
 	}
@@ -316,9 +315,9 @@ func TestEngineDiffHostGlobals(t *testing.T) {
 	const filter = `if {$pfi_node eq "vendor"} { set seen vendor } else { set seen $pfi_node }
 if {$pfi_dir eq "send" && $pfi_protocol ne ""} { append seen /$pfi_dir/$pfi_protocol }
 set seen`
-	run := func(eng Engine, lowerOnly bool) string {
+	run := func(tree, lowerOnly bool) string {
 		in := New()
-		in.SetEngine(eng)
+		in.tree = tree
 		in.lowerOnly = lowerOnly
 		in.SetVar("pfi_node", "vendor")
 		in.SetVar("pfi_dir", "send")
@@ -344,14 +343,14 @@ set seen`
 		step(prepared())
 		return strings.Join(log, "|")
 	}
-	want := run(EngineTree, false)
+	want := run(true, false)
 	if !strings.HasPrefix(want, "vendor/send/tcp|rewritten|rewritten/send/tcp|rewritten|") {
 		t.Fatalf("tree-walker reference log is wrong: %q", want)
 	}
-	if got := run(EngineVM, true); got != want {
+	if got := run(false, true); got != want {
 		t.Errorf("unfused VM diverges:\n tree: %q\n   vm: %q", want, got)
 	}
-	if got := run(EngineVM, false); got != want {
+	if got := run(false, false); got != want {
 		t.Errorf("fused VM diverges:\n tree: %q\n   vm: %q", want, got)
 	}
 }
@@ -370,9 +369,9 @@ func TestEngineDiffStateful(t *testing.T) {
 		`unset count`,
 		`catch {set count} m; set m`,
 	}
-	runAll := func(eng Engine) (string, string) {
+	runAll := func(tree bool) (string, string) {
 		in := New()
-		in.SetEngine(eng)
+		in.tree = tree
 		var out strings.Builder
 		in.SetOutput(&out)
 		var last string
@@ -387,8 +386,8 @@ func TestEngineDiffStateful(t *testing.T) {
 		}
 		return last, out.String()
 	}
-	tl, to := runAll(EngineTree)
-	vl, vo := runAll(EngineVM)
+	tl, to := runAll(true)
+	vl, vo := runAll(false)
 	if tl != vl || to != vo {
 		t.Errorf("stateful divergence:\n tree: last=%q out=%q\n   vm: last=%q out=%q", tl, to, vl, vo)
 	}
@@ -397,37 +396,53 @@ func TestEngineDiffStateful(t *testing.T) {
 func TestEngineDiffRegisterReplace(t *testing.T) {
 	// Replacing a registered command bumps the epoch: compiled invoke
 	// sites must re-resolve rather than calling the stale function.
-	for _, eng := range []Engine{EngineTree, EngineVM} {
+	for _, tree := range []bool{true, false} {
 		in := New()
-		in.SetEngine(eng)
+		in.tree = tree
 		in.Register("probe", func(i *Interp, args []string) (string, error) { return "v1", nil })
 		r1, err := in.Eval(`probe`)
 		if err != nil || r1 != "v1" {
-			t.Fatalf("engine %v: first call got %q, %v", eng, r1, err)
+			t.Fatalf("tree=%v: first call got %q, %v", tree, r1, err)
 		}
 		in.Register("probe", func(i *Interp, args []string) (string, error) { return "v2", nil })
 		r2, err := in.Eval(`probe`)
 		if err != nil || r2 != "v2" {
-			t.Fatalf("engine %v: after replace got %q, %v", eng, r2, err)
+			t.Fatalf("tree=%v: after replace got %q, %v", tree, r2, err)
 		}
 		in.Unregister("probe")
 		_, err = in.Eval(`probe`)
 		if err == nil || !strings.Contains(err.Error(), "invalid command name") {
-			t.Fatalf("engine %v: after unregister got err=%v", eng, err)
+			t.Fatalf("tree=%v: after unregister got err=%v", tree, err)
 		}
 	}
 }
 
-func TestEngineDefaultAndFlag(t *testing.T) {
+// TestHostCannotRebindSpecialForms: Register, RegisterTyped and Unregister
+// panic on a special form; on info and puts they work, as does `proc info`.
+func TestHostCannotRebindSpecialForms(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
 	in := New()
-	if in.EngineInUse() != EngineVM {
-		t.Fatalf("default engine = %v, want EngineVM", in.EngineInUse())
+	cmd := func(*Interp, []string) (string, error) { return "host", nil }
+	typed := func(*Interp, []string) (Value, error) { return Int(7), nil }
+	for _, form := range []string{"if", "while", "foreach", "set", "incr", "expr", "return", "break", "continue"} {
+		if !panics(func() { in.Register(form, cmd) }) || !panics(func() { in.RegisterTyped(form, typed) }) ||
+			!panics(func() { in.Unregister(form) }) {
+			t.Errorf("rebinding %s did not panic", form)
+		}
 	}
-	in.SetEngine(EngineTree)
-	if in.EngineInUse() != EngineTree {
-		t.Fatalf("after SetEngine(EngineTree) = %v", in.EngineInUse())
+	in.Register("puts", cmd)
+	in.RegisterTyped("info", typed)
+	got := evalOK(t, in, `list [puts x] [info exists nope]`)
+	if in.Unregister("puts"); got != "host 7" || in.HasCommand("puts") {
+		t.Errorf("replaced puts and info: %q; puts after Unregister: %v", got, in.HasCommand("puts"))
 	}
-	if _, err := in.Eval(`set x 1`); err != nil {
-		t.Fatalf("tree engine eval: %v", err)
+	pr := New().Prepare(MustParse(`info exists x`))
+	evalOK(t, pr.in, `proc info {args} { return shadow }`)
+	if v, err := pr.Run(); err != nil || v.String() != "shadow" {
+		t.Errorf("info exists fast path under proc info: %q, %v", v, err)
 	}
 }

@@ -9,10 +9,13 @@ import (
 // interpreter and a fresh VM interpreter and requires byte-identical
 // results, error text, and puts output. This is the primary correctness
 // oracle for the compiler: the tree-walker is the reference semantics.
+// Seeds include a refused `proc` of each special form: both must refuse.
 func FuzzCompiledParity(f *testing.F) {
 	seedCorpus(f)
 	f.Add(`set i 0; while {$i < 5} { incr i; eval break }`)
-	f.Add(`proc if {args} { return shadowed }; if {1} { puts never }`)
+	for _, form := range []string{"if", "while", "foreach", "set", "incr", "expr", "return", "break", "continue"} {
+		f.Add("catch {proc " + form + " {args} { return shadowed }} m; puts $m; proc " + form + " {} {}")
+	}
 	f.Add(`foreach {a b} {1 2 3} { puts $a$b }`)
 	f.Add(`expr {1 ? [concat a] : $nope}`)
 	f.Add(`set n [hostint 600]; incr n [hostint 3]; puts "$n [expr {$n % 7}]"`)
@@ -21,9 +24,9 @@ func FuzzCompiledParity(f *testing.F) {
 		f.Add("set x {" + c.text + "}; list [expr {$x == 10}] [catch {incr x} m] $m $x")
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		run := func(eng Engine) (res, errs, out string) {
+		run := func(tree bool) (res, errs, out string) {
 			in := newDiffInterp()
-			in.SetEngine(eng)
+			in.tree = tree
 			in.SetStepLimit(20000)
 			var b strings.Builder
 			in.SetOutput(&b)
@@ -33,8 +36,8 @@ func FuzzCompiledParity(f *testing.F) {
 			}
 			return r, "", b.String()
 		}
-		tr, te, to := run(EngineTree)
-		vr, ve, vo := run(EngineVM)
+		tr, te, to := run(true)
+		vr, ve, vo := run(false)
 		if tr != vr || te != ve || to != vo {
 			t.Fatalf("engine divergence on %q:\n tree: res=%q err=%q out=%q\n   vm: res=%q err=%q out=%q",
 				src, tr, te, to, vr, ve, vo)

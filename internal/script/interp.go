@@ -102,18 +102,6 @@ type procParam struct {
 	hasDefault bool
 }
 
-// Engine selects how the interpreter executes parsed scripts.
-type Engine int
-
-const (
-	// EngineVM compiles scripts to flat bytecode programs and executes
-	// them on the register VM (the default).
-	EngineVM Engine = iota
-	// EngineTree walks the AST directly — the reference implementation
-	// the VM is differentially tested against.
-	EngineTree
-)
-
 // gslot is one global variable. Globals live in a flat slot table rather
 // than a map so the compiler can resolve a literal variable name to an
 // integer index once; the Value in it keeps whichever of text and number
@@ -145,20 +133,16 @@ type Interp struct {
 	procProgs *srcCache[*Program] // VM programs compiled for proc frames
 	wordBufs  [][]string          // scratch buffers for expandCommand
 	out       io.Writer           // destination for puts
-	engine    Engine
-	lowerOnly bool // tests only: compileProgram skips fold+fuse (the unfused leg of TestOptimizeDiff*)
-	steps     int  // commands executed since limit reset
-	maxSteps  int  // 0 = unlimited
-	limitHit  bool // last top-level Eval/Run died on the step limit
-	depth     int  // proc/eval recursion depth
+	tree      bool                // tests only: runAny tree-walks (the reference leg of FuzzCompiledParity and TestEngineDiff*)
+	lowerOnly bool                // tests only: compileProgram skips fold+fuse (the unfused leg of TestOptimizeDiff*)
+	steps     int                 // commands executed since limit reset
+	maxSteps  int                 // 0 = unlimited
+	limitHit  bool                // last top-level Eval/Run died on the step limit
+	depth     int                 // proc/eval recursion depth
 
 	// cmdEpoch invalidates the VM's per-call-site command caches; it bumps
-	// whenever the name->command/proc mapping changes. shadowMask marks
-	// special-form names (if, while, set, ...) whose builtin binding has
-	// been replaced or removed, forcing compiled special forms to
-	// deoptimize to generic dispatch.
-	cmdEpoch   uint64
-	shadowMask uint32
+	// whenever the name->command/proc mapping changes.
+	cmdEpoch uint64
 
 	// One-entry memo for program(): repeated top-level runs of the same
 	// *Script (the per-message filter path) skip the source-cache lookup.
@@ -191,15 +175,6 @@ func New() *Interp {
 	}
 	return in
 }
-
-// SetEngine switches the execution engine. New installs EngineVM, the only
-// engine any CLI runs; SetEngine(EngineTree) selects the tree-walking
-// reference implementation that FuzzCompiledParity and TestEngineDiff*
-// compare the VM against.
-func (in *Interp) SetEngine(e Engine) { in.engine = e }
-
-// EngineInUse reports the active execution engine.
-func (in *Interp) EngineInUse() Engine { return in.engine }
 
 // SetOutput directs puts output to w.
 func (in *Interp) SetOutput(w io.Writer) {
@@ -238,16 +213,14 @@ type interpState struct {
 	slots    []gslot
 	overflow map[string]string
 	procs    map[string]*proc
-	shadow   uint32
 }
 
 // SnapshotState captures global variables and proc definitions for the
 // snapshot registry.
 func (in *Interp) SnapshotState() any {
 	st := &interpState{
-		slots:  append([]gslot(nil), in.gslots...),
-		procs:  make(map[string]*proc, len(in.procs)),
-		shadow: in.shadowMask,
+		slots: append([]gslot(nil), in.gslots...),
+		procs: make(map[string]*proc, len(in.procs)),
 	}
 	if in.goverflow != nil {
 		st.overflow = make(map[string]string, len(in.goverflow))
@@ -280,11 +253,11 @@ func (in *Interp) RestoreState(state any) {
 	for k, v := range st.procs {
 		in.procs[k] = v
 	}
-	in.shadowMask = st.shadow
 	in.cmdEpoch++
 }
 
-// Register installs (or replaces) a host command.
+// Register installs (or replaces) a host command. It panics on a nil
+// command and on a special form's name, which no host may rebind.
 func (in *Interp) Register(name string, cmd Command) {
 	if cmd == nil {
 		panic("script: nil command for " + name)
@@ -293,7 +266,7 @@ func (in *Interp) Register(name string, cmd Command) {
 }
 
 // RegisterTyped installs (or replaces) a host command whose result is a
-// Value.
+// Value. It panics where Register does.
 func (in *Interp) RegisterTyped(name string, cmd TypedCommand) {
 	if cmd == nil {
 		panic("script: nil command for " + name)
@@ -302,21 +275,19 @@ func (in *Interp) RegisterTyped(name string, cmd TypedCommand) {
 }
 
 func (in *Interp) bind(name string, b binding) {
-	if in.lookup(name).bound() {
-		in.markShadowed(name)
-	}
+	mustNotBeSpecialForm(name)
 	in.commands[name] = b
 	in.cmdEpoch++
 }
 
-// Unregister removes a host command.
+// Unregister removes a host command. It panics on a special form's name.
 func (in *Interp) Unregister(name string) {
+	mustNotBeSpecialForm(name)
 	if _, builtin := builtins[name]; builtin {
 		in.commands[name] = binding{}
 	} else {
 		delete(in.commands, name)
 	}
-	in.markShadowed(name)
 	in.cmdEpoch++
 }
 
@@ -333,45 +304,27 @@ func (in *Interp) lookup(name string) binding {
 }
 
 // defineProc installs a script-defined procedure. Procs shadow host
-// commands, including the special forms the compiler inlines, so the
-// epoch and shadow mask must track definitions.
+// commands, so the epoch must track definitions.
 func (in *Interp) defineProc(pr *proc) {
 	in.procs[pr.name] = pr
-	in.markShadowed(pr.name)
 	in.cmdEpoch++
 }
 
-// specialFormBit returns the shadow-mask bit for a special-form name the
-// compiler inlines, or 0 for every other name.
-func specialFormBit(name string) uint32 {
+// isSpecialForm reports whether name is one the compiler inlines. These
+// names are keywords: proc refuses them and Register/Unregister panic, so a
+// compiled special form always means the builtin and needs no guard.
+func isSpecialForm(name string) bool {
 	switch name {
-	case "if":
-		return 1 << 0
-	case "while":
-		return 1 << 1
-	case "foreach":
-		return 1 << 2
-	case "set":
-		return 1 << 3
-	case "incr":
-		return 1 << 4
-	case "expr":
-		return 1 << 5
-	case "return":
-		return 1 << 6
-	case "break":
-		return 1 << 7
-	case "continue":
-		return 1 << 8
+	case "if", "while", "foreach", "set", "incr", "expr", "return", "break", "continue":
+		return true
 	}
-	return 0
+	return false
 }
 
-// markShadowed records that name's builtin binding changed. Sticky by
-// design: rebinding a special form is rare, and once it has happened the
-// generic dispatch path is always correct.
-func (in *Interp) markShadowed(name string) {
-	in.shadowMask |= specialFormBit(name)
+func mustNotBeSpecialForm(name string) {
+	if isSpecialForm(name) {
+		panic(fmt.Sprintf("script: can't redefine special form %q", name))
+	}
 }
 
 // HasCommand reports whether name resolves to a host command or proc.
@@ -525,12 +478,13 @@ func (in *Interp) Run(s *Script) (string, error) {
 	return topLevel(in.runAny(s))
 }
 
-// runAny executes a parsed script in the current frame with the active
-// engine. Every internal evaluation site (control-flow bodies, proc
-// bodies, eval, [command] operands in expr) funnels through here, so a
-// single flag flips the whole interpreter between engines.
+// runAny executes a parsed script in the current frame on the VM, or on the
+// tree-walker when a test set tree. Every internal evaluation site
+// (control-flow bodies, proc bodies, eval, [command] operands and
+// substitutions in expr) funnels through here, so the one flag flips the
+// whole interpreter, and no shipped binary ever tree-walks a command.
 func (in *Interp) runAny(s *Script) (string, error) {
-	if in.engine == EngineTree {
+	if in.tree {
 		return in.run(s)
 	}
 	v, err := in.exec(in.program(s))
@@ -556,8 +510,8 @@ func (in *Interp) program(s *Script) *Program {
 
 // programFor fetches s's compilation from cache, compiling on miss. A
 // Program never needs revalidating: what can change after compilation
-// (command bindings, shadowed special forms) is checked at run time by
-// its inline caches and shadow guards.
+// (command bindings) is checked at run time by its inline caches, and the
+// special forms it inlined cannot be rebound.
 func (in *Interp) programFor(s *Script, cache *srcCache[*Program], mode progMode) *Program {
 	if p, ok := cache.get(s.src); ok {
 		return p
@@ -587,7 +541,7 @@ func (in *Interp) Prepare(s *Script) *Prepared {
 // script that ends in `incr n` should not pay for the digits.
 func (pr *Prepared) Run() (Value, error) {
 	in := pr.in
-	if in.engine == EngineTree {
+	if in.tree {
 		res, err := in.Run(pr.s)
 		return Str(res), err
 	}
@@ -618,7 +572,8 @@ func (in *Interp) compile(src string) (*Script, error) {
 	return s, nil
 }
 
-// run executes a parsed script in the current frame.
+// run tree-walks a parsed script in the current frame: the reference
+// semantics the VM is diffed against, reached only through runAny.
 func (in *Interp) run(s *Script) (string, error) {
 	var result string
 	for i := range s.cmds {
@@ -712,7 +667,7 @@ func (in *Interp) expandWord(w *word) (string, error) {
 				in.depth--
 				return "", &EvalError{Msg: "too many nested evaluations", Line: w.line}
 			}
-			res, err := in.run(seg.body)
+			res, err := in.runAny(seg.body)
 			in.depth--
 			if err != nil {
 				return "", err
@@ -790,15 +745,13 @@ func (in *Interp) callProc(pr *proc, args []string, line int) (string, error) {
 		case p.hasDefault:
 			f.vars[p.name] = p.defaultVal
 		default:
-			return "", &EvalError{Cmd: pr.name, Line: line,
-				Msg: fmt.Sprintf("wrong # args: should be %q", procUsage(pr))}
+			return "", &EvalError{Cmd: pr.name, Line: line, Msg: WrongArgs(procUsage(pr)).Error()}
 		}
 	}
 	if pr.varargs {
 		f.vars["args"] = ListJoin(args[min(nFixed, len(args)):])
 	} else if len(args) > len(pr.params) {
-		return "", &EvalError{Cmd: pr.name, Line: line,
-			Msg: fmt.Sprintf("wrong # args: should be %q", procUsage(pr))}
+		return "", &EvalError{Cmd: pr.name, Line: line, Msg: WrongArgs(procUsage(pr)).Error()}
 	}
 	in.frames = append(in.frames, f)
 	defer func() { in.frames = in.frames[:len(in.frames)-1] }()

@@ -10,17 +10,15 @@ import "sync/atomic"
 //     dropping the truth-normalization after a comparison (the identity
 //     that lets the compare-and-branch fusions below match);
 //  2. superinstruction fusion — collapse the common instruction pairs and
-//     triples of the filter corpus (step+guard, load+compare+branch,
-//     step+guard+incr, command dispatch with static args) into single
-//     opcodes.
+//     triples of the filter corpus (load+compare+branch, step+incr,
+//     command dispatch with static args) into single opcodes.
 //
 // Both passes are exact program transformations that depend only on the
 // program text: fused opcodes reproduce the unfused sequence's stack
-// states, step accounting, and errors at every observable point, and
-// everything that can change after compilation (command bindings, shadowed
-// special forms) is still checked at run time by the inline caches and
-// shadow guards the lowering emitted. A Program is therefore compiled once
-// and never revalidated. The differential parity harness
+// states, step accounting, and errors at every observable point, and what
+// can change after compilation (command bindings) is still checked at run
+// time by the inline caches the lowering emitted. A Program is therefore
+// compiled once and never revalidated. The differential parity harness
 // (FuzzCompiledParity, TestEngineDiff*, TestOptimizeDiff*) enforces
 // byte-identical behavior versus the tree-walker.
 
@@ -73,11 +71,11 @@ func (o *optimizer) leaders() map[int32]bool {
 	for k := range o.p.ins {
 		i := &o.p.ins[k]
 		switch i.op {
-		case opJump, opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr, opClearJump:
+		case opJump, opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr:
 			ld[i.a] = true
-		case opGuard, opForeachStep, opStepGuard, opClearStepGuard:
+		case opForeachStep:
 			ld[i.b] = true
-		case opCmpConstBr, opSlotCmpBr, opStepIncrSlot, opInvokeCmpBr:
+		case opCmpConstBr, opInvokeCmpBr:
 			ld[o.p.fused[i.a].target] = true
 		}
 	}
@@ -132,11 +130,11 @@ func (r *rewrite) apply() {
 	for k := range p.ins {
 		i := &p.ins[k]
 		switch i.op {
-		case opJump, opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr, opClearJump:
+		case opJump, opBranchFalse, opVAnd, opVOr, opVCondJump, opNotBr:
 			i.a = remap(i.a)
-		case opGuard, opForeachStep, opStepGuard, opClearStepGuard:
+		case opForeachStep:
 			i.b = remap(i.b)
-		case opCmpConstBr, opSlotCmpBr, opStepIncrSlot, opInvokeCmpBr:
+		case opCmpConstBr, opInvokeCmpBr:
 			p.fused[i.a].target = remap(p.fused[i.a].target)
 		}
 	}
@@ -369,63 +367,28 @@ func (o *optimizer) fuse() {
 				statFusedOps.Add(1)
 				continue
 			}
-			// [opClearAcc][opStep][opGuard][opIncrSlot]: a guarded incr
-			// statement sitting at a branch target.
-			if free(k, 4) && ins[k+1].op == opStep && ins[k+2].op == opGuard &&
-				ins[k+3].op == opIncrSlot && ins[k+2].b == int32(k+4) {
-				f := fusedOp{
-					flags:  fuseClearAcc,
-					slot:   ins[k+3].a,
-					delta:  o.p.deltas[ins[k+3].b],
-					guard:  ins[k+2].a,
-					target: ins[k+2].b,
-				}
-				r.emit(instr{op: opStepIncrSlot, a: fusedIdx(f), c: ins[k+3].c, line: ins[k+1].line}, int32(k))
-				k += 4
-				statFusedOps.Add(1)
-				continue
-			}
-			// [opClearAcc][opStep][opGuard]: the landing pad opening every
-			// inlined special form that is itself a branch target.
-			if free(k, 3) && ins[k+1].op == opStep && ins[k+2].op == opGuard {
-				r.emit(instr{op: opClearStepGuard, a: ins[k+2].a, b: ins[k+2].b, line: ins[k+1].line}, int32(k))
+			// [opClearAcc][opStep][opIncrSlot]: an incr statement sitting
+			// at a branch target.
+			if free(k, 3) && ins[k+1].op == opStep && ins[k+2].op == opIncrSlot {
+				f := fusedOp{flags: fuseClearAcc, slot: ins[k+2].a, delta: o.p.deltas[ins[k+2].b]}
+				r.emit(instr{op: opStepIncrSlot, a: fusedIdx(f), c: ins[k+2].c, line: ins[k+1].line}, int32(k))
 				k += 3
-				statFusedOps.Add(1)
-				continue
-			}
-			// [opClearAcc][opJump]: the taken-branch epilogue pad.
-			if ins[k+1].op == opJump {
-				r.emit(instr{op: opClearJump, a: ins[k+1].a, line: i.line}, int32(k))
-				k += 2
 				statFusedOps.Add(1)
 				continue
 			}
 		}
 		if i.op == opStep {
-			// [opStep][opGuard][opIncrSlot] with the guard deopting past
-			// the incr: the classic `incr counter` statement.
-			if free(k, 3) && ins[k+1].op == opGuard && ins[k+2].op == opIncrSlot &&
-				ins[k+1].b == int32(k+3) {
-				f := fusedOp{
-					slot:   ins[k+2].a,
-					delta:  o.p.deltas[ins[k+2].b],
-					guard:  ins[k+1].a,
-					target: ins[k+1].b,
-				}
-				r.emit(instr{op: opStepIncrSlot, a: fusedIdx(f), c: ins[k+2].c, line: i.line}, int32(k))
-				k += 3
+			// [opStep][opIncrSlot]: the classic `incr counter` statement.
+			if free(k, 2) && ins[k+1].op == opIncrSlot {
+				f := fusedOp{slot: ins[k+1].a, delta: o.p.deltas[ins[k+1].b]}
+				r.emit(instr{op: opStepIncrSlot, a: fusedIdx(f), c: ins[k+1].c, line: i.line}, int32(k))
+				k += 2
 				statFusedOps.Add(1)
 				continue
 			}
 			if fi, n, ok := tryInvoke(k); ok {
 				r.emit(fi, int32(k))
 				k += n
-				statFusedOps.Add(1)
-				continue
-			}
-			if free(k, 2) && ins[k+1].op == opGuard {
-				r.emit(instr{op: opStepGuard, a: ins[k+1].a, b: ins[k+1].b, line: i.line}, int32(k))
-				k += 2
 				statFusedOps.Add(1)
 				continue
 			}
@@ -436,13 +399,6 @@ func (o *optimizer) fuse() {
 			ins[k+1].op == opVConst && ins[k+2].op == opVBinop &&
 			ins[k+2].c == i.c {
 			f := fusedOp{slot: i.a, nameC: i.b, vconst: ins[k+1].a, binop: ins[k+2].a}
-			if free(k, 4) && ins[k+3].op == opBranchFalse && ins[k+3].c == i.c {
-				f.target = ins[k+3].a
-				r.emit(instr{op: opSlotCmpBr, a: fusedIdx(f), c: i.c, line: i.line}, int32(k))
-				k += 4
-				statFusedOps.Add(1)
-				continue
-			}
 			r.emit(instr{op: opSlotBinop, a: fusedIdx(f), c: i.c, line: i.line}, int32(k))
 			k += 3
 			statFusedOps.Add(1)
@@ -476,12 +432,6 @@ func (o *optimizer) fuse() {
 		}
 		if i.op == opLeaveNest && free(k, 2) && ins[k+1].op == opPushAcc {
 			r.emit(instr{op: opLeavePush, line: i.line}, int32(k))
-			k += 2
-			statFusedOps.Add(1)
-			continue
-		}
-		if i.op == opPushConst && free(k, 2) && ins[k+1].op == opSetSlot {
-			r.emit(instr{op: opSetSlotConst, a: ins[k+1].a, b: i.a, line: i.line}, int32(k))
 			k += 2
 			statFusedOps.Add(1)
 			continue

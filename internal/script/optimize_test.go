@@ -18,7 +18,7 @@ func runVM(t *testing.T, fused bool, src string, steps int) (string, string, str
 // byte-for-byte on result, error text, and output.
 func diffEval3(t *testing.T, src string, steps int) {
 	t.Helper()
-	tr, te, to := runEngine(t, EngineTree, src, steps)
+	tr, te, to := runEngine(t, true, src, steps)
 	br, be, bo := runVM(t, false, src, steps)
 	or, oe, oo := runVM(t, true, src, steps)
 	if tr != br || te != be || to != bo {
@@ -32,21 +32,15 @@ func diffEval3(t *testing.T, src string, steps int) {
 }
 
 // TestOptimizeDiffFusionBoundaries exercises exactly the shapes the fuser
-// rewrites, with the deopt/flow/limit edges landing mid-superinstruction.
+// rewrites, with the refusal/flow/limit edges landing mid-superinstruction.
 func TestOptimizeDiffFusionBoundaries(t *testing.T) {
 	cases := []string{
-		// Shadow-guard deopt after fusion: redefining a special form must
-		// reroute fused opStepGuard/opClearStepGuard/opStepIncrSlot sites
-		// through the tree path.
+		// A refused redefinition of a special form leaves the fused
+		// step.incr.slot and landing-pad sites running the builtin.
 		`proc if {args} { return shadowed }; if {1} { puts never }`,
-		`set x 1; proc incr {v} { return fake }; set r [incr x]; list $x $r`,
-		`set i 0
-foreach k {1 2 3} {
-  if {$k == 2} { proc if {args} { return late } }
-  if {1} { incr i }
-}
-list $i`,
-		`proc set {args} { return ss }; if {1} { set y 0 }`,
+		`set x 1; catch {proc incr {v} { return fake }} m; set r [incr x]; list $x $r $m`,
+		`set i 0; foreach k {1 2 3} { if {$k == 2} { catch {proc if {args} { return late }} }; if {1} { incr i } }; set i`,
+		`catch {proc set {args} { return ss }}; if {1} { set y 0 }`,
 		// break/continue inside fused loop bodies: the flow-restore depths
 		// recorded by the compiler must still hold on the fused stream.
 		`set i 0; while {$i < 5} { incr i; if {$i == 3} { break } }; set i`,
@@ -73,8 +67,8 @@ list $i`,
 		`catch {if {$never_set < 3} { puts x }} m; set m`,
 		`proc boom {} { error kaboom }; catch {if {[boom] eq "x"} { puts y }} m; set m`,
 		`catch {string} m; set m`,
-		// Landing pads: else/elseif chains produce clear+jump and
-		// clear+step+guard shapes at branch targets.
+		// Landing pads: else/elseif chains put clear+jump and clear+step
+		// shapes at branch targets.
 		`set a 1; if {$a > 3} { puts big } elseif {$a > 0} { puts mid } else { puts small }`,
 		`set a -1; if {$a > 3} { puts big } elseif {$a > 0} { puts mid } else { puts small }`,
 		// The info-exists fast path: literal `info exists` answered from
@@ -127,22 +121,16 @@ func TestOptimizeDiffStepLimits(t *testing.T) {
 // including across engine fallback.
 func TestPreparedRun(t *testing.T) {
 	src := `if {![info exists n]} { set n 0 }; incr n; set n`
-	for _, lowerOnly := range []bool{false, true} {
+	for _, leg := range []struct{ tree, lowerOnly bool }{{false, false}, {false, true}, {true, false}} {
 		in := New()
-		in.lowerOnly = lowerOnly
+		in.tree, in.lowerOnly = leg.tree, leg.lowerOnly
 		pr := in.Prepare(MustParse(src))
 		for want := 1; want <= 3; want++ {
 			res, err := pr.Run()
 			if err != nil || res.String() != itoaFast(int64(want)) {
-				t.Fatalf("lowerOnly=%v run %d: %q, %v", lowerOnly, want, res, err)
+				t.Fatalf("%+v run %d: %q, %v", leg, want, res, err)
 			}
 		}
-	}
-	in := New()
-	in.SetEngine(EngineTree)
-	pr := in.Prepare(MustParse(src))
-	if res, err := pr.Run(); err != nil || res.String() != "1" {
-		t.Fatalf("tree-engine Prepared run: %q, %v", res, err)
 	}
 }
 

@@ -62,6 +62,10 @@ func (s *Script) Source() string { return s.src }
 type ParseError struct {
 	Line int
 	Msg  string
+	// Incomplete marks an error that only running out of input caused: a
+	// brace, bracket, quote or ${name} still open. More text could finish
+	// the script, which is how a REPL knows to read another line.
+	Incomplete bool
 }
 
 func (e *ParseError) Error() string {
@@ -105,13 +109,18 @@ func (p *parser) errf(format string, args ...any) error {
 	return &ParseError{Line: p.line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// unclosed is the error for input that ended inside a construct.
+func (p *parser) unclosed(msg string) error {
+	return &ParseError{Line: p.line, Msg: msg, Incomplete: true}
+}
+
 func (p *parser) parseCommands(end endKind) ([]command, error) {
 	var cmds []command
 	for {
 		p.skipCommandSeparators()
 		if p.atEnd() {
 			if end == bracketEnd {
-				return nil, p.errf("missing close-bracket")
+				return nil, p.unclosed("missing close-bracket")
 			}
 			return cmds, nil
 		}
@@ -312,7 +321,7 @@ func (p *parser) parseBraced() (string, error) {
 		}
 	}
 	p.line = startLine
-	return "", p.errf("missing close-brace")
+	return "", p.unclosed("missing close-brace")
 }
 
 // parseQuoted consumes "..." with $, [] and backslash substitution.
@@ -367,7 +376,7 @@ func (p *parser) parseQuoted() ([]segment, error) {
 			p.pos++
 		}
 	}
-	return nil, p.errf("missing closing quote")
+	return nil, p.unclosed("missing closing quote")
 }
 
 // parseBare consumes an unquoted word.
@@ -445,7 +454,7 @@ func (p *parser) parseVarRef() (segment, bool, error) {
 			p.pos++
 		}
 		if p.atEnd() {
-			return segment{}, false, p.errf("missing close-brace for variable name")
+			return segment{}, false, p.unclosed("missing close-brace for variable name")
 		}
 		name := p.src[nameStart:p.pos]
 		p.pos++ // consume '}'

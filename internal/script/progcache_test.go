@@ -110,26 +110,6 @@ func TestProcProgramsCacheSeparately(t *testing.T) {
 	}
 }
 
-func TestProgramCacheRecompileSeesNewShadow(t *testing.T) {
-	// A program compiled before a special form was shadowed deoptimizes via
-	// its guard; a program compiled AFTER must skip the inline form
-	// entirely. Both paths must agree with the tree-walker.
-	in := New()
-	evalOK(t, in, `set g 0; if {1} { set g 1 }`)
-	evalOK(t, in, `proc if {args} { return shadowed }`)
-	// Cached program: guard deoptimizes.
-	if r := evalOK(t, in, `set g 0; if {1} { set g 1 }`); r != "shadowed" {
-		t.Fatalf("cached program after shadow = %q, want shadowed", r)
-	}
-	// Fresh text compiles with the shadow already known.
-	if r := evalOK(t, in, `if {1} { set g 2 }`); r != "shadowed" {
-		t.Fatalf("fresh program after shadow = %q, want shadowed", r)
-	}
-	if v, _ := in.Var("g"); v != "0" {
-		t.Fatalf("shadowed if still ran a branch: g=%q", v)
-	}
-}
-
 func TestProgramCacheStepLimitReplay(t *testing.T) {
 	// A cached program must honor step-limit changes made after compilation.
 	in := New()

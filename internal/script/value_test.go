@@ -33,10 +33,10 @@ var numberGrammarCases = []struct {
 
 func TestNumberGrammar(t *testing.T) {
 	for _, c := range numberGrammarCases {
-		for _, eng := range []Engine{EngineTree, EngineVM} {
+		for _, tree := range []bool{true, false} {
 			eval := func(src string) string {
 				in := New()
-				in.SetEngine(eng)
+				in.tree = tree
 				res, err := in.Eval(src)
 				if err != nil {
 					return "ERR"
@@ -52,7 +52,7 @@ func TestNumberGrammar(t *testing.T) {
 				{"spelling kept", set + "catch {incr x 0}; catch {expr {$x + 1}}; set x", keptSpelling(c.text, c.incr)},
 			} {
 				if got := eval(probe.src); got != probe.want {
-					t.Errorf("engine %v, %q as %s: %q, want %q", eng, c.text, probe.what, got, probe.want)
+					t.Errorf("tree=%v, %q as %s: %q, want %q", tree, c.text, probe.what, got, probe.want)
 				}
 			}
 		}
@@ -230,9 +230,9 @@ func TestSnapshotHoldsUnrenderedInt(t *testing.T) {
 }
 
 // TestBuiltinTableDoesNotBleed: the builtins live in one process-wide table
-// an interpreter never writes. Replacing, removing and shadowing one on an
-// interpreter changes that interpreter alone, with the shadow mask and
-// call-site caches tracking it as when every interpreter had its own copy.
+// an interpreter never writes. Replacing and removing one on an interpreter
+// changes that interpreter alone, with the call-site caches tracking it as
+// when every interpreter had its own copy.
 func TestBuiltinTableDoesNotBleed(t *testing.T) {
 	a, b := New(), New()
 	const probe = `set x 1; incr x; string length abc`
@@ -270,26 +270,6 @@ func TestBuiltinTableDoesNotBleed(t *testing.T) {
 	a.Register("string", builtins["string"])
 	if got := run(prA); got != "3" {
 		t.Errorf("a after re-Register: %q", got)
-	}
-
-	// Shadowing a special form by proc deoptimizes a's compiled incr only.
-	if a.shadowMask != 0 || b.shadowMask != 0 {
-		t.Fatalf("shadow masks before the proc: a=%#x b=%#x", a.shadowMask, b.shadowMask)
-	}
-	evalOK(t, a, `proc incr {v} { return shadowed }`)
-	if got := evalOK(t, a, `set x 1; incr x`); got != "shadowed" {
-		t.Errorf("a's proc does not shadow incr: %q", got)
-	}
-	if got := run(prB); got != "3" || b.shadowMask != 0 {
-		t.Errorf("b after a's proc: %q, mask %#x", got, b.shadowMask)
-	}
-	// Replacing a special form through Register marks it too.
-	b.Register("incr", builtins["incr"])
-	if b.shadowMask&specialFormBit("incr") == 0 {
-		t.Errorf("re-registering a builtin special form did not mark it shadowed")
-	}
-	if got := run(prB); got != "3" {
-		t.Errorf("b after re-registering incr: %q", got)
 	}
 	if len(builtins) != nBuiltins || len(New().commands) != 0 {
 		t.Errorf("the shared table changed (%d → %d entries) or a fresh interpreter owns commands", nBuiltins, len(builtins))

@@ -19,9 +19,8 @@ import (
 // being rendered or parsed on the way (value.go). Control flow
 // (if/while/foreach and expr's &&/||/?:) is jumps. Command
 // dispatch sites carry inline caches validated against the interpreter's
-// cmdEpoch, and compiled special forms are protected by shadow guards that
-// deoptimize to the tree-walker for the one command when a script or host
-// rebinds a special-form name.
+// cmdEpoch; compiled special forms need no check, since their names are
+// keywords nothing can rebind.
 
 type opcode uint8
 
@@ -33,7 +32,6 @@ const (
 	opStepWhile // count one while-loop iteration; c = wrap
 	opClearAcc  // acc = ""
 	opJump      // pc = a
-	opGuard     // a = guard index, b = jump target on deopt
 
 	// Command-word assembly.
 	opPushConst    // push consts[a]
@@ -89,23 +87,18 @@ const (
 	// of the unfused sequence it replaces: identical stack states, step
 	// accounting, and errors at every observable point, so the parity
 	// harness covers them through the ordinary differential tests.
-	opStepGuard    // opStep+opGuard: a = guard index, b = deopt jump target
 	opStepInvoke   // [opClearAcc]+opStep+pushes+opInvoke[+opVFromAcc]: a = fused index
 	opConstBinop   // opVConst+opVBinop: pop x, push binop b(x, vconsts[a]); c = wrap
 	opCmpConstBr   // opVConst+opVBinop+opBranchFalse: a = fused index, c = wrap
 	opSlotBinop    // opVSlot+opVConst+opVBinop: a = fused index, c = wrap
-	opSlotCmpBr    // opVSlot+opVConst+opVBinop+opBranchFalse: a = fused index, c = wrap
-	opStepIncrSlot // opStep+opGuard+opIncrSlot: a = fused index, c = wrap
+	opStepIncrSlot // [opClearAcc]+opStep+opIncrSlot: a = fused index, c = wrap
 	opNotBr        // opVUnary(!)+opBranchFalse: pop x, jump a when x truthy; c = wrap
 	opEnterClear   // opEnterNest+opClearAcc; line = word line
 	opLeavePush    // opLeaveNest+opPushAcc
-	opSetSlotConst // opPushConst+opSetSlot: slot a = consts[b]; acc = it
 
-	// Second-order superinstructions: fusions across an invoke and the
-	// comparison consuming it, and branch-target landing pads.
-	opInvokeCmpBr    // opStepInvoke+eq/ne vconst+opBranchFalse: a = fused index
-	opClearStepGuard // opClearAcc+opStep+opGuard: a = guard index, b = deopt target
-	opClearJump      // opClearAcc+opJump: acc = ""; jump a
+	// A second-order superinstruction: an invoke fused with the comparison
+	// consuming it.
+	opInvokeCmpBr // opStepInvoke+eq/ne vconst+opBranchFalse: a = fused index
 )
 
 // Fused-argument source kinds for opStepInvoke.
@@ -145,12 +138,11 @@ type fusedOp struct {
 	site   int32    // opStepInvoke: invoke site index
 	args   []argSrc // opStepInvoke: argument pushes, in order
 	flags  uint8
-	slot   int32 // opSlotBinop/opSlotCmpBr/opStepIncrSlot: global slot
+	slot   int32 // opSlotBinop/opStepIncrSlot: global slot
 	nameC  int32 // name const for the unset-variable error
 	vconst int32 // opConstBinop family: vconsts index of the folded operand
 	binop  int32
-	target int32  // branch/deopt target (remapped by later passes)
-	guard  int32  // opStepIncrSlot: guard index
+	target int32  // branch target (remapped by later passes)
 	delta  int64  // opStepIncrSlot: literal increment
 	cstr   string // opInvokeCmpBr: vconsts[vconst].String(), precomputed
 }
@@ -202,14 +194,6 @@ func (site *invokeSite) revalidate(in *Interp) {
 		}
 	}
 	site.epoch = in.cmdEpoch
-}
-
-// guardInfo backs an opGuard: if any special form named by mask has been
-// shadowed, the VM abandons the inlined code and tree-walks the original
-// command AST instead.
-type guardInfo struct {
-	cmd  *command
-	mask uint32
 }
 
 // feInfo is the static half of a foreach loop: the loop variables (global
@@ -267,7 +251,6 @@ type Program struct {
 	vconsts []Value
 	plans   []concatPlan
 	invokes []invokeSite
-	guards  []guardInfo
 	wraps   []wrapCtx
 	fes     []feInfo
 	deltas  []int64
@@ -292,28 +275,6 @@ func (p *Program) loopAt(pc int32) *loopScope {
 		}
 	}
 	return best
-}
-
-// deopt executes the command an inlined special form was compiled from via
-// the tree-walker — the path behind a shadow guard whose name was rebound.
-// The step was already counted.
-func (in *Interp) deopt(g *guardInfo) (Value, error) {
-	res, err := in.evalCmdTree(g.cmd)
-	return Str(res), err
-}
-
-func (in *Interp) evalCmdTree(cmd *command) (string, error) {
-	words, err := in.expandCommand(cmd)
-	if err != nil {
-		return "", err
-	}
-	if len(words) == 0 {
-		in.putWords(words)
-		return "", nil
-	}
-	res, err := in.invoke(words, cmd.line)
-	in.putWords(words)
-	return res, err
 }
 
 // overBudget counts one step and reports whether it was one too many.
@@ -392,15 +353,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 		case opJump:
 			pc = i.a
 			continue
-
-		case opGuard:
-			if g := &p.guards[i.a]; in.shadowMask&g.mask != 0 {
-				if acc, err = in.deopt(g); err != nil {
-					break
-				}
-				pc = i.b
-				continue
-			}
 
 		case opPushConst:
 			in.vmStack = append(in.vmStack, Str(p.consts[i.a]))
@@ -583,22 +535,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 			in.vmFes = in.vmFes[:n]
 			acc = Value{}
 
-		case opStepGuard, opClearStepGuard:
-			if i.op == opClearStepGuard {
-				acc = Value{}
-			}
-			if in.overBudget() {
-				err = in.stepLimitErr(i.line)
-				break
-			}
-			if g := &p.guards[i.a]; in.shadowMask&g.mask != 0 {
-				if acc, err = in.deopt(g); err != nil {
-					break
-				}
-				pc = i.b
-				continue
-			}
-
 		case opStepInvoke, opInvokeCmpBr:
 			f := &p.fused[i.a]
 			if f.flags&fuseClearAcc != 0 {
@@ -679,11 +615,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 				in.vmStack = append(in.vmStack, acc.coerced())
 			}
 
-		case opClearJump:
-			acc = Value{}
-			pc = i.a
-			continue
-
 		case opConstBinop:
 			x := &in.vmStack[len(in.vmStack)-1]
 			*x, err = binop(i.b, x, &p.vconsts[i.a])
@@ -711,7 +642,7 @@ func (in *Interp) exec(p *Program) (Value, error) {
 				continue
 			}
 
-		case opSlotBinop, opSlotCmpBr:
+		case opSlotBinop:
 			f := &p.fused[i.a]
 			s := &in.gslots[f.slot]
 			if !s.set {
@@ -720,20 +651,8 @@ func (in *Interp) exec(p *Program) (Value, error) {
 			}
 			av := s.v.coerced()
 			var v Value
-			if v, err = binop(f.binop, &av, &p.vconsts[f.vconst]); err != nil {
-				break
-			}
-			if i.op == opSlotBinop {
+			if v, err = binop(f.binop, &av, &p.vconsts[f.vconst]); err == nil {
 				in.vmStack = append(in.vmStack, v)
-				break
-			}
-			var b bool
-			if b, err = v.truth(); err != nil {
-				break
-			}
-			if !b {
-				pc = f.target
-				continue
 			}
 
 		case opStepIncrSlot:
@@ -744,13 +663,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 			if in.overBudget() {
 				err = in.stepLimitErr(i.line)
 				break
-			}
-			if g := &p.guards[f.guard]; in.shadowMask&g.mask != 0 {
-				if acc, err = in.deopt(g); err != nil {
-					break
-				}
-				pc = f.target
-				continue
 			}
 			acc, err = in.incrSlot(f.slot, f.delta)
 
@@ -779,10 +691,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 		case opLeavePush:
 			in.depth--
 			in.vmStack = append(in.vmStack, acc)
-
-		case opSetSlotConst:
-			acc = Str(p.consts[i.b])
-			in.gslots[i.a] = gslot{v: acc, set: true}
 
 		case opVConst:
 			in.vmStack = append(in.vmStack, p.vconsts[i.a])
