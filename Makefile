@@ -3,7 +3,7 @@ GO ?= go
 .PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc
 
 # check is the full PR gate: vet, build, every test once plain and once
-# under the race detector, a short fuzz smoke over the script language, the
+# under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
 # journal parser and the conformance harness's sent-stream log, and a
 # one-iteration pass over every benchmark so they always compile.
 # Allocation budgets (alloc_budget_test.go: the filter

@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -34,13 +35,13 @@ import (
 func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size for the parallel sweep")
 	flag.Parse()
-	if err := run(*workers); err != nil {
+	if err := run(os.Stdout, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(workers int) error {
+func run(out io.Writer, workers int) error {
 	spec := campaign.Spec{
 		Protocol: "gmp",
 		Types:    []string{"HEARTBEAT", "MEMBERSHIP_CHANGE", "ACK", "COMMIT"},
@@ -50,21 +51,21 @@ func run(workers int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("generated %d test scripts from the %s specification, e.g.:\n\n",
+	fmt.Fprintf(out, "generated %d test scripts from the %s specification, e.g.:\n\n",
 		len(cases), spec.Protocol)
-	fmt.Println(cases[0].Name + ":")
-	fmt.Print("  " + cases[0].Script)
-	fmt.Println()
+	fmt.Fprintln(out, cases[0].Name+":")
+	fmt.Fprint(out, "  "+cases[0].Script)
+	fmt.Fprintln(out)
 
 	verdicts, serialStats, err := campaign.Run(spec, gmpScenario)
 	if err != nil {
 		return err
 	}
-	fmt.Print(campaign.Summary(verdicts, serialStats))
+	fmt.Fprint(out, campaign.Summary(verdicts, serialStats))
 	if fails := campaign.Failures(verdicts); len(fails) > 0 {
 		return fmt.Errorf("%d cases broke the healthy-pair invariant", len(fails))
 	}
-	fmt.Println("\nthe healthy pair converged under every generated fault")
+	fmt.Fprintln(out, "\nthe healthy pair converged under every generated fault")
 
 	// Sweep again through the worker pool: same verdicts, less wall clock.
 	parallel, parStats, err := campaign.RunParallel(spec, gmpScenario, campaign.Options{Workers: workers})
@@ -77,8 +78,8 @@ func run(workers int) error {
 			return fmt.Errorf("parallel sweep diverged from serial at %q", parallel[i].Case.Name)
 		}
 	}
-	fmt.Printf("\nserial:   %s\nparallel: %s\n", serialStats, parStats)
-	fmt.Printf("speedup with %d workers: %.2fx (identical verdicts)\n",
+	fmt.Fprintf(out, "\nserial:   %s\nparallel: %s\n", serialStats, parStats)
+	fmt.Fprintf(out, "speedup with %d workers: %.2fx (identical verdicts)\n",
 		parStats.Workers, serialStats.Elapsed.Seconds()/parStats.Elapsed.Seconds())
 	return nil
 }

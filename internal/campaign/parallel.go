@@ -363,10 +363,3 @@ func finish(verdicts []Verdict, done []bool, start time.Time, workers int, err e
 	}
 	return out, stats, err
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

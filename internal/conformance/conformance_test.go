@@ -207,6 +207,31 @@ func TestScenarioErrorsAreStructured(t *testing.T) {
 	}
 }
 
+// TestCrossNodeSync: the PFI layers of one world share a sync bus, so a
+// filter on one node waits for a signal a filter on another node raises —
+// the paper's "synchronizing scripts executed by PFI layers running on
+// different nodes".
+func TestCrossNodeSync(t *testing.T) {
+	r := Run(New("inline", `
+		world tcp
+		faultload xkernel receive {
+			if {![info exists armed]} {
+				set armed 1
+				sync_wait go {log synced}
+			}
+		}
+		faultload vendor send {
+			if {[msg_type cur_msg] eq "DATA"} { sync_signal go }
+		}
+		tcp_dial
+		expect_none xkernel script
+		tcp_stream 1 0
+		run 1s
+		expect xkernel script note synced count 1
+	`), Options{})
+	requireOK(t, r)
+}
+
 // TestWorldGuards: workload commands demand the right world kind.
 func TestWorldGuards(t *testing.T) {
 	for _, src := range []string{

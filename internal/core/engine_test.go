@@ -22,14 +22,6 @@ func TestEngineBuiltOnFirstUse(t *testing.T) {
 		t.Fatalf("stats without an engine: send %+v, receive %+v", send.Stats(), recv.Stats())
 	}
 
-	// A Go hook is not a script: still no engine.
-	send.SetHook(func(ctx *HookCtx) error { ctx.Drop(); return nil })
-	r.send(t, demoMsg(demoDATA, 2, "x"))
-	if send.interp != nil || send.Stats().Dropped != 1 {
-		t.Fatalf("hook run: engine built = %v, stats %+v", send.interp != nil, send.Stats())
-	}
-	send.SetHook(nil)
-
 	// SetScript builds this direction's engine only; the presets are there.
 	if err := r.layer.SetSendScript(`set where $pfi_node/$pfi_dir/$pfi_protocol`); err != nil {
 		t.Fatal(err)

@@ -74,14 +74,10 @@ func WithRand(r *dist.Source) Option {
 	return func(l *Layer) { l.rng = r }
 }
 
-// WithSyncBus joins the layer to a cross-node synchronization bus.
+// WithSyncBus joins the layer to a cross-node synchronization bus; without
+// it the layer gets a private one.
 func WithSyncBus(b *SyncBus) Option {
 	return func(l *Layer) { l.bus = b }
-}
-
-// WithName overrides the layer's stack name (default "pfi").
-func WithName(name string) Option {
-	return func(l *Layer) { l.base = stack.NewBase(name) }
 }
 
 // NewLayer builds a PFI layer for the given node environment.
@@ -92,13 +88,15 @@ func NewLayer(env *stack.Env, opts ...Option) *Layer {
 		stub: NopStub{},
 		log:  trace.NewLog(),
 		rng:  dist.NewSource(1),
-		bus:  NewSyncBus(),
 	}
 	for _, opt := range opts {
 		opt(l)
 	}
-	l.send = newFilter(l, Send)
-	l.recv = newFilter(l, Receive)
+	if l.bus == nil {
+		l.bus = NewSyncBus()
+	}
+	l.send = &Filter{layer: l, dir: Send}
+	l.recv = &Filter{layer: l, dir: Receive}
 	return l
 }
 
@@ -169,88 +167,24 @@ type verdict struct {
 	dupGap   time.Duration // spacing between copies
 }
 
-// Hook is a Go-native filter, for callers who prefer compiled filters to
-// Tcl. It runs after the script (if both are set).
-type Hook func(ctx *HookCtx) error
-
-// HookCtx exposes the current message and the fault-injection verbs to a
-// Go hook.
-type HookCtx struct {
-	filter *Filter
-	// Msg is the message traversing the filter, valid for this hook run: a
-	// hook that stores it calls Msg.Keep() (see stack.Layer).
-	Msg *message.Message
-	// Info is the stub's recognition result.
-	Info Info
-	// Dir is the filter's direction.
-	Dir Direction
-}
-
-// Now returns the virtual time.
-func (c *HookCtx) Now() time.Duration { return time.Duration(c.filter.layer.env.Now()) }
-
-// Drop discards the current message.
-func (c *HookCtx) Drop() { c.filter.cur.drop = true }
-
-// Delay forwards the current message after d.
-func (c *HookCtx) Delay(d time.Duration) { c.filter.cur.delay = d }
-
-// Duplicate forwards n extra copies spaced gap apart.
-func (c *HookCtx) Duplicate(n int, gap time.Duration) {
-	c.filter.cur.dupExtra = n
-	c.filter.cur.dupGap = gap
-}
-
-// Hold parks the message on the filter's hold queue. The message joins the
-// queue immediately, so a Release in the same filter run includes it.
-func (c *HookCtx) Hold() { c.filter.holdNow() }
-
-// Release forwards up to n held messages in FIFO order (n<=0: all).
-func (c *HookCtx) Release(n int) error { return c.filter.release(n, false) }
-
-// ReleaseLIFO forwards all held messages newest-first (reordering).
-func (c *HookCtx) ReleaseLIFO() error { return c.filter.release(0, true) }
-
-// Inject generates a message via the stub and forwards it in the filter's
-// direction.
-func (c *HookCtx) Inject(typ string, fields map[string]string) error {
-	return c.filter.inject(typ, fields, c.Dir)
-}
-
-// Log writes a trace entry stamped with the node and virtual time.
-func (c *HookCtx) Log(kind, note string) {
-	f := c.filter
-	f.layer.log.Addf(f.layer.env.Now(), f.layer.env.Node, kind, c.Info.Type, 0, note)
-}
-
 // Filter is one direction of a PFI layer: an interpreter, an optional
-// parsed script, an optional Go hook, and a hold queue.
+// parsed script, and a hold queue.
 type Filter struct {
 	layer    *Layer
 	dir      Direction
-	interp   *script.Interp // nil until engine() first needs it
-	compiled *script.Script
-	prepared *script.Prepared
-	hook     Hook
+	interp   *script.Interp   // nil until engine() first needs it
+	prepared *script.Prepared // the installed script; nil: pass everything
 	held     []*message.Message
 	stats    Stats
 	header   Header // owned decode storage; nil until a HeaderStub's first message
 
-	// Per-message state, valid only during process(). verdictBuf and
-	// hookCtx are reused across messages — process() is strictly
-	// sequential per filter, so one buffer of each suffices and the
-	// per-message allocations disappear.
+	// Per-message state, valid only during process(). verdictBuf is reused
+	// across messages — process() is strictly sequential per filter, so one
+	// buffer suffices and the per-message allocation disappears.
 	curMsg     *message.Message
 	curInfo    Info
 	cur        *verdict
 	verdictBuf verdict
-	hookCtx    HookCtx
-}
-
-func newFilter(l *Layer, dir Direction) *Filter {
-	f := &Filter{layer: l, dir: dir}
-	f.hookCtx = HookCtx{filter: f, Dir: dir}
-	return f
 }
 
 // engine returns the filter's interpreter, building it on first use: most
@@ -285,22 +219,18 @@ func (f *Filter) HeldCount() int { return len(f.held) }
 // SetScript parses and installs the filter script. An empty src clears it.
 func (f *Filter) SetScript(src string) error {
 	if src == "" {
-		f.compiled, f.prepared = nil, nil
+		f.prepared = nil
 		return nil
 	}
 	s, err := script.Parse(src)
 	if err != nil {
 		return fmt.Errorf("core: %s filter script: %w", f.dir, err)
 	}
-	f.compiled = s
 	// Compile once at registration: process() then skips the per-message
 	// source-cache lookup.
 	f.prepared = f.engine().Prepare(s)
 	return nil
 }
-
-// SetHook installs a Go-native filter hook (nil clears).
-func (f *Filter) SetHook(h Hook) { f.hook = h }
 
 // peer returns the other filter of the same layer.
 func (f *Filter) peer() *Filter {
@@ -333,25 +263,15 @@ func (f *Filter) recognize(m *message.Message) Info {
 // process runs the filter over one message and applies the verdict.
 func (f *Filter) process(m *message.Message) error {
 	f.stats.Seen++
-	if f.compiled == nil && f.hook == nil {
+	if f.prepared == nil {
 		return f.layer.forward(f.dir, m)
 	}
 	f.verdictBuf = verdict{}
 	f.curMsg, f.curInfo, f.cur = m, f.recognize(m), &f.verdictBuf
 	defer func() { f.curMsg, f.curInfo, f.cur = nil, Info{}, nil }()
 
-	if f.prepared != nil {
-		if _, err := f.prepared.Run(); err != nil {
-			return fmt.Errorf("core: %s filter on %s: %w", f.dir, f.layer.env.Node, err)
-		}
-	}
-	if f.hook != nil {
-		f.hookCtx.Msg, f.hookCtx.Info = m, f.hookInfo()
-		err := f.hook(&f.hookCtx)
-		f.hookCtx.Msg, f.hookCtx.Info = nil, Info{}
-		if err != nil {
-			return fmt.Errorf("core: %s hook on %s: %w", f.dir, f.layer.env.Node, err)
-		}
+	if _, err := f.prepared.Run(); err != nil {
+		return fmt.Errorf("core: %s filter on %s: %w", f.dir, f.layer.env.Node, err)
 	}
 	return f.apply(m, &f.verdictBuf)
 }
@@ -377,25 +297,6 @@ func (f *Filter) fieldValue(name string) script.Value {
 		return script.Str(f.curMsg.Src())
 	}
 	return script.Value{}
-}
-
-// hookInfo is the recognition result a Go hook sees: every field rendered
-// into a map, with the same dst/src fallback fieldValue applies. Only the
-// hook path pays for the map.
-func (f *Filter) hookInfo() Info {
-	var fields map[string]string
-	if f.curInfo.Fields != nil {
-		fields = f.curInfo.Fields.Fields()
-	}
-	if fields == nil {
-		fields = map[string]string{}
-	}
-	for _, name := range [...]string{"dst", "src"} {
-		if v := f.fieldValue(name).String(); v != "" {
-			fields[name] = v
-		}
-	}
-	return Info{Type: f.curInfo.Type, Fields: FieldMap(fields)}
 }
 
 // holdNow parks the current message on the hold queue immediately (so a

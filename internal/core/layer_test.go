@@ -310,6 +310,25 @@ func TestInjectProbe(t *testing.T) {
 	}
 }
 
+// An xInject without a direction goes the filter's own way: from the
+// receive filter, up to the app alongside the message that triggered it.
+func TestInjectDefaultsToFilterDirection(t *testing.T) {
+	r := newRig(t)
+	if err := r.layer.SetReceiveScript(`
+		if {[msg_type cur_msg] eq "DATA"} { xInject ACK [list seq [msg_field cur_msg seq]] }
+	`); err != nil {
+		t.Fatal(err)
+	}
+	r.deliver(t, demoMsg(demoDATA, 8, ""))
+	if len(r.toApp) != 2 || len(r.toNet) != 0 {
+		t.Fatalf("toApp=%d toNet=%d, want DATA + injected ACK up", len(r.toApp), len(r.toNet))
+	}
+	// The ACK leaves during the script run, before the DATA's verdict.
+	if typ, _ := r.toApp[0].ByteAt(0); typ != demoACK {
+		t.Fatalf("first delivery has type %d, want the injected ACK", typ)
+	}
+}
+
 func TestInjectUpDeceivesTarget(t *testing.T) {
 	r := newRig(t)
 	if err := r.layer.SetSendScript(`
@@ -549,58 +568,6 @@ func TestUnrecognizedPacketStillForwarded(t *testing.T) {
 	r.send(t, message.New([]byte{0xFF})) // too short for the demo stub
 	if len(r.toNet) != 1 {
 		t.Fatal("unrecognizable packet was not forwarded")
-	}
-}
-
-func TestGoHook(t *testing.T) {
-	r := newRig(t)
-	var seen []string
-	r.layer.SendFilter().SetHook(func(ctx *HookCtx) error {
-		seen = append(seen, ctx.Info.Type)
-		if ctx.Info.Type == "ACK" {
-			ctx.Drop()
-		}
-		return nil
-	})
-	r.send(t, demoMsg(demoACK, 1, ""))
-	r.send(t, demoMsg(demoDATA, 2, ""))
-	if len(r.toNet) != 1 {
-		t.Fatalf("hook forwarded %d, want 1", len(r.toNet))
-	}
-	if len(seen) != 2 || seen[0] != "ACK" || seen[1] != "DATA" {
-		t.Fatalf("hook saw %v", seen)
-	}
-}
-
-func TestHookRunsAfterScript(t *testing.T) {
-	r := newRig(t)
-	if err := r.layer.SetSendScript(`msg_set_byte cur_msg 1 42`); err != nil {
-		t.Fatal(err)
-	}
-	var seqSeen byte
-	r.layer.SendFilter().SetHook(func(ctx *HookCtx) error {
-		seqSeen, _ = ctx.Msg.ByteAt(1)
-		return nil
-	})
-	r.send(t, demoMsg(demoDATA, 1, ""))
-	if seqSeen != 42 {
-		t.Fatalf("hook saw seq %d, want script's corruption 42", seqSeen)
-	}
-}
-
-func TestHookInject(t *testing.T) {
-	r := newRig(t)
-	r.layer.ReceiveFilter().SetHook(func(ctx *HookCtx) error {
-		if ctx.Info.Type == "DATA" {
-			return ctx.Inject("ACK", map[string]string{"seq": ctx.Info.Field("seq")})
-		}
-		return nil
-	})
-	r.deliver(t, demoMsg(demoDATA, 8, ""))
-	// Hook is on the receive filter; Inject defaults to the filter's own
-	// direction (up), so the fake ACK goes to the app alongside the DATA.
-	if len(r.toApp) != 2 {
-		t.Fatalf("toApp=%d, want DATA + injected ACK", len(r.toApp))
 	}
 }
 

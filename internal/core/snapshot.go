@@ -11,7 +11,7 @@ import (
 // the two filters; each filter adds script state (interpreter globals and
 // procs), the hold queue, pending delayed forwards (found on the
 // scheduler's queue, which carries them), and counters. Pointers — held
-// messages, compiled scripts, hooks — are retained so the events the
+// messages, compiled scripts — are retained so the events the
 // scheduler holds stay valid; message content is saved/restored by value.
 
 // busState is a SyncBus's flags and pending waiters.
@@ -62,9 +62,7 @@ type heldMsg struct {
 
 // filterState is one filter's mutable state.
 type filterState struct {
-	compiled *script.Script
 	prepared *script.Prepared
-	hook     Hook
 	held     []heldMsg
 	delayed  []heldMsg
 	stats    Stats
@@ -73,12 +71,7 @@ type filterState struct {
 }
 
 func (f *Filter) snapshotState() *filterState {
-	st := &filterState{
-		compiled: f.compiled,
-		prepared: f.prepared,
-		hook:     f.hook,
-		stats:    f.stats,
-	}
+	st := &filterState{prepared: f.prepared, stats: f.stats}
 	if st.engine = f.interp; st.engine != nil {
 		st.interp = st.engine.SnapshotState()
 	}
@@ -95,9 +88,7 @@ func (f *Filter) snapshotState() *filterState {
 }
 
 func (f *Filter) restoreState(st *filterState) {
-	f.compiled = st.compiled
 	f.prepared = st.prepared
-	f.hook = st.hook
 	f.stats = st.stats
 	// A capture taken before the engine was built restores "no engine":
 	// whatever a fork installed since goes with it, and the next use builds

@@ -4,7 +4,9 @@
 // A PFI layer is inserted between two consecutive layers of a protocol
 // stack (stack.Stack.InsertBelow). Every message pushed down runs the
 // layer's *send filter* script; every message popped up runs its *receive
-// filter* script. Scripts are Tcl (internal/script) and can:
+// filter* script. A filter is a script and nothing else, so testing another
+// failure scenario means installing another script. Scripts are Tcl
+// (internal/script) and can:
 //
 //   - filter: inspect messages via recognition stubs (msg_type, msg_field),
 //   - manipulate: drop, delay, reorder, duplicate, and corrupt messages
@@ -51,9 +53,6 @@ type FieldSource interface {
 	// Field renders one header field ("" when the header has none by that
 	// name).
 	Field(name string) string
-	// Fields renders every field into a map the caller may add to. The PFI
-	// layer calls it only when a Go Hook is installed.
-	Fields() map[string]string
 }
 
 // Header is decoded-header storage a filter owns. A filter whose stub is a
@@ -61,7 +60,7 @@ type FieldSource interface {
 // recognizes into that same storage — so recognition allocates nothing per
 // message, and what FieldSource already says holds strictly: the header a
 // run reads is overwritten by the filter's next run. The PFI layer never
-// reads it outside the run (a Go hook is handed a rendered copy).
+// reads it outside the run.
 type Header interface {
 	FieldSource
 	// Recognize decodes m into the header, replacing what it held, and
@@ -90,9 +89,6 @@ type FieldMap map[string]string
 
 // Field implements FieldSource.
 func (m FieldMap) Field(name string) string { return m[name] }
-
-// Fields implements FieldSource.
-func (m FieldMap) Fields() map[string]string { return m }
 
 // Stub is a packet recognition/generation stub: the protocol-specific
 // knowledge plugged into a PFI layer. Stubs are "written by people who know

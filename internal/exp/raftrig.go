@@ -54,6 +54,7 @@ func NewRaftRig(n int, opts ...raft.Option) (*RaftRig, error) {
 	log := trace.NewLog()
 	w.Snapshots().Register("log", log)
 	r := &RaftRig{W: w, Log: log, Names: names, Ms: make(map[string]*RaftMember, n)}
+	bus := core.NewSyncBus()
 	for _, name := range names {
 		node, err := w.AddNode(name)
 		if err != nil {
@@ -67,7 +68,7 @@ func NewRaftRig(n int, opts ...raft.Option) (*RaftRig, error) {
 		if err != nil {
 			return nil, err
 		}
-		pfi := core.NewLayer(node.Env(), core.WithStub(raft.PFIStub{}), core.WithTrace(log))
+		pfi := core.NewLayer(node.Env(), core.WithStub(raft.PFIStub{}), core.WithTrace(log), core.WithSyncBus(bus))
 		stk := stack.New(node.Env(), rl, pfi)
 		node.SetStack(stk)
 		w.Snapshots().Register("raft:"+name, rl)

@@ -11,7 +11,9 @@
 // The rigs (NewTCPRig, NewGMPRig) are exported so the conformance runner
 // can replay declarative .pfi scenarios against the same worlds the paper's
 // experiments use. Every layer of a rig logs into one shared trace.Log, so
-// a rig's whole run serializes to a single canonical golden trace.
+// a rig's whole run serializes to a single canonical golden trace, and the
+// PFI layers of a rig share one core.SyncBus, so filters on different nodes
+// can synchronize (sync_signal/sync_wait).
 package exp
 
 import (
@@ -49,7 +51,7 @@ type TCPRig struct {
 	XK     *TCPEndpoint
 }
 
-func newTCPEndpoint(w *netsim.World, name string, prof tcp.Profile, log *trace.Log) (*TCPEndpoint, error) {
+func newTCPEndpoint(w *netsim.World, name string, prof tcp.Profile, log *trace.Log, bus *core.SyncBus) (*TCPEndpoint, error) {
 	node, err := w.AddNode(name)
 	if err != nil {
 		return nil, err
@@ -58,7 +60,7 @@ func newTCPEndpoint(w *netsim.World, name string, prof tcp.Profile, log *trace.L
 	if err != nil {
 		return nil, err
 	}
-	pl := core.NewLayer(node.Env(), core.WithStub(tcp.PFIStub{}), core.WithTrace(log))
+	pl := core.NewLayer(node.Env(), core.WithStub(tcp.PFIStub{}), core.WithTrace(log), core.WithSyncBus(bus))
 	stk := stack.New(node.Env(), tl, pl)
 	node.SetStack(stk)
 	w.Snapshots().Register("tcp:"+name, tl)
@@ -73,11 +75,12 @@ func NewTCPRig(prof tcp.Profile) (*TCPRig, error) {
 	w := netsim.NewWorld(1995)
 	log := trace.NewLog()
 	w.Snapshots().Register("log", log)
-	vendor, err := newTCPEndpoint(w, "vendor", prof, log)
+	bus := core.NewSyncBus()
+	vendor, err := newTCPEndpoint(w, "vendor", prof, log, bus)
 	if err != nil {
 		return nil, err
 	}
-	xk, err := newTCPEndpoint(w, "xkernel", tcp.XKernel(), log)
+	xk, err := newTCPEndpoint(w, "xkernel", tcp.XKernel(), log, bus)
 	if err != nil {
 		return nil, err
 	}
@@ -148,13 +151,14 @@ func NewGMPRig(names []string, opts ...gmp.Option) (*GMPRig, error) {
 	log := trace.NewLog()
 	w.Snapshots().Register("log", log)
 	r := &GMPRig{W: w, Log: log, Names: names, Ms: make(map[string]*GMPMember)}
+	bus := core.NewSyncBus()
 	for _, name := range names {
 		node, err := w.AddNode(name)
 		if err != nil {
 			return nil, err
 		}
 		net := rudp.NewLayer(node.Env())
-		pfi := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}), core.WithTrace(log))
+		pfi := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}), core.WithTrace(log), core.WithSyncBus(bus))
 		stk := stack.New(node.Env(), net, pfi)
 		node.SetStack(stk)
 		gmd, err := gmp.New(node.Env(), net, names, append([]gmp.Option{gmp.WithTrace(log)}, opts...)...)

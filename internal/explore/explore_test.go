@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pfi/internal/dist"
+	"pfi/internal/harden"
 	"pfi/internal/tcp"
 	"pfi/internal/trace"
 )
@@ -71,7 +72,7 @@ func TestSeedCorpusEvaluates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d does not compile: %v", i, err)
 		}
-		o := Evaluate(s, tcp.SunOS413())
+		o := EvaluateWith(s, tcp.SunOS413(), harden.Config{})
 		for _, v := range o.Violations {
 			if v.Kind == ViolExecError {
 				t.Fatalf("seed %d fails to execute: %s\nscenario:\n%s", i, v.Detail, src)
@@ -88,8 +89,8 @@ func TestSeedCorpusEvaluates(t *testing.T) {
 // determinism guarantee stands on.
 func TestEvaluateDeterministic(t *testing.T) {
 	for i, s := range seedCorpus() {
-		a := Evaluate(s, tcp.SunOS413())
-		b := Evaluate(s, tcp.SunOS413())
+		a := EvaluateWith(s, tcp.SunOS413(), harden.Config{})
+		b := EvaluateWith(s, tcp.SunOS413(), harden.Config{})
 		if a.Cov.Fingerprint() != b.Cov.Fingerprint() {
 			t.Errorf("seed %d: coverage differs across identical runs", i)
 		}

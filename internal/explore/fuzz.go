@@ -114,7 +114,7 @@ func (o Options) withDefaults() Options {
 	if o.evaluate == nil {
 		cfg := o.Harden
 		o.evaluate = func(s Schedule, prof tcp.Profile) *Outcome {
-			return evaluate(s, prof, cfg)
+			return EvaluateWith(s, prof, cfg)
 		}
 	}
 	return o

@@ -28,7 +28,7 @@ func crashingEvaluate(s Schedule, prof tcp.Profile) *Outcome {
 	case '4', '5':
 		mode = "stall"
 	default:
-		return evaluate(s, prof, harden.Config{})
+		return EvaluateWith(s, prof, harden.Config{})
 	}
 	out := &Outcome{Schedule: s, Cov: &Coverage{}}
 	iso := harden.Run(harden.Config{StallSteps: 32}, func(m *harden.Monitor) error {

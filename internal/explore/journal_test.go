@@ -56,7 +56,7 @@ func TestFuzzJournalResumeMidGeneration(t *testing.T) {
 		if evals == stop {
 			cancel()
 		}
-		return evaluate(s, prof, opts.Harden)
+		return EvaluateWith(s, prof, opts.Harden)
 	}
 	if _, err := Fuzz(opts); err == nil {
 		t.Fatal("interrupted run should return the context error")
@@ -161,7 +161,7 @@ func TestFuzzJournalResumeComplete(t *testing.T) {
 		Seed: 3, Budget: budget, BatchSize: batch, Journal: jl2,
 		evaluate: func(s Schedule, prof tcp.Profile) *Outcome {
 			t.Error("complete journal re-evaluated schedule " + s.Key())
-			return evaluate(s, prof, harden.Config{})
+			return EvaluateWith(s, prof, harden.Config{})
 		},
 	})
 	if err != nil {

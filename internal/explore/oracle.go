@@ -112,26 +112,15 @@ type Outcome struct {
 	Violations []Violation
 }
 
-// Evaluate compiles and runs one schedule in a fresh world, hashes its
-// trace into a coverage map, and applies the oracles. It never panics:
-// the conformance runner executes the world through the harden isolation
-// layer, so a panicking protocol stack comes back as a tool-fault
-// violation, a stalled one as livelock, an over-budget one as
-// budget-exceeded.
-func Evaluate(s Schedule, prof tcp.Profile) *Outcome {
-	return evaluate(s, prof, harden.Config{})
-}
-
-// EvaluateWith is Evaluate with an explicit isolation policy — fleet
-// workers thread the job's wire-carried harden config through here so a
-// remotely evaluated schedule is judged exactly like a local one.
+// EvaluateWith compiles and runs one schedule in a fresh world under the
+// isolation policy cfg, hashes its trace into a coverage map, and applies
+// the oracles. It never panics: the conformance runner executes the world
+// through the harden isolation layer, so a panicking protocol stack comes
+// back as a tool-fault violation, a stalled one as livelock, an over-budget
+// one as budget-exceeded. Fuzzing runs thread Options.Harden through here,
+// and fleet workers the job's wire-carried config, so a remotely evaluated
+// schedule is judged exactly like a local one.
 func EvaluateWith(s Schedule, prof tcp.Profile, cfg harden.Config) *Outcome {
-	return evaluate(s, prof, cfg)
-}
-
-// evaluate is Evaluate with an explicit isolation policy (fuzzing runs
-// thread Options.Harden through here).
-func evaluate(s Schedule, prof tcp.Profile, cfg harden.Config) *Outcome {
 	src, err := Compile(s)
 	if err != nil {
 		return compileErrOutcome(s, err)

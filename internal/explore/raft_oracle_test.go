@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pfi/internal/conformance"
+	"pfi/internal/harden"
 	"pfi/internal/tcp"
 )
 
@@ -18,7 +19,7 @@ func TestRaftSeedsBugFree(t *testing.T) {
 	seeds := append(RaftSeedCorpus(5, ""),
 		RaftStaleLeaderProbe(""), RaftDoubleVoteProbe(""))
 	for i, s := range seeds {
-		out := Evaluate(s, tcp.SunOS413())
+		out := EvaluateWith(s, tcp.SunOS413(), harden.Config{})
 		if len(out.Violations) > 0 {
 			t.Errorf("bug-free seed %d (%s): unexpected violations %v", i, s.Hash(), out.Violations)
 		}

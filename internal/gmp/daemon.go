@@ -100,11 +100,6 @@ type Daemon struct {
 // Option configures a Daemon.
 type Option func(*Daemon)
 
-// WithConfig overrides the protocol timing.
-func WithConfig(c Config) Option {
-	return func(d *Daemon) { d.cfg = c }
-}
-
 // WithBugs enables historical bugs.
 func WithBugs(b Bugs) Option {
 	return func(d *Daemon) { d.bugs = b }

@@ -433,7 +433,7 @@ func TestConfigValidation(t *testing.T) {
 func TestDaemonAccessorsAndDumpState(t *testing.T) {
 	names := []string{"n1", "n2"}
 	lg := trace.NewLog()
-	c := newCluster(t, names, gmp.WithConfig(gmp.DefaultConfig()), gmp.WithTrace(lg))
+	c := newCluster(t, names, gmp.WithTrace(lg))
 	c.startAll()
 	c.w.RunFor(settle)
 	d := c.ms["n1"].gmd

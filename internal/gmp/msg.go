@@ -163,9 +163,6 @@ func getStr(r *message.Reader, first string, rest []string) (string, error) {
 	return s, nil
 }
 
-// fieldNames lists what Field renders, in Fields' order.
-var fieldNames = [...]string{"origin", "sender", "gen", "members"}
-
 // IntField reads the one numeric header field, gen, for PFI filter scripts.
 func (m Msg) IntField(name string) (int64, bool) {
 	return int64(m.Gen), name == "gen"
@@ -184,15 +181,6 @@ func (m Msg) Field(name string) string {
 		return strings.Join(m.Members, ",")
 	}
 	return ""
-}
-
-// Fields exposes the whole message to PFI filter scripts.
-func (m Msg) Fields() map[string]string {
-	f := make(map[string]string, len(fieldNames))
-	for _, name := range fieldNames {
-		f[name] = m.Field(name)
-	}
-	return f
 }
 
 // Group is a committed membership view.

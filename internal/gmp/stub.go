@@ -89,18 +89,6 @@ func (r *framed) Field(name string) string {
 	return r.msg.Field(name)
 }
 
-// Fields implements core.FieldSource.
-func (r *framed) Fields() map[string]string {
-	if r.ack {
-		return r.frame.Fields()
-	}
-	fields := r.msg.Fields()
-	for k, v := range r.frame.Fields() {
-		fields["rudp_"+k] = v
-	}
-	return fields
-}
-
 // Generate implements core.Stub: it builds a GMP message wrapped in an
 // unreliable (RAW) rudp frame, since the PFI layer cannot update the
 // reliability layer's sequence state — the same constraint the paper

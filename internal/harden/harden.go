@@ -120,11 +120,6 @@ type Budget struct {
 	Timers int
 }
 
-// enabled reports whether any cap is set.
-func (b Budget) enabled() bool {
-	return b.TraceEntries > 0 || b.ScriptSteps > 0 || b.InjectedMsgs > 0 || b.Timers > 0
-}
-
 // Config describes one hardened run.
 type Config struct {
 	// Timeout is the per-run wall-clock deadline (0: none). Checked

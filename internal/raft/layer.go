@@ -28,15 +28,6 @@ func NewLayer(env *stack.Env, peers []string, opts ...Option) (*Layer, error) {
 	return l, nil
 }
 
-// MustNewLayer is NewLayer for rig setup code.
-func MustNewLayer(env *stack.Env, peers []string, opts ...Option) *Layer {
-	l, err := NewLayer(env, peers, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Node returns the consensus state machine.
 func (l *Layer) Node() *Node { return l.node }
 

@@ -221,15 +221,6 @@ func decode(raw []byte, src string, peers []string) (Msg, error) {
 	return m, nil
 }
 
-// fieldNames lists, per message type, what Field renders beyond "from"
-// and "term".
-var fieldNames = [...][]string{
-	TypeRequestVote: {"last_index", "last_term"},
-	TypeVoteResp:    {"granted"},
-	TypeAppend:      {"prev_index", "prev_term", "commit", "entries", "data"},
-	TypeAppendResp:  {"success", "match"},
-}
-
 // numField reads one numeric header field (a flag reads 0 or 1); ok is
 // false for a field the message's type does not carry, and for the two
 // that are text.
@@ -295,17 +286,4 @@ func (m Msg) Field(name string) string {
 		return strings.Join(vals, ",")
 	}
 	return ""
-}
-
-// Fields exposes the whole message to PFI filter scripts.
-func (m Msg) Fields() map[string]string {
-	f := map[string]string{"from": m.From, "term": m.Field("term")}
-	if int(m.Type) < len(fieldNames) {
-		for _, name := range fieldNames[m.Type] {
-			if name != "data" || len(m.Entries) > 0 {
-				f[name] = m.Field(name)
-			}
-		}
-	}
-	return f
 }

@@ -137,11 +137,6 @@ type Node struct {
 // Option configures a Node.
 type Option func(*Node)
 
-// WithConfig overrides the protocol timing.
-func WithConfig(c Config) Option {
-	return func(n *Node) { n.cfg = c }
-}
-
 // WithBugs enables seeded bugs.
 func WithBugs(b Bugs) Option {
 	return func(n *Node) { n.bugs = b }

@@ -31,7 +31,7 @@ const (
 // HeaderLen is the frame header size: kind(1) + seq(4).
 const HeaderLen = 5
 
-// Defaults for the retransmission machinery.
+// The retransmission machinery's timeout and retry bound.
 const (
 	DefaultRTO        = 500 * time.Millisecond
 	DefaultMaxRetries = 5
@@ -73,9 +73,6 @@ func Decode(m *message.Message) (Frame, error) {
 	return Frame{Kind: raw[0], Seq: binary.BigEndian.Uint32(raw[1:]), Payload: raw[HeaderLen:]}, nil
 }
 
-// fieldNames lists what Field renders, in Fields' order.
-var fieldNames = [...]string{"kind", "seq", "len"}
-
 // IntField reads one numeric header field (seq, len) for PFI scripts.
 func (f Frame) IntField(name string) (int64, bool) {
 	switch name {
@@ -97,15 +94,6 @@ func (f Frame) Field(name string) string {
 		return f.KindName()
 	}
 	return ""
-}
-
-// Fields renders every header field.
-func (f Frame) Fields() map[string]string {
-	m := make(map[string]string, len(fieldNames))
-	for _, name := range fieldNames {
-		m[name] = f.Field(name)
-	}
-	return m
 }
 
 // DeliverFunc receives an inbound datagram's payload. The slice aliases the
@@ -159,15 +147,13 @@ func (p *peerState) markDelivered(seq uint32) {
 
 // Layer is the reliable-UDP layer.
 type Layer struct {
-	base       stack.Base
-	env        *stack.Env
-	rto        time.Duration
-	maxRetries int
-	peers      map[string]*peerState
-	pending    map[string]map[uint32]*pendingSend // dst -> seq -> send
-	deliver    DeliverFunc
-	onGiveUp   func(dst string, payload []byte)
-	stats      Stats
+	base     stack.Base
+	env      *stack.Env
+	peers    map[string]*peerState
+	pending  map[string]map[uint32]*pendingSend // dst -> seq -> send
+	deliver  DeliverFunc
+	onGiveUp func(dst string, payload []byte)
+	stats    Stats
 }
 
 var _ stack.Layer = (*Layer)(nil)
@@ -181,33 +167,14 @@ type Stats struct {
 	Duplicates  int
 }
 
-// Option configures the layer.
-type Option func(*Layer)
-
-// WithRTO overrides the retransmission timeout.
-func WithRTO(d time.Duration) Option {
-	return func(l *Layer) { l.rto = d }
-}
-
-// WithMaxRetries overrides the retry bound.
-func WithMaxRetries(n int) Option {
-	return func(l *Layer) { l.maxRetries = n }
-}
-
 // NewLayer builds a reliable-UDP layer.
-func NewLayer(env *stack.Env, opts ...Option) *Layer {
-	l := &Layer{
-		base:       stack.NewBase("rudp"),
-		env:        env,
-		rto:        DefaultRTO,
-		maxRetries: DefaultMaxRetries,
-		peers:      make(map[string]*peerState),
-		pending:    make(map[string]map[uint32]*pendingSend),
+func NewLayer(env *stack.Env) *Layer {
+	return &Layer{
+		base:    stack.NewBase("rudp"),
+		env:     env,
+		peers:   make(map[string]*peerState),
+		pending: make(map[string]map[uint32]*pendingSend),
 	}
-	for _, opt := range opts {
-		opt(l)
-	}
-	return l
 }
 
 // Name implements stack.Layer.
@@ -283,7 +250,7 @@ func (l *Layer) ship(dst string, f Frame) error {
 }
 
 func (l *Layer) armRetransmit(ps *pendingSend) {
-	l.env.Sched.Arm(&ps.Event, l.rto, "rudp-rtx", ps)
+	l.env.Sched.Arm(&ps.Event, DefaultRTO, "rudp-rtx", ps)
 }
 
 func (l *Layer) onRetransmit(ps *pendingSend) {
@@ -291,7 +258,7 @@ func (l *Layer) onRetransmit(ps *pendingSend) {
 	if !ok || cur != ps {
 		return // acked in the meantime
 	}
-	if ps.retries >= l.maxRetries {
+	if ps.retries >= DefaultMaxRetries {
 		delete(l.pending[ps.dst], ps.frame.Seq)
 		l.stats.GiveUps++
 		if l.onGiveUp != nil {

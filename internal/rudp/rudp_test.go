@@ -167,9 +167,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	if (&rudp.Frame{Kind: 99}).KindName() != "UNKNOWN" {
 		t.Fatal("unknown kind name")
 	}
-	fields := f.Fields()
-	if fields["kind"] != "DATA" || fields["seq"] != "77" || fields["len"] != "1" {
-		t.Fatalf("fields %v", fields)
+	for _, tt := range []struct{ name, want string }{
+		{"kind", "DATA"}, {"seq", "77"}, {"len", "1"}, {"src", ""},
+	} {
+		if got := f.Field(tt.name); got != tt.want {
+			t.Errorf("Field(%s) = %q, want %q", tt.name, got, tt.want)
+		}
 	}
 }
 

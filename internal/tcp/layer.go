@@ -63,15 +63,6 @@ func NewLayer(env *stack.Env, prof Profile, opts ...LayerOption) (*Layer, error)
 	return l, nil
 }
 
-// MustNewLayer is NewLayer for known-good profiles in setup code.
-func MustNewLayer(env *stack.Env, prof Profile, opts ...LayerOption) *Layer {
-	l, err := NewLayer(env, prof, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return l
-}
-
 // Profile returns the layer's behaviour profile.
 func (l *Layer) Profile() Profile { return l.prof }
 

@@ -137,9 +137,6 @@ func Decode(m *message.Message) (Segment, error) {
 	}, nil
 }
 
-// fieldNames lists what Field renders, in Fields' order.
-var fieldNames = [...]string{"srcport", "dstport", "seq", "ack", "flags", "win", "len"}
-
 // IntField reads one numeric header field (every field but flags) for
 // filter scripts — Segment is the core.Header the PFI stub decodes into.
 func (s Segment) IntField(name string) (int64, bool) {
@@ -169,15 +166,6 @@ func (s Segment) Field(name string) string {
 		return s.FlagNames()
 	}
 	return ""
-}
-
-// Fields renders the whole header as a string map.
-func (s Segment) Fields() map[string]string {
-	f := make(map[string]string, len(fieldNames))
-	for _, name := range fieldNames {
-		f[name] = s.Field(name)
-	}
-	return f
 }
 
 // seqLess reports a < b in 32-bit sequence arithmetic.

@@ -97,17 +97,16 @@ func TestSeqArithmeticWraps(t *testing.T) {
 	}
 }
 
+// TestFields pins every field a filter script can read off a segment.
 func TestFields(t *testing.T) {
-	seg := &Segment{SrcPort: 1, DstPort: 2, Seq: 3, Ack: 4,
+	seg := Segment{SrcPort: 1, DstPort: 2, Seq: 3, Ack: 4,
 		Flags: FlagSYN | FlagACK, Window: 5, Payload: []byte("xy")}
-	f := seg.Fields()
-	want := map[string]string{
-		"srcport": "1", "dstport": "2", "seq": "3", "ack": "4",
-		"flags": "SYN|ACK", "win": "5", "len": "2",
-	}
-	for k, v := range want {
-		if f[k] != v {
-			t.Errorf("Fields[%s] = %q, want %q", k, f[k], v)
+	for _, tt := range []struct{ name, want string }{
+		{"srcport", "1"}, {"dstport", "2"}, {"seq", "3"}, {"ack", "4"},
+		{"flags", "SYN|ACK"}, {"win", "5"}, {"len", "2"}, {"urg", ""},
+	} {
+		if got := seg.Field(tt.name); got != tt.want {
+			t.Errorf("Field(%s) = %q, want %q", tt.name, got, tt.want)
 		}
 	}
 }

@@ -925,10 +925,13 @@ func TestSendQueueSegmentsAcrossChunks(t *testing.T) {
 func TestStreamBytesAreHandedOver(t *testing.T) {
 	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
 	var arrived *message.Message
-	p.b.pfi.ReceiveFilter().SetHook(func(ctx *core.HookCtx) error {
-		arrived = ctx.Msg
-		return nil
+	tap := stack.NewFunc("tap", nil, func(m *message.Message, next stack.Sink) error {
+		arrived = m
+		return next(m)
 	})
+	if err := p.b.node.Stack().InsertBelow("tcp", tap); err != nil {
+		t.Fatal(err)
+	}
 	var got bytes.Buffer
 	c := p.dial(t, 80, func(sc *tcp.Conn) {
 		sc.OnData(func(d []byte) {

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"pfi/internal/simtime"
@@ -18,7 +16,7 @@ func fillLog(n int) *Log {
 }
 
 // TestLogSegmentedSemantics pins the whole Log contract across block
-// boundaries: Len/Entries/AppendEntries/Filter/Dump agree with a flat
+// boundaries: Len/Entries/AppendEntries/Filter/each agree with a flat
 // reference, and RestoreState truncates to any mark (including marks that
 // land exactly on, just before, and just after a block edge) with appends
 // continuing cleanly afterwards.
@@ -48,10 +46,14 @@ func TestLogSegmentedSemantics(t *testing.T) {
 	if got := l.Filter("n3", "", ""); len(got) == 0 || got[0].Seq != 3 {
 		t.Fatalf("Filter across blocks broken: %v", got)
 	}
-	var buf bytes.Buffer
-	l.Dump(&buf)
-	if n := strings.Count(buf.String(), "\n"); n != total {
-		t.Fatalf("Dump wrote %d lines, want %d", n, total)
+	visited := 0
+	l.each(func(e Entry) {
+		if e.Seq == uint64(visited) {
+			visited++
+		}
+	})
+	if visited != total {
+		t.Fatalf("each visited %d entries in order, want %d", visited, total)
 	}
 
 	for _, mark := range []int{0, 1, blockSize - 1, blockSize, blockSize + 1, 2 * blockSize, total} {

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"time"
@@ -55,14 +54,10 @@ const (
 type Log struct {
 	blocks [][]Entry // every block but the last is full
 	n      int       // total entries across blocks
-	sink   io.Writer // optional live tee
 }
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{} }
-
-// Tee mirrors every added entry to w as it arrives.
-func (l *Log) Tee(w io.Writer) { l.sink = w }
 
 // Add appends an entry.
 func (l *Log) Add(e Entry) {
@@ -72,9 +67,6 @@ func (l *Log) Add(e Entry) {
 	k := len(l.blocks) - 1
 	l.blocks[k] = append(l.blocks[k], e)
 	l.n++
-	if l.sink != nil {
-		fmt.Fprintln(l.sink, e)
-	}
 }
 
 // Addf appends an entry built from parts.
@@ -162,11 +154,6 @@ func (l *Log) Times(node, kind, typ string) []simtime.Time {
 		ts[i] = e.At
 	}
 	return ts
-}
-
-// Dump writes the whole log to w.
-func (l *Log) Dump(w io.Writer) {
-	l.each(func(e Entry) { fmt.Fprintln(w, e) })
 }
 
 // Intervals returns the successive gaps between timestamps.

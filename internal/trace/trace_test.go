@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -44,30 +43,6 @@ func TestTimes(t *testing.T) {
 	ts := l.Times("n", "recv", "KA")
 	if len(ts) != 2 || ts[0] != at(1) || ts[1] != at(5) {
 		t.Fatalf("Times = %v", ts)
-	}
-}
-
-func TestTee(t *testing.T) {
-	l := NewLog()
-	var buf bytes.Buffer
-	l.Tee(&buf)
-	l.Addf(at(1), "n", "drop", "ACK", 7, "note")
-	out := buf.String()
-	for _, want := range []string{"drop", "ACK", "seq=7", "note"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("tee output %q missing %q", out, want)
-		}
-	}
-}
-
-func TestDump(t *testing.T) {
-	l := NewLog()
-	l.Addf(at(1), "n", "a", "T", 0, "")
-	l.Addf(at(2), "n", "b", "T", 0, "")
-	var buf bytes.Buffer
-	l.Dump(&buf)
-	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
-		t.Fatalf("Dump produced %d lines, want 2", lines)
 	}
 }
 
