@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc
+.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
@@ -108,6 +108,13 @@ loc:
 	for d in . cmd/* internal/* examples/*; do \
 		printf '%7d %6d  %s\n' "$$(count $$d -maxdepth 1 -not -name '*_test.go')" "$$(count $$d -maxdepth 1 -name '*_test.go')" $$d; \
 	done
+
+# unlinked prints each func under internal/ (non-test files) that no shipped
+# binary links — every cmd/*, examples/* and bench/pfibench, built with
+# inlining off — with its line count and a total: code only tests reach.
+# Like loc, it reports and does not gate.
+unlinked:
+	@GO=$(GO) bash scripts/unlinked.sh
 
 # goldens re-blesses every pinned artifact: conformance traces and rendered
 # experiment tables (only the exp package's golden tests read -update).

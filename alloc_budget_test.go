@@ -161,13 +161,12 @@ func TestMessageBuildAllocBudget(t *testing.T) {
 }
 
 // TestNetsimHopAllocBudget: one driver-to-driver hop through a two-node
-// world costs two objects, and neither is the wire's: the delivery comes off
-// the world's free list and goes back when it has fired. What is left is
-// what the receiving driver asks for — the message, its 16 bytes inside it,
-// which the driver keeps for Received and recv_data (message.Keep, so the
-// wire does not reuse it), and the note of its "driver-recv" trace entry.
-// (The ledger times this path as netsim.hop_ns, with a 64-byte payload that
-// is inline too.)
+// world measures the wire alone, and it costs nothing. The delivery comes
+// off the world's free list and goes back when it has fired; the message,
+// its 16 bytes inline, is one the wire released after an earlier hop, and
+// the receiving driver keeps nothing, so it is released again. (The ledger
+// times this path as netsim.hop_ns, with a 64-byte payload that is inline
+// too.)
 func TestNetsimHopAllocBudget(t *testing.T) {
 	w := netsim.NewWorld(1)
 	var from *core.Driver
@@ -183,7 +182,7 @@ func TestNetsimHopAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("0123456789abcdef")
-	allocBudget(t, "netsim hop", 2, 2000, func() {
+	allocBudget(t, "netsim hop", 0, 2000, func() {
 		if err := from.Send(payload, "b"); err != nil {
 			t.Fatal(err)
 		}

@@ -173,9 +173,6 @@ func (s *Session) Run(name, suffix string) (*Result, bool) {
 	return res, true
 }
 
-// PrefixSteps reports how many interpreter steps the prefix consumed.
-func (s *Session) PrefixSteps() int { return s.prefixSteps }
-
 // Shell is an interactive scenario session for REPL use (cmd/pfish): the
 // full conformance command set bound to one live world, plus snapshot
 // builtins so a campaign cell can be resumed and re-explored mid-run

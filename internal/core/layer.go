@@ -42,7 +42,7 @@ type Stats struct {
 }
 
 // Layer is the probe/fault-injection layer. It implements stack.Layer and
-// is inserted below (or above) a target protocol with Stack.InsertBelow.
+// is listed directly below a target protocol in stack.New.
 type Layer struct {
 	base stack.Base
 	env  *stack.Env

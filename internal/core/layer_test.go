@@ -25,9 +25,9 @@ const (
 func (demoStub) Protocol() string { return "demo" }
 
 func (demoStub) Recognize(m *message.Message) (Info, error) {
-	hdr, err := m.Peek(2)
-	if err != nil {
-		return Info{}, fmt.Errorf("demo: short packet: %w", err)
+	hdr := m.Bytes()
+	if len(hdr) < 2 {
+		return Info{}, fmt.Errorf("demo: short packet: %d bytes", len(hdr))
 	}
 	var typ string
 	switch hdr[0] {

@@ -1,9 +1,9 @@
 // Package core implements the paper's contribution: the script-driven
 // probe/fault-injection (PFI) layer.
 //
-// A PFI layer is inserted between two consecutive layers of a protocol
-// stack (stack.Stack.InsertBelow). Every message pushed down runs the
-// layer's *send filter* script; every message popped up runs its *receive
+// A PFI layer sits between two consecutive layers of a protocol stack,
+// listed there when stack.New builds it. Every message passed down runs the
+// layer's *send filter* script; every message passed up runs its *receive
 // filter* script. A filter is a script and nothing else, so testing another
 // failure scenario means installing another script. Scripts are Tcl
 // (internal/script) and can:

@@ -143,34 +143,3 @@ func TestNopStubLayerPassesEverything(t *testing.T) {
 		t.Fatal("opaque message not forwarded")
 	}
 }
-
-func TestDriverHandleDownPassesThrough(t *testing.T) {
-	r := newDriverRig(t)
-	// Pushing through the driver from above is a raw pass-through.
-	if err := r.stk.Send(message.NewString("raw-push")); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.toNet) != 1 {
-		t.Fatal("raw push lost")
-	}
-	if r.driver.Name() != "driver" {
-		t.Errorf("driver name %q", r.driver.Name())
-	}
-}
-
-func TestDriverWithTraceOption(t *testing.T) {
-	sched := simtime.NewScheduler()
-	env := &stack.Env{Sched: sched, Node: "dt"}
-	lg := trace.NewLog()
-	d := NewDriver(env, DriverWithTrace(lg))
-	if d.Trace() != lg {
-		t.Fatal("DriverWithTrace not wired")
-	}
-	_ = stack.New(env, d)
-	if err := d.RunScript(`log hello`); err != nil {
-		t.Fatal(err)
-	}
-	if lg.Len() != 1 {
-		t.Fatal("trace entry missing")
-	}
-}

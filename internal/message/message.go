@@ -1,12 +1,11 @@
 // Package message implements the x-Kernel-style message abstraction used
 // throughout the protocol stack.
 //
-// A Message is a byte payload onto which each protocol layer pushes its
-// header on the way down the stack and from which each layer pops its header
-// on the way up. Messages also carry their network addressing out of band
-// (the source and destination node, which are not serialized onto the
-// wire), and a monotone ID so traces can follow one packet through
-// clone/duplicate operations.
+// A Message is one whole frame: a protocol encoder writes it field by field
+// with Build, and a decoder reads it back with a Reader. Messages also
+// carry their network addressing out of band (the source and destination
+// node, which are not serialized onto the wire), and a monotone ID so
+// traces can follow one packet through clone/duplicate operations.
 package message
 
 import (
@@ -162,39 +161,6 @@ func (m *Message) SaveState() State {
 func (m *Message) RestoreState(st State) {
 	m.buf = append(m.buf[:0], st.buf...)
 	m.src, m.dst = st.src, st.dst
-}
-
-// Push prepends hdr to the message, growing it by len(hdr). This is the
-// action a layer takes when sending a message down the stack.
-func (m *Message) Push(hdr []byte) {
-	if len(hdr) == 0 {
-		return
-	}
-	m.buf = append(m.buf, make([]byte, len(hdr))...)
-	copy(m.buf[len(hdr):], m.buf[:len(m.buf)-len(hdr)])
-	copy(m.buf, hdr)
-}
-
-// Pop removes and returns the first n bytes (a layer's header) on the way up
-// the stack. It fails if the message is shorter than n.
-func (m *Message) Pop(n int) ([]byte, error) {
-	if n < 0 || n > len(m.buf) {
-		return nil, fmt.Errorf("message: pop %d bytes from %d-byte message", n, len(m.buf))
-	}
-	hdr := make([]byte, n)
-	copy(hdr, m.buf[:n])
-	m.buf = m.buf[:copy(m.buf, m.buf[n:])]
-	return hdr, nil
-}
-
-// Peek returns a copy of the first n bytes without consuming them.
-func (m *Message) Peek(n int) ([]byte, error) {
-	if n < 0 || n > len(m.buf) {
-		return nil, fmt.Errorf("message: peek %d bytes from %d-byte message", n, len(m.buf))
-	}
-	hdr := make([]byte, n)
-	copy(hdr, m.buf[:n])
-	return hdr, nil
 }
 
 // SetByte overwrites the byte at offset off — the primitive behind message

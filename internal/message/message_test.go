@@ -17,73 +17,6 @@ func TestNewCopiesData(t *testing.T) {
 	}
 }
 
-func TestPushPopRoundTrip(t *testing.T) {
-	m := NewString("payload")
-	hdr := []byte{0xAA, 0xBB, 0xCC}
-	m.Push(hdr)
-	if m.Len() != 10 {
-		t.Fatalf("Len after push = %d, want 10", m.Len())
-	}
-	got, err := m.Pop(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, hdr) {
-		t.Fatalf("popped %x, want %x", got, hdr)
-	}
-	if string(m.Bytes()) != "payload" {
-		t.Fatalf("payload corrupted: %q", m.Bytes())
-	}
-}
-
-func TestPushEmptyHeaderNoop(t *testing.T) {
-	m := NewString("x")
-	m.Push(nil)
-	if m.Len() != 1 {
-		t.Fatal("Push(nil) changed length")
-	}
-}
-
-func TestNestedHeaders(t *testing.T) {
-	m := NewString("data")
-	m.Push([]byte("tcp:"))
-	m.Push([]byte("ip:"))
-	m.Push([]byte("eth:"))
-	for _, want := range []string{"eth:", "ip:", "tcp:"} {
-		h, err := m.Pop(len(want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(h) != want {
-			t.Fatalf("popped %q, want %q", h, want)
-		}
-	}
-	if string(m.Bytes()) != "data" {
-		t.Fatalf("payload = %q, want data", m.Bytes())
-	}
-}
-
-func TestPopTooMuch(t *testing.T) {
-	m := NewString("ab")
-	if _, err := m.Pop(3); err == nil {
-		t.Fatal("Pop(3) of 2-byte message did not fail")
-	}
-	if _, err := m.Pop(-1); err == nil {
-		t.Fatal("Pop(-1) did not fail")
-	}
-}
-
-func TestPeekDoesNotConsume(t *testing.T) {
-	m := NewString("abcdef")
-	p, err := m.Peek(3)
-	if err != nil || string(p) != "abc" {
-		t.Fatalf("Peek = %q, %v", p, err)
-	}
-	if m.Len() != 6 {
-		t.Fatal("Peek consumed bytes")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m := NewString("abc")
 	m.SetSrc("a")
@@ -242,7 +175,7 @@ func TestCopiesShareNoStorage(t *testing.T) {
 			t.Fatalf("%d bytes: restore did not bring back the saved content", size)
 		}
 		corrupt(m)
-		m.Push([]byte("grow past any inline room, then restore again"))
+		m.RestoreState(New(bytes.Repeat([]byte("g"), 2*InlineCap)).SaveState()) // grow past any inline room
 		m.RestoreState(st)
 		if !bytes.Equal(m.Bytes(), payload) {
 			t.Fatalf("%d bytes: corrupting a restored message reached the saved state", size)
@@ -330,45 +263,6 @@ func TestIDsUnique(t *testing.T) {
 	}
 }
 
-// Property: Push then Pop of any header over any payload is the identity.
-func TestPropertyPushPopInverse(t *testing.T) {
-	f := func(hdr, payload []byte) bool {
-		m := New(payload)
-		m.Push(hdr)
-		got, err := m.Pop(len(hdr))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, hdr) && bytes.Equal(m.Bytes(), payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a stack of pushed headers pops back in LIFO order.
-func TestPropertyHeaderStackLIFO(t *testing.T) {
-	f := func(hdrs [][]byte, payload []byte) bool {
-		if len(hdrs) > 8 {
-			hdrs = hdrs[:8]
-		}
-		m := New(payload)
-		for _, h := range hdrs {
-			m.Push(h)
-		}
-		for i := len(hdrs) - 1; i >= 0; i-- {
-			got, err := m.Pop(len(hdrs[i]))
-			if err != nil || !bytes.Equal(got, hdrs[i]) {
-				return false
-			}
-		}
-		return bytes.Equal(m.Bytes(), payload)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWriterReaderRoundTrip(t *testing.T) {
 	hdr := NewWriter(32).
 		U8(7).U16(513).U32(1 << 30).U64(1 << 40).
@@ -417,18 +311,5 @@ func TestPropertyWriterReader(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkPushPop(b *testing.B) {
-	payload := bytes.Repeat([]byte("x"), 512)
-	hdr := bytes.Repeat([]byte("h"), 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m := New(payload)
-		m.Push(hdr)
-		if _, err := m.Pop(len(hdr)); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

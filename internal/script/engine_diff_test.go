@@ -239,6 +239,36 @@ func TestEngineDiffShadowing(t *testing.T) {
 	}
 }
 
+// TestEngineDiffMathFuncs: both engines give the math functions' pinned
+// results — not merely the same ones — in a literal form the compiler folds
+// and a $var form it evaluates at run time. min/max of integers stay exact
+// beyond 2^53; int() and round() of a double no int64 holds fail.
+func TestEngineDiffMathFuncs(t *testing.T) {
+	const tooLarge = "expr: integer value too large to represent"
+	for _, tc := range []struct{ src, res, err string }{
+		{`expr {max(9007199254740993, 1)}`, "9007199254740993", ""},
+		{`set x 9007199254740993; expr {max($x, 1)}`, "9007199254740993", ""},
+		{`expr {min(-9007199254740993, 1)}`, "-9007199254740993", ""},
+		{`set x -9007199254740993; expr {min($x, 1)}`, "-9007199254740993", ""},
+		{`set x [hostint 9223372036854775807]; expr {max($x, 9223372036854775806)}`, "9223372036854775807", ""},
+		{`expr {int(1e30)}`, "", tooLarge},
+		{`set x 1e30; expr {int($x)}`, "", tooLarge},
+		{`expr {round(1e30)}`, "", tooLarge},
+		{`set x -1e30; expr {round($x)}`, "", tooLarge},
+		{`expr {int(sqrt(-1))}`, "", tooLarge},
+		{`set x -1; expr {int(sqrt($x))}`, "", tooLarge},
+		{`expr {round(exp(1000))}`, "", tooLarge},
+		{`set x 1000; expr {int(-exp($x))}`, "", tooLarge},
+	} {
+		for _, tree := range []bool{true, false} {
+			res, errs, _ := runEngine(t, tree, tc.src, 0)
+			if res != tc.res || !strings.HasPrefix(errs, tc.err) || (tc.err == "") != (errs == "") {
+				t.Errorf("tree=%v %q = %q, err %q; want %q, err %q", tree, tc.src, res, errs, tc.res, tc.err)
+			}
+		}
+	}
+}
+
 func TestEngineDiffErrors(t *testing.T) {
 	cases := []string{
 		`if`,

@@ -729,7 +729,7 @@ func applyFunc(name string, args []Value) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Int(int64(f)), nil
+		return toInt(f)
 	case "double":
 		if err := need(1); err != nil {
 			return Value{}, err
@@ -747,7 +747,7 @@ func applyFunc(name string, args []Value) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return Int(int64(math.Round(f))), nil
+		return toInt(math.Round(f))
 	case "floor", "ceil", "sqrt", "exp", "log", "log10", "sin", "cos", "tan":
 		if err := need(1); err != nil {
 			return Value{}, err
@@ -782,30 +782,50 @@ func applyFunc(name string, args []Value) (Value, error) {
 		if len(args) == 0 {
 			return Value{}, fmt.Errorf("expr: %s() needs at least one argument", name)
 		}
+		if allInts(args) { // compared as int64: a double would round above 2^53
+			best := args[0].n
+			for _, a := range args[1:] {
+				if name == "min" && a.n < best || name == "max" && a.n > best {
+					best = a.n
+				}
+			}
+			return Int(best), nil
+		}
 		best, err := num(args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		allInt := args[0].kind == intVal
 		for _, a := range args[1:] {
 			f, err := num(a)
 			if err != nil {
 				return Value{}, err
 			}
-			if a.kind != intVal {
-				allInt = false
-			}
 			if name == "min" && f < best || name == "max" && f > best {
 				best = f
 			}
-		}
-		if allInt {
-			return Int(int64(best)), nil
 		}
 		return floatv(best), nil
 	default:
 		return Value{}, fmt.Errorf("expr: unknown function %q", name)
 	}
+}
+
+func allInts(args []Value) bool {
+	for _, a := range args {
+		if a.kind != intVal {
+			return false
+		}
+	}
+	return true
+}
+
+// toInt is int() and round() of a double: its integer part, or Tcl's error
+// when it has none an int64 can hold (NaN, ±Inf, beyond ±2^63).
+func toInt(f float64) (Value, error) {
+	if !(f >= -(1<<63) && f < 1<<63) {
+		return Value{}, fmt.Errorf("expr: integer value too large to represent")
+	}
+	return Int(int64(f)), nil
 }
 
 // Binary operator codes, shared by binNode and the VM's opVBinop family.

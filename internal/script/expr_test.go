@@ -8,9 +8,20 @@ import (
 	"testing/quick"
 )
 
+// exprInterp is a fresh interpreter holding the globals the tables' $var
+// rows read: each function row has a literal form, which the compiler
+// folds, and a $var form, which it evaluates at run time.
+func exprInterp() *Interp {
+	in := New()
+	in.SetGlobal("big", "9007199254740993") // 2^53 + 1: no double holds it
+	in.SetGlobal("huge", "1e30")
+	in.SetGlobal("neg", "-1")
+	return in
+}
+
 func exprOK(t *testing.T, src string) string {
 	t.Helper()
-	in := New()
+	in := exprInterp()
 	got, err := in.EvalExpr(src)
 	if err != nil {
 		t.Fatalf("EvalExpr(%q) error: %v", src, err)
@@ -78,6 +89,13 @@ func TestExprTable(t *testing.T) {
 		{"min(3, 1, 2)", "1"},
 		{"max(3, 1, 2)", "3"},
 		{"min(1.5, 2)", "1.5"},
+		{"max(9007199254740993, 1)", "9007199254740993"},
+		{"max($big, 1)", "9007199254740993"},
+		{"min(-9007199254740993, 1)", "-9007199254740993"},
+		{"min(-$big, 1)", "-9007199254740993"},
+		{"max(9007199254740993, 9007199254740992)", "9007199254740993"},
+		{"max($big, $big - 1)", "9007199254740993"},
+		{"min(9223372036854775807, 9223372036854775806)", "9223372036854775806"},
 		{`"abc" eq "abc"`, "1"},
 		{`"abc" ne "abd"`, "1"},
 		{`"abc" < "abd"`, "1"},
@@ -180,10 +198,12 @@ func TestExprErrors(t *testing.T) {
 		"", "1 +", "* 3", "(1", "1)", "1 ? 2", "foo", "foo(1)",
 		"1 / 0", "1 % 0", "1.5 % 2", "~1.5", "1 << 64", "1 << -1",
 		`"abc" + 1`, "abs()", "abs(1, 2)", "$missing + 1",
+		"int(1e30)", "int($huge)", "round(1e30)", "round(-$huge)",
+		"int(sqrt(-1))", "int(sqrt($neg))", "round(exp(1000))", "int(-exp(1000))",
 	}
 	for _, src := range bad {
 		t.Run(src, func(t *testing.T) {
-			in := New()
+			in := exprInterp()
 			if _, err := in.EvalExpr(src); err == nil {
 				t.Fatalf("EvalExpr(%q) succeeded, want error", src)
 			}

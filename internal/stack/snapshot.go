@@ -1,31 +1,24 @@
 package stack
 
-// Snapshot support (see internal/snapshot). A stack's own mutable state is
-// its layer list and the two boundary sinks — everything a PFI splice or a
+// Snapshot support (see internal/snapshot). New wires a stack's layers once
+// and for all, so its own mutable state is the two boundary sinks — what a
 // re-registered delivery callback changes. The layers snapshot themselves
 // through their own registry entries.
 
-// stackState is a stack's composition at one instant.
+// stackState is a stack's boundary sinks at one instant.
 type stackState struct {
-	layers []Layer
 	top    Sink
 	bottom Sink
 }
 
 // SnapshotState captures the stack for the snapshot registry.
 func (s *Stack) SnapshotState() any {
-	return &stackState{
-		layers: append([]Layer(nil), s.layers...),
-		top:    s.top,
-		bottom: s.bottom,
-	}
+	return &stackState{top: s.top, bottom: s.bottom}
 }
 
-// RestoreState rewinds the stack's composition and rewires it.
+// RestoreState rewinds the stack's boundary sinks.
 func (s *Stack) RestoreState(state any) {
 	st := state.(*stackState)
-	s.layers = append(s.layers[:0:0], st.layers...)
 	s.top = st.top
 	s.bottom = st.bottom
-	s.rewire()
 }

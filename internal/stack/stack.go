@@ -1,12 +1,12 @@
 // Package stack provides the x-Kernel-style layered protocol stack that the
 // PFI technique interposes on.
 //
-// A Stack is an ordered list of Layers. Messages travel DOWN the stack when
-// sent (each layer pushes its header) and UP when received (each layer pops
-// its header). The PFI layer from the paper is just another Layer, inserted
-// between any two consecutive layers — typically directly below the target
-// protocol — where it can observe and manipulate everything the target sends
-// and receives.
+// A Stack is an ordered list of Layers, wired once by New. Messages travel
+// DOWN the stack when sent and UP when received; each layer frames or
+// unframes its own protocol on the way. The PFI layer from the paper is just
+// another Layer, listed between two consecutive layers — typically directly
+// below the target protocol — where it can observe and manipulate everything
+// the target sends and receives.
 package stack
 
 import (
@@ -58,26 +58,19 @@ func (e *Env) Now() simtime.Time { return e.Sched.Now() }
 // Stack composes layers. layers[0] is the top (application side);
 // layers[len-1] is the bottom (network side).
 type Stack struct {
-	env    *Env
 	layers []Layer
 	top    Sink // receives fully-popped inbound messages (application)
 	bottom Sink // receives fully-pushed outbound messages (network)
 }
 
 // New wires the given layers into a stack. Top and bottom sinks default to
-// discarding; set them with OnDeliver and OnTransmit.
+// discarding; set them with OnDeliver and OnTransmit. env is the one the
+// layers were built with.
 func New(env *Env, layers ...Layer) *Stack {
 	if env == nil {
 		panic("stack: nil env")
 	}
-	s := &Stack{env: env, layers: layers}
-	s.rewire()
-	return s
-}
-
-func discard(*message.Message) error { return nil }
-
-func (s *Stack) rewire() {
+	s := &Stack{layers: layers}
 	for i, l := range s.layers {
 		var down, up Sink
 		if i+1 < len(s.layers) {
@@ -104,23 +97,10 @@ func (s *Stack) rewire() {
 		}
 		l.Wire(down, up)
 	}
+	return s
 }
 
-// Env returns the stack's environment.
-func (s *Stack) Env() *Env { return s.env }
-
-// Layers returns the wired layers, top first.
-func (s *Stack) Layers() []Layer { return s.layers }
-
-// Find returns the first layer with the given name.
-func (s *Stack) Find(name string) (Layer, bool) {
-	for _, l := range s.layers {
-		if l.Name() == name {
-			return l, true
-		}
-	}
-	return nil, false
-}
+func discard(*message.Message) error { return nil }
 
 // OnDeliver registers the application-side sink for inbound messages that
 // clear the whole stack.
@@ -150,40 +130,6 @@ func (s *Stack) Deliver(m *message.Message) error {
 		return s.top(m)
 	}
 	return s.layers[len(s.layers)-1].HandleUp(m)
-}
-
-// Insert places layer at position i (0 = top), rewiring the stack. It is
-// how a PFI layer is spliced in below a target protocol without the target
-// knowing.
-func (s *Stack) Insert(i int, l Layer) error {
-	if i < 0 || i > len(s.layers) {
-		return fmt.Errorf("stack: insert position %d out of range [0,%d]", i, len(s.layers))
-	}
-	s.layers = append(s.layers, nil)
-	copy(s.layers[i+1:], s.layers[i:])
-	s.layers[i] = l
-	s.rewire()
-	return nil
-}
-
-// InsertBelow splices l directly below the named layer.
-func (s *Stack) InsertBelow(name string, l Layer) error {
-	for i, existing := range s.layers {
-		if existing.Name() == name {
-			return s.Insert(i+1, l)
-		}
-	}
-	return fmt.Errorf("stack: no layer named %q", name)
-}
-
-// InsertAbove splices l directly above the named layer.
-func (s *Stack) InsertAbove(name string, l Layer) error {
-	for i, existing := range s.layers {
-		if existing.Name() == name {
-			return s.Insert(i, l)
-		}
-	}
-	return fmt.Errorf("stack: no layer named %q", name)
 }
 
 // Base is a pass-through Layer meant for embedding-free reuse: concrete

@@ -3,6 +3,7 @@ package stack
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pfi/internal/message"
@@ -13,20 +14,20 @@ func newEnv() *Env {
 	return &Env{Sched: simtime.NewScheduler(), Node: "test"}
 }
 
-// headerLayer pushes its tag going down and verifies/pops it going up.
+// headerLayer appends its tag going down and checks and strips it going up,
+// so the outermost tag on the wire is the bottom layer's.
 func headerLayer(tag string) *Func {
 	return NewFunc(tag,
 		func(m *message.Message, next Sink) error {
-			m.Push([]byte(tag))
-			return next(m)
+			return next(message.New(append(m.CopyBytes(), tag...)))
 		},
 		func(m *message.Message, next Sink) error {
-			h, err := m.Pop(len(tag))
-			if err != nil {
-				return err
+			b := m.Bytes()
+			if !strings.HasSuffix(string(b), tag) {
+				return fmt.Errorf("layer %s saw frame %q", tag, b)
 			}
-			if string(h) != tag {
-				return fmt.Errorf("layer %s saw header %q", tag, h)
+			if err := m.Truncate(len(b) - len(tag)); err != nil {
+				return err
 			}
 			return next(m)
 		})
@@ -42,8 +43,8 @@ func TestSendPushesHeadersTopToBottom(t *testing.T) {
 	if err := s.Send(message.NewString("data")); err != nil {
 		t.Fatal(err)
 	}
-	if string(wire) != "ccbbaadata" {
-		t.Fatalf("wire = %q, want ccbbaadata", wire)
+	if string(wire) != "dataaabbcc" {
+		t.Fatalf("wire = %q, want dataaabbcc", wire)
 	}
 }
 
@@ -54,7 +55,7 @@ func TestDeliverPopsHeadersBottomToTop(t *testing.T) {
 		appData = m.CopyBytes()
 		return nil
 	})
-	if err := s.Deliver(message.NewString("bbaapayload")); err != nil {
+	if err := s.Deliver(message.NewString("payloadaabb")); err != nil {
 		t.Fatal(err)
 	}
 	if string(appData) != "payload" {
@@ -81,8 +82,10 @@ func TestRoundTripThroughTwoStacks(t *testing.T) {
 	}
 }
 
-func TestInsertBelowInterposes(t *testing.T) {
-	s := New(newEnv(), headerLayer("app1"), headerLayer("net1"))
+// TestMiddleLayerInterposes: a layer placed between two others — where a
+// PFI layer sits below its target — sees the upper layer's framing but not
+// the lower one's, in both directions.
+func TestMiddleLayerInterposes(t *testing.T) {
 	var seen []string
 	spy := NewFunc("pfi",
 		func(m *message.Message, next Sink) error {
@@ -93,67 +96,18 @@ func TestInsertBelowInterposes(t *testing.T) {
 			seen = append(seen, "up:"+string(m.CopyBytes()))
 			return next(m)
 		})
-	if err := s.InsertBelow("app1", spy); err != nil {
-		t.Fatal(err)
-	}
-	s.OnTransmit(func(m *message.Message) error { return nil })
+	s := New(newEnv(), headerLayer("app1"), spy, headerLayer("net1"))
 	if err := s.Send(message.NewString("x")); err != nil {
 		t.Fatal(err)
 	}
-	// The PFI layer sits below app1, so going down it sees app1's header
-	// already pushed but not net1's.
-	if len(seen) != 1 || seen[0] != "down:app1x" {
-		t.Fatalf("pfi observed %v, want [down:app1x]", seen)
+	if len(seen) != 1 || seen[0] != "down:xapp1" {
+		t.Fatalf("pfi observed %v, want [down:xapp1]", seen)
 	}
-	if err := s.Deliver(message.NewString("net1app1y")); err != nil {
+	if err := s.Deliver(message.NewString("yapp1net1")); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || seen[1] != "up:app1y" {
-		t.Fatalf("pfi observed %v, want up:app1y second", seen)
-	}
-}
-
-func TestInsertAbove(t *testing.T) {
-	s := New(newEnv(), headerLayer("tgt"))
-	var downSeen string
-	spy := NewFunc("driver",
-		func(m *message.Message, next Sink) error {
-			downSeen = string(m.CopyBytes())
-			return next(m)
-		}, nil)
-	if err := s.InsertAbove("tgt", spy); err != nil {
-		t.Fatal(err)
-	}
-	s.OnTransmit(func(m *message.Message) error { return nil })
-	if err := s.Send(message.NewString("z")); err != nil {
-		t.Fatal(err)
-	}
-	// Above the target: sees the raw app payload before tgt's header.
-	if downSeen != "z" {
-		t.Fatalf("driver saw %q, want z", downSeen)
-	}
-}
-
-func TestInsertErrors(t *testing.T) {
-	s := New(newEnv(), headerLayer("only"))
-	if err := s.InsertBelow("ghost", NewFunc("x", nil, nil)); err == nil {
-		t.Fatal("InsertBelow unknown layer succeeded")
-	}
-	if err := s.InsertAbove("ghost", NewFunc("x", nil, nil)); err == nil {
-		t.Fatal("InsertAbove unknown layer succeeded")
-	}
-	if err := s.Insert(5, NewFunc("x", nil, nil)); err == nil {
-		t.Fatal("Insert out of range succeeded")
-	}
-}
-
-func TestFind(t *testing.T) {
-	s := New(newEnv(), headerLayer("a"), headerLayer("b"))
-	if _, ok := s.Find("b"); !ok {
-		t.Fatal("Find(b) failed")
-	}
-	if _, ok := s.Find("zz"); ok {
-		t.Fatal("Find(zz) succeeded")
+	if len(seen) != 2 || seen[1] != "up:yapp1" {
+		t.Fatalf("pfi observed %v, want up:yapp1 second", seen)
 	}
 }
 
@@ -208,7 +162,7 @@ func TestUnsetSinksDiscard(t *testing.T) {
 	if err := s.Send(message.NewString("x")); err != nil {
 		t.Fatalf("Send with no transmit sink: %v", err)
 	}
-	if err := s.Deliver(message.NewString("lx")); err != nil {
+	if err := s.Deliver(message.NewString("xl")); err != nil {
 		t.Fatalf("Deliver with no deliver sink: %v", err)
 	}
 }

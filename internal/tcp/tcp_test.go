@@ -30,7 +30,9 @@ type pair struct {
 	a, b *endpoint
 }
 
-func newEndpoint(t *testing.T, w *netsim.World, name string, prof tcp.Profile) *endpoint {
+// newEndpoint builds a node whose stack is TCP over PFI, with any taps
+// between the two.
+func newEndpoint(t *testing.T, w *netsim.World, name string, prof tcp.Profile, taps ...stack.Layer) *endpoint {
 	t.Helper()
 	node := w.MustAddNode(name)
 	log := trace.NewLog()
@@ -39,17 +41,16 @@ func newEndpoint(t *testing.T, w *netsim.World, name string, prof tcp.Profile) *
 		t.Fatal(err)
 	}
 	pl := core.NewLayer(node.Env(), core.WithStub(tcp.PFIStub{}), core.WithTrace(log))
-	s := stack.New(node.Env(), tl, pl)
-	node.SetStack(s)
+	node.SetStack(stack.New(node.Env(), append(append([]stack.Layer{tl}, taps...), pl)...))
 	return &endpoint{node: node, tcp: tl, pfi: pl, log: log}
 }
 
-func newPair(t *testing.T, profA, profB tcp.Profile) *pair {
+func newPair(t *testing.T, profA, profB tcp.Profile, tapsB ...stack.Layer) *pair {
 	t.Helper()
 	w := netsim.NewWorld(7)
 	p := &pair{w: w}
 	p.a = newEndpoint(t, w, "a", profA)
-	p.b = newEndpoint(t, w, "b", profB)
+	p.b = newEndpoint(t, w, "b", profB, tapsB...)
 	if err := w.Connect("a", "b", netsim.LinkConfig{Latency: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -923,15 +924,12 @@ func TestSendQueueSegmentsAcrossChunks(t *testing.T) {
 // OnData is lent the arriving message's own bytes. The one copy in between
 // is Segment.Encode's.
 func TestStreamBytesAreHandedOver(t *testing.T) {
-	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
 	var arrived *message.Message
 	tap := stack.NewFunc("tap", nil, func(m *message.Message, next stack.Sink) error {
 		arrived = m
 		return next(m)
 	})
-	if err := p.b.node.Stack().InsertBelow("tcp", tap); err != nil {
-		t.Fatal(err)
-	}
+	p := newPair(t, tcp.SunOS413(), tcp.XKernel(), tap)
 	var got bytes.Buffer
 	c := p.dial(t, 80, func(sc *tcp.Conn) {
 		sc.OnData(func(d []byte) {

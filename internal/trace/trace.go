@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -233,37 +232,4 @@ func approxEqual(a, b time.Duration, tol float64) bool {
 		hi, lo = lo, hi
 	}
 	return (hi-lo)/hi <= tol
-}
-
-// Mean returns the average duration (0 for empty input).
-func Mean(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range ds {
-		sum += d
-	}
-	return sum / time.Duration(len(ds))
-}
-
-// Median returns the middle duration (0 for empty input).
-func Median(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[len(sorted)/2]
-}
-
-// Max returns the largest duration (0 for empty input).
-func Max(ds []time.Duration) time.Duration {
-	var m time.Duration
-	for _, d := range ds {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

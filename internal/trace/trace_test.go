@@ -135,22 +135,6 @@ func TestAnalyzeBackoffDegenerate(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	ds := []time.Duration{time.Second, 3 * time.Second, 2 * time.Second}
-	if m := Mean(ds); m != 2*time.Second {
-		t.Errorf("Mean = %v", m)
-	}
-	if m := Median(ds); m != 2*time.Second {
-		t.Errorf("Median = %v", m)
-	}
-	if m := Max(ds); m != 3*time.Second {
-		t.Errorf("Max = %v", m)
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty stats not zero")
-	}
-}
-
 func TestEntryString(t *testing.T) {
 	e := Entry{At: at(2), Node: "sun", Kind: "drop", Type: "ACK", Seq: 9, Note: "delayed"}
 	s := e.String()
