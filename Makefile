@@ -4,8 +4,8 @@ GO ?= go
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
-# journal parser, the conformance harness's sent-stream log and dist.Source's
-# generator, and a
+# journal parser, the conformance harness's sent-stream log, dist.Source's
+# generator and the scheduler's lanes, and a
 # one-iteration pass over every benchmark so they always compile.
 # Allocation budgets (alloc_budget_test.go: the filter
 # path, a world fork, and the per-hop message path) are enforced in the
@@ -87,6 +87,10 @@ pairs:
 # FuzzSourceMatchesMathRand holds dist.Source's own generator to an eagerly
 # seeded math/rand: every draw of every distribution, Mark, and Rewind on
 # both sides of step 273 (where the source first builds its register).
+# FuzzLanesMatchReference runs an op string of heap arms, lane arms,
+# cancels, steps, AdvanceTo, snapshots and restores through the scheduler
+# and through a cancel-then-push reference that has no lanes: both must fire
+# the same events in the same order and agree on every key.
 fuzz:
 	$(GO) test -run @ -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/script/
 	$(GO) test -run @ -fuzz 'FuzzEval$$' -fuzztime 10s ./internal/script/
@@ -95,6 +99,7 @@ fuzz:
 	$(GO) test -run @ -fuzz 'FuzzJournalParse$$' -fuzztime 10s ./internal/journal/
 	$(GO) test -run @ -fuzz 'FuzzDeliveredStream$$' -fuzztime 10s ./internal/conformance/
 	$(GO) test -run @ -fuzz 'FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/dist/
+	$(GO) test -run @ -fuzz 'FuzzLanesMatchReference$$' -fuzztime 10s ./internal/simtime/
 
 # explore runs a pinned-seed coverage-guided fuzz over the fault-schedule
 # space (~30s): a deterministic smoke that the explorer still converges and

@@ -139,6 +139,11 @@ func TestSchedulerEventAllocBudget(t *testing.T) {
 		tm.Arm(time.Millisecond, "tick")
 		s.Step()
 	})
+	l := s.Lane(time.Millisecond)
+	allocBudget(t, "Lane.Arm+Step", 0, 1000, func() {
+		l.Arm(&tm.Event, "tick", &tm)
+		s.Step()
+	})
 }
 
 // TestMessageBuildAllocBudget: a frame an encoder builds is one object

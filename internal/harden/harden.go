@@ -115,8 +115,8 @@ type Budget struct {
 	// InjectedMsgs bounds messages the faultload injects (summed over
 	// every PFI filter in the world).
 	InjectedMsgs int
-	// Timers bounds fresh event registrations on the scheduler
-	// (periodic re-arms and reschedules of existing events are free).
+	// Timers bounds event registrations on the scheduler: every At,
+	// After, Arm and Lane.Arm, re-arms of a pending event included.
 	Timers int
 }
 

@@ -127,8 +127,8 @@ func TestZeroBudgetDisabled(t *testing.T) {
 	}
 }
 
-// TestTimerBudget: fresh registrations are metered; periodic re-arms of
-// one Every event are free.
+// TestTimerBudget: registrations are metered, whether in the heap or on a
+// lane.
 func TestTimerBudget(t *testing.T) {
 	cfg := harden.Config{Budget: harden.Budget{Timers: 3}}
 	// The churn chain performs exactly one fresh registration per step.
@@ -143,15 +143,19 @@ func TestTimerBudget(t *testing.T) {
 		t.Errorf("limit/observed = %d/%d, want 3/4", out.Limit, out.Observed)
 	}
 
-	out = harden.Run(harden.Config{Budget: harden.Budget{Timers: 1}}, func(m *harden.Monitor) error {
+	// A timer that re-arms itself on a lane is metered like one re-armed
+	// in the heap: every arm counts, firing does not.
+	out = harden.Run(cfg, func(m *harden.Monitor) error {
 		s := simtime.NewScheduler()
 		m.Attach(s, trace.NewLog(), nil)
-		s.Every(10, "heartbeat", func() {})
+		var hb simtime.Timer
+		hb.Init(s, func() { s.Lane(10).Arm(&hb.Event, "heartbeat", &hb) })
+		s.Lane(10).Arm(&hb.Event, "heartbeat", &hb)
 		s.RunUntil(1000)
 		return nil
 	})
-	if out.Kind != harden.Pass {
-		t.Fatalf("periodic re-arms charged against the budget: %+v", out)
+	if out.Kind != harden.BudgetExceeded || out.Counter != "timers" || out.Observed != 4 {
+		t.Fatalf("lane re-arms: %+v, want BudgetExceeded/timers at 4", out)
 	}
 }
 

@@ -267,8 +267,8 @@ func (w *World) Heal() {
 
 // delivery is one message on the wire: the pending arrival event, the
 // resolved endpoints and the message, in a single object. The scheduler
-// fires it; SnapshotState finds it in the scheduler's queue. A loopback has
-// src == dst.
+// fires it; SnapshotState finds it among the scheduler's pending events. A
+// loopback has src == dst.
 type delivery struct {
 	simtime.Event
 	src, dst *Node
@@ -354,7 +354,7 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 		// drop a daemon's heartbeats to itself.
 		w.stats.Sent++
 		d := w.newDelivery(from, from, m)
-		w.Sched.Arm(&d.Event, 0, "loopback", d)
+		w.Sched.Lane(0).Arm(&d.Event, "loopback", d)
 		return nil
 	}
 	w.sendOne(from, to, m)
@@ -400,7 +400,13 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 		w.log.Addf(w.Sched.Now(), src.name, "wire-send", "", uint64(m.ID()), "to "+dst.name)
 	}
 	d := w.newDelivery(src, dst, m)
-	w.Sched.Arm(&d.Event, delay, "deliver", d)
+	if c.Jitter > 0 {
+		w.Sched.Arm(&d.Event, delay, "deliver", d)
+	} else {
+		// Deliveries that take one fixed delay fire in the order they
+		// were sent, so they queue on that delay's lane, off the heap.
+		w.Sched.Lane(delay).Arm(&d.Event, "deliver", d)
+	}
 }
 
 // SetDefaultLink makes unconnected node pairs reachable with cfg. Passing

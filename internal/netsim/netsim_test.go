@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"pfi/internal/message"
 	"pfi/internal/stack"
@@ -399,5 +400,14 @@ func TestLoopbackSurvivesUnplugAndPartition(t *testing.T) {
 	r.w.Run()
 	if len(r.got["a"]) != 1 {
 		t.Fatal("loopback lost while unplugged/partitioned")
+	}
+}
+
+// TestDeliveryFitsOneSizeClass: a delivery — its event with the lane links,
+// the endpoints, the message and the pin — stays within the 128-byte size
+// class, so the wire's one object per hop stays one small allocation.
+func TestDeliveryFitsOneSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(delivery{}); n > 128 {
+		t.Fatalf("a delivery is %d bytes, over the 128-byte size class", n)
 	}
 }

@@ -36,10 +36,11 @@ func (sw *snapWorld) relID(id message.ID) string {
 	return fmt.Sprintf("run+%d", id-sw.runMark)
 }
 
-// newSnapWorld builds the group and steps it to an instant with datagrams on
-// the wire, heartbeats parked in n1's delayed forwards, a message on n3's
-// hold queue and heartbeat-expect timers armed.
-func newSnapWorld(t *testing.T) *snapWorld {
+// newSnapWorld builds the group over links with the given jitter and steps
+// it to an instant with datagrams on the wire, heartbeats parked in n1's
+// delayed forwards, a message on n3's hold queue and heartbeat-expect timers
+// armed.
+func newSnapWorld(t *testing.T, jitter time.Duration) *snapWorld {
 	t.Helper()
 	sw := &snapWorld{w: NewWorld(7), pfi: map[string]*core.Layer{}, gmds: map[string]*gmp.Daemon{}}
 	w := sw.w
@@ -70,7 +71,7 @@ func newSnapWorld(t *testing.T) *snapWorld {
 		w.Snapshots().Register("gmd:"+name, gmd)
 		sw.pfi[name], sw.gmds[name] = pl, gmd
 	}
-	if err := w.ConnectAll(LinkConfig{Latency: 5 * time.Millisecond, Jitter: 2 * time.Millisecond}); err != nil {
+	if err := w.ConnectAll(LinkConfig{Latency: 5 * time.Millisecond, Jitter: jitter}); err != nil {
 		t.Fatal(err)
 	}
 	// n1 delays every heartbeat it sends; n3 parks every third message it
@@ -94,7 +95,7 @@ func newSnapWorld(t *testing.T) *snapWorld {
 	}
 	for w.Sched.Len() > 0 {
 		flights, delayed := pendingByKind(w.Sched)
-		if flights > 0 && delayed > 0 && sw.pfi["n3"].ReceiveFilter().HeldCount() > 0 {
+		if flights > 1 && delayed > 0 && sw.pfi["n3"].ReceiveFilter().HeldCount() > 0 {
 			break
 		}
 		w.Sched.Step()
@@ -124,19 +125,29 @@ func (sw *snapWorld) run() (string, Stats) {
 // never snapshotted (so its in-flight messages are reused, not pinned),
 // delivers over the same ten seconds — order, instant, source, destination,
 // bytes and the sequence of message IDs — and end on the same counters.
+// It runs over jittered links, where every delivery is a lone heap event,
+// and over jitter-free ones, where every delivery rides the scheduler's
+// lane for the link latency: there, with two in flight at the capture, one
+// is chained behind the other, and each restore puts both back in the heap.
 func TestSnapshotRestoreReplaysDeliveries(t *testing.T) {
-	fresh := newSnapWorld(t)
+	for _, jitter := range []time.Duration{2 * time.Millisecond, 0} {
+		t.Run(fmt.Sprintf("jitter=%v", jitter), func(t *testing.T) { testSnapshotRestoreReplaysDeliveries(t, jitter) })
+	}
+}
+
+func testSnapshotRestoreReplaysDeliveries(t *testing.T, jitter time.Duration) {
+	fresh := newSnapWorld(t, jitter)
 	want, wantStats := fresh.run()
 	if n := len(fresh.delivered); n < 50 {
 		t.Fatalf("only %d deliveries in the replayed window", n)
 	}
 
-	sw := newSnapWorld(t)
+	sw := newSnapWorld(t, jitter)
 	w := sw.w
 	flights, delayed := pendingByKind(w.Sched)
 	held := sw.pfi["n3"].ReceiveFilter().HeldCount()
 	armed := sw.gmds["n2"].ArmedHBExpect()
-	if flights == 0 || delayed == 0 || held == 0 || armed == 0 {
+	if flights < 2 || delayed == 0 || held == 0 || armed == 0 {
 		t.Fatalf("snapshot point lacks state to rewind: %d in flight, %d delayed forwards, %d held, %d hb-expect armed",
 			flights, delayed, held, armed)
 	}

@@ -129,14 +129,17 @@ func TestPropertyFaultFreeInterleavings(t *testing.T) {
 			// A deterministic client: every 1.5s, try to propose at every
 			// node; only leaders accept.
 			proposal := 0
-			c.sched.Every(1500*time.Millisecond, "client", func() {
+			var client func()
+			client = func() {
+				c.sched.After(1500*time.Millisecond, "client", client)
 				for _, name := range c.names {
 					if idx, ok := c.nodes[name].Propose(fmt.Sprintf("p%d-%s", proposal, name)); ok {
 						_ = idx
 						proposal++
 					}
 				}
-			})
+			}
+			c.sched.After(1500*time.Millisecond, "client", client)
 
 			end := c.sched.Now().Add(60 * time.Second)
 			for c.sched.Now() < end {

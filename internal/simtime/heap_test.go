@@ -6,23 +6,75 @@ import (
 	"time"
 )
 
-// checkQueue asserts the queue is a valid heap on (when, seq), that every
-// queued event knows its own position, and that the queue holds exactly
-// the events in want.
-func checkQueue(t *testing.T, s *Scheduler, want map[*Event]bool, all []*Event) {
+// checkStructure asserts the heap is a valid heap on (when, seq) in which
+// every event knows its own slot, and that every lane is a well-linked
+// chain in firing order whose head, and only whose head, sits in the heap.
+// It returns every pending event it found.
+func checkStructure(t testing.TB, s *Scheduler) map[*Event]bool {
 	t.Helper()
-	if len(s.queue) != len(want) {
-		t.Fatalf("queue holds %d events, model %d", len(s.queue), len(want))
-	}
+	found := map[*Event]bool{}
 	for i, ev := range s.queue {
 		if ev.pos != i+1 {
 			t.Fatalf("queue[%d] records position %d", i, ev.pos-1)
 		}
-		if !want[ev] {
-			t.Fatalf("queue[%d] (%s) is not pending in the model", i, ev.name)
-		}
 		if i > 0 && ev.before(s.queue[(i-1)/2]) {
 			t.Fatalf("queue[%d] sorts before its parent", i)
+		}
+		if ev.lane != nil && ev.lane.head != ev {
+			t.Fatalf("queue[%d] (%s) is on a lane but not its head", i, ev.name)
+		}
+		found[ev] = true
+	}
+	chained := 0
+	for _, l := range s.lanes {
+		if (l.head == nil) != (l.tail == nil) {
+			t.Fatalf("lane %v: head %p, tail %p", l.d, l.head, l.tail)
+		}
+		if l.head == nil {
+			continue
+		}
+		if l.head.pos == 0 || l.head.prev != nil {
+			t.Fatalf("lane %v: head out of the heap or linked back", l.d)
+		}
+		var last *Event
+		for ev := l.head; ev != nil; last, ev = ev, ev.next {
+			if ev.lane != l || ev.prev != last {
+				t.Fatalf("lane %v: %s badly linked", l.d, ev.name)
+			}
+			if last != nil {
+				if ev.pos != 0 || found[ev] || !last.before(ev) {
+					t.Fatalf("lane %v: %s in the heap, twice, or out of order", l.d, ev.name)
+				}
+				found[ev] = true
+				chained++
+			}
+		}
+		if l.tail != last {
+			t.Fatalf("lane %v: tail is not the last member", l.d)
+		}
+	}
+	if chained != s.chained || s.Len() != len(found) {
+		t.Fatalf("%d chained, counter %d; Len %d, found %d", chained, s.chained, s.Len(), len(found))
+	}
+	visits := 0
+	s.EachPending(func(Handler) { visits++ })
+	if visits != len(found) {
+		t.Fatalf("EachPending visited %d of %d pending events", visits, len(found))
+	}
+	return found
+}
+
+// checkQueue asserts checkStructure, that the scheduler holds exactly the
+// events in want, and that Pending agrees for every event in all.
+func checkQueue(t *testing.T, s *Scheduler, want map[*Event]bool, all []*Event) {
+	t.Helper()
+	found := checkStructure(t, s)
+	if len(found) != len(want) {
+		t.Fatalf("scheduler holds %d events, model %d", len(found), len(want))
+	}
+	for ev := range found {
+		if !want[ev] {
+			t.Fatalf("%s is queued but not pending in the model", ev.name)
 		}
 	}
 	for _, ev := range all {
@@ -32,11 +84,11 @@ func checkQueue(t *testing.T, s *Scheduler, want map[*Event]bool, all []*Event) 
 	}
 }
 
-// TestPropertyHeapMatchesSortedReference drives random After / Arm / Every
-// / Cancel / Reschedule / Step / snapshot / restore sequences and checks
-// after every operation that the queue is consistent, and at every Step
-// that the event fired is the (when, seq)-minimum of the model's pending
-// set — what popping a sorted list would give.
+// TestPropertyHeapMatchesSortedReference drives random After / Arm /
+// Lane.Arm / Cancel / Step / snapshot / restore sequences and checks after
+// every operation that the queue is consistent, and at every Step that the
+// event fired is the (when, seq)-minimum of the model's pending set — what
+// popping a sorted list would give.
 func TestPropertyHeapMatchesSortedReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -52,6 +104,7 @@ func TestPropertyHeapMatchesSortedReference(t *testing.T) {
 		// only seq breaks, are common.
 		delay := func() time.Duration { return time.Duration(rng.Intn(6)) * time.Millisecond }
 		pick := func() *Event { return all[rng.Intn(len(all))] }
+		firesItself := func(ev *Event) Handler { return funcHandler(func() { fired = ev }) }
 
 		// owned are caller-allocated events, armed and re-armed in place.
 		owned := make([]*Timer, 4)
@@ -76,8 +129,8 @@ func TestPropertyHeapMatchesSortedReference(t *testing.T) {
 				tm.Arm(delay(), "owned")
 				pending[&tm.Event] = true
 			case r < 9:
-				var ev *Event
-				ev = s.Every(delay()+time.Millisecond, "every", func() { fired = ev })
+				ev := &Event{}
+				s.Lane(delay()).Arm(ev, "lane", firesItself(ev))
 				track(ev)
 			case r < 11:
 				ev := pick()
@@ -85,12 +138,14 @@ func TestPropertyHeapMatchesSortedReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: Cancel = %v, model pending = %v", seed, op, got, pending[ev])
 				}
 				delete(pending, ev)
-			case r < 13:
+			case r < 13: // re-arm any event, onto a lane or into the heap
 				ev := pick()
-				s.Reschedule(ev, delay())
-				if ev.h != nil { // a never-armed owned event stays out
-					pending[ev] = true
+				if rng.Intn(2) == 0 {
+					s.Lane(delay()).Arm(ev, "rearm", firesItself(ev))
+				} else {
+					s.Arm(ev, delay(), "rearm", firesItself(ev))
 				}
+				pending[ev] = true
 			case r < 14 && saved == nil:
 				saved = s.SnapshotState()
 				savedPending = map[*Event]bool{}
@@ -117,19 +172,18 @@ func TestPropertyHeapMatchesSortedReference(t *testing.T) {
 				if fired != want {
 					t.Fatalf("seed %d op %d: Step fired the wrong event", seed, op)
 				}
-				if want != nil && want.period == 0 {
-					delete(pending, want)
-				}
+				delete(pending, want)
 			}
 			checkQueue(t, s, pending, all)
 		}
 	}
 }
 
-// TestArmCountsAsRegistration pins the accounting Arm shares with After:
-// one schedule-hook call and one sequence number per call, pending or not,
-// so re-arming a timer in place is indistinguishable — to a timer budget
-// and to same-instant ordering — from cancelling it and scheduling anew.
+// TestArmCountsAsRegistration pins the accounting Arm and Lane.Arm share
+// with After: one schedule-hook call and one sequence number per call,
+// pending or not, so re-arming a timer in place or on a lane is
+// indistinguishable — to a timer budget and to same-instant ordering —
+// from cancelling it and scheduling anew.
 func TestArmCountsAsRegistration(t *testing.T) {
 	s := NewScheduler()
 	hooks := 0
@@ -157,45 +211,72 @@ func TestArmCountsAsRegistration(t *testing.T) {
 	if s.Len() != 0 || s.Run() != 0 {
 		t.Fatal("stopped timer still queued")
 	}
-}
 
-// TestArmHookPanicLeavesEventUntouched: the schedule hook runs before Arm
-// touches anything, so a timer budget that aborts the run from the hook
-// leaves a pending event queued under its old key — no sequence number
-// drawn, nothing half-moved — and RestoreState installs the captured queue
-// over it as over any other.
-func TestArmHookPanicLeavesEventUntouched(t *testing.T) {
-	s := NewScheduler()
-	var order []string
-	var a, b Timer
-	a.Init(s, func() { order = append(order, "a") })
-	b.Init(s, func() { order = append(order, "b") })
-	a.Arm(time.Second, "a")
-	b.Arm(2*time.Second, "b")
-	snap := s.SnapshotState()
-	s.SetScheduleHook(func() { panic("budget") })
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("hook panic did not reach Arm's caller")
-			}
-		}()
-		a.Arm(5*time.Second, "a")
-	}()
-	if !a.Pending() || a.When() != Time(time.Second) || s.seq != 2 || s.Len() != 2 {
-		t.Fatalf("after the aborted Arm: pending %v at %v, seq %d, %d queued", a.Pending(), a.When(), s.seq, s.Len())
+	// The same through a lane: a moves from the heap onto the lane, b
+	// joins it behind a, and a re-armed on the lane moves behind b.
+	order = nil
+	hooks0, seq0 := hooks, s.seq
+	l := s.Lane(time.Second)
+	a.Arm(2*time.Second, "a")
+	l.Arm(&a.Event, "a", &a)
+	l.Arm(&b.Event, "b", &b)
+	l.Arm(&a.Event, "a", &a)
+	if hooks-hooks0 != 4 || s.seq-seq0 != 4 || s.Len() != 2 || s.chained != 1 {
+		t.Fatalf("4 arms: %d hook calls, %d seqs, %d pending, %d chained", hooks-hooks0, s.seq-seq0, s.Len(), s.chained)
 	}
-	s.SetScheduleHook(nil)
-	s.RestoreState(snap)
+	if want := s.Now().Add(time.Second); a.When() != want || b.When() != want {
+		t.Fatalf("lane keys %v and %v, want both %v", a.When(), b.When(), want)
+	}
 	s.Run()
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("fired %v after restore, want [a b]", order)
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Fatalf("lane fired %v, want [b a]", order)
 	}
 }
 
-// refArm and refReschedule are Arm and Reschedule as they were before a
-// pending event was re-keyed in place: take it out of the queue, then push
-// it. The test below holds the scheduler to them.
+// TestArmHookPanicLeavesEventUntouched: the schedule hook runs before Arm or
+// Lane.Arm touches anything, so a timer budget that aborts the run from the
+// hook leaves a pending event queued under its old key — no sequence number
+// drawn, nothing half-moved, a lane still linked — and RestoreState installs
+// the captured queue over it as over any other.
+func TestArmHookPanicLeavesEventUntouched(t *testing.T) {
+	arms := map[string]func(tm *Timer, d Duration){
+		"heap": func(tm *Timer, d Duration) { tm.Arm(d, "t") },
+		"lane": func(tm *Timer, d Duration) { tm.s.Lane(d).Arm(&tm.Event, "t", tm) },
+	}
+	for name, arm := range arms {
+		s := NewScheduler()
+		var order []string
+		var a, b Timer
+		a.Init(s, func() { order = append(order, "a") })
+		b.Init(s, func() { order = append(order, "b") })
+		arm(&a, time.Second)
+		arm(&b, 2*time.Second)
+		snap := s.SnapshotState()
+		s.SetScheduleHook(func() { panic("budget") })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: hook panic did not reach Arm's caller", name)
+				}
+			}()
+			arm(&a, 2*time.Second)
+		}()
+		if !a.Pending() || a.When() != Time(time.Second) || s.seq != 2 || s.Len() != 2 {
+			t.Fatalf("%s: after the aborted Arm: pending %v at %v, seq %d, %d queued", name, a.Pending(), a.When(), s.seq, s.Len())
+		}
+		checkStructure(t, s)
+		s.SetScheduleHook(nil)
+		s.RestoreState(snap)
+		s.Run()
+		if len(order) != 2 || order[0] != "a" || order[1] != "b" {
+			t.Fatalf("%s: fired %v after restore, want [a b]", name, order)
+		}
+	}
+}
+
+// refArm is Arm as it was before a pending event was re-keyed in place or
+// chained on a lane: take it out of the queue, then push it. The
+// differential tests below hold Arm and Lane.Arm to it.
 func refArm(s *Scheduler, ev *Event, d Duration, name string, h Handler) {
 	if d < 0 {
 		d = 0
@@ -208,116 +289,207 @@ func refArm(s *Scheduler, ev *Event, d Duration, name string, h Handler) {
 	s.push(ev)
 }
 
-func refReschedule(s *Scheduler, ev *Event, d Duration) {
-	if ev == nil || ev.h == nil {
-		return
-	}
-	s.Cancel(ev)
-	if d < 0 {
-		d = 0
-	}
-	ev.when, ev.seq = s.now.Add(d), s.nextSeq()
-	s.push(ev)
+// laneDelays are the lanes the differential runs arm on, alongside heap
+// arms with delays from -1 to 4 ms.
+var laneDelays = [3]Duration{0, time.Millisecond, 3 * time.Millisecond}
+
+type diffSide struct {
+	s      *Scheduler
+	events []*Event
+	fired  []int
+	hooks  int
+	saved  any
 }
 
-// TestPropertyRekeyMatchesCancelThenPush runs the same random At / After /
-// Every / Arm / Reschedule / Cancel / Step / snapshot / restore sequence on
-// two schedulers — one through Arm and Reschedule, one through the
-// cancel-then-push reference — and requires, after every operation, the same
-// event fired, the same When() and Pending() for every event, the same
-// sequence counter and the same number of schedule-hook calls.
-func TestPropertyRekeyMatchesCancelThenPush(t *testing.T) {
-	type side struct {
-		s      *Scheduler
-		events []*Event
-		fired  []int
-		hooks  int
-		saved  any
+// laneDiff runs one operation stream on two schedulers: got through Arm,
+// Lane.Arm and the heap, ref through the cancel-then-push reference and the
+// heap alone. After every operation both must have fired the same events and
+// agree on the clock, the sequence counter, the schedule-hook calls, Len and
+// each event's When, seq and Pending; got's heap and lanes must be well
+// formed, and EachPending must visit Len events.
+type laneDiff struct {
+	t        testing.TB
+	got, ref diffSide
+	laneCoverage
+}
+
+// laneCoverage counts what a stream exercised: cancels of a lane's head,
+// middle and tail; re-arms moving an event off a lane, and onto one from
+// the heap; restores that moved the clock back with events chained.
+type laneCoverage struct {
+	cancels          [3]int
+	offLane, onLane  int
+	rewindsOfChained int
+}
+
+func (c *laneCoverage) add(o laneCoverage) {
+	for i := range c.cancels {
+		c.cancels[i] += o.cancels[i]
 	}
-	for seed := int64(1); seed <= 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var got, ref side
-		sides := [2]*side{&got, &ref}
-		for _, sd := range sides {
-			sd := sd
-			sd.s = NewScheduler()
-			sd.s.SetScheduleHook(func() { sd.hooks++ })
-		}
-		// both applies one operation to the two sides; i is the index the
-		// event it creates will have.
-		both := func(op func(sd *side, i int)) {
-			i := len(got.events)
-			for _, sd := range sides {
-				op(sd, i)
-			}
-		}
+	c.offLane += o.offLane
+	c.onLane += o.onLane
+	c.rewindsOfChained += o.rewindsOfChained
+}
+
+func newLaneDiff(t testing.TB) *laneDiff {
+	d := &laneDiff{t: t}
+	for _, sd := range d.sides() {
+		sd := sd
+		sd.s = NewScheduler()
+		sd.s.SetScheduleHook(func() { sd.hooks++ })
 		// Slots 0–3 are caller-owned events, armed and re-armed in place.
 		for k := 0; k < 4; k++ {
-			both(func(sd *side, i int) { sd.events = append(sd.events, &Event{}) })
-		}
-		delay := func() time.Duration { return time.Duration(rng.Intn(6)-1) * time.Millisecond }
-		for op := 0; op < 500; op++ {
-			d, pick := delay(), rng.Intn(len(got.events))
-			switch r := rng.Intn(22); {
-			case r < 3:
-				both(func(sd *side, i int) {
-					sd.events = append(sd.events, sd.s.After(d, "after", func() { sd.fired = append(sd.fired, i) }))
-				})
-			case r < 4:
-				both(func(sd *side, i int) {
-					at := sd.s.Now().Add(d)
-					sd.events = append(sd.events, sd.s.At(at, "at", func() { sd.fired = append(sd.fired, i) }))
-				})
-			case r < 5:
-				both(func(sd *side, i int) {
-					sd.events = append(sd.events, sd.s.Every(d+2*time.Millisecond, "every", func() { sd.fired = append(sd.fired, i) }))
-				})
-			case r < 10: // Arm any event: never armed, pending, fired, cancelled or periodic
-				h := func(sd *side) Handler { return funcHandler(func() { sd.fired = append(sd.fired, pick) }) }
-				got.s.Arm(got.events[pick], d, "armed", h(&got))
-				refArm(ref.s, ref.events[pick], d, "armed", h(&ref))
-			case r < 13:
-				got.s.Reschedule(got.events[pick], d)
-				refReschedule(ref.s, ref.events[pick], d)
-			case r < 15:
-				if a, b := got.s.Cancel(got.events[pick]), ref.s.Cancel(ref.events[pick]); a != b {
-					t.Fatalf("seed %d op %d: Cancel = %v, reference %v", seed, op, a, b)
-				}
-			case r < 16 && got.saved == nil:
-				for _, sd := range sides {
-					sd.saved = sd.s.SnapshotState()
-				}
-			case r < 17 && got.saved != nil:
-				for _, sd := range sides {
-					sd.s.RestoreState(sd.saved)
-				}
-			default:
-				if a, b := got.s.Step(), ref.s.Step(); a != b {
-					t.Fatalf("seed %d op %d: Step = %v, reference %v", seed, op, a, b)
-				}
-			}
-			if len(got.fired) != len(ref.fired) || (len(got.fired) > 0 && got.fired[len(got.fired)-1] != ref.fired[len(ref.fired)-1]) {
-				t.Fatalf("seed %d op %d: fired %v, reference %v", seed, op, got.fired, ref.fired)
-			}
-			if got.s.seq != ref.s.seq || got.hooks != ref.hooks || got.s.Len() != ref.s.Len() || got.s.Now() != ref.s.Now() {
-				t.Fatalf("seed %d op %d: seq %d hooks %d len %d now %v, reference seq %d hooks %d len %d now %v", seed, op,
-					got.s.seq, got.hooks, got.s.Len(), got.s.Now(), ref.s.seq, ref.hooks, ref.s.Len(), ref.s.Now())
-			}
-			for i, ev := range got.events {
-				re := ref.events[i]
-				if ev.When() != re.When() || ev.Pending() != re.Pending() || ev.seq != re.seq || ev.period != re.period {
-					t.Fatalf("seed %d op %d: event %d is (when %v, seq %d, period %v, pending %v), reference (%v, %d, %v, %v)", seed, op, i,
-						ev.When(), ev.seq, ev.period, ev.Pending(), re.When(), re.seq, re.period, re.Pending())
-				}
-			}
-			for i, ev := range got.s.queue {
-				if ev.pos != i+1 || (i > 0 && ev.before(got.s.queue[(i-1)/2])) {
-					t.Fatalf("seed %d op %d: queue[%d] out of place", seed, op, i)
-				}
-			}
-		}
-		if len(got.fired) < 50 {
-			t.Fatalf("seed %d: only %d events fired; the mix is not exercising Step", seed, len(got.fired))
+			sd.events = append(sd.events, &Event{})
 		}
 	}
+	return d
+}
+
+func (d *laneDiff) sides() [2]*diffSide { return [2]*diffSide{&d.got, &d.ref} }
+
+// op applies one operation. code picks the kind (low nibble) and the delay
+// or lane (high nibble); arg picks the event it acts on.
+func (d *laneDiff) op(code, arg byte) {
+	delay := time.Duration(int(code>>4)%6-1) * time.Millisecond
+	lane := laneDelays[int(code>>4)%len(laneDelays)]
+	pick := int(arg) % len(d.got.events)
+	fires := func(sd *diffSide, i int) func() {
+		return func() { sd.fired = append(sd.fired, i) }
+	}
+	got, ref := &d.got, &d.ref
+	switch code & 15 {
+	case 0:
+		for _, sd := range d.sides() {
+			i := len(sd.events)
+			sd.events = append(sd.events, sd.s.After(delay, "after", fires(sd, i)))
+		}
+	case 1:
+		for _, sd := range d.sides() {
+			i := len(sd.events)
+			sd.events = append(sd.events, sd.s.At(sd.s.Now().Add(delay), "at", fires(sd, i)))
+		}
+	case 2, 3: // Arm any event: never armed, pending on a lane or in the heap, fired or cancelled
+		if ev := got.events[pick]; ev.lane != nil {
+			d.offLane++
+		}
+		got.s.Arm(got.events[pick], delay, "armed", funcHandler(fires(got, pick)))
+		refArm(ref.s, ref.events[pick], delay, "armed", funcHandler(fires(ref, pick)))
+	case 4, 5, 6: // arm a fresh event on a lane, so lanes grow long
+		i := len(got.events)
+		for _, sd := range d.sides() {
+			sd.events = append(sd.events, &Event{})
+		}
+		got.s.Lane(lane).Arm(got.events[i], "lane", funcHandler(fires(got, i)))
+		refArm(ref.s, ref.events[i], lane, "lane", funcHandler(fires(ref, i)))
+	case 7, 8: // move any event onto a lane
+		if ev := got.events[pick]; ev.lane == nil && ev.pos > 0 {
+			d.onLane++
+		}
+		got.s.Lane(lane).Arm(got.events[pick], "lane", funcHandler(fires(got, pick)))
+		refArm(ref.s, ref.events[pick], lane, "lane", funcHandler(fires(ref, pick)))
+	case 9:
+		if ev := got.events[pick]; ev.lane != nil {
+			switch {
+			case ev.prev == nil:
+				d.cancels[0]++
+			case ev.next != nil:
+				d.cancels[1]++
+			default:
+				d.cancels[2]++
+			}
+		}
+		if a, b := got.s.Cancel(got.events[pick]), ref.s.Cancel(ref.events[pick]); a != b {
+			d.t.Fatalf("Cancel = %v, reference %v", a, b)
+		}
+	case 10:
+		for _, sd := range d.sides() {
+			sd.s.AdvanceTo(sd.s.Now().Add(delay))
+		}
+	case 11:
+		for _, sd := range d.sides() {
+			sd.saved = sd.s.SnapshotState()
+		}
+	case 12:
+		if got.saved == nil {
+			break
+		}
+		if got.s.chained > 0 && got.s.Now() > got.saved.(*schedState).now {
+			d.rewindsOfChained++
+		}
+		for _, sd := range d.sides() {
+			sd.s.RestoreState(sd.saved)
+		}
+	default:
+		if a, b := got.s.Step(), ref.s.Step(); a != b {
+			d.t.Fatalf("Step = %v, reference %v", a, b)
+		}
+	}
+	d.check()
+}
+
+func (d *laneDiff) check() {
+	t, got, ref := d.t, &d.got, &d.ref
+	t.Helper()
+	if len(got.fired) != len(ref.fired) || (len(got.fired) > 0 && got.fired[len(got.fired)-1] != ref.fired[len(ref.fired)-1]) {
+		t.Fatalf("fired %v, reference %v", got.fired, ref.fired)
+	}
+	if got.s.seq != ref.s.seq || got.hooks != ref.hooks || got.s.Len() != ref.s.Len() || got.s.Now() != ref.s.Now() {
+		t.Fatalf("seq %d hooks %d len %d now %v, reference seq %d hooks %d len %d now %v",
+			got.s.seq, got.hooks, got.s.Len(), got.s.Now(), ref.s.seq, ref.hooks, ref.s.Len(), ref.s.Now())
+	}
+	for i, ev := range got.events {
+		re := ref.events[i]
+		if ev.When() != re.When() || ev.Pending() != re.Pending() || ev.seq != re.seq {
+			t.Fatalf("event %d is (when %v, seq %d, pending %v), reference (%v, %d, %v)", i,
+				ev.When(), ev.seq, ev.Pending(), re.When(), re.seq, re.Pending())
+		}
+	}
+	checkStructure(t, got.s)
+}
+
+// TestPropertyRekeyMatchesCancelThenPush runs random At / After / Arm /
+// Lane.Arm / Cancel / AdvanceTo / Step / snapshot / restore streams through
+// laneDiff, and requires the streams, taken together, to have cancelled a
+// lane's head, middle and tail, moved events both ways between a lane and
+// the heap, and restored a snapshot over chained events with the clock
+// moving back.
+func TestPropertyRekeyMatchesCancelThenPush(t *testing.T) {
+	var total laneCoverage
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := newLaneDiff(t)
+		for op := 0; op < 500; op++ {
+			// Steps are one op in three, so lanes both grow and drain.
+			code := byte(rng.Intn(256))
+			if rng.Intn(3) == 0 {
+				code |= 15
+			}
+			d.op(code, byte(rng.Intn(256)))
+		}
+		if len(d.got.fired) < 50 {
+			t.Fatalf("seed %d: only %d events fired; the mix is not exercising Step", seed, len(d.got.fired))
+		}
+		total.add(d.laneCoverage)
+	}
+	t.Logf("lane cancels (head, middle, tail) %v, off lane %d, onto lane %d, rewinds over chains %d",
+		total.cancels, total.offLane, total.onLane, total.rewindsOfChained)
+	if total.cancels[0] == 0 || total.cancels[1] == 0 || total.cancels[2] == 0 ||
+		total.offLane == 0 || total.onLane == 0 || total.rewindsOfChained == 0 {
+		t.Fatalf("the mix missed a case: lane cancels (head, middle, tail) %v, off lane %d, onto lane %d, rewinds over chains %d",
+			total.cancels, total.offLane, total.onLane, total.rewindsOfChained)
+	}
+}
+
+// FuzzLanesMatchReference drives laneDiff from an op string: each byte pair
+// is one operation (see laneDiff.op).
+func FuzzLanesMatchReference(f *testing.F) {
+	f.Add([]byte{0x04, 0, 0x04, 1, 0x14, 2, 0x09, 5, 0x0f, 0, 0x24, 3})
+	f.Add([]byte{0x04, 0, 0x0b, 0, 0x04, 0, 0x0f, 0, 0x5a, 0, 0x0c, 0, 0x04, 0, 0x0f, 0, 0x0f, 0})
+	f.Add([]byte{0x17, 0, 0x02, 4, 0x27, 4, 0x09, 4, 0x0f, 0, 0x0f, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		d := newLaneDiff(t)
+		for i := 0; i+1 < len(ops); i += 2 {
+			d.op(ops[i], ops[i+1])
+		}
+	})
 }

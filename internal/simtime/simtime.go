@@ -11,10 +11,7 @@
 // seeded experiment replays bit-identically.
 package simtime
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is an instant on the virtual clock, measured as a Duration since the
 // start of the simulation. The zero Time is the simulation epoch.
@@ -36,7 +33,7 @@ func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
 // String formats the instant as a duration since the epoch, e.g. "1m4s".
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Handler is the work a pending event carries. At/After/Every wrap their
+// Handler is the work a pending event carries. At/After wrap their
 // callback in one; a record that embeds an Event and implements Handler
 // (a network delivery, a protocol timer) is scheduled with Arm and is then
 // the only object its scheduling allocates.
@@ -44,21 +41,24 @@ type Handler interface {
 	Fire()
 }
 
-// funcHandler adapts the callback form of At/After/Every.
+// funcHandler adapts the callback form of At/After.
 type funcHandler func()
 
 func (f funcHandler) Fire() { f() }
 
 // Event is a scheduled callback. It is returned by the scheduling methods so
-// callers can cancel or reschedule it. The zero Event is a valid unqueued
+// callers can cancel or re-arm it. The zero Event is a valid unqueued
 // event, so records may embed one and hand it to Arm.
 type Event struct {
-	when   Time
-	seq    uint64
-	pos    int // heap index + 1; 0 when not queued
-	h      Handler
-	name   string
-	period Duration // 0 for one-shot events
+	when Time
+	seq  uint64
+	pos  int // heap index + 1; 0 when not in the heap
+	h    Handler
+	name string
+	// lane is the lane the event is queued on (nil if none); prev and next
+	// link that lane's members in firing order.
+	lane       *Lane
+	prev, next *Event
 }
 
 // When reports the instant the event will fire (or last fired).
@@ -69,7 +69,7 @@ func (e *Event) When() Time { return e.when }
 func (e *Event) Name() string { return e.name }
 
 // Pending reports whether the event is still queued to fire.
-func (e *Event) Pending() bool { return e != nil && e.pos > 0 }
+func (e *Event) Pending() bool { return e != nil && (e.pos > 0 || e.lane != nil) }
 
 // Timer is a protocol timeout that lives inside its owner: an Event bound
 // to the owner's scheduler and expiry callback. Arming and re-arming it
@@ -98,9 +98,10 @@ func (t *Timer) Fire() { t.fn() }
 type Scheduler struct {
 	now     Time
 	queue   []*Event // binary heap ordered by (when, seq)
+	lanes   []*Lane
+	chained int // lane members behind their lane's head, outside the heap
 	seq     uint64
 	running bool
-	stopped bool
 
 	stepHook     func()
 	scheduleHook func()
@@ -113,10 +114,9 @@ type Scheduler struct {
 // A nil fn removes the hook.
 func (s *Scheduler) SetStepHook(fn func()) { s.stepHook = fn }
 
-// SetScheduleHook installs fn to run whenever a fresh event is
-// registered via At/After/Every/Arm. Periodic re-arms inside Step and
-// Reschedule's move of an existing event do not count: the hook
-// meters new registrations, not queue churn. A nil fn removes the hook.
+// SetScheduleHook installs fn to run whenever an event is registered via
+// At/After/Arm or Lane.Arm, re-arms of a pending event included: the hook
+// meters registrations, not pops. A nil fn removes the hook.
 func (s *Scheduler) SetScheduleHook(fn func()) { s.scheduleHook = fn }
 
 // NewScheduler returns a scheduler whose clock reads the epoch.
@@ -128,7 +128,7 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Len reports the number of pending events.
-func (s *Scheduler) Len() int { return len(s.queue) }
+func (s *Scheduler) Len() int { return len(s.queue) + s.chained }
 
 // Peek reports the instant of the next pending event without running it.
 func (s *Scheduler) Peek() (Time, bool) {
@@ -162,12 +162,12 @@ func (s *Scheduler) At(t Time, name string, fn func()) *Event {
 
 // Arm schedules h to run d after the current instant on ev, an event the
 // caller owns — normally one embedded in the record that implements h, so
-// the record is the single allocation. An ev that is still pending is
-// re-keyed where it sits rather than queued twice. Like After, Arm
-// registers a fresh timeout: it runs the schedule hook and draws one
-// sequence number. The hook runs first; if it panics (a timer budget
-// aborting the run) ev is left exactly as it was, still queued if it was
-// pending.
+// the record is the single allocation. An ev that is still pending in the
+// heap is re-keyed where it sits rather than queued twice; one on a lane
+// leaves it. Like After, Arm registers a fresh timeout: it runs the
+// schedule hook and draws one sequence number. The hook runs first; if it
+// panics (a timer budget aborting the run) ev is left exactly as it was,
+// still queued if it was pending.
 func (s *Scheduler) Arm(ev *Event, d Duration, name string, h Handler) {
 	if h == nil {
 		panic("simtime: nil event handler")
@@ -190,18 +190,20 @@ func (s *Scheduler) arm(ev *Event, t Time, name string, h Handler) {
 }
 
 // rekey gives ev a new instant and the next sequence number and puts it
-// where those sort: a pending event — which stops being periodic, as if
-// cancelled first — is sifted from its slot, any other is pushed. The
+// where those sort: a lone event pending in the heap is sifted from its
+// slot, any other is pushed (a lane member leaves its lane first). The
 // queue pops in (when, seq) order and sequence numbers are unique, so the
 // firing order is a function of the keys alone: moving an event in place
 // and removing then re-adding it are the same schedule.
 func (s *Scheduler) rekey(ev *Event, t Time) {
+	if ev.lane != nil {
+		s.unqueue(ev)
+	}
 	ev.when, ev.seq = t, s.nextSeq()
 	if ev.pos == 0 {
 		s.push(ev)
 		return
 	}
-	ev.period = 0
 	s.sift(ev.pos-1, ev)
 }
 
@@ -214,65 +216,36 @@ func (s *Scheduler) After(d Duration, name string, fn func()) *Event {
 	return s.At(s.now.Add(d), name, fn)
 }
 
-// Every schedules fn to run every period, first firing after one period.
-// Cancel stops future firings.
-func (s *Scheduler) Every(period Duration, name string, fn func()) *Event {
-	if period <= 0 {
-		panic(fmt.Sprintf("simtime: non-positive period %v for %q", period, name))
-	}
-	ev := s.After(period, name, fn)
-	ev.period = period
-	return ev
-}
-
 // Cancel removes ev from the queue. Cancelling a nil, fired, or already
 // cancelled event is a no-op. It reports whether the event was pending.
 func (s *Scheduler) Cancel(ev *Event) bool {
-	if ev == nil || ev.pos == 0 {
+	if !ev.Pending() {
 		return false
 	}
-	s.remove(ev.pos - 1)
-	ev.period = 0
+	s.unqueue(ev)
 	return true
 }
 
-// Reschedule moves a pending one-shot event to fire d after now. If the
-// event already fired it is re-armed. A caller-owned event that was never
-// armed has nothing to run and is left alone.
-func (s *Scheduler) Reschedule(ev *Event, d Duration) {
-	if ev == nil || ev.h == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.rekey(ev, s.now.Add(d))
-}
-
 // Step runs the single next event, advancing the clock to its instant.
-// It reports false when the queue is empty or the scheduler was stopped.
+// It reports false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.stopped || len(s.queue) == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
 	if s.stepHook != nil {
 		s.stepHook()
 	}
-	ev := s.remove(0)
+	ev := s.queue[0]
+	s.unqueue(ev)
 	if ev.when > s.now {
 		s.now = ev.when // never backwards (AdvanceTo may have passed it)
-	}
-	if ev.period > 0 {
-		ev.when = s.now.Add(ev.period)
-		ev.seq = s.nextSeq()
-		s.push(ev)
 	}
 	ev.h.Fire()
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called. It returns
-// the number of events executed.
+// Run executes events until the queue drains. It returns the number of
+// events executed.
 func (s *Scheduler) Run() int {
 	return s.RunUntil(Time(1<<62 - 1))
 }
@@ -286,13 +259,12 @@ func (s *Scheduler) RunUntil(deadline Time) int {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	s.stopped = false
 	n := 0
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].when <= deadline {
+	for len(s.queue) > 0 && s.queue[0].when <= deadline {
 		s.Step()
 		n++
 	}
-	if !s.stopped && s.now < deadline && deadline < Time(1<<62-1) {
+	if s.now < deadline && deadline < Time(1<<62-1) {
 		s.now = deadline
 	}
 	return n
@@ -303,26 +275,105 @@ func (s *Scheduler) RunFor(d Duration) int {
 	return s.RunUntil(s.now.Add(d))
 }
 
-// Stop halts a Run/RunUntil in progress after the current event returns.
-func (s *Scheduler) Stop() { s.stopped = true }
-
 func (s *Scheduler) nextSeq() uint64 {
 	s.seq++
 	return s.seq
 }
 
+// --- lanes ----------------------------------------------------------------
+
+// Lane is a scheduler's FIFO of events that fire a fixed delay d after they
+// are armed. The clock only moves forward between restores, so each arm keys
+// at or after the one before it (now+d, a larger seq): a lane is in firing
+// order as armed, and only its head needs a heap slot. Popping the head puts
+// its successor in that slot; in a broadcast that is the next hop at the same
+// instant, and the sift down stops at once.
+type Lane struct {
+	s          *Scheduler
+	d          Duration
+	head, tail *Event
+}
+
+// Lane returns the scheduler's one lane for delay d (a negative d is 0),
+// creating it on first use.
+func (s *Scheduler) Lane(d Duration) *Lane {
+	d = max(d, 0)
+	for _, l := range s.lanes {
+		if l.d == d {
+			return l
+		}
+	}
+	l := &Lane{s: s, d: d}
+	s.lanes = append(s.lanes, l)
+	return l
+}
+
+// Arm is Scheduler.Arm(ev, d, name, h) for the lane's delay d: the same key,
+// the same schedule-hook call and sequence number, so the same firing order.
+// The hook runs first; if it panics ev is left exactly as it was. A pending
+// ev moves to the lane's tail.
+func (l *Lane) Arm(ev *Event, name string, h Handler) {
+	s := l.s
+	if h == nil {
+		panic("simtime: nil event handler")
+	}
+	if s.scheduleHook != nil {
+		s.scheduleHook()
+	}
+	if ev.Pending() {
+		s.unqueue(ev)
+	}
+	ev.when, ev.seq, ev.h, ev.name, ev.lane = s.now.Add(l.d), s.nextSeq(), h, name, l
+	if t := l.tail; t != nil {
+		t.next, ev.prev, l.tail = ev, t, ev
+		s.chained++
+		return
+	}
+	l.head, l.tail = ev, ev
+	s.push(ev)
+}
+
+// unqueue takes a pending ev out of the heap or out of its lane. A lane
+// head's successor inherits its heap slot: its key is no earlier, so it can
+// only sift down.
+func (s *Scheduler) unqueue(ev *Event) {
+	l := ev.lane
+	if l == nil {
+		s.remove(ev.pos - 1)
+		return
+	}
+	prev, next := ev.prev, ev.next
+	ev.lane, ev.prev, ev.next = nil, nil, nil
+	if next != nil {
+		next.prev = prev
+	} else {
+		l.tail = prev
+	}
+	if prev != nil {
+		prev.next = next
+		s.chained--
+		return
+	}
+	l.head = next
+	if next == nil {
+		s.remove(ev.pos - 1)
+		return
+	}
+	s.chained--
+	i := ev.pos - 1
+	ev.pos = 0
+	s.down(i, next)
+}
+
 // --- snapshot / restore ------------------------------------------------
 
-// savedEvent retains a pending event together with the fields Step, Cancel,
-// and Reschedule mutate in place. Keeping the *Event pointer (rather than
-// cloning) is what makes restore-in-place work: timer owners (TCP
-// connections, RUDP retransmitters, ...) hold these pointers in their own
-// state, and closures already scheduled against the world stay valid.
+// savedEvent retains a pending event and the key Arm mutates in place.
+// Keeping the *Event pointer is what makes restore-in-place work: timer
+// owners hold these pointers, and scheduled closures stay valid.
 type savedEvent struct {
-	ev     *Event
-	when   Time
-	seq    uint64
-	period Duration
+	ev   *Event
+	when Time
+	seq  uint64
 }
 
 // schedState is the mutable state of a Scheduler at one instant.
@@ -332,16 +383,29 @@ type schedState struct {
 	events []savedEvent
 }
 
+// each visits every pending event: the heap in slot order, then each lane's
+// members behind its head.
+func (s *Scheduler) each(visit func(*Event)) {
+	for _, ev := range s.queue {
+		visit(ev)
+	}
+	for _, l := range s.lanes {
+		for ev := l.tail; ev != l.head; ev = ev.prev {
+			visit(ev)
+		}
+	}
+}
+
 // SnapshotState captures the clock, the sequence counter, and the pending
-// queue. It must be called between events (never from inside a running
+// events. It must be called between events (never from inside a running
 // Step). The step/schedule hooks are observers, not simulation state, so
 // they are deliberately excluded: callers re-attach their own watchdogs
 // after a restore.
 func (s *Scheduler) SnapshotState() any {
-	st := &schedState{now: s.now, seq: s.seq, events: make([]savedEvent, len(s.queue))}
-	for i, ev := range s.queue {
-		st.events[i] = savedEvent{ev: ev, when: ev.when, seq: ev.seq, period: ev.period}
-	}
+	st := &schedState{now: s.now, seq: s.seq, events: make([]savedEvent, 0, s.Len())}
+	s.each(func(ev *Event) {
+		st.events = append(st.events, savedEvent{ev: ev, when: ev.when, seq: ev.seq})
+	})
 	return st
 }
 
@@ -350,31 +414,34 @@ func (s *Scheduler) SnapshotState() any {
 // deliveries, delayed forwards) find them here when they snapshot, instead
 // of keeping a side table of what they scheduled.
 func (s *Scheduler) EachPending(visit func(Handler)) {
-	for _, ev := range s.queue {
-		visit(ev.h)
-	}
+	s.each(func(ev *Event) { visit(ev.h) })
 }
 
 // RestoreState rewinds the scheduler to a state captured by SnapshotState.
-// Events scheduled after the snapshot simply leave the queue (their owners
-// are rewound by their own restores); events that fired or were cancelled
-// since the snapshot are re-queued at their saved instant. The saved queue
-// slice order was a valid heap when captured, so it is installed verbatim.
+// Events scheduled since leave the queue (their owners rewind themselves;
+// a Cancel on one is a no-op), and events that fired or were cancelled
+// since are re-queued under their saved key. The clock may move back, so
+// every lane restarts empty and each saved event returns as a lone heap
+// event; the saved heap slots come first, so pushing them moves none.
 func (s *Scheduler) RestoreState(state any) {
 	st := state.(*schedState)
-	// Un-queue everything currently pending so stale pointers report
-	// !Pending() and a Cancel on one stays a no-op.
+	for _, l := range s.lanes {
+		for ev := l.head; ev != nil; {
+			next := ev.next
+			ev.lane, ev.prev, ev.next = nil, nil, nil
+			ev = next
+		}
+		l.head, l.tail = nil, nil
+	}
 	for _, ev := range s.queue {
 		ev.pos = 0
 	}
-	s.queue = s.queue[:0]
-	for i, se := range st.events {
-		se.ev.when, se.ev.seq, se.ev.period = se.when, se.seq, se.period
-		se.ev.pos = i + 1
-		s.queue = append(s.queue, se.ev)
+	s.queue, s.chained = s.queue[:0], 0
+	for _, se := range st.events {
+		se.ev.when, se.ev.seq = se.when, se.seq
+		s.push(se.ev)
 	}
 	s.now, s.seq = st.now, st.seq
-	s.stopped = false
 }
 
 // --- event heap ---------------------------------------------------------

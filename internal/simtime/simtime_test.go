@@ -72,28 +72,6 @@ func TestCancelNilIsNoop(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	s := NewScheduler()
-	var times []Time
-	var ev *Event
-	ev = s.Every(2*time.Second, "tick", func() {
-		times = append(times, s.Now())
-		if len(times) == 4 {
-			s.Cancel(ev)
-		}
-	})
-	s.RunUntil(Time(100 * time.Second))
-	if len(times) != 4 {
-		t.Fatalf("periodic event fired %d times, want 4", len(times))
-	}
-	for i, at := range times {
-		want := Time(time.Duration(i+1) * 2 * time.Second)
-		if at != want {
-			t.Errorf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	s := NewScheduler()
 	s.After(time.Second, "x", func() {})
@@ -141,46 +119,6 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.After(time.Duration(i+1)*time.Second, "n", func() {
-			count++
-			if count == 3 {
-				s.Stop()
-			}
-		})
-	}
-	n := s.Run()
-	if n != 3 || count != 3 {
-		t.Fatalf("Run executed %d events (count %d), want 3", n, count)
-	}
-}
-
-func TestReschedule(t *testing.T) {
-	s := NewScheduler()
-	var at Time
-	ev := s.After(time.Second, "x", func() { at = s.Now() })
-	s.Reschedule(ev, 5*time.Second)
-	s.Run()
-	if at != Time(5*time.Second) {
-		t.Fatalf("rescheduled event fired at %v, want 5s", at)
-	}
-}
-
-func TestRescheduleFiredEventRearms(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	ev := s.After(time.Second, "x", func() { count++ })
-	s.Run()
-	s.Reschedule(ev, time.Second)
-	s.Run()
-	if count != 2 {
-		t.Fatalf("event fired %d times, want 2 after re-arm", count)
-	}
-}
-
 func TestNilCallbackPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -188,15 +126,6 @@ func TestNilCallbackPanics(t *testing.T) {
 		}
 	}()
 	NewScheduler().After(time.Second, "bad", nil)
-}
-
-func TestNonPositivePeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
-		}
-	}()
-	NewScheduler().Every(0, "bad", func() {})
 }
 
 // Property: for any set of random delays, events fire in nondecreasing time
