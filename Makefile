@@ -35,8 +35,10 @@ test:
 # schedules only. The detector's build tag also turns message reuse into
 # poisoning (internal/message/pool_race.go): a message the simulated wire
 # releases is overwritten with 0xDB and loses its ID and addressing rather
-# than going back for the next Build, so a layer that retains a message
-# without Keep() fails a decode, a golden or a fingerprint in this target.
+# than going back to its world's message pool (message.Pool, which the
+# stacks build their frames from), so a layer that retains a message or a
+# slice of its bytes without Keep() fails a decode, a golden or a
+# fingerprint in this target.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 ./internal/interpose/

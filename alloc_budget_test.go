@@ -32,7 +32,7 @@ func (benchStub) Recognize(m *message.Message) (core.Info, error) {
 	return core.Info{Type: "DATA"}, nil
 }
 func (benchStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
-	return message.NewString(typ), nil
+	return message.New([]byte(typ)), nil
 }
 
 // TestFilterProcessAllocBudget pins the steady-state allocation count of
@@ -58,7 +58,7 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 `); err != nil {
 		t.Fatal(err)
 	}
-	m := message.NewString("payload-0123456789")
+	m := message.New([]byte("payload-0123456789"))
 	// The per-message filter path must stay allocation-free.
 	allocBudget(t, "FilterProcess", 0, 200, func() {
 		if err := stk.Send(m); err != nil {
@@ -193,6 +193,57 @@ func TestNetsimHopAllocBudget(t *testing.T) {
 		}
 		w.Run()
 	})
+}
+
+// TestStreamSegmentAllocBudget: a steady 512-byte segment through a
+// two-node TCP world, and the ACK that answers it, allocate nothing. Each
+// is a message built from the world's free list — the segment's a spilled
+// one that comes back with its buffer — and a delivery off the world's
+// list; the receiving TCP decodes the segment in place and lends its payload
+// to OnData without keeping the message, and the sender's retransmission
+// queue holds the segment by value in storage it reuses. (The ledger counts
+// this path in conformance.allocs_per_segment.)
+func TestStreamSegmentAllocBudget(t *testing.T) {
+	w := netsim.NewWorld(1)
+	var layers []*tcp.Layer
+	for _, name := range []string{"a", "b"} {
+		n := w.MustAddNode(name)
+		l, err := tcp.NewLayer(n.Env(), tcp.SunOS413())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.SetStack(stack.New(n.Env(), l))
+		layers = append(layers, l)
+	}
+	if err := w.Connect("a", "b", netsim.LinkConfig{Latency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	if err := layers[1].Listen(80, func(c *tcp.Conn) {
+		c.OnData(func(d []byte) { received += len(d) })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := layers[0].Connect("b", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Run()
+	if conn.State() != tcp.StateEstablished {
+		t.Fatalf("connection is %v", conn.State())
+	}
+	payload := make([]byte, 512)
+	segments := 0
+	allocBudget(t, "stream segment and its ACK", 0, 1000, func() {
+		if err := conn.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		w.Run()
+		segments++
+	})
+	if received != segments*len(payload) || conn.UnackedSegments() != 0 {
+		t.Fatalf("%d bytes of %d segments received, %d unacked", received, segments, conn.UnackedSegments())
+	}
 }
 
 // TestRecognizeAllocBudget measures recognition on both of its paths. A bare

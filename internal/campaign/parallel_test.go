@@ -25,7 +25,7 @@ func (typedStub) Recognize(m *message.Message) (core.Info, error) {
 	return core.Info{Type: string(m.Bytes())}, nil
 }
 func (typedStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
-	return message.NewString(typ), nil
+	return message.New([]byte(typ)), nil
 }
 
 // sweepScenario is a deterministic single-node simulation: one PFI layer,
@@ -46,10 +46,10 @@ func sweepScenario(m *harden.Monitor, c campaign.Case) (bool, string, error) {
 	types := []string{"DATA", "ACK", "PING"}
 	for i := 0; i < 60; i++ {
 		typ := types[i%len(types)]
-		if err := stk.Send(message.NewString(typ)); err != nil {
+		if err := stk.Send(message.New([]byte(typ))); err != nil {
 			return false, "", err
 		}
-		if err := stk.Deliver(message.NewString(typ)); err != nil {
+		if err := stk.Deliver(message.New([]byte(typ))); err != nil {
 			return false, "", err
 		}
 	}

@@ -12,14 +12,15 @@ import (
 // What reaches it from below is swallowed.
 type Driver struct {
 	base stack.Base
+	msgs *message.Pool
 }
 
 var _ stack.Layer = (*Driver)(nil)
 
 // NewDriver builds a driver layer for a node's stack. It takes the node's
-// Env like every other layer, and needs nothing from it.
-func NewDriver(*stack.Env) *Driver {
-	return &Driver{base: stack.NewBase("driver")}
+// Env like every other layer, and builds what it sends from env.Msgs.
+func NewDriver(env *stack.Env) *Driver {
+	return &Driver{base: stack.NewBase("driver"), msgs: env.Msgs}
 }
 
 // Name implements stack.Layer.
@@ -40,7 +41,7 @@ func (d *Driver) HandleUp(*message.Message) error { return nil }
 // Send pushes payload down to the target protocol, optionally addressed to
 // a destination node (for connectionless targets).
 func (d *Driver) Send(payload []byte, dst string) error {
-	m := message.New(payload)
+	m := d.msgs.New(payload)
 	m.SetDst(dst)
 	return d.base.Down(m)
 }

@@ -47,12 +47,12 @@ func TestDriverAddressedSend(t *testing.T) {
 // TestDriverHandleDownPassesThrough: a message sent from above the driver
 // goes down unchanged.
 func TestDriverHandleDownPassesThrough(t *testing.T) {
-	checkDriver(t, func(_ *Driver, stk *stack.Stack) error { return stk.Send(message.NewString("raw-push")) },
+	checkDriver(t, func(_ *Driver, stk *stack.Stack) error { return stk.Send(message.New([]byte("raw-push"))) },
 		"raw-push", "")
 }
 
 // TestDriverReceivePath: HandleUp swallows what arrives from below.
 func TestDriverReceivePath(t *testing.T) {
-	checkDriver(t, func(_ *Driver, stk *stack.Stack) error { return stk.Deliver(message.NewString("inbound")) },
+	checkDriver(t, func(_ *Driver, stk *stack.Stack) error { return stk.Deliver(message.New([]byte("inbound"))) },
 		"", "")
 }

@@ -331,7 +331,7 @@ func (f *Filter) apply(m *message.Message, v *verdict) error {
 	if v.dupExtra > 0 {
 		f.stats.Duplicated += v.dupExtra
 		for i := 1; i <= v.dupExtra; i++ {
-			if e := f.forwardAfter(m.Clone(), v.delay+time.Duration(i)*v.dupGap); err == nil {
+			if e := f.forwardAfter(f.layer.env.Msgs.Clone(m), v.delay+time.Duration(i)*v.dupGap); err == nil {
 				err = e
 			}
 		}

@@ -58,7 +58,7 @@ func payload(i int) string {
 func (r *wireRig) stream(t *testing.T, n int) {
 	t.Helper()
 	for i := 1; i <= n; i++ {
-		m := message.NewString(payload(i))
+		m := message.New([]byte(payload(i)))
 		m.SetDst("b")
 		if err := r.stk["a"].Send(m); err != nil {
 			t.Fatal(err)

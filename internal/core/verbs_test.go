@@ -115,7 +115,7 @@ func TestNopStub(t *testing.T) {
 	if s.Protocol() != "unknown" {
 		t.Errorf("Protocol = %q", s.Protocol())
 	}
-	info, err := s.Recognize(message.NewString("anything"))
+	info, err := s.Recognize(message.New([]byte("anything")))
 	if err != nil || info.Type != "UNKNOWN" {
 		t.Errorf("Recognize = %+v, %v", info, err)
 	}
@@ -136,7 +136,7 @@ func TestNopStubLayerPassesEverything(t *testing.T) {
 	stk := stack.New(env, l)
 	sent := 0
 	stk.OnTransmit(func(m *message.Message) error { sent++; return nil })
-	if err := stk.Send(message.NewString("opaque")); err != nil {
+	if err := stk.Send(message.New([]byte("opaque"))); err != nil {
 		t.Fatal(err)
 	}
 	if sent != 1 {

@@ -240,7 +240,7 @@ func (d *Daemon) sendReliable(dst string, m *Msg) {
 
 func (d *Daemon) sendRaw(dst string, m *Msg) {
 	m.Sender = d.id
-	if err := d.net.SendRawFrame(dst, m.AppendTo(rudp.RawFrame(m.EncodedLen()))); err != nil {
+	if err := d.net.SendRawFrame(dst, m.AppendTo(rudp.RawFrame(d.env.Msgs, m.EncodedLen()))); err != nil {
 		d.logEvent("send-error", m.TypeName(), err.Error())
 	}
 }

@@ -27,7 +27,7 @@ func TestRawFrameIsTheTwoStepFrame(t *testing.T) {
 		if got, want := len(m.Encode()), m.EncodedLen(); got != want {
 			t.Fatalf("%s: EncodedLen %d, Encode wrote %d bytes", m.TypeName(), want, got)
 		}
-		oneStep := m.AppendTo(rudp.RawFrame(m.EncodedLen())).Message()
+		oneStep := m.AppendTo(rudp.RawFrame(nil, m.EncodedLen())).Message()
 		twoStep := rudp.Frame{Kind: rudp.KindRaw, Payload: m.Encode()}.Encode()
 		if !bytes.Equal(oneStep.Bytes(), twoStep.Bytes()) {
 			t.Fatalf("%s: built in place % x\nwrapped          % x", m.TypeName(), oneStep.Bytes(), twoStep.Bytes())

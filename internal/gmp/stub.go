@@ -109,5 +109,5 @@ func (PFIStub) Generate(typ string, fields map[string]string) (*message.Message,
 	if ms := fields["members"]; ms != "" {
 		gm.Members = strings.Split(ms, ",")
 	}
-	return gm.AppendTo(rudp.RawFrame(gm.EncodedLen())).Message(), nil
+	return gm.AppendTo(rudp.RawFrame(nil, gm.EncodedLen())).Message(), nil
 }

@@ -5,7 +5,7 @@
 // with Build, and a decoder reads it back with a Reader. Messages also
 // carry their network addressing out of band (the source and destination
 // node, which are not serialized onto the wire), and a monotone ID so
-// traces can follow one packet through clone/duplicate operations.
+// traces can tell packets apart (a clone or duplicate gets an ID of its own).
 package message
 
 import (
@@ -16,8 +16,8 @@ import (
 
 var lastID atomic.Uint64
 
-// ID uniquely identifies a message within a process. Clones receive fresh
-// IDs but remember their origin.
+// ID uniquely identifies a message within a process. A clone receives a
+// fresh one.
 type ID uint64
 
 // InlineCap is how many bytes a message holds inside itself: a frame that
@@ -35,13 +35,14 @@ const InlineCap = 71
 // alias the original's storage (go vet's copylocks pass reports one).
 //
 // Ownership: a message belongs to whoever was handed it, for the length of
-// that call. The simulated wire reuses a message once its hop is over (see
-// Release), so a layer, hook or sink that holds on to a *Message — or to a
-// slice of its Bytes — after returning calls Keep first.
+// that call. The simulated wire gives a message back to its world's Pool
+// once its hop is over (see Pool.Release), so a layer, hook or sink that
+// holds on to a *Message — or to a slice of its Bytes — after returning
+// calls Keep first, or copies what it needs.
 type Message struct {
 	_      noCopy
 	id     ID
-	origin ID // ID of the message this one was cloned from, or its own ID
+	next   *Message // the next free message while this one is in a Pool
 	buf    []byte
 	src    string // sending node, stamped by the network on transmit
 	dst    string // destination node, set by the sender's stack
@@ -56,18 +57,27 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
+// Pool is one world's free list of messages whose hop is over, in two
+// classes: a frame that fits InlineCap takes an inline message, and a
+// larger one a spilled message, which comes back with its buffer. A world
+// is single-threaded, so there is no lock. The zero Pool is empty; a nil
+// *Pool reuses nothing, which is what the package-level New and Build are
+// for code that has no world (tools, the live proxy, tests).
+type Pool struct {
+	inline, spilled *Message // released messages, linked through next
+}
+
 // alloc returns an empty message with room for n bytes: in its inline array
 // when they fit, otherwise in a buffer of at least that capacity. It is a
-// message the wire gave back (Release) when there is one, and then carries
-// nothing over but a spill buffer's capacity: the ID is drawn here either
-// way, and a released message has no addressing and is not kept.
-func alloc(n int) *Message {
-	m := recycled()
+// released message of n's class when p has one, and then carries nothing
+// over but a spill buffer's capacity: the ID is drawn here either way, and a
+// released message has no addressing and is not kept.
+func (p *Pool) alloc(n int) *Message {
+	m := p.take(n > InlineCap)
 	if m == nil {
 		m = new(Message)
 	}
-	id := ID(lastID.Add(1))
-	m.id, m.origin = id, id
+	m.id = ID(lastID.Add(1))
 	switch {
 	case n <= InlineCap:
 		m.buf = m.inline[:0]
@@ -83,38 +93,34 @@ func alloc(n int) *Message {
 // bytes, beyond the call that handed it over — a hold queue, a delayed
 // forward, a receive log, a reassembly buffer, a snapshot. A kept message is
 // never reused; it stays kept (and garbage-collected like any other object)
-// for good. A Clone starts out not kept.
+// for good. A clone starts out not kept.
 func (m *Message) Keep() { m.kept = true }
 
-// Release gives the message back for a later New or Build to reuse, unless
+// Release gives m back to p for a later New, Build or Clone to reuse, unless
 // it was kept. It is the simulated wire's call and nobody else's: netsim
 // makes it when a hop is over — the receiving stack has returned, or the
 // message was lost in flight — which is the one point where no frame on the
 // stack still has the message in hand. Under the race detector a released
 // message is poisoned instead of reused (pool_race.go), so a retainer that
 // forgot Keep reads 0xDB bytes and a zero ID there.
-func (m *Message) Release() {
+func (p *Pool) Release(m *Message) {
 	if !m.kept {
-		recycle(m)
+		p.put(m)
 	}
 }
 
-// New builds a message whose payload is a copy of data.
-func New(data []byte) *Message {
-	m := alloc(len(data))
+// New builds a message from p whose payload is a copy of data.
+func (p *Pool) New(data []byte) *Message {
+	m := p.alloc(len(data))
 	m.buf = append(m.buf, data...)
 	return m
 }
 
-// NewString builds a message from a string payload.
-func NewString(s string) *Message { return New([]byte(s)) }
+// New builds a message whose payload is a copy of data; nothing is reused.
+func New(data []byte) *Message { return (*Pool)(nil).New(data) }
 
 // ID returns the message's unique identifier.
 func (m *Message) ID() ID { return m.id }
-
-// Origin returns the ID of the message this one was cloned from; for an
-// original message it equals ID().
-func (m *Message) Origin() ID { return m.origin }
 
 // Len returns the current total length in bytes (headers + payload).
 func (m *Message) Len() int { return len(m.buf) }
@@ -130,16 +136,16 @@ func (m *Message) CopyBytes() []byte {
 	return out
 }
 
-// Clone returns a deep copy with a fresh ID but the same origin chain and
-// the same addressing. The copy is not kept, whatever the original is.
-func (m *Message) Clone() *Message {
-	c := New(m.buf)
-	c.origin, c.src, c.dst = m.origin, m.src, m.dst
+// Clone returns a deep copy of m from p, with a fresh ID and the same
+// addressing. The copy is not kept, whatever the original is.
+func (p *Pool) Clone(m *Message) *Message {
+	c := p.New(m.buf)
+	c.src, c.dst = m.src, m.dst
 	return c
 }
 
 // State is a saved copy of a message's mutable content (payload bytes and
-// addressing). The identity fields (ID, Origin) are immutable and excluded.
+// addressing). The ID is immutable and excluded.
 // World snapshots use it to rewind in-flight and held messages in place:
 // the *Message pointer — held by pending delivery events and
 // retransmission queues — stays the same, only its content rolls back.
@@ -226,15 +232,18 @@ type Writer struct {
 // NewWriter returns a Writer with capacity preallocated for n bytes.
 func NewWriter(n int) Writer { return Writer{buf: make([]byte, 0, n)} }
 
-// Build starts a new message with room for n bytes and returns the Writer
-// that fills it. The encoder writes into the message's own buffer — inline
-// when n <= InlineCap — so a frame is encoded once, where it will travel.
-// Only this Writer may write there, and only until Message hands the
-// message over.
-func Build(n int) Writer {
-	m := alloc(n)
+// Build starts a new message from p with room for n bytes and returns the
+// Writer that fills it. The encoder writes into the message's own buffer —
+// inline when n <= InlineCap — so a frame is encoded once, where it will
+// travel. Only this Writer may write there, and only until Message hands
+// the message over.
+func (p *Pool) Build(n int) Writer {
+	m := p.alloc(n)
 	return Writer{buf: m.buf, m: m}
 }
+
+// Build starts a new message that reuses nothing; see Pool.Build.
+func Build(n int) Writer { return (*Pool)(nil).Build(n) }
 
 // Message finishes a Build and returns the message holding what was
 // written. The Writer must not be used afterwards. It panics on a Writer
@@ -349,9 +358,6 @@ func (r *Reader) U64() uint64 {
 	}
 	return binary.BigEndian.Uint64(p)
 }
-
-// Take reads n raw bytes (aliasing the underlying buffer).
-func (r *Reader) Take(n int) []byte { return r.take(n) }
 
 // Name reads a string written by Writer.Str8. A message that names a node
 // nearly always names one the receiver already holds a string for — the

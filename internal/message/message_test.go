@@ -18,15 +18,12 @@ func TestNewCopiesData(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m := NewString("abc")
+	m := New([]byte("abc"))
 	m.SetSrc("a")
 	m.SetDst("b")
-	c := m.Clone()
+	c := new(Pool).Clone(m)
 	if c.ID() == m.ID() {
 		t.Fatal("clone shares ID")
-	}
-	if c.Origin() != m.ID() {
-		t.Fatalf("clone origin %d, want %d", c.Origin(), m.ID())
 	}
 	if err := c.SetByte(0, 'z'); err != nil {
 		t.Fatal(err)
@@ -43,16 +40,8 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCloneOfCloneKeepsOrigin(t *testing.T) {
-	m := NewString("abc")
-	c2 := m.Clone().Clone()
-	if c2.Origin() != m.ID() {
-		t.Fatalf("grand-clone origin %d, want %d", c2.Origin(), m.ID())
-	}
-}
-
 func TestSetByteAndByteAt(t *testing.T) {
-	m := NewString("abc")
+	m := New([]byte("abc"))
 	if err := m.SetByte(1, 'X'); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +58,7 @@ func TestSetByteAndByteAt(t *testing.T) {
 }
 
 func TestTruncate(t *testing.T) {
-	m := NewString("abcdef")
+	m := New([]byte("abcdef"))
 	if err := m.Truncate(2); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +83,7 @@ func TestAddressing(t *testing.T) {
 }
 
 func TestSaveRestoreState(t *testing.T) {
-	m := NewString("abcdef")
+	m := New([]byte("abcdef"))
 	m.SetSrc("a")
 	m.SetDst("b")
 	st := m.SaveState()
@@ -126,8 +115,8 @@ func TestBuildWritesIntoTheMessage(t *testing.T) {
 	if &small.Bytes()[0] != &small.inline[0] {
 		t.Fatal("a frame under InlineCap was not built inline")
 	}
-	if small.Origin() != small.ID() {
-		t.Fatal("built message is not its own origin")
+	if n := unsafe.Sizeof(Message{}); n != 144 {
+		t.Fatalf("a Message is %d bytes, not one 144-byte size class", n)
 	}
 	payload := bytes.Repeat([]byte("x"), InlineCap)
 	big := Build(1 + len(payload)).U8(9).Bytes(payload).Message()
@@ -155,7 +144,7 @@ func TestCopiesShareNoStorage(t *testing.T) {
 		payload := bytes.Repeat([]byte("p"), size)
 		m := New(payload)
 		m.SetSrc("a")
-		c := m.Clone()
+		c := new(Pool).Clone(m)
 		st := m.SaveState()
 		corrupt := func(x *Message) {
 			t.Helper()
@@ -187,40 +176,40 @@ func TestCopiesShareNoStorage(t *testing.T) {
 }
 
 // TestKeepOutlivesRelease: Release is a no-op on a message someone kept or a
-// snapshot saved — ID, origin, addressing and bytes stay what they were, in a
-// normal build (where an unkept message goes back for reuse) and under the
-// race detector (where it is poisoned) alike. Keeping is the holder's own
-// business: it does not pass to a Clone.
+// snapshot saved — ID, addressing and bytes stay what they were, in a normal
+// build (where an unkept message goes back to the pool for reuse) and under
+// the race detector (where it is poisoned) alike. Keeping is the holder's
+// own business: it does not pass to a clone.
 func TestKeepOutlivesRelease(t *testing.T) {
-	intact := func(m *Message, id, origin ID, body string) {
+	intact := func(m *Message, id ID, body string) {
 		t.Helper()
-		if m.ID() != id || m.Origin() != origin || m.Src() != "a" || m.Dst() != "b" || string(m.Bytes()) != body {
-			t.Fatalf("released though kept: %v origin %d %s->%s", m, m.Origin(), m.Src(), m.Dst())
+		if m.ID() != id || m.Src() != "a" || m.Dst() != "b" || string(m.Bytes()) != body {
+			t.Fatalf("released though kept: %v %s->%s", m, m.Src(), m.Dst())
 		}
 	}
 	for _, body := range []string{"held", strings.Repeat("spilled ", InlineCap)} {
-		parent := NewString(body)
-		m := parent.Clone()
+		p := new(Pool)
+		m := p.New([]byte(body))
 		m.SetSrc("a")
 		m.SetDst("b")
 		id := m.ID()
 		m.Keep()
-		c := m.Clone()
+		c := p.Clone(m)
 		if c.kept {
 			t.Fatal("the clone of a kept message is kept")
 		}
-		c.Release()
-		m.Release()
-		intact(m, id, parent.ID(), body)
+		p.Release(c)
+		p.Release(m)
+		intact(m, id, body)
 
-		s := m.Clone()
+		s := p.Clone(m)
 		sid := s.ID()
 		st := s.SaveState()
-		s.Release()
-		intact(s, sid, parent.ID(), body)
+		p.Release(s)
+		intact(s, sid, body)
 		_ = s.Truncate(1)
 		s.RestoreState(st)
-		intact(s, sid, parent.ID(), body)
+		intact(s, sid, body)
 	}
 }
 
@@ -280,8 +269,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if v := r.U64(); v != 1<<40 {
 		t.Fatalf("U64 = %d", v)
 	}
-	if tail := r.Take(4); string(tail) != "tail" {
-		t.Fatalf("Take = %q", tail)
+	if tail := r.take(4); string(tail) != "tail" {
+		t.Fatalf("take = %q", tail)
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())

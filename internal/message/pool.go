@@ -2,23 +2,34 @@
 
 package message
 
-import "sync"
-
-// pool holds released messages. It is package-level so that encoders keep
-// calling Build(n) with no world to name, and a sync.Pool so that campaign
-// workers on several goroutines share it without a lock of our own; the
-// collector empties it, so it never holds more than one GC cycle's worth.
-var pool sync.Pool
-
-// recycled returns a released message, or nil when there is none.
-func recycled() *Message {
-	m, _ := pool.Get().(*Message)
+// take unlinks a released message of the asked class from p's list, or
+// returns nil when there is none.
+func (p *Pool) take(spilled bool) *Message {
+	if p == nil {
+		return nil
+	}
+	head := &p.inline
+	if spilled {
+		head = &p.spilled
+	}
+	m := *head
+	if m != nil {
+		*head, m.next = m.next, nil
+	}
 	return m
 }
 
-// recycle is Release for a message nobody kept. The addressing goes now, so
-// that a pooled message pins no strings; alloc sets everything else.
-func recycle(m *Message) {
+// put is Release for a message nobody kept: it joins the list of its class
+// (a spill buffer is one of more than InlineCap bytes), and its addressing
+// goes now so that a free message pins no strings; alloc sets the rest.
+func (p *Pool) put(m *Message) {
+	if p == nil {
+		return
+	}
 	m.src, m.dst = "", ""
-	pool.Put(m)
+	head := &p.inline
+	if cap(m.buf) > InlineCap {
+		head = &p.spilled
+	}
+	m.next, *head = *head, m
 }

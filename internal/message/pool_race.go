@@ -8,14 +8,14 @@ package message
 // addressing, and shows up as a decode error, a golden diff or a moved
 // fingerprint in `make race` instead of as a heisenbug in a normal build.
 
-// recycled returns nil: every message is allocated fresh.
-func recycled() *Message { return nil }
+// take returns nil: every message is allocated fresh.
+func (*Pool) take(bool) *Message { return nil }
 
-// recycle is Release for a message nobody kept.
-func recycle(m *Message) {
+// put is Release for a message nobody kept.
+func (*Pool) put(m *Message) {
 	buf := m.buf[:cap(m.buf)]
 	for i := range buf {
 		buf[i] = 0xDB
 	}
-	m.id, m.origin, m.src, m.dst = 0, 0, "", ""
+	m.id, m.src, m.dst = 0, "", ""
 }

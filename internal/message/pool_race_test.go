@@ -53,7 +53,7 @@ func TestPoisonIsWhatAForgetfulLayerReads(t *testing.T) {
 	}
 	for i, frame := range frames {
 		m := forgot[i]
-		if m.ID() != 0 || m.Origin() != 0 || m.Src() != "" || m.Dst() != "" ||
+		if m.ID() != 0 || m.Src() != "" || m.Dst() != "" ||
 			!bytes.Equal(m.Bytes(), bytes.Repeat([]byte{0xDB}, len(frame))) {
 			t.Errorf("retained without Keep, read back %v from %q to %q: not the poison", m, m.Src(), m.Dst())
 		}

@@ -64,6 +64,9 @@ type World struct {
 	// again. The world is single-threaded, so a plain stack will do; a
 	// delivery a snapshot has seen never comes here (delivery.pinned).
 	free []*delivery
+	// msgs holds the messages whose hop is over; every node's stack builds
+	// its frames from it (stack.Env.Msgs). A kept message never comes here.
+	msgs message.Pool
 
 	// snaps is the world's snapshot roster: scheduler and world state are
 	// pre-registered; rigs add their protocol layers and shared log.
@@ -123,7 +126,7 @@ func (w *World) AddNode(name string) (*Node, error) {
 		name:  name,
 		world: w,
 		idx:   len(w.order),
-		env:   &stack.Env{Sched: w.Sched, Node: name},
+		env:   &stack.Env{Sched: w.Sched, Node: name, Msgs: &w.msgs},
 	}
 	w.nodes[name] = n
 	w.order = append(w.order, n)
@@ -292,11 +295,12 @@ func (w *World) newDelivery(src, dst *Node, m *message.Message) *delivery {
 }
 
 // Fire implements simtime.Handler: the message arrives, and the hop gives
-// back what it used. This is the one place that does: Fire runs directly
-// under Scheduler.Step, so the receiving stack's whole call chain has
-// unwound and no sender's frame is on the stack — whoever still wants the
-// message has said so with Keep by now. (A send-side drop is no such place:
-// the PFI layer forwards a message and then clones it for xDuplicate.)
+// back what it used to the world's free lists. This is the one place that
+// does: Fire runs directly under Scheduler.Step, so the receiving stack's
+// whole call chain has unwound and no sender's frame is on the stack —
+// whoever still wants the message has said so with Keep by now. (A
+// send-side drop is no such place: the PFI layer forwards a message and
+// then clones it for xDuplicate.)
 func (d *delivery) Fire() {
 	w, m := d.dst.world, d.m
 	d.arrive(w)
@@ -304,7 +308,7 @@ func (d *delivery) Fire() {
 		d.m = nil
 		w.free = append(w.free, d)
 	}
-	m.Release()
+	w.msgs.Release(m)
 }
 
 func (d *delivery) arrive(w *World) {
@@ -338,7 +342,7 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 	if dst == Broadcast {
 		for _, to := range w.order {
 			if to != from {
-				w.sendOne(from, to, m.Clone())
+				w.sendOne(from, to, w.msgs.Clone(m))
 			}
 		}
 		return nil

@@ -41,7 +41,7 @@ func newRig(t *testing.T, n int, cfg LinkConfig) *rig {
 
 func (r *rig) send(t *testing.T, from, to, payload string) {
 	t.Helper()
-	m := message.NewString(payload)
+	m := message.New([]byte(payload))
 	m.SetDst(to)
 	node, _ := r.w.Node(from)
 	if err := node.Stack().Send(m); err != nil {
@@ -192,7 +192,7 @@ func TestNoRoute(t *testing.T) {
 	w.MustAddNode("b")
 	sa := stack.New(a.Env())
 	a.SetStack(sa)
-	m := message.NewString("x")
+	m := message.New([]byte("x"))
 	m.SetDst("b")
 	if err := sa.Send(m); err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestDefaultLink(t *testing.T) {
 	sa := stack.New(a.Env())
 	a.SetStack(sa)
 	w.SetDefaultLink(&LinkConfig{Latency: time.Millisecond})
-	m := message.NewString("x")
+	m := message.New([]byte("x"))
 	m.SetDst("b")
 	if err := sa.Send(m); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestRandomLossIsSeededAndBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 1000; i++ {
-			m := message.NewString("x")
+			m := message.New([]byte("x"))
 			m.SetDst("b")
 			if err := sa.Send(m); err != nil {
 				t.Fatal(err)
@@ -289,11 +289,11 @@ func TestErrorPaths(t *testing.T) {
 	a, _ := w.Node("a")
 	sa := stack.New(a.Env())
 	a.SetStack(sa)
-	if err := sa.Send(message.NewString("lost")); err == nil {
+	if err := sa.Send(message.New([]byte("lost"))); err == nil {
 		t.Error("message without destination accepted")
 	}
 	// Message to unknown destination.
-	m := message.NewString("x")
+	m := message.New([]byte("x"))
 	m.SetDst("ghost")
 	if err := sa.Send(m); err == nil {
 		t.Error("message to unknown node accepted")
@@ -331,7 +331,7 @@ func TestJitterStaysWithinBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		m := message.NewString("x")
+		m := message.New([]byte("x"))
 		m.SetDst("b")
 		if err := sa.Send(m); err != nil {
 			t.Fatal(err)
@@ -362,7 +362,7 @@ func TestPropertyConservation(t *testing.T) {
 		}
 		a, _ := w.Node("a")
 		for i := 0; i < int(nMsg); i++ {
-			m := message.NewString("x")
+			m := message.New([]byte("x"))
 			if i%3 == 0 {
 				m.SetDst(Broadcast)
 			} else {

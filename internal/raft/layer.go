@@ -31,9 +31,10 @@ func NewLayer(env *stack.Env, peers []string, opts ...Option) (*Layer, error) {
 // Node returns the consensus state machine.
 func (l *Layer) Node() *Node { return l.node }
 
-// ship transmits one protocol message onto the simulated network.
+// ship encodes one protocol message into a message from the world's free
+// list and transmits it onto the simulated network.
 func (l *Layer) ship(dst string, m Msg) {
-	sm := m.Encode()
+	sm := m.writeTo(l.env.Msgs.Build(m.encodedLen()))
 	sm.SetDst(dst)
 	if err := l.base.Down(sm); err != nil {
 		l.node.logEvent("send-error", m.TypeName(), 0, err.Error())

@@ -130,17 +130,25 @@ func checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode serializes the message for the wire: a 4-byte checksum followed by
-// the frame body.
-func (m *Msg) Encode() *message.Message {
-	// 4 checksum + 1 type + 8 term + 1+len(From), then the largest fixed
-	// body (APPEND_ENTRIES: 3×8 + 2) and each entry's 8 + 1+len(Data): the
-	// buffer never regrows.
+// Encode serializes the message for the wire into a message of its own; the
+// layer builds what it ships from the world's free list.
+func (m *Msg) Encode() *message.Message { return m.writeTo(message.Build(m.encodedLen())) }
+
+// encodedLen is 4 checksum + 1 type + 8 term + 1+len(From), then the
+// largest fixed body (APPEND_ENTRIES: 3×8 + 2) and each entry's 8 +
+// 1+len(Data): a Build of this size never regrows.
+func (m *Msg) encodedLen() int {
 	n := 14 + len(m.From) + 26
 	for _, e := range m.Entries {
 		n += 9 + len(e.Data)
 	}
-	w := message.Build(n).U32(0) // checksum placeholder
+	return n
+}
+
+// writeTo writes the frame into w, a Build of encodedLen bytes: a 4-byte
+// checksum followed by the frame body. It finishes the message.
+func (m *Msg) writeTo(w message.Writer) *message.Message {
+	w = w.U32(0) // checksum placeholder
 	w = w.U8(m.Type).U64(m.Term).Str8(m.From)
 	switch m.Type {
 	case TypeRequestVote:

@@ -58,9 +58,15 @@ func (f Frame) KindName() string {
 	}
 }
 
-// Encode serializes the frame into a message that owns the bytes.
+// Encode serializes the frame into a message of its own that owns the
+// bytes; the layer's send paths build theirs from the world's free list.
 func (f Frame) Encode() *message.Message {
-	return message.Build(HeaderLen + len(f.Payload)).U8(f.Kind).U32(f.Seq).Bytes(f.Payload).Message()
+	return f.appendTo(message.Build(HeaderLen + len(f.Payload))).Message()
+}
+
+// appendTo writes the frame — header, then payload — into w.
+func (f Frame) appendTo(w message.Writer) message.Writer {
+	return w.U8(f.Kind).U32(f.Seq).Bytes(f.Payload)
 }
 
 // Decode parses a frame without consuming the message. Payload aliases the
@@ -221,17 +227,17 @@ func (l *Layer) Send(dst string, payload []byte) error {
 
 // SendRaw transmits payload unreliably (no ack, no retransmission).
 func (l *Layer) SendRaw(dst string, payload []byte) error {
-	return l.SendRawFrame(dst, RawFrame(len(payload)).Bytes(payload))
+	return l.SendRawFrame(dst, RawFrame(l.env.Msgs, len(payload)).Bytes(payload))
 }
 
-// RawFrame starts an unreliable frame with room for an n-byte payload. The
-// caller appends the payload and passes the Writer to SendRawFrame: nothing
-// retains a raw datagram, so its payload is encoded once, straight behind
-// the header in the message that carries it. (A reliable payload is kept
-// for retransmission, so Send takes it as bytes and every transmission
-// copies it into a fresh message.)
-func RawFrame(n int) message.Writer {
-	return message.Build(HeaderLen + n).U8(KindRaw).U32(0)
+// RawFrame starts an unreliable frame, in a message from p (nil allocates),
+// with room for an n-byte payload. The caller appends the payload and passes
+// the Writer to SendRawFrame: nothing retains a raw datagram, so its payload
+// is encoded once, straight behind the header in the message that carries
+// it. (A reliable payload is kept for retransmission, so Send takes it as
+// bytes and every transmission copies it into a message of its own.)
+func RawFrame(p *message.Pool, n int) message.Writer {
+	return Frame{Kind: KindRaw}.appendTo(p.Build(HeaderLen + n))
 }
 
 // SendRawFrame transmits a frame started by RawFrame, unreliably like
@@ -244,7 +250,7 @@ func (l *Layer) SendRawFrame(dst string, w message.Writer) error {
 }
 
 func (l *Layer) ship(dst string, f Frame) error {
-	m := f.Encode()
+	m := f.appendTo(l.env.Msgs.Build(HeaderLen + len(f.Payload))).Message()
 	m.SetDst(dst)
 	return l.base.Down(m)
 }

@@ -27,12 +27,13 @@ type Sink func(m *message.Message) error
 // Who owns a message: whoever was handed it, until that call returns. A
 // layer may read it, change it, pass it on or drop it; once HandleUp or
 // HandleDown has returned, the message is no longer the layer's — the
-// simulated wire reuses a delivered message for a later frame as soon as
-// the receiving stack has returned. A layer that holds on to the *Message,
-// or to a slice of its Bytes (a decoded payload that aliases them), beyond
-// its own return — a hold queue, a delayed forward, a reassembly buffer, a
-// receive log — calls m.Keep() first, or copies what it needs. A message a
-// layer has passed down is the wire's: send a Clone to send it twice.
+// simulated wire gives a delivered message back to the world's free list
+// (Env.Msgs) as soon as the receiving stack has returned. A layer that
+// holds on to the *Message, or to a slice of its Bytes (a decoded payload
+// that aliases them), beyond its own return — a hold queue, a delayed
+// forward, a receive log — calls m.Keep() first, or copies what it needs,
+// as TCP does. A message a layer has passed down is the wire's: send a
+// clone to send it twice.
 type Layer interface {
 	// Name identifies the layer in traces.
 	Name() string
@@ -45,11 +46,14 @@ type Layer interface {
 	Wire(down, up Sink)
 }
 
-// Env carries per-node context every layer needs: the virtual clock and the
-// node's name. One Env is shared by all layers of a node's stack.
+// Env carries per-node context every layer needs: the virtual clock, the
+// node's name, and the world's message free list that layers build the
+// frames they send from (nil outside a netsim world: every Build allocates).
+// One Env is shared by all layers of a node's stack.
 type Env struct {
 	Sched *simtime.Scheduler
 	Node  string
+	Msgs  *message.Pool
 }
 
 // Now returns the current virtual time.

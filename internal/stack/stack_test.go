@@ -40,7 +40,7 @@ func TestSendPushesHeadersTopToBottom(t *testing.T) {
 		wire = m.CopyBytes()
 		return nil
 	})
-	if err := s.Send(message.NewString("data")); err != nil {
+	if err := s.Send(message.New([]byte("data"))); err != nil {
 		t.Fatal(err)
 	}
 	if string(wire) != "dataaabbcc" {
@@ -55,7 +55,7 @@ func TestDeliverPopsHeadersBottomToTop(t *testing.T) {
 		appData = m.CopyBytes()
 		return nil
 	})
-	if err := s.Deliver(message.NewString("payloadaabb")); err != nil {
+	if err := s.Deliver(message.New([]byte("payloadaabb"))); err != nil {
 		t.Fatal(err)
 	}
 	if string(appData) != "payload" {
@@ -74,7 +74,7 @@ func TestRoundTripThroughTwoStacks(t *testing.T) {
 		got = m.CopyBytes()
 		return nil
 	})
-	if err := a.Send(message.NewString("hello")); err != nil {
+	if err := a.Send(message.New([]byte("hello"))); err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "hello" {
@@ -97,13 +97,13 @@ func TestMiddleLayerInterposes(t *testing.T) {
 			return next(m)
 		})
 	s := New(newEnv(), headerLayer("app1"), spy, headerLayer("net1"))
-	if err := s.Send(message.NewString("x")); err != nil {
+	if err := s.Send(message.New([]byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 1 || seen[0] != "down:xapp1" {
 		t.Fatalf("pfi observed %v, want [down:xapp1]", seen)
 	}
-	if err := s.Deliver(message.NewString("yapp1net1")); err != nil {
+	if err := s.Deliver(message.New([]byte("yapp1net1"))); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 || seen[1] != "up:yapp1" {
@@ -139,7 +139,7 @@ func TestErrorsPropagate(t *testing.T) {
 	boom := errors.New("boom")
 	bad := NewFunc("bad", func(m *message.Message, next Sink) error { return boom }, nil)
 	s := New(newEnv(), headerLayer("top"), bad)
-	if err := s.Send(message.NewString("x")); !errors.Is(err, boom) {
+	if err := s.Send(message.New([]byte("x"))); !errors.Is(err, boom) {
 		t.Fatalf("Send error = %v, want boom", err)
 	}
 }
@@ -159,10 +159,10 @@ func TestEmptyStackPassesThrough(t *testing.T) {
 
 func TestUnsetSinksDiscard(t *testing.T) {
 	s := New(newEnv(), headerLayer("l"))
-	if err := s.Send(message.NewString("x")); err != nil {
+	if err := s.Send(message.New([]byte("x"))); err != nil {
 		t.Fatalf("Send with no transmit sink: %v", err)
 	}
-	if err := s.Deliver(message.NewString("xl")); err != nil {
+	if err := s.Deliver(message.New([]byte("xl"))); err != nil {
 		t.Fatalf("Deliver with no deliver sink: %v", err)
 	}
 }

@@ -84,7 +84,9 @@ type Conn struct {
 	sendQ    [][]byte
 	sendHead int
 	unsent   int
-	unacked  []*sentSeg
+	// unacked holds the segments in flight by value, oldest first; an ACK
+	// moves the rest down, so one array serves the whole stream.
+	unacked []sentSeg
 
 	rtxTimer simtime.Timer
 	// rtxCount counts consecutive timeouts of the oldest segment (the BSD
@@ -110,6 +112,7 @@ type Conn struct {
 	recvBufSize int
 	recvQ       []byte            // accepted, not yet consumed by the app
 	oooQ        map[uint32][]byte // out-of-order segments keyed by seq
+	oooFree     [][]byte          // drained oooQ buffers, for the next gap
 	autoConsume bool
 
 	// Keep-alive.
@@ -188,8 +191,9 @@ func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
 
 // OnData registers the inbound-data callback. With auto-consume enabled
 // (the default) it fires as data arrives in order. data is lent for the
-// duration of the call — it aliases the arriving message — so fn copies
-// what it keeps and does not write to it.
+// duration of the call — it aliases the arriving message, which the wire
+// reuses once the hop is over, or a buffer of the out-of-order queue, which
+// the next gap reuses — so fn copies what it keeps and does not write to it.
 func (c *Conn) OnData(fn func(data []byte)) { c.onData = fn }
 
 // OnClose registers the teardown callback with a human-readable reason.
@@ -327,8 +331,7 @@ func (c *Conn) sched() *simtime.Scheduler { return c.layer.env.Sched }
 func (c *Conn) now() simtime.Time { return c.sched().Now() }
 
 // transmit encodes and ships a segment toward the peer. Segments travel by
-// value: the only ones on the heap are inside the sentSeg trackSent keeps
-// for retransmission.
+// value, and trackSent keeps them by value for retransmission.
 func (c *Conn) transmit(seg Segment) {
 	c.layer.transmit(c.remoteNode, seg)
 }
@@ -390,11 +393,11 @@ func (c *Conn) onDelackTimeout() {
 }
 
 func (c *Conn) trackSent(seg Segment) {
-	ss := &sentSeg{seg: seg, end: seg.Seq + seg.SeqSpace(), firstSentAt: c.now()}
-	c.unacked = append(c.unacked, ss)
+	end := seg.Seq + seg.SeqSpace()
+	c.unacked = append(c.unacked, sentSeg{seg: seg, end: end, firstSentAt: c.now()})
 	if !c.timingValid {
 		c.timingValid = true
-		c.timedEnd = ss.end
+		c.timedEnd = end
 		c.timedAt = c.now()
 		c.timedRetrans = false
 	}
@@ -462,7 +465,7 @@ func (c *Conn) onRtxTimeout() {
 		c.drop("retransmission limit", c.prof.ResetOnTimeout)
 		return
 	}
-	oldest := c.unacked[0]
+	oldest := &c.unacked[0]
 	oldest.retransmits++
 	c.rtxCount++
 	c.globalErr++
@@ -606,7 +609,9 @@ func (c *Conn) dropAcked(ack uint32) (removed int, anyClean bool) {
 		i++
 	}
 	if i > 0 {
-		c.unacked = c.unacked[i:]
+		n := copy(c.unacked, c.unacked[i:])
+		clear(c.unacked[n:]) // the payloads go with their segments
+		c.unacked = c.unacked[:n]
 	}
 	return i, anyClean
 }
@@ -661,8 +666,8 @@ func (c *Conn) processAck(seg *Segment) {
 }
 
 func (c *Conn) finOutstanding() bool {
-	for _, ss := range c.unacked {
-		if ss.seg.Has(FlagFIN) {
+	for i := range c.unacked {
+		if c.unacked[i].seg.Has(FlagFIN) {
 			return true
 		}
 	}
@@ -689,7 +694,11 @@ func (c *Conn) processPayload(seg *Segment) {
 		// out-of-order segments; all four vendor stacks did) and ACK to
 		// show the gap.
 		if len(c.oooQ) < 64 && seg.Len() > 0 {
-			c.oooQ[seg.Seq] = append([]byte(nil), seg.Payload...)
+			var buf []byte // a drained buffer, if there is one
+			if n := len(c.oooFree); n > 0 {
+				buf, c.oooFree = c.oooFree[n-1], c.oooFree[:n-1]
+			}
+			c.oooQ[seg.Seq] = append(buf, seg.Payload...)
 		}
 		c.sendACK()
 	default:
@@ -714,13 +723,16 @@ func (c *Conn) acceptInOrder(seg *Segment) {
 			c.onData(data) // lent: data is the arriving message's bytes
 		}
 	}
-	// Drain any queued out-of-order segments that are now in order.
+	// Drain any queued out-of-order segments that are now in order. Each
+	// buffer goes back for the next gap, which cannot open before the
+	// OnData below has returned: segments arrive as scheduler events.
 	for {
 		next, ok := c.oooQ[c.rcvNxt]
 		if !ok {
 			break
 		}
 		delete(c.oooQ, c.rcvNxt)
+		c.oooFree = append(c.oooFree, next[:0])
 		space := c.recvBufSize - len(c.recvQ)
 		if len(next) > space {
 			next = next[:space]

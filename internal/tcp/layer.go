@@ -85,12 +85,9 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	if err != nil {
 		return nil // garbage on the wire is dropped, not fatal
 	}
-	if len(seg.Payload) > 0 {
-		// The payload is a slice of m and OnData lends it onwards instead
-		// of copying it, so m stays out of the wire's reuse. A bare ACK,
-		// SYN, FIN or RST lends nothing.
-		m.Keep()
-	}
+	// seg.Payload is a slice of m, which the wire reuses once this returns:
+	// OnData lends it for its call only, and whatever TCP keeps of it —
+	// the receive buffer, the out-of-order queue — it copies.
 	srcNode := m.Src()
 	if srcNode == "" {
 		return fmt.Errorf("tcp: segment without source node")
@@ -169,10 +166,11 @@ func (l *Layer) nextEphemeral() uint16 {
 	return l.ephemeral
 }
 
-// transmit encodes a segment, addresses it, and pushes it down the stack
-// (through any PFI layer spliced in below).
+// transmit encodes a segment into a message from the world's free list,
+// addresses it, and pushes it down the stack (through any PFI layer spliced
+// in below).
 func (l *Layer) transmit(dstNode string, seg Segment) {
-	m := seg.Encode()
+	m := seg.appendTo(l.env.Msgs.Build(HeaderLen + len(seg.Payload))).Message()
 	m.SetDst(dstNode)
 	// Transmission failures below (e.g. a filter script error) surface in
 	// the experiment log; TCP itself treats the network as lossy anyway.

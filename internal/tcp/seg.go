@@ -108,14 +108,18 @@ func (s *Segment) String() string {
 		s.SrcPort, s.DstPort, s.FlagNames(), s.Seq, s.Ack, s.Window, len(s.Payload))
 }
 
-// Encode serializes the segment into a stack message that owns its bytes.
-// This is the one copy a stream byte gets between Send and OnData: a
-// message is what a fault may mutate (SetByte, Truncate), the payload it
-// was cut from is not.
+// Encode serializes the segment into a stack message of its own that owns
+// its bytes; the layer builds what it transmits from the world's free list.
 func (s *Segment) Encode() *message.Message {
-	return message.Build(HeaderLen + len(s.Payload)).
-		U16(s.SrcPort).U16(s.DstPort).U32(s.Seq).U32(s.Ack).U8(s.Flags).U16(s.Window).
-		Bytes(s.Payload).Message()
+	return s.appendTo(message.Build(HeaderLen + len(s.Payload))).Message()
+}
+
+// appendTo writes the segment — header, then payload — into w. This is the
+// one copy a stream byte gets between Send and OnData: a message is what a
+// fault may mutate (SetByte, Truncate), the payload it was cut from is not.
+func (s *Segment) appendTo(w message.Writer) message.Writer {
+	return w.U16(s.SrcPort).U16(s.DstPort).U32(s.Seq).U32(s.Ack).U8(s.Flags).U16(s.Window).
+		Bytes(s.Payload)
 }
 
 // Decode parses a segment from a stack message without consuming it.

@@ -7,10 +7,10 @@ import (
 )
 
 // This file makes the TCP layer snapshot-capable (see internal/snapshot).
-// Connections and tracked segments are retained by pointer — a
-// connection's timers are fixed parts of the same *Conn, and the scheduler
-// restores their events — while every field the state machine mutates is
-// saved by value and written back on restore.
+// Connections are retained by pointer — a connection's timers are fixed
+// parts of the same *Conn, and the scheduler restores their events — while
+// every field the state machine mutates is saved by value and written back
+// on restore.
 
 // estState is the RTO estimator's mutable state (the configuration fields
 // are immutable).
@@ -18,15 +18,6 @@ type estState struct {
 	srtt    time.Duration
 	rttvar  time.Duration
 	sampled bool
-}
-
-// sentSegState saves the fields a retransmission mutates in place on a
-// tracked segment: the retry counter plus the refreshed ACK/window.
-type sentSegState struct {
-	ss          *sentSeg
-	retransmits int
-	ack         uint32
-	window      uint16
 }
 
 // connState is one connection's mutable state.
@@ -41,7 +32,7 @@ type connState struct {
 
 	sendQ   [][]byte // the unsent chunks, shared: only their headers are copied
 	unsent  int
-	unacked []sentSegState
+	unacked []sentSeg
 
 	rtxCount  int
 	globalErr int
@@ -85,6 +76,7 @@ func (c *Conn) snapshotState() *connState {
 		sndWnd:        c.sndWnd,
 		sendQ:         append([][]byte(nil), c.sendQ[c.sendHead:]...),
 		unsent:        c.unsent,
+		unacked:       append([]sentSeg(nil), c.unacked...),
 		rtxCount:      c.rtxCount,
 		globalErr:     c.globalErr,
 		backoff:       c.backoff,
@@ -108,16 +100,11 @@ func (c *Conn) snapshotState() *connState {
 		onClose:       c.onClose,
 		closeReason:   c.closeReason,
 	}
-	st.unacked = make([]sentSegState, len(c.unacked))
-	for i, ss := range c.unacked {
-		st.unacked[i] = sentSegState{ss: ss, retransmits: ss.retransmits,
-			ack: ss.seg.Ack, window: ss.seg.Window}
-	}
-	// Out-of-order payloads are stored as fresh copies and never mutated in
-	// place (draining deletes the entry), so a shallow map copy suffices.
+	// A drained out-of-order buffer is refilled by the next gap, so the
+	// snapshot holds copies of the queued bytes.
 	st.oooQ = make(map[uint32][]byte, len(c.oooQ))
 	for k, v := range c.oooQ {
-		st.oooQ[k] = v
+		st.oooQ[k] = append([]byte(nil), v...)
 	}
 	return st
 }
@@ -128,20 +115,17 @@ func (c *Conn) restoreState(st *connState) {
 	c.iss, c.sndUna, c.sndNxt, c.sndWnd = st.iss, st.sndUna, st.sndNxt, st.sndWnd
 	clear(c.sendQ)
 	c.sendQ, c.sendHead, c.unsent = append(c.sendQ[:0], st.sendQ...), 0, st.unsent
-	c.unacked = c.unacked[:0]
-	for _, sv := range st.unacked {
-		sv.ss.retransmits = sv.retransmits
-		sv.ss.seg.Ack = sv.ack
-		sv.ss.seg.Window = sv.window
-		c.unacked = append(c.unacked, sv.ss)
-	}
+	clear(c.unacked)
+	c.unacked = append(c.unacked[:0], st.unacked...)
 	c.rtxCount, c.globalErr, c.backoff = st.rtxCount, st.globalErr, st.backoff
 	c.timingValid, c.timedEnd, c.timedAt, c.timedRetrans = st.timingValid, st.timedEnd, st.timedAt, st.timedRetrans
 	c.irs, c.rcvNxt, c.recvBufSize = st.irs, st.rcvNxt, st.recvBufSize
 	c.recvQ = append(c.recvQ[:0], st.recvQ...)
-	c.oooQ = make(map[uint32][]byte, len(st.oooQ))
+	// Fresh copies and an empty free list, so buffers do not pile up over
+	// repeated restores.
+	c.oooQ, c.oooFree = make(map[uint32][]byte, len(st.oooQ)), nil
 	for k, v := range st.oooQ {
-		c.oooQ[k] = v
+		c.oooQ[k] = append([]byte(nil), v...)
 	}
 	c.autoConsume = st.autoConsume
 	c.keepAlive, c.kaProbing, c.kaRetrans = st.keepAlive, st.kaProbing, st.kaRetrans

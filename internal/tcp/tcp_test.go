@@ -952,3 +952,35 @@ func TestStreamBytesAreHandedOver(t *testing.T) {
 		t.Fatalf("delivered %d bytes, sent %d, equal=false", got.Len(), len(data))
 	}
 }
+
+// TestOnDataLendsForTheCall: the slice OnData hands over is the arriving
+// message's bytes, and the wire takes the message back once the hop is
+// over. A consumer that keeps the slice instead of copying it reads, after
+// the next segment, that segment's bytes in a normal build — the world
+// built it in the same message — and 0xDB poison under the race detector,
+// never the data it was lent.
+func TestOnDataLendsForTheCall(t *testing.T) {
+	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
+	var kept []byte
+	c := p.dial(t, 80, func(sc *tcp.Conn) {
+		sc.OnData(func(d []byte) {
+			if kept == nil {
+				kept = d
+			}
+		})
+	})
+	mss := p.a.tcp.Profile().MSS
+	first, second := bytes.Repeat([]byte("A"), mss), bytes.Repeat([]byte("B"), mss)
+	for _, seg := range [][]byte{first, second} {
+		if err := c.Send(seg); err != nil {
+			t.Fatal(err)
+		}
+		p.w.RunFor(time.Second)
+	}
+	if len(kept) != mss {
+		t.Fatalf("lent %d bytes, want %d", len(kept), mss)
+	}
+	if poison := bytes.Repeat([]byte{0xDB}, mss); !bytes.Equal(kept, second) && !bytes.Equal(kept, poison) {
+		t.Fatalf("a kept slice reads %q…, neither the next segment nor the poison", kept[:8])
+	}
+}

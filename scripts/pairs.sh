@@ -36,7 +36,12 @@ measure() { # side dir seed
 	printf '  %-6s seed %s  %s\n' "$1" "$3" "$line"
 }
 
-echo "$workload: $pairs pairs from seed $seed, parent $parent, change $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)"
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+	label=$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +uncommitted)
+else
+	label="(not a git checkout)"
+fi
+echo "$workload: $pairs pairs from seed $seed, parent $parent, change $label"
 for ((i = 0; i < pairs; i++)); do
 	s=$((seed + i))
 	if ((i % 2 == 0)); then
