@@ -103,14 +103,28 @@ fuzz:
 	$(GO) test -run @ -fuzz 'FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/dist/
 	$(GO) test -run @ -fuzz 'FuzzLanesMatchReference$$' -fuzztime 10s ./internal/simtime/
 
-# explore runs a pinned-seed coverage-guided fuzz over the fault-schedule
-# space (~30s): a deterministic smoke that the explorer still converges and
-# that its known finding (silent corruption — the simulated TCP has no
-# checksum) is rediscovered and shrunk. Repros land in a throwaway dir;
-# promote one by copying it plus its golden into
-# internal/conformance/testdata/found/.
+# explore runs pinned-seed coverage-guided fuzzes over the fault-schedule
+# space (~10s) and fails unless each prints its pinned fingerprint: the
+# explorer converges deterministically, at any worker count, over TCP/GMP
+# worlds and over raft ones. The first run must also rediscover and shrink
+# its known finding (silent corruption — the simulated TCP has no
+# checksum). The fingerprints move with any change to what a candidate
+# world does — the scheduler's firing order, a protocol timer, a seeded
+# draw — so a change that moves one on purpose re-pins it here and in
+# bench/expected/pins.json. Repros land in a throwaway dir; promote one by
+# copying it plus its golden into internal/conformance/testdata/found/.
 explore:
-	$(GO) run ./cmd/pfifuzz -seed 1 -budget 1000 -workers 4 -q -out $$(mktemp -d /tmp/pfifuzz.XXXXXX)
+	@set -e; dir=$$(mktemp -d /tmp/pfifuzz.XXXXXX); trap 'rm -f "$$dir/pfifuzz"' EXIT; \
+	$(GO) build -o "$$dir/pfifuzz" ./cmd/pfifuzz; \
+	pinned() { want=$$1; shift; echo "pfifuzz $$*"; \
+		out=$$("$$dir/pfifuzz" -q -out "$$(mktemp -d "$$dir/out.XXXXXX")" "$$@"); \
+		printf '%s\n' "$$out"; \
+		case "$$out" in *"fingerprint $$want"*) ;; *) echo "explore: want fingerprint $$want" >&2; exit 1 ;; esac; }; \
+	pinned fd13c93fad77b474 -seed 1 -budget 1000 -workers 4; \
+	case "$$out" in *"silent-corruption "*) ;; *) echo "explore: the silent-corruption finding was not rediscovered" >&2; exit 1 ;; esac; \
+	pinned 2ef42e04905f8ac5 -seed 1 -budget 400 -workers 1; \
+	pinned 2ef42e04905f8ac5 -seed 1 -budget 400 -workers 2; \
+	pinned 71342a95018e1ba4 -seed 3 -budget 200 -workers 1 -raft 7
 
 # loc prints the size every ROADMAP anchor quotes: Go lines outside bench/,
 # non-test and test, in total and per top-level package.

@@ -252,7 +252,9 @@ func TestStreamSegmentAllocBudget(t *testing.T) {
 // (boxed once into core.Info.Fields) plus the strings the header itself
 // carries: no field map, no rendered numbers. The filter path — what a PFI
 // layer runs per message — decodes into a core.Header the filter owns, so
-// the box goes and a TCP DATA segment costs nothing.
+// the box goes and a TCP DATA segment costs nothing. A GMP message's header
+// builds its strings only when a script reads a field, so recognizing one
+// costs the box alone.
 func TestRecognizeAllocBudget(t *testing.T) {
 	data := (&tcp.Segment{SrcPort: 9, DstPort: 80, Seq: 70000, Ack: 1, Flags: tcp.FlagACK | tcp.FlagPSH,
 		Window: 4096, Payload: make([]byte, 512)}).Encode()
@@ -269,7 +271,7 @@ func TestRecognizeAllocBudget(t *testing.T) {
 	}{
 		{"tcp DATA", tcp.PFIStub{}, data, "DATA", 1},
 		{"raft APPEND_ENTRIES", raft.PFIStub{}, appendMsg, "APPEND_ENTRIES", 4}, // header, From, entry slice, entry data
-		{"gmp HEARTBEAT", gmp.PFIStub{}, hb, "HEARTBEAT", 3},                    // header, Origin, Sender
+		{"gmp HEARTBEAT", gmp.PFIStub{}, hb, "HEARTBEAT", 1},                    // header: fields wait for a read
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Run("bare stub", func(t *testing.T) {
@@ -379,16 +381,20 @@ func TestDenseFaultloadAllocBudget(t *testing.T) {
 // a script that reads a field on both sides of every node, each filter
 // decodes into the header it owns (TestRecognizeAllocBudget), so recognition
 // adds only what the send side, which runs before the network has stamped a
-// source, allocates for Origin and Sender: two. The timers, the scheduler
-// and the scripts add none. This is the hop fuzz-mixed spends most of its
-// time in; the ledger counts it in explore.allocs_per_candidate.
+// source, allocates for Origin and Sender: two. A script that asks only
+// for the type — what the fuzzer's fault genes run — decodes no field and
+// allocates nothing. The timers, the scheduler and the scripts add none.
+// This is the hop fuzz-mixed spends most of its time in; the ledger counts
+// it in explore.allocs_per_candidate.
 func TestGMPHeartbeatRoundAllocBudget(t *testing.T) {
 	const script = `if {[msg_type cur_msg] eq "HEARTBEAT"} { set from [msg_field cur_msg origin] }`
+	const typeOnly = `if {[msg_type cur_msg] eq "PROCLAIM"} { incr proclaims }`
 	for _, tc := range []struct {
 		name, script string
 		perHeartbeat float64
 	}{
 		{"scripted", script, 2},
+		{"type only", typeOnly, 0},
 		{"unscripted", "", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

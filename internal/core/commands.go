@@ -199,6 +199,9 @@ func registerFilterCommands(f *Filter) {
 		if err != nil {
 			return "", fmt.Errorf("bad byte value %q", args[2])
 		}
+		if s, ok := f.curInfo.Fields.(Settler); ok {
+			s.Settle()
+		}
 		return "", m.SetByte(off, byte(val))
 	})
 

@@ -55,6 +55,14 @@ type FieldSource interface {
 	Field(name string) string
 }
 
+// A Settler is a FieldSource that decodes its fields from the message's
+// bytes when a script first reads one. msg_set_byte calls Settle before it
+// changes a byte in place, so a field read after the change still reports
+// the message as it was recognized.
+type Settler interface {
+	Settle()
+}
+
 // Header is decoded-header storage a filter owns. A filter whose stub is a
 // HeaderStub asks it for one Header, once, and decodes every message it
 // recognizes into that same storage — so recognition allocates nothing per

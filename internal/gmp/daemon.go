@@ -2,6 +2,7 @@ package gmp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,8 +85,10 @@ type Daemon struct {
 	started      bool
 
 	timers   *timerTable
-	suspects map[string]bool
-	lastHB   map[string]simtime.Time
+	suspects []string // since the last commit, each once, in no order
+	// selfHB is when the daemon last heard itself or committed. Every path
+	// that arms a heartbeat expectation runs commitLocal, which sets it, first.
+	selfHB simtime.Time
 
 	// Leader two-phase state.
 	changing bool
@@ -114,13 +117,11 @@ func WithTrace(lg *trace.Log) Option {
 // daemons in the system, including this one.
 func New(env *stack.Env, net *rudp.Layer, peers []string, opts ...Option) (*Daemon, error) {
 	d := &Daemon{
-		env:      env,
-		net:      net,
-		id:       env.Node,
-		cfg:      DefaultConfig(),
-		log:      trace.NewLog(),
-		suspects: make(map[string]bool),
-		lastHB:   make(map[string]simtime.Time),
+		env: env,
+		net: net,
+		id:  env.Node,
+		cfg: DefaultConfig(),
+		log: trace.NewLog(),
 	}
 	found := false
 	for _, p := range peers {
@@ -252,7 +253,7 @@ func (d *Daemon) logEvent(kind, typ, note string) {
 // --- timers -------------------------------------------------------------------------
 
 // onTimer dispatches an expired timeout to its handler.
-func (d *Daemon) onTimer(kind, key string) {
+func (d *Daemon) onTimer(kind timerKind, key string) {
 	switch kind {
 	case timerHBSend:
 		d.onHBSendTick()
@@ -318,14 +319,13 @@ func (d *Daemon) onHBExpectExpired(member string) {
 	// during one suspension), the right conclusion is that I am the one
 	// who "died" — handle the self case with priority, as the paper's
 	// suspension experiment exercises.
-	if last, ok := d.lastHB[d.id]; ok &&
-		time.Duration(d.env.Now().Sub(last)) >= d.cfg.HBTimeout {
+	if d.env.Now().Sub(d.selfHB) >= d.cfg.HBTimeout {
 		d.onSelfDeath()
 		return
 	}
 	d.logEvent("member-dead", "HEARTBEAT", member)
-	d.suspects[member] = true
-	live := d.group.Without(suspectList(d.suspects)...)
+	d.suspect(member)
+	live := d.group.Without(d.suspects...)
 	if len(live) > 0 && live[0] == d.id {
 		// I lead the surviving members (covers leader death: the crown
 		// prince is the lowest surviving id).
@@ -333,12 +333,20 @@ func (d *Daemon) onHBExpectExpired(member string) {
 	}
 }
 
-func suspectList(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// suspect adds id to the suspects unless it is there already.
+func (d *Daemon) suspect(id string) {
+	if !slices.Contains(d.suspects, id) {
+		d.suspects = append(d.suspects, id)
 	}
-	return out
+}
+
+// unsuspect removes id from the suspects.
+func (d *Daemon) unsuspect(id string) {
+	if i := slices.Index(d.suspects, id); i >= 0 {
+		last := len(d.suspects) - 1
+		d.suspects[i] = d.suspects[last]
+		d.suspects = d.suspects[:last]
+	}
 }
 
 // onSelfDeath handles the daemon missing its own heartbeats (dropped
@@ -432,8 +440,10 @@ func (d *Daemon) handleHeartbeat(m Msg) {
 	if d.inTransition || !d.group.Contains(m.Origin) {
 		return
 	}
-	delete(d.suspects, m.Origin)
-	d.lastHB[m.Origin] = d.env.Now()
+	d.unsuspect(m.Origin)
+	if m.Origin == d.id {
+		d.selfHB = d.env.Now()
+	}
 	d.armHBExpect(m.Origin)
 }
 
@@ -627,7 +637,7 @@ func (d *Daemon) handleDeadReport(m Msg) {
 	if !d.group.Contains(dead) || dead == d.id {
 		return
 	}
-	d.suspects[dead] = true
+	d.suspect(dead)
 	d.startChange(d.group.Without(dead))
 }
 
@@ -660,8 +670,8 @@ func (d *Daemon) handleDepart(m Msg) {
 		return
 	}
 	d.logEvent("depart-recv", "DEPART", m.Origin+" left")
-	d.suspects[m.Origin] = true
-	live := d.group.Without(suspectList(d.suspects)...)
+	d.suspect(m.Origin)
+	live := d.group.Without(d.suspects...)
 	if len(live) > 0 && live[0] == d.id {
 		d.startChange(live)
 	}
@@ -682,7 +692,7 @@ func (d *Daemon) commitLocal(g Group) {
 	d.inTransition = false
 	d.changing = false
 	d.selfDead = false
-	d.suspects = make(map[string]bool)
+	d.suspects = d.suspects[:0]
 	d.timers.unset(timerTransition, "")
 	if g.Gen > d.genCounter {
 		d.genCounter = g.Gen
@@ -691,8 +701,8 @@ func (d *Daemon) commitLocal(g Group) {
 	d.logEvent("commit", "COMMIT", g.String())
 	// Arm heartbeat expectations for every member, self included — the
 	// self-expectation is what makes the self-death experiments possible.
+	d.selfHB = d.env.Now() // every committed view contains the daemon
 	for _, m := range g.Members {
-		d.lastHB[m] = d.env.Now()
 		d.armHBExpect(m)
 	}
 	if d.onCommit != nil {

@@ -1,6 +1,7 @@
 package gmp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,8 +9,10 @@ import (
 
 	"pfi/internal/core"
 	"pfi/internal/gmp"
+	"pfi/internal/message"
 	"pfi/internal/netsim"
 	"pfi/internal/rudp"
+	"pfi/internal/simtime"
 	"pfi/internal/stack"
 	"pfi/internal/trace"
 )
@@ -410,6 +413,53 @@ func TestStubGeneratesWhatItRecognizes(t *testing.T) {
 	}
 	if _, err := stub.Generate("", nil); err == nil {
 		t.Error("generated the empty type name")
+	}
+}
+
+// TestFieldsReadAfterSetByteAreTheRecognizedOnes: the stub decodes a GMP
+// message's fields on first read, from bytes msg_set_byte changes in place.
+// A field a script reads after corrupting the message — a byte inside
+// origin, the type byte, or a length byte the walk depends on — must still
+// be the one recognized before the corruption, and msg_type the type it
+// was recognized as; the corrupted bytes still go out.
+func TestFieldsReadAfterSetByteAreTheRecognizedOnes(t *testing.T) {
+	gm := gmp.Msg{Type: gmp.TypeHeartbeat, Gen: 42, Origin: "n1", Sender: "n2", Members: []string{"n1", "n3"}}
+	originAt := rudp.HeaderLen + 6 // type, gen, origin's length byte
+	for _, tc := range []struct {
+		name string
+		off  int
+	}{
+		{"inside origin", originAt},
+		{"type byte", rudp.HeaderLen},
+		{"origin length", originAt - 1},
+		{"member count", originAt + len(gm.Origin) + 1 + len(gm.Sender)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &stack.Env{Sched: simtime.NewScheduler(), Node: "n2"}
+			pfi := core.NewLayer(env, core.WithStub(gmp.PFIStub{}))
+			stk := stack.New(env, pfi)
+			var sent *message.Message
+			stk.OnTransmit(func(m *message.Message) error { sent = m; return nil })
+			if err := pfi.SetSendScript(fmt.Sprintf(`msg_set_byte cur_msg %d 0xff
+				set origin [msg_field cur_msg origin]
+				set members [msg_field cur_msg members]
+				set gen [msg_field cur_msg gen]
+				set typ [msg_type cur_msg]`, tc.off)); err != nil {
+				t.Fatal(err)
+			}
+			if err := stk.Send(rudp.Frame{Kind: rudp.KindRaw, Payload: gm.Encode()}.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			in := pfi.SendFilter().Interp()
+			for name, want := range map[string]string{"origin": "n1", "members": "n1,n3", "gen": "42", "typ": "HEARTBEAT"} {
+				if got, _ := in.Var(name); got != want {
+					t.Errorf("%s read %q after the corruption, want %q", name, got, want)
+				}
+			}
+			if b, _ := sent.ByteAt(tc.off); b != 0xff {
+				t.Fatalf("byte %d went out as %#x, want the corrupted 0xff", tc.off, b)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,7 @@
 package gmp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -124,44 +125,49 @@ func DecodeMsg(raw []byte) (Msg, error) { return decodeMsg(raw, "", nil) }
 // decodeMsg is DecodeMsg for a receiver that knows who it may hear from and
 // about: a name that spells src (the datagram's network source — Sender
 // always, Origin unless forwarded) or one of peers reuses that string
-// instead of allocating a copy.
+// instead of allocating a copy. msgType has checked the layout, so the
+// reads below cannot run short.
 func decodeMsg(raw []byte, src string, peers []string) (Msg, error) {
+	if _, err := msgType(raw); err != nil {
+		return Msg{}, err
+	}
 	r := message.NewReader(raw)
-	m := Msg{Type: r.U8(), Gen: r.U32()}
-	var err error
-	if m.Origin, err = getStr(r, src, peers); err != nil {
-		return Msg{}, err
-	}
-	if m.Sender, err = getStr(r, src, peers); err != nil {
-		return Msg{}, err
-	}
+	m := Msg{Type: r.U8(), Gen: r.U32(), Origin: r.Name(src, peers), Sender: r.Name(src, peers)}
 	if n := int(r.U8()); n > 0 {
-		m.Members = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			s, err := getStr(r, src, peers)
-			if err != nil {
-				return Msg{}, err
-			}
-			m.Members = append(m.Members, s)
+		m.Members = make([]string, n)
+		for i := range m.Members {
+			m.Members[i] = r.Name(src, peers)
 		}
-	}
-	if err := r.Err(); err != nil {
-		return Msg{}, fmt.Errorf("gmp: short message: %w", err)
-	}
-	if int(m.Type) >= len(typeNames) || typeNames[m.Type] == "" {
-		return Msg{}, fmt.Errorf("gmp: unknown message type %d", m.Type)
 	}
 	return m, nil
 }
 
-// getStr reads a length-prefixed name (message.Reader.Name).
-func getStr(r *message.Reader, first string, rest []string) (string, error) {
-	s := r.Name(first, rest)
-	if err := r.Err(); err != nil {
-		return "", fmt.Errorf("gmp: short string: %w", err)
+// msgType is the one walk of the wire layout — type, generation, origin,
+// sender, member count, members — and reports the type of the GMP message
+// in raw without building a string. It refuses a message cut short
+// anywhere in that walk, or of an unknown type.
+func msgType(raw []byte) (uint8, error) {
+	off, names := 5, 2 // past the type and generation; origin and sender
+	for i := 0; i < names; i++ {
+		if off >= len(raw) || off+1+int(raw[off]) > len(raw) {
+			return 0, errShortMsg
+		}
+		off += 1 + int(raw[off])
+		if i == 1 { // the member count follows the sender
+			if off >= len(raw) {
+				return 0, errShortMsg
+			}
+			names += int(raw[off])
+			off++
+		}
 	}
-	return s, nil
+	if t := raw[0]; int(t) < len(typeNames) && typeNames[t] != "" {
+		return t, nil
+	}
+	return 0, fmt.Errorf("gmp: unknown message type %d", raw[0])
 }
+
+var errShortMsg = errors.New("gmp: short message")
 
 // IntField reads the one numeric header field, gen, for PFI filter scripts.
 func (m Msg) IntField(name string) (int64, bool) {

@@ -62,3 +62,76 @@ func TestDecodeReusesKnownNames(t *testing.T) {
 		t.Fatalf("DecodeMsg %+v, %v", plain, err)
 	}
 }
+
+// stubMsgs has one message of every GMP type, with and without members.
+func stubMsgs() []Msg {
+	var ms []Msg
+	for typ := range typeNames {
+		if typeNames[typ] == "" {
+			continue
+		}
+		ms = append(ms,
+			Msg{Type: uint8(typ), Gen: uint32(typ) * 1000003, Origin: "n1", Sender: "n2"},
+			Msg{Type: uint8(typ), Gen: 7, Origin: "node-9", Sender: "", Members: []string{"n1", "n3", "a-longer-name"}})
+	}
+	return ms
+}
+
+// TestLazyHeaderMatchesDecodeMsg: the stub's header decodes its fields when
+// a script first reads one, and what it reads — every GMP field, as text and
+// as a number, and the frame's under their rudp_ names — is what DecodeMsg
+// gives for the same bytes, for every type.
+func TestLazyHeaderMatchesDecodeMsg(t *testing.T) {
+	h := PFIStub{}.NewHeader()
+	for _, m := range stubMsgs() {
+		frame := rudp.Frame{Kind: rudp.KindRaw, Seq: 12, Payload: m.Encode()}.Encode()
+		typ, err := h.Recognize(frame)
+		if err != nil || typ != m.TypeName() {
+			t.Fatalf("%s: recognized %q, %v", m.TypeName(), typ, err)
+		}
+		want, err := DecodeMsg(m.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"origin", "sender", "gen", "members", "nope"} {
+			if got := h.Field(name); got != want.Field(name) {
+				t.Fatalf("%s: field %s reads %q, DecodeMsg %q", m.TypeName(), name, got, want.Field(name))
+			}
+		}
+		if n, ok := h.IntField("gen"); !ok || n != int64(m.Gen) {
+			t.Fatalf("%s: gen reads %d, %v", m.TypeName(), n, ok)
+		}
+		if n, ok := h.IntField("rudp_seq"); !ok || n != 12 || h.Field("rudp_kind") != "RAW" {
+			t.Fatalf("%s: frame fields read seq %d, kind %q", m.TypeName(), n, h.Field("rudp_kind"))
+		}
+	}
+}
+
+// TestRecognizeRefusesShortAndUnknown: recognition checks a message
+// without building its strings, so a PFI layer reports UNRECOGNIZED for
+// every message cut short at any length and for every unknown type byte,
+// and recognizes the whole message and one with trailing bytes — as
+// DecodeMsg, which walks the layout the same way, decides.
+func TestRecognizeRefusesShortAndUnknown(t *testing.T) {
+	h := PFIStub{}.NewHeader()
+	check := func(payload []byte, ok bool) {
+		t.Helper()
+		_, got := h.Recognize(rudp.Frame{Kind: rudp.KindRaw, Payload: payload}.Encode())
+		_, dec := DecodeMsg(payload)
+		if (got == nil) != ok || (dec == nil) != ok {
+			t.Fatalf("payload % x: Recognize error %v, DecodeMsg error %v, want accepted %v", payload, got, dec, ok)
+		}
+	}
+	for _, m := range stubMsgs() {
+		wire := m.Encode()
+		for n := 0; n < len(wire); n++ {
+			check(wire[:n], false)
+		}
+		check(wire, true)
+		check(append(wire, 0xAA, 0x01), true)
+		for typ := 0; typ < 256; typ++ {
+			wire[0] = byte(typ)
+			check(wire, typ < len(typeNames) && typeNames[typ] != "")
+		}
+	}
+}

@@ -4,22 +4,43 @@ import "pfi/internal/simtime"
 
 // Snapshot support (see internal/snapshot). The daemon's timers live in the
 // timerTable; an entry's kind and key never change and it is its own
-// scheduler event, so the table's state is a copy of the entry list (its
-// arming order) and the scheduler restores the events themselves.
+// scheduler event, so the table's state is which entries are registered,
+// each with its arming stamp (a re-arm rewrites the stamp in place), and the
+// arming counter; the scheduler restores the events themselves.
 
-// timerTableState is a saved entry list.
+// savedTimer is one registered entry and its arming stamp.
+type savedTimer struct {
+	e     *timerEntry
+	armed uint64
+}
+
+// timerTableState is a saved table.
 type timerTableState struct {
-	entries []*timerEntry
+	entries []savedTimer
+	armed   uint64
 }
 
 func (t *timerTable) snapshotState() *timerTableState {
-	return &timerTableState{entries: append([]*timerEntry(nil), t.entries...)}
+	st := &timerTableState{armed: t.armed}
+	for _, b := range t.kinds {
+		for _, e := range b {
+			st.entries = append(st.entries, savedTimer{e, e.armed})
+		}
+	}
+	return st
 }
 
+// restoreState refills the live buckets in place: they never share backing
+// with a saved state, so unset's swap-deletes cannot reach into one.
 func (t *timerTable) restoreState(st *timerTableState) {
-	// Fresh backing both ways: unset filters the live slice in place, which
-	// must never reach into a saved copy.
-	t.entries = append([]*timerEntry(nil), st.entries...)
+	for k := range t.kinds {
+		t.kinds[k] = t.kinds[k][:0]
+	}
+	for _, se := range st.entries {
+		se.e.armed = se.armed
+		t.kinds[se.e.kind] = append(t.kinds[se.e.kind], se.e)
+	}
+	t.armed = st.armed
 }
 
 // daemonState is the daemon's mutable protocol state.
@@ -34,8 +55,8 @@ type daemonState struct {
 	started      bool
 
 	timers   *timerTableState
-	suspects map[string]bool
-	lastHB   map[string]simtime.Time
+	suspects []string
+	selfHB   simtime.Time
 
 	changing        bool
 	proposed        Group
@@ -60,20 +81,14 @@ func (d *Daemon) SnapshotState() any {
 		selfDead:        d.selfDead,
 		started:         d.started,
 		timers:          d.timers.snapshotState(),
-		suspects:        make(map[string]bool, len(d.suspects)),
-		lastHB:          make(map[string]simtime.Time, len(d.lastHB)),
+		suspects:        append([]string(nil), d.suspects...),
+		selfHB:          d.selfHB,
 		changing:        d.changing,
 		proposed:        d.proposed,
 		proposedMembers: append([]string(nil), d.proposed.Members...),
 		genCounter:      d.genCounter,
 		onCommit:        d.onCommit,
 		logLen:          d.log.Len(),
-	}
-	for k, v := range d.suspects {
-		st.suspects[k] = v
-	}
-	for k, v := range d.lastHB {
-		st.lastHB[k] = v
 	}
 	if d.acks != nil {
 		st.acks = make(map[string]bool, len(d.acks))
@@ -98,14 +113,8 @@ func (d *Daemon) RestoreState(state any) {
 	d.selfDead = st.selfDead
 	d.started = st.started
 	d.timers.restoreState(st.timers)
-	d.suspects = make(map[string]bool, len(st.suspects))
-	for k, v := range st.suspects {
-		d.suspects[k] = v
-	}
-	d.lastHB = make(map[string]simtime.Time, len(st.lastHB))
-	for k, v := range st.lastHB {
-		d.lastHB[k] = v
-	}
+	d.suspects = append(d.suspects[:0], st.suspects...)
+	d.selfHB = st.selfHB
 	d.changing = st.changing
 	d.proposed = st.proposed
 	d.proposed.Members = append([]string(nil), st.proposedMembers...)

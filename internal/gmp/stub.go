@@ -39,13 +39,17 @@ func (PFIStub) Recognize(m *message.Message) (core.Info, error) {
 // NewHeader implements core.HeaderStub.
 func (PFIStub) NewHeader() core.Header { return new(framed) }
 
-// framed is what recognition decoded: the rudp frame and, unless the frame
+// framed is what recognition found: the rudp frame and, unless the frame
 // is a bare reliability-layer ACK, the GMP message inside it. A GMP
 // message's fields read under their own names and the frame's under a
 // "rudp_" prefix; an ACK has only the frame's, unprefixed.
+// Recognition checks the message and keeps its type; the fields are decoded
+// from the payload, which aliases the message, when a script first reads one
+// inside the filter run, or before msg_set_byte changes it (Settle).
 type framed struct {
 	frame rudp.Frame
-	msg   Msg
+	src   string // the datagram's network source, for decodeMsg
+	msg   Msg    // Type 0 until decoded
 	ack   bool
 }
 
@@ -59,12 +63,29 @@ func (r *framed) Recognize(m *message.Message) (string, error) {
 		*r = framed{frame: f, ack: true}
 		return "RUDP-ACK", nil
 	}
-	gm, err := decodeMsg(f.Payload, m.Src(), nil)
+	typ, err := msgType(f.Payload)
 	if err != nil {
 		return "", fmt.Errorf("gmp stub: %w", err)
 	}
-	*r = framed{frame: f, msg: gm}
-	return gm.TypeName(), nil
+	*r = framed{frame: f, src: m.Src()}
+	return TypeName(typ), nil
+}
+
+// header decodes the fields on first use. Recognize has checked the bytes
+// and Settle runs before any of them change, so the decode cannot fail and
+// leaves a Type that is not 0.
+func (r *framed) header() *Msg {
+	if r.msg.Type == 0 {
+		r.msg, _ = decodeMsg(r.frame.Payload, r.src, nil)
+	}
+	return &r.msg
+}
+
+// Settle implements core.Settler.
+func (r *framed) Settle() {
+	if !r.ack {
+		r.header()
+	}
 }
 
 // IntField implements core.Header.
@@ -75,7 +96,7 @@ func (r *framed) IntField(name string) (int64, bool) {
 	if rest, ok := strings.CutPrefix(name, "rudp_"); ok {
 		return r.frame.IntField(rest)
 	}
-	return r.msg.IntField(name)
+	return r.header().IntField(name)
 }
 
 // Field implements core.FieldSource.
@@ -86,7 +107,7 @@ func (r *framed) Field(name string) string {
 	if rest, ok := strings.CutPrefix(name, "rudp_"); ok {
 		return r.frame.Field(rest)
 	}
-	return r.msg.Field(name)
+	return r.header().Field(name)
 }
 
 // Generate implements core.Stub: it builds a GMP message wrapped in an

@@ -8,29 +8,35 @@ import (
 )
 
 // nofire is an expiry handler for tables whose timers never matter.
-func nofire(kind, key string) {}
+func nofire(kind timerKind, key string) {}
+
+// isSet reports whether the (kind, key) timer is armed.
+func (t *timerTable) isSet(kind timerKind, key string) bool {
+	i := t.find(kind, key)
+	return i >= 0 && t.kinds[kind][i].Pending()
+}
 
 func TestTimerTableSetFires(t *testing.T) {
 	s := simtime.NewScheduler()
 	fired := 0
-	tt := newTimerTable(s, false, func(kind, key string) {
-		if kind != "hb-expect" || key != "n1" {
-			t.Errorf("fired (%q, %q)", kind, key)
+	tt := newTimerTable(s, false, func(kind timerKind, key string) {
+		if kind != timerHBExpect || key != "n1" {
+			t.Errorf("fired (%s, %q)", timerNames[kind], key)
 		}
 		fired++
 	})
-	tt.set("hb-expect", "n1", time.Second)
-	if !tt.isSet("hb-expect", "n1") {
+	tt.set(timerHBExpect, "n1", time.Second)
+	if !tt.isSet(timerHBExpect, "n1") {
 		t.Fatal("timer not armed")
 	}
-	if tt.isSet("hb-expect", "n2") {
+	if tt.isSet(timerHBExpect, "n2") {
 		t.Fatal("wrong key reported armed")
 	}
 	s.Run()
 	if fired != 1 {
 		t.Fatalf("fired %d", fired)
 	}
-	if tt.isSet("hb-expect", "n1") {
+	if tt.isSet(timerHBExpect, "n1") {
 		t.Fatal("fired timer still reported armed")
 	}
 }
@@ -38,9 +44,9 @@ func TestTimerTableSetFires(t *testing.T) {
 func TestTimerTableReArmReplaces(t *testing.T) {
 	s := simtime.NewScheduler()
 	var fired []simtime.Time
-	tt := newTimerTable(s, false, func(kind, key string) { fired = append(fired, s.Now()) })
-	tt.set("hb-expect", "n1", time.Second)
-	tt.set("hb-expect", "n1", 2*time.Second)
+	tt := newTimerTable(s, false, func(kind timerKind, key string) { fired = append(fired, s.Now()) })
+	tt.set(timerHBExpect, "n1", time.Second)
+	tt.set(timerHBExpect, "n1", 2*time.Second)
 	if s.Len() != 1 {
 		t.Fatalf("%d events pending after a re-arm, want 1", s.Len())
 	}
@@ -48,7 +54,7 @@ func TestTimerTableReArmReplaces(t *testing.T) {
 	if len(fired) != 1 || fired[0] != simtime.Time(2*time.Second) {
 		t.Fatalf("fired at %v, want only the re-armed timer at 2s", fired)
 	}
-	if tt.armedOf("hb-expect") != 0 {
+	if tt.armedOf(timerHBExpect) != 0 {
 		t.Fatal("armed count after fire")
 	}
 }
@@ -60,13 +66,13 @@ func TestTimerTableReArmMovesToEnd(t *testing.T) {
 	s := simtime.NewScheduler()
 	tt := newTimerTable(s, true, nofire)
 	for _, k := range []string{"a", "b", "c"} {
-		tt.set("hb-expect", k, time.Second)
+		tt.set(timerHBExpect, k, time.Second)
 	}
-	tt.set("hb-expect", "a", time.Second)
-	tt.unset("hb-expect", "") // buggy: removes only the first
-	if tt.isSet("hb-expect", "b") || !tt.isSet("hb-expect", "a") || !tt.isSet("hb-expect", "c") {
+	tt.set(timerHBExpect, "a", time.Second)
+	tt.unset(timerHBExpect, "") // buggy: removes only the first
+	if tt.isSet(timerHBExpect, "b") || !tt.isSet(timerHBExpect, "a") || !tt.isSet(timerHBExpect, "c") {
 		t.Fatalf("after re-arming a, the first of the kind should be b: a=%v b=%v c=%v",
-			tt.isSet("hb-expect", "a"), tt.isSet("hb-expect", "b"), tt.isSet("hb-expect", "c"))
+			tt.isSet(timerHBExpect, "a"), tt.isSet(timerHBExpect, "b"), tt.isSet(timerHBExpect, "c"))
 	}
 }
 
@@ -74,21 +80,21 @@ func TestTimerTableUnsetCorrectSemantics(t *testing.T) {
 	s := simtime.NewScheduler()
 	tt := newTimerTable(s, false, nofire) // fixed code
 	for _, k := range []string{"a", "b", "c"} {
-		tt.set("hb-expect", k, time.Second)
+		tt.set(timerHBExpect, k, time.Second)
 	}
-	tt.set("proclaim", "", time.Second)
+	tt.set(timerProclaim, "", time.Second)
 
 	// Keyed unset removes exactly that entry.
-	tt.unset("hb-expect", "b")
-	if tt.armedOf("hb-expect") != 2 || tt.isSet("hb-expect", "b") {
-		t.Fatalf("keyed unset: armed=%d", tt.armedOf("hb-expect"))
+	tt.unset(timerHBExpect, "b")
+	if tt.armedOf(timerHBExpect) != 2 || tt.isSet(timerHBExpect, "b") {
+		t.Fatalf("keyed unset: armed=%d", tt.armedOf(timerHBExpect))
 	}
 	// Empty key unsets ALL of the kind, leaving other kinds alone.
-	tt.unset("hb-expect", "")
-	if tt.armedOf("hb-expect") != 0 {
-		t.Fatalf("unset-all left %d armed", tt.armedOf("hb-expect"))
+	tt.unset(timerHBExpect, "")
+	if tt.armedOf(timerHBExpect) != 0 {
+		t.Fatalf("unset-all left %d armed", tt.armedOf(timerHBExpect))
 	}
-	if tt.armedOf("proclaim") != 1 {
+	if tt.armedOf(timerProclaim) != 1 {
 		t.Fatal("unset-all crossed kinds")
 	}
 }
@@ -97,19 +103,19 @@ func TestTimerTableUnsetBuggySemantics(t *testing.T) {
 	s := simtime.NewScheduler()
 	tt := newTimerTable(s, true, nofire) // the inverted logic of the student code
 	for _, k := range []string{"a", "b", "c"} {
-		tt.set("hb-expect", k, time.Second)
+		tt.set(timerHBExpect, k, time.Second)
 	}
 	// The NULL (unset-all) path removes only the FIRST entry.
-	tt.unset("hb-expect", "")
-	if got := tt.armedOf("hb-expect"); got != 2 {
+	tt.unset(timerHBExpect, "")
+	if got := tt.armedOf(timerHBExpect); got != 2 {
 		t.Fatalf("buggy unset-all left %d armed, want 2 (the bug)", got)
 	}
-	if tt.isSet("hb-expect", "a") {
+	if tt.isSet(timerHBExpect, "a") {
 		t.Fatal("buggy unset-all should have removed the oldest entry")
 	}
 	// The keyed path removes ALL of the kind, ignoring the key.
-	tt.unset("hb-expect", "c")
-	if got := tt.armedOf("hb-expect"); got != 0 {
+	tt.unset(timerHBExpect, "c")
+	if got := tt.armedOf(timerHBExpect); got != 0 {
 		t.Fatalf("buggy keyed unset left %d armed, want 0 (the bug)", got)
 	}
 }
@@ -117,9 +123,9 @@ func TestTimerTableUnsetBuggySemantics(t *testing.T) {
 func TestTimerTableUnsetAllKinds(t *testing.T) {
 	s := simtime.NewScheduler()
 	fired := 0
-	tt := newTimerTable(s, false, func(kind, key string) { fired++ })
-	tt.set("a", "", time.Second)
-	tt.set("b", "", time.Second)
+	tt := newTimerTable(s, false, func(kind timerKind, key string) { fired++ })
+	tt.set(timerHBSend, "", time.Second)
+	tt.set(timerProclaim, "", time.Second)
 	tt.unsetAllKinds()
 	s.Run()
 	if fired != 0 {

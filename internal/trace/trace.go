@@ -43,9 +43,14 @@ func (e Entry) String() string {
 // and the copies dominate the run's budget. Blocks also keep the
 // truncate-to-mark snapshot contract trivial: dropping back to a mark
 // releases whole tail blocks and shortens the last kept one in place.
+//
+// Only the first block grows, doubling from firstBlock entries to
+// blockSize, so a short world never allocates, zeroes and scans a 320 KB
+// block; every later block is made whole, and all but the last are full.
 const (
 	blockShift = 12 // 4096 entries per block
 	blockSize  = 1 << blockShift
+	firstBlock = 64
 )
 
 // Log is an append-only event log. It is not safe for concurrent use; the
@@ -60,10 +65,16 @@ func NewLog() *Log { return &Log{} }
 
 // Add appends an entry.
 func (l *Log) Add(e Entry) {
-	if k := len(l.blocks); k == 0 || len(l.blocks[k-1]) == blockSize {
-		l.blocks = append(l.blocks, make([]Entry, 0, blockSize))
-	}
 	k := len(l.blocks) - 1
+	switch {
+	case k < 0:
+		l.blocks, k = append(l.blocks, make([]Entry, 0, firstBlock)), 0
+	case len(l.blocks[k]) < cap(l.blocks[k]):
+	case k == 0 && cap(l.blocks[0]) < blockSize:
+		l.blocks[0] = append(make([]Entry, 0, 2*cap(l.blocks[0])), l.blocks[0]...)
+	default:
+		l.blocks, k = append(l.blocks, make([]Entry, 0, blockSize)), k+1
+	}
 	l.blocks[k] = append(l.blocks[k], e)
 	l.n++
 }
