@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked
+.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked unlinked-check
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
 # journal parser, the conformance harness's sent-stream log, dist.Source's
-# generator and the scheduler's lanes, and a
-# one-iteration pass over every benchmark so they always compile.
+# generator and the scheduler's lanes, a
+# one-iteration pass over every benchmark so they always compile, and the
+# unlinked-code ratchet (unlinked-check below).
 # Allocation budgets (alloc_budget_test.go: the filter
 # path, a world fork, and the per-hop message path) are enforced in the
 # plain `test` pass — the detector instruments allocations — so hot-path
 # alloc creep fails the gate. There are no per-subsystem targets: a
 # focused run is `go test -race ./internal/<pkg>/`.
-check: vet build test race fuzz bench-smoke
+check: vet build test race fuzz bench-smoke unlinked-check
 
 # vet also covers the end-to-end ledger (bench/, its own module, compiled
 # against internal/*): an internal API change that would stop a ledger
@@ -86,9 +87,11 @@ pairs:
 # FuzzDeliveredStream drives the conformance harness's run-length log of
 # what it sent — sends, repeats, deliveries, captures, rewinds — against the
 # keep-every-byte definition of sent_len / recv_len / recv_matches.
-# FuzzSourceMatchesMathRand holds dist.Source's own generator to an eagerly
-# seeded math/rand: every draw of every distribution, Mark, and Rewind on
-# both sides of step 273 (where the source first builds its register).
+# FuzzSourceMatchesMathRand holds dist.Source to an eagerly seeded
+# math/rand: its own generator, read through math/rand's draws, must give
+# every draw of every distribution (Bernoulli's clamped probabilities
+# included, which take no step), every Mark, and every Rewind on both sides
+# of step 273 (where the source first builds its register).
 # FuzzLanesMatchReference runs an op string of heap arms, lane arms,
 # cancels, steps, AdvanceTo, snapshots and restores through the scheduler
 # and through a cancel-then-push reference that has no lanes: both must fire
@@ -138,13 +141,19 @@ loc:
 # unlinked prints each func under internal/ (non-test files) that no shipped
 # binary links — every cmd/*, examples/* and bench/pfibench, built with
 # inlining off — with its line count and a total: code only tests reach.
-# Like loc, it reports and does not gate.
+# unlinked reports; unlinked-check gates (in check and CI): it fails on an
+# unlinked func that scripts/unlinked.allow does not list with a reason,
+# and on a listed one that is now linked or deleted, so the list only
+# shrinks.
 unlinked:
 	@GO=$(GO) bash scripts/unlinked.sh
+
+unlinked-check:
+	@GO=$(GO) bash scripts/unlinked.sh -check
 
 # goldens re-blesses every pinned artifact: conformance traces and rendered
 # experiment tables (only the exp package's golden tests read -update).
 # Inspect the diff before committing.
 goldens:
 	$(GO) run ./cmd/pfitest -update
-	$(GO) test -update ./internal/exp/
+	$(GO) test ./internal/exp/ -update

@@ -43,6 +43,13 @@ func parseMS(arg string) (time.Duration, bool) {
 	return time.Duration(ns), true
 }
 
+// parseFinite reads a distribution parameter. It refuses NaN and ±Inf,
+// which strconv accepts but from which no draw is a number a script can use.
+func parseFinite(arg string) (float64, bool) {
+	v, err := strconv.ParseFloat(arg, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
 // registerFilterCommands installs the PFI command set into a filter's
 // interpreter. The same set is available in both directions; the filter's
 // own direction decides where xInject sends by default.
@@ -329,9 +336,9 @@ func registerFilterCommands(f *Filter) {
 		if len(args) != 2 {
 			return "", script.WrongArgs("dst_normal mean variance")
 		}
-		mean, err1 := strconv.ParseFloat(args[0], 64)
-		variance, err2 := strconv.ParseFloat(args[1], 64)
-		if err1 != nil || err2 != nil {
+		mean, ok1 := parseFinite(args[0])
+		variance, ok2 := parseFinite(args[1])
+		if !ok1 || !ok2 {
 			return "", fmt.Errorf("bad arguments %q %q", args[0], args[1])
 		}
 		return formatFloat(l.rng.Normal(mean, variance)), nil
@@ -341,9 +348,9 @@ func registerFilterCommands(f *Filter) {
 		if len(args) != 2 {
 			return "", script.WrongArgs("dst_uniform lo hi")
 		}
-		lo, err1 := strconv.ParseFloat(args[0], 64)
-		hi, err2 := strconv.ParseFloat(args[1], 64)
-		if err1 != nil || err2 != nil {
+		lo, ok1 := parseFinite(args[0])
+		hi, ok2 := parseFinite(args[1])
+		if !ok1 || !ok2 {
 			return "", fmt.Errorf("bad arguments %q %q", args[0], args[1])
 		}
 		return formatFloat(l.rng.Uniform(lo, hi)), nil
@@ -353,8 +360,8 @@ func registerFilterCommands(f *Filter) {
 		if len(args) != 1 {
 			return "", script.WrongArgs("dst_exponential mean")
 		}
-		mean, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
+		mean, ok := parseFinite(args[0])
+		if !ok {
 			return "", fmt.Errorf("bad mean %q", args[0])
 		}
 		return formatFloat(l.rng.Exponential(mean)), nil
@@ -365,7 +372,7 @@ func registerFilterCommands(f *Filter) {
 			return "", script.WrongArgs("coin probability")
 		}
 		p, err := strconv.ParseFloat(args[0], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(p) { // ±Inf clamps like any p outside [0,1]
 			return "", fmt.Errorf("bad probability %q", args[0])
 		}
 		if l.rng.Bernoulli(p) {

@@ -525,6 +525,48 @@ func TestDistributionCommands(t *testing.T) {
 	r.send(t, demoMsg(demoDATA, 1, ""))
 }
 
+// TestDistributionArgsRejectNonFinite: the dst_* commands refuse NaN and
+// ±Inf, and coin refuses NaN, with their "bad argument" errors and before
+// the layer's source takes a step — a NaN mean is not a draw. The
+// documented clamps still answer without an error.
+func TestDistributionArgsRejectNonFinite(t *testing.T) {
+	for _, c := range []struct{ src, err string }{
+		{`dst_normal 0 NaN`, `bad arguments "0" "NaN"`},
+		{`dst_normal Inf 1`, `bad arguments "Inf" "1"`},
+		{`dst_normal 0 +Inf`, `bad arguments "0" "+Inf"`},
+		{`dst_uniform -Inf Inf`, `bad arguments "-Inf" "Inf"`},
+		{`dst_uniform 0 Inf`, `bad arguments "0" "Inf"`},
+		{`dst_uniform nan 1`, `bad arguments "nan" "1"`},
+		{`dst_exponential Inf`, `bad mean "Inf"`},
+		{`dst_exponential -infinity`, `bad mean "-infinity"`},
+		{`dst_exponential NaN`, `bad mean "NaN"`},
+		{`coin NaN`, `bad probability "NaN"`},
+		{`dst_normal 5 -1`, ""},    // negative variance clamps to 0
+		{`dst_exponential -2`, ""}, // mean <= 0 answers 0
+		{`coin 7`, ""},             // p clamps to [0,1]
+		{`coin -Inf`, ""},
+		{`dst_uniform 1 0.5`, ""},
+	} {
+		r := newRig(t)
+		if err := r.layer.SetSendScript(c.src); err != nil {
+			t.Fatal(err)
+		}
+		err := r.stk.Send(demoMsg(demoDATA, 1, ""))
+		if c.err == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.src, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error %v, want %s", c.src, err, c.err)
+		}
+		if m := r.layer.rng.Mark(); m != 0 {
+			t.Errorf("%s: refused, yet the source took %d step(s)", c.src, m)
+		}
+	}
+}
+
 func TestScriptErrorPropagates(t *testing.T) {
 	r := newRig(t)
 	if err := r.layer.SetSendScript(`error "filter exploded"`); err != nil {

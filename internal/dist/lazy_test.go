@@ -33,7 +33,7 @@ func splitSeed(label string, parentDraw int64) int64 {
 func sameDraws(t *testing.T, what string, s *Source, want *rand.Rand, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		switch i % 5 {
+		switch i % 6 {
 		case 0:
 			if g, w := s.Int63(), want.Int63(); g != w {
 				t.Fatalf("%s: draw %d: Int63 %d, reference %d", what, i, g, w)
@@ -54,8 +54,26 @@ func sameDraws(t *testing.T, what string, s *Source, want *rand.Rand, n int) {
 			if g, w := s.Exponential(1), want.ExpFloat64(); g != w {
 				t.Fatalf("%s: draw %d: Exponential %v, reference %v", what, i, g, w)
 			}
+		case 5: // clamped probabilities among them, which draw nothing
+			p := probs[i/6%len(probs)]
+			if g, w := s.Bernoulli(p), refBernoulli(want, p); g != w {
+				t.Fatalf("%s: draw %d: Bernoulli(%v) %v, reference %v", what, i, p, g, w)
+			}
 		}
 	}
+}
+
+// probs are the Bernoulli probabilities the tests draw with: two clamped
+// low, two clamped high, and three that draw.
+var probs = []float64{0.3, -0.5, 0, 0.999, 1, 2, 1e-9}
+
+// refBernoulli is Bernoulli written against math/rand: p is clamped to
+// [0,1] without a draw, and otherwise decides ref.Float64() < p.
+func refBernoulli(ref *rand.Rand, p float64) bool {
+	if p <= 0 || p >= 1 {
+		return p >= 1
+	}
+	return ref.Float64() < p
 }
 
 // TestStreamsMatchEagerSeeding: a Source draws math/rand's stream. For a
@@ -163,13 +181,14 @@ func (c *countingSource) Uint64() uint64  { c.n++; return c.src.Uint64() }
 func (c *countingSource) Seed(seed int64) { panic("unused") }
 
 // FuzzSourceMatchesMathRand: every draw, Mark and Rewind of a Source is
-// that of an eagerly seeded math/rand. Each byte of ops is one operation —
-// a draw from one of the six distributions, a Mark, or a Rewind to a
-// recorded mark or to a position either side of step 273 (where the
-// register is built) and 607 (where it first wraps).
+// that of an eagerly seeded math/rand. Each byte of ops is one operation,
+// its kind op%9 and its argument op/9 — a draw from one of the seven
+// distributions, a Mark, or a Rewind to a recorded mark or to a position
+// either side of step 273 (where the register is built) and 607 (where it
+// first wraps).
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for _, seed := range []int64{0, -1, int32max, 89482311} {
-		f.Add(seed, []byte{0, 1, 2, 3, 4, 5, 6, 7, 15, 23, 31, 39, 47, 55, 63})
+		f.Add(seed, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 17, 26, 35, 44, 53, 62, 71, 16, 25, 34, 43, 52, 61})
 	}
 	weights := [][]float64{{1, 2, 3}, {0, 0}, {0.5, 0, 4, 1e-3}}
 	positions := []uint64{0, 1, rngTap - 1, rngTap, rngTap + 1, rngLen - 1, rngLen, rngLen + 1}
@@ -182,8 +201,8 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		ref := rand.New(cnt)
 		var marks []uint64
 		for i, op := range ops {
-			arg := int(op >> 3)
-			switch op & 7 {
+			arg := int(op / 9)
+			switch op % 9 {
 			case 0:
 				if g, w := s.Int63(), ref.Int63(); g != w {
 					t.Fatalf("op %d: Int63 %d, reference %d", i, g, w)
@@ -212,7 +231,12 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 				}
 			case 6:
 				marks = append(marks, s.Mark())
-			case 7:
+			case 7: // a clamped p must take no step: the Mark check below
+				p := probs[arg%len(probs)]
+				if g, w := s.Bernoulli(p), refBernoulli(ref, p); g != w {
+					t.Fatalf("op %d: Bernoulli(%v) %v, reference %v", i, p, g, w)
+				}
+			case 8:
 				var to uint64
 				if arg < len(positions) || len(marks) == 0 {
 					to = positions[arg%len(positions)]

@@ -48,19 +48,6 @@ func (c *Coverage) Merge(other *Coverage) int {
 	return fresh
 }
 
-// NewBits reports how many of other's bits are not yet in c, without
-// mutating either map.
-func (c *Coverage) NewBits(other *Coverage) int {
-	fresh := 0
-	for i, w := range other.bits {
-		nw := w &^ c.bits[i]
-		for ; nw != 0; nw &= nw - 1 {
-			fresh++
-		}
-	}
-	return fresh
-}
-
 // Bits calls fn for every set bit index.
 func (c *Coverage) Bits(fn func(bit int)) {
 	for i, w := range c.bits {

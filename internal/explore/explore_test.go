@@ -33,9 +33,6 @@ func TestCoverageBitmap(t *testing.T) {
 	if fresh := g.Merge(c); fresh != 0 {
 		t.Errorf("second merge reported %d fresh bits, want 0", fresh)
 	}
-	if g.NewBits(c) != 0 {
-		t.Error("NewBits after merge should be 0")
-	}
 
 	// Bits enumerates exactly Count() set bits.
 	n := 0
@@ -46,7 +43,7 @@ func TestCoverageBitmap(t *testing.T) {
 
 	// A different trace lights different bits.
 	other := CoverageOf([]trace.Entry{{Node: "compsun1", Kind: "view", Type: "COMMIT"}})
-	if g.NewBits(other) == 0 {
+	if g.Merge(other) == 0 {
 		t.Error("distinct trace produced no new coverage")
 	}
 }

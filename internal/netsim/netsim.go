@@ -33,18 +33,12 @@ type LinkConfig struct {
 	Loss float64
 }
 
-// link is the mutable state of a configured link.
-type link struct {
-	cfg LinkConfig
-	up  bool
-}
-
 // Stats counts world-level message outcomes.
 type Stats struct {
 	Sent        int
 	Delivered   int
 	LostRandom  int // dropped by link loss probability
-	LostDown    int // dropped because a link was down or endpoint unplugged
+	LostDown    int // dropped because an endpoint was unplugged
 	LostNoRoute int // dropped because no link exists
 	LostCut     int // dropped by a partition
 }
@@ -55,7 +49,7 @@ type World struct {
 	rng   *dist.Source
 	nodes map[string]*Node
 	order []*Node // creation order, for deterministic broadcast fan-out
-	links map[uint64]*link
+	links map[uint64]*LinkConfig
 	def   *LinkConfig // default link config for unconnected pairs, if any
 	stats Stats
 	log   *trace.Log // optional wire-level log
@@ -80,7 +74,7 @@ func NewWorld(seed int64) *World {
 		Sched: simtime.NewScheduler(),
 		rng:   dist.NewSource(seed),
 		nodes: make(map[string]*Node),
-		links: make(map[uint64]*link),
+		links: make(map[uint64]*LinkConfig),
 	}
 	w.snaps = snapshot.NewRegistry()
 	w.snaps.Register("sched", w.Sched)
@@ -214,7 +208,7 @@ func (w *World) Connect(a, b string, cfg LinkConfig) error {
 	if cfg.Loss < 0 || cfg.Loss > 1 {
 		return fmt.Errorf("netsim: loss probability %v out of [0,1]", cfg.Loss)
 	}
-	w.links[linkKey(na, nb)] = &link{cfg: cfg, up: true}
+	w.links[linkKey(na, nb)] = &cfg
 	return nil
 }
 
@@ -228,19 +222,6 @@ func (w *World) ConnectAll(cfg LinkConfig) error {
 			}
 		}
 	}
-	return nil
-}
-
-// SetLinkUp raises or cuts the a<->b link (link crash failures).
-func (w *World) SetLinkUp(a, b string, up bool) error {
-	var l *link
-	if na, nb := w.nodes[a], w.nodes[b]; na != nil && nb != nil {
-		l = w.links[linkKey(na, nb)]
-	}
-	if l == nil {
-		return fmt.Errorf("netsim: no link %s<->%s", a, b)
-	}
-	l.up = up
 	return nil
 }
 
@@ -379,12 +360,7 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 	}
 	c := w.def
 	if l, ok := w.links[linkKey(src, dst)]; ok {
-		if !l.up {
-			w.drop(src, dst, m, "link down")
-			w.stats.LostDown++
-			return
-		}
-		c = &l.cfg
+		c = l
 	}
 	if c == nil {
 		w.drop(src, dst, m, "no route")
@@ -427,12 +403,11 @@ func (w *World) drop(from, to *Node, m *message.Message, why string) {
 // --- snapshot / restore ------------------------------------------------
 
 // linkState saves one link entry: the pointer (Connect may replace it) plus
-// the fields faults toggle.
+// its configuration.
 type linkState struct {
 	key uint64
-	l   *link
+	l   *LinkConfig
 	cfg LinkConfig
-	up  bool
 }
 
 // nodeState saves the per-node switches faults toggle.
@@ -481,7 +456,7 @@ func (w *World) SnapshotState() any {
 	}
 	st.links = make([]linkState, 0, len(w.links))
 	for k, l := range w.links {
-		st.links = append(st.links, linkState{key: k, l: l, cfg: l.cfg, up: l.up})
+		st.links = append(st.links, linkState{key: k, l: l, cfg: *l})
 	}
 	if w.log != nil {
 		st.logLen = w.log.Len()
@@ -511,9 +486,9 @@ func (w *World) RestoreState(state any) {
 		n.unplugged, n.group = st.nodes[i].unplugged, st.nodes[i].group
 		w.nodes[n.name] = n
 	}
-	w.links = make(map[uint64]*link, len(st.links))
+	w.links = make(map[uint64]*LinkConfig, len(st.links))
 	for _, ls := range st.links {
-		ls.l.cfg, ls.l.up = ls.cfg, ls.up
+		*ls.l = ls.cfg
 		w.links[ls.key] = ls.l
 	}
 	w.log = st.log

@@ -166,26 +166,6 @@ func TestPartitionBroadcastRespectsGroups(t *testing.T) {
 	}
 }
 
-func TestLinkDown(t *testing.T) {
-	r := newRig(t, 2, LinkConfig{})
-	if err := r.w.SetLinkUp("a", "b", false); err != nil {
-		t.Fatal(err)
-	}
-	r.send(t, "a", "b", "x")
-	r.w.Run()
-	if len(r.got["b"]) != 0 {
-		t.Fatal("message crossed a downed link")
-	}
-	if err := r.w.SetLinkUp("b", "a", true); err != nil { // order-insensitive
-		t.Fatal(err)
-	}
-	r.send(t, "a", "b", "y")
-	r.w.Run()
-	if len(r.got["b"]) != 1 {
-		t.Fatal("message lost after link restore")
-	}
-}
-
 func TestNoRoute(t *testing.T) {
 	w := NewWorld(1)
 	a := w.MustAddNode("a")
@@ -277,9 +257,6 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := w.Connect("a", "a", LinkConfig{}); err == nil {
 		t.Error("self link accepted")
-	}
-	if err := w.SetLinkUp("a", "ghost", false); err == nil {
-		t.Error("SetLinkUp on missing link accepted")
 	}
 	w.MustAddNode("b")
 	if err := w.Connect("a", "b", LinkConfig{Loss: 1.5}); err == nil {

@@ -8,13 +8,25 @@
 # and prints each func declared in a non-test .go file under internal/ whose
 # symbol none of the binaries holds: its line count, file:line and symbol,
 # then the total. What only tests reach shows up here. Functions named init
-# and files built only under the race detector are skipped. It reports and
-# does not gate: the exit status is 0 whatever it finds.
+# and files built only under the race detector are skipped.
 #
-# usage: bash scripts/unlinked.sh   (or: make unlinked)
+# With -check it prints nothing but failures and gates on
+# scripts/unlinked.allow, one symbol per line, each followed by a `# reason`.
+# It fails on an unlinked function the file does not list, on a listed
+# symbol that is now linked or deleted, and on an entry with no reason. So
+# the list can only shrink: a line goes when its function is linked or
+# deleted.
+#
+# usage: bash scripts/unlinked.sh [-check]   (or: make unlinked)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 go=${GO:-go}
+check=
+case "${1:-}" in
+-check) check=1 ;;
+"") ;;
+*) echo "usage: $0 [-check]" >&2; exit 2 ;;
+esac
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -67,4 +79,32 @@ done | xargs awk -v linked="$tmp/linked" '
 		next
 	}
 	/^}/ { report() }
-	END { printf "%5d lines in %d functions no binary links\n", total, funcs }'
+	END { printf "%5d lines in %d functions no binary links\n", total, funcs }' >"$tmp/report"
+
+if [ -z "$check" ]; then
+	cat "$tmp/report"
+	exit 0
+fi
+allow=scripts/unlinked.allow
+awk -v allow="$allow" '
+	BEGIN {
+		while ((getline line < allow) > 0) {
+			n++
+			if (line ~ /^[ \t]*(#|$)/) continue
+			sym = line; sub(/[ \t#].*/, "", sym)
+			if (line !~ /#[ \t]*[^ \t]/) {
+				printf "%s:%d: %s gives no # reason\n", allow, n, sym; bad = 1
+			}
+			listed[sym] = n
+		}
+	}
+	NF == 3 {
+		if ($3 in listed) seen[$3] = 1
+		else { printf "%s  %s: no binary links it, and %s does not list it\n", $2, $3, allow; bad = 1 }
+	}
+	END {
+		for (s in listed) if (!(s in seen)) {
+			printf "%s:%d: %s is linked or gone; delete its line\n", allow, listed[s], s; bad = 1
+		}
+		exit bad
+	}' "$tmp/report"
