@@ -151,9 +151,11 @@ unlinked:
 unlinked-check:
 	@GO=$(GO) bash scripts/unlinked.sh -check
 
-# goldens re-blesses every pinned artifact: conformance traces and rendered
-# experiment tables (only the exp package's golden tests read -update).
-# Inspect the diff before committing.
+# goldens re-blesses every pinned artifact: conformance traces, rendered
+# experiment tables, and the -dump-prog listings of pfitest's suite and
+# pficampaign's default GMP cases (only those golden tests read -update
+# here). Inspect the diff before committing.
 goldens:
 	$(GO) run ./cmd/pfitest -update
 	$(GO) test ./internal/exp/ -update
+	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run DumpProgGolden -update

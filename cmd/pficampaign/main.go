@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -66,12 +67,19 @@ type app struct {
 	scenarios map[string]campaign.Scenario
 }
 
+// gmpTypesDefault and faultsDefault are the -types and -faults defaults:
+// the GMP wire vocabulary and every fault kind but corrupt.
+const (
+	gmpTypesDefault = "HEARTBEAT,PROCLAIM,JOIN,MEMBERSHIP_CHANGE,ACK,COMMIT,RUDP-ACK"
+	faultsDefault   = "drop,drop-first-n,delay,duplicate,reorder"
+)
+
 func main() {
 	a := &app{scenarios: raftScenarios()}
 	a.scenarios["gmp"] = gmpScenario
 	flag.IntVar(&a.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
-	flag.StringVar(&a.types, "types", "HEARTBEAT,PROCLAIM,JOIN,MEMBERSHIP_CHANGE,ACK,COMMIT,RUDP-ACK", "comma-separated message types to target")
-	flag.StringVar(&a.faults, "faults", "drop,drop-first-n,delay,duplicate,reorder", "comma-separated fault kinds")
+	flag.StringVar(&a.types, "types", gmpTypesDefault, "comma-separated message types to target")
+	flag.StringVar(&a.faults, "faults", faultsDefault, "comma-separated fault kinds")
 	flag.BoolVar(&a.list, "list", false, "print the generated cases and exit")
 	flag.BoolVar(&a.dump, "dump-prog", false, "disassemble each generated filter program and exit")
 	flag.BoolVar(&a.quiet, "quiet", false, "suppress per-verdict progress lines")
@@ -133,7 +141,7 @@ func (a *app) runGMP() error {
 		return nil
 	}
 	if a.dump {
-		return dumpPrograms(cases)
+		return dumpPrograms(os.Stdout, cases)
 	}
 	if a.lc.FleetActive() {
 		fmt.Printf("sweeping %d cases over a fleet (%d spawned worker(s))\n", len(cases), a.lc.Spawn)
@@ -202,7 +210,7 @@ func (a *app) sweep(spec campaign.Spec, scenario, label string) ([]campaign.Verd
 // dumpPrograms disassembles every generated case's filter script against a
 // real PFI-layer interpreter, so the listing shows the program the sweep
 // itself runs.
-func dumpPrograms(cases []campaign.Case) error {
+func dumpPrograms(w io.Writer, cases []campaign.Case) error {
 	env := &stack.Env{Sched: netsim.NewWorld(2026).Sched, Node: "gmd3"}
 	l := core.NewLayer(env, core.WithStub(gmp.PFIStub{}))
 	for _, c := range cases {
@@ -210,10 +218,10 @@ func dumpPrograms(cases []campaign.Case) error {
 		if c.Dir == core.Receive {
 			f = l.ReceiveFilter()
 		}
-		if err := f.Interp().DumpProgram(os.Stdout, c.Name, c.Script); err != nil {
+		if err := f.Interp().DumpProgram(w, c.Name, c.Script); err != nil {
 			return fmt.Errorf("%s: %w", c.Name, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

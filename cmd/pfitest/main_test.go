@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"pfi/internal/conformance"
 )
 
 const testdata = "../../internal/conformance/testdata"
@@ -93,5 +98,36 @@ func TestUpdateWritesGoldens(t *testing.T) {
 	ok, err = run(context.Background(), &out, config{dir: testdata, golden: scratch, runRx: "gmp_partition"})
 	if err != nil || !ok {
 		t.Fatalf("recheck: ok=%v err=%v\n%s", ok, err, out.String())
+	}
+}
+
+var update = flag.Bool("update", false, "re-bless testdata/dump-prog.golden")
+
+// TestDumpProgGolden pins -dump-prog's listing of the shipped suite: the
+// compiled program each faultload installs, byte for byte. A change to the
+// script compiler that moves an instruction shows here.
+func TestDumpProgGolden(t *testing.T) {
+	scs, err := conformance.LoadDir(testdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	conformance.RunAll(scs, conformance.Options{Workers: 1, ProgDump: &got})
+	path := filepath.Join("testdata", "dump-prog.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("listing differs from %s: re-bless with -update and read the git diff", path)
 	}
 }
