@@ -167,8 +167,8 @@ func main() {
 // how many instructions fusion and folding rewrote.
 func scriptStats() string {
 	ss := script.Stats()
-	return fmt.Sprintf("script: %d compiled (%d cache hits), %d fused / %d folded ops",
-		ss.Compiles, ss.CacheHits, ss.FusedOps, ss.FoldedOps)
+	return fmt.Sprintf("script: %d compiled (%d cache hits), %d fused ops",
+		ss.Compiles, ss.CacheHits, ss.FusedOps)
 }
 
 // throughput renders the end-of-run summary line: total evaluations,

@@ -63,23 +63,39 @@ func (c *Coverage) Bits(fn func(bit int)) {
 	}
 }
 
-// Words returns a copy of the bitmap's raw 64-bit words — the form fleet
-// workers ship coverage home in. Word i holds feature bits [64i, 64i+64).
-func (c *Coverage) Words() []uint64 {
-	out := make([]uint64, mapWords)
-	copy(out, c.bits[:])
+// CovWord is one non-zero word of a coverage bitmap: W holds feature bits
+// [64*I, 64*I+64). A []CovWord is the sparse form a bitmap is journaled and
+// shipped over the fleet wire in.
+type CovWord struct {
+	I int    `json:"i"`
+	W uint64 `json:"w"`
+}
+
+// Sparse returns c's non-zero words in index order (nil for a nil map).
+func (c *Coverage) Sparse() []CovWord {
+	if c == nil {
+		return nil
+	}
+	var out []CovWord
+	for i, w := range c.bits {
+		if w != 0 {
+			out = append(out, CovWord{I: i, W: w})
+		}
+	}
 	return out
 }
 
-// SetWord installs one raw word at index i, ORing into whatever is
-// already set; out-of-range indices are an error. Together with Words it
-// round-trips a bitmap through a sparse wire encoding.
-func (c *Coverage) SetWord(i int, w uint64) error {
-	if i < 0 || i >= mapWords {
-		return fmt.Errorf("explore: coverage word index %d out of [0,%d)", i, mapWords)
+// CoverageFrom rebuilds a bitmap from its sparse form. An out-of-range word
+// index means a corrupt journal or a hostile fleet result, and is an error.
+func CoverageFrom(words []CovWord) (*Coverage, error) {
+	cov := &Coverage{}
+	for _, cw := range words {
+		if cw.I < 0 || cw.I >= mapWords {
+			return nil, fmt.Errorf("explore: coverage word index %d out of [0,%d)", cw.I, mapWords)
+		}
+		cov.bits[cw.I] |= cw.W
 	}
-	c.bits[i] |= w
-	return nil
+	return cov, nil
 }
 
 // Fingerprint hashes the bitmap into a short stable hex string.

@@ -124,16 +124,16 @@ func (o Options) withDefaults() Options {
 type Finding struct {
 	// Violation is the oracle breach as re-observed on the minimized
 	// schedule.
-	Violation Violation
+	Violation Violation `json:"violation"`
 	// Schedule is the minimized genome.
-	Schedule Schedule
+	Schedule Schedule `json:"schedule"`
 	// Scenario is the committable repro source ("" for kinds that cannot
 	// be expressed as a passing scenario, i.e. exec-error).
-	Scenario string
+	Scenario string `json:"scenario,omitempty"`
 	// Path and GoldenPath are where the repro was emitted ("" when
 	// Options.OutDir was empty or the kind is not emittable).
-	Path       string
-	GoldenPath string
+	Path       string `json:"path,omitempty"`
+	GoldenPath string `json:"golden_path,omitempty"`
 }
 
 // Report summarizes a fuzzing run.
@@ -290,11 +290,9 @@ func Fuzz(opts Options) (*Report, error) {
 		rec := genRecord{Gen: rep.Generations, Runs: rep.Runs, ShrinkRuns: rep.ShrinkRuns,
 			RngMark: rng.Mark(), Seen: newSeen, Found: newFound}
 		for _, e := range corpus[corpusBase:] {
-			rec.Corpus = append(rec.Corpus, jEntry{Schedule: e.sched, Cov: covToJournal(e.cov)})
+			rec.Corpus = append(rec.Corpus, jEntry{Schedule: e.sched, Cov: e.cov.Sparse()})
 		}
-		for _, f := range rep.Findings[findingsBase:] {
-			rec.Findings = append(rec.Findings, findingToJournal(f))
-		}
+		rec.Findings = append(rec.Findings, rep.Findings[findingsBase:]...)
 		if err := jl.Append(RecGen, rec); err != nil {
 			return err
 		}
@@ -337,7 +335,7 @@ func Fuzz(opts Options) (*Report, error) {
 			found[sig] = true
 		}
 		for _, je := range jstate.corpus {
-			cov, err := covFromJournal(je.Cov)
+			cov, err := CoverageFrom(je.Cov)
 			if err != nil {
 				return rep, err
 			}
@@ -345,9 +343,7 @@ func Fuzz(opts Options) (*Report, error) {
 			cov.Bits(func(bit int) { bitHits[bit]++ })
 			corpus = append(corpus, corpusEntry{sched: je.Schedule, cov: cov})
 		}
-		for _, jf := range jstate.findings {
-			rep.Findings = append(rep.Findings, jf.restore())
-		}
+		rep.Findings = append(rep.Findings, jstate.findings...)
 		rng.Rewind(jstate.mark)
 		corpusBase, findingsBase = len(corpus), len(rep.Findings)
 		journal.CountResumed(jstate.runs)

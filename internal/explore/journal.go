@@ -37,40 +37,25 @@ type fuzzMeta struct {
 	SeedHash string `json:"seed_hash"` // fnv64 over ordered gen-0 schedule keys
 }
 
-// jWord is one sparse coverage word (mirrors the fleet wire encoding).
-type jWord struct {
-	I int    `json:"i"`
-	W uint64 `json:"w"`
-}
-
 // jEntry is one admitted corpus schedule with its full coverage — the
 // replay unit that reconstructs the global map and bit-hit counters.
 type jEntry struct {
-	Schedule Schedule `json:"schedule"`
-	Cov      []jWord  `json:"cov,omitempty"`
-}
-
-// jFinding is a Finding's durable form.
-type jFinding struct {
-	Violation  Violation `json:"violation"`
-	Schedule   Schedule  `json:"schedule"`
-	Scenario   string    `json:"scenario,omitempty"`
-	Path       string    `json:"path,omitempty"`
-	GoldenPath string    `json:"golden_path,omitempty"`
+	Schedule Schedule  `json:"schedule"`
+	Cov      []CovWord `json:"cov,omitempty"`
 }
 
 // genRecord is one generation boundary. Runs/ShrinkRuns/Gen are
 // absolute totals at the boundary; the slices are this generation's
 // deltas (or, in a checkpoint record, the full accumulated sets).
 type genRecord struct {
-	Gen        int        `json:"gen"`
-	Runs       int        `json:"runs"`
-	ShrinkRuns int        `json:"shrink_runs,omitempty"`
-	RngMark    uint64     `json:"rng_mark"`
-	Seen       []string   `json:"seen,omitempty"`
-	Corpus     []jEntry   `json:"corpus,omitempty"`
-	Found      []string   `json:"found,omitempty"`
-	Findings   []jFinding `json:"findings,omitempty"`
+	Gen        int       `json:"gen"`
+	Runs       int       `json:"runs"`
+	ShrinkRuns int       `json:"shrink_runs,omitempty"`
+	RngMark    uint64    `json:"rng_mark"`
+	Seen       []string  `json:"seen,omitempty"`
+	Corpus     []jEntry  `json:"corpus,omitempty"`
+	Found      []string  `json:"found,omitempty"`
+	Findings   []Finding `json:"findings,omitempty"`
 }
 
 // fuzzState is the accumulated journal state at the last boundary.
@@ -80,39 +65,8 @@ type fuzzState struct {
 	seen              []string
 	corpus            []jEntry
 	found             []string
-	findings          []jFinding
+	findings          []Finding
 	genRecords        int // generation records since the last checkpoint
-}
-
-func covToJournal(cov *Coverage) []jWord {
-	if cov == nil {
-		return nil
-	}
-	var out []jWord
-	for i, w := range cov.Words() {
-		if w != 0 {
-			out = append(out, jWord{I: i, W: w})
-		}
-	}
-	return out
-}
-
-func covFromJournal(words []jWord) (*Coverage, error) {
-	cov := &Coverage{}
-	for _, jw := range words {
-		if err := cov.SetWord(jw.I, jw.W); err != nil {
-			return nil, err
-		}
-	}
-	return cov, nil
-}
-
-func findingToJournal(f Finding) jFinding {
-	return jFinding{Violation: f.Violation, Schedule: f.Schedule, Scenario: f.Scenario, Path: f.Path, GoldenPath: f.GoldenPath}
-}
-
-func (jf jFinding) restore() Finding {
-	return Finding{Violation: jf.Violation, Schedule: jf.Schedule, Scenario: jf.Scenario, Path: jf.Path, GoldenPath: jf.GoldenPath}
 }
 
 // seedHash fingerprints the ordered generation-zero schedules.

@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -77,16 +76,6 @@ const (
 	gmpSettleMS = 90_000
 )
 
-// msgIDPat matches process-global message IDs in error text. They come
-// from a shared atomic counter, so their values depend on what other
-// worlds ran first in this process — scrubbing them keeps exec-error
-// details identical across worker counts and runs.
-var msgIDPat = regexp.MustCompile(`\bmessage \d+\b`)
-
-func scrubVolatile(s string) string {
-	return msgIDPat.ReplaceAllString(s, "message <id>")
-}
-
 // Violation is one oracle breach.
 type Violation struct {
 	// Kind is one of the Viol* constants.
@@ -158,7 +147,7 @@ func outcomeOf(s Schedule, src string, r *conformance.Result) *Outcome {
 func containedViolation(iso *harden.Outcome) Violation {
 	detail := ""
 	if iso.Err != nil {
-		detail = scrubVolatile(firstLine(iso.Err.Error()))
+		detail = firstLine(iso.Err.Error())
 	}
 	switch iso.Kind {
 	case harden.ToolFault:
@@ -182,7 +171,7 @@ func firstLine(s string) string {
 // judge applies the oracle set to a finished run.
 func judge(s Schedule, r *conformance.Result) []Violation {
 	if r.Err != nil {
-		return []Violation{{Kind: ViolExecError, Detail: scrubVolatile(r.Err.Error())}}
+		return []Violation{{Kind: ViolExecError, Detail: r.Err.Error()}}
 	}
 	endMS := int(time.Duration(r.Elapsed).Milliseconds())
 	switch s.World {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pfi/internal/campaign"
+	"pfi/internal/explore"
 	"pfi/internal/harden"
 )
 
@@ -332,7 +333,7 @@ func TestGarbageFrames(t *testing.T) {
 	go fc.RunRound(ctx, fc.newRound(2, nil, nil, func(int, *WireCell) { landed++ }))
 	fs := hello(t, fc, "w")
 	bad := &Result{Unit: leaseAll(t, fc, []string{fs}, 1)[0].unit.ID,
-		Outcomes: []WireOutcome{{Index: 0}, {Index: 1, Cov: []CovWord{{I: -1, W: 1}}}}}
+		Outcomes: []WireOutcome{{Index: 0}, {Index: 1, Cov: []explore.CovWord{{I: -1, W: 1}}}}}
 	if resp := fc.HandleEnvelope(Envelope{V: ProtocolVersion, Type: MsgResult, Session: fs, Result: bad}); resp.Type != MsgError {
 		t.Errorf("bad coverage word accepted: %+v", resp)
 	}

@@ -86,7 +86,7 @@ func (c *Coordinator) RunFuzz(opts explore.Options) (*explore.Report, error) {
 // loop's admit/handle path never reads them, and shrinking re-evaluates
 // locally.
 func outcomeFromWire(w WireOutcome) (*explore.Outcome, error) {
-	cov, err := covFromWire(w.Cov)
+	cov, err := explore.CoverageFrom(w.Cov)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func outcomeFromWire(w WireOutcome) (*explore.Outcome, error) {
 
 // outcomeToWire projects an outcome onto its wire form.
 func outcomeToWire(index int, o *explore.Outcome) WireOutcome {
-	return WireOutcome{Index: index, Schedule: o.Schedule, Cov: covToWire(o.Cov), Violations: o.Violations}
+	return WireOutcome{Index: index, Schedule: o.Schedule, Cov: o.Cov.Sparse(), Violations: o.Violations}
 }
 
 // fuzzOps is the fuzz job kind: a cell is one WireOutcome indexed into the
@@ -105,7 +105,7 @@ var fuzzOps = jobOps{
 		if cell.Outcome == nil || cell.Verdict != nil {
 			return 0, fmt.Errorf("fuzz cell without an outcome")
 		}
-		if _, err := covFromWire(cell.Outcome.Cov); err != nil {
+		if _, err := explore.CoverageFrom(cell.Outcome.Cov); err != nil {
 			return 0, fmt.Errorf("outcome %d: %w", cell.Outcome.Index, err)
 		}
 		return cell.Outcome.Index, nil

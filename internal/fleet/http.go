@@ -94,7 +94,6 @@ func (c *Coordinator) Handler() http.Handler {
 		for k, v := range map[string]uint64{
 			"script_compiles":     ss.Compiles,
 			"script_fused_ops":    ss.FusedOps,
-			"script_folded_ops":   ss.FoldedOps,
 			"script_cache_hits":   ss.CacheHits,
 			"script_cache_misses": ss.CacheMisses,
 		} {

@@ -277,14 +277,6 @@ type WireVerdict struct {
 	ElapsedUS int64 `json:"elapsed_us,omitempty"`
 }
 
-// CovWord is one non-zero word of a coverage bitmap — the sparse wire
-// form of explore.Coverage.
-type CovWord struct {
-	// I is the word index; W its 64 feature bits.
-	I int    `json:"i"`
-	W uint64 `json:"w"`
-}
-
 // WireOutcome is the deterministic projection of an explore.Outcome: the
 // schedule, its coverage, and its oracle violations — everything the fuzz
 // loop's admit/handle path consumes. The conformance Result stays on the
@@ -295,7 +287,7 @@ type WireOutcome struct {
 	// Schedule is the evaluated genome.
 	Schedule explore.Schedule `json:"schedule"`
 	// Cov is the sparse coverage bitmap.
-	Cov []CovWord `json:"cov,omitempty"`
+	Cov []explore.CovWord `json:"cov,omitempty"`
 	// Violations are the oracle breaches observed on the worker.
 	Violations []explore.Violation `json:"violations,omitempty"`
 }
@@ -333,30 +325,4 @@ func mustEncode(e Envelope) []byte {
 		panic(fmt.Sprintf("fleet: encoding %s envelope: %v", e.Type, err))
 	}
 	return data
-}
-
-// covToWire sparsifies a coverage bitmap.
-func covToWire(cov *explore.Coverage) []CovWord {
-	if cov == nil {
-		return nil
-	}
-	var out []CovWord
-	for i, w := range cov.Words() {
-		if w != 0 {
-			out = append(out, CovWord{I: i, W: w})
-		}
-	}
-	return out
-}
-
-// covFromWire rebuilds a coverage bitmap; bad word indices mean a
-// corrupted or hostile result and surface as an error.
-func covFromWire(words []CovWord) (*explore.Coverage, error) {
-	cov := &explore.Coverage{}
-	for _, cw := range words {
-		if err := cov.SetWord(cw.I, cw.W); err != nil {
-			return nil, err
-		}
-	}
-	return cov, nil
 }

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -71,7 +73,7 @@ func goldenFrames() []struct {
 			Cell: &WireCell{Unit: 7, Outcome: &WireOutcome{
 				Index:    4,
 				Schedule: sched,
-				Cov:      []CovWord{{I: 0, W: 0x8000000000000001}, {I: 1023, W: 42}},
+				Cov:      []explore.CovWord{{I: 0, W: 0x8000000000000001}, {I: 1023, W: 42}},
 			}}}},
 		{"result_empty", Envelope{V: ProtocolVersion, Type: MsgResult, Session: "w1",
 			Result: &Result{Unit: 3}}},
@@ -86,7 +88,7 @@ func goldenFrames() []struct {
 			Result: &Result{Unit: 7, Outcomes: []WireOutcome{{
 				Index:      4,
 				Schedule:   sched,
-				Cov:        []CovWord{{I: 0, W: 0x8000000000000001}, {I: 1023, W: 42}},
+				Cov:        []explore.CovWord{{I: 0, W: 0x8000000000000001}, {I: 1023, W: 42}},
 				Violations: []explore.Violation{{Kind: explore.ViolExecError, Detail: "tool fault: boom"}},
 			}}}}},
 		{"ack", Envelope{V: ProtocolVersion, Type: MsgAck}},
@@ -214,36 +216,36 @@ func TestWireHardenRoundTrip(t *testing.T) {
 }
 
 // TestCoverageWireRoundTrip proves the sparse encoding preserves every
-// bit — including the sign-bit word that would corrupt through a float —
-// and rejects out-of-range word indices from hostile results.
+// bit through a JSON frame — including the sign-bit word that would
+// corrupt through a float — and rejects out-of-range word indices from
+// hostile results.
 func TestCoverageWireRoundTrip(t *testing.T) {
-	cov := &explore.Coverage{}
-	if err := cov.SetWord(0, 0x8000000000000001); err != nil {
-		t.Fatal(err)
-	}
-	if err := cov.SetWord(511, 0xdeadbeefcafef00d); err != nil {
-		t.Fatal(err)
-	}
-	if err := cov.SetWord(1023, 1); err != nil {
-		t.Fatal(err)
-	}
-	wire := covToWire(cov)
-	if len(wire) != 3 {
-		t.Fatalf("sparse encoding has %d words, want 3: %v", len(wire), wire)
-	}
-	back, err := covFromWire(wire)
+	words := []explore.CovWord{{I: 0, W: 0x8000000000000001}, {I: 511, W: 0xdeadbeefcafef00d}, {I: 1023, W: 1}}
+	cov, err := explore.CoverageFrom(words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, bw := cov.Words(), back.Words()
-	for i := range gw {
-		if gw[i] != bw[i] {
-			t.Fatalf("word %d: %#x round-tripped to %#x", i, gw[i], bw[i])
-		}
+	frame, err := json.Marshal(WireOutcome{Cov: cov.Sparse()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range []CovWord{{I: -1, W: 1}, {I: 1024, W: 1}, {I: 1 << 20, W: 1}} {
-		if _, err := covFromWire([]CovWord{bad}); err == nil {
-			t.Errorf("covFromWire accepted out-of-range word %+v", bad)
+	var got WireOutcome
+	if err := json.Unmarshal(frame, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Cov, words) {
+		t.Fatalf("sparse encoding round-tripped to %v, want %v", got.Cov, words)
+	}
+	back, err := explore.CoverageFrom(got.Cov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Fingerprint() != cov.Fingerprint() {
+		t.Fatalf("fingerprint %s round-tripped to %s", cov.Fingerprint(), back.Fingerprint())
+	}
+	for _, bad := range []explore.CovWord{{I: -1, W: 1}, {I: 1024, W: 1}, {I: 1 << 20, W: 1}} {
+		if _, err := explore.CoverageFrom([]explore.CovWord{bad}); err == nil {
+			t.Errorf("CoverageFrom accepted out-of-range word %+v", bad)
 		}
 	}
 }

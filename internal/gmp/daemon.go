@@ -12,43 +12,21 @@ import (
 	"pfi/internal/trace"
 )
 
-// Config holds the daemon's protocol timing parameters.
-type Config struct {
-	// HBInterval spaces outgoing heartbeats.
-	HBInterval time.Duration
-	// HBTimeout declares a member dead after this silence.
-	HBTimeout time.Duration
-	// ProclaimInterval spaces PROCLAIM solicitations while the group does
+// Protocol timing, suited to a LAN (heartbeats every second).
+const (
+	// hbInterval spaces outgoing heartbeats.
+	hbInterval = time.Second
+	// hbTimeout declares a member dead after this silence.
+	hbTimeout = 3500 * time.Millisecond
+	// proclaimInterval spaces PROCLAIM solicitations while the group does
 	// not contain every known peer.
-	ProclaimInterval time.Duration
-	// MCTimeout bounds the leader's wait for MEMBERSHIP_CHANGE ACKs.
-	MCTimeout time.Duration
-	// TransitionTimeout bounds a member's wait for COMMIT; on expiry it
+	proclaimInterval = 5 * time.Second
+	// mcTimeout bounds the leader's wait for MEMBERSHIP_CHANGE ACKs.
+	mcTimeout = 2 * time.Second
+	// transitionTimeout bounds a member's wait for COMMIT; on expiry it
 	// reverts to a singleton group and proclaims again.
-	TransitionTimeout time.Duration
-}
-
-// DefaultConfig returns timing suited to a LAN (heartbeats every second).
-func DefaultConfig() Config {
-	return Config{
-		HBInterval:        time.Second,
-		HBTimeout:         3500 * time.Millisecond,
-		ProclaimInterval:  5 * time.Second,
-		MCTimeout:         2 * time.Second,
-		TransitionTimeout: 10 * time.Second,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.HBInterval <= 0 || c.HBTimeout <= c.HBInterval {
-		return fmt.Errorf("gmp: heartbeat timeout %v must exceed interval %v", c.HBTimeout, c.HBInterval)
-	}
-	if c.ProclaimInterval <= 0 || c.MCTimeout <= 0 || c.TransitionTimeout <= 0 {
-		return fmt.Errorf("gmp: non-positive timer parameter")
-	}
-	return nil
-}
+	transitionTimeout = 10 * time.Second
+)
 
 // Bugs selects which of the three historical implementation bugs are
 // active. The zero value is the fully fixed implementation.
@@ -72,7 +50,6 @@ type Daemon struct {
 	net   *rudp.Layer
 	id    string
 	peers []string // all known daemons, including self
-	cfg   Config
 	bugs  Bugs
 	log   *trace.Log
 
@@ -120,24 +97,14 @@ func New(env *stack.Env, net *rudp.Layer, peers []string, opts ...Option) (*Daem
 		env: env,
 		net: net,
 		id:  env.Node,
-		cfg: DefaultConfig(),
 		log: trace.NewLog(),
 	}
-	found := false
-	for _, p := range peers {
-		if p == d.id {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(peers, d.id) {
 		return nil, fmt.Errorf("gmp: peer list %v does not include self %q", peers, d.id)
 	}
 	d.peers = append([]string(nil), peers...)
 	for _, opt := range opts {
 		opt(d)
-	}
-	if err := d.cfg.Validate(); err != nil {
-		return nil, err
 	}
 	d.timers = newTimerTable(env.Sched, d.bugs.TimerUnset, d.onTimer)
 	net.OnDeliver(d.handleDatagram)
@@ -195,7 +162,7 @@ func (d *Daemon) Start() {
 	d.started = true
 	d.genCounter++
 	d.commitLocal(NewGroup(d.genCounter, []string{d.id}))
-	d.timers.set(timerHBSend, "", d.cfg.HBInterval)
+	d.timers.set(timerHBSend, "", hbInterval)
 	d.timers.set(timerProclaim, "", jitteredProclaim(d))
 }
 
@@ -206,7 +173,7 @@ func jitteredProclaim(d *Daemon) time.Duration {
 	for _, c := range d.id {
 		h = (h*31 + int(c)) % 997
 	}
-	return d.cfg.ProclaimInterval/4 + time.Duration(h)*time.Millisecond
+	return proclaimInterval/4 + time.Duration(h)*time.Millisecond
 }
 
 // Stop halts the daemon entirely (process crash for the simulation's
@@ -269,7 +236,7 @@ func (d *Daemon) onTimer(kind timerKind, key string) {
 }
 
 func (d *Daemon) onHBSendTick() {
-	d.timers.set(timerHBSend, "", d.cfg.HBInterval)
+	d.timers.set(timerHBSend, "", hbInterval)
 	if d.suspended || !d.started || d.inTransition {
 		return
 	}
@@ -291,7 +258,7 @@ func (d *Daemon) onHBSendTick() {
 }
 
 func (d *Daemon) armHBExpect(member string) {
-	d.timers.set(timerHBExpect, member, d.cfg.HBTimeout)
+	d.timers.set(timerHBExpect, member, hbTimeout)
 }
 
 func (d *Daemon) onHBExpectExpired(member string) {
@@ -319,7 +286,7 @@ func (d *Daemon) onHBExpectExpired(member string) {
 	// during one suspension), the right conclusion is that I am the one
 	// who "died" — handle the self case with priority, as the paper's
 	// suspension experiment exercises.
-	if d.env.Now().Sub(d.selfHB) >= d.cfg.HBTimeout {
+	if d.env.Now().Sub(d.selfHB) >= hbTimeout {
 		d.onSelfDeath()
 		return
 	}
@@ -373,7 +340,7 @@ func (d *Daemon) onSelfDeath() {
 }
 
 func (d *Daemon) onProclaimTick() {
-	d.timers.set(timerProclaim, "", d.cfg.ProclaimInterval)
+	d.timers.set(timerProclaim, "", proclaimInterval)
 	if d.suspended || !d.started || d.inTransition || d.selfDead {
 		return
 	}
@@ -533,7 +500,7 @@ func (d *Daemon) startChange(members []string) {
 		d.finishChange()
 		return
 	}
-	d.timers.set(timerMCCollect, "", d.cfg.MCTimeout)
+	d.timers.set(timerMCCollect, "", mcTimeout)
 }
 
 // finishChange runs phase 2: COMMIT to everyone who ACKed.
@@ -585,7 +552,7 @@ func (d *Daemon) handleMembershipChange(m Msg) {
 	d.timers.unset(timerHBExpect, "")
 	d.timers.unset(timerMCCollect, "")
 	d.logEvent("transition-enter", "MEMBERSHIP_CHANGE", g.String())
-	d.timers.set(timerTransition, "", d.cfg.TransitionTimeout)
+	d.timers.set(timerTransition, "", transitionTimeout)
 	d.sendReliable(m.Origin, &Msg{Type: TypeAck, Gen: m.Gen, Origin: d.id})
 }
 

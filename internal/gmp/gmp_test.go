@@ -463,15 +463,7 @@ func TestFieldsReadAfterSetByteAreTheRecognizedOnes(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	if err := gmp.DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := gmp.DefaultConfig()
-	bad.HBTimeout = bad.HBInterval
-	if err := bad.Validate(); err == nil {
-		t.Fatal("timeout <= interval validated")
-	}
+func TestNewRejectsPeerListWithoutSelf(t *testing.T) {
 	w := netsim.NewWorld(1)
 	node := w.MustAddNode("x")
 	net := rudp.NewLayer(node.Env())

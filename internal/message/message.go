@@ -4,30 +4,22 @@
 // A Message is one whole frame: a protocol encoder writes it field by field
 // with Build, and a decoder reads it back with a Reader. Messages also
 // carry their network addressing out of band (the source and destination
-// node, which are not serialized onto the wire), and a monotone ID so
-// traces can tell packets apart (a clone or duplicate gets an ID of its own).
+// node, which are not serialized onto the wire).
 package message
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
-
-var lastID atomic.Uint64
-
-// ID uniquely identifies a message within a process. A clone receives a
-// fresh one.
-type ID uint64
 
 // InlineCap is how many bytes a message holds inside itself: a frame that
 // fits — a raft heartbeat, a GMP heartbeat in its RUDP frame, a bare TCP
 // ACK, a 64-byte datagram — is one heap object, not a header plus a buffer.
-// It is a constant because it fixes the size of every Message (72 bytes of
-// header + the kept flag + 71 inline = one 144-byte allocation class): a
+// It is a constant because it fixes the size of every Message (64 bytes of
+// header + the kept flag + 79 inline = one 144-byte allocation class): a
 // stream segment that spills carries the unused array along, so it has to
 // stay small, and the control frames above are all under it.
-const InlineCap = 71
+const InlineCap = 79
 
 // Message is a mutable packet travelling through a protocol stack. The zero
 // value is not useful; use New or Build. A Message is handled by pointer
@@ -41,7 +33,6 @@ const InlineCap = 71
 // calls Keep first, or copies what it needs.
 type Message struct {
 	_      noCopy
-	id     ID
 	next   *Message // the next free message while this one is in a Pool
 	buf    []byte
 	src    string // sending node, stamped by the network on transmit
@@ -70,14 +61,13 @@ type Pool struct {
 // alloc returns an empty message with room for n bytes: in its inline array
 // when they fit, otherwise in a buffer of at least that capacity. It is a
 // released message of n's class when p has one, and then carries nothing
-// over but a spill buffer's capacity: the ID is drawn here either way, and a
-// released message has no addressing and is not kept.
+// over but a spill buffer's capacity: a released message has no addressing
+// and is not kept.
 func (p *Pool) alloc(n int) *Message {
 	m := p.take(n > InlineCap)
 	if m == nil {
 		m = new(Message)
 	}
-	m.id = ID(lastID.Add(1))
 	switch {
 	case n <= InlineCap:
 		m.buf = m.inline[:0]
@@ -102,7 +92,7 @@ func (m *Message) Keep() { m.kept = true }
 // message was lost in flight — which is the one point where no frame on the
 // stack still has the message in hand. Under the race detector a released
 // message is poisoned instead of reused (pool_race.go), so a retainer that
-// forgot Keep reads 0xDB bytes and a zero ID there.
+// forgot Keep reads 0xDB bytes and no addressing there.
 func (p *Pool) Release(m *Message) {
 	if !m.kept {
 		p.put(m)
@@ -119,9 +109,6 @@ func (p *Pool) New(data []byte) *Message {
 // New builds a message whose payload is a copy of data; nothing is reused.
 func New(data []byte) *Message { return (*Pool)(nil).New(data) }
 
-// ID returns the message's unique identifier.
-func (m *Message) ID() ID { return m.id }
-
 // Len returns the current total length in bytes (headers + payload).
 func (m *Message) Len() int { return len(m.buf) }
 
@@ -136,8 +123,7 @@ func (m *Message) CopyBytes() []byte {
 	return out
 }
 
-// Clone returns a deep copy of m from p, with a fresh ID and the same
-// addressing. The copy is not kept, whatever the original is.
+// Clone returns a deep copy of m from p, with the same addressing. The copy is not kept, whatever the original is.
 func (p *Pool) Clone(m *Message) *Message {
 	c := p.New(m.buf)
 	c.src, c.dst = m.src, m.dst
@@ -145,7 +131,7 @@ func (p *Pool) Clone(m *Message) *Message {
 }
 
 // State is a saved copy of a message's mutable content (payload bytes and
-// addressing). The ID is immutable and excluded.
+// addressing).
 // World snapshots use it to rewind in-flight and held messages in place:
 // the *Message pointer — held by pending delivery events and
 // retransmission queues — stays the same, only its content rolls back.
@@ -214,9 +200,9 @@ func (m *Message) Src() string { return m.src }
 func (m *Message) String() string {
 	n := len(m.buf)
 	if n <= 16 {
-		return fmt.Sprintf("msg#%d(%d bytes % x)", m.id, n, m.buf)
+		return fmt.Sprintf("msg(%d bytes % x)", n, m.buf)
 	}
-	return fmt.Sprintf("msg#%d(%d bytes % x…)", m.id, n, m.buf[:16])
+	return fmt.Sprintf("msg(%d bytes % x…)", n, m.buf[:16])
 }
 
 // Writer builds wire bytes field by field in network byte order: a whole

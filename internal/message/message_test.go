@@ -22,8 +22,8 @@ func TestCloneIndependence(t *testing.T) {
 	m.SetSrc("a")
 	m.SetDst("b")
 	c := new(Pool).Clone(m)
-	if c.ID() == m.ID() {
-		t.Fatal("clone shares ID")
+	if c == m {
+		t.Fatal("clone is the original")
 	}
 	if err := c.SetByte(0, 'z'); err != nil {
 		t.Fatal(err)
@@ -176,14 +176,14 @@ func TestCopiesShareNoStorage(t *testing.T) {
 }
 
 // TestKeepOutlivesRelease: Release is a no-op on a message someone kept or a
-// snapshot saved — ID, addressing and bytes stay what they were, in a normal
+// snapshot saved — addressing and bytes stay what they were, in a normal
 // build (where an unkept message goes back to the pool for reuse) and under
 // the race detector (where it is poisoned) alike. Keeping is the holder's
 // own business: it does not pass to a clone.
 func TestKeepOutlivesRelease(t *testing.T) {
-	intact := func(m *Message, id ID, body string) {
+	intact := func(m *Message, body string) {
 		t.Helper()
-		if m.ID() != id || m.Src() != "a" || m.Dst() != "b" || string(m.Bytes()) != body {
+		if m.Src() != "a" || m.Dst() != "b" || string(m.Bytes()) != body {
 			t.Fatalf("released though kept: %v %s->%s", m, m.Src(), m.Dst())
 		}
 	}
@@ -192,7 +192,6 @@ func TestKeepOutlivesRelease(t *testing.T) {
 		m := p.New([]byte(body))
 		m.SetSrc("a")
 		m.SetDst("b")
-		id := m.ID()
 		m.Keep()
 		c := p.Clone(m)
 		if c.kept {
@@ -200,16 +199,15 @@ func TestKeepOutlivesRelease(t *testing.T) {
 		}
 		p.Release(c)
 		p.Release(m)
-		intact(m, id, body)
+		intact(m, body)
 
 		s := p.Clone(m)
-		sid := s.ID()
 		st := s.SaveState()
 		p.Release(s)
-		intact(s, sid, body)
+		intact(s, body)
 		_ = s.Truncate(1)
 		s.RestoreState(st)
-		intact(s, sid, body)
+		intact(s, body)
 	}
 }
 
@@ -238,17 +236,6 @@ func TestNameReusesKnownStrings(t *testing.T) {
 	long := NewWriter(300).Str8(string(bytes.Repeat([]byte("n"), 300))).Done()
 	if got := NewReader(long).Name("", nil); len(long) != 256 || len(got) != 255 {
 		t.Fatalf("a 300-byte name was written as %d bytes and read back as %d", len(long), len(got))
-	}
-}
-
-func TestIDsUnique(t *testing.T) {
-	seen := map[ID]bool{}
-	for i := 0; i < 100; i++ {
-		id := New(nil).ID()
-		if seen[id] {
-			t.Fatalf("duplicate message ID %d", id)
-		}
-		seen[id] = true
 	}
 }
 

@@ -53,6 +53,9 @@ type World struct {
 	def   *LinkConfig // default link config for unconnected pairs, if any
 	stats Stats
 	log   *trace.Log // optional wire-level log
+	// hops numbers the world's wire hops: each send to one destination
+	// draws the next, and the log's wire entries carry it as their Seq.
+	hops uint64
 
 	// free holds deliveries whose hop is over, for newDelivery to hand out
 	// again. The world is single-threaded, so a plain stack will do; a
@@ -257,6 +260,7 @@ type delivery struct {
 	simtime.Event
 	src, dst *Node
 	m        *message.Message
+	hop      uint64 // the hop's number, for its wire-recv or wire-drop entry
 	// pinned marks a delivery that was pending when a snapshot was taken:
 	// the snapshot's scheduler state holds its event and a restore queues
 	// it again, so it is never reused.
@@ -264,14 +268,14 @@ type delivery struct {
 }
 
 // newDelivery returns a delivery for one hop, reusing one whose hop is over.
-func (w *World) newDelivery(src, dst *Node, m *message.Message) *delivery {
+func (w *World) newDelivery(src, dst *Node, m *message.Message, hop uint64) *delivery {
 	n := len(w.free)
 	if n == 0 {
-		return &delivery{src: src, dst: dst, m: m}
+		return &delivery{src: src, dst: dst, m: m, hop: hop}
 	}
 	d := w.free[n-1]
 	w.free = w.free[:n-1]
-	d.src, d.dst, d.m = src, dst, m
+	d.src, d.dst, d.m, d.hop = src, dst, m, hop
 	return d
 }
 
@@ -297,12 +301,12 @@ func (d *delivery) arrive(w *World) {
 		// Re-check reachability at arrival: a cable pulled mid-flight
 		// loses the packet.
 		if d.src.unplugged || d.dst.unplugged || d.src.group != d.dst.group {
-			w.drop(d.src, d.dst, d.m, "lost in flight")
+			w.drop(d.src, d.dst, d.hop, "lost in flight")
 			w.stats.LostDown++
 			return
 		}
 		if w.log != nil {
-			w.log.Addf(w.Sched.Now(), d.dst.name, "wire-recv", "", uint64(d.m.ID()), "from "+d.src.name)
+			w.log.Addf(w.Sched.Now(), d.dst.name, "wire-recv", "", d.hop, "from "+d.src.name)
 		}
 	}
 	w.stats.Delivered++
@@ -317,7 +321,7 @@ func (d *delivery) arrive(w *World) {
 func (w *World) transmit(from *Node, m *message.Message) error {
 	dst := m.Dst()
 	if dst == "" {
-		return fmt.Errorf("netsim: message %v from %s has no destination", m.ID(), from.name)
+		return fmt.Errorf("netsim: a message from %s has no destination", from.name)
 	}
 	m.SetSrc(from.name)
 	if dst == Broadcast {
@@ -338,7 +342,7 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 		// any PFI layer in it), which is what lets the paper's experiment
 		// drop a daemon's heartbeats to itself.
 		w.stats.Sent++
-		d := w.newDelivery(from, from, m)
+		d := w.newDelivery(from, from, m, 0)
 		w.Sched.Lane(0).Arm(&d.Event, "loopback", d)
 		return nil
 	}
@@ -348,13 +352,15 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 
 func (w *World) sendOne(src, dst *Node, m *message.Message) {
 	w.stats.Sent++
+	w.hops++
+	hop := w.hops
 	if src.unplugged || dst.unplugged {
-		w.drop(src, dst, m, "unplugged")
+		w.drop(src, dst, hop, "unplugged")
 		w.stats.LostDown++
 		return
 	}
 	if src.group != dst.group {
-		w.drop(src, dst, m, "partitioned")
+		w.drop(src, dst, hop, "partitioned")
 		w.stats.LostCut++
 		return
 	}
@@ -363,12 +369,12 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 		c = l
 	}
 	if c == nil {
-		w.drop(src, dst, m, "no route")
+		w.drop(src, dst, hop, "no route")
 		w.stats.LostNoRoute++
 		return
 	}
 	if c.Loss > 0 && w.rng.Bernoulli(c.Loss) {
-		w.drop(src, dst, m, "random loss")
+		w.drop(src, dst, hop, "random loss")
 		w.stats.LostRandom++
 		return
 	}
@@ -377,9 +383,9 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 		delay += time.Duration(w.rng.Uniform(0, float64(c.Jitter)))
 	}
 	if w.log != nil {
-		w.log.Addf(w.Sched.Now(), src.name, "wire-send", "", uint64(m.ID()), "to "+dst.name)
+		w.log.Addf(w.Sched.Now(), src.name, "wire-send", "", hop, "to "+dst.name)
 	}
-	d := w.newDelivery(src, dst, m)
+	d := w.newDelivery(src, dst, m, hop)
 	if c.Jitter > 0 {
 		w.Sched.Arm(&d.Event, delay, "deliver", d)
 	} else {
@@ -393,9 +399,9 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 // nil removes the default (unconnected pairs drop traffic).
 func (w *World) SetDefaultLink(cfg *LinkConfig) { w.def = cfg }
 
-func (w *World) drop(from, to *Node, m *message.Message, why string) {
+func (w *World) drop(from, to *Node, hop uint64, why string) {
 	if w.log != nil {
-		w.log.Addf(w.Sched.Now(), from.name, "wire-drop", "", uint64(m.ID()),
+		w.log.Addf(w.Sched.Now(), from.name, "wire-drop", "", hop,
 			fmt.Sprintf("to %s: %s", to.name, why))
 	}
 }
@@ -429,6 +435,7 @@ type worldState struct {
 	links    []linkState
 	def      *LinkConfig
 	stats    Stats
+	hops     uint64
 	order    []*Node
 	nodes    []nodeState // aligned with order
 	rngMark  uint64
@@ -438,14 +445,16 @@ type worldState struct {
 }
 
 // SnapshotState captures the network substrate: topology, link and cable
-// state, partition groups, counters, the random stream position, and the
-// content of every message still in flight — found on the scheduler's
-// pending deliveries, which carry their message. The scheduler is
-// registered separately; stacks and layers snapshot themselves.
+// state, partition groups, counters (the hop number among them), the random
+// stream position, and the content of every message still in flight —
+// found on the scheduler's pending deliveries, which carry their message.
+// The scheduler is registered separately; stacks and layers snapshot
+// themselves.
 func (w *World) SnapshotState() any {
 	st := &worldState{
 		def:     w.def,
 		stats:   w.stats,
+		hops:    w.hops,
 		order:   append([]*Node(nil), w.order...),
 		nodes:   make([]nodeState, len(w.order)),
 		rngMark: w.rng.Mark(),
@@ -479,7 +488,7 @@ func (w *World) SnapshotState() any {
 func (w *World) RestoreState(state any) {
 	st := state.(*worldState)
 	w.def = st.def
-	w.stats = st.stats
+	w.stats, w.hops = st.stats, st.hops
 	w.order = append(w.order[:0], st.order...)
 	w.nodes = make(map[string]*Node, len(st.order))
 	for i, n := range st.order {

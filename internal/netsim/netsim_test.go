@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -288,6 +289,39 @@ func TestWireTrace(t *testing.T) {
 	}
 	if len(l.Filter("b", "wire-recv", "")) != 1 {
 		t.Error("missing wire-recv entry")
+	}
+}
+
+// TestWireTraceIsAFunctionOfTheWorld: two identical worlds built one after
+// the other in one process log byte-identical canonical wire traces — the
+// hop numbers in Seq count each world's own hops, whatever ran before it.
+// A send, a broadcast, a drop at the sender and a loss in flight all draw.
+func TestWireTraceIsAFunctionOfTheWorld(t *testing.T) {
+	render := func() string {
+		r := newRig(t, 3, LinkConfig{Latency: time.Millisecond})
+		l := trace.NewLog()
+		r.w.SetTrace(l)
+		r.send(t, "a", "b", "x")
+		r.send(t, "b", Broadcast, "y")
+		r.nodes[2].Unplug()
+		r.send(t, "a", "c", "z")
+		r.nodes[2].Replug()
+		r.send(t, "b", "c", "w")
+		r.w.Sched.Step()
+		r.nodes[2].Unplug()
+		r.w.Run()
+		var b strings.Builder
+		if err := trace.WriteCanonical(&b, l.Entries()); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	first, second := render(), render()
+	if first != second {
+		t.Fatalf("the same world logged two wire traces:\n%s\nthen\n%s", first, second)
+	}
+	if !strings.Contains(first, "wire-drop") || !strings.Contains(first, "lost in flight") {
+		t.Fatalf("trace lacks a drop or an in-flight loss:\n%s", first)
 	}
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"pfi/internal/rudp"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
+	"pfi/internal/trace"
 )
 
 // snapWorld is the world TestSnapshotRestoreReplaysDeliveries runs: a
@@ -21,19 +23,7 @@ type snapWorld struct {
 	pfi       map[string]*core.Layer
 	gmds      map[string]*gmp.Daemon
 	delivered []string
-	// Message IDs are process-wide, so the tap reports them as offsets: a
-	// message built before the snapshot point counts back from captureMark,
-	// one built since counts up from runMark (both are the ID of a probe
-	// message built at that instant).
-	captureMark, runMark message.ID
-}
-
-// relID renders a message's ID relative to the marks.
-func (sw *snapWorld) relID(id message.ID) string {
-	if id < sw.captureMark {
-		return fmt.Sprintf("capture-%d", sw.captureMark-id)
-	}
-	return fmt.Sprintf("run+%d", id-sw.runMark)
+	wire      *trace.Log // the world's wire log: every hop by its number
 }
 
 // newSnapWorld builds the group over links with the given jitter and steps
@@ -42,8 +32,9 @@ func (sw *snapWorld) relID(id message.ID) string {
 // armed.
 func newSnapWorld(t *testing.T, jitter time.Duration) *snapWorld {
 	t.Helper()
-	sw := &snapWorld{w: NewWorld(7), pfi: map[string]*core.Layer{}, gmds: map[string]*gmp.Daemon{}}
+	sw := &snapWorld{w: NewWorld(7), pfi: map[string]*core.Layer{}, gmds: map[string]*gmp.Daemon{}, wire: trace.NewLog()}
 	w := sw.w
+	w.SetTrace(sw.wire)
 	names := []string{"n1", "n2", "n3"}
 	for _, name := range names {
 		node := w.MustAddNode(name)
@@ -55,8 +46,8 @@ func newSnapWorld(t *testing.T, jitter time.Duration) *snapWorld {
 		// would, so a rewind that did not put an in-flight or delayed
 		// message's content back would deliver the wreckage next run.
 		tap := stack.NewFunc("tap", nil, func(m *message.Message, next stack.Sink) error {
-			sw.delivered = append(sw.delivered, fmt.Sprintf("%v %s: %s->%s %s %x",
-				w.Now(), name, m.Src(), m.Dst(), sw.relID(m.ID()), m.Bytes()))
+			sw.delivered = append(sw.delivered, fmt.Sprintf("%v %s: %s->%s %x",
+				w.Now(), name, m.Src(), m.Dst(), m.Bytes()))
 			err := next(m)
 			if name == "n2" {
 				_ = m.Truncate(0)
@@ -100,17 +91,21 @@ func newSnapWorld(t *testing.T, jitter time.Duration) *snapWorld {
 		}
 		w.Sched.Step()
 	}
-	sw.captureMark = message.New(nil).ID()
 	return sw
 }
 
 // run plays the ten seconds after the snapshot point and returns what the
-// taps saw and the counters the world ended on.
+// taps saw, then the wire entries of the same window, and the counters the
+// world ended on.
 func (sw *snapWorld) run() (string, Stats) {
 	sw.delivered = sw.delivered[:0]
-	sw.runMark = message.New(nil).ID()
+	start := sw.wire.Len()
 	sw.w.RunFor(10 * time.Second)
-	return strings.Join(sw.delivered, "\n"), sw.w.Stats()
+	lines := slices.Clone(sw.delivered)
+	for _, e := range sw.wire.Entries()[start:] {
+		lines = append(lines, e.Canonical())
+	}
+	return strings.Join(lines, "\n"), sw.w.Stats()
 }
 
 // TestSnapshotRestoreReplaysDeliveries proves the restore path — and the
@@ -123,8 +118,9 @@ func (sw *snapWorld) run() (string, Stats) {
 // every captured delivery to fire and for the free list to go round many
 // times. Every run must deliver what a second world, built the same way and
 // never snapshotted (so its in-flight messages are reused, not pinned),
-// delivers over the same ten seconds — order, instant, source, destination,
-// bytes and the sequence of message IDs — and end on the same counters.
+// delivers over the same ten seconds — order, instant, source, destination
+// and bytes — log the same wire entries, hop numbers included, and end on
+// the same counters.
 // It runs over jittered links, where every delivery is a lone heap event,
 // and over jitter-free ones, where every delivery rides the scheduler's
 // lane for the link latency: there, with two in flight at the capture, one

@@ -32,48 +32,21 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", uint8(s))
 }
 
-// Config holds the protocol timing parameters. Election timeouts are drawn
-// per-expiry from [ElectionMin, ElectionMax) out of the node's own seeded
+// Protocol timing, scaled to 1000-node worlds: heartbeats every second,
+// elections after 3–6 s of leader silence. Election timeouts are drawn
+// per-expiry from [electionMin, electionMax) out of the node's own seeded
 // source — that per-node randomness doubles as the clock-skew model: no two
 // nodes' timers fire in lockstep, exactly as free-running crystal clocks
 // would drift apart.
-type Config struct {
-	// Heartbeat spaces the leader's empty AppendEntries.
-	Heartbeat time.Duration
-	// ElectionMin/ElectionMax bound the randomized election timeout.
-	ElectionMin time.Duration
-	ElectionMax time.Duration
-	// MaxBatch caps entries per AppendEntries message (0: default 64).
-	MaxBatch int
-}
-
-// DefaultConfig returns timing that scales to 1000-node worlds: heartbeats
-// every second, elections after 3–6 s of leader silence.
-func DefaultConfig() Config {
-	return Config{
-		Heartbeat:   time.Second,
-		ElectionMin: 3 * time.Second,
-		ElectionMax: 6 * time.Second,
-		MaxBatch:    64,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Heartbeat <= 0 {
-		return fmt.Errorf("raft: non-positive heartbeat %v", c.Heartbeat)
-	}
-	if c.ElectionMin <= c.Heartbeat {
-		return fmt.Errorf("raft: election timeout min %v must exceed heartbeat %v", c.ElectionMin, c.Heartbeat)
-	}
-	if c.ElectionMax <= c.ElectionMin {
-		return fmt.Errorf("raft: election timeout max %v must exceed min %v", c.ElectionMax, c.ElectionMin)
-	}
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("raft: negative max batch")
-	}
-	return nil
-}
+const (
+	// heartbeatInterval spaces the leader's empty AppendEntries.
+	heartbeatInterval = time.Second
+	// electionMin/electionMax bound the randomized election timeout.
+	electionMin = 3 * time.Second
+	electionMax = 6 * time.Second
+	// maxBatch caps entries per AppendEntries message.
+	maxBatch = 64
+)
 
 // Bugs selects deliberately broken behaviours for the seeded-bug oracle
 // tests. The zero value is the correct implementation.
@@ -105,7 +78,6 @@ type Node struct {
 	// tallies responses — a candidate, a leader — asks, so it is built on
 	// the first question: a follower of a 250-node cluster never pays for it.
 	index map[string]int
-	cfg   Config
 	bugs  Bugs
 	log   *trace.Log
 	rng   *dist.Source
@@ -159,7 +131,6 @@ func NewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc,
 		sched: sched,
 		id:    id,
 		peers: peers,
-		cfg:   DefaultConfig(),
 		log:   trace.NewLog(),
 		send:  send,
 	}
@@ -177,9 +148,6 @@ func NewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc,
 	}
 	for _, opt := range opts {
 		opt(n)
-	}
-	if err := n.cfg.Validate(); err != nil {
-		return nil, err
 	}
 	if n.rng == nil {
 		n.rng = dist.NewSource(1).Split("raft:" + id)
@@ -315,8 +283,7 @@ func (n *Node) Resume() {
 const suspendDefer = 50 * time.Millisecond
 
 func (n *Node) armElection() {
-	span := int(n.cfg.ElectionMax - n.cfg.ElectionMin)
-	d := n.cfg.ElectionMin + time.Duration(n.rng.Intn(span))
+	d := electionMin + time.Duration(n.rng.Intn(int(electionMax-electionMin)))
 	n.election.Arm(d, "raft-election")
 }
 
@@ -345,7 +312,7 @@ func (n *Node) onHeartbeatTick() {
 		return
 	}
 	n.broadcastAppend()
-	n.heartbeat.Arm(n.cfg.Heartbeat, "raft-heartbeat")
+	n.heartbeat.Arm(heartbeatInterval, "raft-heartbeat")
 }
 
 // --- elections -----------------------------------------------------------
@@ -463,7 +430,7 @@ func (n *Node) maybeWin() {
 	n.election.Stop()
 	n.advanceCommit() // a single-node cluster commits immediately
 	n.broadcastAppend()
-	n.heartbeat.Arm(n.cfg.Heartbeat, "raft-heartbeat")
+	n.heartbeat.Arm(heartbeatInterval, "raft-heartbeat")
 }
 
 // --- replication ---------------------------------------------------------
@@ -489,13 +456,6 @@ func (n *Node) Propose(data string) (uint64, bool) {
 	return idx, true
 }
 
-func (n *Node) maxBatch() int {
-	if n.cfg.MaxBatch <= 0 {
-		return 64
-	}
-	return n.cfg.MaxBatch
-}
-
 func (n *Node) broadcastAppend() {
 	for i := range n.peers {
 		if i != n.self {
@@ -519,8 +479,8 @@ func (n *Node) sendAppend(to int) {
 	var ents []LogEntry
 	if ni <= n.LastIndex() {
 		tail := n.entries[ni-1:]
-		if len(tail) > n.maxBatch() {
-			tail = tail[:n.maxBatch()]
+		if len(tail) > maxBatch {
+			tail = tail[:maxBatch]
 		}
 		// Copy: the in-memory transport queues the Msg across nodes, and the
 		// leader's log may be truncated while the message is in flight.

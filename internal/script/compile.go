@@ -44,10 +44,10 @@ type cloop struct {
 }
 
 // compileProgram is the whole pipeline from a parsed script to the one
-// Program that runs it in the given frame mode: lower, then constant-fold
-// and fuse in place (optimize.go). It never fails: uncompilable constructs
-// lower to generic dispatch and surface their errors at runtime exactly as
-// the tree-walker would.
+// Program that runs it in the given frame mode: lower, then fuse in place
+// (optimize.go). It never fails: uncompilable constructs lower to generic
+// dispatch and surface their errors at runtime exactly as the tree-walker
+// would.
 func compileProgram(in *Interp, s *Script, mode progMode) *Program {
 	c := &compiler{
 		in:      in,
@@ -61,10 +61,7 @@ func compileProgram(in *Interp, s *Script, mode progMode) *Program {
 	if in.lowerOnly {
 		return c.p
 	}
-	o := &optimizer{in: in, p: c.p}
-	for o.fold() {
-	}
-	o.fuse()
+	fuse(in, c.p)
 	return c.p
 }
 
@@ -119,7 +116,8 @@ func (c *compiler) wrapIdx(name string, line int) int32 {
 
 // literalText returns the fully static expansion of w, if it has one.
 // Every word whose segments are all literals expands to the same string on
-// every evaluation; that is exactly the set the compiler may constant-fold.
+// every evaluation; that is exactly the set the compiler may push as a
+// constant.
 func literalText(w *word) (string, bool) {
 	if len(w.segs) == 1 {
 		seg := &w.segs[0]
@@ -214,7 +212,6 @@ func (c *compiler) wordPush(w *word) {
 			c.pushVar(seg.text, w.line)
 		case segCmd:
 			c.inlineNested(seg.body, w.line)
-			c.emit(instr{op: opPushAcc})
 			c.depth++
 		}
 		return
@@ -234,7 +231,6 @@ func (c *compiler) wordPush(w *word) {
 			nDyn++
 		case segCmd:
 			c.inlineNested(seg.body, w.line)
-			c.emit(instr{op: opPushAcc})
 			c.depth++
 			plan.parts = append(plan.parts, concatPart{dyn: true})
 			nDyn++
@@ -259,13 +255,13 @@ func (c *compiler) pushVar(name string, line int) {
 }
 
 // inlineNested compiles a [command] substitution: a nested script run with
-// the depth limit the tree-walker's expandWord enforces.
+// the depth limit the tree-walker's expandWord enforces, whose result it
+// pushes.
 func (c *compiler) inlineNested(body *Script, line int) {
-	c.emit(instr{op: opEnterNest, line: int32(line)})
+	c.emit(instr{op: opEnterClear, line: int32(line)})
 	c.nestDepth++
-	c.emit(instr{op: opClearAcc})
 	c.script(body)
-	c.emit(instr{op: opLeaveNest})
+	c.emit(instr{op: opLeavePush})
 	c.nestDepth--
 }
 
@@ -655,7 +651,7 @@ func (c *compiler) exprOps(n exprNode, wrap int32) {
 		c.depth++
 	case *cmdNode:
 		// cmdNode runs the body without the word-substitution depth
-		// bump (matching cmdNode.eval), so no opEnterNest here.
+		// bump (matching cmdNode.eval), so no opEnterClear here.
 		c.emit(instr{op: opClearAcc})
 		c.script(n.body)
 		c.emit(instr{op: opVFromAcc})
@@ -678,15 +674,13 @@ func (c *compiler) exprOps(n exprNode, wrap int32) {
 		c.exprOps(n.l, wrap)
 		aj := c.emit(instr{op: opVAnd, c: wrap})
 		c.depth--
-		c.exprOps(n.r, wrap)
-		c.emit(instr{op: opVTruth, c: wrap})
+		c.truthOps(n.r, wrap)
 		c.patchTo(aj)
 	case *orNode:
 		c.exprOps(n.l, wrap)
 		oj := c.emit(instr{op: opVOr, c: wrap})
 		c.depth--
-		c.exprOps(n.r, wrap)
-		c.emit(instr{op: opVTruth, c: wrap})
+		c.truthOps(n.r, wrap)
 		c.patchTo(oj)
 	case *binNode:
 		c.exprOps(n.l, wrap)
@@ -704,5 +698,15 @@ func (c *compiler) exprOps(n exprNode, wrap int32) {
 		c.p.calls = append(c.p.calls, callSite{name: n.name, argc: int32(len(n.args))})
 		c.emit(instr{op: opVCall, a: ci, c: wrap})
 		c.depth -= int32(len(n.args)) - 1
+	}
+}
+
+// truthOps compiles the right operand of && or ||, whose value is its
+// truth as a canonical boolean. A comparison already yields one, so only
+// other operands get an opVTruth.
+func (c *compiler) truthOps(n exprNode, wrap int32) {
+	c.exprOps(n, wrap)
+	if b, ok := n.(*binNode); !ok || b.op < vbEqStr {
+		c.emit(instr{op: opVTruth, c: wrap})
 	}
 }

@@ -11,7 +11,6 @@ import (
 // fused programs.
 
 var opNames = [...]string{
-	opNop:            "nop",
 	opStep:           "step",
 	opStepWhile:      "step.while",
 	opClearAcc:       "clear",
@@ -19,10 +18,9 @@ var opNames = [...]string{
 	opPushConst:      "push.const",
 	opPushSlot:       "push.slot",
 	opPushVarNamed:   "push.named",
-	opPushAcc:        "push.acc",
 	opConcat:         "concat",
-	opEnterNest:      "nest.enter",
-	opLeaveNest:      "nest.leave",
+	opEnterClear:     "nest.enter.clear",
+	opLeavePush:      "nest.leave.push",
 	opInvoke:         "invoke",
 	opInvokeDyn:      "invoke.dyn",
 	opSetSlot:        "set.slot",
@@ -61,8 +59,6 @@ var opNames = [...]string{
 	opSlotBinop:      "slot.binop",
 	opStepIncrSlot:   "step.incr.slot",
 	opNotBr:          "not.br",
-	opEnterClear:     "nest.enter.clear",
-	opLeavePush:      "nest.leave.push",
 	opInvokeCmpBr:    "invoke.cmp.br",
 }
 

@@ -240,8 +240,8 @@ func TestEngineDiffShadowing(t *testing.T) {
 }
 
 // TestEngineDiffMathFuncs: both engines give the math functions' pinned
-// results — not merely the same ones — in a literal form the compiler folds
-// and a $var form it evaluates at run time. min/max of integers stay exact
+// results — not merely the same ones — in a literal form, with constant
+// arguments, and a $var form, whose arguments are read at run time. min/max of integers stay exact
 // beyond 2^53; int() and round() of a double no int64 holds fail.
 func TestEngineDiffMathFuncs(t *testing.T) {
 	const tooLarge = "expr: integer value too large to represent"

@@ -865,10 +865,10 @@ var binopName = [...]string{
 }
 
 // binop applies one binary operator — the one implementation the
-// tree-walker's binNode, the VM and the constant folder all call. Two
-// integers, which is what a filter's counters, header fields and moduli
-// are, never leave intBinop; everything else reads its operands as numbers
-// where it can (parsing text once) and falls back to text where it cannot.
+// tree-walker's binNode and the VM both call. Two integers, which is what a
+// filter's counters, header fields and moduli are, never leave intBinop;
+// everything else reads its operands as numbers where it can (parsing text
+// once) and falls back to text where it cannot.
 func binop(code int32, a, b *Value) (Value, error) {
 	if a.kind == intVal && b.kind == intVal {
 		return intBinop(code, a.n, b.n)

@@ -9,8 +9,8 @@ import (
 )
 
 // exprInterp is a fresh interpreter holding the globals the tables' $var
-// rows read: each function row has a literal form, which the compiler
-// folds, and a $var form, which it evaluates at run time.
+// rows read: each function row has a literal form, whose arguments are
+// constants, and a $var form, whose arguments are read at run time.
 func exprInterp() *Interp {
 	in := New()
 	in.SetGlobal("big", "9007199254740993") // 2^53 + 1: no double holds it

@@ -134,7 +134,7 @@ type Interp struct {
 	wordBufs  [][]string          // scratch buffers for expandCommand
 	out       io.Writer           // destination for puts
 	tree      bool                // tests only: runAny tree-walks (the reference leg of FuzzCompiledParity and TestEngineDiff*)
-	lowerOnly bool                // tests only: compileProgram skips fold+fuse (the unfused leg of TestOptimizeDiff*)
+	lowerOnly bool                // tests only: compileProgram skips fuse (the unfused leg of TestOptimizeDiff*)
 	steps     int                 // commands executed since limit reset
 	maxSteps  int                 // 0 = unlimited
 	limitHit  bool                // last top-level Eval/Run died on the step limit

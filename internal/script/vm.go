@@ -25,22 +25,19 @@ import (
 type opcode uint8
 
 const (
-	opNop opcode = iota
-
 	// Statement plumbing.
-	opStep      // count one command against the step budget; line = command line
-	opStepWhile // count one while-loop iteration; c = wrap
-	opClearAcc  // acc = ""
-	opJump      // pc = a
+	opStep      opcode = iota // count one command against the step budget; line = command line
+	opStepWhile               // count one while-loop iteration; c = wrap
+	opClearAcc                // acc = ""
+	opJump                    // pc = a
 
 	// Command-word assembly.
 	opPushConst    // push consts[a]
 	opPushSlot     // push global slot a (b = name const, for the error); line = word line
 	opPushVarNamed // push in.Var(consts[a]); line = word line
-	opPushAcc      // push acc (result of an inlined [command] block)
 	opConcat       // run concat plan a over the top b dynamic parts
-	opEnterNest    // in.depth++ with limit check; line = word line
-	opLeaveNest    // in.depth--
+	opEnterClear   // enter an inlined [command] block: in.depth++ with limit check, acc = ""; line = word line
+	opLeavePush    // leave it: in.depth--, push acc (its result)
 
 	// Dispatch.
 	opInvoke    // call invoke site a with the top argc stack entries
@@ -75,26 +72,24 @@ const (
 	opVFromStack // retag the top entry as text — "quoted" operand
 	opVBinop     // binary operator a over top two values; c = wrap
 	opVUnary     // unary operator a over top value; c = wrap
-	opVTruth     // replace top with boolv(truth(top)); c = wrap
+	opVTruth     // replace top with boolv(truth(top)); c = wrap — the right operand of &&/||, unless a comparison
 	opVAnd       // pop l; if !truth push 0 and jump a; c = wrap
 	opVOr        // pop l; if truth push 1 and jump a; c = wrap
 	opVCondJump  // pop cond; if !truth jump a; c = wrap
 	opVCall      // math function call site a; c = wrap
 	opVResult    // acc = pop()  — result of a compiled expr command
 
-	// Superinstructions, emitted only by the fusion pass (optimize.go) —
-	// lowering never produces them. Each is an exact macro-expansion
-	// of the unfused sequence it replaces: identical stack states, step
-	// accounting, and errors at every observable point, so the parity
-	// harness covers them through the ordinary differential tests.
+	// The seven superinstructions, emitted only by the fusion pass
+	// (optimize.go) — lowering never produces them. Each is an exact
+	// macro-expansion of the unfused sequence it replaces: identical stack
+	// states, step accounting, and errors at every observable point, so the
+	// parity harness covers them through the ordinary differential tests.
 	opStepInvoke   // [opClearAcc]+opStep+pushes+opInvoke[+opVFromAcc]: a = fused index
 	opConstBinop   // opVConst+opVBinop: pop x, push binop b(x, vconsts[a]); c = wrap
 	opCmpConstBr   // opVConst+opVBinop+opBranchFalse: a = fused index, c = wrap
 	opSlotBinop    // opVSlot+opVConst+opVBinop: a = fused index, c = wrap
 	opStepIncrSlot // [opClearAcc]+opStep+opIncrSlot: a = fused index, c = wrap
 	opNotBr        // opVUnary(!)+opBranchFalse: pop x, jump a when x truthy; c = wrap
-	opEnterClear   // opEnterNest+opClearAcc; line = word line
-	opLeavePush    // opLeaveNest+opPushAcc
 
 	// A second-order superinstruction: an invoke fused with the comparison
 	// consuming it.
@@ -140,7 +135,7 @@ type fusedOp struct {
 	flags  uint8
 	slot   int32 // opSlotBinop/opStepIncrSlot: global slot
 	nameC  int32 // name const for the unset-variable error
-	vconst int32 // opConstBinop family: vconsts index of the folded operand
+	vconst int32 // opConstBinop family: vconsts index of the fused operand
 	binop  int32
 	target int32  // branch target (remapped by later passes)
 	delta  int64  // opStepIncrSlot: literal increment
@@ -334,8 +329,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 		i := &ins[pc]
 		var err error
 		switch i.op {
-		case opNop:
-
 		case opStep:
 			if in.overBudget() {
 				err = in.stepLimitErr(i.line)
@@ -373,9 +366,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 			}
 			in.vmStack = append(in.vmStack, Str(v))
 
-		case opPushAcc:
-			in.vmStack = append(in.vmStack, acc)
-
 		case opConcat:
 			base := len(in.vmStack) - int(i.b)
 			dyn := in.vmStack[base:]
@@ -393,15 +383,18 @@ func (in *Interp) exec(p *Program) (Value, error) {
 			in.vmBuf = buf[:0]
 			in.vmStack = append(in.vmStack[:base], Str(s))
 
-		case opEnterNest:
+		case opEnterClear:
 			in.depth++
 			if in.depth > maxDepth {
 				in.depth--
 				err = &EvalError{Msg: "too many nested evaluations", Line: int(i.line)}
+				break
 			}
+			acc = Value{}
 
-		case opLeaveNest:
+		case opLeavePush:
 			in.depth--
+			in.vmStack = append(in.vmStack, acc)
 
 		case opInvoke:
 			site := &p.invokes[i.a]
@@ -678,19 +671,6 @@ func (in *Interp) exec(p *Program) (Value, error) {
 				pc = i.a
 				continue
 			}
-
-		case opEnterClear:
-			in.depth++
-			if in.depth > maxDepth {
-				in.depth--
-				err = &EvalError{Msg: "too many nested evaluations", Line: int(i.line)}
-				break
-			}
-			acc = Value{}
-
-		case opLeavePush:
-			in.depth--
-			in.vmStack = append(in.vmStack, acc)
 
 		case opVConst:
 			in.vmStack = append(in.vmStack, p.vconsts[i.a])
