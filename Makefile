@@ -152,10 +152,11 @@ unlinked-check:
 	@GO=$(GO) bash scripts/unlinked.sh -check
 
 # goldens re-blesses every pinned artifact: conformance traces, rendered
-# experiment tables, and the -dump-prog listings of pfitest's suite and
-# pficampaign's default GMP cases (only those golden tests read -update
-# here). Inspect the diff before committing.
+# experiment tables, the -dump-prog listings of pfitest's suite and
+# pficampaign's default GMP cases, and pficampaign's GMP sweep verdicts
+# (only those golden tests read -update here). Inspect the diff before
+# committing.
 goldens:
 	$(GO) run ./cmd/pfitest -update
 	$(GO) test ./internal/exp/ -update
-	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run DumpProgGolden -update
+	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run 'DumpProgGolden|GMPSweepGolden' -update

@@ -60,7 +60,7 @@ func TestSweepSmoke(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "re-bless testdata/dump-prog.golden")
+var update = flag.Bool("update", false, "re-bless the goldens under testdata/")
 
 // TestDumpProgGolden pins -dump-prog's listing of every default GMP case:
 // the compiled program each filter runs, byte for byte. A change to the
@@ -78,12 +78,37 @@ func TestDumpProgGolden(t *testing.T) {
 	if err := dumpPrograms(&got, cases); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "dump-prog.golden")
+	checkGolden(t, "dump-prog.golden", got.Bytes())
+}
+
+// TestGMPSweepGolden pins the verdict of every GMP cell the default types
+// meet under all six faults (84 cells): status, case and note, as the
+// -quiet summary prints them, without the timing line.
+func TestGMPSweepGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots 84 GMP clusters")
+	}
+	spec := campaign.Spec{Protocol: "gmp", Types: splitList(gmpTypesDefault), Faults: campaign.AllFaults()}
+	vs, _, err := campaign.RunParallel(spec, gmpScenario, campaign.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 84 {
+		t.Fatalf("got %d verdicts, want 84", len(vs))
+	}
+	checkGolden(t, "gmp-sweep.golden", []byte(campaign.Summary(vs)))
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -92,7 +117,7 @@ func TestDumpProgGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("listing differs from %s: re-bless with -update and read the git diff", path)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output differs from %s: re-bless with -update and read the git diff", path)
 	}
 }
