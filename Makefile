@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked unlinked-check
+.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked unlinked-check census
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
@@ -35,7 +35,7 @@ test:
 # and Drain meet on one mutex, and an ordering bug there shows up in some
 # schedules only. The detector's build tag also turns message reuse into
 # poisoning (internal/message/pool_race.go): a message the simulated wire
-# releases is overwritten with 0xDB and loses its ID and addressing rather
+# releases is overwritten with 0xDB and loses its addressing rather
 # than going back to its world's message pool (message.Pool, which the
 # stacks build their frames from), so a layer that retains a message or a
 # slice of its bytes without Keep() fails a decode, a golden or a
@@ -150,6 +150,17 @@ unlinked:
 
 unlinked-check:
 	@GO=$(GO) bash scripts/unlinked.sh -check
+
+# census asks the wider question (~10 s): which funcs under internal/ do the
+# shipped workloads never run? It builds every cmd/* with coverage counters,
+# runs the pfitest suite under the four profiles, the fuzz-mixed and
+# campaign-raft ledger children, make explore's raft fuzz, the default GMP
+# sweep, tcpexp and gmpexp, and prints each func `go tool covdata func`
+# reports at 0.0%, with a total. A report, not a gate: it is in neither
+# check nor CI, and a func it lists goes only once nothing a user runs
+# reaches it (ROADMAP item 9 makes such a census the condition for a cut).
+census:
+	@GO=$(GO) bash scripts/census.sh
 
 # goldens re-blesses every pinned artifact: conformance traces, rendered
 # experiment tables, the -dump-prog listings of pfitest's suite and

@@ -40,14 +40,13 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/core"
+	"pfi/internal/exp"
 	"pfi/internal/fleet"
 	"pfi/internal/gmp"
 	"pfi/internal/harden"
 	"pfi/internal/lifecycle"
 	"pfi/internal/netsim"
-	"pfi/internal/rudp"
 	"pfi/internal/stack"
-	"pfi/internal/trace"
 )
 
 // app is one invocation: its own flags plus the shared run lifecycle
@@ -273,56 +272,31 @@ func reproScenario(c campaign.Case) string {
 	return b.String()
 }
 
-// gmpScenario boots a fresh 3-daemon cluster, faults gmd3's traffic per
-// the case, and checks that gmd1 and gmd2 still share a view. Every call
-// builds its own world, so cases are independent and safe to run in
-// parallel. The isolation monitor is attached to the world's scheduler
-// and trace log so watchdogs and budgets can meter the run.
+// gmpScenario boots a fresh 3-daemon cluster on exp.NewGMPRig — the world
+// reproScenario's `world gmp` line builds — faults gmd3's traffic per the
+// case, and checks that gmd1 and gmd2 still share a view. Every call builds
+// its own world, so cases are independent and safe to run in parallel. The
+// isolation monitor meters the rig's scheduler and shared trace log, as the
+// conformance harness does when it replays the repro.
 func gmpScenario(m *harden.Monitor, c campaign.Case) (bool, string, error) {
-	names := []string{"gmd1", "gmd2", "gmd3"}
-	w := netsim.NewWorld(2026)
-	log := trace.NewLog()
-	w.SetTrace(log)
-	daemons := map[string]*gmp.Daemon{}
-	var victim *core.Layer
-	var pfis []*core.Layer
-	for _, name := range names {
-		node, err := w.AddNode(name)
-		if err != nil {
-			return false, "", err
-		}
-		net := rudp.NewLayer(node.Env())
-		pfi := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}))
-		node.SetStack(stack.New(node.Env(), net, pfi))
-		gmd, err := gmp.New(node.Env(), net, names)
-		if err != nil {
-			return false, "", err
-		}
-		daemons[name] = gmd
-		pfis = append(pfis, pfi)
-		if name == "gmd3" {
-			victim = pfi
-		}
+	r, err := exp.NewGMPRig([]string{"gmd1", "gmd2", "gmd3"})
+	if err != nil {
+		return false, "", err
 	}
-	m.Attach(w.Sched, log, func() int {
+	m.Attach(r.W.Sched, r.Log, func() int {
 		n := 0
-		for _, l := range pfis {
-			n += l.SendFilter().Stats().Injected + l.ReceiveFilter().Stats().Injected
+		for _, gm := range r.Ms {
+			n += gm.PFI.SendFilter().Stats().Injected + gm.PFI.ReceiveFilter().Stats().Injected
 		}
 		return n
 	})
-	if err := w.ConnectAll(netsim.LinkConfig{Latency: 2 * time.Millisecond}); err != nil {
+	r.StartAll()
+	if err := c.Apply(r.Ms["gmd3"].PFI); err != nil {
 		return false, "", err
 	}
-	if err := c.Apply(victim); err != nil {
-		return false, "", err
-	}
-	for _, n := range names {
-		daemons[n].Start()
-	}
-	w.RunFor(3 * time.Minute)
+	r.W.RunFor(3 * time.Minute)
 
-	g1, g2 := daemons["gmd1"].Group(), daemons["gmd2"].Group()
+	g1, g2 := r.Ms["gmd1"].Gmd.Group(), r.Ms["gmd2"].Gmd.Group()
 	if !g1.Equal(g2) {
 		return false, fmt.Sprintf("views diverged: %v vs %v", g1, g2), nil
 	}

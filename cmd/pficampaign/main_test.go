@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"pfi/internal/campaign"
+	"pfi/internal/conformance"
+	"pfi/internal/harden"
 )
 
 func TestParseFaults(t *testing.T) {
@@ -56,6 +58,36 @@ func TestSweepSmoke(t *testing.T) {
 	for _, v := range vs {
 		if v.Err != nil {
 			t.Errorf("case %q: %v", v.Case.Name, v.Err)
+		}
+	}
+}
+
+// TestGMPCellMatchesItsRepro runs one cell under a trace budget its world
+// exceeds, and the .pfi repro the cell quarantines through the conformance
+// harness under the same budget: both must come out the same way, or a
+// quarantined repro would not reproduce.
+func TestGMPCellMatchesItsRepro(t *testing.T) {
+	cases, err := campaign.Generate(campaign.Spec{Protocol: "gmp", Types: []string{"HEARTBEAT"}, Faults: []campaign.FaultKind{campaign.Duplicate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c campaign.Case
+	for _, cc := range cases {
+		if cc.Name == "HEARTBEAT/duplicate/send" {
+			c = cc
+		}
+	}
+	if c.Name == "" {
+		t.Fatal("no HEARTBEAT/duplicate/send case")
+	}
+	// The cell's world logs a few dozen entries in its 3 minutes: 300 is
+	// past them, 20 short of them.
+	for _, budget := range []int{300, 20} {
+		cfg := harden.Config{Budget: harden.Budget{TraceEntries: budget}}
+		cell := campaign.RunCase(c, gmpScenario, cfg, reproScenario)
+		repro := conformance.Run(conformance.New(c.Name, reproScenario(c)), conformance.Options{Harden: cfg})
+		if cell.Outcome != repro.Outcome {
+			t.Errorf("budget %d: cell outcome %v, its repro's %v (%v)", budget, cell.Outcome, repro.Outcome, repro.Err)
 		}
 	}
 }

@@ -164,7 +164,7 @@ func main() {
 
 // scriptStats renders the script-engine summary: how many filter programs
 // the run compiled, how much compilation it amortized (cache hits), and
-// how many instructions fusion and folding rewrote.
+// how many instructions fusion rewrote.
 func scriptStats() string {
 	ss := script.Stats()
 	return fmt.Sprintf("script: %d compiled (%d cache hits), %d fused ops",

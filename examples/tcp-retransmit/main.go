@@ -37,18 +37,12 @@ func probe(prof tcp.Profile) error {
 	// The vendor machine under test.
 	vendorNode := w.MustAddNode("vendor")
 	vendorLog := trace.NewLog()
-	vendorTCP, err := tcp.NewLayer(vendorNode.Env(), prof, tcp.WithTrace(vendorLog))
-	if err != nil {
-		return err
-	}
+	vendorTCP := tcp.NewLayer(vendorNode.Env(), prof, tcp.WithTrace(vendorLog))
 	vendorNode.SetStack(stack.New(vendorNode.Env(), vendorTCP))
 
 	// Our instrumented machine: TCP with a PFI layer spliced below it.
 	xkNode := w.MustAddNode("xkernel")
-	xkTCP, err := tcp.NewLayer(xkNode.Env(), tcp.XKernel())
-	if err != nil {
-		return err
-	}
+	xkTCP := tcp.NewLayer(xkNode.Env(), tcp.XKernel())
 	pfi := core.NewLayer(xkNode.Env(), core.WithStub(tcp.PFIStub{}))
 	xkNode.SetStack(stack.New(xkNode.Env(), xkTCP, pfi))
 

@@ -401,7 +401,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		// again, is what Conn.Send queues n times and what the sent log
 		// records as one run — nothing here grows with n, so a hostile count
 		// runs into the run's budgets, not out of memory.
-		payload := patternBytes(h.prof.MSS)
+		payload := patternBytes(tcp.MSS)
 		for i := 0; i < n; i++ {
 			h.sent.add(payload)
 			if err := h.conn.Send(payload); err != nil {

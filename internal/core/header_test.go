@@ -106,7 +106,7 @@ func TestOwnedHeaderNestedRecognition(t *testing.T) {
 		}
 	}
 	var notes []string
-	for _, e := range r.layer.Trace().Entries() {
+	for _, e := range r.log.Entries() {
 		if e.Kind == "receive-filter" {
 			notes = append(notes, e.Note)
 		}

@@ -140,12 +140,6 @@ func (l *Layer) Inject(dir Direction, typ string, fields map[string]string) erro
 	return f.inject(typ, fields, dir)
 }
 
-// Trace returns the layer's event log.
-func (l *Layer) Trace() *trace.Log { return l.log }
-
-// Bus returns the layer's synchronization bus.
-func (l *Layer) Bus() *SyncBus { return l.bus }
-
 // Stub returns the layer's packet stub.
 func (l *Layer) Stub() Stub { return l.stub }
 
@@ -203,18 +197,12 @@ func (f *Filter) engine() *script.Interp {
 	return f.interp
 }
 
-// Dir returns the filter's direction.
-func (f *Filter) Dir() Direction { return f.dir }
-
 // Interp exposes the filter's interpreter so tests and experiment drivers
 // can read/set script state (the paper's driver/PFI communication).
 func (f *Filter) Interp() *script.Interp { return f.engine() }
 
 // Stats returns a copy of the filter's counters.
 func (f *Filter) Stats() Stats { return f.stats }
-
-// HeldCount reports the hold-queue length.
-func (f *Filter) HeldCount() int { return len(f.held) }
 
 // SetScript parses and installs the filter script. An empty src clears it.
 func (f *Filter) SetScript(src string) error {

@@ -10,6 +10,7 @@ import (
 	"pfi/internal/message"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
+	"pfi/internal/trace"
 )
 
 // demoStub recognizes a toy protocol whose first byte is the type and
@@ -75,6 +76,7 @@ func demoMsg(typ byte, seq byte, payload string) *message.Message {
 // rig wires app <-> PFI <-> network with capture at both ends.
 type rig struct {
 	sched *simtime.Scheduler
+	log   *trace.Log
 	layer *Layer
 	stk   *stack.Stack
 	toNet []*message.Message // what reached the network (below PFI)
@@ -83,9 +85,9 @@ type rig struct {
 
 func newRig(t *testing.T, opts ...Option) *rig {
 	t.Helper()
-	r := &rig{sched: simtime.NewScheduler()}
+	r := &rig{sched: simtime.NewScheduler(), log: trace.NewLog()}
 	env := &stack.Env{Sched: r.sched, Node: "testnode"}
-	opts = append([]Option{WithStub(demoStub{})}, opts...)
+	opts = append([]Option{WithStub(demoStub{}), WithTrace(r.log)}, opts...)
 	r.layer = NewLayer(env, opts...)
 	r.stk = stack.New(env, r.layer)
 	r.stk.OnTransmit(func(m *message.Message) error {
@@ -97,6 +99,16 @@ func newRig(t *testing.T, opts ...Option) *rig {
 		return nil
 	})
 	return r
+}
+
+// held is the send filter's hold-queue length, as its held_count reports.
+func (r *rig) held(t *testing.T) string {
+	t.Helper()
+	n, err := r.layer.SendFilter().Interp().Eval("held_count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func (r *rig) send(t *testing.T, m *message.Message) {
@@ -241,8 +253,8 @@ func TestHoldAndReleaseFIFO(t *testing.T) {
 	r.send(t, demoMsg(demoDATA, 1, ""))
 	r.send(t, demoMsg(demoDATA, 2, ""))
 	r.send(t, demoMsg(demoDATA, 3, ""))
-	if len(r.toNet) != 0 || r.layer.SendFilter().HeldCount() != 3 {
-		t.Fatalf("held %d, want 3", r.layer.SendFilter().HeldCount())
+	if n := r.held(t); len(r.toNet) != 0 || n != "3" {
+		t.Fatalf("held %s, want 3", n)
 	}
 	// An ACK triggers release of two held messages.
 	if err := r.layer.SetSendScript(`
@@ -259,8 +271,8 @@ func TestHoldAndReleaseFIFO(t *testing.T) {
 	if a != 1 || b != 2 {
 		t.Fatalf("release order %d,%d; want FIFO 1,2", a, b)
 	}
-	if r.layer.SendFilter().HeldCount() != 1 {
-		t.Fatalf("still held %d, want 1", r.layer.SendFilter().HeldCount())
+	if n := r.held(t); n != "1" {
+		t.Fatalf("still held %s, want 1", n)
 	}
 }
 
@@ -476,7 +488,7 @@ func TestMsgLogWritesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.deliver(t, demoMsg(demoDATA, 9, "")) // seq 9
-	entries := r.layer.Trace().Filter("testnode", "receive-filter", "DATA")
+	entries := r.log.Filter("testnode", "receive-filter", "DATA")
 	if len(entries) != 1 {
 		t.Fatalf("trace entries %d, want 1", len(entries))
 	}

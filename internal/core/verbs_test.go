@@ -27,17 +27,16 @@ func TestLayerOptionsAndAccessors(t *testing.T) {
 	if l.Name() != "pfi" {
 		t.Errorf("Name = %q", l.Name())
 	}
-	if l.Trace() != lg {
-		t.Error("Trace not wired")
-	}
-	if l.Bus() != bus {
-		t.Error("Bus not wired")
+	if l.log != lg || l.rng != rng || l.bus != bus {
+		t.Error("an option was not wired")
 	}
 	if _, ok := l.Stub().(demoStub); !ok {
 		t.Errorf("Stub = %T", l.Stub())
 	}
-	if l.SendFilter().Dir() != Send || l.ReceiveFilter().Dir() != Receive {
-		t.Error("filter directions wrong")
+	send, _ := l.SendFilter().Interp().Var("pfi_dir")
+	recv, _ := l.ReceiveFilter().Interp().Var("pfi_dir")
+	if send != "send" || recv != "receive" {
+		t.Errorf("filter directions %q, %q", send, recv)
 	}
 }
 
@@ -96,11 +95,11 @@ func TestFilterVerbRows(t *testing.T) {
 			if held != tt.held {
 				t.Errorf("held_count = %q, want %q", held, tt.held)
 			}
-			if tt.held != "" && strconv.Itoa(r.layer.SendFilter().HeldCount()) != tt.held {
-				t.Errorf("HeldCount = %d, script saw %s", r.layer.SendFilter().HeldCount(), tt.held)
+			if n := r.held(t); tt.held != "" && n != tt.held {
+				t.Errorf("held_count after the run = %s, script saw %s", n, tt.held)
 			}
 			var notes []string
-			for _, e := range r.layer.Trace().Filter("testnode", "script", "") {
+			for _, e := range r.log.Filter("testnode", "script", "") {
 				notes = append(notes, e.Note)
 			}
 			if got := strings.Join(notes, ","); got != tt.logged {

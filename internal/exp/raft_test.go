@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -64,7 +65,9 @@ func TestRaftWorldForkReplaysIdentically(t *testing.T) {
 			out += e.String() + "\n"
 		}
 		for _, name := range r.Names {
-			out += r.Ms[name].Raft().DumpState() + "\n"
+			n := r.Ms[name].Raft()
+			out += fmt.Sprintf("%s %s term=%d commit=%d applied=%d last=%d\n",
+				name, n.State(), n.Term(), n.Commit(), n.Applied(), n.LastIndex())
 		}
 		return out
 	}

@@ -56,10 +56,7 @@ func newTCPEndpoint(w *netsim.World, name string, prof tcp.Profile, log *trace.L
 	if err != nil {
 		return nil, err
 	}
-	tl, err := tcp.NewLayer(node.Env(), prof, tcp.WithTrace(log))
-	if err != nil {
-		return nil, err
-	}
+	tl := tcp.NewLayer(node.Env(), prof, tcp.WithTrace(log))
 	pl := core.NewLayer(node.Env(), core.WithStub(tcp.PFIStub{}), core.WithTrace(log), core.WithSyncBus(bus))
 	stk := stack.New(node.Env(), tl, pl)
 	node.SetStack(stk)
@@ -112,7 +109,7 @@ func (r *TCPRig) Dial(accept func(*tcp.Conn)) (*tcp.Conn, error) {
 // StreamSegments sends n MSS-sized segments spaced apart, letting each be
 // acknowledged (the "thirty packets allowed through" warm-up).
 func (r *TCPRig) StreamSegments(c *tcp.Conn, n int, spacing time.Duration) error {
-	payload := make([]byte, r.Vendor.TCP.Profile().MSS)
+	payload := make([]byte, tcp.MSS)
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
 	}

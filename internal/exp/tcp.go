@@ -117,7 +117,7 @@ func RunTCPDelayedACK(prof tcp.Profile, delay time.Duration) (DelayedACKResult, 
 
 	// Stream ~30 segments continuously: the window keeps several in
 	// flight, which is the pattern the paper's delayed-ACK traffic had.
-	if err := c.Send(make([]byte, 30*prof.MSS)); err != nil {
+	if err := c.Send(make([]byte, 30*tcp.MSS)); err != nil {
 		return res, err
 	}
 	// Drain: run until every warm-up segment is acknowledged (the delayed
@@ -134,7 +134,7 @@ func RunTCPDelayedACK(prof tcp.Profile, delay time.Duration) (DelayedACKResult, 
 
 	// The measured segment: sent exactly at blackout, never acknowledged.
 	blackoutStart := r.W.Now()
-	if err := c.Send(make([]byte, prof.MSS)); err != nil {
+	if err := c.Send(make([]byte, tcp.MSS)); err != nil {
 		return res, err
 	}
 	r.W.RunFor(90 * time.Minute)
@@ -427,7 +427,7 @@ func RunTCPReorder(prof tcp.Profile) (ReorderResult, error) {
 	`); err != nil {
 		return res, err
 	}
-	mss := prof.MSS
+	mss := tcp.MSS
 	payload := make([]byte, 2*mss)
 	for i := range payload {
 		if i < mss {

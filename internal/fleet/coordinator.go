@@ -157,9 +157,6 @@ func NewCoordinator(job Job, cfg Config) *Coordinator {
 	return c
 }
 
-// Job returns the coordinator's job description.
-func (c *Coordinator) Job() Job { return c.job }
-
 // Stats returns a snapshot of the control-plane counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
@@ -594,15 +591,6 @@ const RecEpoch = "epoch"
 
 type epochRecord struct {
 	Epoch int `json:"epoch"`
-}
-
-// Epoch reports the coordinator's journal epoch: how many coordinators
-// (this one included) have attached to its journal. 0 when no journal
-// is attached.
-func (c *Coordinator) Epoch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
 }
 
 // adoptJournal counts prior epochs in the log and appends this

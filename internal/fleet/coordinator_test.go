@@ -106,7 +106,7 @@ func leaseAll(t *testing.T, c *Coordinator, sessions []string, n int) []lease {
 // core, reporting the coordinator's reply type.
 func submit(t *testing.T, c *Coordinator, session string, u Unit) Envelope {
 	t.Helper()
-	res, err := executeUnit(c.Job(), u)
+	res, err := executeUnit(c.job, u)
 	if err != nil {
 		t.Fatalf("executeUnit(%d): %v", u.ID, err)
 	}
@@ -265,7 +265,7 @@ func TestTruncatedResultReassigned(t *testing.T) {
 		out := startCampaign(c, campaign.Options{OnVerdict: func(campaign.Verdict) { landed.Add(1) }})
 		s1 := hello(t, c, "w")
 		held := leaseAll(t, c, []string{s1}, 1)
-		bad, err := executeUnit(c.Job(), held[0].unit)
+		bad, err := executeUnit(c.job, held[0].unit)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,9 +5,6 @@ type Span struct {
 	Lo, Hi int
 }
 
-// Len returns the number of cells in the span.
-func (s Span) Len() int { return s.Hi - s.Lo }
-
 // Plan splits n cells into at most shards contiguous spans that cover
 // 0..n-1 exactly once, in order. Sizes differ by at most one, with the
 // larger spans first, so any prefix of the plan is as balanced as the

@@ -42,7 +42,7 @@ func streamCells(t *testing.T, c *Coordinator, session string, unit int, vs ...W
 // streamUnit streams a whole unit, then the empty completion marker.
 func streamUnit(t *testing.T, c *Coordinator, session string, u Unit) {
 	t.Helper()
-	res, err := executeUnit(c.Job(), u)
+	res, err := executeUnit(c.job, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCellStreamingCompletesUnits(t *testing.T) {
 	s := hello(t, c, "streamer")
 	held := leaseAll(t, c, []string{s}, 2)
 	// Duplicate one cell mid-unit: the re-stream is acked and dropped.
-	first, err := executeUnit(c.Job(), held[0].unit)
+	first, err := executeUnit(c.job, held[0].unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestLossKeepsStreamedCells(t *testing.T) {
 	s1 := hello(t, c, "doomed-1")
 	held := leaseAll(t, c, []string{s1}, 1)
 	u := held[0].unit
-	full, err := executeUnit(c.Job(), u)
+	full, err := executeUnit(c.job, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	s := hello(t, c1, "interrupted")
 	held := leaseAll(t, c1, []string{s}, 2)
 	streamUnit(t, c1, s, held[0].unit)
-	partial, err := executeUnit(c1.Job(), held[1].unit)
+	partial, err := executeUnit(c1.job, held[1].unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +169,8 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	if o := <-out1; o.err == nil {
 		t.Fatal("canceled run reported success")
 	}
-	if c1.Epoch() != 1 {
-		t.Fatalf("first coordinator epoch = %d, want 1", c1.Epoch())
+	if c1.epoch != 1 {
+		t.Fatalf("first coordinator epoch = %d, want 1", c1.epoch)
 	}
 	journaled := held[0].unit.Hi - held[0].unit.Lo + 2
 	if err := l.Close(); err != nil {
@@ -200,8 +200,8 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 		if got := c.Stats().Cells; got != 36-stats.Resumed {
 			t.Errorf("workers=%d: streamed %d cells, want %d (36 minus resumed)", workers, got, 36-stats.Resumed)
 		}
-		if wantEpoch := phase + 2; c.Epoch() != wantEpoch {
-			t.Errorf("workers=%d: epoch = %d, want %d", workers, c.Epoch(), wantEpoch)
+		if wantEpoch := phase + 2; c.epoch != wantEpoch {
+			t.Errorf("workers=%d: epoch = %d, want %d", workers, c.epoch, wantEpoch)
 		}
 		minResumed = 36 // after one full resume the journal holds the whole sweep
 		if err := l.Close(); err != nil {
@@ -223,8 +223,8 @@ func TestFleetCampaignJournalResume(t *testing.T) {
 	if stats.Resumed != 36 || c4.Stats().WorkersSeen != 0 {
 		t.Errorf("journal-only run: Resumed=%d WorkersSeen=%d, want 36 and 0", stats.Resumed, c4.Stats().WorkersSeen)
 	}
-	if c4.Epoch() != 4 {
-		t.Errorf("fourth adoption epoch = %d, want 4", c4.Epoch())
+	if c4.epoch != 4 {
+		t.Errorf("fourth adoption epoch = %d, want 4", c4.epoch)
 	}
 
 	// One journal format, one writer: the log those four fleet sweeps
@@ -263,7 +263,7 @@ func TestJournalWriteFailureAbortsRound(t *testing.T) {
 	out := startCampaign(c, campaign.Options{Journal: l})
 	s := hello(t, c, "writer")
 	held := leaseAll(t, c, []string{s}, 1)
-	full, err := executeUnit(c.Job(), held[0].unit)
+	full, err := executeUnit(c.job, held[0].unit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +368,8 @@ func TestWorkerReconnectReAdoption(t *testing.T) {
 	if got.stats.Resumed < 2 {
 		t.Errorf("Resumed = %d, want >= 2 (the cells banked before the restart)", got.stats.Resumed)
 	}
-	if c2.Epoch() != 2 {
-		t.Errorf("restarted coordinator epoch = %d, want 2", c2.Epoch())
+	if c2.epoch != 2 {
+		t.Errorf("restarted coordinator epoch = %d, want 2", c2.epoch)
 	}
 	if ReconnectBackoffs() == b0 {
 		t.Error("worker reconnected without a single backoff")

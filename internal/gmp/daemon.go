@@ -3,7 +3,6 @@ package gmp
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"pfi/internal/rudp"
@@ -111,19 +110,7 @@ func New(env *stack.Env, net *rudp.Layer, peers []string, opts ...Option) (*Daem
 	return d, nil
 }
 
-// MustNew is New for experiment setup code.
-func MustNew(env *stack.Env, net *rudp.Layer, peers []string, opts ...Option) *Daemon {
-	d, err := New(env, net, peers, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // --- public accessors ---------------------------------------------------------
-
-// ID returns the daemon's identifier (its node name).
-func (d *Daemon) ID() string { return d.id }
 
 // Group returns the current committed view.
 func (d *Daemon) Group() Group { return d.group }
@@ -174,13 +161,6 @@ func jitteredProclaim(d *Daemon) time.Duration {
 		h = (h*31 + int(c)) % 997
 	}
 	return proclaimInterval/4 + time.Duration(h)*time.Millisecond
-}
-
-// Stop halts the daemon entirely (process crash for the simulation's
-// purposes: all timers cancelled, traffic ignored).
-func (d *Daemon) Stop() {
-	d.started = false
-	d.timers.unsetAllKinds()
 }
 
 // Suspend models <Ctrl>-Z: the process stops running but virtual time (and
@@ -608,30 +588,10 @@ func (d *Daemon) handleDeadReport(m Msg) {
 	d.startChange(d.group.Without(dead))
 }
 
-// Leave departs the group gracefully — the paper's "normal shutdown, such
-// as a scheduled maintenance". The departing daemon notifies the group and
-// immediately re-forms as a singleton; the remaining lowest-id member runs
-// the two-phase change for the shrunken view.
-func (d *Daemon) Leave() {
-	if !d.started || len(d.group.Members) <= 1 {
-		return
-	}
-	d.logEvent("depart", "DEPART", "leaving "+d.group.String())
-	notify := d.group.Leader()
-	if d.IsLeader() {
-		notify = d.group.CrownPrince()
-	}
-	if notify != "" && notify != d.id {
-		d.sendReliable(notify, &Msg{Type: TypeDepart, Gen: d.group.Gen, Origin: d.id})
-	}
-	d.genCounter++
-	d.commitLocal(NewGroup(d.genCounter, []string{d.id}))
-	// The departed daemon is shutting down: no more heartbeats, no
-	// solicitation. A later Start() rejoins from scratch.
-	d.Stop()
-}
-
-// handleDepart processes a graceful-leave notice.
+// handleDepart processes a graceful-leave notice — the paper's "normal
+// shutdown, such as a scheduled maintenance": the lowest-id member left
+// runs the two-phase change for the shrunken view. No daemon sends one; a
+// filter injects it through the stub.
 func (d *Daemon) handleDepart(m Msg) {
 	if m.Origin == d.id || !d.group.Contains(m.Origin) || d.inTransition {
 		return
@@ -675,22 +635,4 @@ func (d *Daemon) commitLocal(g Group) {
 	if d.onCommit != nil {
 		d.onCommit(g)
 	}
-}
-
-// DumpState renders a one-line diagnostic summary.
-func (d *Daemon) DumpState() string {
-	flags := []string{}
-	if d.IsLeader() {
-		flags = append(flags, "leader")
-	}
-	if d.inTransition {
-		flags = append(flags, "in-transition")
-	}
-	if d.selfDead {
-		flags = append(flags, "self-dead")
-	}
-	if d.suspended {
-		flags = append(flags, "suspended")
-	}
-	return fmt.Sprintf("%s %s [%s]", d.id, d.group, strings.Join(flags, ","))
 }

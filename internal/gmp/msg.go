@@ -43,7 +43,7 @@ const (
 	TypeDepart     = 9 // graceful leave (scheduled maintenance)
 )
 
-// typeNames is the one name<->id table: TypeName and DecodeMsg index it,
+// typeNames is the one name<->id table: TypeName and decodeMsg index it,
 // the stub's Generate searches it, so every type that can be recognized
 // can be generated.
 var typeNames = [...]string{
@@ -118,15 +118,12 @@ func (m Msg) AppendTo(w message.Writer) message.Writer {
 	return w
 }
 
-// DecodeMsg parses a GMP message from raw payload bytes. The result shares
-// nothing with raw.
-func DecodeMsg(raw []byte) (Msg, error) { return decodeMsg(raw, "", nil) }
-
-// decodeMsg is DecodeMsg for a receiver that knows who it may hear from and
-// about: a name that spells src (the datagram's network source — Sender
-// always, Origin unless forwarded) or one of peers reuses that string
-// instead of allocating a copy. msgType has checked the layout, so the
-// reads below cannot run short.
+// decodeMsg parses a GMP message from raw payload bytes for a receiver that
+// knows who it may hear from and about: a name that spells src (the
+// datagram's network source — Sender always, Origin unless forwarded) or
+// one of peers reuses that string instead of allocating a copy; any other
+// name is a copy, so the result shares nothing with raw. msgType has
+// checked the layout, so the reads below cannot run short.
 func decodeMsg(raw []byte, src string, peers []string) (Msg, error) {
 	if _, err := msgType(raw); err != nil {
 		return Msg{}, err
@@ -216,14 +213,6 @@ func (g Group) Leader() string {
 		return ""
 	}
 	return g.Members[0]
-}
-
-// CrownPrince returns the next-in-line leader ("" for singleton groups).
-func (g Group) CrownPrince() string {
-	if len(g.Members) < 2 {
-		return ""
-	}
-	return g.Members[1]
 }
 
 // Contains reports membership.

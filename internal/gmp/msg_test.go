@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"unsafe"
 
 	"pfi/internal/rudp"
@@ -36,7 +37,7 @@ func TestRawFrameIsTheTwoStepFrame(t *testing.T) {
 }
 
 // TestDecodeReusesKnownNames: a daemon decoding a datagram from src with a
-// peer list gets the message DecodeMsg gives, with Origin, Sender and
+// peer list gets the message a decode without one gives, with Origin, Sender and
 // Members being its own strings, not copies; a name it was not told about
 // is still decoded (and shares nothing with the wire bytes).
 func TestDecodeReusesKnownNames(t *testing.T) {
@@ -57,9 +58,9 @@ func TestDecodeReusesKnownNames(t *testing.T) {
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("decoded message aliases the wire bytes: %+v", got)
 	}
-	plain, err := DecodeMsg(m.Encode())
+	plain, err := decodeMsg(m.Encode(), "", nil)
 	if err != nil || !reflect.DeepEqual(plain, m) {
-		t.Fatalf("DecodeMsg %+v, %v", plain, err)
+		t.Fatalf("decodeMsg %+v, %v", plain, err)
 	}
 }
 
@@ -79,7 +80,7 @@ func stubMsgs() []Msg {
 
 // TestLazyHeaderMatchesDecodeMsg: the stub's header decodes its fields when
 // a script first reads one, and what it reads — every GMP field, as text and
-// as a number, and the frame's under their rudp_ names — is what DecodeMsg
+// as a number, and the frame's under their rudp_ names — is what decodeMsg
 // gives for the same bytes, for every type.
 func TestLazyHeaderMatchesDecodeMsg(t *testing.T) {
 	h := PFIStub{}.NewHeader()
@@ -89,13 +90,13 @@ func TestLazyHeaderMatchesDecodeMsg(t *testing.T) {
 		if err != nil || typ != m.TypeName() {
 			t.Fatalf("%s: recognized %q, %v", m.TypeName(), typ, err)
 		}
-		want, err := DecodeMsg(m.Encode())
+		want, err := decodeMsg(m.Encode(), "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"origin", "sender", "gen", "members", "nope"} {
 			if got := h.Field(name); got != want.Field(name) {
-				t.Fatalf("%s: field %s reads %q, DecodeMsg %q", m.TypeName(), name, got, want.Field(name))
+				t.Fatalf("%s: field %s reads %q, decodeMsg %q", m.TypeName(), name, got, want.Field(name))
 			}
 		}
 		if n, ok := h.IntField("gen"); !ok || n != int64(m.Gen) {
@@ -111,15 +112,15 @@ func TestLazyHeaderMatchesDecodeMsg(t *testing.T) {
 // without building its strings, so a PFI layer reports UNRECOGNIZED for
 // every message cut short at any length and for every unknown type byte,
 // and recognizes the whole message and one with trailing bytes — as
-// DecodeMsg, which walks the layout the same way, decides.
+// decodeMsg, which walks the layout the same way, decides.
 func TestRecognizeRefusesShortAndUnknown(t *testing.T) {
 	h := PFIStub{}.NewHeader()
 	check := func(payload []byte, ok bool) {
 		t.Helper()
 		_, got := h.Recognize(rudp.Frame{Kind: rudp.KindRaw, Payload: payload}.Encode())
-		_, dec := DecodeMsg(payload)
+		_, dec := decodeMsg(payload, "", nil)
 		if (got == nil) != ok || (dec == nil) != ok {
-			t.Fatalf("payload % x: Recognize error %v, DecodeMsg error %v, want accepted %v", payload, got, dec, ok)
+			t.Fatalf("payload % x: Recognize error %v, decodeMsg error %v, want accepted %v", payload, got, dec, ok)
 		}
 	}
 	for _, m := range stubMsgs() {
@@ -133,5 +134,80 @@ func TestRecognizeRefusesShortAndUnknown(t *testing.T) {
 			wire[0] = byte(typ)
 			check(wire, typ < len(typeNames) && typeNames[typ] != "")
 		}
+	}
+}
+
+func TestMsgRoundTrip(t *testing.T) {
+	m := &Msg{Type: TypeCommit, Gen: 42, Origin: "n1", Sender: "n2",
+		Members: []string{"n1", "n2", "n3"}}
+	got, err := decodeMsg(m.Encode(), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Type != m.Type || got.Gen != m.Gen || got.Origin != m.Origin ||
+		got.Sender != m.Sender || len(got.Members) != 3 || got.Members[2] != "n3" {
+		t.Fatalf("round trip %+v", got)
+	}
+	if _, err := decodeMsg([]byte{1}, "", nil); err == nil {
+		t.Fatal("short message decoded")
+	}
+	if _, err := decodeMsg([]byte{99, 0, 0, 0, 0, 0, 0, 0}, "", nil); err == nil {
+		t.Fatal("unknown type decoded")
+	}
+}
+
+// Property: decodeMsg never panics on arbitrary bytes (corrupted packets
+// from byzantine injection reach it directly).
+func TestPropertyDecodeNeverPanics(t *testing.T) {
+	f := func(raw []byte) (ok bool) {
+		defer func() {
+			if recover() != nil {
+				ok = false
+			}
+		}()
+		_, _ = decodeMsg(raw, "", nil)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Encode/decodeMsg round-trip for arbitrary field values.
+func TestPropertyMsgRoundTrip(t *testing.T) {
+	f := func(typ uint8, gen uint32, origin, sender string, members []string) bool {
+		typ = typ%9 + 1 // valid type range
+		if len(origin) > 255 {
+			origin = origin[:255]
+		}
+		if len(sender) > 255 {
+			sender = sender[:255]
+		}
+		if len(members) > 255 {
+			members = members[:255]
+		}
+		for i, m := range members {
+			if len(m) > 255 {
+				members[i] = m[:255]
+			}
+		}
+		in := &Msg{Type: typ, Gen: gen, Origin: origin, Sender: sender, Members: members}
+		out, err := decodeMsg(in.Encode(), "", nil)
+		if err != nil {
+			return false
+		}
+		if out.Type != in.Type || out.Gen != in.Gen || out.Origin != in.Origin ||
+			out.Sender != in.Sender || len(out.Members) != len(in.Members) {
+			return false
+		}
+		for i := range in.Members {
+			if out.Members[i] != in.Members[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

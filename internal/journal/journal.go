@@ -20,8 +20,7 @@
 // consistent). Sync flushes to stable storage at drain points, and
 // Checkpoint atomically compacts the log (write temp, fsync, rename) so
 // unbounded runs keep bounded logs. A write failure surfaces as a
-// *Fault classified as a tool fault by the harden taxonomy — never a
-// silent drop.
+// *Fault, which the run returns as its error — never a silent drop.
 package journal
 
 import (
@@ -36,8 +35,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-
-	"pfi/internal/harden"
 )
 
 // FormatVersion stamps every record envelope; readers reject records
@@ -62,9 +59,8 @@ type Record struct {
 	Data json.RawMessage `json:"data,omitempty"`
 }
 
-// Fault wraps a journal I/O failure. It classifies as a tool fault
-// under the harden taxonomy: losing the crash-safety log is harness
-// breakage, and callers must surface it, never drop work silently.
+// Fault wraps a journal I/O failure. Losing the crash-safety log is
+// harness breakage: callers must surface it, never drop work silently.
 type Fault struct {
 	Op  string
 	Err error
@@ -72,9 +68,6 @@ type Fault struct {
 
 func (f *Fault) Error() string { return fmt.Sprintf("journal %s: %v", f.Op, f.Err) }
 func (f *Fault) Unwrap() error { return f.Err }
-
-// Kind reports the harden classification of a journal failure.
-func (f *Fault) Kind() harden.Kind { return harden.ToolFault }
 
 // fault wraps err as a *Fault unless it already is one (or is nil).
 func fault(op string, err error) error {
@@ -122,12 +115,10 @@ func CountResumed(n int) {
 
 // Log is an open journal. All methods are safe for concurrent use.
 type Log struct {
-	mu        sync.Mutex
-	path      string
-	f         *os.File
-	records   []Record // records recovered by Open plus those appended since
-	recovered int      // how many records Open recovered (before any Append)
-	truncated int64    // torn-tail bytes dropped by Open (0: clean)
+	mu      sync.Mutex
+	path    string
+	f       *os.File
+	records []Record // records recovered by Open plus those appended since
 }
 
 // Open opens (or creates) the journal at path, replays every intact
@@ -185,9 +176,7 @@ func (l *Log) recover() error {
 	recs, good, _ := scan(data[len(magic):])
 	good += int64(len(magic))
 	l.records = recs
-	l.recovered = len(recs)
 	if good < int64(len(data)) {
-		l.truncated = int64(len(data)) - good
 		if err := l.f.Truncate(good); err != nil {
 			return fault("truncate", err)
 		}
@@ -281,14 +270,6 @@ func (l *Log) Records() []Record {
 	out := make([]Record, len(l.records))
 	copy(out, l.records)
 	return out
-}
-
-// Recovered reports how many records Open replayed from disk, and how
-// many torn-tail bytes it truncated to get there.
-func (l *Log) Recovered() (records int, truncatedBytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recovered, l.truncated
 }
 
 // Path returns the journal's file path.

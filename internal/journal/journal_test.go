@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"pfi/internal/harden"
 )
 
 var update = flag.Bool("update", false, "re-bless the pinned journal golden")
@@ -62,9 +60,6 @@ func TestAppendRecover(t *testing.T) {
 	if f.Cell != 2 || f.Note != "ok" {
 		t.Fatalf("decoded %+v", f)
 	}
-	if n, torn := l2.Recovered(); n != 4 || torn != 0 {
-		t.Fatalf("Recovered() = %d, %d; want 4, 0", n, torn)
-	}
 	if err := Decode(recs[3], "meta", &f); err == nil {
 		t.Fatal("Decode with wrong type tag should fail")
 	}
@@ -96,21 +91,23 @@ func TestTornTailTruncated(t *testing.T) {
 			}
 			f.Write(frame[:n])
 			f.Close()
+			whole := fileSize(t, path)
 
 			l2 := open(t, path)
 			recs := l2.Records()
 			if len(recs) != 2 {
 				t.Fatalf("recovered %d records, want 2", len(recs))
 			}
-			if _, torn := l2.Recovered(); torn != int64(n) {
+			if torn := whole - fileSize(t, path); torn != int64(n) {
 				t.Fatalf("truncated %d bytes, want %d", torn, n)
 			}
 			// The log is healthy again: append and reopen cleanly.
 			appendT(t, l2, "verdict", fact{Cell: 2})
 			l2.Close()
+			repaired := fileSize(t, path)
 			l3 := open(t, path)
 			defer l3.Close()
-			if got, torn := l3.Recovered(); got != 3 || torn != 0 {
+			if got, torn := len(l3.Records()), repaired-fileSize(t, path); got != 3 || torn != 0 {
 				t.Fatalf("after repair: %d records, %d torn; want 3, 0", got, torn)
 			}
 		})
@@ -197,9 +194,19 @@ func TestWriteFailureIsToolFault(t *testing.T) {
 	if !errors.As(err, &f) {
 		t.Fatalf("error %T is not a *Fault", err)
 	}
-	if f.Kind() != harden.ToolFault {
-		t.Fatalf("Fault.Kind() = %v, want ToolFault", f.Kind())
+	if f.Op != "append" {
+		t.Fatalf("Fault %q has op %q, want append", f, f.Op)
 	}
+}
+
+// fileSize is the byte length of the file at path.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 func TestStatsCount(t *testing.T) {

@@ -173,15 +173,6 @@ func (m *Message) ByteAt(off int) (byte, error) {
 	return m.buf[off], nil
 }
 
-// Truncate shortens the message to n bytes.
-func (m *Message) Truncate(n int) error {
-	if n < 0 || n > len(m.buf) {
-		return fmt.Errorf("message: truncate to %d bytes from %d", n, len(m.buf))
-	}
-	m.buf = m.buf[:n]
-	return nil
-}
-
 // SetDst addresses the message to a node; the sender's stack sets it before
 // the message reaches the network. Addressing travels with the message
 // through the local stack but is not serialized onto the wire.

@@ -57,19 +57,6 @@ func TestSetByteAndByteAt(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	m := New([]byte("abcdef"))
-	if err := m.Truncate(2); err != nil {
-		t.Fatal(err)
-	}
-	if string(m.Bytes()) != "ab" {
-		t.Fatalf("after truncate: %q", m.Bytes())
-	}
-	if err := m.Truncate(10); err == nil {
-		t.Fatal("Truncate beyond length did not fail")
-	}
-}
-
 func TestAddressing(t *testing.T) {
 	m := New(nil)
 	if m.Src() != "" || m.Dst() != "" {
@@ -88,9 +75,7 @@ func TestSaveRestoreState(t *testing.T) {
 	m.SetDst("b")
 	st := m.SaveState()
 	for round := 0; round < 2; round++ { // a saved state restores repeatedly
-		if err := m.Truncate(2); err != nil {
-			t.Fatal(err)
-		}
+		m.buf = m.buf[:2]
 		if err := m.SetByte(0, 'z'); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +190,7 @@ func TestKeepOutlivesRelease(t *testing.T) {
 		st := s.SaveState()
 		p.Release(s)
 		intact(s, body)
-		_ = s.Truncate(1)
+		s.buf = s.buf[:1]
 		s.RestoreState(st)
 		intact(s, body)
 	}

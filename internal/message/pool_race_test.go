@@ -31,7 +31,8 @@ func TestPoisonIsWhatAForgetfulLayerReads(t *testing.T) {
 		})
 	}
 	a, b, c := w.MustAddNode("a"), w.MustAddNode("b"), w.MustAddNode("c")
-	a.SetStack(stack.New(a.Env()))
+	sa := stack.New(a.Env())
+	a.SetStack(sa)
 	b.SetStack(stack.New(b.Env(), hoard(&forgot, false)))
 	c.SetStack(stack.New(c.Env(), hoard(&kept, true)))
 	if err := w.ConnectAll(netsim.LinkConfig{Latency: time.Millisecond}); err != nil {
@@ -42,7 +43,7 @@ func TestPoisonIsWhatAForgetfulLayerReads(t *testing.T) {
 		for _, dst := range []string{"b", "c"} {
 			m := message.New(frame)
 			m.SetDst(dst)
-			if err := a.Stack().Send(m); err != nil {
+			if err := sa.Send(m); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // TestReusedMessageIsAFreshOne: a Pool hands a released message out again
 // only to a frame of the same class — inline or spilled — and whatever the
 // message was before — addressed, cloned from another, truncated — the New
-// or Build that gets it cannot tell: a new ID, no addressing, no bytes, not
+// or Build that gets it cannot tell: no addressing, no bytes, not
 // kept, room for what was asked (inline when that fits), and it takes its
 // bytes like any other. A spilled message comes back with its buffer, so a
 // stream of same-sized segments allocates no buffer after the first; a
@@ -24,7 +24,7 @@ func TestReusedMessageIsAFreshOne(t *testing.T) {
 			old := p.Clone(New(bytes.Repeat([]byte("o"), before)))
 			old.SetSrc("a")
 			old.SetDst("b")
-			_ = old.Truncate(before - 1)
+			old.buf = old.buf[:before-1]
 			oldBuf := old.buf[:1]
 			p.Release(old)
 

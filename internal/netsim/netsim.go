@@ -160,9 +160,6 @@ func (n *Node) Name() string { return n.name }
 // Env returns the node's per-stack environment (scheduler + name).
 func (n *Node) Env() *stack.Env { return n.env }
 
-// World returns the owning world.
-func (n *Node) World() *World { return n.world }
-
 // SetStack attaches a protocol stack: outbound messages leaving the
 // stack's bottom enter the network; inbound deliveries enter the stack's
 // bottom layer.
@@ -173,18 +170,12 @@ func (n *Node) SetStack(s *stack.Stack) {
 	})
 }
 
-// Stack returns the attached stack (nil if none).
-func (n *Node) Stack() *stack.Stack { return n.stk }
-
 // Unplug disconnects the node's network cable: everything to or from it is
 // silently lost, exactly like the paper's two-day Ethernet unplug.
 func (n *Node) Unplug() { n.unplugged = true }
 
 // Replug reconnects the cable.
 func (n *Node) Replug() { n.unplugged = false }
-
-// Unplugged reports the cable state.
-func (n *Node) Unplugged() bool { return n.unplugged }
 
 // linkKey is the unordered node pair as one map key.
 func linkKey(a, b *Node) uint64 {

@@ -45,7 +45,7 @@ func (r *rig) send(t *testing.T, from, to, payload string) {
 	m := message.New([]byte(payload))
 	m.SetDst(to)
 	node, _ := r.w.Node(from)
-	if err := node.Stack().Send(m); err != nil {
+	if err := node.stk.Send(m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -379,7 +379,7 @@ func TestPropertyConservation(t *testing.T) {
 			} else {
 				m.SetDst(names[1+i%2])
 			}
-			if err := a.Stack().Send(m); err != nil {
+			if err := a.stk.Send(m); err != nil {
 				return false
 			}
 		}

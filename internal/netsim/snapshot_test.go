@@ -42,21 +42,24 @@ func newSnapWorld(t *testing.T, jitter time.Duration) *snapWorld {
 		pl := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}))
 		// tap sits on the wire side of the PFI layer: it sees exactly what
 		// the network delivers, before any receive filter touches it. On n2
-		// it then consumes the message the way a header-popping stack
-		// would, so a rewind that did not put an in-flight or delayed
-		// message's content back would deliver the wreckage next run.
+		// it then wrecks the message's bytes and addressing, so a rewind
+		// that did not put an in-flight or delayed message's content back
+		// would deliver the wreckage next run.
 		tap := stack.NewFunc("tap", nil, func(m *message.Message, next stack.Sink) error {
 			sw.delivered = append(sw.delivered, fmt.Sprintf("%v %s: %s->%s %x",
 				w.Now(), name, m.Src(), m.Dst(), m.Bytes()))
 			err := next(m)
 			if name == "n2" {
-				_ = m.Truncate(0)
+				clear(m.Bytes())
 				m.SetSrc("")
 			}
 			return err
 		})
 		node.SetStack(stack.New(node.Env(), net, pl, tap))
-		gmd := gmp.MustNew(node.Env(), net, names)
+		gmd, err := gmp.New(node.Env(), net, names)
+		if err != nil {
+			t.Fatal(err)
+		}
 		w.Snapshots().Register("rudp:"+name, net)
 		w.Snapshots().Register("pfi:"+name, pl)
 		w.Snapshots().Register("gmd:"+name, gmd)
@@ -86,12 +89,23 @@ func newSnapWorld(t *testing.T, jitter time.Duration) *snapWorld {
 	}
 	for w.Sched.Len() > 0 {
 		flights, delayed := pendingByKind(w.Sched)
-		if flights > 1 && delayed > 0 && sw.pfi["n3"].ReceiveFilter().HeldCount() > 0 {
+		if flights > 1 && delayed > 0 && sw.held(t) != "0" {
 			break
 		}
 		w.Sched.Step()
 	}
 	return sw
+}
+
+// held is n3's receive hold-queue length, as its filter's held_count
+// reports it.
+func (sw *snapWorld) held(t *testing.T) string {
+	t.Helper()
+	n, err := sw.pfi["n3"].ReceiveFilter().Interp().Eval("held_count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // run plays the ten seconds after the snapshot point and returns what the
@@ -141,10 +155,10 @@ func testSnapshotRestoreReplaysDeliveries(t *testing.T, jitter time.Duration) {
 	sw := newSnapWorld(t, jitter)
 	w := sw.w
 	flights, delayed := pendingByKind(w.Sched)
-	held := sw.pfi["n3"].ReceiveFilter().HeldCount()
+	held := sw.held(t)
 	armed := sw.gmds["n2"].ArmedHBExpect()
-	if flights < 2 || delayed == 0 || held == 0 || armed == 0 {
-		t.Fatalf("snapshot point lacks state to rewind: %d in flight, %d delayed forwards, %d held, %d hb-expect armed",
+	if flights < 2 || delayed == 0 || held == "0" || armed == 0 {
+		t.Fatalf("snapshot point lacks state to rewind: %d in flight, %d delayed forwards, %s held, %d hb-expect armed",
 			flights, delayed, held, armed)
 	}
 	snap := w.Snapshots().Capture()
@@ -158,7 +172,7 @@ func testSnapshotRestoreReplaysDeliveries(t *testing.T, jitter time.Duration) {
 		if round > 1 {
 			snap.Restore()
 			if f, d := pendingByKind(w.Sched); f != flights || d != delayed ||
-				sw.pfi["n3"].ReceiveFilter().HeldCount() != held || sw.gmds["n2"].ArmedHBExpect() != armed {
+				sw.held(t) != held || sw.gmds["n2"].ArmedHBExpect() != armed {
 				t.Fatalf("run %d: restore left %d in flight, %d delayed, want %d, %d", round, f, d, flights, delayed)
 			}
 		}

@@ -92,7 +92,6 @@ type Node struct {
 	state   State
 	commit  uint64
 	applied uint64
-	leader  string // latest known leader ("" if none)
 	// Per-peer tallies, indexed by position in peers; nil unless the state
 	// says otherwise.
 	votes []bool   // candidate: who granted its vote
@@ -155,19 +154,7 @@ func NewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc,
 	return n, nil
 }
 
-// MustNewNode is NewNode for rig setup code.
-func MustNewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc, opts ...Option) *Node {
-	n, err := NewNode(sched, id, peers, send, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // --- accessors -----------------------------------------------------------
-
-// ID returns the node's identifier.
-func (n *Node) ID() string { return n.id }
 
 // State returns the node's role.
 func (n *Node) State() State { return n.state }
@@ -175,17 +162,8 @@ func (n *Node) State() State { return n.state }
 // Term returns the current term.
 func (n *Node) Term() uint64 { return n.term }
 
-// Started reports whether the node is running.
-func (n *Node) Started() bool { return n.started }
-
-// Suspended reports whether the node is suspended.
-func (n *Node) Suspended() bool { return n.suspended }
-
 // IsLeader reports whether this node currently leads.
 func (n *Node) IsLeader() bool { return n.started && n.state == StateLeader }
-
-// Leader returns the node's current leader hint ("" if unknown).
-func (n *Node) Leader() string { return n.leader }
 
 // Commit returns the commit index.
 func (n *Node) Commit() uint64 { return n.commit }
@@ -203,9 +181,6 @@ func (n *Node) EntryAt(idx uint64) (LogEntry, bool) {
 	}
 	return n.entries[idx-1], true
 }
-
-// Events returns the protocol event log.
-func (n *Node) Events() *trace.Log { return n.log }
 
 func (n *Node) lastTerm() uint64 {
 	if len(n.entries) == 0 {
@@ -233,7 +208,6 @@ func (n *Node) Start() {
 	n.started = true
 	n.suspended = false
 	n.state = StateFollower
-	n.leader = ""
 	n.commit, n.applied = 0, 0
 	n.votes, n.next, n.match = nil, nil, nil
 	if n.bugs.SkipVotePersist {
@@ -254,7 +228,6 @@ func (n *Node) Stop() {
 	n.election.Stop()
 	n.heartbeat.Stop()
 	n.state = StateFollower
-	n.leader = ""
 	n.logEvent("stop", "", n.term, "")
 }
 
@@ -321,7 +294,6 @@ func (n *Node) startElection() {
 	n.term++
 	n.state = StateCandidate
 	n.votedFor = n.id
-	n.leader = ""
 	n.votes = make([]bool, len(n.peers))
 	n.votes[n.self] = true
 	n.logEvent("candidate", "REQUEST_VOTE", n.term, "")
@@ -416,7 +388,6 @@ func (n *Node) maybeWin() {
 		return
 	}
 	n.state = StateLeader
-	n.leader = n.id
 	n.votes = nil
 	n.next = make([]uint64, len(n.peers))
 	n.match = make([]uint64, len(n.peers))
@@ -500,7 +471,6 @@ func (n *Node) handleAppend(m *Msg) {
 	// Equal or higher term: the sender is the legitimate leader of that
 	// term; candidates and (buggy twin-)leaders revert to follower.
 	n.stepDown(m.Term)
-	n.leader = m.From
 	n.armElection()
 	last := n.LastIndex()
 	if m.PrevIndex > last || (m.PrevIndex >= 1 && n.entries[m.PrevIndex-1].Term != m.PrevTerm) {
@@ -634,10 +604,4 @@ func (n *Node) Handle(m *Msg) {
 	case TypeAppendResp:
 		n.handleAppendResp(m)
 	}
-}
-
-// DumpState renders a one-line diagnostic summary.
-func (n *Node) DumpState() string {
-	return fmt.Sprintf("%s %s term=%d commit=%d applied=%d last=%d leader=%q",
-		n.id, n.state, n.term, n.commit, n.applied, n.LastIndex(), n.leader)
 }

@@ -95,7 +95,7 @@ func TestSingleNodeCommits(t *testing.T) {
 	n := c.nodes["m1"]
 	c.sched.RunFor(10 * time.Second)
 	if !n.IsLeader() {
-		t.Fatalf("singleton did not elect itself: %s", n.DumpState())
+		t.Fatalf("singleton did not elect itself: %s", dumpState(n))
 	}
 	if _, ok := n.Propose("a"); !ok {
 		t.Fatal("propose rejected")
@@ -120,7 +120,7 @@ func TestElectionAndReplication(t *testing.T) {
 	for _, name := range c.names {
 		n := c.nodes[name]
 		if n.Applied() != 5 {
-			t.Fatalf("%s applied %d/5: %s", name, n.Applied(), n.DumpState())
+			t.Fatalf("%s applied %d/5: %s", name, n.Applied(), dumpState(n))
 		}
 		for idx := uint64(1); idx <= 5; idx++ {
 			e, ok := n.EntryAt(idx)
@@ -160,7 +160,7 @@ func TestLeaderKillFailover(t *testing.T) {
 		t.Fatal("two leaders after rejoin")
 	}
 	if old.Applied() != 2 {
-		t.Fatalf("rejoined node applied %d/2: %s", old.Applied(), old.DumpState())
+		t.Fatalf("rejoined node applied %d/2: %s", old.Applied(), dumpState(old))
 	}
 }
 
@@ -196,7 +196,7 @@ func TestRestartKeepsPersistentState(t *testing.T) {
 	}
 	c.sched.RunFor(5 * time.Second)
 	if follower.Applied() != 1 {
-		t.Fatalf("restarted follower did not re-apply: %s", follower.DumpState())
+		t.Fatalf("restarted follower did not re-apply: %s", dumpState(follower))
 	}
 }
 
@@ -212,7 +212,7 @@ func TestSkipVotePersistDoubleVote(t *testing.T) {
 				granted = append(granted, m.Granted)
 			}
 		}
-		n := MustNewNode(sched, "c", []string{"a", "b", "c"}, send,
+		n := mustNewNode(sched, "c", []string{"a", "b", "c"}, send,
 			WithBugs(Bugs{SkipVotePersist: buggy}))
 		n.Start()
 		n.Handle(&Msg{Type: TypeRequestVote, Term: 5, From: "a", LastIndex: 0, LastTerm: 0})
@@ -236,11 +236,11 @@ func TestAckBeforeQuorumAppliesEarly(t *testing.T) {
 		c.startAll()
 		leader := c.runUntilLeader(t, 30*time.Second)
 		// Cut the leader off from everyone before it proposes.
-		c.drop = func(from, to string) bool { return from == leader.ID() || to == leader.ID() }
+		c.drop = func(from, to string) bool { return from == leader.id || to == leader.id }
 		leader.Propose("ghost")
 		c.sched.RunFor(100 * time.Millisecond)
 		if got := leader.Applied() == 1; got != buggy {
-			t.Fatalf("buggy=%v: leader applied unreplicated entry = %v (%s)", buggy, got, leader.DumpState())
+			t.Fatalf("buggy=%v: leader applied unreplicated entry = %v (%s)", buggy, got, dumpState(leader))
 		}
 	}
 }
@@ -418,7 +418,7 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 	logMarks := make([]any, len(c.names))
 	for i, n := range c.names {
 		nodeSt[i] = c.nodes[n].SnapshotState()
-		logMarks[i] = c.nodes[n].Events().SnapshotState()
+		logMarks[i] = c.nodes[n].log.SnapshotState()
 	}
 
 	record := func() string {
@@ -426,8 +426,8 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 		out := ""
 		for _, n := range c.names {
 			node := c.nodes[n]
-			out += node.DumpState() + "\n"
-			for _, e := range node.Events().Entries() {
+			out += dumpState(node) + "\n"
+			for _, e := range node.log.Entries() {
 				out += e.String() + "\n"
 			}
 		}
@@ -437,11 +437,27 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 	c.sched.RestoreState(schedSt)
 	c.src.Rewind(srcMark)
 	for i, n := range c.names {
-		c.nodes[n].Events().RestoreState(logMarks[i])
+		c.nodes[n].log.RestoreState(logMarks[i])
 		c.nodes[n].RestoreState(nodeSt[i])
 	}
 	second := record()
 	if first != second {
 		t.Fatalf("fork replay diverged:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
+}
+
+// mustNewNode is NewNode for test setup code.
+func mustNewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc, opts ...Option) *Node {
+	n, err := NewNode(sched, id, peers, send, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
+
+// dumpState renders a node's state in one line, for failure messages and
+// for comparing two runs.
+func dumpState(n *Node) string {
+	return fmt.Sprintf("%s %s term=%d commit=%d applied=%d last=%d",
+		n.id, n.state, n.term, n.commit, n.applied, n.LastIndex())
 }

@@ -16,7 +16,6 @@ type nodeState struct {
 	state   State
 	commit  uint64
 	applied uint64
-	leader  string
 	votes   []bool
 	next    []uint64
 	match   []uint64
@@ -37,7 +36,6 @@ func (n *Node) SnapshotState() any {
 		state:     n.state,
 		commit:    n.commit,
 		applied:   n.applied,
-		leader:    n.leader,
 		votes:     append([]bool(nil), n.votes...),
 		next:      append([]uint64(nil), n.next...),
 		match:     append([]uint64(nil), n.match...),
@@ -59,7 +57,6 @@ func (n *Node) RestoreState(state any) {
 	n.state = st.state
 	n.commit = st.commit
 	n.applied = st.applied
-	n.leader = st.leader
 	n.votes = append([]bool(nil), st.votes...)
 	n.next = append([]uint64(nil), st.next...)
 	n.match = append([]uint64(nil), st.match...)

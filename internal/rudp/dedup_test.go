@@ -28,21 +28,16 @@ func newReceiver() *receiver {
 }
 
 // data delivers one reliable frame and reports whether it was handed up
-// (true) or counted as a duplicate (false).
+// (true) or suppressed as a duplicate (false).
 func (r *receiver) data(t *testing.T, seq uint32) bool {
 	t.Helper()
-	before := r.l.Stats()
+	before := len(r.got)
 	m := Frame{Kind: KindData, Seq: seq, Payload: []byte(fmt.Sprint(seq))}.Encode()
 	m.SetSrc("a")
 	if err := r.l.HandleUp(m); err != nil {
 		t.Fatal(err)
 	}
-	after := r.l.Stats()
-	up, dup := after.Delivered-before.Delivered, after.Duplicates-before.Duplicates
-	if up+dup != 1 {
-		t.Fatalf("seq %d: %d delivered and %d duplicates for one frame", seq, up, dup)
-	}
-	return up == 1
+	return len(r.got) > before
 }
 
 // TestDedupStateStaysConstant: a long in-order run leaves a floor and an
@@ -96,8 +91,8 @@ func TestDedupStateStaysConstant(t *testing.T) {
 // TestDedupMatchesKeepEverySeq drives random arrivals — in order, out of
 // order, repeated, zero and the top of the range — through the layer and
 // through the definition it replaced, a set of every seq ever delivered,
-// with a capture early on and a restore later: verdicts and counters must
-// agree at every step, and the replay after the restore must repeat them.
+// with a capture early on and a restore later: verdicts must agree at every
+// step, and the replay after the restore must repeat them.
 func TestDedupMatchesKeepEverySeq(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -133,16 +128,11 @@ func TestDedupMatchesKeepEverySeq(t *testing.T) {
 		run(0, 200)
 		captured := r.l.SnapshotState()
 		seenAtCapture := maps.Clone(seen)
-		statsAtCapture := r.l.Stats()
 		first := run(200, 600)
-		statsAfter := r.l.Stats()
 
 		r.l.RestoreState(captured)
 		seen = maps.Clone(seenAtCapture)
-		if r.l.Stats() != statsAtCapture {
-			t.Fatalf("seed %d: restore left stats %+v, captured %+v", seed, r.l.Stats(), statsAtCapture)
-		}
-		if again := run(200, 600); !reflect.DeepEqual(again, first) || r.l.Stats() != statsAfter {
+		if again := run(200, 600); !reflect.DeepEqual(again, first) {
 			t.Fatalf("seed %d: replay after restore diverged", seed)
 		}
 		r.l.RestoreState(captured) // a capture restores more than once

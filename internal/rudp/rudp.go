@@ -153,25 +153,14 @@ func (p *peerState) markDelivered(seq uint32) {
 
 // Layer is the reliable-UDP layer.
 type Layer struct {
-	base     stack.Base
-	env      *stack.Env
-	peers    map[string]*peerState
-	pending  map[string]map[uint32]*pendingSend // dst -> seq -> send
-	deliver  DeliverFunc
-	onGiveUp func(dst string, payload []byte)
-	stats    Stats
+	base    stack.Base
+	env     *stack.Env
+	peers   map[string]*peerState
+	pending map[string]map[uint32]*pendingSend // dst -> seq -> send
+	deliver DeliverFunc
 }
 
 var _ stack.Layer = (*Layer)(nil)
-
-// Stats counts layer activity.
-type Stats struct {
-	Sent        int
-	Retransmits int
-	GiveUps     int
-	Delivered   int
-	Duplicates  int
-}
 
 // NewLayer builds a reliable-UDP layer.
 func NewLayer(env *stack.Env) *Layer {
@@ -192,15 +181,6 @@ func (l *Layer) Wire(down, up stack.Sink) { l.base.Wire(down, up) }
 // OnDeliver registers the application's receive callback.
 func (l *Layer) OnDeliver(fn DeliverFunc) { l.deliver = fn }
 
-// OnGiveUp registers a callback for reliable sends that exhausted retries.
-func (l *Layer) OnGiveUp(fn func(dst string, payload []byte)) { l.onGiveUp = fn }
-
-// Stats returns a copy of the counters.
-func (l *Layer) Stats() Stats { return l.stats }
-
-// Pending reports unacknowledged reliable frames to dst.
-func (l *Layer) Pending(dst string) int { return len(l.pending[dst]) }
-
 func (l *Layer) peer(name string) *peerState {
 	p, ok := l.peers[name]
 	if !ok {
@@ -220,7 +200,6 @@ func (l *Layer) Send(dst string, payload []byte) error {
 		l.pending[dst] = make(map[uint32]*pendingSend)
 	}
 	l.pending[dst][ps.frame.Seq] = ps
-	l.stats.Sent++
 	l.armRetransmit(ps)
 	return l.ship(dst, ps.frame)
 }
@@ -243,7 +222,6 @@ func RawFrame(p *message.Pool, n int) message.Writer {
 // SendRawFrame transmits a frame started by RawFrame, unreliably like
 // SendRaw.
 func (l *Layer) SendRawFrame(dst string, w message.Writer) error {
-	l.stats.Sent++
 	m := w.Message()
 	m.SetDst(dst)
 	return l.base.Down(m)
@@ -266,14 +244,9 @@ func (l *Layer) onRetransmit(ps *pendingSend) {
 	}
 	if ps.retries >= DefaultMaxRetries {
 		delete(l.pending[ps.dst], ps.frame.Seq)
-		l.stats.GiveUps++
-		if l.onGiveUp != nil {
-			l.onGiveUp(ps.dst, ps.frame.Payload)
-		}
 		return
 	}
 	ps.retries++
-	l.stats.Retransmits++
 	// Retransmission failures surface the same way as first-send failures:
 	// the datagram is simply lost and retried again.
 	_ = l.ship(ps.dst, ps.frame)
@@ -301,7 +274,6 @@ func (l *Layer) HandleUp(m *message.Message) error {
 	}
 	switch f.Kind {
 	case KindRaw:
-		l.stats.Delivered++
 		if l.deliver != nil {
 			l.deliver(src, f.Payload)
 		}
@@ -312,11 +284,9 @@ func (l *Layer) HandleUp(m *message.Message) error {
 		}
 		p := l.peer(src)
 		if p.delivered(f.Seq) {
-			l.stats.Duplicates++
 			return nil
 		}
 		p.markDelivered(f.Seq)
-		l.stats.Delivered++
 		if l.deliver != nil {
 			l.deliver(src, f.Payload)
 		}

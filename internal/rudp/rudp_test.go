@@ -1,6 +1,7 @@
 package rudp_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 type node struct {
-	n    *netsim.Node
+	s    *stack.Stack
 	l    *rudp.Layer
 	pfi  *core.Layer
 	got  []string
@@ -29,7 +30,7 @@ func newNet(t *testing.T, names ...string) (*netsim.World, map[string]*node) {
 		pl := core.NewLayer(nn.Env())
 		s := stack.New(nn.Env(), l, pl)
 		nn.SetStack(s)
-		nd := &node{n: nn, l: l, pfi: pl}
+		nd := &node{s: s, l: l, pfi: pl}
 		l.OnDeliver(func(src string, payload []byte) {
 			nd.got = append(nd.got, string(payload))
 			nd.from = append(nd.from, src)
@@ -42,8 +43,24 @@ func newNet(t *testing.T, names ...string) (*netsim.World, map[string]*node) {
 	return w, nodes
 }
 
+// countSends makes nd's PFI layer count the frames nd sends, as the global
+// sent of its send filter.
+func countSends(t *testing.T, nd *node) {
+	t.Helper()
+	if err := nd.pfi.SetSendScript(`incr sent`); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sent reads the count countSends keeps.
+func sent(nd *node) string {
+	n, _ := nd.pfi.SendFilter().Interp().Global("sent")
+	return n
+}
+
 func TestReliableDelivery(t *testing.T) {
 	w, ns := newNet(t, "a", "b")
+	countSends(t, ns["a"])
 	if err := ns["a"].l.Send("b", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +68,8 @@ func TestReliableDelivery(t *testing.T) {
 	if len(ns["b"].got) != 1 || ns["b"].got[0] != "hello" || ns["b"].from[0] != "a" {
 		t.Fatalf("b got %v from %v", ns["b"].got, ns["b"].from)
 	}
-	if ns["a"].l.Pending("b") != 0 {
-		t.Fatal("frame still pending after ack")
+	if n := sent(ns["a"]); n != "1" {
+		t.Fatalf("a sent %s frames: the ack did not stop the retransmissions", n)
 	}
 }
 
@@ -84,8 +101,8 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	if len(ns["b"].got) != 1 || ns["b"].got[0] != "persistent" {
 		t.Fatalf("b got %v", ns["b"].got)
 	}
-	if ns["a"].l.Stats().Retransmits < 2 {
-		t.Fatalf("stats %+v", ns["a"].l.Stats())
+	if n, _ := ns["a"].pfi.SendFilter().Interp().Global("n"); n != "3" {
+		t.Fatalf("a sent %s frames, want 3", n)
 	}
 }
 
@@ -94,10 +111,7 @@ func TestGiveUpAfterMaxRetries(t *testing.T) {
 	if err := ns["b"].pfi.SetReceiveScript(`xDrop cur_msg`); err != nil {
 		t.Fatal(err)
 	}
-	var gaveUp []string
-	ns["a"].l.OnGiveUp(func(dst string, payload []byte) {
-		gaveUp = append(gaveUp, dst+":"+string(payload))
-	})
+	countSends(t, ns["a"])
 	if err := ns["a"].l.Send("b", []byte("void")); err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +119,12 @@ func TestGiveUpAfterMaxRetries(t *testing.T) {
 	if len(ns["b"].got) != 0 {
 		t.Fatal("blackholed frame delivered")
 	}
-	if len(gaveUp) != 1 || gaveUp[0] != "b:void" {
-		t.Fatalf("give-ups %v", gaveUp)
+	want := strconv.Itoa(1 + rudp.DefaultMaxRetries)
+	if n := sent(ns["a"]); n != want {
+		t.Fatalf("a sent %s frames, want %s", n, want)
 	}
-	st := ns["a"].l.Stats()
-	if st.Retransmits != rudp.DefaultMaxRetries || st.GiveUps != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if ns["a"].l.Pending("b") != 0 {
-		t.Fatal("pending entry leaked after give-up")
+	if w.Sched.Len() != 0 {
+		t.Fatalf("%d events still pending after the give-up", w.Sched.Len())
 	}
 }
 
@@ -124,6 +135,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	if err := ns["a"].pfi.SetReceiveScript(`xDrop cur_msg`); err != nil {
 		t.Fatal(err)
 	}
+	countSends(t, ns["a"])
 	if err := ns["a"].l.Send("b", []byte("once")); err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +143,8 @@ func TestDuplicateSuppression(t *testing.T) {
 	if len(ns["b"].got) != 1 {
 		t.Fatalf("delivered %d times, want exactly once", len(ns["b"].got))
 	}
-	if ns["b"].l.Stats().Duplicates < 1 {
-		t.Fatalf("stats %+v", ns["b"].l.Stats())
+	if n := sent(ns["a"]); n == "1" {
+		t.Fatal("a never retransmitted, so b saw no duplicate")
 	}
 }
 
@@ -180,7 +192,7 @@ func TestHandleDownSendsRaw(t *testing.T) {
 	w, ns := newNet(t, "a", "b")
 	m := message.New([]byte("pushed"))
 	m.SetDst("b")
-	if err := ns["a"].n.Stack().Send(m); err != nil {
+	if err := ns["a"].s.Send(m); err != nil {
 		t.Fatal(err)
 	}
 	w.Run()

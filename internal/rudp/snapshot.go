@@ -23,21 +23,17 @@ type pendingSaved struct {
 
 // layerState is the rudp layer's mutable state.
 type layerState struct {
-	peers    map[string]peerSaved
-	pending  map[string]map[uint32]pendingSaved
-	deliver  DeliverFunc
-	onGiveUp func(dst string, payload []byte)
-	stats    Stats
+	peers   map[string]peerSaved
+	pending map[string]map[uint32]pendingSaved
+	deliver DeliverFunc
 }
 
 // SnapshotState captures the layer for the snapshot registry.
 func (l *Layer) SnapshotState() any {
 	st := &layerState{
-		peers:    make(map[string]peerSaved, len(l.peers)),
-		pending:  make(map[string]map[uint32]pendingSaved, len(l.pending)),
-		deliver:  l.deliver,
-		onGiveUp: l.onGiveUp,
-		stats:    l.stats,
+		peers:   make(map[string]peerSaved, len(l.peers)),
+		pending: make(map[string]map[uint32]pendingSaved, len(l.pending)),
+		deliver: l.deliver,
 	}
 	for name, p := range l.peers {
 		st.peers[name] = peerSaved{p: p, nextSeq: p.nextSeq, floor: p.floor, above: maps.Clone(p.above)}
@@ -72,6 +68,4 @@ func (l *Layer) RestoreState(state any) {
 		l.pending[dst] = mm
 	}
 	l.deliver = st.deliver
-	l.onGiveUp = st.onGiveUp
-	l.stats = st.stats
 }

@@ -106,5 +106,3 @@ func (c *srcCache[T]) evict() {
 		}
 	}
 }
-
-func (c *srcCache[T]) len() int { return len(c.bySrc) }

@@ -43,7 +43,7 @@ func TestSrcCacheEvictionKeepsRecent(t *testing.T) {
 	if _, ok := c.get("overflow"); !ok {
 		t.Fatal("eviction dropped the brand-new entry")
 	}
-	if got := c.len(); got > 8 {
+	if got := len(c.bySrc); got > 8 {
 		t.Fatalf("cache size %d exceeds limit 8", got)
 	}
 	// Half the old entries must be gone.
@@ -68,7 +68,7 @@ func TestInterpCompileCacheBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := in.scripts.len(); got > 4096 {
+	if got := len(in.scripts.bySrc); got > 4096 {
 		t.Fatalf("script cache grew to %d entries (limit 4096)", got)
 	}
 	// Recently evaluated sources should still be cached.

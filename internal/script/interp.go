@@ -20,14 +20,11 @@ type Command func(in *Interp, args []string) (string, error)
 type TypedCommand func(in *Interp, args []string) (Value, error)
 
 // binding is what a command name resolves to on the host side. The zero
-// binding is "no such command" — also what Unregister leaves in an
-// interpreter's table to hide a builtin.
+// binding is "no such command".
 type binding struct {
 	cmd   Command
 	typed TypedCommand
 }
-
-func (b binding) bound() bool { return b.cmd != nil || b.typed != nil }
 
 // flow carries Tcl's non-error result codes (return/break/continue) through
 // Go's error plumbing. It never escapes Eval's public API.
@@ -184,9 +181,6 @@ func (in *Interp) SetOutput(w io.Writer) {
 	in.out = w
 }
 
-// Output returns the current puts destination.
-func (in *Interp) Output() io.Writer { return in.out }
-
 // SetStepLimit bounds the number of commands a single top-level Eval may
 // execute (0 disables the bound). It guards experiments against runaway
 // scripts such as `while {1} {}`.
@@ -280,19 +274,8 @@ func (in *Interp) bind(name string, b binding) {
 	in.cmdEpoch++
 }
 
-// Unregister removes a host command. It panics on a special form's name.
-func (in *Interp) Unregister(name string) {
-	mustNotBeSpecialForm(name)
-	if _, builtin := builtins[name]; builtin {
-		in.commands[name] = binding{}
-	} else {
-		delete(in.commands, name)
-	}
-	in.cmdEpoch++
-}
-
-// lookup resolves a host command name: what this interpreter registered or
-// removed first, the process-wide builtin table otherwise. The builtins are
+// lookup resolves a host command name: what this interpreter registered
+// first, the process-wide builtin table otherwise. The builtins are
 // never copied into an interpreter — a world builds hundreds, and filling
 // a map with the same thirty-six entries each time was the largest map
 // cost a fuzz round had left.
@@ -311,7 +294,7 @@ func (in *Interp) defineProc(pr *proc) {
 }
 
 // isSpecialForm reports whether name is one the compiler inlines. These
-// names are keywords: proc refuses them and Register/Unregister panic, so a
+// names are keywords: proc refuses them and Register panics, so a
 // compiled special form always means the builtin and needs no guard.
 func isSpecialForm(name string) bool {
 	switch name {
@@ -327,12 +310,6 @@ func mustNotBeSpecialForm(name string) {
 	}
 }
 
-// HasCommand reports whether name resolves to a host command or proc.
-func (in *Interp) HasCommand(name string) bool {
-	_, ok := in.procs[name]
-	return ok || in.lookup(name).bound()
-}
-
 // CommandNames lists registered host commands and procs (unsorted).
 func (in *Interp) CommandNames() []string {
 	names := make([]string, 0, len(builtins)+len(in.commands)+len(in.procs))
@@ -341,10 +318,8 @@ func (in *Interp) CommandNames() []string {
 			names = append(names, n)
 		}
 	}
-	for n, b := range in.commands {
-		if b.bound() {
-			names = append(names, n)
-		}
+	for n := range in.commands {
+		names = append(names, n)
 	}
 	for n := range in.procs {
 		names = append(names, n)

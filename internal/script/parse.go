@@ -55,9 +55,6 @@ type Script struct {
 	cmds []command
 }
 
-// Source returns the original script text.
-func (s *Script) Source() string { return s.src }
-
 // ParseError describes a syntax error with a line number.
 type ParseError struct {
 	Line int
@@ -87,15 +84,6 @@ func Parse(src string) (*Script, error) {
 		return nil, err
 	}
 	return &Script{src: src, cmds: cmds}, nil
-}
-
-// MustParse is Parse for statically known-good scripts (tests, built-ins).
-func MustParse(src string) *Script {
-	s, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 type endKind int

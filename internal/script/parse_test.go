@@ -2,6 +2,7 @@ package script
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,9 +79,18 @@ func TestParseErrorReportsLine(t *testing.T) {
 
 func TestScriptSource(t *testing.T) {
 	s := MustParse("set x 1")
-	if s.Source() != "set x 1" {
-		t.Errorf("Source = %q", s.Source())
+	if s.src != "set x 1" {
+		t.Errorf("source = %q", s.src)
 	}
+}
+
+// MustParse is Parse for statically known-good test scripts.
+func MustParse(src string) *Script {
+	s, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func TestMustParsePanics(t *testing.T) {
@@ -124,24 +134,26 @@ func TestOutputAccessor(t *testing.T) {
 	in := New()
 	var sb strings.Builder
 	in.SetOutput(&sb)
-	if in.Output() != &sb {
-		t.Fatal("Output accessor mismatch")
+	evalOK(t, in, `puts hi`)
+	if sb.String() != "hi\n" {
+		t.Fatalf("puts wrote %q to the output", sb.String())
 	}
 }
 
 func TestHasCommandAndProcs(t *testing.T) {
 	in := New()
-	if !in.HasCommand("set") {
-		t.Error("set missing")
+	has := func(name string) bool { return slices.Contains(in.CommandNames(), name) }
+	if !has("string") {
+		t.Error("string missing")
 	}
-	if in.HasCommand("frob") {
+	if has("frob") {
 		t.Error("frob present")
 	}
 	if _, err := in.Eval(`proc frob {} {}`); err != nil {
 		t.Fatal(err)
 	}
-	if !in.HasCommand("frob") {
-		t.Error("proc not visible via HasCommand")
+	if !has("frob") {
+		t.Error("proc not listed by CommandNames")
 	}
 }
 

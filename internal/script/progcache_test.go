@@ -20,7 +20,7 @@ func TestProgramCacheAliasCap(t *testing.T) {
 		copySrc := string([]byte(src))
 		evalOK(t, in, copySrc)
 	}
-	if n := in.progs.len(); n != 1 {
+	if n := len(in.progs.bySrc); n != 1 {
 		t.Fatalf("progs cache has %d entries for one distinct source, want 1", n)
 	}
 	e := in.progs.bySrc[src]
@@ -146,8 +146,6 @@ func TestProgramCacheDefineDoesNotRecompile(t *testing.T) {
 	run("v2")
 	evalOK(t, in, `proc probe {} { return from-proc }`)
 	afterDefine := Stats().Compiles // the proc command itself compiled once
-	run("from-proc")
-	in.Unregister("probe") // procs shadow host commands
 	run("from-proc")
 
 	if pr.p != installed {

@@ -224,8 +224,8 @@ func TestArmCountsAsRegistration(t *testing.T) {
 	if hooks-hooks0 != 4 || s.seq-seq0 != 4 || s.Len() != 2 || s.chained != 1 {
 		t.Fatalf("4 arms: %d hook calls, %d seqs, %d pending, %d chained", hooks-hooks0, s.seq-seq0, s.Len(), s.chained)
 	}
-	if want := s.Now().Add(time.Second); a.When() != want || b.When() != want {
-		t.Fatalf("lane keys %v and %v, want both %v", a.When(), b.When(), want)
+	if want := s.Now().Add(time.Second); a.when != want || b.when != want {
+		t.Fatalf("lane keys %v and %v, want both %v", a.when, b.when, want)
 	}
 	s.Run()
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
@@ -261,8 +261,8 @@ func TestArmHookPanicLeavesEventUntouched(t *testing.T) {
 			}()
 			arm(&a, 2*time.Second)
 		}()
-		if !a.Pending() || a.When() != Time(time.Second) || s.seq != 2 || s.Len() != 2 {
-			t.Fatalf("%s: after the aborted Arm: pending %v at %v, seq %d, %d queued", name, a.Pending(), a.When(), s.seq, s.Len())
+		if !a.Pending() || a.when != Time(time.Second) || s.seq != 2 || s.Len() != 2 {
+			t.Fatalf("%s: after the aborted Arm: pending %v at %v, seq %d, %d queued", name, a.Pending(), a.when, s.seq, s.Len())
 		}
 		checkStructure(t, s)
 		s.SetScheduleHook(nil)
@@ -439,9 +439,9 @@ func (d *laneDiff) check() {
 	}
 	for i, ev := range got.events {
 		re := ref.events[i]
-		if ev.When() != re.When() || ev.Pending() != re.Pending() || ev.seq != re.seq {
+		if ev.when != re.when || ev.Pending() != re.Pending() || ev.seq != re.seq {
 			t.Fatalf("event %d is (when %v, seq %d, pending %v), reference (%v, %d, %v)", i,
-				ev.When(), ev.seq, ev.Pending(), re.When(), re.seq, re.Pending())
+				ev.when, ev.seq, ev.Pending(), re.when, re.seq, re.Pending())
 		}
 	}
 	checkStructure(t, got.s)

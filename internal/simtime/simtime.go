@@ -61,9 +61,6 @@ type Event struct {
 	prev, next *Event
 }
 
-// When reports the instant the event will fire (or last fired).
-func (e *Event) When() Time { return e.when }
-
 // Name reports the diagnostic label given at scheduling time: a constant
 // naming the kind of event ("deliver", "tcp-rtx"), never built per event.
 func (e *Event) Name() string { return e.name }

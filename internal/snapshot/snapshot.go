@@ -38,7 +38,6 @@ type Snapshotter interface {
 
 // Registry is an ordered roster of the Snapshotters making up one world.
 type Registry struct {
-	names []string
 	comps []Snapshotter
 }
 
@@ -52,15 +51,11 @@ func (r *Registry) Register(name string, s Snapshotter) {
 	if s == nil {
 		panic(fmt.Sprintf("snapshot: nil snapshotter %q", name))
 	}
-	r.names = append(r.names, name)
 	r.comps = append(r.comps, s)
 }
 
 // Len reports the number of registered components.
 func (r *Registry) Len() int { return len(r.comps) }
-
-// Names returns the registered component names in order.
-func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
 // Capture snapshots every registered component, in registration order.
 func (r *Registry) Capture() *Snapshot {

@@ -42,8 +42,8 @@ func TestRegistryContract(t *testing.T) {
 	reg.Register("a", a)
 	reg.Register("b", b)
 	reg.Register("c", c)
-	if got := strings.Join(reg.Names(), " "); reg.Len() != 3 || got != "a b c" {
-		t.Fatalf("Len %d, Names %q; want 3, %q", reg.Len(), got, "a b c")
+	if reg.Len() != 3 {
+		t.Fatalf("Len %d, want 3", reg.Len())
 	}
 	snap := reg.Capture()
 

@@ -26,10 +26,7 @@ func headerLayer(tag string) *Func {
 			if !strings.HasSuffix(string(b), tag) {
 				return fmt.Errorf("layer %s saw frame %q", tag, b)
 			}
-			if err := m.Truncate(len(b) - len(tag)); err != nil {
-				return err
-			}
-			return next(m)
+			return next(message.New(b[:len(b)-len(tag)]))
 		})
 }
 

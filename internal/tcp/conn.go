@@ -109,7 +109,6 @@ type Conn struct {
 	// Receive sequence space.
 	irs         uint32
 	rcvNxt      uint32
-	recvBufSize int
 	recvQ       []byte            // accepted, not yet consumed by the app
 	oooQ        map[uint32][]byte // out-of-order segments keyed by seq
 	oooFree     [][]byte          // drained oooQ buffers, for the next gap
@@ -126,18 +125,15 @@ type Conn struct {
 	zwpCount int
 	zwpEver  bool
 
-	// Delayed acknowledgment (RFC-1122 SHOULD; profile-dependent).
+	// Delayed acknowledgment (RFC-1122 SHOULD).
 	delackTimer   simtime.Timer
 	delackPending int
 
 	timeWaitTimer simtime.Timer
 
 	// Callbacks (any may be nil).
-	onEstablished func()
-	onData        func(data []byte)
-	onClose       func(reason string)
-
-	closeReason string
+	onData  func(data []byte)
+	onClose func(reason string)
 }
 
 // newConn builds a connection in the given initial state.
@@ -150,7 +146,6 @@ func (l *Layer) newConn(state State, localPort uint16, remoteNode string, remote
 		localPort:   localPort,
 		remoteNode:  remoteNode,
 		remotePort:  remotePort,
-		recvBufSize: l.prof.RecvBuf,
 		oooQ:        make(map[uint32][]byte),
 		autoConsume: true,
 	}
@@ -162,7 +157,7 @@ func (l *Layer) newConn(state State, localPort uint16, remoteNode string, remote
 	c.iss = l.nextISS()
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
-	c.sndWnd = l.prof.MSS // conservative until the peer advertises
+	c.sndWnd = MSS // conservative until the peer advertises
 	return c
 }
 
@@ -171,23 +166,8 @@ func (l *Layer) newConn(state State, localPort uint16, remoteNode string, remote
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// LocalPort returns the local port.
-func (c *Conn) LocalPort() uint16 { return c.localPort }
-
-// RemoteNode returns the peer's node name.
-func (c *Conn) RemoteNode() string { return c.remoteNode }
-
-// RemotePort returns the peer's port.
-func (c *Conn) RemotePort() uint16 { return c.remotePort }
-
-// CloseReason reports why the connection reached CLOSED ("" while open).
-func (c *Conn) CloseReason() string { return c.closeReason }
-
 // UnackedSegments reports in-flight segments awaiting acknowledgment.
 func (c *Conn) UnackedSegments() int { return len(c.unacked) }
-
-// OnEstablished registers the connection-up callback.
-func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
 
 // OnData registers the inbound-data callback. With auto-consume enabled
 // (the default) it fires as data arrives in order. data is lent for the
@@ -216,28 +196,9 @@ func (c *Conn) SetKeepAlive(on bool) {
 // advertised window reaches zero.
 func (c *Conn) SetAutoConsume(on bool) { c.autoConsume = on }
 
-// Consume removes up to n bytes from the receive buffer, reopening the
-// advertised window, and returns them.
-func (c *Conn) Consume(n int) []byte {
-	if n > len(c.recvQ) {
-		n = len(c.recvQ)
-	}
-	data := c.recvQ[:n]
-	c.recvQ = c.recvQ[n:]
-	// The window may have reopened; tell the peer (the "ACK segment that
-	// re-opens the window" the spec warns may be lost).
-	if c.state == StateEstablished && n > 0 {
-		c.sendACK()
-	}
-	return data
-}
-
-// RecvBuffered reports bytes accepted but not yet consumed.
-func (c *Conn) RecvBuffered() int { return len(c.recvQ) }
-
 // recvWindow is the space the connection advertises.
 func (c *Conn) recvWindow() int {
-	w := c.recvBufSize - len(c.recvQ)
+	w := RecvBuf - len(c.recvQ)
 	if w < 0 {
 		return 0
 	}
@@ -321,9 +282,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Abort resets the connection immediately (RST to peer).
-func (c *Conn) Abort() { c.drop("aborted by user", true) }
-
 // --- plumbing ---------------------------------------------------------------
 
 func (c *Conn) sched() *simtime.Scheduler { return c.layer.env.Sched }
@@ -369,20 +327,16 @@ func (c *Conn) sendACK() {
 }
 
 // ackInOrderData acknowledges freshly accepted in-order data, withholding
-// the ACK per the delayed-ACK policy when the profile uses one: at most
-// one ACK per two segments, and never delayed past DelackTimeout.
+// the ACK per the delayed-ACK policy: at most one ACK per two segments, and
+// never delayed past DelackTimeout.
 func (c *Conn) ackInOrderData() {
-	if !c.prof.DelayedACK {
-		c.sendACK()
-		return
-	}
 	c.delackPending++
 	if c.delackPending >= 2 {
 		c.sendACK()
 		return
 	}
 	if !c.delackTimer.Pending() {
-		c.delackTimer.Arm(c.prof.DelackTimeout, "tcp-delack")
+		c.delackTimer.Arm(DelackTimeout, "tcp-delack")
 	}
 }
 
@@ -418,7 +372,7 @@ func (c *Conn) pump() {
 			}
 			return
 		}
-		n := c.prof.MSS
+		n := MSS
 		if n > room {
 			n = room
 		}
@@ -552,9 +506,6 @@ func (c *Conn) handleSynSent(seg *Segment) {
 		c.sndWnd = int(seg.Window)
 		c.sendACK()
 		c.layer.logEvent(c, "established", seg)
-		if c.onEstablished != nil {
-			c.onEstablished()
-		}
 		c.pump()
 		if c.keepAlive {
 			c.armKeepAliveIdle()
@@ -580,9 +531,6 @@ func (c *Conn) establish(seg *Segment) {
 	c.sndWnd = int(seg.Window)
 	c.ackHandshake(seg.Ack)
 	c.layer.logEvent(c, "established", seg)
-	if c.onEstablished != nil {
-		c.onEstablished()
-	}
 	if c.layer.acceptFns[c.localPort] != nil {
 		c.layer.acceptFns[c.localPort](c)
 	}
@@ -710,7 +658,7 @@ func (c *Conn) processPayload(seg *Segment) {
 
 func (c *Conn) acceptInOrder(seg *Segment) {
 	data := seg.Payload
-	space := c.recvBufSize - len(c.recvQ)
+	space := RecvBuf - len(c.recvQ)
 	if len(data) > space {
 		data = data[:space] // receiver trims what it has no room for
 	}
@@ -733,7 +681,7 @@ func (c *Conn) acceptInOrder(seg *Segment) {
 		}
 		delete(c.oooQ, c.rcvNxt)
 		c.oooFree = append(c.oooFree, next[:0])
-		space := c.recvBufSize - len(c.recvQ)
+		space := RecvBuf - len(c.recvQ)
 		if len(next) > space {
 			next = next[:space]
 		}
@@ -911,7 +859,6 @@ func (c *Conn) finish(reason string) {
 	}
 	c.cancelTimers()
 	c.state = StateClosed
-	c.closeReason = reason
 	c.layer.forget(c)
 	c.layer.logEventNote(c, "closed", reason)
 	if c.onClose != nil {

@@ -43,10 +43,7 @@ func WithTrace(lg *trace.Log) LayerOption {
 }
 
 // NewLayer builds a TCP layer with the given vendor behaviour profile.
-func NewLayer(env *stack.Env, prof Profile, opts ...LayerOption) (*Layer, error) {
-	if err := prof.Validate(); err != nil {
-		return nil, err
-	}
+func NewLayer(env *stack.Env, prof Profile, opts ...LayerOption) *Layer {
 	l := &Layer{
 		base:      stack.NewBase("tcp"),
 		env:       env,
@@ -60,11 +57,8 @@ func NewLayer(env *stack.Env, prof Profile, opts ...LayerOption) (*Layer, error)
 	for _, opt := range opts {
 		opt(l)
 	}
-	return l, nil
+	return l
 }
-
-// Profile returns the layer's behaviour profile.
-func (l *Layer) Profile() Profile { return l.prof }
 
 // Name implements stack.Layer.
 func (l *Layer) Name() string { return "tcp" }
@@ -149,9 +143,6 @@ func (l *Layer) Connect(remoteNode string, remotePort uint16) (*Conn, error) {
 	c.sendControl(FlagSYN, true)
 	return c, nil
 }
-
-// Conns returns the number of live connections.
-func (l *Layer) Conns() int { return len(l.conns) }
 
 func (l *Layer) nextISS() uint32 {
 	l.iss += 64000

@@ -69,52 +69,24 @@ type Profile struct {
 
 	// --- general ---
 
-	// DelayedACK enables RFC-1122 §4.2.3.2 delayed acknowledgments: a bare
-	// ACK for in-order data may be withheld up to DelackTimeout or until a
-	// second segment arrives. The BSD-derived stacks used them; the paper's
-	// Experiment 1 cites "the receiving TCP was using delayed ACKs" as one
-	// reason senders transmit the next segment promptly.
-	DelayedACK bool
-	// DelackTimeout bounds how long an ACK may be withheld (default 200 ms
-	// when DelayedACK is set).
-	DelackTimeout time.Duration
-
-	// MSS is the maximum segment payload.
-	MSS int
-	// RecvBuf is the default receive buffer (advertised window) in bytes.
-	RecvBuf int
 	// InitialRTO seeds the timeout before any RTT measurement exists.
 	InitialRTO time.Duration
 }
 
-// Validate checks profile consistency.
-func (p Profile) Validate() error {
-	if p.Name == "" {
-		return fmt.Errorf("tcp: profile has no name")
-	}
-	if p.RTOMin <= 0 || p.RTOMax < p.RTOMin {
-		return fmt.Errorf("tcp: profile %s: bad RTO bounds [%v, %v]", p.Name, p.RTOMin, p.RTOMax)
-	}
-	if p.MaxRetransmits <= 0 {
-		return fmt.Errorf("tcp: profile %s: MaxRetransmits must be positive", p.Name)
-	}
-	if p.MSS <= 0 || p.RecvBuf < p.MSS {
-		return fmt.Errorf("tcp: profile %s: bad MSS %d / RecvBuf %d", p.Name, p.MSS, p.RecvBuf)
-	}
-	if p.KeepAliveIdle <= 0 || p.KeepAliveInterval <= 0 || p.KeepAliveProbes <= 0 {
-		return fmt.Errorf("tcp: profile %s: bad keep-alive parameters", p.Name)
-	}
-	if p.ZWPMax <= 0 {
-		return fmt.Errorf("tcp: profile %s: bad zero-window probe interval", p.Name)
-	}
-	if p.InitialRTO <= 0 {
-		return fmt.Errorf("tcp: profile %s: bad initial RTO", p.Name)
-	}
-	if p.DelayedACK && p.DelackTimeout <= 0 {
-		return fmt.Errorf("tcp: profile %s: DelayedACK needs a positive DelackTimeout", p.Name)
-	}
-	return nil
-}
+// The parameters every profile shares. Every connection uses RFC-1122
+// §4.2.3.2 delayed acknowledgments: a bare ACK for in-order data may be
+// withheld up to DelackTimeout or until a second segment arrives. The
+// BSD-derived stacks used them; the paper's Experiment 1 cites "the
+// receiving TCP was using delayed ACKs" as one reason senders transmit the
+// next segment promptly.
+const (
+	// DelackTimeout bounds how long an ACK may be withheld.
+	DelackTimeout = 200 * time.Millisecond
+	// MSS is the maximum segment payload.
+	MSS = 512
+	// RecvBuf is the receive buffer (advertised window) in bytes.
+	RecvBuf = 4096
+)
 
 // bsdBase is the common shape of the three BSD-derived implementations.
 func bsdBase(name string, keepAliveGarbage bool) Profile {
@@ -131,10 +103,6 @@ func bsdBase(name string, keepAliveGarbage bool) Profile {
 		KeepAliveGarbage:     keepAliveGarbage,
 		ResetOnKeepAliveFail: true,
 		ZWPMax:               60 * time.Second,
-		DelayedACK:           true,
-		DelackTimeout:        200 * time.Millisecond,
-		MSS:                  512,
-		RecvBuf:              4096,
 		InitialRTO:           1500 * time.Millisecond,
 	}
 }
@@ -178,10 +146,6 @@ func Solaris23() Profile {
 		KeepAliveGarbage:     false,
 		ResetOnKeepAliveFail: false,
 		ZWPMax:               56 * time.Second,
-		DelayedACK:           true,
-		DelackTimeout:        200 * time.Millisecond,
-		MSS:                  512,
-		RecvBuf:              4096,
 		InitialRTO:           330 * time.Millisecond,
 	}
 }

@@ -1,0 +1,6 @@
+//go:build race
+
+package tcp_test
+
+// raceEnabled skips the allocation budget under the race detector.
+const raceEnabled = true

@@ -167,27 +167,6 @@ func TestRTOEstimatorSolarisCrude(t *testing.T) {
 	}
 }
 
-func TestProfileValidation(t *testing.T) {
-	for _, p := range Profiles() {
-		if err := p.Validate(); err != nil {
-			t.Errorf("vendor profile %s invalid: %v", p.Name, err)
-		}
-	}
-	if err := (Profile{}).Validate(); err == nil {
-		t.Error("zero profile validated")
-	}
-	bad := SunOS413()
-	bad.RTOMax = bad.RTOMin - 1
-	if err := bad.Validate(); err == nil {
-		t.Error("inverted RTO bounds validated")
-	}
-	bad = SunOS413()
-	bad.MSS = 0
-	if err := bad.Validate(); err == nil {
-		t.Error("zero MSS validated")
-	}
-}
-
 func TestVendorProfileDistinctions(t *testing.T) {
 	sun, aix, next, sol := SunOS413(), AIX323(), NeXTMach(), Solaris23()
 	// The three BSD stacks share every behavioural parameter except the

@@ -45,7 +45,6 @@ type connState struct {
 
 	irs         uint32
 	rcvNxt      uint32
-	recvBufSize int
 	recvQ       []byte
 	oooQ        map[uint32][]byte
 	autoConsume bool
@@ -59,11 +58,8 @@ type connState struct {
 
 	delackPending int
 
-	onEstablished func()
-	onData        func(data []byte)
-	onClose       func(reason string)
-
-	closeReason string
+	onData  func(data []byte)
+	onClose func(reason string)
 }
 
 func (c *Conn) snapshotState() *connState {
@@ -86,7 +82,6 @@ func (c *Conn) snapshotState() *connState {
 		timedRetrans:  c.timedRetrans,
 		irs:           c.irs,
 		rcvNxt:        c.rcvNxt,
-		recvBufSize:   c.recvBufSize,
 		recvQ:         append([]byte(nil), c.recvQ...),
 		autoConsume:   c.autoConsume,
 		keepAlive:     c.keepAlive,
@@ -95,10 +90,8 @@ func (c *Conn) snapshotState() *connState {
 		zwpCount:      c.zwpCount,
 		zwpEver:       c.zwpEver,
 		delackPending: c.delackPending,
-		onEstablished: c.onEstablished,
 		onData:        c.onData,
 		onClose:       c.onClose,
-		closeReason:   c.closeReason,
 	}
 	// A drained out-of-order buffer is refilled by the next gap, so the
 	// snapshot holds copies of the queued bytes.
@@ -119,7 +112,7 @@ func (c *Conn) restoreState(st *connState) {
 	c.unacked = append(c.unacked[:0], st.unacked...)
 	c.rtxCount, c.globalErr, c.backoff = st.rtxCount, st.globalErr, st.backoff
 	c.timingValid, c.timedEnd, c.timedAt, c.timedRetrans = st.timingValid, st.timedEnd, st.timedAt, st.timedRetrans
-	c.irs, c.rcvNxt, c.recvBufSize = st.irs, st.rcvNxt, st.recvBufSize
+	c.irs, c.rcvNxt = st.irs, st.rcvNxt
 	c.recvQ = append(c.recvQ[:0], st.recvQ...)
 	// Fresh copies and an empty free list, so buffers do not pile up over
 	// repeated restores.
@@ -131,8 +124,7 @@ func (c *Conn) restoreState(st *connState) {
 	c.keepAlive, c.kaProbing, c.kaRetrans = st.keepAlive, st.kaProbing, st.kaRetrans
 	c.zwpCount, c.zwpEver = st.zwpCount, st.zwpEver
 	c.delackPending = st.delackPending
-	c.onEstablished, c.onData, c.onClose = st.onEstablished, st.onData, st.onClose
-	c.closeReason = st.closeReason
+	c.onData, c.onClose = st.onData, st.onClose
 }
 
 // layerState is the TCP layer's mutable state.

@@ -46,7 +46,7 @@ func TestSnapshotCopiesOutOfOrderData(t *testing.T) {
 	batch := func(letters string) []byte {
 		var b []byte
 		for _, l := range []byte(letters) {
-			b = append(b, bytes.Repeat([]byte{l}, r.Vendor.TCP.Profile().MSS)...)
+			b = append(b, bytes.Repeat([]byte{l}, tcp.MSS)...)
 		}
 		return b
 	}

@@ -35,7 +35,7 @@ func checkBlocks(t *testing.T, l *Log) {
 }
 
 // TestLogSegmentedSemantics pins the whole Log contract across block
-// boundaries: Len/Entries/AppendEntries/Filter/each agree with a flat
+// boundaries: Len/Entries/Filter/each agree with a flat
 // reference, and RestoreState truncates to any mark (including marks that
 // land exactly on, just before, and just after a block edge) with appends
 // continuing cleanly afterwards.
@@ -53,14 +53,6 @@ func TestLogSegmentedSemantics(t *testing.T) {
 		if e.Seq != uint64(i) {
 			t.Fatalf("entry %d has seq %d", i, e.Seq)
 		}
-	}
-	if got := l.AppendEntries(nil); len(got) != total || got[total-1].Seq != total-1 {
-		t.Fatalf("AppendEntries mismatch: len %d", len(got))
-	}
-	// AppendEntries extends, never replaces.
-	pre := []Entry{{Node: "pre"}}
-	if got := l.AppendEntries(pre); len(got) != total+1 || got[0].Node != "pre" {
-		t.Fatalf("AppendEntries did not extend dst")
 	}
 	if got := l.Filter("n3", "", ""); len(got) == 0 || got[0].Seq != 3 {
 		t.Fatalf("Filter across blocks broken: %v", got)

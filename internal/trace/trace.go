@@ -129,15 +129,6 @@ func (l *Log) Entries() []Entry {
 	return out
 }
 
-// AppendEntries appends every logged entry to dst and returns the extended
-// slice — the allocation-conscious sibling of Entries.
-func (l *Log) AppendEntries(dst []Entry) []Entry {
-	for _, b := range l.blocks {
-		dst = append(dst, b...)
-	}
-	return dst
-}
-
 // Filter returns the entries matching all non-empty criteria.
 func (l *Log) Filter(node, kind, typ string) []Entry {
 	var out []Entry
