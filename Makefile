@@ -1,19 +1,20 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked unlinked-check census
+.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked unlinked-check inline-check census
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
 # journal parser, the conformance harness's sent-stream log, dist.Source's
-# generator and the scheduler's lanes, a
-# one-iteration pass over every benchmark so they always compile, and the
-# unlinked-code ratchet (unlinked-check below).
+# generator, the scheduler's lanes and raft's in-place decode, a
+# one-iteration pass over every benchmark so they always compile, the
+# unlinked-code ratchet (unlinked-check below) and the inlining gate on the
+# header reader (inline-check below).
 # Allocation budgets (alloc_budget_test.go: the filter
 # path, a world fork, and the per-hop message path) are enforced in the
 # plain `test` pass — the detector instruments allocations — so hot-path
 # alloc creep fails the gate. There are no per-subsystem targets: a
 # focused run is `go test -race ./internal/<pkg>/`.
-check: vet build test race fuzz bench-smoke unlinked-check
+check: vet build test race fuzz bench-smoke unlinked-check inline-check
 
 # vet also covers the end-to-end ledger (bench/, its own module, compiled
 # against internal/*): an internal API change that would stop a ledger
@@ -96,6 +97,9 @@ pairs:
 # cancels, steps, AdvanceTo, snapshots and restores through the scheduler
 # and through a cancel-then-push reference that has no lanes: both must fire
 # the same events in the same order and agree on every key.
+# FuzzRaftDecodeInPlace decodes arbitrary bytes into a raft Msg that held an
+# earlier frame, its Entries storage reused, and into a zero one: fields,
+# entries and error text must agree.
 fuzz:
 	$(GO) test -run @ -fuzz 'FuzzParse$$' -fuzztime 10s ./internal/script/
 	$(GO) test -run @ -fuzz 'FuzzEval$$' -fuzztime 10s ./internal/script/
@@ -105,6 +109,7 @@ fuzz:
 	$(GO) test -run @ -fuzz 'FuzzDeliveredStream$$' -fuzztime 10s ./internal/conformance/
 	$(GO) test -run @ -fuzz 'FuzzSourceMatchesMathRand$$' -fuzztime 10s ./internal/dist/
 	$(GO) test -run @ -fuzz 'FuzzLanesMatchReference$$' -fuzztime 10s ./internal/simtime/
+	$(GO) test -run @ -fuzz 'FuzzRaftDecodeInPlace$$' -fuzztime 10s ./internal/raft/
 
 # explore runs pinned-seed coverage-guided fuzzes over the fault-schedule
 # space (~10s) and fails unless each prints its pinned fingerprint: the
@@ -150,6 +155,17 @@ unlinked:
 
 unlinked-check:
 	@GO=$(GO) bash scripts/unlinked.sh -check
+
+# inline-check fails unless the compiler inlines message.Reader's take and
+# its four fixed-size readers: every protocol decoder reads its headers
+# through them, and a call per field is what the hop paid before take fit
+# the inlining budget.
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/message 2>&1) || { printf '%s\n' "$$out" >&2; exit 1; }; \
+	for fn in take U8 U16 U32 U64; do \
+		printf '%s\n' "$$out" | grep -q "can inline (\*Reader)\.$$fn$$" || \
+			{ echo "inline-check: (*Reader).$$fn is not inlined" >&2; exit 1; }; \
+	done; echo "inline-check: (*Reader).take, U8, U16, U32 and U64 inline"
 
 # census asks the wider question (~10 s): which funcs under internal/ do the
 # shipped workloads never run? It builds every cmd/* with coverage counters,

@@ -33,7 +33,7 @@ func Example() {
 	//   gmd2 committed gen=3 {gmd1 gmd2 gmd3}
 	//   gmd3 committed gen=3 {gmd1 gmd2 gmd3}
 	//
-	// gmd3 send filter: 1235 seen, 81 duplicated, 72 held/reordered
+	// gmd3 send filter: 1080 seen, 81 duplicated, 72 held/reordered
 	// agreement held: every generation's multi-member view was identical everywhere
 	// final views:
 	//   gmd1: gen=3 {gmd1 gmd2 gmd3}

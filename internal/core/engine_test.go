@@ -4,22 +4,38 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"pfi/internal/message"
+	"pfi/internal/simtime"
+	"pfi/internal/stack"
 )
 
 // TestEngineBuiltOnFirstUse: a layer that never sees a script never builds
-// an interpreter — traffic passes and is counted without one — and each of
-// the three ways in (SetScript, Interp, a peer global access) builds it
-// with the same presets an eager layer had.
+// an interpreter — traffic the stack routes past it, and traffic handed to
+// it directly, passes without one, and only the latter enters a filter —
+// and each of the three ways in (SetScript, Interp, a peer global access)
+// builds it with the same presets an eager layer had.
 func TestEngineBuiltOnFirstUse(t *testing.T) {
 	r := newRig(t)
 	r.send(t, demoMsg(demoDATA, 1, "x"))
 	r.deliver(t, demoMsg(demoACK, 1, ""))
+	// A direct call takes the filter's own no-script branch.
+	if err := r.layer.HandleDown(demoMsg(demoDATA, 2, "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.layer.HandleUp(demoMsg(demoACK, 2, "")); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.toNet) != 2 || len(r.toApp) != 2 {
+		t.Fatalf("pass-through: %d reached the network, %d the app; want 2 and 2", len(r.toNet), len(r.toApp))
+	}
 	send, recv := r.layer.SendFilter(), r.layer.ReceiveFilter()
 	if send.interp != nil || recv.interp != nil {
 		t.Fatal("pass-through traffic built a filter engine")
 	}
-	if send.Stats().Seen != 1 || recv.Stats().Seen != 1 {
-		t.Fatalf("stats without an engine: send %+v, receive %+v", send.Stats(), recv.Stats())
+	if want := (Stats{Seen: 1}); send.Stats() != want || recv.Stats() != want {
+		t.Fatalf("stats without an engine: send %+v, receive %+v; want only the direct call seen",
+			send.Stats(), recv.Stats())
 	}
 
 	// SetScript builds this direction's engine only; the presets are there.
@@ -30,6 +46,9 @@ func TestEngineBuiltOnFirstUse(t *testing.T) {
 		t.Fatalf("after SetSendScript: send engine %v, receive engine %v", send.interp != nil, recv.interp != nil)
 	}
 	r.send(t, demoMsg(demoDATA, 3, "x"))
+	if send.Stats().Seen != 2 {
+		t.Fatalf("the send filter saw %d messages, want the direct call and the scripted one", send.Stats().Seen)
+	}
 	if got, _ := send.Interp().Global("where"); got != "testnode/send/demo" {
 		t.Fatalf("presets in a lazily built engine: %q", got)
 	}
@@ -119,5 +138,60 @@ func TestSnapshotRoundTripsNoEngine(t *testing.T) {
 	r.send(t, demoMsg(demoDATA, 4, "x"))
 	if got, _ := send.Interp().Global("n"); got != "2" || len(r.toNet) != 1 {
 		t.Fatalf("restoring the later capture after the earlier one: n = %q, %d forwarded", got, len(r.toNet))
+	}
+}
+
+// entryCounter counts the messages a stack hands a PFI layer. It embeds the
+// layer, so the stack sees the layer's Passive answer and Wire.
+type entryCounter struct {
+	*Layer
+	downs, ups int
+}
+
+func (c *entryCounter) HandleDown(m *message.Message) error { c.downs++; return c.Layer.HandleDown(m) }
+func (c *entryCounter) HandleUp(m *message.Message) error   { c.ups++; return c.Layer.HandleUp(m) }
+
+// TestScriptInstalledMidRunSeesTheNextMessage: an unscripted direction is
+// off the stack's path, a script installed between two messages runs on the
+// second, and restoring a capture taken before the install takes the
+// direction off the path again.
+func TestScriptInstalledMidRunSeesTheNextMessage(t *testing.T) {
+	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "mid"}
+	l := &entryCounter{Layer: NewLayer(env, WithStub(demoStub{}))}
+	stk := stack.New(env, l)
+	var toNet int
+	stk.OnTransmit(func(*message.Message) error { toNet++; return nil })
+	send := func(seq byte) {
+		t.Helper()
+		if err := stk.Send(demoMsg(demoDATA, seq, "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bare := l.SnapshotState()
+	send(1)
+	if l.downs != 0 || toNet != 1 {
+		t.Fatalf("unscripted: layer entered %d times, %d reached the network; want 0 and 1", l.downs, toNet)
+	}
+	if err := l.SetSendScript(`xDrop cur_msg`); err != nil {
+		t.Fatal(err)
+	}
+	send(2)
+	if l.downs != 1 || toNet != 1 || l.SendFilter().Stats().Dropped != 1 {
+		t.Fatalf("scripted: layer entered %d times, %d reached the network, stats %+v; want the message dropped",
+			l.downs, toNet, l.SendFilter().Stats())
+	}
+	if down, up := l.Passive(); down || !up {
+		t.Fatalf("Passive() = %v, %v after a send script; want false, true", down, up)
+	}
+
+	l.RestoreState(bare)
+	send(3)
+	if l.downs != 1 || toNet != 2 {
+		t.Fatalf("after restoring the unscripted capture: layer entered %d times, %d reached the network; want 1 and 2",
+			l.downs, toNet)
+	}
+	if down, up := l.Passive(); !down || !up {
+		t.Fatalf("Passive() = %v, %v after the restore; want true, true", down, up)
 	}
 }

@@ -30,7 +30,9 @@ func (d Direction) String() string {
 	return "receive"
 }
 
-// Stats counts what a filter did to traffic.
+// Stats counts what a filter did to traffic. Seen counts the messages that
+// entered the filter: in a stack, a direction without a script is wired
+// past the layer, so traffic that passes while it has none is not seen.
 type Stats struct {
 	Seen       int
 	Dropped    int
@@ -105,6 +107,14 @@ func (l *Layer) Name() string { return l.base.Name() }
 
 // Wire implements stack.Layer.
 func (l *Layer) Wire(down, up stack.Sink) { l.base.Wire(down, up) }
+
+// Passive implements stack.Passive: a direction whose filter has no script
+// has nothing to do, so the stack routes that direction's traffic past the
+// layer. Its own sinks still lead on, for Inject, delayed forwards, held
+// releases and direct HandleDown/HandleUp calls.
+func (l *Layer) Passive() (down, up bool) {
+	return l.send.prepared == nil, l.recv.prepared == nil
+}
 
 // HandleDown implements stack.Layer: it runs the send filter.
 func (l *Layer) HandleDown(m *message.Message) error {
@@ -205,9 +215,12 @@ func (f *Filter) Interp() *script.Interp { return f.engine() }
 func (f *Filter) Stats() Stats { return f.stats }
 
 // SetScript parses and installs the filter script. An empty src clears it.
+// Installing or clearing a script turns the direction active or passive, so
+// the node's stack wires again.
 func (f *Filter) SetScript(src string) error {
 	if src == "" {
 		f.prepared = nil
+		f.layer.env.Rewire()
 		return nil
 	}
 	s, err := script.Parse(src)
@@ -217,6 +230,7 @@ func (f *Filter) SetScript(src string) error {
 	// Compile once at registration: process() then skips the per-message
 	// source-cache lookup.
 	f.prepared = f.engine().Prepare(s)
+	f.layer.env.Rewire()
 	return nil
 }
 
@@ -248,7 +262,9 @@ func (f *Filter) recognize(m *message.Message) Info {
 	return Info{Type: typ, Fields: f.header}
 }
 
-// process runs the filter over one message and applies the verdict.
+// process runs the filter over one message and applies the verdict. In a
+// stack an unscripted direction is wired past the layer; the no-script
+// branch serves direct calls (interpose, tests).
 func (f *Filter) process(m *message.Message) error {
 	f.stats.Seen++
 	if f.prepared == nil {

@@ -133,4 +133,5 @@ func (l *Layer) RestoreState(state any) {
 	l.bus.RestoreState(st.bus)
 	l.send.restoreState(st.send)
 	l.recv.restoreState(st.recv)
+	l.env.Rewire() // a restored script, or its absence, decides the wiring
 }

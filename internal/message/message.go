@@ -275,24 +275,32 @@ func (w Writer) Done() []byte { return w.buf }
 type Reader struct {
 	buf []byte
 	off int
-	err error
+	// need and have record the first short read: a read of need bytes with
+	// have left. need is 0 until then (no read of 0 bytes falls short). Err
+	// builds the error from them, which keeps take within the inlining
+	// budget, so every fixed-size read compiles to a bounds check and a load.
+	need, have int
 }
 
 // NewReader wraps p for reading. The reader does not copy p.
 func NewReader(p []byte) *Reader { return &Reader{buf: p} }
 
 // Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error {
+	if r.need == 0 {
+		return nil
+	}
+	return fmt.Errorf("message: short read: need %d bytes, have %d", r.need, r.have)
+}
 
 // Remaining returns the unread byte count.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("message: short read: need %d bytes, have %d", n, len(r.buf)-r.off)
+	if r.need != 0 || n > len(r.buf)-r.off {
+		if r.need == 0 {
+			r.need, r.have = n, len(r.buf)-r.off
+		}
 		return nil
 	}
 	p := r.buf[r.off : r.off+n]

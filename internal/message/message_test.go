@@ -261,6 +261,14 @@ func TestReaderStickyError(t *testing.T) {
 	if v := r.U8(); v != 0 {
 		t.Fatal("read after error returned data")
 	}
+	// The error names the first short read, not a later one.
+	_ = r.U64()
+	if got, want := r.Err().Error(), "message: short read: need 4 bytes, have 1"; got != want {
+		t.Fatalf("Err() = %q, want %q", got, want)
+	}
+	if NewReader(nil).Err() != nil {
+		t.Fatal("a reader that read nothing reports an error")
+	}
 }
 
 // Property: Writer/Reader round-trip arbitrary field values.

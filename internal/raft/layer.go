@@ -14,6 +14,11 @@ type Layer struct {
 	base stack.Base
 	env  *stack.Env
 	node *Node
+	in   Msg // the frame being handled, decoded in place
+	// depth counts the HandleUp calls running on this layer: more than one
+	// when a filter below answers a send with a frame injected up while a
+	// handler is still running.
+	depth int
 }
 
 // NewLayer builds a raft node wired to the stack. peers must list every
@@ -32,12 +37,15 @@ func NewLayer(env *stack.Env, peers []string, opts ...Option) (*Layer, error) {
 func (l *Layer) Node() *Node { return l.node }
 
 // ship encodes one protocol message into a message from the world's free
-// list and transmits it onto the simulated network.
-func (l *Layer) ship(dst string, m Msg) {
+// list and transmits it onto the simulated network. m is read only before
+// the frame goes down: a filter below may answer it re-entrantly, and the
+// node's answer to that refills m.
+func (l *Layer) ship(dst string, m *Msg) {
+	typ := m.Type
 	sm := m.writeTo(l.env.Msgs.Build(m.encodedLen()))
 	sm.SetDst(dst)
 	if err := l.base.Down(sm); err != nil {
-		l.node.logEvent("send-error", m.TypeName(), 0, err.Error())
+		l.node.logEvent("send-error", TypeName(typ), 0, err.Error())
 	}
 }
 
@@ -51,10 +59,18 @@ func (l *Layer) Wire(down, up stack.Sink) { l.base.Wire(down, up) }
 // injected at the top passes through untouched.
 func (l *Layer) HandleDown(m *message.Message) error { return l.base.Down(m) }
 
-// HandleUp implements stack.Layer: frame arrival from the network.
+// HandleUp implements stack.Layer: frame arrival from the network. The
+// frame is decoded once, into the layer's own Msg (its Entries storage
+// reused), and the node reads it there. A frame that arrives while a
+// handler is still running — a filter below answered that handler's send
+// with a frame injected up — is decoded into a Msg of its own, so the
+// outer handler's message stays as it was.
 func (l *Layer) HandleUp(sm *message.Message) error {
-	m, err := decode(sm.Bytes(), sm.Src(), l.node.peers)
-	if err != nil {
+	m := &l.in
+	if l.depth > 0 {
+		m = new(Msg)
+	}
+	if err := m.decode(sm.Bytes(), sm.Src(), l.node.peers); err != nil {
 		// Corrupted in flight (or by a fault filter): checksummed transports
 		// turn corruption into loss, and raft tolerates loss.
 		if l.node.started && !l.node.suspended {
@@ -62,7 +78,9 @@ func (l *Layer) HandleUp(sm *message.Message) error {
 		}
 		return nil
 	}
-	l.node.Handle(&m)
+	l.depth++
+	l.node.Handle(m)
+	l.depth--
 	return nil
 }
 

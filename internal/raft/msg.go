@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -169,27 +170,38 @@ func (m *Msg) writeTo(w message.Writer) *message.Message {
 	return sm
 }
 
-// Decode parses a raft message without consuming the stack message.
+// Decode parses a raft message without consuming the stack message. The
+// result shares nothing with the message's bytes.
 func Decode(sm *message.Message) (Msg, error) {
-	return decode(sm.Bytes(), sm.Src(), nil)
+	var m Msg
+	if err := m.decode(sm.Bytes(), sm.Src(), nil); err != nil {
+		return Msg{}, err
+	}
+	return m, nil
 }
 
-// decode parses a raft message from raw payload bytes, verifying the
-// leading checksum. A From that spells src (the datagram's network source —
-// nearly always) or one of peers reuses that string instead of allocating a
-// copy; otherwise the result shares nothing with raw.
-func decode(raw []byte, src string, peers []string) (Msg, error) {
+// decode parses a raft frame from raw payload bytes into m, in place,
+// verifying the leading checksum. Every field is overwritten, and
+// APPEND_ENTRIES reuses m's Entries storage, so a Msg decoded over and over
+// allocates only its entries' Data, which share nothing with raw. A From
+// that spells src (the datagram's network source — nearly always) or one of
+// peers reuses that string instead of allocating a copy. On an error m
+// holds what was read before it, the same whatever m held before.
+func (m *Msg) decode(raw []byte, src string, peers []string) error {
+	ents := m.Entries[:0]
+	*m = Msg{}
+	m.Entries = ents
 	if len(raw) < 5 {
-		return Msg{}, fmt.Errorf("raft: frame too short: %d bytes", len(raw))
+		return fmt.Errorf("raft: frame too short: %d bytes", len(raw))
 	}
 	r := message.NewReader(raw)
 	if sum := r.U32(); sum != checksum(raw[4:]) {
-		return Msg{}, fmt.Errorf("raft: checksum mismatch")
+		return fmt.Errorf("raft: checksum mismatch")
 	}
-	m := Msg{Type: r.U8(), Term: r.U64()}
+	m.Type, m.Term = r.U8(), r.U64()
 	var err error
 	if m.From, err = getStr(r, src, peers); err != nil {
-		return Msg{}, err
+		return err
 	}
 	switch m.Type {
 	case TypeRequestVote:
@@ -201,32 +213,34 @@ func decode(raw []byte, src string, peers []string) (Msg, error) {
 		if n := int(r.U16()); n > 0 {
 			// A corrupted count must not size an allocation: the frame
 			// cannot hold more entries than it has bytes left.
-			m.Entries = make([]LogEntry, 0, min(n, r.Remaining()))
+			ents = slices.Grow(ents, min(n, r.Remaining()))
 			for i := 0; i < n; i++ {
 				term := r.U64()
 				data, err := getStr(r, "", nil)
 				if err != nil {
-					return Msg{}, err
+					m.Entries = ents
+					return err
 				}
-				m.Entries = append(m.Entries, LogEntry{Term: term, Data: data})
+				ents = append(ents, LogEntry{Term: term, Data: data})
 			}
+			m.Entries = ents
 		}
 	case TypeAppendResp:
 		m.Success = r.U8() != 0
 		m.Match = r.U64()
 	default:
-		return Msg{}, fmt.Errorf("raft: unknown message type %d", m.Type)
+		return fmt.Errorf("raft: unknown message type %d", m.Type)
 	}
 	if err := r.Err(); err != nil {
-		return Msg{}, fmt.Errorf("raft: short message: %w", err)
+		return fmt.Errorf("raft: short message: %w", err)
 	}
-	return m, nil
+	return nil
 }
 
 // numField reads one numeric header field (a flag reads 0 or 1); ok is
 // false for a field the message's type does not carry, and for the two
 // that are text.
-func (m Msg) numField(name string) (v uint64, ok bool) {
+func (m *Msg) numField(name string) (v uint64, ok bool) {
 	if name == "term" {
 		return m.Term, true
 	}
@@ -266,14 +280,14 @@ func (m Msg) numField(name string) (v uint64, ok bool) {
 
 // IntField reads one numeric header field for PFI filter scripts. A term
 // or index past int64 (only a forged frame carries one) is left to Field.
-func (m Msg) IntField(name string) (int64, bool) {
+func (m *Msg) IntField(name string) (int64, bool) {
 	v, ok := m.numField(name)
 	return int64(v), ok && v <= math.MaxInt64
 }
 
 // Field exposes one header field to PFI filter scripts; a field the
 // message's type does not carry reads "".
-func (m Msg) Field(name string) string {
+func (m *Msg) Field(name string) string {
 	if v, ok := m.numField(name); ok {
 		return strconv.FormatUint(v, 10)
 	}

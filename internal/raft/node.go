@@ -60,10 +60,12 @@ type Bugs struct {
 }
 
 // SendFunc transmits one protocol message to a peer. The layer adapter
-// encodes onto the simulated network; in-memory property tests enqueue the
-// Msg. It travels by value, so a message the transport encodes and forgets
-// never reaches the heap.
-type SendFunc func(dst string, m Msg)
+// encodes it onto the simulated network; in-memory property tests enqueue a
+// copy. The message is lent for the call only: the node fills one outgoing
+// Msg for every send, and an APPEND_ENTRIES carries a slice of the leader's
+// own log, so a transport that keeps the message past its return copies it,
+// Entries included.
+type SendFunc func(dst string, m *Msg)
 
 // Node is one raft participant. Its core is transport-agnostic: it talks
 // to peers only through the SendFunc and to time only through the
@@ -82,6 +84,7 @@ type Node struct {
 	log   *trace.Log
 	rng   *dist.Source
 	send  SendFunc
+	out   Msg // the one outgoing message; see outgoing
 
 	// Persistent state: survives Stop/Start (the simulated stable storage).
 	term     uint64
@@ -302,7 +305,9 @@ func (n *Node) startElection() {
 		if i == n.self {
 			continue
 		}
-		n.send(p, Msg{Type: TypeRequestVote, Term: n.term, From: n.id, LastIndex: li, LastTerm: lt})
+		m := n.outgoing(TypeRequestVote)
+		m.LastIndex, m.LastTerm = li, lt
+		n.send(p, m)
 	}
 	n.armElection()
 	n.maybeWin()
@@ -333,7 +338,9 @@ func (n *Node) handleRequestVote(m *Msg) {
 		n.votedFor = m.From
 		n.armElection()
 	}
-	n.send(m.From, Msg{Type: TypeVoteResp, Term: n.term, From: n.id, Granted: granted})
+	resp := n.outgoing(TypeVoteResp)
+	resp.Granted = granted
+	n.send(m.From, resp)
 }
 
 // logUpToDate implements the §5.4.1 voting restriction.
@@ -447,25 +454,43 @@ func (n *Node) sendAppend(to int) {
 	if prevIdx >= 1 {
 		prevTerm = n.entries[prevIdx-1].Term
 	}
-	var ents []LogEntry
+	m := n.outgoing(TypeAppend)
+	m.PrevIndex, m.PrevTerm, m.Commit = prevIdx, prevTerm, n.commit
 	if ni <= n.LastIndex() {
 		tail := n.entries[ni-1:]
 		if len(tail) > maxBatch {
 			tail = tail[:maxBatch]
 		}
-		// Copy: the in-memory transport queues the Msg across nodes, and the
-		// leader's log may be truncated while the message is in flight.
-		ents = append([]LogEntry(nil), tail...)
+		// Lent, not copied: the transport is done with the message when
+		// send returns (SendFunc).
+		m.Entries = tail
 	}
-	n.send(n.peers[to], Msg{
-		Type: TypeAppend, Term: n.term, From: n.id,
-		PrevIndex: prevIdx, PrevTerm: prevTerm, Commit: n.commit, Entries: ents,
-	})
+	n.send(n.peers[to], m)
+}
+
+// sendAppendResp answers an APPEND_ENTRIES.
+func (n *Node) sendAppendResp(to string, success bool, match uint64) {
+	m := n.outgoing(TypeAppendResp)
+	m.Success, m.Match = success, match
+	n.send(to, m)
+}
+
+// outgoing readies the node's one outgoing message: typ from this node at
+// its current term, every other field cleared. The caller fills the fields
+// typ carries and sends it; a re-entrant send, from a filter that answers
+// this one, refills it only after this one was encoded. Zeroing and then
+// filling field by field copies nothing: assigning a composite literal to a
+// Msg builds it aside and copies it in.
+func (n *Node) outgoing(typ uint8) *Msg {
+	m := &n.out
+	*m = Msg{}
+	m.Type, m.Term, m.From = typ, n.term, n.id
+	return m
 }
 
 func (n *Node) handleAppend(m *Msg) {
 	if m.Term < n.term {
-		n.send(m.From, Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: false})
+		n.sendAppendResp(m.From, false, 0)
 		return
 	}
 	// Equal or higher term: the sender is the legitimate leader of that
@@ -481,7 +506,7 @@ func (n *Node) handleAppend(m *Msg) {
 		if hint > 0 {
 			hint--
 		}
-		n.send(m.From, Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: false, Match: hint})
+		n.sendAppendResp(m.From, false, hint)
 		return
 	}
 	idx := m.PrevIndex
@@ -508,7 +533,7 @@ func (n *Node) handleAppend(m *Msg) {
 			n.applyCommitted()
 		}
 	}
-	n.send(m.From, Msg{Type: TypeAppendResp, Term: n.term, From: n.id, Success: true, Match: lastNew})
+	n.sendAppendResp(m.From, true, lastNew)
 }
 
 func (n *Node) handleAppendResp(m *Msg) {

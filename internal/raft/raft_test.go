@@ -3,6 +3,7 @@ package raft
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -35,7 +36,7 @@ func newMemCluster(t testing.TB, n int, seed int64, maxDelay time.Duration, opts
 	}
 	for _, name := range c.names {
 		name := name
-		send := func(dst string, m Msg) { c.deliver(name, dst, m) }
+		send := func(dst string, m *Msg) { c.deliver(name, dst, m) }
 		perNode := []Option{WithRand(c.src.Split("node:" + name))}
 		node, err := NewNode(c.sched, name, c.names, send, append(perNode, opts...)...)
 		if err != nil {
@@ -46,10 +47,15 @@ func newMemCluster(t testing.TB, n int, seed int64, maxDelay time.Duration, opts
 	return c
 }
 
-func (c *memCluster) deliver(from, to string, m Msg) {
+// deliver queues a copy of m: the node lends it for the send only, and an
+// APPEND_ENTRIES's Entries are the leader's log, which may be truncated
+// while the copy is in flight.
+func (c *memCluster) deliver(from, to string, lent *Msg) {
 	if c.drop != nil && c.drop(from, to) {
 		return
 	}
+	m := *lent
+	m.Entries = slices.Clone(lent.Entries)
 	delay := time.Millisecond
 	if c.maxDelay > time.Millisecond {
 		delay += time.Duration(c.src.Intn(int(c.maxDelay - time.Millisecond)))
@@ -207,7 +213,7 @@ func TestSkipVotePersistDoubleVote(t *testing.T) {
 	for _, buggy := range []bool{false, true} {
 		var granted []bool
 		sched := simtime.NewScheduler()
-		send := func(dst string, m Msg) {
+		send := func(dst string, m *Msg) {
 			if m.Type == TypeVoteResp {
 				granted = append(granted, m.Granted)
 			}
@@ -272,7 +278,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 			from  string
 		}{{src, nil, src}, {"elsewhere", peers, peers[1]}, {"elsewhere", nil, ""}} {
 			sm := m.Encode()
-			got, err := decode(sm.Bytes(), known.src, known.peers)
+			got, err := decodeRaw(sm.Bytes(), known.src, known.peers)
 			if err != nil || fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", *m) {
 				t.Fatalf("decode knowing %q %v: %+v, %v", known.src, known.peers, got, err)
 			}
@@ -372,7 +378,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{Type: TypeAppendResp, Term: 9, From: "r7", Success: true, Match: 6},
 	} {
 		raw := m.Encode().CopyBytes()
-		if got, err := decode(raw, "", nil); err != nil || got.Type != m.Type || len(got.Entries) != len(m.Entries) {
+		if got, err := decodeRaw(raw, "", nil); err != nil || got.Type != m.Type || len(got.Entries) != len(m.Entries) {
 			t.Fatalf("%s: clean frame decoded as %+v, %v", m.TypeName(), got, err)
 		}
 		rejects := func(what string, off int, pattern []byte) {
@@ -380,7 +386,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			for i, p := range pattern {
 				bad[off+i] ^= p
 			}
-			if _, err := decode(bad, "", nil); err == nil {
+			if _, err := decodeRaw(bad, "", nil); err == nil {
 				t.Fatalf("%s (%d entries): %s at byte %d went undetected", m.TypeName(), len(m.Entries), what, off)
 			}
 		}

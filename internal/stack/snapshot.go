@@ -1,9 +1,10 @@
 package stack
 
-// Snapshot support (see internal/snapshot). New wires a stack's layers once
-// and for all, so its own mutable state is the two boundary sinks — what a
-// re-registered delivery callback changes. The layers snapshot themselves
-// through their own registry entries.
+// Snapshot support (see internal/snapshot). A stack's wiring follows from
+// its layers' Passive answers, and a layer whose answer a restore changes
+// asks for a rewire itself, so the stack's own mutable state is the two
+// boundary sinks — what a re-registered delivery callback changes. The
+// layers snapshot themselves through their own registry entries.
 
 // stackState is a stack's boundary sinks at one instant.
 type stackState struct {

@@ -1,12 +1,13 @@
 // Package stack provides the x-Kernel-style layered protocol stack that the
 // PFI technique interposes on.
 //
-// A Stack is an ordered list of Layers, wired once by New. Messages travel
+// A Stack is an ordered list of Layers, wired by New. Messages travel
 // DOWN the stack when sent and UP when received; each layer frames or
 // unframes its own protocol on the way. The PFI layer from the paper is just
 // another Layer, listed between two consecutive layers — typically directly
 // below the target protocol — where it can observe and manipulate everything
-// the target sends and receives.
+// the target sends and receives. A direction in which a layer has nothing to
+// do (a PFI filter with no script) is wired past it (Passive).
 package stack
 
 import (
@@ -54,54 +55,116 @@ type Env struct {
 	Sched *simtime.Scheduler
 	Node  string
 	Msgs  *message.Pool
+
+	stack *Stack // the stack New built over this env; nil outside one
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() simtime.Time { return e.Sched.Now() }
 
+// Rewire asks the stack built over e to wire its layers again. A layer calls
+// it when its Passive answer may have changed. Outside a stack it does
+// nothing.
+func (e *Env) Rewire() {
+	if e.stack != nil {
+		e.stack.wire()
+	}
+}
+
+// Passive is implemented by a layer that can have nothing to do in one or
+// both directions. The stack wires its neighbours past it in each direction
+// it reports passive, so traffic there never enters it. Its own sinks still
+// lead to its nearest active neighbours, so a message it originates, or one
+// handed to it directly, travels on as before. A layer whose answer changes
+// calls Env.Rewire.
+type Passive interface {
+	Passive() (down, up bool)
+}
+
 // Stack composes layers. layers[0] is the top (application side);
 // layers[len-1] is the bottom (network side).
 type Stack struct {
 	layers []Layer
-	top    Sink // receives fully-popped inbound messages (application)
-	bottom Sink // receives fully-pushed outbound messages (network)
+	// entries holds layer i's HandleDown at 2i and its HandleUp at 2i+1,
+	// each taken the first time the wiring hands it out: a rewire allocates
+	// only an entry point no earlier wiring needed.
+	entries []Sink
+	// Where Send and Deliver enter: the first layer from that end that is
+	// active in that direction, or else the far boundary.
+	send, deliver Sink
+	toTop, toBot  Sink // the boundaries as wired: they read top and bottom when called
+	top           Sink // receives fully-popped inbound messages (application)
+	bottom        Sink // receives fully-pushed outbound messages (network)
 }
 
 // New wires the given layers into a stack. Top and bottom sinks default to
 // discarding; set them with OnDeliver and OnTransmit. env is the one the
-// layers were built with.
+// layers were built with: its Rewire reaches this stack from then on.
 func New(env *Env, layers ...Layer) *Stack {
 	if env == nil {
 		panic("stack: nil env")
 	}
-	s := &Stack{layers: layers}
-	for i, l := range s.layers {
-		var down, up Sink
-		if i+1 < len(s.layers) {
-			next := s.layers[i+1]
-			down = next.HandleDown
-		} else {
-			down = func(m *message.Message) error {
-				if s.bottom == nil {
-					return discard(m)
-				}
-				return s.bottom(m)
-			}
+	s := &Stack{layers: layers, entries: make([]Sink, 2*len(layers))}
+	s.toBot = func(m *message.Message) error {
+		if s.bottom == nil {
+			return discard(m)
 		}
-		if i > 0 {
-			prev := s.layers[i-1]
-			up = prev.HandleUp
-		} else {
-			up = func(m *message.Message) error {
-				if s.top == nil {
-					return discard(m)
-				}
-				return s.top(m)
-			}
-		}
-		l.Wire(down, up)
+		return s.bottom(m)
 	}
+	s.toTop = func(m *message.Message) error {
+		if s.top == nil {
+			return discard(m)
+		}
+		return s.top(m)
+	}
+	env.stack = s
+	s.wire()
 	return s
+}
+
+// wire hands every layer the entry points of its nearest active neighbours,
+// and points Send and Deliver at the first active layer from each end.
+func (s *Stack) wire() {
+	for i, l := range s.layers {
+		l.Wire(s.below(i), s.above(i))
+	}
+	s.send, s.deliver = s.below(-1), s.above(len(s.layers))
+}
+
+// below is where a message leaving position i downward goes: the nearest
+// layer under i that is not passive going down, or the bottom boundary.
+func (s *Stack) below(i int) Sink {
+	for j := i + 1; j < len(s.layers); j++ {
+		l := s.layers[j]
+		if p, ok := l.(Passive); ok {
+			if down, _ := p.Passive(); down {
+				continue
+			}
+		}
+		if s.entries[2*j] == nil {
+			s.entries[2*j] = l.HandleDown
+		}
+		return s.entries[2*j]
+	}
+	return s.toBot
+}
+
+// above is where a message leaving position i upward goes: the nearest
+// layer over i that is not passive going up, or the top boundary.
+func (s *Stack) above(i int) Sink {
+	for j := i - 1; j >= 0; j-- {
+		l := s.layers[j]
+		if p, ok := l.(Passive); ok {
+			if _, up := p.Passive(); up {
+				continue
+			}
+		}
+		if s.entries[2*j+1] == nil {
+			s.entries[2*j+1] = l.HandleUp
+		}
+		return s.entries[2*j+1]
+	}
+	return s.toTop
 }
 
 func discard(*message.Message) error { return nil }
@@ -115,26 +178,10 @@ func (s *Stack) OnDeliver(fn Sink) { s.top = fn }
 func (s *Stack) OnTransmit(fn Sink) { s.bottom = fn }
 
 // Send injects m at the top of the stack (an application send).
-func (s *Stack) Send(m *message.Message) error {
-	if len(s.layers) == 0 {
-		if s.bottom == nil {
-			return nil
-		}
-		return s.bottom(m)
-	}
-	return s.layers[0].HandleDown(m)
-}
+func (s *Stack) Send(m *message.Message) error { return s.send(m) }
 
 // Deliver injects m at the bottom of the stack (a network receive).
-func (s *Stack) Deliver(m *message.Message) error {
-	if len(s.layers) == 0 {
-		if s.top == nil {
-			return nil
-		}
-		return s.top(m)
-	}
-	return s.layers[len(s.layers)-1].HandleUp(m)
-}
+func (s *Stack) Deliver(m *message.Message) error { return s.deliver(m) }
 
 // Base is a pass-through Layer meant for embedding-free reuse: concrete
 // layers hold a Base by value and forward via Down/Up. Base's own handler

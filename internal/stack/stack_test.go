@@ -173,3 +173,131 @@ func TestUnwiredBaseErrors(t *testing.T) {
 		t.Fatal("unwired Up succeeded")
 	}
 }
+
+// switchable is a tagging layer that reports itself passive in the
+// directions its flags say, and counts the messages that enter it.
+type switchable struct {
+	*Func
+	passiveDown, passiveUp bool
+	downs, ups             int
+}
+
+func newSwitchable(tag string, down, up bool) *switchable {
+	s := &switchable{passiveDown: down, passiveUp: up}
+	h := headerLayer(tag)
+	s.Func = NewFunc(tag,
+		func(m *message.Message, next Sink) error { s.downs++; return h.OnDown(m, next) },
+		func(m *message.Message, next Sink) error { s.ups++; return h.OnUp(m, next) })
+	return s
+}
+
+func (s *switchable) Passive() (down, up bool) { return s.passiveDown, s.passiveUp }
+
+// roundTrip sends "x" down and delivers the frame the send produced back
+// up, returning the frame and what the application received.
+func roundTrip(t *testing.T, s *Stack) (wire, app string) {
+	t.Helper()
+	s.OnTransmit(func(m *message.Message) error { wire = string(m.CopyBytes()); return nil })
+	s.OnDeliver(func(m *message.Message) error { app = string(m.CopyBytes()); return nil })
+	if err := s.Send(message.New([]byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Deliver(message.New([]byte(wire))); err != nil {
+		t.Fatal(err)
+	}
+	return wire, app
+}
+
+// TestPassiveMiddleLayerIsSkippedBothWays: a middle layer passive in both
+// directions is entered by neither, and its neighbours frame and unframe
+// as if it were not listed. Its own sinks still reach them.
+func TestPassiveMiddleLayerIsSkippedBothWays(t *testing.T) {
+	mid := newSwitchable("mm", true, true)
+	s := New(newEnv(), headerLayer("aa"), mid, headerLayer("cc"))
+	if wire, app := roundTrip(t, s); wire != "xaacc" || app != "x" {
+		t.Fatalf("wire %q, app %q; want xaacc, x", wire, app)
+	}
+	if mid.downs != 0 || mid.ups != 0 {
+		t.Fatalf("passive layer entered %d times down, %d up", mid.downs, mid.ups)
+	}
+	// A direct call, as an injector makes, still leads to the neighbours.
+	var wire, app string
+	s.OnTransmit(func(m *message.Message) error { wire = string(m.CopyBytes()); return nil })
+	s.OnDeliver(func(m *message.Message) error { app = string(m.CopyBytes()); return nil })
+	if err := mid.HandleDown(message.New([]byte("y"))); err != nil || wire != "ymmcc" {
+		t.Fatalf("direct HandleDown reached the wire as %q (%v), want ymmcc", wire, err)
+	}
+	if err := mid.HandleUp(message.New([]byte("zaamm"))); err != nil || app != "z" {
+		t.Fatalf("direct HandleUp reached the app as %q (%v), want z", app, err)
+	}
+}
+
+// TestPassiveOneWayIsSkippedOneWay: a layer passive going down only is
+// skipped on the way down and entered on the way up, and the reverse.
+func TestPassiveOneWayIsSkippedOneWay(t *testing.T) {
+	for _, tc := range []struct {
+		down, up   bool
+		wire       string
+		downs, ups int
+	}{
+		{down: true, wire: "xaacc", ups: 1},
+		{up: true, wire: "xaammcc", downs: 1},
+	} {
+		mid := newSwitchable("mm", tc.down, tc.up)
+		s := New(newEnv(), headerLayer("aa"), mid, headerLayer("cc"))
+		var wire string
+		s.OnTransmit(func(m *message.Message) error { wire = string(m.CopyBytes()); return nil })
+		if err := s.Send(message.New([]byte("x"))); err != nil {
+			t.Fatal(err)
+		}
+		if wire != tc.wire {
+			t.Fatalf("passive %v/%v: wire %q, want %q", tc.down, tc.up, wire, tc.wire)
+		}
+		// Deliver a frame the layer would unframe only if it is entered.
+		frame := "xaacc"
+		if tc.ups > 0 {
+			frame = "xaammcc"
+		}
+		var app string
+		s.OnDeliver(func(m *message.Message) error { app = string(m.CopyBytes()); return nil })
+		if err := s.Deliver(message.New([]byte(frame))); err != nil || app != "x" {
+			t.Fatalf("passive %v/%v: app got %q (%v), want x", tc.down, tc.up, app, err)
+		}
+		if mid.downs != tc.downs || mid.ups != tc.ups {
+			t.Fatalf("passive %v/%v: entered %d down, %d up; want %d, %d",
+				tc.down, tc.up, mid.downs, mid.ups, tc.downs, tc.ups)
+		}
+	}
+}
+
+// TestSendAndDeliverEnterPastPassiveEnds: when the top layer is passive
+// going down, Send enters at the next one; when the bottom layer is passive
+// going up, Deliver enters at the one above it. A stack of passive layers
+// only connects its two boundaries. Env.Rewire puts a layer that turns
+// active back on the path.
+func TestSendAndDeliverEnterPastPassiveEnds(t *testing.T) {
+	env := newEnv()
+	top, bot := newSwitchable("tt", true, true), newSwitchable("bb", true, true)
+	s := New(env, top, headerLayer("mm"), bot)
+	if wire, app := roundTrip(t, s); wire != "xmm" || app != "x" {
+		t.Fatalf("wire %q, app %q; want xmm, x", wire, app)
+	}
+	if top.downs+top.ups+bot.downs+bot.ups != 0 {
+		t.Fatal("a passive end layer was entered")
+	}
+
+	top.passiveDown, bot.passiveUp = false, false
+	env.Rewire()
+	s.OnTransmit(func(m *message.Message) error { return nil })
+	if err := s.Send(message.New([]byte("x"))); err != nil || top.downs != 1 {
+		t.Fatalf("after the rewire Send entered the top layer %d times (%v), want 1", top.downs, err)
+	}
+	if err := s.Deliver(message.New([]byte("xttmmbb"))); err != nil || bot.ups != 1 {
+		t.Fatalf("after the rewire Deliver entered the bottom layer %d times (%v), want 1", bot.ups, err)
+	}
+
+	only := New(newEnv(), newSwitchable("p", true, true))
+	if wire, app := roundTrip(t, only); wire != "x" || app != "x" {
+		t.Fatalf("all-passive stack: wire %q, app %q; want x, x", wire, app)
+	}
+}
