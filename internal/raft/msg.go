@@ -213,17 +213,15 @@ func (m *Msg) decode(raw []byte, src string, peers []string) error {
 		if n := int(r.U16()); n > 0 {
 			// A corrupted count must not size an allocation: the frame
 			// cannot hold more entries than it has bytes left.
-			ents = slices.Grow(ents, min(n, r.Remaining()))
+			m.Entries = slices.Grow(m.Entries, min(n, r.Remaining()))
 			for i := 0; i < n; i++ {
 				term := r.U64()
 				data, err := getStr(r, "", nil)
 				if err != nil {
-					m.Entries = ents
 					return err
 				}
-				ents = append(ents, LogEntry{Term: term, Data: data})
+				m.Entries = append(m.Entries, LogEntry{Term: term, Data: data})
 			}
-			m.Entries = ents
 		}
 	case TypeAppendResp:
 		m.Success = r.U8() != 0
