@@ -179,11 +179,12 @@ census:
 	@GO=$(GO) bash scripts/census.sh
 
 # goldens re-blesses every pinned artifact: conformance traces, rendered
-# experiment tables, the -dump-prog listings of pfitest's suite and
-# pficampaign's default GMP cases, and pficampaign's GMP sweep verdicts
-# (only those golden tests read -update here). Inspect the diff before
-# committing.
+# experiment tables, every fault kind's snippet, the -dump-prog listings of
+# pfitest's suite and pficampaign's default GMP cases, and pficampaign's GMP
+# sweep verdicts (only those golden tests read -update here). Inspect the
+# diff before committing.
 goldens:
 	$(GO) run ./cmd/pfitest -update
 	$(GO) test ./internal/exp/ -update
+	$(GO) test ./internal/campaign/ -run SnippetGolden -update
 	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run 'DumpProgGolden|GMPSweepGolden' -update

@@ -22,8 +22,9 @@ func TestParseFaults(t *testing.T) {
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("got %v, want %v", kinds, want)
 	}
-	if _, err := parseFaults("drop,bogus"); err == nil {
-		t.Error("unknown fault accepted")
+	_, err = parseFaults("drop,bogus")
+	if want := `unknown fault "bogus" (known: drop, drop-first-n, delay, duplicate, corrupt, reorder)`; err == nil || err.Error() != want {
+		t.Errorf("unknown fault: got %v, want %s", err, want)
 	}
 	if _, err := parseFaults(" , "); err == nil {
 		t.Error("empty fault list accepted")

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"pfi/internal/tcp"
 )
 
 var update = flag.Bool("update", false, "re-bless the rendered-table goldens")
@@ -65,6 +67,19 @@ func TestTable1Golden(t *testing.T) { tableGolden(t, "table1", Table1) }
 func TestTable2Golden(t *testing.T) {
 	tableGolden(t, "table2", func(w io.Writer) error { return Table2(w, 2*time.Second) })
 }
-func TestTable3Golden(t *testing.T) { tableGolden(t, "table3", Table3) }
-func TestTable4Golden(t *testing.T) { tableGolden(t, "table4", Table4) }
-func TestTable5Golden(t *testing.T) { tableGolden(t, "table5", Table5) }
+func TestTable3Golden(t *testing.T)        { tableGolden(t, "table3", Table3) }
+func TestTable4Golden(t *testing.T)        { tableGolden(t, "table4", Table4) }
+func TestTable5Golden(t *testing.T)        { tableGolden(t, "table5", Table5) }
+func TestTable6Golden(t *testing.T)        { tableGolden(t, "table6", Table6) }
+func TestTable7Golden(t *testing.T)        { tableGolden(t, "table7", Table7) }
+func TestTable8Golden(t *testing.T)        { tableGolden(t, "table8", Table8) }
+func TestGlobalCounterGolden(t *testing.T) { tableGolden(t, "global-counter", GlobalCounter) }
+func TestReorderGolden(t *testing.T)       { tableGolden(t, "reorder", Reorder) }
+func TestFigure4SunOSGolden(t *testing.T)  { tableGolden(t, "figure4-sunos", figure4(tcp.SunOS413())) }
+func TestFigure4SolarisGolden(t *testing.T) {
+	tableGolden(t, "figure4-solaris", figure4(tcp.Solaris23()))
+}
+
+func figure4(prof tcp.Profile) func(io.Writer) error {
+	return func(w io.Writer) error { return Figure4(w, prof) }
+}
