@@ -4,8 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pfi/internal/message"
+	"pfi/internal/simtime"
 )
 
 // ownedStub is demoStub as a HeaderStub: a filter gets one demoHeader and
@@ -123,6 +125,56 @@ func TestOwnedHeaderNestedRecognition(t *testing.T) {
 	}
 	if got := made[0].reads + made[1].reads; got != reads {
 		t.Errorf("the header was read %d times outside a run", got-reads)
+	}
+}
+
+// TestReentrantFilterRun: the send filter's script injects an ACK upward
+// in the middle of its run and the app answers the ACK with a send, so the
+// same send filter runs again, nested, over the answer. The outer run must
+// find its own message, fields and verdict where it left them: it reads the
+// same seq before and after, the xDrop it issued before the injection still
+// drops it, and the answer goes out under the nested run's own verdict.
+func TestReentrantFilterRun(t *testing.T) {
+	var made []*demoHeader
+	r := newRig(t, WithStub(ownedStub{made: &made}))
+	r.stk.OnDeliver(func(m *message.Message) error {
+		r.toApp = append(r.toApp, m)
+		if b, _ := m.ByteAt(0); b == demoACK { // the app answers an ACK with DATA 9
+			return r.stk.Send(demoMsg(demoDATA, 9, ""))
+		}
+		return nil
+	})
+	if err := r.layer.SetSendScript(`
+		if {[msg_field cur_msg seq] == 9} {
+			xDelay cur_msg 100
+		} else {
+			set before [msg_field cur_msg seq]
+			xDrop cur_msg
+			xInject ACK {seq 1} up
+			set after [msg_field cur_msg seq]
+		}
+	`); err != nil {
+		t.Fatal(err)
+	}
+	r.send(t, demoMsg(demoDATA, 4, ""))
+	if len(r.toNet) != 0 {
+		t.Fatalf("the wire got %d message(s) before the nested run's delay", len(r.toNet))
+	}
+	r.sched.Run()
+	send := r.layer.SendFilter()
+	for _, name := range []string{"before", "after"} {
+		if got, _ := send.Interp().Global(name); got != "4" {
+			t.Errorf("outer run read %s = %q, want 4", name, got)
+		}
+	}
+	if len(r.toNet) != 1 || r.toNet[0].Bytes()[1] != 9 || r.sched.Now() != simtime.Time(100*time.Millisecond) {
+		t.Fatalf("the wire got %d message(s), the clock reads %v; want DATA 9 alone at 100ms", len(r.toNet), r.sched.Now())
+	}
+	if st := send.Stats(); st.Seen != 2 || st.Dropped != 1 || st.Delayed != 1 {
+		t.Errorf("send filter stats %+v, want 2 seen, 1 dropped, 1 delayed", st)
+	}
+	if len(r.toApp) != 1 || r.toApp[0].Bytes()[0] != demoACK {
+		t.Errorf("the app got %d message(s), want the injected ACK", len(r.toApp))
 	}
 }
 

@@ -181,10 +181,13 @@ type Filter struct {
 	held     []*message.Message
 	stats    Stats
 	header   Header // owned decode storage; nil until a HeaderStub's first message
+	spare    Header // a nested run's decode storage (see nested)
 
-	// Per-message state, valid only during process(). verdictBuf is reused
-	// across messages — process() is strictly sequential per filter, so one
-	// buffer suffices and the per-message allocation disappears.
+	// Per-message state, valid only during process(); curMsg is non-nil
+	// exactly while a run is open. verdictBuf is reused across messages:
+	// runs are sequential per filter except a nested one, which puts the
+	// outer run's state back when it returns, so one buffer suffices and
+	// the per-message allocation disappears.
 	curMsg     *message.Message
 	curInfo    Info
 	cur        *verdict
@@ -270,14 +273,37 @@ func (f *Filter) process(m *message.Message) error {
 	if f.prepared == nil {
 		return f.layer.forward(f.dir, m)
 	}
+	if f.curMsg != nil {
+		return f.nested(m)
+	}
+	defer func() { f.curMsg, f.curInfo, f.cur = nil, Info{}, nil }()
+	return f.run(m)
+}
+
+// run runs the script over m and applies the verdict.
+func (f *Filter) run(m *message.Message) error {
 	f.verdictBuf = verdict{}
 	f.curMsg, f.curInfo, f.cur = m, f.recognize(m), &f.verdictBuf
-	defer func() { f.curMsg, f.curInfo, f.cur = nil, Info{}, nil }()
-
 	if _, err := f.prepared.Run(); err != nil {
 		return fmt.Errorf("core: %s filter on %s: %w", f.dir, f.layer.env.Node, err)
 	}
 	return f.apply(m, &f.verdictBuf)
+}
+
+// nested runs the script over m while an outer run of this filter is still
+// open: the outer script injected a message, or forwarded its own, and a
+// layer sent one back through this filter before returning. m is decoded
+// into a header of its own, and the outer run's message, recognition and
+// verdict are put back on return, so the rest of the outer script reads and
+// acts on its own message.
+func (f *Filter) nested(m *message.Message) error {
+	outerMsg, outerInfo, outerVerdict, outerHeader := f.curMsg, f.curInfo, f.verdictBuf, f.header
+	f.header, f.spare = f.spare, nil
+	defer func() {
+		f.spare, f.header = f.header, outerHeader
+		f.curMsg, f.curInfo, f.verdictBuf = outerMsg, outerInfo, outerVerdict
+	}()
+	return f.run(m)
 }
 
 // fieldValue reads one recognized field: a number as a number when the
