@@ -186,5 +186,5 @@ census:
 goldens:
 	$(GO) run ./cmd/pfitest -update
 	$(GO) test ./internal/exp/ -update
-	$(GO) test ./internal/campaign/ -run SnippetGolden -update
+	$(GO) test ./internal/fault/ -run SnippetGolden -update
 	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run 'DumpProgGolden|GMPSweepGolden' -update

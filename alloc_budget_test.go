@@ -11,6 +11,7 @@ import (
 	"pfi/internal/conformance"
 	"pfi/internal/core"
 	"pfi/internal/exp"
+	"pfi/internal/fault"
 	"pfi/internal/gmp"
 	"pfi/internal/harden"
 	"pfi/internal/interpose"
@@ -627,7 +628,7 @@ func TestRaftReplicationAllocBudget(t *testing.T) {
 func TestRaftCellAllocBudget(t *testing.T) {
 	cases, err := campaign.Generate(campaign.Spec{Protocol: "raft",
 		Types:  []string{"REQUEST_VOTE", "VOTE_RESP", "APPEND_ENTRIES", "APPEND_RESP"},
-		Faults: []campaign.FaultKind{campaign.Drop}})
+		Faults: []fault.Kind{fault.Drop}})
 	if err != nil || len(cases) == 0 {
 		t.Fatalf("generated %d cases, %v", len(cases), err)
 	}

@@ -41,6 +41,7 @@ import (
 	"pfi/internal/campaign"
 	"pfi/internal/core"
 	"pfi/internal/exp"
+	"pfi/internal/fault"
 	"pfi/internal/fleet"
 	"pfi/internal/gmp"
 	"pfi/internal/harden"
@@ -235,17 +236,19 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseFaults maps fault names (the FaultKind String forms) back to kinds.
-func parseFaults(s string) ([]campaign.FaultKind, error) {
-	byName := map[string]campaign.FaultKind{}
-	for _, k := range campaign.AllFaults() {
+// parseFaults maps fault names (the fault.Kind String forms) back to kinds.
+func parseFaults(s string) ([]fault.Kind, error) {
+	byName := map[string]fault.Kind{}
+	var known []string
+	for _, k := range fault.Kinds() {
 		byName[k.String()] = k
+		known = append(known, k.String())
 	}
-	var kinds []campaign.FaultKind
+	var kinds []fault.Kind
 	for _, name := range splitList(s) {
 		k, ok := byName[name]
 		if !ok {
-			return nil, fmt.Errorf("unknown fault %q (known: drop, drop-first-n, delay, duplicate, corrupt, reorder)", name)
+			return nil, fmt.Errorf("unknown fault %q (known: %s)", name, strings.Join(known, ", "))
 		}
 		kinds = append(kinds, k)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/conformance"
+	"pfi/internal/fault"
 	"pfi/internal/harden"
 )
 
@@ -18,7 +19,7 @@ func TestParseFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []campaign.FaultKind{campaign.Drop, campaign.Delay, campaign.Reorder}
+	want := []fault.Kind{fault.Drop, fault.Delay, fault.Reorder}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("got %v, want %v", kinds, want)
 	}
@@ -47,7 +48,7 @@ func TestSweepSmoke(t *testing.T) {
 	spec := campaign.Spec{
 		Protocol: "gmp",
 		Types:    []string{"HEARTBEAT"},
-		Faults:   []campaign.FaultKind{campaign.Duplicate},
+		Faults:   []fault.Kind{fault.Duplicate},
 	}
 	vs, stats, err := campaign.RunParallel(spec, gmpScenario, campaign.Options{Workers: 2})
 	if err != nil {
@@ -68,7 +69,7 @@ func TestSweepSmoke(t *testing.T) {
 // harness under the same budget: both must come out the same way, or a
 // quarantined repro would not reproduce.
 func TestGMPCellMatchesItsRepro(t *testing.T) {
-	cases, err := campaign.Generate(campaign.Spec{Protocol: "gmp", Types: []string{"HEARTBEAT"}, Faults: []campaign.FaultKind{campaign.Duplicate}})
+	cases, err := campaign.Generate(campaign.Spec{Protocol: "gmp", Types: []string{"HEARTBEAT"}, Faults: []fault.Kind{fault.Duplicate}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestGMPSweepGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots 84 GMP clusters")
 	}
-	spec := campaign.Spec{Protocol: "gmp", Types: splitList(gmpTypesDefault), Faults: campaign.AllFaults()}
+	spec := campaign.Spec{Protocol: "gmp", Types: splitList(gmpTypesDefault), Faults: fault.Kinds()}
 	vs, _, err := campaign.RunParallel(spec, gmpScenario, campaign.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,17 @@
 // byzantine: subject a three-machine group membership cluster to arbitrary
 // (byzantine) faults — probabilistic corruption, duplication, and
-// reordering of one member's traffic — using the failure-model library
-// from Section 2.2, and check whether view agreement survives.
+// reordering of one member's traffic — using the fault kinds of the
+// failure-model library from Section 2.2, and check whether view agreement
+// survives.
 //
-// The fault plan compiles to Tcl filter scripts; nothing in the GMP code
-// is touched. The protocol's defence is its message framing (corrupt
-// packets fail to decode and are dropped) and the reliability layer's
-// dedup (duplicates are suppressed), so agreement holds: every committed
-// multi-member view generation is identical across daemons.
+// The corrupt, duplicate and reorder kinds compose into one Tcl filter
+// script, each under the same fault.Guard (the first five minutes, a 10%
+// coin per message and kind); nothing in the GMP code is touched. The
+// protocol's defence is its message framing (a corrupted message type fails
+// to decode and the message is dropped) and the reliability layer's dedup
+// (duplicates are suppressed). gmd3 drops out of the view and rejoins while
+// its corrupted and held messages go missing, but agreement holds: every
+// committed multi-member view generation is identical across daemons.
 //
 // Run: go run ./examples/byzantine
 package main
@@ -19,11 +23,10 @@ import (
 	"time"
 
 	"pfi/internal/core"
+	"pfi/internal/exp"
 	"pfi/internal/fault"
 	"pfi/internal/gmp"
-	"pfi/internal/netsim"
 	"pfi/internal/rudp"
-	"pfi/internal/stack"
 )
 
 func main() {
@@ -34,66 +37,51 @@ func main() {
 }
 
 func run() error {
-	names := []string{"gmd1", "gmd2", "gmd3"}
-	w := netsim.NewWorld(13)
-	daemons := make(map[string]*gmp.Daemon, len(names))
-	pfis := make(map[string]*core.Layer, len(names))
+	r, err := exp.NewGMPRig([]string{"gmd1", "gmd2", "gmd3"})
+	if err != nil {
+		return err
+	}
 	type commit struct {
 		node string
 		view gmp.Group
 	}
 	var commits []commit
-	for _, name := range names {
-		node, err := w.AddNode(name)
-		if err != nil {
-			return err
-		}
-		net := rudp.NewLayer(node.Env())
-		pfi := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}))
-		node.SetStack(stack.New(node.Env(), net, pfi))
-		gmd, err := gmp.New(node.Env(), net, names)
-		if err != nil {
-			return err
-		}
-		name := name
-		gmd.OnCommit(func(g gmp.Group) {
+	for _, name := range r.Names {
+		r.Ms[name].Gmd.OnCommit(func(g gmp.Group) {
 			commits = append(commits, commit{node: name, view: g})
 		})
-		daemons[name] = gmd
-		pfis[name] = pfi
 	}
-	if err := w.ConnectAll(netsim.LinkConfig{Latency: 2 * time.Millisecond}); err != nil {
-		return err
-	}
-	for _, name := range names {
-		daemons[name].Start()
-	}
-	w.RunFor(time.Minute)
-	fmt.Println("converged:", daemons["gmd1"].Group())
+	r.StartAll()
+	r.W.RunFor(time.Minute)
+	fmt.Println("converged:", r.Ms["gmd1"].Gmd.Group())
 
-	// Byzantine plan: 30% of gmd3's traffic (both directions) is
-	// corrupted, duplicated, or reordered, for five minutes.
-	plan := fault.Plan{
-		Model:     fault.Byzantine,
-		Prob:      0.3,
-		Duration:  5 * time.Minute,
-		Corrupt:   true,
-		Duplicate: true,
-		Reorder:   true,
+	// For five minutes, each of gmd3's messages (both directions) is
+	// corrupted, duplicated, and held for reordering, each with
+	// probability 0.1. Corrupt flips the first byte past the rudp header:
+	// the GMP message's type.
+	guard := fault.Guard(0, 5*time.Minute, "", 0.1)
+	var script strings.Builder
+	var models []string
+	for _, k := range []fault.Kind{fault.Corrupt, fault.Duplicate, fault.Reorder} {
+		snippet, err := k.Snippet(guard, rudp.HeaderLen, "")
+		if err != nil {
+			return err
+		}
+		script.WriteString(snippet)
+		models = append(models, fmt.Sprintf("%v (%v)", k, k.Model(core.Send)))
 	}
-	send, recv, err := plan.Scripts()
-	if err != nil {
-		return err
-	}
-	fmt.Println("\ncompiled byzantine send-filter script:")
-	for _, line := range strings.Split(strings.TrimSpace(send), "\n") {
+	fmt.Println("\nfaults on gmd3:", strings.Join(models, ", "))
+	fmt.Println("\ncompiled byzantine filter script:")
+	for _, line := range strings.Split(strings.TrimSpace(script.String()), "\n") {
 		fmt.Println("   ", line)
 	}
-	_ = recv
-	if err := plan.Apply(pfis["gmd3"]); err != nil {
+	if err := r.Ms["gmd3"].PFI.SetSendScript(script.String()); err != nil {
 		return err
 	}
-	w.RunFor(6 * time.Minute)
+	if err := r.Ms["gmd3"].PFI.SetReceiveScript(script.String()); err != nil {
+		return err
+	}
+	r.W.RunFor(6 * time.Minute)
 
 	// Agreement check: all multi-member views committed for a generation
 	// must be identical.
@@ -117,15 +105,15 @@ func run() error {
 			fmt.Printf("  AGREEMENT VIOLATION at generation %d: %v\n", gen, sets)
 		}
 	}
-	st := pfis["gmd3"].SendFilter().Stats()
+	st := r.Ms["gmd3"].PFI.SendFilter().Stats()
 	fmt.Printf("\ngmd3 send filter: %d seen, %d duplicated, %d held/reordered\n",
 		st.Seen, st.Duplicated, st.Held)
 	if violations == 0 {
 		fmt.Println("agreement held: every generation's multi-member view was identical everywhere")
 	}
 	fmt.Println("final views:")
-	for _, name := range names {
-		fmt.Printf("  %s: %v\n", name, daemons[name].Group())
+	for _, name := range r.Names {
+		fmt.Printf("  %s: %v\n", name, r.Ms[name].Gmd.Group())
 	}
 	return nil
 }

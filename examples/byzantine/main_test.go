@@ -7,23 +7,18 @@ func Example() {
 	// Output:
 	// converged: gen=3 {gmd1 gmd2 gmd3}
 	//
-	// compiled byzantine send-filter script:
-	//     if {[now] < 300000 && [coin 0.3]} {
-	//     	switch [rand_int 3] {
-	//     	0 {
-	//     		set len [msg_len cur_msg]
-	//     		if {$len > 0} {
-	//     			msg_set_byte cur_msg [rand_int $len] [rand_int 256]
-	//     		}
+	// faults on gmd3: corrupt (byzantine), duplicate (byzantine), reorder (timing)
+	//
+	// compiled byzantine filter script:
+	//     if {[now] < 300000 && [coin 0.1]} {
+	//     	if {[msg_len cur_msg] > 5} {
+	//     		msg_set_byte cur_msg 5 [expr {[msg_byte cur_msg 5] ^ 0xFF}]
 	//     	}
-	//     	1 {
-	//     		xDuplicate cur_msg 1
-	//     	}
-	//     	2 {
-	//     		xHold cur_msg
-	//     		if {[held_count] >= 2} { xReleaseLIFO }
-	//     	}
-	//     	}
+	//     }
+	//     if {[now] < 300000 && [coin 0.1]} { xDuplicate cur_msg 1 }
+	//     if {[now] < 300000 && [coin 0.1]} {
+	//     	xHold cur_msg
+	//     	if {[held_count] >= 2} { xReleaseLIFO }
 	//     }
 	//
 	// committed views during the byzantine storm:
@@ -32,11 +27,20 @@ func Example() {
 	//   gmd1 committed gen=3 {gmd1 gmd2 gmd3}
 	//   gmd2 committed gen=3 {gmd1 gmd2 gmd3}
 	//   gmd3 committed gen=3 {gmd1 gmd2 gmd3}
+	//   gmd1 committed gen=4 {gmd1 gmd2}
+	//   gmd2 committed gen=4 {gmd1 gmd2}
+	//   gmd1 committed gen=5 {gmd1 gmd2 gmd3}
+	//   gmd2 committed gen=5 {gmd1 gmd2 gmd3}
+	//   gmd1 committed gen=6 {gmd1 gmd2}
+	//   gmd2 committed gen=6 {gmd1 gmd2}
+	//   gmd1 committed gen=7 {gmd1 gmd2 gmd3}
+	//   gmd2 committed gen=7 {gmd1 gmd2 gmd3}
+	//   gmd3 committed gen=7 {gmd1 gmd2 gmd3}
 	//
-	// gmd3 send filter: 1080 seen, 81 duplicated, 72 held/reordered
+	// gmd3 send filter: 1077 seen, 62 duplicated, 70 held/reordered
 	// agreement held: every generation's multi-member view was identical everywhere
 	// final views:
-	//   gmd1: gen=3 {gmd1 gmd2 gmd3}
-	//   gmd2: gen=3 {gmd1 gmd2 gmd3}
-	//   gmd3: gen=3 {gmd1 gmd2 gmd3}
+	//   gmd1: gen=7 {gmd1 gmd2 gmd3}
+	//   gmd2: gen=7 {gmd1 gmd2 gmd3}
+	//   gmd3: gen=7 {gmd1 gmd2 gmd3}
 }

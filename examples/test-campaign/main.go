@@ -25,6 +25,7 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/core"
+	"pfi/internal/fault"
 	"pfi/internal/gmp"
 	"pfi/internal/harden"
 	"pfi/internal/netsim"
@@ -45,7 +46,7 @@ func run(out io.Writer, workers int) error {
 	spec := campaign.Spec{
 		Protocol: "gmp",
 		Types:    []string{"HEARTBEAT", "MEMBERSHIP_CHANGE", "ACK", "COMMIT"},
-		Faults:   []campaign.FaultKind{campaign.Drop, campaign.Delay, campaign.Duplicate},
+		Faults:   []fault.Kind{fault.Drop, fault.Delay, fault.Duplicate},
 	}
 	cases, err := campaign.Generate(spec)
 	if err != nil {

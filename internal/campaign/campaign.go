@@ -16,50 +16,17 @@ import (
 	"time"
 
 	"pfi/internal/core"
+	"pfi/internal/fault"
 	"pfi/internal/harden"
 )
 
-// FaultKind is one element of the generated fault vocabulary. These are
-// the per-message manipulations of Section 2.1 (message manipulation) —
-// the process-level models of Section 2.2 compose from them.
-type FaultKind int
+// FaultKind and Drop name fault.Kind and fault.Drop for the end-to-end
+// ledger's raft probe (bench/ledger/probe_raft.go), which builds its
+// campaign spec from them; new code names the fault package directly.
+type FaultKind = fault.Kind
 
-const (
-	// Drop discards every matching message.
-	Drop FaultKind = iota + 1
-	// DropFirstN discards only the first N matching messages, then passes.
-	DropFirstN
-	// Delay holds every matching message for a fixed interval.
-	Delay
-	// Duplicate forwards one extra copy of every matching message.
-	Duplicate
-	// Corrupt flips one byte of every matching message.
-	Corrupt
-	// Reorder holds pairs of matching messages and releases them swapped.
-	Reorder
-)
-
-var faultNames = map[FaultKind]string{
-	Drop:       "drop",
-	DropFirstN: "drop-first-n",
-	Delay:      "delay",
-	Duplicate:  "duplicate",
-	Corrupt:    "corrupt",
-	Reorder:    "reorder",
-}
-
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	if s, ok := faultNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
-
-// AllFaults returns the full fault vocabulary.
-func AllFaults() []FaultKind {
-	return []FaultKind{Drop, DropFirstN, Delay, Duplicate, Corrupt, Reorder}
-}
+// Drop is fault.Drop; see FaultKind.
+const Drop = fault.Drop
 
 // Spec describes the protocol under test.
 type Spec struct {
@@ -67,8 +34,8 @@ type Spec struct {
 	Protocol string
 	// Types lists the message types the protocol's stub recognizes.
 	Types []string
-	// Faults selects the fault vocabulary (nil = AllFaults).
-	Faults []FaultKind
+	// Faults selects the fault vocabulary (nil = fault.Kinds()).
+	Faults []fault.Kind
 	// Directions selects which filters to target (nil = both).
 	Directions []core.Direction
 	// DelayMS parameterizes Delay cases (default 2000).
@@ -81,7 +48,7 @@ type Spec struct {
 
 func (s Spec) withDefaults() Spec {
 	if s.Faults == nil {
-		s.Faults = AllFaults()
+		s.Faults = fault.Kinds()
 	}
 	if s.Directions == nil {
 		s.Directions = []core.Direction{core.Send, core.Receive}
@@ -119,7 +86,7 @@ type Case struct {
 	// Type is the targeted message type.
 	Type string
 	// Fault is the injected fault kind.
-	Fault FaultKind
+	Fault fault.Kind
 	// Dir selects the send or receive filter.
 	Dir core.Direction
 	// Script is the generated Tcl filter source.
@@ -149,12 +116,13 @@ func Generate(spec Spec) ([]Case, error) {
 	spec = spec.withDefaults()
 	var cases []Case
 	for _, typ := range spec.Types {
+		guard := fmt.Sprintf(`[msg_type cur_msg] eq "%s"`, typ)
 		for _, f := range spec.Faults {
+			script, err := f.Snippet(guard, spec.param(f), "")
+			if err != nil {
+				return nil, err
+			}
 			for _, dir := range spec.Directions {
-				script, err := buildScript(spec, typ, f)
-				if err != nil {
-					return nil, err
-				}
 				cases = append(cases, Case{
 					Name:   fmt.Sprintf("%s/%s/%s", typ, f, dir),
 					Type:   typ,
@@ -168,69 +136,17 @@ func Generate(spec Spec) ([]Case, error) {
 	return cases, nil
 }
 
-// buildScript renders the filter script for one (type, fault) pair.
-func buildScript(spec Spec, typ string, f FaultKind) (string, error) {
-	guard := fmt.Sprintf(`[msg_type cur_msg] eq "%s"`, typ)
-	return FaultSnippet(f, guard, SnippetParams{
-		DelayMS:       spec.DelayMS,
-		FirstN:        spec.FirstN,
-		CorruptOffset: spec.CorruptOffset,
-	})
-}
-
-// SnippetParams parameterizes FaultSnippet.
-type SnippetParams struct {
-	// DelayMS is the hold interval for Delay faults.
-	DelayMS int
-	// FirstN bounds DropFirstN faults.
-	FirstN int
-	// CorruptOffset is the byte index Corrupt faults flip.
-	CorruptOffset int
-	// StateSuffix disambiguates the filter-global state variables (the
-	// DropFirstN counter) when several snippets compose into one script.
-	// Must be a bare identifier fragment; empty is fine for a lone snippet.
-	StateSuffix string
-}
-
-// FaultSnippet renders the filter-script fragment that injects one fault
-// kind whenever guard (a Tcl expr condition) holds for the current message.
-// The campaign matrix builds its per-case scripts from these, and the
-// explore fuzzer composes several time-windowed snippets into a single
-// faultload — both speak the identical fault vocabulary.
-func FaultSnippet(f FaultKind, guard string, p SnippetParams) (string, error) {
+// param is the spec's parameter for fault kind f.
+func (s Spec) param(f fault.Kind) int {
 	switch f {
-	case Drop:
-		return fmt.Sprintf("if {%s} { xDrop cur_msg }\n", guard), nil
-	case DropFirstN:
-		v := "dropped" + p.StateSuffix
-		return fmt.Sprintf(`if {%s} {
-	if {![info exists %s]} { set %s 0 }
-	if {$%s < %d} {
-		incr %s
-		xDrop cur_msg
+	case fault.Delay:
+		return s.DelayMS
+	case fault.DropFirstN:
+		return s.FirstN
+	case fault.Corrupt:
+		return s.CorruptOffset
 	}
-}
-`, guard, v, v, v, p.FirstN, v), nil
-	case Delay:
-		return fmt.Sprintf("if {%s} { xDelay cur_msg %d }\n", guard, p.DelayMS), nil
-	case Duplicate:
-		return fmt.Sprintf("if {%s} { xDuplicate cur_msg 1 }\n", guard), nil
-	case Corrupt:
-		return fmt.Sprintf(`if {%s} {
-	if {[msg_len cur_msg] > %d} {
-		msg_set_byte cur_msg %d [expr {[msg_byte cur_msg %d] ^ 0xFF}]
-	}
-}
-`, guard, p.CorruptOffset, p.CorruptOffset, p.CorruptOffset), nil
-	case Reorder:
-		return fmt.Sprintf(`if {%s} {
-	xHold cur_msg
-	if {[held_count] >= 2} { xReleaseLIFO }
-}
-`, guard), nil
-	default:
-		return "", fmt.Errorf("campaign: unknown fault kind %v", f)
-	}
+	return 0
 }
 
 // Verdict is the outcome of one case run.

@@ -8,11 +8,10 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/core"
-	"pfi/internal/gmp"
+	"pfi/internal/exp"
+	"pfi/internal/fault"
 	"pfi/internal/harden"
 	"pfi/internal/netsim"
-	"pfi/internal/rudp"
-	"pfi/internal/stack"
 )
 
 func TestGenerateMatrix(t *testing.T) {
@@ -50,7 +49,7 @@ func TestGenerateRestricted(t *testing.T) {
 	spec := campaign.Spec{
 		Protocol:   "demo",
 		Types:      []string{"HB"},
-		Faults:     []campaign.FaultKind{campaign.Drop},
+		Faults:     []fault.Kind{fault.Drop},
 		Directions: []core.Direction{core.Send},
 	}
 	cases, err := campaign.Generate(spec)
@@ -106,48 +105,26 @@ func TestCampaignAgainstGMP(t *testing.T) {
 		},
 		// Corrupt would hit the rudp header byte and is covered by the
 		// byzantine example; keep the sweep to the structural faults.
-		Faults: []campaign.FaultKind{
-			campaign.Drop, campaign.DropFirstN, campaign.Delay,
-			campaign.Duplicate, campaign.Reorder,
+		Faults: []fault.Kind{
+			fault.Drop, fault.DropFirstN, fault.Delay,
+			fault.Duplicate, fault.Reorder,
 		},
 	}
 	scenario := func(m *harden.Monitor, c campaign.Case) (bool, string, error) {
-		names := []string{"gmd1", "gmd2", "gmd3"}
-		w := netsim.NewWorld(99)
-		daemons := map[string]*gmp.Daemon{}
-		var victimPFI *core.Layer
-		for _, name := range names {
-			node, err := w.AddNode(name)
-			if err != nil {
-				return false, "", err
-			}
-			net := rudp.NewLayer(node.Env())
-			pfi := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}))
-			node.SetStack(stack.New(node.Env(), net, pfi))
-			gmd, err := gmp.New(node.Env(), net, names)
-			if err != nil {
-				return false, "", err
-			}
-			daemons[name] = gmd
-			if name == "gmd3" {
-				victimPFI = pfi
-			}
-		}
-		if err := w.ConnectAll(netsim.LinkConfig{Latency: 2 * time.Millisecond}); err != nil {
+		r, err := exp.NewGMPRig([]string{"gmd1", "gmd2", "gmd3"})
+		if err != nil {
 			return false, "", err
 		}
 		// Fault gmd3's traffic per the generated case.
-		if err := c.Apply(victimPFI); err != nil {
+		if err := c.Apply(r.Ms["gmd3"].PFI); err != nil {
 			return false, "", err
 		}
-		for _, n := range names {
-			daemons[n].Start()
-		}
-		w.RunFor(3 * time.Minute)
+		r.StartAll()
+		r.W.RunFor(3 * time.Minute)
 
 		// Success criterion: the two healthy daemons share a view that
 		// contains them both (the faulted one may or may not make it in).
-		g1, g2 := daemons["gmd1"].Group(), daemons["gmd2"].Group()
+		g1, g2 := r.Ms["gmd1"].Gmd.Group(), r.Ms["gmd2"].Gmd.Group()
 		if !g1.Equal(g2) {
 			return false, fmt.Sprintf("diverged: %v vs %v", g1, g2), nil
 		}
@@ -184,17 +161,5 @@ func TestSummaryFormat(t *testing.T) {
 	}
 	if got := len(campaign.Failures(vs)); got != 2 {
 		t.Errorf("Failures = %d, want 2", got)
-	}
-}
-
-func TestFaultKindString(t *testing.T) {
-	if campaign.Drop.String() != "drop" {
-		t.Error("Drop name")
-	}
-	if campaign.FaultKind(99).String() != "FaultKind(99)" {
-		t.Error("unknown kind name")
-	}
-	if len(campaign.AllFaults()) != 6 {
-		t.Error("AllFaults count")
 	}
 }

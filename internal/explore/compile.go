@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"pfi/internal/campaign"
 	"pfi/internal/core"
 	"pfi/internal/fault"
 )
@@ -79,12 +78,7 @@ func compile(s Schedule, checks []string) (string, error) {
 			typ = ""
 		}
 		guard := fault.Guard(time.Duration(g.AtMS)*time.Millisecond, time.Duration(g.DurMS)*time.Millisecond, typ, g.Prob)
-		snippet, err := campaign.FaultSnippet(g.Fault, guard, campaign.SnippetParams{
-			DelayMS:       g.Param,
-			FirstN:        g.Param,
-			CorruptOffset: g.Param,
-			StateSuffix:   fmt.Sprintf("_g%d", i),
-		})
+		snippet, err := g.Fault.Snippet(guard, g.Param, fmt.Sprintf("_g%d", i))
 		if err != nil {
 			return "", err
 		}

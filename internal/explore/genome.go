@@ -26,9 +26,9 @@ import (
 	"sort"
 	"strings"
 
-	"pfi/internal/campaign"
 	"pfi/internal/core"
 	"pfi/internal/dist"
+	"pfi/internal/fault"
 )
 
 // World kinds a schedule can target.
@@ -89,7 +89,7 @@ type Gene struct {
 	// Dir selects the send or receive filter (GeneFault, GeneInject).
 	Dir core.Direction
 	// Fault is the injected fault kind (GeneFault).
-	Fault campaign.FaultKind
+	Fault fault.Kind
 	// Type is the message-type selector for GeneFault ("*" = all) and the
 	// generated type for GeneInject.
 	Type string
@@ -186,8 +186,7 @@ var (
 	// failures — an injected forged vote "violating" election safety would be
 	// a false positive, not a protocol bug. Corruption faults are fine: the
 	// wire checksum turns them into loss.
-	raftTypes  = []string{"*", "REQUEST_VOTE", "VOTE_RESP", "APPEND_ENTRIES", "APPEND_RESP"}
-	geneFaults = []campaign.FaultKind{campaign.Drop, campaign.DropFirstN, campaign.Delay, campaign.Duplicate, campaign.Corrupt, campaign.Reorder}
+	raftTypes = []string{"*", "REQUEST_VOTE", "VOTE_RESP", "APPEND_ENTRIES", "APPEND_RESP"}
 )
 
 // gmpNodeNames returns the first n compsun names, the rig's canonical
@@ -467,7 +466,8 @@ func randGene(rng *dist.Source, s Schedule) Gene {
 	default:
 		g.Kind = GeneFault
 		g.Dir = core.Direction(1 + rng.Intn(2))
-		g.Fault = geneFaults[rng.Intn(len(geneFaults))]
+		kinds := fault.Kinds()
+		g.Fault = kinds[rng.Intn(len(kinds))]
 		g.DurMS = quantize(5_000 + rng.Intn(90_000))
 		types := tcpTypes
 		switch s.World {
@@ -477,14 +477,7 @@ func randGene(rng *dist.Source, s Schedule) Gene {
 			types = raftTypes
 		}
 		g.Type = types[rng.Intn(len(types))]
-		switch g.Fault {
-		case campaign.Delay:
-			g.Param = 500 * (1 + rng.Intn(12))
-		case campaign.DropFirstN:
-			g.Param = 1 + rng.Intn(5)
-		case campaign.Corrupt:
-			g.Param = rng.Intn(64)
-		}
+		g.Param = g.Fault.Draw(rng)
 	}
 	return g
 }
@@ -535,17 +528,9 @@ func tweakGene(rng *dist.Source, s Schedule, g Gene) Gene {
 	case 2:
 		switch g.Kind {
 		case GeneFault:
-			g.Fault = geneFaults[rng.Intn(len(geneFaults))]
-			switch g.Fault {
-			case campaign.Delay:
-				g.Param = 500 * (1 + rng.Intn(12))
-			case campaign.DropFirstN:
-				g.Param = 1 + rng.Intn(5)
-			case campaign.Corrupt:
-				g.Param = rng.Intn(64)
-			default:
-				g.Param = 0
-			}
+			kinds := fault.Kinds()
+			g.Fault = kinds[rng.Intn(len(kinds))]
+			g.Param = g.Fault.Draw(rng)
 		case GenePartition:
 			g.Split = 1 + rng.Intn(s.Nodes-1)
 		default:
@@ -565,10 +550,10 @@ func seedCorpus() []Schedule {
 	return []Schedule{
 		{World: WorldTCP, Warmup: 2, TailMS: 150_000},
 		{World: WorldTCP, Warmup: 3, TailMS: 180_000, Genes: []Gene{
-			{Kind: GeneFault, Node: "xkernel", Dir: core.Receive, Fault: campaign.Drop, Type: "DATA", AtMS: 1500, DurMS: 10_000, Prob: 1},
+			{Kind: GeneFault, Node: "xkernel", Dir: core.Receive, Fault: fault.Drop, Type: "DATA", AtMS: 1500, DurMS: 10_000, Prob: 1},
 		}},
 		{World: WorldTCP, Warmup: 3, TailMS: 180_000, Genes: []Gene{
-			{Kind: GeneFault, Node: "vendor", Dir: core.Send, Fault: campaign.Corrupt, Type: "DATA", AtMS: 1000, DurMS: 5_000, Param: 20, Prob: 1},
+			{Kind: GeneFault, Node: "vendor", Dir: core.Send, Fault: fault.Corrupt, Type: "DATA", AtMS: 1000, DurMS: 5_000, Param: 20, Prob: 1},
 		}},
 		{World: WorldGMP, Nodes: 5, Warmup: 90, TailMS: 180_000, Genes: []Gene{
 			{Kind: GenePartition, AtMS: 95_000, DurMS: 90_000, Split: 3, Prob: 1},
@@ -600,8 +585,8 @@ func RaftSeedCorpus(nodes int, bugs string) []Schedule {
 	}
 	loss := base
 	loss.Genes = []Gene{
-		{Kind: GeneFault, Node: names[0], Dir: core.Receive, Fault: campaign.Drop, Type: "*", AtMS: 30_000, DurMS: 30_000, Prob: 0.5},
-		{Kind: GeneFault, Node: names[1%nodes], Dir: core.Send, Fault: campaign.Corrupt, Type: "APPEND_ENTRIES", AtMS: 30_000, DurMS: 30_000, Param: 9, Prob: 0.5},
+		{Kind: GeneFault, Node: names[0], Dir: core.Receive, Fault: fault.Drop, Type: "*", AtMS: 30_000, DurMS: 30_000, Prob: 0.5},
+		{Kind: GeneFault, Node: names[1%nodes], Dir: core.Send, Fault: fault.Corrupt, Type: "APPEND_ENTRIES", AtMS: 30_000, DurMS: 30_000, Param: 9, Prob: 0.5},
 	}
 	return []Schedule{base, churn, split, loss}
 }
@@ -648,8 +633,8 @@ func RaftDoubleVoteProbe(bugs string) Schedule {
 	return Schedule{
 		World: WorldRaft, Nodes: 3, Warmup: 30, TailMS: 60_000, RaftBugs: bugs,
 		Genes: []Gene{
-			{Kind: GeneFault, Node: "r1", Dir: core.Receive, Fault: campaign.Drop, Type: "REQUEST_VOTE", AtMS: 0, DurMS: 15_000, Prob: 1},
-			{Kind: GeneFault, Node: "r1", Dir: core.Receive, Fault: campaign.Drop, Type: "APPEND_ENTRIES", AtMS: 0, DurMS: 15_000, Prob: 1},
+			{Kind: GeneFault, Node: "r1", Dir: core.Receive, Fault: fault.Drop, Type: "REQUEST_VOTE", AtMS: 0, DurMS: 15_000, Prob: 1},
+			{Kind: GeneFault, Node: "r1", Dir: core.Receive, Fault: fault.Drop, Type: "APPEND_ENTRIES", AtMS: 0, DurMS: 15_000, Prob: 1},
 			{Kind: GeneRestart, Node: "r3", AtMS: 5_150, DurMS: 200, Prob: 1},
 		},
 	}

@@ -1,7 +1,5 @@
 package explore
 
-import "pfi/internal/campaign"
-
 // Shrink minimizes a failing schedule with delta debugging: ddmin over the
 // gene list, then per-gene and workload parameter canonicalization. The
 // predicate must report whether a candidate still fails (still violates
@@ -120,13 +118,7 @@ func shrinkGene(s Schedule, i int, check func(Schedule) bool) Gene {
 	// Shrink the parameter (delay/first-N/corrupt offset) toward its
 	// smallest meaningful value.
 	if g.Kind == GeneFault {
-		floor := 0
-		switch g.Fault {
-		case campaign.Delay:
-			floor = 500
-		case campaign.DropFirstN:
-			floor = 1
-		}
+		floor := g.Fault.Floor()
 		for g.Param > floor {
 			c := g
 			c.Param = g.Param / 2

@@ -3,15 +3,15 @@ package explore
 import (
 	"testing"
 
-	"pfi/internal/campaign"
 	"pfi/internal/core"
+	"pfi/internal/fault"
 )
 
 // coreGenes are the two genes a synthetic failure depends on; everything
 // else in the haystack is noise the shrinker must strip.
 func coreGenes() (Gene, Gene) {
-	a := Gene{Kind: GeneFault, Node: "vendor", Dir: core.Send, Fault: campaign.Corrupt, Type: "DATA", AtMS: 4000, DurMS: 8000, Param: 20, Prob: 1}
-	b := Gene{Kind: GeneFault, Node: "xkernel", Dir: core.Receive, Fault: campaign.Drop, Type: "ACK", AtMS: 12_000, DurMS: 4000, Prob: 1}
+	a := Gene{Kind: GeneFault, Node: "vendor", Dir: core.Send, Fault: fault.Corrupt, Type: "DATA", AtMS: 4000, DurMS: 8000, Param: 20, Prob: 1}
+	b := Gene{Kind: GeneFault, Node: "xkernel", Dir: core.Receive, Fault: fault.Drop, Type: "ACK", AtMS: 12_000, DurMS: 4000, Prob: 1}
 	return a, b
 }
 
@@ -20,7 +20,7 @@ func coreGenes() (Gene, Gene) {
 func haystack() Schedule {
 	a, b := coreGenes()
 	s := Schedule{World: WorldTCP, Warmup: 4, TailMS: 160_000}
-	faults := []campaign.FaultKind{campaign.Drop, campaign.Delay, campaign.Duplicate, campaign.Reorder}
+	faults := []fault.Kind{fault.Drop, fault.Delay, fault.Duplicate, fault.Reorder}
 	for i := 0; i < 50; i++ {
 		switch i {
 		case 17:
@@ -36,7 +36,7 @@ func haystack() Schedule {
 				Type:  tcpTypes[i%len(tcpTypes)],
 				AtMS:  quantize(i * 700),
 				DurMS: quantize(3000 + i*300),
-				Param: map[campaign.FaultKind]int{campaign.Delay: 1500}[faults[i%len(faults)]],
+				Param: map[fault.Kind]int{fault.Delay: 1500}[faults[i%len(faults)]],
 				Prob:  1,
 			})
 		}
@@ -109,13 +109,13 @@ func TestShrinkBudget(t *testing.T) {
 // TestShrinkCanonicalizesParams: per-gene parameter shrinking pulls a
 // probabilistic, late, long window toward the deterministic minimum.
 func TestShrinkCanonicalizesParams(t *testing.T) {
-	g := Gene{Kind: GeneFault, Node: "vendor", Dir: core.Send, Fault: campaign.Delay, Type: "DATA",
+	g := Gene{Kind: GeneFault, Node: "vendor", Dir: core.Send, Fault: fault.Delay, Type: "DATA",
 		AtMS: 16_000, DurMS: 32_000, Param: 6000, Prob: 0.5}
 	s := Schedule{World: WorldTCP, Warmup: 2, TailMS: 150_000, Genes: []Gene{g}}
 	// The "failure" only needs a vendor-send Delay gene to exist at all.
 	pred := func(c Schedule) bool {
 		for _, g := range c.Genes {
-			if g.Kind == GeneFault && g.Fault == campaign.Delay && g.Node == "vendor" {
+			if g.Kind == GeneFault && g.Fault == fault.Delay && g.Node == "vendor" {
 				return true
 			}
 		}

@@ -2,9 +2,13 @@
 //
 // Each Model describes one way a protocol participant may deviate from its
 // specification: crash, link crash, send/receive/general omission, timing,
-// or arbitrary (byzantine) behaviour. A Plan parameterizes a model and
-// compiles it into PFI filter scripts, so "testing a different failure
-// scenario is accomplished simply by invoking different scripts".
+// or arbitrary (byzantine) behaviour. Each Kind is one per-message
+// manipulation a PFI filter performs (Section 2.1) — drop, delay, corrupt,
+// … — and carries the model it realizes in each direction, the range its
+// parameter is drawn from, and the filter-script snippet that injects it.
+// The campaign matrix and the fault-schedule fuzzer both draw from this one
+// table, so "testing a different failure scenario is accomplished simply by
+// invoking different scripts".
 //
 // Models are ordered by severity: a protocol implementation that tolerates
 // failures of a more severe model also tolerates the less severe ones
@@ -37,11 +41,11 @@ const (
 	ReceiveOmission
 	// GeneralOmission combines send and receive omission.
 	GeneralOmission
-	// Timing makes a process or link violate its timing specification
-	// (too slow or too fast).
+	// Timing makes a process or link violate its timing specification:
+	// a message arrives too late, or overtakes one sent before it.
 	Timing
-	// Byzantine allows arbitrary behaviour: spurious messages, corruption,
-	// duplication, and reordering.
+	// Byzantine allows arbitrary behaviour: corrupted content and
+	// messages the sender never sent, whether forged or duplicated.
 	Byzantine
 )
 
@@ -63,9 +67,6 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", int(m))
 }
 
-// Valid reports whether m is a defined model.
-func (m Model) Valid() bool { return m >= ProcessCrash && m <= Byzantine }
-
 // Severity returns the model's rank in the paper's ordering (higher is
 // more severe).
 func (m Model) Severity() int { return int(m) }
@@ -74,68 +75,160 @@ func (m Model) Severity() int { return int(m) }
 // failures of model other — i.e. other's faulty behaviours are a subset of
 // m's. The paper presents the models in a total severity order.
 func (m Model) Covers(other Model) bool {
-	return m.Valid() && other.Valid() && m.Severity() >= other.Severity()
+	return ProcessCrash <= other && other.Severity() <= m.Severity() && m <= Byzantine
 }
 
-// Plan parameterizes a failure model for injection into one PFI layer.
-// The zero value of each field means "use the model's default".
-type Plan struct {
-	// Model selects the failure model. Required.
-	Model Model
-
-	// Prob is the per-message fault probability for omission and byzantine
-	// models. Defaults to 1 (every message).
-	Prob float64
-
-	// Start delays activation: the participant behaves correctly until
-	// this much virtual time has elapsed (measured by the `now` command).
-	// This is what makes crash failures "correct until they halt".
-	Start time.Duration
-
-	// Duration bounds the faulty period (0 = forever). Omission and timing
-	// faults stop after Start+Duration; crashes never recover.
-	Duration time.Duration
-
-	// TypeGlob restricts the fault to message types matching this Tcl glob
-	// pattern (empty = all messages).
-	TypeGlob string
-
-	// MeanDelay/DelayVariance parameterize timing failures (milliseconds).
-	MeanDelay     time.Duration
-	DelayVariance time.Duration
-
-	// Corrupt, Duplicate, Reorder enable the byzantine sub-behaviours
-	// (corruption flips a byte, duplication forwards an extra copy,
-	// reordering holds then LIFO-releases pairs). At least one must be set
-	// for Byzantine plans; all default to corruption-only when none are.
-	Corrupt   bool
-	Duplicate bool
-	Reorder   bool
+// Models returns all defined models in severity order.
+func Models() []Model {
+	return []Model{
+		ProcessCrash, LinkCrash, SendOmission, ReceiveOmission,
+		GeneralOmission, Timing, Byzantine,
+	}
 }
 
-// Validate checks the plan's parameters.
-func (p Plan) Validate() error {
-	if !p.Model.Valid() {
-		return fmt.Errorf("fault: invalid model %v", p.Model)
+// Kind is one per-message fault a filter injects. The values are stable:
+// fuzz genes print them as numbers.
+type Kind int
+
+const (
+	// Drop discards every matching message.
+	Drop Kind = iota + 1
+	// DropFirstN discards only the first N matching messages, then passes.
+	DropFirstN
+	// Delay holds every matching message for a fixed interval.
+	Delay
+	// Duplicate forwards one extra copy of every matching message.
+	Duplicate
+	// Corrupt flips one byte of every matching message.
+	Corrupt
+	// Reorder holds pairs of matching messages and releases them swapped.
+	Reorder
+)
+
+// kind is one row of the fault table. Rows are positional literals, so a
+// row that leaves out a field — its model, say — does not compile.
+type kind struct {
+	name string
+	// send and recv are the model the fault realizes in each direction.
+	send, recv Model
+	// A drawn parameter is base + step*Intn(n); n == 0 draws nothing and
+	// the parameter is base. base is also the floor a shrink stops at.
+	base, step, n int
+	// render writes the snippet; see Kind.Snippet.
+	render func(guard string, param int, suffix string) string
+}
+
+// kinds is the fault table, indexed by Kind; row 0 stands for every
+// undefined kind.
+//
+// Duplicate is byzantine, not an omission or timing fault: the second copy
+// is a message its sender never sent. A protocol that tolerates omission
+// and timing faults alone may rightly be broken by it.
+var kinds = [...]kind{
+	Drop: {"drop", SendOmission, ReceiveOmission, 0, 0, 0, func(guard string, _ int, _ string) string {
+		return fmt.Sprintf("if {%s} { xDrop cur_msg }\n", guard)
+	}},
+	DropFirstN: {"drop-first-n", SendOmission, ReceiveOmission, 1, 1, 5, func(guard string, n int, suffix string) string {
+		v := "dropped" + suffix
+		return fmt.Sprintf(`if {%s} {
+	if {![info exists %s]} { set %s 0 }
+	if {$%s < %d} {
+		incr %s
+		xDrop cur_msg
 	}
-	if p.Prob < 0 || p.Prob > 1 {
-		return fmt.Errorf("fault: probability %v out of [0,1]", p.Prob)
+}
+`, guard, v, v, v, n, v)
+	}},
+	Delay: {"delay", Timing, Timing, 500, 500, 12, func(guard string, ms int, _ string) string {
+		return fmt.Sprintf("if {%s} { xDelay cur_msg %d }\n", guard, ms)
+	}},
+	Duplicate: {"duplicate", Byzantine, Byzantine, 0, 0, 0, func(guard string, _ int, _ string) string {
+		return fmt.Sprintf("if {%s} { xDuplicate cur_msg 1 }\n", guard)
+	}},
+	Corrupt: {"corrupt", Byzantine, Byzantine, 0, 1, 64, func(guard string, off int, _ string) string {
+		return fmt.Sprintf(`if {%s} {
+	if {[msg_len cur_msg] > %d} {
+		msg_set_byte cur_msg %d [expr {[msg_byte cur_msg %d] ^ 0xFF}]
 	}
-	if p.Start < 0 || p.Duration < 0 || p.MeanDelay < 0 || p.DelayVariance < 0 {
-		return fmt.Errorf("fault: negative duration parameter")
+}
+`, guard, off, off, off)
+	}},
+	Reorder: {"reorder", Timing, Timing, 0, 0, 0, func(guard string, _ int, _ string) string {
+		return fmt.Sprintf(`if {%s} {
+	xHold cur_msg
+	if {[held_count] >= 2} { xReleaseLIFO }
+}
+`, guard)
+	}},
+}
+
+// Kinds returns every fault kind in table order.
+func Kinds() []Kind {
+	ks := make([]Kind, len(kinds)-1)
+	for i := range ks {
+		ks[i] = Kind(i + 1)
 	}
-	if p.Model == Timing && p.MeanDelay == 0 {
-		return fmt.Errorf("fault: timing failure needs MeanDelay")
+	return ks
+}
+
+// row returns k's table row: row 0, all zero, for an undefined kind.
+func (k Kind) row() *kind {
+	if k < Drop || int(k) >= len(kinds) {
+		return &kinds[0]
 	}
-	return nil
+	return &kinds[k]
+}
+
+// String implements fmt.Stringer.
+func (k Kind) String() string {
+	if r := k.row(); r.render != nil {
+		return r.name
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}
+
+// Model returns the failure model k realizes when injected by the filter
+// of direction dir, or 0 for an undefined kind.
+func (k Kind) Model(dir core.Direction) Model {
+	if dir == core.Receive {
+		return k.row().recv
+	}
+	return k.row().send
+}
+
+// Draw returns a random parameter for k — the delay in milliseconds, the
+// number of messages to drop, the byte offset to corrupt — making one
+// rng.Intn call, or none for a kind without a parameter.
+func (k Kind) Draw(rng interface{ Intn(int) int }) int {
+	r := k.row()
+	if r.n == 0 {
+		return r.base
+	}
+	return r.base + r.step*rng.Intn(r.n)
+}
+
+// Floor is the smallest meaningful parameter of k, where a shrink stops.
+func (k Kind) Floor() int { return k.row().base }
+
+// Snippet renders the filter-script fragment that injects k whenever guard
+// (a Tcl expr condition, such as Guard renders) holds for the current
+// message. param is the kind's parameter (ignored by kinds without one).
+// suffix disambiguates the filter-global state variables (the DropFirstN
+// counter) when several snippets compose into one script; it must be a
+// bare identifier fragment, and empty is fine for a lone snippet.
+func (k Kind) Snippet(guard string, param int, suffix string) (string, error) {
+	r := k.row()
+	if r.render == nil {
+		return "", fmt.Errorf("fault: unknown fault kind %v", k)
+	}
+	return r.render(guard, param, suffix), nil
 }
 
 // Guard renders a fault's activation condition — time window, message-type
 // glob, per-message probability — as a Tcl expression; a fault acts only
-// when it is true. It is the one renderer of this vocabulary: Plan.Scripts
-// and the fuzzer's fault genes both go through it. Zero start or dur leaves
-// that side of the window open, an empty typeGlob matches every type, and
-// prob outside (0,1) means every message.
+// when it is true. The fuzzer's fault genes guard their kind's snippet with
+// it. Zero start or dur leaves that side of the window open, an empty
+// typeGlob matches every type, and prob outside (0,1) means every message.
 func Guard(start, dur time.Duration, typeGlob string, prob float64) string {
 	var conds []string
 	if start > 0 {
@@ -154,104 +247,4 @@ func Guard(start, dur time.Duration, typeGlob string, prob float64) string {
 		return "1"
 	}
 	return strings.Join(conds, " && ")
-}
-
-// Scripts compiles the plan into (sendScript, receiveScript) Tcl sources.
-// An empty script means "leave that filter alone".
-func (p Plan) Scripts() (send, recv string, err error) {
-	if err := p.Validate(); err != nil {
-		return "", "", err
-	}
-	guard := Guard(p.Start, p.Duration, p.TypeGlob, p.Prob)
-	drop := fmt.Sprintf("if {%s} { xDrop cur_msg }\n", guard)
-	switch p.Model {
-	case ProcessCrash:
-		// A crashed process neither sends nor receives. Crashes never
-		// recover, so Duration is ignored.
-		crashDrop := fmt.Sprintf("if {%s} { xDrop cur_msg }\n", Guard(p.Start, 0, p.TypeGlob, p.Prob))
-		return crashDrop, crashDrop, nil
-	case LinkCrash:
-		// The link loses messages in transit: model at the sender's wire
-		// side. Like a crash, a dead link stays dead unless Duration says
-		// otherwise (an operator replacing the cable).
-		return drop, "", nil
-	case SendOmission:
-		return drop, "", nil
-	case ReceiveOmission:
-		return "", drop, nil
-	case GeneralOmission:
-		return drop, drop, nil
-	case Timing:
-		delay := fmt.Sprintf(
-			"if {%s} { xDelay cur_msg [expr {abs([dst_normal %d %d])}] }\n",
-			guard, p.MeanDelay.Milliseconds(), p.DelayVariance.Milliseconds())
-		return delay, delay, nil
-	case Byzantine:
-		byz := p.byzantineScript(guard)
-		return byz, byz, nil
-	default:
-		return "", "", fmt.Errorf("fault: unhandled model %v", p.Model)
-	}
-}
-
-func (p Plan) byzantineScript(guard string) string {
-	corrupt, duplicate, reorder := p.Corrupt, p.Duplicate, p.Reorder
-	if !corrupt && !duplicate && !reorder {
-		corrupt = true
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "if {%s} {\n", guard)
-	var arms []string
-	if corrupt {
-		arms = append(arms, `
-		set len [msg_len cur_msg]
-		if {$len > 0} {
-			msg_set_byte cur_msg [rand_int $len] [rand_int 256]
-		}`)
-	}
-	if duplicate {
-		arms = append(arms, `
-		xDuplicate cur_msg 1`)
-	}
-	if reorder {
-		arms = append(arms, `
-		xHold cur_msg
-		if {[held_count] >= 2} { xReleaseLIFO }`)
-	}
-	// Pick one arm per message, uniformly.
-	fmt.Fprintf(&b, "\tswitch [rand_int %d] {\n", len(arms))
-	for i, arm := range arms {
-		fmt.Fprintf(&b, "\t%d {%s\n\t}\n", i, arm)
-	}
-	b.WriteString("\t}\n}\n")
-	return b.String()
-}
-
-// Apply compiles the plan and installs the scripts on the PFI layer.
-// Filters whose script would be empty are left untouched, so plans for
-// different directions compose on one layer.
-func (p Plan) Apply(l *core.Layer) error {
-	send, recv, err := p.Scripts()
-	if err != nil {
-		return err
-	}
-	if send != "" {
-		if err := l.SetSendScript(send); err != nil {
-			return fmt.Errorf("fault: %v send script: %w", p.Model, err)
-		}
-	}
-	if recv != "" {
-		if err := l.SetReceiveScript(recv); err != nil {
-			return fmt.Errorf("fault: %v receive script: %w", p.Model, err)
-		}
-	}
-	return nil
-}
-
-// Models returns all defined models in severity order.
-func Models() []Model {
-	return []Model{
-		ProcessCrash, LinkCrash, SendOmission, ReceiveOmission,
-		GeneralOmission, Timing, Byzantine,
-	}
 }

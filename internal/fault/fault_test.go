@@ -2,7 +2,7 @@ package fault
 
 import (
 	"fmt"
-	"strconv"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -20,14 +20,7 @@ func (tinyStub) Protocol() string { return "tiny" }
 
 func (tinyStub) Recognize(m *message.Message) (core.Info, error) {
 	b, err := m.ByteAt(0)
-	if err != nil {
-		return core.Info{}, err
-	}
-	typ := "DATA"
-	if b == 1 {
-		typ = "HB"
-	}
-	return core.Info{Type: typ}, nil
+	return core.Info{Type: map[byte]string{1: "HB", 2: "DATA"}[b]}, err
 }
 
 func (tinyStub) Generate(typ string, fields map[string]string) (*message.Message, error) {
@@ -38,8 +31,9 @@ type rig struct {
 	sched *simtime.Scheduler
 	layer *core.Layer
 	stk   *stack.Stack
-	out   int // messages that reached the network
-	in    int // messages that reached the app
+	out   int      // messages that reached the network
+	in    int      // messages that reached the app
+	wire  [][]byte // the bytes of each message that reached the network
 }
 
 func newRig(t *testing.T) *rig {
@@ -48,17 +42,41 @@ func newRig(t *testing.T) *rig {
 	env := &stack.Env{Sched: r.sched, Node: "n"}
 	r.layer = core.NewLayer(env, core.WithStub(tinyStub{}))
 	r.stk = stack.New(env, r.layer)
-	r.stk.OnTransmit(func(m *message.Message) error { r.out++; return nil })
+	r.stk.OnTransmit(func(m *message.Message) error {
+		r.out++
+		r.wire = append(r.wire, append([]byte(nil), m.Bytes()...))
+		return nil
+	})
 	r.stk.OnDeliver(func(m *message.Message) error { r.in++; return nil })
 	return r
 }
 
+// inject composes the snippets of kinds ks, each under guard, into the
+// script of dir's filter.
+func (r *rig) inject(t *testing.T, dir core.Direction, guard string, param int, ks ...Kind) {
+	t.Helper()
+	var src string
+	for _, k := range ks {
+		s, err := k.Snippet(guard, param, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		src += s
+	}
+	set := r.layer.SetSendScript
+	if dir == core.Receive {
+		set = r.layer.SetReceiveScript
+	}
+	if err := set(src); err != nil {
+		t.Fatalf("%v %v: %v", ks, dir, err)
+	}
+}
+
+// pump sends and delivers n messages of type typ, then runs the clock out.
 func (r *rig) pump(t *testing.T, n int, typ byte) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := r.stk.Send(message.New([]byte{typ})); err != nil {
-			t.Fatal(err)
-		}
+		r.send(t, []byte{typ})
 		if err := r.stk.Deliver(message.New([]byte{typ})); err != nil {
 			t.Fatal(err)
 		}
@@ -66,25 +84,87 @@ func (r *rig) pump(t *testing.T, n int, typ byte) {
 	r.sched.Run()
 }
 
+// send sends one message per payload.
+func (r *rig) send(t *testing.T, payloads ...[]byte) {
+	t.Helper()
+	for _, b := range payloads {
+		if err := r.stk.Send(message.New(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// numbered returns n DATA payloads carrying 0..n-1 in byte 1.
+func numbered(n int) [][]byte {
+	ps := make([][]byte, n)
+	for i := range ps {
+		ps[i] = []byte{2, byte(i)}
+	}
+	return ps
+}
+
+// intnLog records the bounds Draw passes to Intn and answers the largest.
+type intnLog struct{ ns []int }
+
+func (l *intnLog) Intn(n int) int { l.ns = append(l.ns, n); return n - 1 }
+
+// TestKindTable pins every kind's value, name, model per direction and
+// parameter range: floor, largest draw, and the Intn bound it draws with
+// (none for a kind without a parameter). The formula base + step*Intn(n)
+// gives the least draw as the floor.
+func TestKindTable(t *testing.T) {
+	rows := []struct {
+		k          Kind
+		value      int
+		name       string
+		send, recv Model
+		floor, max int
+		intn       []int
+	}{
+		{Drop, 1, "drop", SendOmission, ReceiveOmission, 0, 0, nil},
+		{DropFirstN, 2, "drop-first-n", SendOmission, ReceiveOmission, 1, 5, []int{5}},
+		{Delay, 3, "delay", Timing, Timing, 500, 6000, []int{12}},
+		{Duplicate, 4, "duplicate", Byzantine, Byzantine, 0, 0, nil},
+		{Corrupt, 5, "corrupt", Byzantine, Byzantine, 0, 63, []int{64}},
+		{Reorder, 6, "reorder", Timing, Timing, 0, 0, nil},
+	}
+	if got := Kinds(); len(got) != len(rows) {
+		t.Fatalf("Kinds() = %v, want %d kinds", got, len(rows))
+	}
+	for i, w := range rows {
+		k := Kinds()[i]
+		if k != w.k || int(k) != w.value || k.String() != w.name {
+			t.Errorf("Kinds()[%d] = %d %q, want %d %q", i, int(k), k, w.value, w.name)
+		}
+		if k.Model(core.Send) != w.send || k.Model(core.Receive) != w.recv {
+			t.Errorf("%v: models send %v receive %v, want %v %v",
+				k, k.Model(core.Send), k.Model(core.Receive), w.send, w.recv)
+		}
+		hi := &intnLog{}
+		if got := k.Draw(hi); got != w.max || k.Floor() != w.floor {
+			t.Errorf("%v: largest draw %d, floor %d, want %d, %d", k, got, k.Floor(), w.max, w.floor)
+		}
+		if !reflect.DeepEqual(hi.ns, w.intn) {
+			t.Errorf("%v: drew Intn%v, want Intn%v", k, hi.ns, w.intn)
+		}
+	}
+	bad := Kind(99)
+	if bad.String() != "Kind(99)" || bad.Model(core.Send) != 0 || bad.Floor() != 0 {
+		t.Errorf("Kind(99): %q, model %v, floor %d", bad, bad.Model(core.Send), bad.Floor())
+	}
+	if _, err := bad.Snippet("1", 0, ""); err == nil {
+		t.Error("Kind(99) rendered a snippet")
+	}
+}
+
 func TestSeverityOrdering(t *testing.T) {
 	ms := Models()
-	if len(ms) != 7 {
-		t.Fatalf("Models() = %d entries, want 7", len(ms))
+	if len(ms) != 7 || ms[0] != ProcessCrash || ms[6] != Byzantine {
+		t.Fatalf("Models() = %v, want the 7 models from process-crash to byzantine", ms)
 	}
 	for i := 1; i < len(ms); i++ {
 		if ms[i].Severity() <= ms[i-1].Severity() {
 			t.Errorf("%v not more severe than %v", ms[i], ms[i-1])
-		}
-	}
-	if !Byzantine.Covers(ProcessCrash) {
-		t.Error("byzantine must cover crash")
-	}
-	if ProcessCrash.Covers(Byzantine) {
-		t.Error("crash must not cover byzantine")
-	}
-	for _, m := range ms {
-		if !m.Covers(m) {
-			t.Errorf("%v does not cover itself", m)
 		}
 	}
 }
@@ -96,16 +176,9 @@ func TestPropertyCoversPartialOrder(t *testing.T) {
 		ma := Model(a%7) + 1
 		mb := Model(b%7) + 1
 		mc := Model(c%7) + 1
-		if !ma.Covers(ma) {
-			return false
-		}
-		if ma.Covers(mb) && mb.Covers(ma) && ma != mb {
-			return false
-		}
-		if ma.Covers(mb) && mb.Covers(mc) && !ma.Covers(mc) {
-			return false
-		}
-		return true
+		antisymmetric := !(ma.Covers(mb) && mb.Covers(ma) && ma != mb)
+		transitive := !(ma.Covers(mb) && mb.Covers(mc) && !ma.Covers(mc))
+		return ma.Covers(ma) && antisymmetric && transitive
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -119,37 +192,28 @@ func TestModelString(t *testing.T) {
 	if Model(99).String() != "Model(99)" {
 		t.Errorf("String = %q", Model(99))
 	}
-	if Model(99).Valid() {
-		t.Error("Model(99) valid")
+	if Model(99).Covers(Drop.Model(core.Send)) || Byzantine.Covers(0) {
+		t.Error("an undefined model takes part in the order")
 	}
 }
 
-func TestValidate(t *testing.T) {
-	bad := []Plan{
-		{},                 // no model
-		{Model: Model(42)}, // unknown model
-		{Model: SendOmission, Prob: 1.5},
-		{Model: SendOmission, Prob: -0.1},
-		{Model: SendOmission, Start: -time.Second},
-		{Model: Timing}, // missing MeanDelay
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("plan %d validated: %+v", i, p)
+func TestSeverityCoversIsTotalOnList(t *testing.T) {
+	ms := Models()
+	for i, a := range ms {
+		for j, b := range ms {
+			if (i >= j) != a.Covers(b) {
+				t.Errorf("Covers(%v,%v) = %v, want %v", a, b, a.Covers(b), i >= j)
+			}
 		}
 	}
-	good := Plan{Model: GeneralOmission, Prob: 0.5, Start: time.Second}
-	if err := good.Validate(); err != nil {
-		t.Errorf("good plan rejected: %v", err)
-	}
 }
 
+// A crash is a drop on both filters from its start on, with the window's
+// end left open.
 func TestProcessCrashHaltsBothDirections(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: ProcessCrash, Start: 5 * time.Second}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Send, Guard(5*time.Second, 0, "", 0), 0, Drop)
+	r.inject(t, core.Receive, Guard(5*time.Second, 0, "", 0), 0, Drop)
 	r.pump(t, 3, 2) // before the crash: everything flows
 	if r.out != 3 || r.in != 3 {
 		t.Fatalf("pre-crash out=%d in=%d, want 3/3", r.out, r.in)
@@ -163,37 +227,26 @@ func TestProcessCrashHaltsBothDirections(t *testing.T) {
 
 func TestSendOmissionOnlyOutbound(t *testing.T) {
 	r := newRig(t)
-	if err := (Plan{Model: SendOmission}).Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Send, Guard(0, 0, "", 0), 0, Drop)
 	r.pump(t, 5, 2)
-	if r.out != 0 {
-		t.Fatalf("send omission let %d out", r.out)
-	}
-	if r.in != 5 {
-		t.Fatalf("send omission blocked receives: in=%d", r.in)
+	if r.out != 0 || r.in != 5 {
+		t.Fatalf("send omission: out=%d in=%d, want 0/5", r.out, r.in)
 	}
 }
 
 func TestReceiveOmissionOnlyInbound(t *testing.T) {
 	r := newRig(t)
-	if err := (Plan{Model: ReceiveOmission}).Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Receive, Guard(0, 0, "", 0), 0, Drop)
 	r.pump(t, 5, 2)
-	if r.in != 0 {
-		t.Fatalf("receive omission let %d in", r.in)
-	}
-	if r.out != 5 {
-		t.Fatalf("receive omission blocked sends: out=%d", r.out)
+	if r.in != 0 || r.out != 5 {
+		t.Fatalf("receive omission: in=%d out=%d, want 0/5", r.in, r.out)
 	}
 }
 
 func TestGeneralOmissionProbabilistic(t *testing.T) {
 	r := newRig(t)
-	if err := (Plan{Model: GeneralOmission, Prob: 0.5}).Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Send, Guard(0, 0, "", 0.5), 0, Drop)
+	r.inject(t, core.Receive, Guard(0, 0, "", 0.5), 0, Drop)
 	r.pump(t, 400, 2)
 	if r.out < 120 || r.out > 280 {
 		t.Fatalf("p=0.5 omission let %d/400 out", r.out)
@@ -205,10 +258,7 @@ func TestGeneralOmissionProbabilistic(t *testing.T) {
 
 func TestOmissionWindowEnds(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: SendOmission, Start: time.Second, Duration: 2 * time.Second}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Send, Guard(time.Second, 2*time.Second, "", 0), 0, Drop)
 	r.pump(t, 1, 2) // t=0: passes
 	r.sched.RunFor(1500 * time.Millisecond)
 	r.pump(t, 1, 2) // t=1.5s: inside window, dropped
@@ -221,10 +271,7 @@ func TestOmissionWindowEnds(t *testing.T) {
 
 func TestTypeGlobRestrictsFault(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: SendOmission, TypeGlob: "HB"}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Send, Guard(0, 0, "HB", 0), 0, Drop)
 	r.pump(t, 3, 1) // heartbeats: dropped
 	r.pump(t, 3, 2) // data: passes
 	if r.out != 3 {
@@ -234,191 +281,86 @@ func TestTypeGlobRestrictsFault(t *testing.T) {
 
 func TestTimingFailureDelays(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: Timing, MeanDelay: 10 * time.Second}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.stk.Send(message.New([]byte{2})); err != nil {
-		t.Fatal(err)
-	}
+	r.inject(t, core.Send, Guard(0, 0, "", 0), 10_000, Delay)
+	r.send(t, []byte{2})
 	if r.out != 0 {
 		t.Fatal("timing failure forwarded immediately")
 	}
 	r.sched.Run()
-	if r.out != 1 {
-		t.Fatal("timing failure lost the message")
-	}
-	if r.sched.Now() < simtime.Time(9*time.Second) {
-		t.Fatalf("message forwarded at %v, want ~10 s", r.sched.Now())
+	if r.out != 1 || r.sched.Now() != simtime.Time(10*time.Second) {
+		t.Fatalf("forwarded %d at %v, want 1 at 10 s", r.out, r.sched.Now())
 	}
 }
 
 func TestByzantineCorruption(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: Byzantine, Corrupt: true}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
-	corrupted := 0
-	r.stk.OnTransmit(func(m *message.Message) error {
-		r.out++
-		if b, _ := m.ByteAt(0); b != 2 {
-			corrupted++
-		}
-		return nil
-	})
-	for i := 0; i < 100; i++ {
-		if err := r.stk.Send(message.New([]byte{2})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if r.out != 100 {
-		t.Fatalf("byzantine corruption dropped messages: %d", r.out)
-	}
-	// A random byte of a 1-byte message is always byte 0; value is random
-	// over 256, so expect most messages corrupted.
-	if corrupted < 50 {
-		t.Fatalf("only %d/100 corrupted", corrupted)
+	r.inject(t, core.Send, Guard(0, 0, "", 0), 1, Corrupt)
+	r.send(t, []byte{2, 0x0F}, []byte{2}) // the second is too short: untouched
+	if want := [][]byte{{2, 0xF0}, {2}}; !reflect.DeepEqual(r.wire, want) {
+		t.Fatalf("wire carried %x, want %x", r.wire, want)
 	}
 }
 
 func TestByzantineDuplicate(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: Byzantine, Duplicate: true}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := r.stk.Send(message.New([]byte{2})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.inject(t, core.Send, Guard(0, 0, "", 0), 0, Duplicate)
+	r.send(t, numbered(10)...)
 	r.sched.Run()
 	if r.out != 20 {
 		t.Fatalf("duplicate fault forwarded %d, want 20", r.out)
 	}
 }
 
-func TestByzantineReorder(t *testing.T) {
+func TestReorderInvertsPairs(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: Byzantine, Reorder: true}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
-	var order []byte
-	r.stk.OnTransmit(func(m *message.Message) error {
-		b, _ := m.ByteAt(1)
-		order = append(order, b)
-		return nil
-	})
-	for i := byte(0); i < 10; i++ {
-		if err := r.stk.Send(message.New([]byte{2, i})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.inject(t, core.Send, Guard(0, 0, "", 0), 0, Reorder)
+	r.send(t, numbered(10)...)
 	r.sched.Run()
-	// Pairwise hold/LIFO-release: some inversions must appear, and at most
-	// one message may remain held at the end.
-	if len(order) < 9 {
-		t.Fatalf("reorder lost messages: forwarded %d", len(order))
+	want := numbered(10)
+	for i := 0; i < len(want); i += 2 {
+		want[i], want[i+1] = want[i+1], want[i]
 	}
-	inversions := 0
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			inversions++
-		}
-	}
-	if inversions == 0 {
-		t.Fatalf("no reordering observed in %v", order)
+	if !reflect.DeepEqual(r.wire, want) {
+		t.Fatalf("reorder forwarded %x, want %x", r.wire, want)
 	}
 }
 
+// Corrupt, duplicate and reorder compose on one filter, each under its own
+// coin, as examples/byzantine composes them. A held message is not also
+// duplicated: the hold claims it.
 func TestByzantineMixedArms(t *testing.T) {
 	r := newRig(t)
-	plan := Plan{Model: Byzantine, Corrupt: true, Duplicate: true, Reorder: true, Prob: 0.7}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
-	for i := byte(0); i < 100; i++ {
-		if err := r.stk.Send(message.New([]byte{2, i})); err != nil {
-			t.Fatal(err)
-		}
-	}
+	r.inject(t, core.Send, Guard(0, 0, "", 0.7), 1, Corrupt, Duplicate, Reorder)
+	r.send(t, numbered(100)...)
 	r.sched.Run()
-	if r.out < 80 {
-		t.Fatalf("mixed byzantine lost too much: %d/100+", r.out)
+	st := r.layer.SendFilter().Stats()
+	if r.out != 99+st.Duplicated || st.Duplicated == 0 || st.Held == 0 {
+		t.Fatalf("mixed byzantine: out=%d %+v", r.out, st)
 	}
 }
 
+// Every model a kind realizes has scripts that parse and run, in the
+// direction that realizes it; the kinds realize exactly these models.
 func TestScriptsCompileForEveryModel(t *testing.T) {
-	for _, m := range Models() {
-		plan := Plan{Model: m, Prob: 0.5, Start: time.Second, Duration: time.Minute,
-			TypeGlob: "HB*", MeanDelay: time.Second, DelayVariance: 100 * time.Millisecond,
-			Corrupt: true, Duplicate: true, Reorder: true}
-		send, recv, err := plan.Scripts()
-		if err != nil {
-			t.Errorf("%v: %v", m, err)
-			continue
+	realized := map[Model]bool{}
+	for _, k := range Kinds() {
+		for _, d := range []core.Direction{core.Send, core.Receive} {
+			realized[k.Model(d)] = true
+			r := newRig(t)
+			r.inject(t, d, Guard(time.Second, time.Minute, "HB*", 0.5), 1, k)
+			r.pump(t, 2, 1)
 		}
-		if send == "" && recv == "" {
-			t.Errorf("%v compiled to nothing", m)
-		}
-		// Install on a fresh layer to prove the Tcl parses.
-		r := newRig(t)
-		if err := plan.Apply(r.layer); err != nil {
-			t.Errorf("%v: apply: %v", m, err)
-		}
-		r.pump(t, 2, 1)
 	}
-}
-
-func TestLinkCrashScriptSendSideOnly(t *testing.T) {
-	send, recv, err := (Plan{Model: LinkCrash, Start: time.Second}).Scripts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if send == "" || recv != "" {
-		t.Fatalf("link crash scripts: send=%q recv=%q", send, recv)
-	}
-}
-
-func TestCrashIgnoresDuration(t *testing.T) {
-	// A process crash is permanent even if Duration is (mistakenly) set.
-	r := newRig(t)
-	plan := Plan{Model: ProcessCrash, Start: time.Second, Duration: time.Second}
-	if err := plan.Apply(r.layer); err != nil {
-		t.Fatal(err)
-	}
-	r.sched.RunFor(10 * time.Second)
-	r.pump(t, 3, 2)
-	if r.out != 0 || r.in != 0 {
-		t.Fatalf("crashed process resurrected: out=%d in=%d", r.out, r.in)
+	want := map[Model]bool{SendOmission: true, ReceiveOmission: true, Timing: true, Byzantine: true}
+	if !reflect.DeepEqual(realized, want) {
+		t.Fatalf("kinds realize %v, want %v", realized, want)
 	}
 }
 
 func TestDefaultProbabilityIsOne(t *testing.T) {
-	p := Plan{Model: SendOmission}
-	send, _, err := p.Scripts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "if {1} { xDrop cur_msg }"; !containsCollapsed(send, want) {
-		t.Fatalf("default-prob script = %q", send)
-	}
-}
-
-func containsCollapsed(s, want string) bool {
-	return len(s) >= len(want) && s[:len(want)] == want
-}
-
-func TestSeverityCoversIsTotalOnList(t *testing.T) {
-	ms := Models()
-	for i, a := range ms {
-		for j, b := range ms {
-			if (i >= j) != a.Covers(b) {
-				t.Errorf("Covers(%v,%v) = %v, want %v", a, b, a.Covers(b), i >= j)
-			}
+	for _, p := range []float64{0, 1} {
+		if s, _ := Drop.Snippet(Guard(0, 0, "", p), 0, ""); s != "if {1} { xDrop cur_msg }\n" {
+			t.Fatalf("prob %v: script = %q", p, s)
 		}
 	}
-	_ = strconv.Itoa(0) // keep strconv imported if asserts change
 }

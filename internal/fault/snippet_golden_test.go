@@ -1,4 +1,4 @@
-package campaign_test
+package fault
 
 import (
 	"flag"
@@ -8,9 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"pfi/internal/campaign"
-	"pfi/internal/fault"
 )
 
 var update = flag.Bool("update", false, "re-bless testdata/snippets.golden")
@@ -23,15 +20,13 @@ var update = flag.Bool("update", false, "re-bless testdata/snippets.golden")
 func TestSnippetGolden(t *testing.T) {
 	guards := []struct{ label, expr, suffix string }{
 		{"type", `[msg_type cur_msg] eq "HEARTBEAT"`, ""},
-		{"window", fault.Guard(1500*time.Millisecond, 30*time.Second, "APPEND_*", 0.25), "_g2"},
+		{"window", Guard(1500*time.Millisecond, 30*time.Second, "APPEND_*", 0.25), "_g2"},
 	}
 	var b strings.Builder
-	for _, k := range campaign.AllFaults() {
+	for _, k := range Kinds() {
 		for _, g := range guards {
 			for _, p := range []int{3, 1500} {
-				s, err := campaign.FaultSnippet(k, g.expr, campaign.SnippetParams{
-					DelayMS: p, FirstN: p, CorruptOffset: p, StateSuffix: g.suffix,
-				})
+				s, err := k.Snippet(g.expr, p, g.suffix)
 				if err != nil {
 					t.Fatalf("%v: %v", k, err)
 				}

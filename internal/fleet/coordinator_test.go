@@ -11,6 +11,7 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/explore"
+	"pfi/internal/fault"
 	"pfi/internal/harden"
 )
 
@@ -209,7 +210,7 @@ func TestPoolShrinksMidRound(t *testing.T) {
 // reassigns it, the second records its cells as contained verdicts under
 // the harden taxonomy instead of reassigning forever.
 func TestDoubleLossContained(t *testing.T) {
-	spec := campaign.Spec{Protocol: "typed", Types: []string{"DATA"}, Faults: []campaign.FaultKind{campaign.Drop}}
+	spec := campaign.Spec{Protocol: "typed", Types: []string{"DATA"}, Faults: []fault.Kind{fault.Drop}}
 	cases, err := campaign.Generate(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 
 	"pfi/internal/campaign"
 	"pfi/internal/explore"
+	"pfi/internal/fault"
 	"pfi/internal/harden"
 	"pfi/internal/tcp"
 )
@@ -30,7 +31,7 @@ func goldenFrames() []struct {
 	spec := campaign.Spec{
 		Protocol: "typed",
 		Types:    []string{"DATA", "ACK"},
-		Faults:   []campaign.FaultKind{campaign.Drop, campaign.Delay},
+		Faults:   []fault.Kind{fault.Drop, fault.Delay},
 		DelayMS:  1500,
 	}
 	sched := explore.Schedule{
@@ -41,7 +42,7 @@ func goldenFrames() []struct {
 		Genes: []explore.Gene{{
 			Kind:  explore.GeneFault,
 			Node:  "vendor",
-			Fault: campaign.Drop,
+			Fault: fault.Drop,
 			Type:  "*",
 			AtMS:  1000,
 			DurMS: 500,
