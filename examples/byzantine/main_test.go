@@ -37,7 +37,7 @@ func Example() {
 	//   gmd2 committed gen=7 {gmd1 gmd2 gmd3}
 	//   gmd3 committed gen=7 {gmd1 gmd2 gmd3}
 	//
-	// gmd3 send filter: 1077 seen, 62 duplicated, 70 held/reordered
+	// gmd3 send filter: 1077 seen, 77 duplicated, 67 held/reordered
 	// agreement held: every generation's multi-member view was identical everywhere
 	// final views:
 	//   gmd1: gen=7 {gmd1 gmd2 gmd3}

@@ -342,23 +342,25 @@ func (f *Filter) holdNow() {
 	f.held = append(f.held, f.curMsg)
 }
 
-// apply executes the accumulated verdict.
+// apply executes the accumulated verdict. A held original is already on the
+// hold queue (holdNow) and is not forwarded now; hold takes precedence over
+// drop, since the script has claimed the message for later release. The
+// copies of xDuplicate go out on their own schedule, delay + i·gap, whether
+// or not the original is held. A drop suppresses every copy.
 func (f *Filter) apply(m *message.Message, v *verdict) error {
+	var err error
 	switch {
 	case v.hold:
-		// Already on the hold queue (holdNow); nothing to forward. Hold
-		// takes precedence over drop: a held message has been claimed by
-		// the script for later release.
-		return nil
 	case v.drop:
 		f.stats.Dropped++
 		return nil
+	default:
+		if v.delay > 0 {
+			f.stats.Delayed++
+		}
+		err = f.forwardAfter(m, v.delay)
 	}
-	if v.delay > 0 {
-		f.stats.Delayed++
-	}
-	err := f.forwardAfter(m, v.delay)
-	if v.dupExtra > 0 {
+	if v.dupExtra > 0 && !v.drop {
 		f.stats.Duplicated += v.dupExtra
 		for i := 1; i <= v.dupExtra; i++ {
 			if e := f.forwardAfter(f.layer.env.Msgs.Clone(m), v.delay+time.Duration(i)*v.dupGap); err == nil {

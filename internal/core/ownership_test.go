@@ -90,7 +90,7 @@ func TestParkedMessagesArriveIntact(t *testing.T) {
 	var want []string
 	for i := 1; i <= n; i++ {
 		want = append(want, payload(i))
-		if i%3 == 0 && i%4 != 0 { // a held message is not also duplicated
+		if i%3 == 0 { // a held message is duplicated too
 			want = append(want, payload(i))
 		}
 	}
@@ -112,6 +112,30 @@ func TestParkedMessagesArriveIntact(t *testing.T) {
 				t.Fatalf("arrived:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 			}
 		})
+	}
+}
+
+// TestHeldMessageIsDuplicated: a run that holds and duplicates a message
+// parks the original and sends the copies on their own schedule, counted in
+// Duplicated; the original arrives only when released. A drop in the same
+// run suppresses the copies.
+func TestHeldMessageIsDuplicated(t *testing.T) {
+	r := newWireRig(t)
+	if err := r.pfi["a"].SetSendScript(`
+		incr n
+		if {$n == 1} { xHold cur_msg; xDuplicate cur_msg 2 5 }
+		if {$n == 2} { xHold cur_msg; xDuplicate cur_msg 1; xDrop cur_msg }
+		if {$n == 3} { xRelease }`); err != nil {
+		t.Fatal(err)
+	}
+	r.stream(t, 3)
+	// Message 1's copies arrive before it; message 2 is released with 1.
+	want := []string{payload(1), payload(1), payload(1), payload(2), payload(3)}
+	if got := strings.Join(r.arrived, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("arrived:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+	if st := r.pfi["a"].SendFilter().Stats(); st.Duplicated != 2 || st.Held != 2 || st.Released != 2 {
+		t.Fatalf("stats %+v, want 2 duplicated, 2 held, 2 released", st)
 	}
 }
 
