@@ -1,7 +1,8 @@
 // Command gmpexp reruns the paper's four GMP experiment families
 // (Section 4.2) — packet interruption, network partitions, proclaim
-// forwarding, and the timer test — and prints Tables 5-8, including the
-// buggy-vs-fixed contrast for each of the three historical bugs.
+// forwarding, and the timer test, the shipped gmp_* conformance scenarios —
+// and prints Tables 5-8, including the buggy-vs-fixed contrast for each of
+// the three historical bugs, each row read from its run's trace.
 //
 // Usage:
 //
@@ -15,7 +16,7 @@ import (
 	"io"
 	"os"
 
-	"pfi/internal/exp"
+	"pfi/internal/conformance"
 )
 
 func main() {
@@ -31,22 +32,22 @@ func main() {
 func run(expNum int, out io.Writer) error {
 	all := expNum == 0
 	if all || expNum == 1 {
-		if err := exp.Table5(out); err != nil {
+		if err := conformance.Table5(out); err != nil {
 			return err
 		}
 	}
 	if all || expNum == 2 {
-		if err := exp.Table6(out); err != nil {
+		if err := conformance.Table6(out); err != nil {
 			return err
 		}
 	}
 	if all || expNum == 3 {
-		if err := exp.Table7(out); err != nil {
+		if err := conformance.Table7(out); err != nil {
 			return err
 		}
 	}
 	if all || expNum == 4 {
-		if err := exp.Table8(out); err != nil {
+		if err := conformance.Table8(out); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
-// Command tcpexp reruns the paper's five TCP experiments (Section 4.1)
-// against the four vendor behaviour profiles and prints Tables 1-4, the
-// Figure 4 series, and the Experiment 5 findings.
+// Command tcpexp reruns the paper's five TCP experiments (Section 4.1), the
+// shipped tcp_* conformance scenarios, against the four vendor behaviour
+// profiles and prints Tables 1-4, the Figure 4 series, and the Experiment 5
+// findings, each row read from its run's trace.
 //
 // Usage:
 //
@@ -16,7 +17,7 @@ import (
 	"os"
 	"time"
 
-	"pfi/internal/exp"
+	"pfi/internal/conformance"
 	"pfi/internal/tcp"
 )
 
@@ -34,40 +35,40 @@ func main() {
 func run(expNum int, figure bool, out io.Writer) error {
 	all := expNum == 0
 	if all || expNum == 1 {
-		if err := exp.Table1(out); err != nil {
+		if err := conformance.Table1(out); err != nil {
 			return err
 		}
 	}
 	if all || expNum == 2 {
 		for _, d := range []time.Duration{3 * time.Second, 8 * time.Second} {
-			if err := exp.Table2(out, d); err != nil {
+			if err := conformance.Table2(out, d); err != nil {
 				return err
 			}
 		}
-		if err := exp.GlobalCounter(out); err != nil {
+		if err := conformance.GlobalCounter(out); err != nil {
 			return err
 		}
 		if figure || all {
-			if err := exp.Figure4(out, tcp.SunOS413()); err != nil {
+			if err := conformance.Figure4(out, tcp.SunOS413()); err != nil {
 				return err
 			}
-			if err := exp.Figure4(out, tcp.Solaris23()); err != nil {
+			if err := conformance.Figure4(out, tcp.Solaris23()); err != nil {
 				return err
 			}
 		}
 	}
 	if all || expNum == 3 {
-		if err := exp.Table3(out); err != nil {
+		if err := conformance.Table3(out); err != nil {
 			return err
 		}
 	}
 	if all || expNum == 4 {
-		if err := exp.Table4(out); err != nil {
+		if err := conformance.Table4(out); err != nil {
 			return err
 		}
 	}
 	if all || expNum == 5 {
-		if err := exp.Reorder(out); err != nil {
+		if err := conformance.Reorder(out); err != nil {
 			return err
 		}
 	}

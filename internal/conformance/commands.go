@@ -519,6 +519,34 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "0", nil
 	})
 
+	// gmp_declared_dead reports whether the node's daemon has declared
+	// itself dead and stayed in its group (the self-death bug).
+	in.Register("gmp_declared_dead", func(_ *script.Interp, args []string) (string, error) {
+		if len(args) != 1 {
+			return "", script.WrongArgs("gmp_declared_dead node")
+		}
+		m, err := h.member(args[0])
+		if err != nil {
+			return "", err
+		}
+		if m.Gmd.SelfDeclaredDead() {
+			return "1", nil
+		}
+		return "0", nil
+	})
+
+	// gmp_armed_hb_expect counts the node's armed heartbeat-expect timers.
+	in.RegisterTyped("gmp_armed_hb_expect", func(_ *script.Interp, args []string) (script.Value, error) {
+		if len(args) != 1 {
+			return script.Value{}, script.WrongArgs("gmp_armed_hb_expect node")
+		}
+		m, err := h.member(args[0])
+		if err != nil {
+			return script.Value{}, err
+		}
+		return script.Int(int64(m.Gmd.ArmedHBExpect())), nil
+	})
+
 	// --- raft workload -----------------------------------------------------
 
 	registerRaftCommands(in, h)

@@ -1,19 +1,13 @@
-// Package exp reproduces every experiment of the paper's Section 4: the
-// five TCP experiments (Tables 1-4, Figure 4, and the reordering study)
-// against the four vendor behaviour profiles, and the four GMP experiment
-// families (Tables 5-8) against the group membership daemon with its
-// historical bugs switchable on and off.
+// Package exp builds the worlds the paper's experiments run in: the
+// two-machine TCP rig (a vendor stack against the instrumented x-Kernel),
+// the n-daemon GMP rig, and the n-node raft rig. The experiments themselves
+// are conformance scenarios (internal/conformance/testdata), and the
+// package's tests check the paper's claims by replaying them.
 //
-// Each Run* function builds a fresh simulated world, installs the paper's
-// filter scripts, drives the workload, and returns a structured result
-// carrying the observations the paper's tables report.
-//
-// The rigs (NewTCPRig, NewGMPRig) are exported so the conformance runner
-// can replay declarative .pfi scenarios against the same worlds the paper's
-// experiments use. Every layer of a rig logs into one shared trace.Log, so
-// a rig's whole run serializes to a single canonical golden trace, and the
-// PFI layers of a rig share one core.SyncBus, so filters on different nodes
-// can synchronize (sync_signal/sync_wait).
+// Every layer of a rig logs into one shared trace.Log, so a rig's whole run
+// serializes to a single canonical golden trace, and the PFI layers of a
+// rig share one core.SyncBus, so filters on different nodes can
+// synchronize (sync_signal/sync_wait).
 package exp
 
 import (
@@ -24,7 +18,6 @@ import (
 	"pfi/internal/gmp"
 	"pfi/internal/netsim"
 	"pfi/internal/rudp"
-	"pfi/internal/simtime"
 	"pfi/internal/stack"
 	"pfi/internal/tcp"
 	"pfi/internal/trace"
@@ -179,26 +172,4 @@ func (r *GMPRig) StartAll() {
 	for _, n := range r.Names {
 		r.Ms[n].Gmd.Start()
 	}
-}
-
-// entryTimes extracts the timestamps of trace entries.
-func entryTimes(es []trace.Entry) []simtime.Time {
-	ts := make([]simtime.Time, len(es))
-	for i, e := range es {
-		ts[i] = e.At
-	}
-	return ts
-}
-
-// membersEqual compares a committed view's members with want.
-func membersEqual(g gmp.Group, want []string) bool {
-	if len(g.Members) != len(want) {
-		return false
-	}
-	for i := range want {
-		if g.Members[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -125,9 +125,6 @@ func (d *Daemon) IsLeader() bool { return d.group.Leader() == d.id }
 // SelfDeclaredDead reports the buggy post-self-death state.
 func (d *Daemon) SelfDeclaredDead() bool { return d.selfDead }
 
-// Events returns the protocol event log.
-func (d *Daemon) Events() *trace.Log { return d.log }
-
 // OnCommit registers a callback fired at every committed view change.
 func (d *Daemon) OnCommit(fn func(Group)) { d.onCommit = fn }
 

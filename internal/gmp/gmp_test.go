@@ -27,6 +27,7 @@ type member struct {
 // cluster is an n-machine rig.
 type cluster struct {
 	w     *netsim.World
+	log   *trace.Log // every daemon's events, unless opts name another log
 	names []string
 	ms    map[string]*member
 }
@@ -34,7 +35,8 @@ type cluster struct {
 func newCluster(t *testing.T, names []string, opts ...gmp.Option) *cluster {
 	t.Helper()
 	w := netsim.NewWorld(11)
-	c := &cluster{w: w, names: names, ms: make(map[string]*member)}
+	c := &cluster{w: w, log: trace.NewLog(), names: names, ms: make(map[string]*member)}
+	opts = append([]gmp.Option{gmp.WithTrace(c.log)}, opts...)
 	for _, name := range names {
 		node := w.MustAddNode(name)
 		net := rudp.NewLayer(node.Env())
@@ -254,7 +256,7 @@ func TestSuspendResumeTriggersSelfDeathFixed(t *testing.T) {
 	c.ms["n2"].gmd.Resume()
 	c.w.RunFor(time.Second)
 	// Fixed daemon: self-death handled by re-forming a singleton.
-	if c.ms["n2"].gmd.Events().Filter("n2", "self-death", "") == nil {
+	if c.log.Filter("n2", "self-death", "") == nil {
 		t.Fatal("no self-death event after suspension")
 	}
 	if c.ms["n2"].gmd.SelfDeclaredDead() {
@@ -274,14 +276,14 @@ func TestSuspendResumeSelfDeathBug(t *testing.T) {
 	c.w.RunFor(30 * time.Second)
 	c.ms["n2"].gmd.Resume()
 	c.w.RunFor(10 * time.Second)
-	if len(c.ms["n2"].gmd.Events().Filter("n2", "self-death-bug", "")) == 0 {
+	if len(c.log.Filter("n2", "self-death-bug", "")) == 0 {
 		t.Fatal("buggy self-death not triggered")
 	}
 	if !c.ms["n2"].gmd.SelfDeclaredDead() {
 		t.Fatal("buggy daemon did not mark itself dead")
 	}
 	// It keeps sending bad information instead of heartbeats.
-	if len(c.ms["n2"].gmd.Events().Filter("n2", "bad-info", "")) == 0 {
+	if len(c.log.Filter("n2", "bad-info", "")) == 0 {
 		t.Fatal("buggy daemon not broadcasting bad info")
 	}
 }
@@ -301,7 +303,7 @@ func TestDropSelfHeartbeatsViaPFI(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.w.RunFor(30 * time.Second)
-	if len(c.ms["n2"].gmd.Events().Filter("n2", "self-death", "")) == 0 {
+	if len(c.log.Filter("n2", "self-death", "")) == 0 {
 		t.Fatal("dropping loopback heartbeats did not trigger self-death")
 	}
 }
@@ -520,7 +522,7 @@ func TestGracefulMemberDeparture(t *testing.T) {
 	c.w.RunFor(3 * time.Second)
 	c.assertGroup(t, "n1", []string{"n1", "n2"})
 	c.assertGroup(t, "n2", []string{"n1", "n2"})
-	if len(c.ms["n1"].gmd.Events().Filter("n1", "depart-recv", "")) != 1 {
+	if len(c.log.Filter("n1", "depart-recv", "")) != 1 {
 		t.Error("leader never saw the DEPART notice")
 	}
 	// After the maintenance window, the daemon resumes and rejoins.
@@ -557,7 +559,7 @@ func TestLeaveFromSingletonNoop(t *testing.T) {
 	c.depart(t, "n1", "n2")
 	c.w.RunFor(time.Second)
 	c.assertGroup(t, "n1", []string{"n1"})
-	if n := len(c.ms["n1"].gmd.Events().Filter("n1", "depart-recv", "")); n != 0 {
+	if n := len(c.log.Filter("n1", "depart-recv", "")); n != 0 {
 		t.Errorf("%d DEPART notices acted on", n)
 	}
 }

@@ -9,12 +9,14 @@
 # them ran (`go tool covdata func` at 0.0%), then the count and the share of
 # pfi's statements the workloads ran:
 #
-#   - the pfitest suite under each of the four vendor profiles;
+#   - the pfitest suite under each of the four vendor profiles, which runs
+#     every paper experiment (each is a scenario) in its default variant;
 #   - the fuzz-mixed ledger child (pfifuzz -seed 1 -budget 100) and make
 #     explore's raft fuzz (-seed 3 -budget 200 -raft 7);
 #   - the campaign-raft ledger child (pficampaign -raft 25,100,250) and the
 #     default GMP sweep;
-#   - every experiment of tcpexp and gmpexp.
+#   - tcpexp and gmpexp, which run the same scenarios in every variant
+#     their tables render.
 #
 # It is a report, not a gate: a function it lists is a deletion candidate
 # only once nothing else a user runs (fleets, journaled resumes, pfish
