@@ -185,11 +185,11 @@ census:
 # (internal/conformance/testdata/tables, checked by internal/exp's golden
 # tests), the full default output of tcpexp and gmpexp, every fault kind's
 # snippet, the -dump-prog listings of pfitest's suite and pficampaign's
-# default GMP cases, and pficampaign's GMP sweep verdicts (only those golden
+# default GMP cases, and pficampaign's GMP and raft sweep verdicts (only those golden
 # tests read -update here). Inspect the diff before committing.
 goldens:
 	for p in sunos aix next solaris; do $(GO) run ./cmd/pfitest -update -profile $$p || exit 1; done
 	$(GO) test ./internal/exp/ -run Golden -update
 	$(GO) test ./cmd/tcpexp/ ./cmd/gmpexp/ -run StdoutGolden -update
 	$(GO) test ./internal/fault/ -run SnippetGolden -update
-	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run 'DumpProgGolden|GMPSweepGolden' -update
+	$(GO) test ./cmd/pfitest/ ./cmd/pficampaign/ -run 'DumpProgGolden|GMPSweepGolden|RaftSweepGolden' -update
