@@ -18,9 +18,13 @@
 //	pficampaign -connect http://host:8080     # run as a remote worker
 //	pficampaign -worker-stdio                 # run as a spawned stdio worker (internal)
 //
-// Each case boots a fresh 3-daemon GMP cluster, faults one daemon's
-// traffic with the generated filter script, and checks the healthy pair
-// still converges to a common membership view.
+// Each case is one script: the shipped conformance template
+// internal/conformance/testdata/gmp_cell.pfi (raft_cell.pfi under -raft,
+// its size and churn set by a prelude), with the generated filter script
+// as its faultload on one node. The GMP template boots 3 daemons and checks
+// that the healthy pair still converges to a common membership view; the
+// template's assert lines are the case's verdict, and its source is the
+// case's .pfi repro.
 //
 // Every case runs through the harden isolation layer: a panicking or
 // livelocked cell becomes one CRASH/LIVELOCK verdict instead of killing
@@ -39,12 +43,11 @@ import (
 	"time"
 
 	"pfi/internal/campaign"
+	"pfi/internal/conformance"
 	"pfi/internal/core"
-	"pfi/internal/exp"
 	"pfi/internal/fault"
 	"pfi/internal/fleet"
 	"pfi/internal/gmp"
-	"pfi/internal/harden"
 	"pfi/internal/lifecycle"
 	"pfi/internal/netsim"
 	"pfi/internal/stack"
@@ -61,10 +64,10 @@ type app struct {
 	list    bool
 	dump    bool
 	quiet   bool
-	// scenarios is every scenario this binary can drive, by the name that
-	// travels in a fleet job. Coordinator and spawned workers are the same
-	// binary, so they always agree on it.
-	scenarios map[string]campaign.Scenario
+	// cells is every cell this binary can drive, by the name that travels
+	// in a fleet job. Coordinator and spawned workers are the same binary,
+	// so they always agree on it.
+	cells map[string]conformance.Cell
 }
 
 // gmpTypesDefault and faultsDefault are the -types and -faults defaults:
@@ -75,8 +78,12 @@ const (
 )
 
 func main() {
-	a := &app{scenarios: raftScenarios()}
-	a.scenarios["gmp"] = gmpScenario
+	cells, err := campaignCells()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pficampaign:", err)
+		os.Exit(1)
+	}
+	a := &app{cells: cells}
 	flag.IntVar(&a.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size (1 = serial)")
 	flag.StringVar(&a.types, "types", gmpTypesDefault, "comma-separated message types to target")
 	flag.StringVar(&a.faults, "faults", faultsDefault, "comma-separated fault kinds")
@@ -94,15 +101,14 @@ func main() {
 	})
 	flag.Parse()
 	a.lc.Harden.ReproDir = *quar
-	for name, s := range a.scenarios {
-		fleet.RegisterScenario(name, s)
+	for name, cell := range a.cells {
+		fleet.RegisterScenario(name, cell.Run)
 	}
 	if *raftSizes != "" && a.lc.JournalPath != "" {
 		fmt.Fprintln(os.Stderr, "pficampaign: -journal supports the single-matrix GMP sweep; the raft mode runs several sweeps per invocation")
 		os.Exit(1)
 	}
 	a.lc.Start()
-	var err error
 	if *raftSizes != "" {
 		// The raft sweep retargets the default type vocabulary from GMP to
 		// the raft wire protocol; an explicit -types still wins.
@@ -158,7 +164,7 @@ func (a *app) runGMP() error {
 	return nil
 }
 
-// sweep runs one campaign matrix through the named scenario and prints its
+// sweep runs one campaign matrix through the named cell and prints its
 // summary: the whole GMP sweep (label ""), or one (size, churn) cell of the
 // raft sweep (label = the cell). There is one path: campaign.RunParallel
 // plans, resumes, journals, merges and counts; the in-process pool
@@ -167,11 +173,10 @@ func (a *app) runGMP() error {
 // merged verdict stream is bit-identical either way; only wall-clock
 // isolation knobs (-run-timeout) stay local, as they do not travel.
 func (a *app) sweep(spec campaign.Spec, scenario, label string) ([]campaign.Verdict, error) {
-	opts := campaign.Options{Workers: a.workers, Harden: *a.lc.Harden, Context: a.lc.Context(), Journal: a.lc.Journal}
+	cell := a.cells[scenario]
+	opts := campaign.Options{Workers: a.workers, Harden: *a.lc.Harden, Context: a.lc.Context(), Journal: a.lc.Journal, Repro: cell.Source}
 	prefix := ""
-	if label == "" {
-		opts.Repro = reproScenario // only the GMP world has a .pfi rendering
-	} else {
+	if label != "" {
 		prefix = label + "/"
 	}
 	if !a.quiet {
@@ -201,7 +206,7 @@ func (a *app) sweep(spec campaign.Spec, scenario, label string) ([]campaign.Verd
 		err = a.lc.RunFleet(coord, os.Stdout, func() error { return run(coord.RunCampaign) })
 	} else {
 		err = run(func(o campaign.Options) ([]campaign.Verdict, campaign.RunStats, error) {
-			return campaign.RunParallel(spec, a.scenarios[scenario], o)
+			return campaign.RunParallel(spec, cell.Run, o)
 		})
 	}
 	return verdicts, err
@@ -256,55 +261,4 @@ func parseFaults(s string) ([]fault.Kind, error) {
 		return nil, fmt.Errorf("no faults selected")
 	}
 	return kinds, nil
-}
-
-// reproScenario renders a campaign case as committable conformance
-// scenario source, so a contained failure can be quarantined as a .pfi
-// repro that replays the same cluster, faultload, and runtime.
-func reproScenario(c campaign.Case) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# campaign case: %s\n", c.Name)
-	b.WriteString("world gmp gmd1 gmd2 gmd3\n")
-	for _, n := range []string{"gmd1", "gmd2", "gmd3"} {
-		fmt.Fprintf(&b, "gmp_start %s\n", n)
-	}
-	fmt.Fprintf(&b, "faultload gmd3 %s {%s}\n", c.Dir, strings.TrimRight(c.Script, "\n"))
-	b.WriteString("run 3m\n")
-	b.WriteString("log \"group gmd1 [gmp_group gmd1]\"\n")
-	b.WriteString("log \"group gmd2 [gmp_group gmd2]\"\n")
-	return b.String()
-}
-
-// gmpScenario boots a fresh 3-daemon cluster on exp.NewGMPRig — the world
-// reproScenario's `world gmp` line builds — faults gmd3's traffic per the
-// case, and checks that gmd1 and gmd2 still share a view. Every call builds
-// its own world, so cases are independent and safe to run in parallel. The
-// isolation monitor meters the rig's scheduler and shared trace log, as the
-// conformance harness does when it replays the repro.
-func gmpScenario(m *harden.Monitor, c campaign.Case) (bool, string, error) {
-	r, err := exp.NewGMPRig([]string{"gmd1", "gmd2", "gmd3"})
-	if err != nil {
-		return false, "", err
-	}
-	m.Attach(r.W.Sched, r.Log, func() int {
-		n := 0
-		for _, gm := range r.Ms {
-			n += gm.PFI.SendFilter().Stats().Injected + gm.PFI.ReceiveFilter().Stats().Injected
-		}
-		return n
-	})
-	r.StartAll()
-	if err := c.Apply(r.Ms["gmd3"].PFI); err != nil {
-		return false, "", err
-	}
-	r.W.RunFor(3 * time.Minute)
-
-	g1, g2 := r.Ms["gmd1"].Gmd.Group(), r.Ms["gmd2"].Gmd.Group()
-	if !g1.Equal(g2) {
-		return false, fmt.Sprintf("views diverged: %v vs %v", g1, g2), nil
-	}
-	if !g1.Contains("gmd1") || !g1.Contains("gmd2") {
-		return false, fmt.Sprintf("healthy daemons missing from %v", g1), nil
-	}
-	return true, g1.String(), nil
 }

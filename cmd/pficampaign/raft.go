@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"pfi/internal/campaign"
-	"pfi/internal/exp"
-	"pfi/internal/harden"
-	"pfi/internal/raft"
+	"pfi/internal/conformance"
 )
 
 // The raft sweep is a three-axis matrix: cluster size × faultload × churn.
 // The faultload axis is the campaign.Case matrix (message type × fault ×
 // direction) applied to one victim node's PFI filters; the other two axes
-// select the registered scenario. Sizes and churn models are a fixed grid
+// select the registered cell, the raft_cell template under a prelude that
+// sets size and churn. Sizes and churn models are a fixed grid
 // so coordinator and spawned workers always share the same scenario
 // registry — the scenario name is the wire contract.
 var (
@@ -23,22 +21,31 @@ var (
 	raftSweepChurn = []string{"none", "restart", "suspend", "partition"}
 )
 
-// raftScenarioName is the fleet registry key for one (size, churn) cell.
-func raftScenarioName(size int, churn string) string {
+// raftCellName is the fleet registry key for one (size, churn) cell.
+func raftCellName(size int, churn string) string {
 	return fmt.Sprintf("raft-%d-%s", size, churn)
 }
 
-// raftScenarios builds every supported (size, churn) cell, keyed by its
-// registry name. The whole grid is built unconditionally at startup so a
-// spawned stdio worker can resolve whatever cell the coordinator sweeps.
-func raftScenarios() map[string]campaign.Scenario {
-	m := map[string]campaign.Scenario{}
+// campaignCells builds every cell this binary sweeps, keyed by its
+// registry name: "gmp", and one raft_cell variant per supported (size,
+// churn). The whole grid is built unconditionally at startup so a spawned
+// stdio worker can resolve whatever cell the coordinator sweeps.
+func campaignCells() (map[string]conformance.Cell, error) {
+	gmp, err := conformance.NewCell("gmp_cell", "")
+	if err != nil {
+		return nil, err
+	}
+	m := map[string]conformance.Cell{"gmp": gmp}
 	for _, n := range raftSweepSizes {
 		for _, churn := range raftSweepChurn {
-			m[raftScenarioName(n, churn)] = raftScenario(n, churn)
+			cell, err := conformance.NewCell("raft_cell", fmt.Sprintf("set size %d\nset churn %s\n", n, churn))
+			if err != nil {
+				return nil, err
+			}
+			m[raftCellName(n, churn)] = cell
 		}
 	}
-	return m
+	return m, nil
 }
 
 // raftTypesDefault is the raft wire vocabulary the faultload axis targets.
@@ -83,103 +90,6 @@ func parseRaftChurn(s string) ([]string, error) {
 	return out, nil
 }
 
-// raftScenario builds the scenario for one (size, churn) cell. Each case
-// boots a fresh n-node raft world, installs the generated faultload on r1's
-// PFI filters, drives churn plus a steady proposal workload, and judges:
-// the safety oracles (election safety, commit safety) must hold under any
-// single-node faultload, and the unfaulted quorum must still commit.
-func raftScenario(size int, churn string) campaign.Scenario {
-	return func(m *harden.Monitor, c campaign.Case) (bool, string, error) {
-		rig, err := exp.NewRaftRig(size)
-		if err != nil {
-			return false, "", err
-		}
-		victim := rig.Ms[rig.Names[0]]
-		m.Attach(rig.W.Sched, rig.Log, func() int {
-			return victim.PFI.SendFilter().Stats().Injected + victim.PFI.ReceiveFilter().Stats().Injected
-		})
-		if err := c.Apply(victim.PFI); err != nil {
-			return false, "", err
-		}
-		rig.StartAll()
-		rig.W.RunFor(20 * time.Second)
-
-		// A proposal lands only when the cluster has exactly one
-		// state-leader at the tick; several ticks spread over the run keep
-		// the workload alive across churn-induced re-elections.
-		proposed := 0
-		propose := func(k int) {
-			if ls := rig.Leaders(); len(ls) == 1 {
-				if _, ok := rig.Ms[ls[0]].Raft().Propose(fmt.Sprintf("w%d", k)); ok {
-					proposed++
-				}
-			}
-		}
-		propose(0)
-		rig.W.RunFor(10 * time.Second)
-
-		switch churn {
-		case "restart":
-			for i := 1; i <= 2; i++ {
-				n := rig.Ms[rig.Names[i%size]].Raft()
-				n.Stop()
-				rig.W.RunFor(5 * time.Second)
-				n.Start()
-				rig.W.RunFor(5 * time.Second)
-			}
-		case "suspend":
-			n := rig.Ms[rig.Names[1%size]].Raft()
-			n.Suspend()
-			rig.W.RunFor(15 * time.Second)
-			n.Resume()
-			rig.W.RunFor(5 * time.Second)
-		case "partition":
-			cut := size / 3
-			if cut == 0 {
-				cut = 1
-			}
-			rig.W.Partition(rig.Names[:cut], rig.Names[cut:])
-			propose(1)
-			rig.W.RunFor(15 * time.Second)
-			rig.W.Heal()
-			rig.W.RunFor(5 * time.Second)
-		case "none":
-			rig.W.RunFor(20 * time.Second)
-		}
-
-		propose(2)
-		rig.W.RunFor(10 * time.Second)
-		propose(3)
-		rig.W.RunFor(15 * time.Second)
-
-		// Safety: the same whole-history oracle explore and conformance
-		// use — one winner per term, one identity per applied index.
-		elections, applies := raft.SafetyConflicts(rig.Log.Entries())
-		if len(elections) > 0 {
-			return false, fmt.Sprintf("election safety: term %d elected %s", elections[0].Key, strings.Join(elections[0].Members, ", ")), nil
-		}
-		if len(applies) > 0 {
-			return false, fmt.Sprintf("commit safety: index %d applied as %s", applies[0].Key, strings.Join(applies[0].Members, ", ")), nil
-		}
-		// Liveness: a single faulted node plus bounded churn must not stop
-		// the quorum from committing.
-		if proposed == 0 {
-			return false, "no proposal tick found a unique leader", nil
-		}
-		quorum := size/2 + 1
-		applied := 0
-		for _, name := range rig.Names {
-			if rig.Ms[name].Raft().Applied() >= 1 {
-				applied++
-			}
-		}
-		if applied < quorum {
-			return false, fmt.Sprintf("entry applied on %d/%d nodes, want quorum %d", applied, size, quorum), nil
-		}
-		return true, fmt.Sprintf("proposed=%d applied=%d/%d", proposed, applied, size), nil
-	}
-}
-
 // runRaft is the -raft entry point: it sweeps the full consensus matrix,
 // one sweep of the faultload case matrix per (size, churn) cell — the
 // scenario name carries the cell, so in fleet mode each cell is one fleet
@@ -201,7 +111,7 @@ func (a *app) runRaft(sizesStr, churnStr string) error {
 		for _, size := range sizes {
 			for _, churn := range churns {
 				for _, c := range cases {
-					fmt.Printf("%s/%s\n", raftScenarioName(size, churn), c.Name)
+					fmt.Printf("%s/%s\n", raftCellName(size, churn), c.Name)
 				}
 			}
 		}
@@ -219,7 +129,7 @@ func (a *app) runRaft(sizesStr, churnStr string) error {
 	var all []campaign.Verdict
 	for _, size := range sizes {
 		for _, churn := range churns {
-			cell := raftScenarioName(size, churn)
+			cell := raftCellName(size, churn)
 			verdicts, err := a.sweep(spec, cell, cell)
 			if err != nil {
 				return fmt.Errorf("%s: %w", cell, err)

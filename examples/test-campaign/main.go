@@ -4,9 +4,11 @@
 //
 // The specification is just the protocol's message types and the fault
 // vocabulary; the generator emits one deterministic filter script per
-// (type × fault × direction) case. Each case is applied to one daemon's
-// PFI layer and the cluster is checked for its core promise: the two
-// unfaulted daemons converge to a common view containing them both.
+// (type × fault × direction) case. Each case runs the shipped conformance
+// template gmp_cell.pfi, pficampaign's GMP cell, with the case's script as
+// one daemon's faultload, and the template checks the cluster's core
+// promise: the two unfaulted daemons converge to a common view containing
+// them both.
 //
 // The sweep runs twice — serially, then across a worker pool — and prints
 // the speedup, so the example doubles as a smoke benchmark for the
@@ -21,16 +23,10 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"pfi/internal/campaign"
-	"pfi/internal/core"
+	"pfi/internal/conformance"
 	"pfi/internal/fault"
-	"pfi/internal/gmp"
-	"pfi/internal/harden"
-	"pfi/internal/netsim"
-	"pfi/internal/rudp"
-	"pfi/internal/stack"
 )
 
 func main() {
@@ -58,7 +54,11 @@ func run(out io.Writer, workers int) error {
 	fmt.Fprint(out, "  "+cases[0].Script)
 	fmt.Fprintln(out)
 
-	verdicts, serialStats, err := campaign.Run(spec, gmpScenario)
+	cell, err := conformance.NewCell("gmp_cell", "")
+	if err != nil {
+		return err
+	}
+	verdicts, serialStats, err := campaign.Run(spec, cell.Run)
 	if err != nil {
 		return err
 	}
@@ -69,7 +69,7 @@ func run(out io.Writer, workers int) error {
 	fmt.Fprintln(out, "\nthe healthy pair converged under every generated fault")
 
 	// Sweep again through the worker pool: same verdicts, less wall clock.
-	parallel, parStats, err := campaign.RunParallel(spec, gmpScenario, campaign.Options{Workers: workers})
+	parallel, parStats, err := campaign.RunParallel(spec, cell.Run, campaign.Options{Workers: workers})
 	if err != nil {
 		return err
 	}
@@ -83,49 +83,4 @@ func run(out io.Writer, workers int) error {
 	fmt.Fprintf(out, "speedup with %d workers: %.2fx (identical verdicts)\n",
 		parStats.Workers, serialStats.Elapsed.Seconds()/parStats.Elapsed.Seconds())
 	return nil
-}
-
-// gmpScenario boots a fresh 3-daemon cluster, faults gmd3's traffic per
-// the case, and checks that gmd1 and gmd2 still share a view.
-func gmpScenario(_ *harden.Monitor, c campaign.Case) (bool, string, error) {
-	names := []string{"gmd1", "gmd2", "gmd3"}
-	w := netsim.NewWorld(2026)
-	daemons := map[string]*gmp.Daemon{}
-	var victim *core.Layer
-	for _, name := range names {
-		node, err := w.AddNode(name)
-		if err != nil {
-			return false, "", err
-		}
-		net := rudp.NewLayer(node.Env())
-		pfi := core.NewLayer(node.Env(), core.WithStub(gmp.PFIStub{}))
-		node.SetStack(stack.New(node.Env(), net, pfi))
-		gmd, err := gmp.New(node.Env(), net, names)
-		if err != nil {
-			return false, "", err
-		}
-		daemons[name] = gmd
-		if name == "gmd3" {
-			victim = pfi
-		}
-	}
-	if err := w.ConnectAll(netsim.LinkConfig{Latency: 2 * time.Millisecond}); err != nil {
-		return false, "", err
-	}
-	if err := c.Apply(victim); err != nil {
-		return false, "", err
-	}
-	for _, n := range names {
-		daemons[n].Start()
-	}
-	w.RunFor(3 * time.Minute)
-
-	g1, g2 := daemons["gmd1"].Group(), daemons["gmd2"].Group()
-	if !g1.Equal(g2) {
-		return false, fmt.Sprintf("views diverged: %v vs %v", g1, g2), nil
-	}
-	if !g1.Contains("gmd1") || !g1.Contains("gmd2") {
-		return false, fmt.Sprintf("healthy daemons missing from %v", g1), nil
-	}
-	return true, g1.String(), nil
 }

@@ -505,6 +505,17 @@ func registerCommands(in *script.Interp, h *harness) {
 		return strings.Join(m.Gmd.Group().Members, " "), nil
 	})
 
+	in.RegisterTyped("gmp_gen", func(_ *script.Interp, args []string) (script.Value, error) {
+		if len(args) != 1 {
+			return script.Value{}, script.WrongArgs("gmp_gen node")
+		}
+		m, err := h.member(args[0])
+		if err != nil {
+			return script.Value{}, err
+		}
+		return script.Int(int64(m.Gmd.Group().Gen)), nil
+	})
+
 	in.Register("gmp_in_transition", func(_ *script.Interp, args []string) (string, error) {
 		if len(args) != 1 {
 			return "", script.WrongArgs("gmp_in_transition node")

@@ -125,16 +125,8 @@ func Run(sc *Scenario, opts Options) *Result {
 	var h *harness
 	iso := harden.Run(cfg, func(m *harden.Monitor) error {
 		h = newHarness(prof)
-		h.monitor = m
 		h.progDump = opts.ProgDump
-		in := script.New()
-		in.SetStepLimit(m.ScriptStepLimit(stepLimit))
-		registerCommands(in, h)
-		_, err := in.Eval(sc.Source)
-		if err != nil && in.StepLimitHit() {
-			m.ExceedScriptSteps() // aborts when a script-step budget is set
-		}
-		return err
+		return h.eval(sc.Source, m)
 	})
 
 	res.Outcome = iso.Kind
@@ -156,6 +148,21 @@ func Run(sc *Scenario, opts Options) *Result {
 		res.Err = fmt.Errorf("conformance: scenario %s: %w", sc.Name, iso.Err)
 	}
 	return res
+}
+
+// eval runs src in a fresh interpreter bound to h, metered by m. It is the
+// one evaluation path: Run calls it inside its own isolation, and a
+// campaign Cell under the monitor campaign.RunCase passes in.
+func (h *harness) eval(src string, m *harden.Monitor) error {
+	h.monitor = m
+	in := script.New()
+	in.SetStepLimit(m.ScriptStepLimit(stepLimit))
+	registerCommands(in, h)
+	_, err := in.Eval(src)
+	if err != nil && in.StepLimitHit() {
+		m.ExceedScriptSteps() // aborts when a script-step budget is set
+	}
+	return err
 }
 
 // RunAll replays every scenario, fanning out across opts.Workers via the

@@ -109,7 +109,7 @@ func TestFiveNodesConverge(t *testing.T) {
 	}
 	// Agreement: all views identical, same generation.
 	for _, n := range names[1:] {
-		if !c.ms[n].gmd.Group().Equal(g) {
+		if c.ms[n].gmd.Group().String() != g.String() {
 			t.Fatalf("%s view %v differs from leader view %v", n, c.ms[n].gmd.Group(), g)
 		}
 	}
@@ -323,11 +323,8 @@ func TestGroupHelpers(t *testing.T) {
 	if (gmp.Group{}).Leader() != "" {
 		t.Fatal("empty group has a leader")
 	}
-	if !g.Equal(gmp.NewGroup(3, []string{"a", "b", "c"})) {
-		t.Fatal("Equal false negative")
-	}
-	if g.Equal(gmp.NewGroup(4, []string{"a", "b", "c"})) {
-		t.Fatal("Equal ignores gen")
+	if g.String() != "gen=3 {a b c}" {
+		t.Fatalf("NewGroup = %v, want gen=3 {a b c}", g)
 	}
 }
 

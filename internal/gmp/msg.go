@@ -243,19 +243,6 @@ func (g Group) Without(ids ...string) []string {
 	return out
 }
 
-// Equal reports deep equality.
-func (g Group) Equal(o Group) bool {
-	if g.Gen != o.Gen || len(g.Members) != len(o.Members) {
-		return false
-	}
-	for i := range g.Members {
-		if g.Members[i] != o.Members[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders "gen=N {a b c}".
 func (g Group) String() string {
 	return fmt.Sprintf("gen=%d {%s}", g.Gen, strings.Join(g.Members, " "))

@@ -147,7 +147,7 @@ func TestSoakRandomChurn(t *testing.T) {
 		t.Fatalf("cluster did not re-converge: n1 sees %v", want)
 	}
 	for _, n := range names[1:] {
-		if !daemons[n].Group().Equal(want) {
+		if daemons[n].Group().String() != want.String() {
 			t.Errorf("%s final view %v != %v", n, daemons[n].Group(), want)
 		}
 	}
