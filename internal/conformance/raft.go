@@ -325,12 +325,14 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 
 	// raft_election_conflicts counts terms in which the trace records two
 	// distinct nodes winning — the election-safety oracle over the whole
-	// history, not just the current instant.
+	// history, not just the current instant. It reads only the elected
+	// entries, not a copy of the whole log: a campaign cell asks both
+	// oracles once per case.
 	in.RegisterTyped("raft_election_conflicts", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needRaft(); err != nil {
 			return script.Value{}, err
 		}
-		elections, _ := raft.SafetyConflicts(h.entries())
+		elections, _ := raft.SafetyConflicts(h.log.Filter("", "elected", ""))
 		return script.Int(int64(len(elections))), nil
 	})
 
