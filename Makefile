@@ -1,20 +1,20 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc unlinked unlinked-check inline-check census
+.PHONY: check vet build test race bench-e2e bench-smoke pairs fuzz explore goldens loc census census-check inline-check
 
 # check is the full PR gate: vet, build, every test once plain and once
 # under the race detector (each examples/* program runs as a test), a short fuzz smoke over the script language, the
 # journal parser, the conformance harness's sent-stream log, dist.Source's
 # generator, the scheduler's lanes and raft's in-place decode, a
 # one-iteration pass over every benchmark so they always compile, the
-# unlinked-code ratchet (unlinked-check below) and the inlining gate on the
+# never-run-code ratchet (census-check below) and the inlining gate on the
 # header reader (inline-check below).
 # Allocation budgets (alloc_budget_test.go: the filter
 # path, a world fork, and the per-hop message path) are enforced in the
 # plain `test` pass — the detector instruments allocations — so hot-path
 # alloc creep fails the gate. There are no per-subsystem targets: a
 # focused run is `go test -race ./internal/<pkg>/`.
-check: vet build test race fuzz bench-smoke unlinked-check inline-check
+check: vet build test race fuzz bench-smoke census-check inline-check
 
 # vet also covers the end-to-end ledger (bench/, its own module, compiled
 # against internal/*): an internal API change that would stop a ledger
@@ -143,19 +143,6 @@ loc:
 		printf '%7d %6d  %s\n' "$$(count $$d -maxdepth 1 -not -name '*_test.go')" "$$(count $$d -maxdepth 1 -name '*_test.go')" $$d; \
 	done
 
-# unlinked prints each func under internal/ (non-test files) that no shipped
-# binary links — every cmd/*, examples/* and bench/pfibench, built with
-# inlining off — with its line count and a total: code only tests reach.
-# unlinked reports; unlinked-check gates (in check and CI): it fails on an
-# unlinked func that scripts/unlinked.allow does not list with a reason,
-# and on a listed one that is now linked or deleted, so the list only
-# shrinks.
-unlinked:
-	@GO=$(GO) bash scripts/unlinked.sh
-
-unlinked-check:
-	@GO=$(GO) bash scripts/unlinked.sh -check
-
 # inline-check fails unless the compiler inlines message.Reader's take and
 # its four fixed-size readers: every protocol decoder reads its headers
 # through them, and a call per field is what the hop paid before take fit
@@ -167,18 +154,30 @@ inline-check:
 			{ echo "inline-check: (*Reader).$$fn is not inlined" >&2; exit 1; }; \
 	done; echo "inline-check: (*Reader).take, U8, U16, U32 and U64 inline"
 
-# census asks the wider question (~10 s): which funcs under internal/ do the
-# shipped workloads never run? It builds every cmd/* with coverage counters,
-# runs the pfitest suite under the four profiles (every paper experiment is
-# one of its scenarios), the fuzz-mixed and campaign-raft ledger children,
-# make explore's raft fuzz, the default GMP sweep, and tcpexp and gmpexp
-# (the same scenarios in each variant their tables render), and prints each
-# func `go tool covdata func` reports at 0.0%, with a total. A report, not a
-# gate: it is in neither check nor CI, and a func it lists goes only once
-# nothing a user runs reaches it (ROADMAP item 9 makes such a census the
-# condition for a cut).
+# census (~10 s) lists each func under internal/ that nothing a user runs
+# ever runs. It builds every cmd/* and examples/* with coverage counters and
+# runs what a user runs: the pfitest suite under the four profiles (every
+# paper experiment is one of its scenarios), -dump-prog and a tripped
+# -budget-timers with -quarantine, tcpexp and gmpexp, the fuzz-mixed and
+# campaign-raft ledger children, make explore's raft fuzz, a quarantining
+# fuzz under a timer budget, the default GMP sweep, both tools on a spawned
+# fleet, a -serve/-connect pair (with /status and /metrics read), a
+# journaled run of each resumed from a torn journal, pfish -c, -world (a
+# TCP and a raft world) and -resume, a pfiproxy ping-pong stopped by
+# SIGINT, and every examples/* program; then it prints each func `go tool
+# covdata func` reports at 0.0%, with a total (the statement share can
+# move by 0.1 point between runs: the interrupt handler's goroutine may or
+# may not reach its last statement before pfiproxy exits). A func no binary links never runs, so this
+# also covers what nothing links. census-check gates (in check and CI): it
+# fails on a never-run func that scripts/census.allow does not list with a
+# reason from its fixed classes, on a listed one that now runs or is
+# deleted, and on an internal package with no coverage data, so the list
+# only shrinks.
 census:
 	@GO=$(GO) bash scripts/census.sh
+
+census-check:
+	@GO=$(GO) bash scripts/census.sh -check
 
 # goldens re-blesses every pinned artifact: conformance traces under each
 # vendor profile, the rendered experiment tables

@@ -107,9 +107,9 @@ func RunShipped(name, prelude string, prof tcp.Profile) (*Result, error) {
 // events returns the entries of node, kind and type ("" matches any).
 func (r *Result) events(node, kind, typ string) []trace.Entry {
 	var out []trace.Entry
-	for _, e := range r.Trace {
-		if (node == "" || e.Node == node) && (kind == "" || e.Kind == kind) && (typ == "" || e.Type == typ) {
-			out = append(out, e)
+	for i := range r.Trace {
+		if r.Trace[i].Matches(node, kind, typ) {
+			out = append(out, r.Trace[i])
 		}
 	}
 	return out

@@ -53,7 +53,7 @@ var gmpSuffixes = []string{
 func renderTrace(es []trace.Entry) string {
 	var b strings.Builder
 	for _, e := range es {
-		b.WriteString(e.String())
+		b.WriteString(e.Canonical())
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -11,7 +11,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -148,6 +147,3 @@ func (s *Source) Split(label string) *Source {
 	}
 	return NewSource(h ^ s.Int63())
 }
-
-// String describes the source for diagnostics.
-func (s *Source) String() string { return fmt.Sprintf("dist.Source(%p)", s) }

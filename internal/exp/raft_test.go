@@ -62,7 +62,7 @@ func TestRaftWorldForkReplaysIdentically(t *testing.T) {
 		r.W.RunFor(15 * time.Second)
 		out := ""
 		for _, e := range r.Log.Entries() {
-			out += e.String() + "\n"
+			out += e.Canonical() + "\n"
 		}
 		for _, name := range r.Names {
 			n := r.Ms[name].Raft()

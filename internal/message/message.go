@@ -187,15 +187,6 @@ func (m *Message) SetSrc(node string) { m.src = node }
 // Src returns the sending node ("" before the message has been transmitted).
 func (m *Message) Src() string { return m.src }
 
-// String renders a short diagnostic form.
-func (m *Message) String() string {
-	n := len(m.buf)
-	if n <= 16 {
-		return fmt.Sprintf("msg(%d bytes % x)", n, m.buf)
-	}
-	return fmt.Sprintf("msg(%d bytes % x…)", n, m.buf[:16])
-}
-
 // Writer builds wire bytes field by field in network byte order: a whole
 // frame inside a new message (Build … Message) or a bare byte slice
 // (NewWriter … Done). It is the one builder every protocol codec encodes

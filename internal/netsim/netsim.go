@@ -154,9 +154,6 @@ func (w *World) Nodes() []string {
 	return names
 }
 
-// Name returns the node's name.
-func (n *Node) Name() string { return n.name }
-
 // Env returns the node's per-stack environment (scheduler + name).
 func (n *Node) Env() *stack.Env { return n.env }
 

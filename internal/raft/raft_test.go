@@ -434,7 +434,7 @@ func TestSnapshotRestoreReplaysIdentically(t *testing.T) {
 			node := c.nodes[n]
 			out += dumpState(node) + "\n"
 			for _, e := range node.log.Entries() {
-				out += e.String() + "\n"
+				out += e.Canonical() + "\n"
 			}
 		}
 		return out

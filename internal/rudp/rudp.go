@@ -204,11 +204,6 @@ func (l *Layer) Send(dst string, payload []byte) error {
 	return l.ship(dst, ps.frame)
 }
 
-// SendRaw transmits payload unreliably (no ack, no retransmission).
-func (l *Layer) SendRaw(dst string, payload []byte) error {
-	return l.SendRawFrame(dst, RawFrame(l.env.Msgs, len(payload)).Bytes(payload))
-}
-
 // RawFrame starts an unreliable frame, in a message from p (nil allocates),
 // with room for an n-byte payload. The caller appends the payload and passes
 // the Writer to SendRawFrame: nothing retains a raw datagram, so its payload
@@ -219,8 +214,8 @@ func RawFrame(p *message.Pool, n int) message.Writer {
 	return Frame{Kind: KindRaw}.appendTo(p.Build(HeaderLen + n))
 }
 
-// SendRawFrame transmits a frame started by RawFrame, unreliably like
-// SendRaw.
+// SendRawFrame transmits a frame started by RawFrame unreliably: no ack,
+// no retransmission.
 func (l *Layer) SendRawFrame(dst string, w message.Writer) error {
 	m := w.Message()
 	m.SetDst(dst)
@@ -259,7 +254,7 @@ func (l *Layer) HandleDown(m *message.Message) error {
 	if m.Dst() == "" {
 		return fmt.Errorf("rudp: message without destination")
 	}
-	return l.SendRaw(m.Dst(), m.Bytes())
+	return l.SendRawFrame(m.Dst(), RawFrame(l.env.Msgs, m.Len()).Bytes(m.Bytes()))
 }
 
 // HandleUp implements stack.Layer: frame arrival from the network.

@@ -75,7 +75,7 @@ func TestReliableDelivery(t *testing.T) {
 
 func TestRawDelivery(t *testing.T) {
 	w, ns := newNet(t, "a", "b")
-	if err := ns["a"].l.SendRaw("b", []byte("hb")); err != nil {
+	if err := ns["a"].l.SendRawFrame("b", rudp.RawFrame(nil, 2).Bytes([]byte("hb"))); err != nil {
 		t.Fatal(err)
 	}
 	w.Run()

@@ -54,9 +54,6 @@ func (r *Registry) Register(name string, s Snapshotter) {
 	r.comps = append(r.comps, s)
 }
 
-// Len reports the number of registered components.
-func (r *Registry) Len() int { return len(r.comps) }
-
 // Capture snapshots every registered component, in registration order.
 func (r *Registry) Capture() *Snapshot {
 	s := &Snapshot{reg: r, states: make([]any, len(r.comps))}

@@ -42,8 +42,8 @@ func TestRegistryContract(t *testing.T) {
 	reg.Register("a", a)
 	reg.Register("b", b)
 	reg.Register("c", c)
-	if reg.Len() != 3 {
-		t.Fatalf("Len %d, want 3", reg.Len())
+	if len(reg.comps) != 3 {
+		t.Fatalf("%d components registered, want 3", len(reg.comps))
 	}
 	snap := reg.Capture()
 

@@ -17,12 +17,7 @@ const (
 	StateSynSent
 	StateSynRcvd
 	StateEstablished
-	StateFinWait1
-	StateFinWait2
 	StateCloseWait
-	StateClosing
-	StateLastAck
-	StateTimeWait
 )
 
 var stateNames = map[State]string{
@@ -31,12 +26,7 @@ var stateNames = map[State]string{
 	StateSynSent:     "SYN-SENT",
 	StateSynRcvd:     "SYN-RCVD",
 	StateEstablished: "ESTABLISHED",
-	StateFinWait1:    "FIN-WAIT-1",
-	StateFinWait2:    "FIN-WAIT-2",
 	StateCloseWait:   "CLOSE-WAIT",
-	StateClosing:     "CLOSING",
-	StateLastAck:     "LAST-ACK",
-	StateTimeWait:    "TIME-WAIT",
 }
 
 // String implements fmt.Stringer.
@@ -46,9 +36,6 @@ func (s State) String() string {
 	}
 	return fmt.Sprintf("State(%d)", int(s))
 }
-
-// timeWaitDur is 2*MSL for the TIME-WAIT hold.
-const timeWaitDur = 60 * time.Second
 
 // sentSeg is one transmitted, not-yet-acknowledged segment. It holds the
 // segment itself: a retransmission refreshes seg's ACK and window in place.
@@ -129,8 +116,6 @@ type Conn struct {
 	delackTimer   simtime.Timer
 	delackPending int
 
-	timeWaitTimer simtime.Timer
-
 	// Callbacks (any may be nil).
 	onData  func(data []byte)
 	onClose func(reason string)
@@ -153,7 +138,6 @@ func (l *Layer) newConn(state State, localPort uint16, remoteNode string, remote
 	c.kaTimer.Init(l.env.Sched, c.onKeepAliveTimer)
 	c.zwpTimer.Init(l.env.Sched, c.onZWPTimer)
 	c.delackTimer.Init(l.env.Sched, c.onDelackTimeout)
-	c.timeWaitTimer.Init(l.env.Sched, func() { c.finish("connection closed") })
 	c.iss = l.nextISS()
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -263,25 +247,6 @@ func (c *Conn) advance(k int) {
 	}
 }
 
-// Close initiates an orderly shutdown (FIN).
-func (c *Conn) Close() error {
-	switch c.state {
-	case StateEstablished:
-		c.state = StateFinWait1
-	case StateCloseWait:
-		c.state = StateLastAck
-	case StateSynSent, StateSynRcvd:
-		c.drop("closed before establishment", false)
-		return nil
-	case StateClosed:
-		return nil
-	default:
-		return fmt.Errorf("tcp: close in state %v", c.state)
-	}
-	c.sendControl(FlagFIN|FlagACK, true)
-	return nil
-}
-
 // --- plumbing ---------------------------------------------------------------
 
 func (c *Conn) sched() *simtime.Scheduler { return c.layer.env.Sched }
@@ -306,7 +271,7 @@ func (c *Conn) baseSegment(flags uint8) Segment {
 }
 
 // sendControl transmits a flags-only segment that occupies sequence space
-// (SYN/FIN); if track, it joins the retransmission queue.
+// (SYN); if track, it joins the retransmission queue.
 func (c *Conn) sendControl(flags uint8, track bool) {
 	seg := c.baseSegment(flags)
 	space := seg.SeqSpace()
@@ -471,7 +436,7 @@ func (c *Conn) handleSegment(seg *Segment) {
 		return
 	}
 
-	// ESTABLISHED and later states.
+	// ESTABLISHED and CLOSE-WAIT.
 	if seg.Has(FlagACK) {
 		c.processAck(seg)
 		if c.state == StateClosed {
@@ -546,9 +511,9 @@ func (c *Conn) retransmitHandshake() {
 	c.transmit(seg)
 }
 
-// dropAcked removes fully acknowledged segments, returning how many were
-// removed and whether any removed segment was never retransmitted.
-func (c *Conn) dropAcked(ack uint32) (removed int, anyClean bool) {
+// dropAcked removes fully acknowledged segments, reporting whether any
+// removed segment was never retransmitted.
+func (c *Conn) dropAcked(ack uint32) (anyClean bool) {
 	i := 0
 	for i < len(c.unacked) && seqLEQ(c.unacked[i].end, ack) {
 		if c.unacked[i].retransmits == 0 {
@@ -561,15 +526,13 @@ func (c *Conn) dropAcked(ack uint32) (removed int, anyClean bool) {
 		clear(c.unacked[n:]) // the payloads go with their segments
 		c.unacked = c.unacked[:n]
 	}
-	return i, anyClean
+	return anyClean
 }
 
 func (c *Conn) processAck(seg *Segment) {
 	if seqLess(c.sndUna, seg.Ack) && seqLEQ(seg.Ack, c.sndNxt) {
-		// New data acknowledged. (FIN status must be read before the acked
-		// segments — including the FIN — leave the queue.)
-		ackedFin := c.finOutstanding() && seg.Ack == c.sndNxt
-		removed, anyClean := c.dropAcked(seg.Ack)
+		// New data acknowledged.
+		anyClean := c.dropAcked(seg.Ack)
 		c.sndUna = seg.Ack
 
 		// Round-trip sampling.
@@ -597,12 +560,7 @@ func (c *Conn) processAck(seg *Segment) {
 		if anyClean {
 			c.globalErr = 0
 		}
-		_ = removed
 		c.rearmRtx()
-
-		if ackedFin {
-			c.finAcked()
-		}
 	}
 	c.sndWnd = int(seg.Window)
 	if c.sndWnd > 0 {
@@ -610,26 +568,6 @@ func (c *Conn) processAck(seg *Segment) {
 		c.pump()
 	} else if c.unsent > 0 || c.zwpEver {
 		c.startZWP()
-	}
-}
-
-func (c *Conn) finOutstanding() bool {
-	for i := range c.unacked {
-		if c.unacked[i].seg.Has(FlagFIN) {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Conn) finAcked() {
-	switch c.state {
-	case StateFinWait1:
-		c.state = StateFinWait2
-	case StateClosing:
-		c.enterTimeWait()
-	case StateLastAck:
-		c.finish("connection closed")
 	}
 }
 
@@ -696,31 +634,18 @@ func (c *Conn) acceptInOrder(seg *Segment) {
 			c.onData(next)
 		}
 	}
+	// A FIN is acknowledged at once. Nothing here sends one (there is no
+	// active close): a received FIN moves ESTABLISHED to CLOSE-WAIT, where
+	// the connection may still send.
 	if seg.Has(FlagFIN) && seg.Seq+uint32(seg.Len()) == c.rcvNxt {
 		c.rcvNxt++
-		c.handleFIN()
-		c.sendACK() // FIN is acknowledged immediately
+		if c.state == StateEstablished {
+			c.state = StateCloseWait
+		}
+		c.sendACK()
 		return
 	}
 	c.ackInOrderData()
-}
-
-func (c *Conn) handleFIN() {
-	switch c.state {
-	case StateEstablished:
-		c.state = StateCloseWait
-	case StateFinWait1:
-		// Our FIN not yet acked: simultaneous close.
-		c.state = StateClosing
-	case StateFinWait2:
-		c.enterTimeWait()
-	}
-}
-
-func (c *Conn) enterTimeWait() {
-	c.state = StateTimeWait
-	c.cancelTimers()
-	c.timeWaitTimer.Arm(timeWaitDur, "tcp-timewait")
 }
 
 // --- keep-alive -------------------------------------------------------------------
@@ -834,7 +759,7 @@ func (c *Conn) onZWPTimer() {
 // --- teardown ----------------------------------------------------------------------
 
 func (c *Conn) cancelTimers() {
-	for _, t := range [...]*simtime.Timer{&c.rtxTimer, &c.kaTimer, &c.zwpTimer, &c.timeWaitTimer, &c.delackTimer} {
+	for _, t := range [...]*simtime.Timer{&c.rtxTimer, &c.kaTimer, &c.zwpTimer, &c.delackTimer} {
 		t.Stop()
 	}
 }

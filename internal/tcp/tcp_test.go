@@ -2,6 +2,7 @@ package tcp_test
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"pfi/internal/core"
 	"pfi/internal/message"
 	"pfi/internal/netsim"
+	"pfi/internal/simtime"
 	"pfi/internal/stack"
 	"pfi/internal/tcp"
 	"pfi/internal/trace"
@@ -407,35 +409,6 @@ func TestZeroWindowProbesForeverWhenUnanswered(t *testing.T) {
 	}
 }
 
-func TestOrderlyClose(t *testing.T) {
-	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
-	var server *tcp.Conn
-	var serverClosed, clientClosed string
-	c := p.dial(t, 80, func(sc *tcp.Conn) {
-		server = sc
-		sc.OnClose(func(r string) { serverClosed = r })
-	})
-	c.OnClose(func(r string) { clientClosed = r })
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p.w.RunFor(time.Second)
-	if server.State() != tcp.StateCloseWait {
-		t.Fatalf("server %v, want CLOSE-WAIT", server.State())
-	}
-	if err := server.Close(); err != nil {
-		t.Fatal(err)
-	}
-	p.w.RunFor(2 * time.Second)
-	if serverClosed == "" {
-		t.Fatal("server never closed")
-	}
-	p.w.RunFor(120 * time.Second) // TIME-WAIT expiry
-	if c.State() != tcp.StateClosed || clientClosed == "" {
-		t.Fatalf("client %v closed=%q after TIME-WAIT", c.State(), clientClosed)
-	}
-}
-
 func TestRSTToClosedPort(t *testing.T) {
 	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
 	c, err := p.a.tcp.Connect("b", 9999) // nobody listening
@@ -568,14 +541,71 @@ func TestConnectTimeoutWhenPeerSilent(t *testing.T) {
 }
 
 func TestSendOnClosedConnectionFails(t *testing.T) {
+	// The client gives up retransmitting and resets the server: neither
+	// end may send afterwards.
 	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
-	c := p.dial(t, 80, nil)
-	if err := c.Close(); err != nil {
+	var server *tcp.Conn
+	c := p.dial(t, 80, func(sc *tcp.Conn) { server = sc })
+	if err := p.b.pfi.SetReceiveScript(`if {[msg_type cur_msg] ne "RST"} { xDrop cur_msg }`); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.Send([]byte("doomed")); err != nil {
+		t.Fatal(err)
+	}
+	p.w.RunFor(20 * 64 * time.Second)
+	for _, end := range []struct {
+		how  string
+		conn *tcp.Conn
+	}{{"gave up", c}, {"was reset", server}} {
+		if err := end.conn.Send([]byte("late")); err == nil {
+			t.Errorf("Send on a connection that %s succeeded (state %v)", end.how, end.conn.State())
+		}
+	}
+}
+
+func TestReceivedFINMovesToCloseWait(t *testing.T) {
+	// Nothing in the stack sends a FIN: one arrives only from the PFI
+	// layer, the way the fuzzer's FIN gene injects it. An ESTABLISHED
+	// connection that receives it in sequence moves to CLOSE-WAIT and ACKs
+	// it at once, without waiting for the delayed-ACK timer.
+	var last tcp.Segment // the last segment a sent b
+	var acks []tcp.Segment
+	var ackedAt []simtime.Time
+	var p *pair
+	tap := stack.NewFunc("tap", func(m *message.Message, next stack.Sink) error {
+		if seg, err := tcp.Decode(m); err == nil && seg.Type() == "ACK" {
+			seg.Payload = nil
+			acks, ackedAt = append(acks, seg), append(ackedAt, p.w.Sched.Now())
+		}
+		return next(m)
+	}, func(m *message.Message, next stack.Sink) error {
+		if seg, err := tcp.Decode(m); err == nil {
+			last = seg
+			last.Payload = nil
+		}
+		return next(m)
+	})
+	p = newPair(t, tcp.SunOS413(), tcp.XKernel(), tap)
+	var server *tcp.Conn
+	c := p.dial(t, 80, func(sc *tcp.Conn) { server = sc })
+	acks, ackedAt = nil, nil
+	fin := last.Seq + uint32(last.Len())
+	injectedAt := p.w.Sched.Now()
+	if err := p.b.pfi.Inject(core.Receive, "FIN", map[string]string{"src": "a", "dst": "b",
+		"srcport": strconv.Itoa(int(last.SrcPort)), "dstport": strconv.Itoa(int(last.DstPort)),
+		"seq": strconv.Itoa(int(fin)), "ack": strconv.Itoa(int(last.Ack)), "win": strconv.Itoa(int(last.Window)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if server.State() != tcp.StateCloseWait {
+		t.Fatalf("server %v after a FIN, want CLOSE-WAIT", server.State())
+	}
+	if len(acks) != 1 || acks[0].Ack != fin+1 || ackedAt[0] != injectedAt {
+		t.Fatalf("ACKs sent for the FIN: %v at %v, want one acking %d at %v", acks, ackedAt, fin+1, injectedAt)
+	}
 	p.w.RunFor(time.Second)
-	if err := c.Send([]byte("late")); err == nil {
-		t.Fatal("Send on closed connection succeeded")
+	if server.State() != tcp.StateCloseWait || c.State() != tcp.StateEstablished {
+		t.Fatalf("server %v, client %v a second after the FIN", server.State(), c.State())
 	}
 }
 
@@ -725,32 +755,6 @@ func TestSetKeepAliveOffCancelsProbing(t *testing.T) {
 	p.w.RunFor(3 * 7200 * time.Second)
 	if kas := p.a.log.Times("a", "keepalive", ""); len(kas) != 0 {
 		t.Fatalf("keepalive disabled but %d probes sent", len(kas))
-	}
-}
-
-func TestCloseFromSynSentAborts(t *testing.T) {
-	p := newPair(t, tcp.SunOS413(), tcp.XKernel())
-	// Nothing listening and inbound RSTs suppressed: stuck in SYN-SENT.
-	if err := p.a.pfi.SetReceiveScript(`xDrop cur_msg`); err != nil {
-		t.Fatal(err)
-	}
-	c, err := p.a.tcp.Connect("b", 4242)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.w.RunFor(100 * time.Millisecond)
-	if c.State() != tcp.StateSynSent {
-		t.Fatalf("state %v", c.State())
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if c.State() != tcp.StateClosed {
-		t.Fatalf("close from SYN-SENT left state %v", c.State())
-	}
-	// Closing again is a no-op.
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

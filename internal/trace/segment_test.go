@@ -56,9 +56,11 @@ func TestLogSegmentedSemantics(t *testing.T) {
 	}
 	if got := l.Filter("n3", "", ""); len(got) == 0 || got[0].Seq != 3 {
 		t.Fatalf("Filter across blocks broken: %v", got)
+	} else if cap(got) != len(got) {
+		t.Fatalf("Filter allocated room for %d entries to return %d", cap(got), len(got))
 	}
 	visited := 0
-	l.each(func(e Entry) {
+	l.each(func(e *Entry) {
 		if e.Seq == uint64(visited) {
 			visited++
 		}

@@ -6,8 +6,6 @@
 package trace
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"pfi/internal/simtime"
@@ -21,19 +19,6 @@ type Entry struct {
 	Type string // protocol message type, e.g. "DATA", "ACK", "COMMIT"
 	Seq  uint64 // protocol sequence number when meaningful
 	Note string
-}
-
-// String renders one log line.
-func (e Entry) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12s %-10s %-10s %-12s", e.At, e.Node, e.Kind, e.Type)
-	if e.Seq != 0 {
-		fmt.Fprintf(&b, " seq=%d", e.Seq)
-	}
-	if e.Note != "" {
-		fmt.Fprintf(&b, " %s", e.Note)
-	}
-	return b.String()
 }
 
 // Entry storage is segmented: the log holds fixed-size blocks and appends
@@ -110,17 +95,16 @@ func (l *Log) RestoreState(state any) {
 }
 
 // each visits every entry in order.
-func (l *Log) each(fn func(e Entry)) {
+func (l *Log) each(fn func(e *Entry)) {
 	for _, b := range l.blocks {
 		for i := range b {
-			fn(b[i])
+			fn(&b[i])
 		}
 	}
 }
 
 // Entries returns a copy of the logged entries. Mutating the returned slice
-// cannot corrupt the log; callers that want to avoid the copy can use
-// AppendEntries with a reusable buffer.
+// cannot corrupt the log.
 func (l *Log) Entries() []Entry {
 	out := make([]Entry, 0, l.n)
 	for _, b := range l.blocks {
@@ -129,20 +113,29 @@ func (l *Log) Entries() []Entry {
 	return out
 }
 
-// Filter returns the entries matching all non-empty criteria.
+// Matches reports whether e is of node, kind and type; an empty criterion
+// matches any.
+func (e *Entry) Matches(node, kind, typ string) bool {
+	return (node == "" || e.Node == node) && (kind == "" || e.Kind == kind) && (typ == "" || e.Type == typ)
+}
+
+// Filter returns the entries matching all non-empty criteria. It counts
+// them first, so the result is allocated once at its size.
 func (l *Log) Filter(node, kind, typ string) []Entry {
-	var out []Entry
-	l.each(func(e Entry) {
-		if node != "" && e.Node != node {
-			return
+	n := 0
+	l.each(func(e *Entry) {
+		if e.Matches(node, kind, typ) {
+			n++
 		}
-		if kind != "" && e.Kind != kind {
-			return
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
+	l.each(func(e *Entry) {
+		if e.Matches(node, kind, typ) {
+			out = append(out, *e)
 		}
-		if typ != "" && e.Type != typ {
-			return
-		}
-		out = append(out, e)
 	})
 	return out
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -132,15 +131,5 @@ func TestAnalyzeBackoffDegenerate(t *testing.T) {
 	r := AnalyzeBackoff([]simtime.Time{at(5)}, 0.1)
 	if r.Retransmissions != 0 || r.Gaps != nil {
 		t.Fatalf("singleton backoff = %+v", r)
-	}
-}
-
-func TestEntryString(t *testing.T) {
-	e := Entry{At: at(2), Node: "sun", Kind: "drop", Type: "ACK", Seq: 9, Note: "delayed"}
-	s := e.String()
-	for _, want := range []string{"sun", "drop", "ACK", "seq=9", "delayed"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Entry.String() %q missing %q", s, want)
-		}
 	}
 }

@@ -69,7 +69,7 @@ func renderRaftResults(t *testing.T, rs []*conformance.Result) string {
 			b.WriteByte('\n')
 		}
 		for _, e := range r.Trace {
-			b.WriteString(e.String())
+			b.WriteString(e.Canonical())
 			b.WriteByte('\n')
 		}
 	}
