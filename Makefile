@@ -144,15 +144,17 @@ loc:
 	done
 
 # inline-check fails unless the compiler inlines message.Reader's take and
-# its four fixed-size readers: every protocol decoder reads its headers
-# through them, and a call per field is what the hop paid before take fit
-# the inlining budget.
+# its four fixed-size readers, and the message's world-number getters and
+# setters: every protocol decoder reads its headers through the readers, a
+# call per field is what the hop paid before take fit the inlining budget,
+# and the network and the layers stamp and read the numbers on every hop.
 inline-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/message 2>&1) || { printf '%s\n' "$$out" >&2; exit 1; }; \
-	for fn in take U8 U16 U32 U64; do \
-		printf '%s\n' "$$out" | grep -q "can inline (\*Reader)\.$$fn$$" || \
-			{ echo "inline-check: (*Reader).$$fn is not inlined" >&2; exit 1; }; \
-	done; echo "inline-check: (*Reader).take, U8, U16, U32 and U64 inline"
+	for fn in Reader.take Reader.U8 Reader.U16 Reader.U32 Reader.U64 \
+		Message.SrcNo Message.SetSrcNo Message.DstNo Message.SetDstNo; do \
+		printf '%s\n' "$$out" | grep -q "can inline (\*$${fn%%.*})\.$${fn#*.}$$" || \
+			{ echo "inline-check: (*$$fn) is not inlined" >&2; exit 1; }; \
+	done; echo "inline-check: (*Reader).take, U8, U16, U32 and U64 inline, and (*Message).SrcNo, SetSrcNo, DstNo and SetDstNo"
 
 # census (~10 s) lists each func under internal/ that nothing a user runs
 # ever runs. It builds every cmd/* and examples/* with coverage counters and

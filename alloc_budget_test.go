@@ -244,6 +244,55 @@ func TestStreamSegmentAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRUDPReliableRoundAllocBudget: a round of reliable sends between two
+// rudp layers in a two-node world — one send acked at once, and one sent
+// while the receiver is unplugged, so that it is retransmitted and then
+// acked — allocates nothing once warm. Each send takes its pending record,
+// and the copy of its payload, from the records earlier acks gave back; the
+// per-peer window is a slice in sequence order that an ack shrinks in place;
+// the frames and the acks are messages from the world's free list, the one
+// lost in the unplugged world included, and the retransmission timer rides
+// DefaultRTO's lane.
+func TestRUDPReliableRoundAllocBudget(t *testing.T) {
+	w := netsim.NewWorld(1)
+	var layers []*rudp.Layer
+	var receiver *netsim.Node
+	for _, name := range []string{"a", "b"} {
+		n := w.MustAddNode(name)
+		l := rudp.NewLayer(n.Env())
+		n.SetStack(stack.New(n.Env(), l))
+		layers = append(layers, l)
+		receiver = n
+	}
+	if err := w.Connect("a", "b", netsim.LinkConfig{Latency: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	layers[1].OnDeliver(func(string, []byte) { delivered++ })
+	payload := []byte("membership change")
+	rounds := 0
+	allocBudget(t, "reliable rudp round", 0, 500, func() {
+		if err := layers[0].Send("b", payload); err != nil {
+			t.Fatal(err)
+		}
+		w.RunFor(10 * time.Millisecond)
+		receiver.Unplug()
+		if err := layers[0].Send("b", payload); err != nil {
+			t.Fatal(err)
+		}
+		w.RunFor(10 * time.Millisecond)
+		receiver.Replug()
+		w.RunFor(rudp.DefaultRTO) // the retransmission, and its ack
+		rounds++
+	})
+	if delivered != 2*rounds || w.Sched.Len() != 0 {
+		t.Fatalf("%d of %d sends delivered, %d events pending", delivered, 2*rounds, w.Sched.Len())
+	}
+	if st := w.Stats(); st.LostDown != rounds {
+		t.Fatalf("%d frames lost to the unplugged cable in %d rounds, want one a round", st.LostDown, rounds)
+	}
+}
+
 // TestRecognizeAllocBudget measures recognition on both of its paths. A bare
 // stub.Recognize through the core.Stub interface — what the ledger's
 // core.recognize_ns_tcp probe calls — costs the decoded header it hands back

@@ -376,6 +376,15 @@ func (h *harness) entries() []trace.Entry {
 	return h.log.Entries()
 }
 
+// detach hands over the shared trace log's entries, once the scenario is
+// over: the log is left empty.
+func (h *harness) detach() []trace.Entry {
+	if h.log == nil {
+		return nil
+	}
+	return h.log.Detach()
+}
+
 // profileByName resolves a vendor profile from a scenario token: "default"
 // (or "") selects the runner's default, anything else goes through
 // tcp.ProfileByName's forgiving match.

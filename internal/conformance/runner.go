@@ -132,7 +132,7 @@ func Run(sc *Scenario, opts Options) *Result {
 	res.Outcome = iso.Kind
 	if h != nil {
 		res.Verdicts = h.verdicts
-		res.Trace = h.entries()
+		res.Trace = h.detach()
 		res.Elapsed = h.now()
 		if h.kind == "tcp" {
 			res.World = h.prof.Name

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"pfi/internal/message"
 	"pfi/internal/rudp"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
@@ -74,6 +75,15 @@ type Daemon struct {
 	genCounter uint32
 
 	onCommit func(Group)
+
+	// in is the datagram being handled, decoded in place; depth counts the
+	// handlers running, more than one when a filter below answers a send
+	// with a datagram injected up while a handler still holds in.
+	in    Msg
+	depth int
+	// out is the encoding of the reliable message being sent: Send copies
+	// it, so every reliable send encodes into the same storage.
+	out []byte
 }
 
 // Option configures a Daemon.
@@ -147,7 +157,7 @@ func (d *Daemon) Start() {
 	d.genCounter++
 	d.commitLocal(NewGroup(d.genCounter, []string{d.id}))
 	d.timers.set(timerHBSend, "", hbInterval)
-	d.timers.set(timerProclaim, "", jitteredProclaim(d))
+	d.timers.setAfter(timerProclaim, "", jitteredProclaim(d))
 }
 
 // jitteredProclaim staggers proclaim timers by daemon id so simultaneous
@@ -178,7 +188,8 @@ func (d *Daemon) Resume() {
 
 func (d *Daemon) sendReliable(dst string, m *Msg) {
 	m.Sender = d.id
-	if err := d.net.Send(dst, m.Encode()); err != nil {
+	d.out = m.AppendTo(message.AppendWriter(d.out[:0])).Done()
+	if err := d.net.Send(dst, d.out); err != nil {
 		d.logEvent("send-error", m.TypeName(), err.Error())
 	}
 }
@@ -355,11 +366,16 @@ func (d *Daemon) handleDatagram(src string, payload []byte) {
 	if !d.started || d.suspended {
 		return
 	}
-	m, err := decodeMsg(payload, src, d.peers)
-	if err != nil {
+	m := &d.in
+	if d.depth > 0 {
+		m = new(Msg)
+	}
+	if err := m.decode(payload, src, d.peers); err != nil {
 		d.logEvent("decode-error", "", err.Error())
 		return
 	}
+	d.depth++
+	defer func() { d.depth-- }()
 	switch m.Type {
 	case TypeHeartbeat:
 		d.handleHeartbeat(m)
@@ -380,7 +396,7 @@ func (d *Daemon) handleDatagram(src string, payload []byte) {
 	}
 }
 
-func (d *Daemon) handleHeartbeat(m Msg) {
+func (d *Daemon) handleHeartbeat(m *Msg) {
 	if d.inTransition || !d.group.Contains(m.Origin) {
 		return
 	}
@@ -391,7 +407,7 @@ func (d *Daemon) handleHeartbeat(m Msg) {
 	d.armHBExpect(m.Origin)
 }
 
-func (d *Daemon) handleProclaim(m Msg) {
+func (d *Daemon) handleProclaim(m *Msg) {
 	if d.selfDead {
 		// The forwarding path in the buggy daemon calls a routine with the
 		// wrong parameter type: the packet is not forwarded at all.
@@ -434,7 +450,7 @@ func (d *Daemon) handleProclaim(m Msg) {
 	d.sendReliable(m.Origin, &Msg{Type: TypeProclaim, Gen: d.group.Gen, Origin: d.id})
 }
 
-func (d *Daemon) handleJoin(m Msg) {
+func (d *Daemon) handleJoin(m *Msg) {
 	if d.selfDead {
 		d.logEvent("proclaim-forward-lost", "JOIN", "parameter bug: packet dropped")
 		return
@@ -504,7 +520,7 @@ func (d *Daemon) finishChange() {
 	d.commitLocal(g)
 }
 
-func (d *Daemon) handleMembershipChange(m Msg) {
+func (d *Daemon) handleMembershipChange(m *Msg) {
 	g := NewGroup(m.Gen, m.Members)
 	// Validity: the sender must be the would-be leader of the proposed
 	// group and the proposal must include us.
@@ -533,7 +549,7 @@ func (d *Daemon) handleMembershipChange(m Msg) {
 	d.sendReliable(m.Origin, &Msg{Type: TypeAck, Gen: m.Gen, Origin: d.id})
 }
 
-func (d *Daemon) handleAckNak(m Msg) {
+func (d *Daemon) handleAckNak(m *Msg) {
 	if !d.changing || m.Gen != d.proposed.Gen {
 		return
 	}
@@ -550,7 +566,7 @@ func (d *Daemon) handleAckNak(m Msg) {
 	d.finishChange()
 }
 
-func (d *Daemon) handleCommit(m Msg) {
+func (d *Daemon) handleCommit(m *Msg) {
 	g := NewGroup(m.Gen, m.Members)
 	if !g.Contains(d.id) {
 		return
@@ -566,7 +582,7 @@ func (d *Daemon) handleCommit(m Msg) {
 	}
 }
 
-func (d *Daemon) handleDeadReport(m Msg) {
+func (d *Daemon) handleDeadReport(m *Msg) {
 	dead := ""
 	if len(m.Members) > 0 {
 		dead = m.Members[0]
@@ -589,7 +605,7 @@ func (d *Daemon) handleDeadReport(m Msg) {
 // shutdown, such as a scheduled maintenance": the lowest-id member left
 // runs the two-phase change for the shrunken view. No daemon sends one; a
 // filter injects it through the stub.
-func (d *Daemon) handleDepart(m Msg) {
+func (d *Daemon) handleDepart(m *Msg) {
 	if m.Origin == d.id || !d.group.Contains(m.Origin) || d.inTransition {
 		return
 	}

@@ -3,10 +3,11 @@ package gmp
 import "pfi/internal/simtime"
 
 // Snapshot support (see internal/snapshot). The daemon's timers live in the
-// timerTable; an entry's kind and key never change and it is its own
-// scheduler event, so the table's state is which entries are registered,
-// each with its arming stamp (a re-arm rewrites the stamp in place), and the
-// arming counter; the scheduler restores the events themselves.
+// timerTable; an entry is its own scheduler event, and once a capture has
+// seen it its kind and key never change (it is pinned, never reused), so the
+// table's state is which entries are registered, each with its arming stamp
+// (a re-arm rewrites the stamp in place), and the arming counter; the
+// scheduler restores the events themselves.
 
 // savedTimer is one registered entry and its arming stamp.
 type savedTimer struct {
@@ -24,6 +25,7 @@ func (t *timerTable) snapshotState() *timerTableState {
 	st := &timerTableState{armed: t.armed}
 	for _, b := range t.kinds {
 		for _, e := range b {
+			e.pinned = true
 			st.entries = append(st.entries, savedTimer{e, e.armed})
 		}
 	}

@@ -16,10 +16,11 @@ import (
 // fits — a raft heartbeat, a GMP heartbeat in its RUDP frame, a bare TCP
 // ACK, a 64-byte datagram — is one heap object, not a header plus a buffer.
 // It is a constant because it fixes the size of every Message (64 bytes of
-// header + the kept flag + 79 inline = one 144-byte allocation class): a
-// stream segment that spills carries the unused array along, so it has to
-// stay small, and the control frames above are all under it.
-const InlineCap = 79
+// header + two 2-byte world numbers + the kept flag + 75 inline = one
+// 144-byte allocation class): a stream segment that spills carries the
+// unused array along, so it has to stay small, and the control frames above
+// are all under it.
+const InlineCap = 75
 
 // Message is a mutable packet travelling through a protocol stack. The zero
 // value is not useful; use New or Build. A Message is handled by pointer
@@ -32,13 +33,17 @@ const InlineCap = 79
 // holds on to a *Message — or to a slice of its Bytes — after returning
 // calls Keep first, or copies what it needs.
 type Message struct {
-	_      noCopy
-	next   *Message // the next free message while this one is in a Pool
-	buf    []byte
-	src    string // sending node, stamped by the network on transmit
-	dst    string // destination node, set by the sender's stack
-	kept   bool   // someone holds this message past its hop: never reused
-	inline [InlineCap]byte
+	_    noCopy
+	next *Message // the next free message while this one is in a Pool
+	buf  []byte
+	src  string // sending node, stamped by the network on transmit
+	dst  string // destination node, set by the sender's stack
+	// srcNo and dstNo are the world numbers of src and dst (see SrcNo), 0
+	// when not known; they sit before kept so that no padding comes
+	// between the header and the inline array.
+	srcNo, dstNo uint16
+	kept         bool // someone holds this message past its hop: never reused
+	inline       [InlineCap]byte
 }
 
 // noCopy marks Message for vet's copylocks check (it looks for Lock and
@@ -126,7 +131,7 @@ func (m *Message) CopyBytes() []byte {
 // Clone returns a deep copy of m from p, with the same addressing. The copy is not kept, whatever the original is.
 func (p *Pool) Clone(m *Message) *Message {
 	c := p.New(m.buf)
-	c.src, c.dst = m.src, m.dst
+	c.src, c.dst, c.srcNo, c.dstNo = m.src, m.dst, m.srcNo, m.dstNo
 	return c
 }
 
@@ -136,8 +141,9 @@ func (p *Pool) Clone(m *Message) *Message {
 // the *Message pointer — held by pending delivery events and
 // retransmission queues — stays the same, only its content rolls back.
 type State struct {
-	buf      []byte
-	src, dst string
+	buf          []byte
+	src, dst     string
+	srcNo, dstNo uint16
 }
 
 // SaveState captures the message's current content and keeps the message:
@@ -145,14 +151,14 @@ type State struct {
 // message, so what a snapshot has seen is never reused.
 func (m *Message) SaveState() State {
 	m.Keep()
-	return State{buf: append([]byte(nil), m.buf...), src: m.src, dst: m.dst}
+	return State{buf: append([]byte(nil), m.buf...), src: m.src, dst: m.dst, srcNo: m.srcNo, dstNo: m.dstNo}
 }
 
 // RestoreState rewinds the message to a previously saved content. The saved
 // state stays valid for repeated restores.
 func (m *Message) RestoreState(st State) {
 	m.buf = append(m.buf[:0], st.buf...)
-	m.src, m.dst = st.src, st.dst
+	m.src, m.dst, m.srcNo, m.dstNo = st.src, st.dst, st.srcNo, st.dstNo
 }
 
 // SetByte overwrites the byte at offset off — the primitive behind message
@@ -175,30 +181,55 @@ func (m *Message) ByteAt(off int) (byte, error) {
 
 // SetDst addresses the message to a node; the sender's stack sets it before
 // the message reaches the network. Addressing travels with the message
-// through the local stack but is not serialized onto the wire.
-func (m *Message) SetDst(node string) { m.dst = node }
+// through the local stack but is not serialized onto the wire. It forgets
+// any destination number: a re-addressed message carries no stale one.
+func (m *Message) SetDst(node string) { m.dst, m.dstNo = node, 0 }
 
 // Dst returns the destination node ("" when unaddressed).
 func (m *Message) Dst() string { return m.dst }
 
-// SetSrc records the sending node; the network stamps it on transmit.
-func (m *Message) SetSrc(node string) { m.src = node }
+// SetSrc records the sending node, and forgets any source number; the
+// network stamps both on transmit.
+func (m *Message) SetSrc(node string) { m.src, m.srcNo = node, 0 }
 
 // Src returns the sending node ("" before the message has been transmitted).
 func (m *Message) Src() string { return m.src }
 
+// A node's world number is its position among its world's nodes plus one;
+// 0 means none (a message outside a world, or a world too large for the
+// field). Names stay the addressing: a number only saves the network and
+// the layers a lookup by name, and whoever reads one checks it against the
+// name it stands for.
+
+// SrcNo returns the sending node's world number, which the network stamps
+// beside Src on transmit; 0 when none was stamped.
+func (m *Message) SrcNo() uint16 { return m.srcNo }
+
+// SetSrcNo records the world number of the node Src names.
+func (m *Message) SetSrcNo(no uint16) { m.srcNo = no }
+
+// DstNo returns the world number the sender gave for Dst: a hint, which the
+// network checks against the name before it uses it; 0 when none was given.
+func (m *Message) DstNo() uint16 { return m.dstNo }
+
+// SetDstNo gives the world number of the node Dst names; call it after
+// SetDst, which clears it.
+func (m *Message) SetDstNo(no uint16) { m.dstNo = no }
+
 // Writer builds wire bytes field by field in network byte order: a whole
 // frame inside a new message (Build … Message) or a bare byte slice
-// (NewWriter … Done). It is the one builder every protocol codec encodes
+// (AppendWriter … Done). It is the one builder every protocol codec encodes
 // through. A Writer is a value, used like append: every method returns the
 // Writer to continue with.
 type Writer struct {
 	buf []byte
-	m   *Message // the message buf started in; nil for NewWriter
+	m   *Message // the message buf started in; nil for AppendWriter
 }
 
-// NewWriter returns a Writer with capacity preallocated for n bytes.
-func NewWriter(n int) Writer { return Writer{buf: make([]byte, 0, n)} }
+// AppendWriter returns a Writer that appends to buf, as append does: an
+// encoder that writes into the same scratch slice over and over allocates
+// only while the slice grows.
+func AppendWriter(buf []byte) Writer { return Writer{buf: buf} }
 
 // Build starts a new message from p with room for n bytes and returns the
 // Writer that fills it. The encoder writes into the message's own buffer —
@@ -215,7 +246,7 @@ func Build(n int) Writer { return (*Pool)(nil).Build(n) }
 
 // Message finishes a Build and returns the message holding what was
 // written. The Writer must not be used afterwards. It panics on a Writer
-// that NewWriter made: there is no message to finish.
+// that AppendWriter made: there is no message to finish.
 func (w Writer) Message() *Message {
 	if w.m == nil {
 		panic("message: Writer.Message on a Writer not started by Build")

@@ -114,10 +114,10 @@ func TestBuildWritesIntoTheMessage(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Message on a NewWriter Writer did not panic")
+			t.Fatal("Message on an AppendWriter Writer did not panic")
 		}
 	}()
-	NewWriter(4).U8(1).Message()
+	AppendWriter(make([]byte, 0, 4)).U8(1).Message()
 }
 
 // TestCopiesShareNoStorage: Clone and SaveState/RestoreState give copies
@@ -200,7 +200,7 @@ func TestKeepOutlivesRelease(t *testing.T) {
 // receiver already holds when the wire bytes spell it, and allocates only
 // for a name it was not told about.
 func TestNameReusesKnownStrings(t *testing.T) {
-	wire := NewWriter(16).Str8("r12").Str8("r7").Str8("stranger").Str8("").Done()
+	wire := AppendWriter(make([]byte, 0, 16)).Str8("r12").Str8("r7").Str8("stranger").Str8("").Done()
 	src, peers := "r12", []string{"r1", "r7", "r12"}
 	r := NewReader(wire)
 	if got := r.Name(src, peers); got != "r12" || unsafe.StringData(got) != unsafe.StringData(src) {
@@ -218,14 +218,14 @@ func TestNameReusesKnownStrings(t *testing.T) {
 	if got := r.Name(src, peers); got != "" || r.Err() == nil {
 		t.Fatalf("a name past the end read as %q, %v", got, r.Err())
 	}
-	long := NewWriter(300).Str8(string(bytes.Repeat([]byte("n"), 300))).Done()
+	long := AppendWriter(make([]byte, 0, 300)).Str8(string(bytes.Repeat([]byte("n"), 300))).Done()
 	if got := NewReader(long).Name("", nil); len(long) != 256 || len(got) != 255 {
 		t.Fatalf("a 300-byte name was written as %d bytes and read back as %d", len(long), len(got))
 	}
 }
 
 func TestWriterReaderRoundTrip(t *testing.T) {
-	hdr := NewWriter(32).
+	hdr := AppendWriter(make([]byte, 0, 32)).
 		U8(7).U16(513).U32(1 << 30).U64(1 << 40).
 		Bytes([]byte("tail")).Done()
 	r := NewReader(hdr)
@@ -274,7 +274,7 @@ func TestReaderStickyError(t *testing.T) {
 // Property: Writer/Reader round-trip arbitrary field values.
 func TestPropertyWriterReader(t *testing.T) {
 	f := func(a uint8, b uint16, c uint32, d uint64) bool {
-		buf := NewWriter(15).U8(a).U16(b).U32(c).U64(d).Done()
+		buf := AppendWriter(make([]byte, 0, 15)).U8(a).U16(b).U32(c).U64(d).Done()
 		r := NewReader(buf)
 		return r.U8() == a && r.U16() == b && r.U32() == c && r.U64() == d && r.Err() == nil
 	}

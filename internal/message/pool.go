@@ -26,7 +26,7 @@ func (p *Pool) put(m *Message) {
 	if p == nil {
 		return
 	}
-	m.src, m.dst = "", ""
+	m.src, m.dst, m.srcNo, m.dstNo = "", "", 0, 0
 	head := &p.inline
 	if cap(m.buf) > InlineCap {
 		head = &p.spilled

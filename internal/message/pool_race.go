@@ -17,5 +17,5 @@ func (*Pool) put(m *Message) {
 	for i := range buf {
 		buf[i] = 0xDB
 	}
-	m.src, m.dst = "", ""
+	m.src, m.dst, m.srcNo, m.dstNo = "", "", 0, 0
 }

@@ -10,6 +10,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pfi/internal/dist"
@@ -48,8 +49,9 @@ type World struct {
 	Sched *simtime.Scheduler
 	rng   *dist.Source
 	nodes map[string]*Node
-	order []*Node // creation order, for deterministic broadcast fan-out
-	links map[uint64]*LinkConfig
+	// order is the nodes in creation order, for deterministic broadcast
+	// fan-out; a node's world number is its position here plus one.
+	order []*Node
 	def   *LinkConfig // default link config for unconnected pairs, if any
 	stats Stats
 	log   *trace.Log // optional wire-level log
@@ -64,6 +66,10 @@ type World struct {
 	// msgs holds the messages whose hop is over; every node's stack builds
 	// its frames from it (stack.Env.Msgs). A kept message never comes here.
 	msgs message.Pool
+	// lost holds the messages sendOne dropped on their way out, until the
+	// next delivery fires and gives them back to msgs: their sender may
+	// still have them in hand when the drop happens.
+	lost []*message.Message
 
 	// snaps is the world's snapshot roster: scheduler and world state are
 	// pre-registered; rigs add their protocol layers and shared log.
@@ -77,7 +83,6 @@ func NewWorld(seed int64) *World {
 		Sched: simtime.NewScheduler(),
 		rng:   dist.NewSource(seed),
 		nodes: make(map[string]*Node),
-		links: make(map[uint64]*LinkConfig),
 	}
 	w.snaps = snapshot.NewRegistry()
 	w.snaps.Register("sched", w.Sched)
@@ -102,9 +107,13 @@ func (w *World) Rand() *dist.Source { return w.rng }
 
 // Node is one machine on the network.
 type Node struct {
-	name      string
-	world     *World
-	idx       int // position in World.order; half of a link key
+	name  string
+	world *World
+	idx   int    // position in World.order
+	no    uint16 // world number, idx+1; 0 past what a message's field holds
+	// links holds the node's links, indexed by the other end's idx; nil
+	// (or short) where Connect made none. Both ends share a link's config.
+	links     []*LinkConfig
 	stk       *stack.Stack
 	env       *stack.Env
 	unplugged bool
@@ -124,6 +133,9 @@ func (w *World) AddNode(name string) (*Node, error) {
 		world: w,
 		idx:   len(w.order),
 		env:   &stack.Env{Sched: w.Sched, Node: name, Msgs: &w.msgs},
+	}
+	if n.idx < math.MaxUint16 {
+		n.no = uint16(n.idx + 1)
 	}
 	w.nodes[name] = n
 	w.order = append(w.order, n)
@@ -174,13 +186,20 @@ func (n *Node) Unplug() { n.unplugged = true }
 // Replug reconnects the cable.
 func (n *Node) Replug() { n.unplugged = false }
 
-// linkKey is the unordered node pair as one map key.
-func linkKey(a, b *Node) uint64 {
-	lo, hi := a.idx, b.idx
-	if lo > hi {
-		lo, hi = hi, lo
+// link returns the link from n to the node at idx, or nil.
+func (n *Node) link(idx int) *LinkConfig {
+	if idx < len(n.links) {
+		return n.links[idx]
 	}
-	return uint64(lo)<<32 | uint64(hi)
+	return nil
+}
+
+// setLink makes l the link from n to the node at idx.
+func (n *Node) setLink(idx int, l *LinkConfig) {
+	if idx >= len(n.links) {
+		n.links = append(n.links, make([]*LinkConfig, idx+1-len(n.links))...)
+	}
+	n.links[idx] = l
 }
 
 // Connect creates (or reconfigures) the bidirectional link between a and b.
@@ -199,7 +218,8 @@ func (w *World) Connect(a, b string, cfg LinkConfig) error {
 	if cfg.Loss < 0 || cfg.Loss > 1 {
 		return fmt.Errorf("netsim: loss probability %v out of [0,1]", cfg.Loss)
 	}
-	w.links[linkKey(na, nb)] = &cfg
+	na.setLink(nb.idx, &cfg)
+	nb.setLink(na.idx, &cfg)
 	return nil
 }
 
@@ -268,12 +288,13 @@ func (w *World) newDelivery(src, dst *Node, m *message.Message, hop uint64) *del
 }
 
 // Fire implements simtime.Handler: the message arrives, and the hop gives
-// back what it used to the world's free lists. This is the one place that
-// does: Fire runs directly under Scheduler.Step, so the receiving stack's
-// whole call chain has unwound and no sender's frame is on the stack —
-// whoever still wants the message has said so with Keep by now. (A
-// send-side drop is no such place: the PFI layer forwards a message and
-// then clones it for xDuplicate.)
+// back what it used to the world's free lists, along with every message lost
+// on its way out since the last delivery. This is the one place that does:
+// Fire runs directly under Scheduler.Step, so the receiving stack's whole
+// call chain has unwound and no sender's frame is on the stack — whoever
+// still wants a message has said so with Keep by now. (A send-side drop is
+// no such place: the PFI layer forwards a message and then clones it for
+// xDuplicate, so a message lost there waits in lost.)
 func (d *delivery) Fire() {
 	w, m := d.dst.world, d.m
 	d.arrive(w)
@@ -282,6 +303,11 @@ func (d *delivery) Fire() {
 		w.free = append(w.free, d)
 	}
 	w.msgs.Release(m)
+	for i, l := range w.lost {
+		w.msgs.Release(l)
+		w.lost[i] = nil
+	}
+	w.lost = w.lost[:0]
 }
 
 func (d *delivery) arrive(w *World) {
@@ -305,13 +331,15 @@ func (d *delivery) arrive(w *World) {
 	}
 }
 
-// transmit routes m from a node, using the message's destination.
+// transmit routes m from a node, using the message's destination, and
+// stamps the sender's name and number on it.
 func (w *World) transmit(from *Node, m *message.Message) error {
 	dst := m.Dst()
 	if dst == "" {
 		return fmt.Errorf("netsim: a message from %s has no destination", from.name)
 	}
 	m.SetSrc(from.name)
+	m.SetSrcNo(from.no)
 	if dst == Broadcast {
 		for _, to := range w.order {
 			if to != from {
@@ -320,10 +348,11 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 		}
 		return nil
 	}
-	to, ok := w.nodes[dst]
-	if !ok {
+	to := w.resolve(dst, m.DstNo())
+	if to == nil {
 		return fmt.Errorf("netsim: unknown destination %q", dst)
 	}
+	m.SetDstNo(to.no)
 	if to == from {
 		// Loopback: never leaves the host, so it ignores cables, links,
 		// and partitions — but it HAS traversed the sender's stack (and
@@ -338,31 +367,44 @@ func (w *World) transmit(from *Node, m *message.Message) error {
 	return nil
 }
 
+// resolve finds the node that name names: the one numbered no when the
+// name is that node's, else the one a lookup by name finds (nil if none).
+// A sender that knows its peer's number saves the network the lookup; a
+// stale or absent number costs only the lookup.
+func (w *World) resolve(name string, no uint16) *Node {
+	if i := int(no) - 1; i >= 0 && i < len(w.order) {
+		if n := w.order[i]; n.name == name {
+			return n
+		}
+	}
+	return w.nodes[name]
+}
+
 func (w *World) sendOne(src, dst *Node, m *message.Message) {
 	w.stats.Sent++
 	w.hops++
 	hop := w.hops
 	if src.unplugged || dst.unplugged {
-		w.drop(src, dst, hop, "unplugged")
+		w.lose(src, dst, hop, m, "unplugged")
 		w.stats.LostDown++
 		return
 	}
 	if src.group != dst.group {
-		w.drop(src, dst, hop, "partitioned")
+		w.lose(src, dst, hop, m, "partitioned")
 		w.stats.LostCut++
 		return
 	}
 	c := w.def
-	if l, ok := w.links[linkKey(src, dst)]; ok {
+	if l := src.link(dst.idx); l != nil {
 		c = l
 	}
 	if c == nil {
-		w.drop(src, dst, hop, "no route")
+		w.lose(src, dst, hop, m, "no route")
 		w.stats.LostNoRoute++
 		return
 	}
 	if c.Loss > 0 && w.rng.Bernoulli(c.Loss) {
-		w.drop(src, dst, hop, "random loss")
+		w.lose(src, dst, hop, m, "random loss")
 		w.stats.LostRandom++
 		return
 	}
@@ -387,6 +429,13 @@ func (w *World) sendOne(src, dst *Node, m *message.Message) {
 // nil removes the default (unconnected pairs drop traffic).
 func (w *World) SetDefaultLink(cfg *LinkConfig) { w.def = cfg }
 
+// lose drops m on its way out and parks it for the next delivery to give
+// back (see delivery.Fire).
+func (w *World) lose(from, to *Node, hop uint64, m *message.Message, why string) {
+	w.drop(from, to, hop, why)
+	w.lost = append(w.lost, m)
+}
+
 func (w *World) drop(from, to *Node, hop uint64, why string) {
 	if w.log != nil {
 		w.log.Addf(w.Sched.Now(), from.name, "wire-drop", "", hop,
@@ -396,12 +445,12 @@ func (w *World) drop(from, to *Node, hop uint64, why string) {
 
 // --- snapshot / restore ------------------------------------------------
 
-// linkState saves one link entry: the pointer (Connect may replace it) plus
-// its configuration.
+// linkState saves one link: its ends, the pointer (Connect may replace it)
+// and its configuration.
 type linkState struct {
-	key uint64
-	l   *LinkConfig
-	cfg LinkConfig
+	a, b *Node
+	l    *LinkConfig
+	cfg  LinkConfig
 }
 
 // nodeState saves the per-node switches faults toggle.
@@ -451,9 +500,12 @@ func (w *World) SnapshotState() any {
 	for i, n := range w.order {
 		st.nodes[i] = nodeState{unplugged: n.unplugged, group: n.group}
 	}
-	st.links = make([]linkState, 0, len(w.links))
-	for k, l := range w.links {
-		st.links = append(st.links, linkState{key: k, l: l, cfg: *l})
+	for _, a := range w.order {
+		for i, l := range a.links {
+			if l != nil && i > a.idx {
+				st.links = append(st.links, linkState{a: a, b: w.order[i], l: l, cfg: *l})
+			}
+		}
 	}
 	if w.log != nil {
 		st.logLen = w.log.Len()
@@ -483,10 +535,13 @@ func (w *World) RestoreState(state any) {
 		n.unplugged, n.group = st.nodes[i].unplugged, st.nodes[i].group
 		w.nodes[n.name] = n
 	}
-	w.links = make(map[uint64]*LinkConfig, len(st.links))
+	for _, n := range w.order {
+		clear(n.links)
+	}
 	for _, ls := range st.links {
 		*ls.l = ls.cfg
-		w.links[ls.key] = ls.l
+		ls.a.setLink(ls.b.idx, ls.l)
+		ls.b.setLink(ls.a.idx, ls.l)
 	}
 	w.log = st.log
 	if w.log != nil {

@@ -124,3 +124,50 @@ func TestHandleUpReentryKeepsTheOuterMsg(t *testing.T) {
 		t.Fatalf("depth %d after the handlers returned", l.depth)
 	}
 }
+
+// TestVotesCountByTheSenderTheyName: a candidate tallies a VOTE_RESP by the
+// peer position its layer learned at decode, which it learns only when the
+// network's source number names the peer From names. A vote whose From is
+// outside the cluster counts for nothing, whatever number it arrived with;
+// a vote whose number names another peer counts for the one From names.
+func TestVotesCountByTheSenderTheyName(t *testing.T) {
+	w := netsim.NewWorld(1)
+	peers := []string{"r1", "r2", "r3", "r4", "r5"}
+	var l *Layer
+	for _, name := range peers {
+		node := w.MustAddNode(name)
+		if name != "r1" {
+			continue
+		}
+		var err error
+		if l, err = NewLayer(node.Env(), peers); err != nil {
+			t.Fatal(err)
+		}
+		node.SetStack(stack.New(node.Env(), l))
+	}
+	n := l.Node()
+	n.Start()
+	n.startElection()
+	vote := func(from string, no uint16) {
+		t.Helper()
+		m := (&Msg{Type: TypeVoteResp, Term: n.Term(), From: from, Granted: true}).Encode()
+		m.SetSrc(from)
+		m.SetSrcNo(no)
+		if err := l.HandleUp(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vote("r9", 2) // a stranger arriving as r2
+	vote("r9", 0)
+	if !slices.Equal(n.votes, []bool{true, false, false, false, false}) {
+		t.Fatalf("after a stranger's votes: %v", n.votes)
+	}
+	vote("r4", 3) // From names r4, the number r3
+	if !slices.Equal(n.votes, []bool{true, false, false, true, false}) || n.State() != StateCandidate {
+		t.Fatalf("after r4's vote arriving as r3: %v, %v", n.votes, n.State())
+	}
+	vote("r3", 3)
+	if n.State() != StateLeader {
+		t.Fatalf("three of five votes left the node %v", n.State())
+	}
+}

@@ -1,6 +1,8 @@
 package raft
 
 import (
+	"math"
+
 	"pfi/internal/message"
 	"pfi/internal/stack"
 )
@@ -44,6 +46,9 @@ func (l *Layer) ship(dst string, m *Msg) {
 	typ := m.Type
 	sm := m.writeTo(l.env.Msgs.Build(m.encodedLen()))
 	sm.SetDst(dst)
+	if m.to <= math.MaxUint16 {
+		sm.SetDstNo(uint16(m.to))
+	}
 	if err := l.base.Down(sm); err != nil {
 		l.node.logEvent("send-error", TypeName(typ), 0, err.Error())
 	}
@@ -70,13 +75,17 @@ func (l *Layer) HandleUp(sm *message.Message) error {
 	if l.depth > 0 {
 		m = new(Msg)
 	}
-	if err := m.decode(sm.Bytes(), sm.Src(), l.node.peers); err != nil {
+	peers := l.node.peers
+	if err := m.decode(sm.Bytes(), sm.Src(), peers); err != nil {
 		// Corrupted in flight (or by a fault filter): checksummed transports
 		// turn corruption into loss, and raft tolerates loss.
 		if l.node.started && !l.node.suspended {
 			l.node.logEvent("decode-drop", "", 0, err.Error())
 		}
 		return nil
+	}
+	if s := int(sm.SrcNo()); s > 0 && s <= len(peers) && peers[s-1] == m.From {
+		m.from = s
 	}
 	l.depth++
 	l.node.Handle(m)

@@ -99,6 +99,16 @@ type Msg struct {
 	// failure, a backtrack hint for the leader's next probe).
 	Success bool
 	Match   uint64
+
+	// from and to are peer positions plus one, 0 when unknown; neither is
+	// on the wire. from is the sender's position among the receiver's
+	// peers, which the layer learns at decode when the network's source
+	// number names the peer From names; to is the destination's position
+	// among the sender's peers, which the layer hands the network as the
+	// destination's number. (Every rig lists peers in world order, where
+	// the two agree; in any other order the network's check by name turns
+	// the hint down, and a lookup by name does the work.)
+	from, to int
 }
 
 // TypeName renders the message's type.

@@ -76,9 +76,10 @@ type Node struct {
 	id    string
 	peers []string // all node ids including self; shared, never mutated
 	self  int      // this node's position in peers
-	// index resolves a name to its position in peers. Only a node that
-	// tallies responses — a candidate, a leader — asks, so it is built on
-	// the first question: a follower of a 250-node cluster never pays for it.
+	// index resolves a name to its position in peers, for a response whose
+	// decode did not learn its sender's (Msg.from). Only a node that tallies
+	// responses — a candidate, a leader — asks, so it is built on the first
+	// question: a follower of a 250-node cluster never pays for it.
 	index map[string]int
 	bugs  Bugs
 	log   *trace.Log
@@ -106,6 +107,9 @@ type Node struct {
 
 	election  simtime.Timer
 	heartbeat simtime.Timer
+	// The lanes of the two constant delays: every heartbeat tick rides
+	// beat, and a suspended node's deferred expiries ride deferred.
+	beat, deferred *simtime.Lane
 }
 
 // Option configures a Node.
@@ -138,6 +142,7 @@ func NewNode(sched *simtime.Scheduler, id string, peers []string, send SendFunc,
 	}
 	n.election.Init(sched, n.onElectionTimeout)
 	n.heartbeat.Init(sched, n.onHeartbeatTick)
+	n.beat, n.deferred = sched.Lane(heartbeatInterval), sched.Lane(suspendDefer)
 	n.self = -1
 	for i, p := range peers {
 		if p == id {
@@ -270,7 +275,7 @@ func (n *Node) onElectionTimeout() {
 	if n.suspended {
 		// The kernel keeps expiring timers while the process is stopped;
 		// the handler effectively runs when the process resumes.
-		n.election.Arm(suspendDefer, "raft-election")
+		n.election.ArmOn(n.deferred, "raft-election")
 		return
 	}
 	if n.state == StateLeader {
@@ -284,11 +289,11 @@ func (n *Node) onHeartbeatTick() {
 		return
 	}
 	if n.suspended {
-		n.heartbeat.Arm(suspendDefer, "raft-heartbeat")
+		n.heartbeat.ArmOn(n.deferred, "raft-heartbeat")
 		return
 	}
 	n.broadcastAppend()
-	n.heartbeat.Arm(heartbeatInterval, "raft-heartbeat")
+	n.heartbeat.ArmOn(n.beat, "raft-heartbeat")
 }
 
 // --- elections -----------------------------------------------------------
@@ -305,7 +310,7 @@ func (n *Node) startElection() {
 		if i == n.self {
 			continue
 		}
-		m := n.outgoing(TypeRequestVote)
+		m := n.outgoing(TypeRequestVote, i+1)
 		m.LastIndex, m.LastTerm = li, lt
 		n.send(p, m)
 	}
@@ -338,7 +343,7 @@ func (n *Node) handleRequestVote(m *Msg) {
 		n.votedFor = m.From
 		n.armElection()
 	}
-	resp := n.outgoing(TypeVoteResp)
+	resp := n.outgoing(TypeVoteResp, m.from)
 	resp.Granted = granted
 	n.send(m.From, resp)
 }
@@ -360,7 +365,7 @@ func (n *Node) handleVoteResp(m *Msg) {
 	if n.state != StateCandidate || m.Term != n.term || !m.Granted {
 		return
 	}
-	from, ok := n.peerIndex(m.From)
+	from, ok := n.sender(m)
 	if !ok {
 		return
 	}
@@ -368,8 +373,17 @@ func (n *Node) handleVoteResp(m *Msg) {
 	n.maybeWin()
 }
 
-// peerIndex resolves a sender to its position in peers. A name from outside
-// the cluster (a forged From) has none, and its responses count for nothing.
+// sender returns the position in peers of m's sender: the one its decode
+// learned, or else the one its From names. A name from outside the cluster
+// (a forged From) has none, and its responses count for nothing.
+func (n *Node) sender(m *Msg) (int, bool) {
+	if m.from > 0 {
+		return m.from - 1, true
+	}
+	return n.peerIndex(m.From)
+}
+
+// peerIndex resolves a name to its position in peers.
 func (n *Node) peerIndex(name string) (int, bool) {
 	if n.index == nil {
 		n.index = make(map[string]int, len(n.peers))
@@ -408,7 +422,7 @@ func (n *Node) maybeWin() {
 	n.election.Stop()
 	n.advanceCommit() // a single-node cluster commits immediately
 	n.broadcastAppend()
-	n.heartbeat.Arm(heartbeatInterval, "raft-heartbeat")
+	n.heartbeat.ArmOn(n.beat, "raft-heartbeat")
 }
 
 // --- replication ---------------------------------------------------------
@@ -454,7 +468,7 @@ func (n *Node) sendAppend(to int) {
 	if prevIdx >= 1 {
 		prevTerm = n.entries[prevIdx-1].Term
 	}
-	m := n.outgoing(TypeAppend)
+	m := n.outgoing(TypeAppend, to+1)
 	m.PrevIndex, m.PrevTerm, m.Commit = prevIdx, prevTerm, n.commit
 	if ni <= n.LastIndex() {
 		tail := n.entries[ni-1:]
@@ -468,29 +482,30 @@ func (n *Node) sendAppend(to int) {
 	n.send(n.peers[to], m)
 }
 
-// sendAppendResp answers an APPEND_ENTRIES.
-func (n *Node) sendAppendResp(to string, success bool, match uint64) {
-	m := n.outgoing(TypeAppendResp)
+// sendAppendResp answers req, an APPEND_ENTRIES.
+func (n *Node) sendAppendResp(req *Msg, success bool, match uint64) {
+	m := n.outgoing(TypeAppendResp, req.from)
 	m.Success, m.Match = success, match
-	n.send(to, m)
+	n.send(req.From, m)
 }
 
 // outgoing readies the node's one outgoing message: typ from this node at
-// its current term, every other field cleared. The caller fills the fields
-// typ carries and sends it; a re-entrant send, from a filter that answers
-// this one, refills it only after this one was encoded. Zeroing and then
-// filling field by field copies nothing: assigning a composite literal to a
-// Msg builds it aside and copies it in.
-func (n *Node) outgoing(typ uint8) *Msg {
+// its current term, to the peer at position to-1 (0: not known), every
+// other field cleared. The caller fills the fields typ carries and sends it;
+// a re-entrant send, from a filter that answers this one, refills it only
+// after this one was encoded. Zeroing and then filling field by field copies
+// nothing: assigning a composite literal to a Msg builds it aside and copies
+// it in.
+func (n *Node) outgoing(typ uint8, to int) *Msg {
 	m := &n.out
 	*m = Msg{}
-	m.Type, m.Term, m.From = typ, n.term, n.id
+	m.Type, m.Term, m.From, m.to = typ, n.term, n.id, to
 	return m
 }
 
 func (n *Node) handleAppend(m *Msg) {
 	if m.Term < n.term {
-		n.sendAppendResp(m.From, false, 0)
+		n.sendAppendResp(m, false, 0)
 		return
 	}
 	// Equal or higher term: the sender is the legitimate leader of that
@@ -506,7 +521,7 @@ func (n *Node) handleAppend(m *Msg) {
 		if hint > 0 {
 			hint--
 		}
-		n.sendAppendResp(m.From, false, hint)
+		n.sendAppendResp(m, false, hint)
 		return
 	}
 	idx := m.PrevIndex
@@ -533,7 +548,7 @@ func (n *Node) handleAppend(m *Msg) {
 			n.applyCommitted()
 		}
 	}
-	n.sendAppendResp(m.From, true, lastNew)
+	n.sendAppendResp(m, true, lastNew)
 }
 
 func (n *Node) handleAppendResp(m *Msg) {
@@ -544,7 +559,7 @@ func (n *Node) handleAppendResp(m *Msg) {
 	if n.state != StateLeader || m.Term != n.term {
 		return
 	}
-	from, ok := n.peerIndex(m.From)
+	from, ok := n.sender(m)
 	if !ok {
 		return
 	}

@@ -52,11 +52,11 @@ func TestDedupStateStaysConstant(t *testing.T) {
 			t.Fatalf("in-order seq %d classified as a duplicate", seq)
 		}
 	}
-	p := r.l.peers["a"]
+	p := r.l.find("a")
 	if p.floor != n || len(p.above) != 0 {
 		t.Fatalf("after %d in-order datagrams: floor %d, %d exceptions", n, p.floor, len(p.above))
 	}
-	if sv := r.l.SnapshotState().(*layerState).peers["a"]; sv.floor != n || sv.above != nil {
+	if sv := r.l.SnapshotState().(*layerState).peers[0]; sv.p != p || sv.floor != n || sv.above != nil {
 		t.Fatalf("capture holds floor %d and %d exceptions", sv.floor, len(sv.above))
 	}
 	for _, step := range []struct {

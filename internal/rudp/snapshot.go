@@ -1,18 +1,20 @@
 package rudp
 
 // Snapshot support (see internal/snapshot): peers and pending sends are
-// retained by pointer — a pending send is its own retransmission event, and
-// the timeout identity-checks it against the pending map — and their
-// mutable fields are saved by value (the scheduler saves the event's).
+// retained by pointer — a pending send is its own retransmission event — and
+// their mutable fields are saved by value (the scheduler saves the event's).
+// A capture pins every pending send it sees, so the layer never reuses one a
+// restore may bring back.
 
 import "maps"
 
-// peerSaved is one peer's sequence bookkeeping.
+// peerSaved is one peer's sequence bookkeeping and its window.
 type peerSaved struct {
-	p       *peerState
+	p       *peer
 	nextSeq uint32
 	floor   uint32
 	above   map[uint32]bool
+	window  []pendingSaved
 }
 
 // pendingSaved is one unacknowledged reliable frame.
@@ -23,49 +25,50 @@ type pendingSaved struct {
 
 // layerState is the rudp layer's mutable state.
 type layerState struct {
-	peers   map[string]peerSaved
-	pending map[string]map[uint32]pendingSaved
+	peers   []peerSaved // in the layer's order
 	deliver DeliverFunc
 }
 
 // SnapshotState captures the layer for the snapshot registry.
 func (l *Layer) SnapshotState() any {
-	st := &layerState{
-		peers:   make(map[string]peerSaved, len(l.peers)),
-		pending: make(map[string]map[uint32]pendingSaved, len(l.pending)),
-		deliver: l.deliver,
-	}
-	for name, p := range l.peers {
-		st.peers[name] = peerSaved{p: p, nextSeq: p.nextSeq, floor: p.floor, above: maps.Clone(p.above)}
-	}
-	for dst, m := range l.pending {
-		mm := make(map[uint32]pendingSaved, len(m))
-		for seq, ps := range m {
-			mm[seq] = pendingSaved{ps: ps, retries: ps.retries}
+	st := &layerState{peers: make([]peerSaved, len(l.peers)), deliver: l.deliver}
+	for i, p := range l.peers {
+		sv := peerSaved{p: p, nextSeq: p.nextSeq, floor: p.floor, above: maps.Clone(p.above)}
+		if len(p.window) > 0 {
+			sv.window = make([]pendingSaved, len(p.window))
+			for j, ps := range p.window {
+				ps.pinned = true
+				sv.window[j] = pendingSaved{ps: ps, retries: ps.retries}
+			}
 		}
-		st.pending[dst] = mm
+		st.peers[i] = sv
 	}
 	return st
 }
 
 // RestoreState rewinds the layer. A send acknowledged since the capture
-// re-enters the pending map with its retransmission timer restored by the
+// re-enters its window with its retransmission timer restored by the
 // scheduler; a send issued since the capture vanishes along with its timer.
 func (l *Layer) RestoreState(state any) {
 	st := state.(*layerState)
-	l.peers = make(map[string]*peerState, len(st.peers))
-	for name, sv := range st.peers {
-		sv.p.nextSeq, sv.p.floor, sv.p.above = sv.nextSeq, sv.floor, maps.Clone(sv.above)
-		l.peers[name] = sv.p
-	}
-	l.pending = make(map[string]map[uint32]*pendingSend, len(st.pending))
-	for dst, m := range st.pending {
-		mm := make(map[uint32]*pendingSend, len(m))
-		for seq, sv := range m {
-			sv.ps.retries = sv.retries
-			mm[seq] = sv.ps
+	n := len(l.peers)
+	l.peers = l.peers[:0]
+	for _, sv := range st.peers {
+		p := sv.p
+		p.nextSeq, p.floor, p.above = sv.nextSeq, sv.floor, maps.Clone(sv.above)
+		n := len(p.window)
+		p.window = p.window[:0]
+		for _, pv := range sv.window {
+			pv.ps.p, pv.ps.retries = p, pv.retries
+			p.window = append(p.window, pv.ps)
 		}
-		l.pending[dst] = mm
+		if k := len(p.window); k < n {
+			clear(p.window[k:n]) // no dropped send stays reachable
+		}
+		l.peers = append(l.peers, p)
+	}
+	if k := len(l.peers); k < n {
+		clear(l.peers[k:n])
 	}
 	l.deliver = st.deliver
 }

@@ -301,7 +301,7 @@ func (c *Conn) ackInOrderData() {
 		return
 	}
 	if !c.delackTimer.Pending() {
-		c.delackTimer.Arm(DelackTimeout, "tcp-delack")
+		c.delackTimer.ArmOn(c.layer.delack, "tcp-delack")
 	}
 }
 

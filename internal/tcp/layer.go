@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pfi/internal/message"
+	"pfi/internal/simtime"
 	"pfi/internal/stack"
 	"pfi/internal/trace"
 )
@@ -23,6 +24,7 @@ type Layer struct {
 	iss       uint32
 	ephemeral uint16
 	log       *trace.Log
+	delack    *simtime.Lane // DelackTimeout's lane, which every delayed ACK rides
 }
 
 var _ stack.Layer = (*Layer)(nil)
@@ -53,6 +55,7 @@ func NewLayer(env *stack.Env, prof Profile, opts ...LayerOption) *Layer {
 		acceptFns: make(map[uint16]func(*Conn)),
 		iss:       1000,
 		ephemeral: 32768,
+		delack:    env.Sched.Lane(DelackTimeout),
 	}
 	for _, opt := range opts {
 		opt(l)

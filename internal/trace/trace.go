@@ -113,6 +113,20 @@ func (l *Log) Entries() []Entry {
 	return out
 }
 
+// Detach returns the logged entries and leaves the log empty. Entries that
+// fit in one block come back in that block, uncopied: for an owner done with
+// the log, Entries' copy would be garbage at once.
+func (l *Log) Detach() []Entry {
+	var out []Entry
+	if len(l.blocks) == 1 {
+		out = l.blocks[0]
+	} else {
+		out = l.Entries()
+	}
+	l.blocks, l.n = nil, 0
+	return out
+}
+
 // Matches reports whether e is of node, kind and type; an empty criterion
 // matches any.
 func (e *Entry) Matches(node, kind, typ string) bool {
