@@ -10,6 +10,13 @@ import (
 	"pfi/internal/rudp"
 )
 
+// decodeMsg decodes raw into a zero Msg.
+func decodeMsg(raw []byte, src string, peers []string) (Msg, error) {
+	var m Msg
+	err := m.decode(raw, src, peers)
+	return m, err
+}
+
 // TestRawFrameIsTheTwoStepFrame: a GMP message appended straight behind a
 // raw RUDP header is byte for byte the frame RUDP builds around the
 // separately encoded payload, for a heartbeat (inline in the message) and

@@ -48,7 +48,7 @@ func (PFIStub) NewHeader() core.Header { return new(framed) }
 // inside the filter run, or before msg_set_byte changes it (Settle).
 type framed struct {
 	frame rudp.Frame
-	src   string // the datagram's network source, for decodeMsg
+	src   string // the datagram's network source, for Msg.decode
 	msg   Msg    // Type 0 until decoded
 	ack   bool
 }
@@ -76,7 +76,7 @@ func (r *framed) Recognize(m *message.Message) (string, error) {
 // leaves a Type that is not 0.
 func (r *framed) header() *Msg {
 	if r.msg.Type == 0 {
-		r.msg, _ = decodeMsg(r.frame.Payload, r.src, nil)
+		_ = r.msg.decode(r.frame.Payload, r.src, nil)
 	}
 	return &r.msg
 }
