@@ -19,6 +19,7 @@ import (
 	"pfi/internal/netsim"
 	"pfi/internal/raft"
 	"pfi/internal/rudp"
+	"pfi/internal/script"
 	"pfi/internal/simtime"
 	"pfi/internal/stack"
 	"pfi/internal/tcp"
@@ -144,6 +145,18 @@ func TestSchedulerEventAllocBudget(t *testing.T) {
 	allocBudget(t, "Lane.Arm+Step", 0, 1000, func() {
 		l.Arm(&tm.Event, "tick", &tm)
 		s.Step()
+	})
+}
+
+// TestInterpNewEvalAllocBudget: a fresh interpreter that evaluates one
+// short script — what every world's scenario and filter interpreters cost
+// before their first message — pays for its parse, its one program and
+// its globals, and for one table of compiled bodies made on first use.
+func TestInterpNewEvalAllocBudget(t *testing.T) {
+	allocBudget(t, "script.New+Eval", 80, 200, func() {
+		if _, err := script.New().Eval(`set n 0; if {$n < 3} { incr n }; set n`); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

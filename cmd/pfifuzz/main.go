@@ -163,12 +163,10 @@ func main() {
 }
 
 // scriptStats renders the script-engine summary: how many filter programs
-// the run compiled, how much compilation it amortized (cache hits), and
-// how many instructions fusion rewrote.
+// the run compiled, and how many instructions fusion rewrote.
 func scriptStats() string {
 	ss := script.Stats()
-	return fmt.Sprintf("script: %d compiled (%d cache hits), %d fused ops",
-		ss.Compiles, ss.CacheHits, ss.FusedOps)
+	return fmt.Sprintf("script: %d compiled, %d fused ops", ss.Compiles, ss.FusedOps)
 }
 
 // throughput renders the end-of-run summary line: total evaluations,

@@ -88,17 +88,11 @@ func (c *Coordinator) Handler() http.Handler {
 		m["resume_cells_skipped"] = int(js.ResumedSkipped)
 		m["worker_reconnect_backoffs"] = int(ReconnectBackoffs())
 		// Script-engine telemetry: coordinator-local counters from the
-		// filter compiler and program caches (spawned/remote workers keep
-		// their own; these cover in-process scenario work).
+		// filter compiler (spawned/remote workers keep their own; these
+		// cover in-process scenario work).
 		ss := script.Stats()
-		for k, v := range map[string]uint64{
-			"script_compiles":     ss.Compiles,
-			"script_fused_ops":    ss.FusedOps,
-			"script_cache_hits":   ss.CacheHits,
-			"script_cache_misses": ss.CacheMisses,
-		} {
-			m[k] = int(v)
-		}
+		m["script_compiles"] = int(ss.Compiles)
+		m["script_fused_ops"] = int(ss.FusedOps)
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

@@ -168,7 +168,7 @@ func cmdIf(in *Interp, args []string) (string, error) {
 	}
 }
 
-// evalBody evaluates a control-flow body with parse caching.
+// evalBody evaluates a body in the current frame, parsing its text once.
 func (in *Interp) evalBody(body string) (string, error) {
 	s, err := in.compile(body)
 	if err != nil {
@@ -182,12 +182,9 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 		return "", WrongArgs("while test command")
 	}
 	for {
-		if in.maxSteps > 0 {
-			in.steps++
-			if in.steps > in.maxSteps {
-				in.limitHit = true
-				return "", fmt.Errorf("step limit %d exceeded in while loop", in.maxSteps)
-			}
+		if in.overBudget() {
+			in.limitHit = true
+			return "", fmt.Errorf("step limit %d exceeded in while loop", in.maxSteps)
 		}
 		ok, err := in.EvalExprBool(args[0])
 		if err != nil {
@@ -220,12 +217,9 @@ func cmdFor(in *Interp, args []string) (string, error) {
 		return "", err
 	}
 	for {
-		if in.maxSteps > 0 {
-			in.steps++
-			if in.steps > in.maxSteps {
-				in.limitHit = true
-				return "", fmt.Errorf("step limit %d exceeded in for loop", in.maxSteps)
-			}
+		if in.overBudget() {
+			in.limitHit = true
+			return "", fmt.Errorf("step limit %d exceeded in for loop", in.maxSteps)
 		}
 		ok, err := in.EvalExprBool(args[1])
 		if err != nil {
@@ -428,12 +422,7 @@ func cmdEval(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
 		return "", WrongArgs("eval arg ?arg ...?")
 	}
-	src := strings.Join(args, " ")
-	s, err := in.compile(src)
-	if err != nil {
-		return "", err
-	}
-	return in.runAny(s)
+	return in.evalBody(strings.Join(args, " "))
 }
 
 func cmdCatch(in *Interp, args []string) (string, error) {
@@ -842,6 +831,11 @@ func splitKeepEmpty(s, chars string) []string {
 	return parts
 }
 
+// maxRepeatBytes bounds string repeat's result, refused before allocating:
+// one hostile count would otherwise end the process out of memory, which
+// harden cannot contain. It is the bound tcp_send puts on one send.
+const maxRepeatBytes = 1 << 20
+
 func cmdString(in *Interp, args []string) (string, error) {
 	if len(args) < 2 {
 		return "", WrongArgs("string option arg ?arg ...?")
@@ -938,6 +932,9 @@ func cmdString(in *Interp, args []string) (string, error) {
 		if err != nil || n < 0 {
 			return "", fmt.Errorf("bad repeat count %q", rest[1])
 		}
+		if len(rest[0]) > 0 && n > maxRepeatBytes/len(rest[0]) {
+			return "", fmt.Errorf("string repeat: result would exceed %d bytes", maxRepeatBytes)
+		}
 		return strings.Repeat(rest[0], n), nil
 	case "map":
 		if len(rest) != 2 {
@@ -963,8 +960,13 @@ func boolStr(b bool) string {
 	return "0"
 }
 
+// maxFormatField bounds a * width or precision: Go's fmt refuses one past
+// a million with error text in the result.
+const maxFormatField = 1_000_000
+
 // cmdFormat implements a C-printf-style format, mapping Tcl verbs onto
-// Go's fmt. Supported verbs: d i u x X o c s f e g % with width/precision.
+// Go's fmt. Supported verbs: d i u x X o c s f e g % with width/precision
+// (either may be *).
 func cmdFormat(in *Interp, args []string) (string, error) {
 	if len(args) == 0 {
 		return "", WrongArgs("format formatString ?arg ...?")
@@ -995,8 +997,29 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 			b.WriteByte('%')
 			continue
 		}
-		if vi >= len(vals) {
+		// A * width or precision takes the next argument, as in Tcl: a
+		// negative width left-justifies, a negative precision is 0.
+		stars := strings.Count(flags, "*")
+		if vi+stars >= len(vals) {
 			return "", errors.New("not enough arguments for all format specifiers")
+		}
+		fargs := make([]any, 0, stars+1)
+		for k := 0; k < len(flags); k++ {
+			if flags[k] != '*' {
+				continue
+			}
+			n, ok := parseInt(strings.TrimSpace(vals[vi]))
+			if !ok {
+				return "", fmt.Errorf("expected integer but got %q", vals[vi])
+			}
+			if n > maxFormatField || n < -maxFormatField {
+				return "", fmt.Errorf("field size %d out of range", n)
+			}
+			if k > 0 && flags[k-1] == '.' {
+				n = max(n, 0)
+			}
+			fargs = append(fargs, int(n))
+			vi++
 		}
 		arg := vals[vi]
 		vi++
@@ -1006,19 +1029,19 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 			if !ok {
 				return "", fmt.Errorf("expected integer but got %q", arg)
 			}
-			fmt.Fprintf(&b, "%"+flags+"d", n)
+			fmt.Fprintf(&b, "%"+flags+"d", append(fargs, n)...)
 		case 'u':
 			n, err := strconv.ParseUint(strings.TrimSpace(arg), 0, 64)
 			if err != nil {
 				return "", fmt.Errorf("expected unsigned integer but got %q", arg)
 			}
-			fmt.Fprintf(&b, "%"+flags+"d", n)
+			fmt.Fprintf(&b, "%"+flags+"d", append(fargs, n)...)
 		case 'x', 'X', 'o':
 			n, ok := parseInt(strings.TrimSpace(arg))
 			if !ok {
 				return "", fmt.Errorf("expected integer but got %q", arg)
 			}
-			fmt.Fprintf(&b, "%"+flags+string(verb), n)
+			fmt.Fprintf(&b, "%"+flags+string(verb), append(fargs, n)...)
 		case 'c':
 			n, err := strconv.ParseInt(strings.TrimSpace(arg), 0, 32)
 			if err != nil {
@@ -1026,13 +1049,13 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 			}
 			b.WriteRune(rune(n))
 		case 's':
-			fmt.Fprintf(&b, "%"+flags+"s", arg)
+			fmt.Fprintf(&b, "%"+flags+"s", append(fargs, arg)...)
 		case 'f', 'e', 'E', 'g', 'G':
 			f, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
 			if err != nil {
 				return "", fmt.Errorf("expected float but got %q", arg)
 			}
-			fmt.Fprintf(&b, "%"+flags+string(verb), f)
+			fmt.Fprintf(&b, "%"+flags+string(verb), append(fargs, f)...)
 		default:
 			return "", fmt.Errorf("bad field specifier %%%c", verb)
 		}

@@ -239,6 +239,54 @@ func TestEngineDiffShadowing(t *testing.T) {
 	}
 }
 
+// TestEngineDiffFormatStar: a * width or precision in format takes the
+// next argument, as in Tcl — no Go fmt error text reaches a value — and a
+// bad or missing one raises format's own errors on both engines.
+func TestEngineDiffFormatStar(t *testing.T) {
+	const notInt = `expected integer but got "x" (while executing "format" near line 1)`
+	const tooFew = `not enough arguments for all format specifiers (while executing "format" near line 1)`
+	for _, tc := range []struct{ src, res, err string }{
+		{`format {%*d|} 5 3`, "    3|", ""},
+		{`format {%.*f|} 2 3.14159`, "3.14|", ""},
+		{`format {%*.*f|} 8 2 3.14159`, "    3.14|", ""},
+		{`format {%*d|} -5 3`, "3    |", ""},
+		{`format {%.*f|} -2 3.14159`, "3|", ""},
+		{`format {%0*x|%*s|} 4 255 3 ab`, "00ff| ab|", ""},
+		{`format {%*d|} x 3`, "", notInt},
+		{`format {%.*f|} 2.5 3.1`, "", `expected integer but got "2.5" (while executing "format" near line 1)`},
+		{`format {%*d|} 5`, "", tooFew},
+		{`format {%*d|}`, "", tooFew},
+		{`format {%*d|} 2000000 1`, "", `field size 2000000 out of range (while executing "format" near line 1)`},
+	} {
+		for _, tree := range []bool{true, false} {
+			res, errs, _ := runEngine(t, tree, tc.src, 0)
+			if res != tc.res || errs != tc.err {
+				t.Errorf("tree=%v %q = %q, err %q; want %q, err %q", tree, tc.src, res, errs, tc.res, tc.err)
+			}
+		}
+	}
+}
+
+// TestEngineDiffStringRepeatBound: string repeat refuses a result past
+// 1 MiB with a script error, before allocating it, and still builds one
+// of exactly 1 MiB.
+func TestEngineDiffStringRepeatBound(t *testing.T) {
+	const over = `string repeat: result would exceed 1048576 bytes (while executing "string" near line 1)`
+	for _, tc := range []struct{ src, res, err string }{
+		{`string length [string repeat ab 524288]`, "1048576", ""},
+		{`string length [string repeat ab 524289]`, "", over},
+		{`string length [string repeat {} 99999999999]`, "0", ""},
+		{`catch {string repeat x 1048577} m; set m`, "string repeat: result would exceed 1048576 bytes", ""},
+	} {
+		for _, tree := range []bool{true, false} {
+			res, errs, _ := runEngine(t, tree, tc.src, 0)
+			if res != tc.res || errs != tc.err {
+				t.Errorf("tree=%v %q = %q, err %q; want %q, err %q", tree, tc.src, res, errs, tc.res, tc.err)
+			}
+		}
+	}
+}
+
 // TestEngineDiffMathFuncs: both engines give the math functions' pinned
 // results — not merely the same ones — in a literal form, with constant
 // arguments, and a $var form, whose arguments are read at run time. min/max of integers stay exact

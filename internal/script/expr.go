@@ -37,12 +37,12 @@ func (in *Interp) exprValue(text string) (Value, error) {
 	return n.eval(in)
 }
 
-// compileExpr parses text into an expression tree, memoized in the
-// interpreter's expr cache. Filter guards evaluate on every message but
-// compile only once.
+// compileExpr parses text into an expression tree the first time it is
+// asked for, keeping the tree in text's body. A text that fails to parse
+// is not kept.
 func (in *Interp) compileExpr(text string) (exprNode, error) {
-	if n, ok := in.exprs.get(text); ok {
-		return n, nil
+	if b := in.bodies[text]; b != nil && b.expr != nil {
+		return b.expr, nil
 	}
 	p := &exprParser{src: text}
 	n, err := p.parseTernary()
@@ -53,7 +53,7 @@ func (in *Interp) compileExpr(text string) (exprNode, error) {
 	if p.pos < len(p.src) {
 		return nil, fmt.Errorf("expr: syntax error near %q", p.src[p.pos:])
 	}
-	in.exprs.put(text, n)
+	in.bodyOf(text).expr = n
 	return n, nil
 }
 

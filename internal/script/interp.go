@@ -124,27 +124,19 @@ type Interp struct {
 	frames    []*frame           // proc call stack (empty at top level)
 	commands  map[string]binding // host commands and overridden builtins; see lookup
 	procs     map[string]*proc
-	scripts   *srcCache[*Script]  // parse cache for control-flow bodies
-	exprs     *srcCache[exprNode] // compile cache for expr conditions
-	progs     *srcCache[*Program] // VM programs compiled for the global frame
-	procProgs *srcCache[*Program] // VM programs compiled for proc frames
-	wordBufs  [][]string          // scratch buffers for expandCommand
-	out       io.Writer           // destination for puts
-	tree      bool                // tests only: runAny tree-walks (the reference leg of FuzzCompiledParity and TestEngineDiff*)
-	lowerOnly bool                // tests only: compileProgram skips fuse (the unfused leg of TestOptimizeDiff*)
-	steps     int                 // commands executed since limit reset
-	maxSteps  int                 // 0 = unlimited
-	limitHit  bool                // last top-level Eval/Run died on the step limit
-	depth     int                 // proc/eval recursion depth
+	bodies    map[string]*body // what each source text compiled to; nil until first use
+	wordBufs  [][]string       // scratch buffers for expandCommand
+	out       io.Writer        // destination for puts
+	tree      bool             // tests only: runAny tree-walks (the reference leg of FuzzCompiledParity and TestEngineDiff*)
+	lowerOnly bool             // tests only: compileProgram skips fuse (the unfused leg of TestOptimizeDiff*)
+	steps     int              // commands executed since limit reset
+	maxSteps  int              // 0 = unlimited
+	limitHit  bool             // last top-level Eval/Run died on the step limit
+	depth     int              // proc/eval recursion depth
 
 	// cmdEpoch invalidates the VM's per-call-site command caches; it bumps
 	// whenever the name->command/proc mapping changes.
 	cmdEpoch uint64
-
-	// One-entry memo for program(): repeated top-level runs of the same
-	// *Script (the per-message filter path) skip the source-cache lookup.
-	lastScript *Script
-	lastProg   *Program
 
 	// VM scratch stacks, shared across nested exec calls (each call
 	// operates above its saved base indices).
@@ -158,19 +150,14 @@ const maxDepth = 200
 // New returns an interpreter with the core command set installed.
 // Output from puts is discarded unless SetOutput is called.
 func New() *Interp {
-	in := &Interp{
-		gslotOf:   make(map[string]int),
-		commands:  make(map[string]binding),
-		procs:     make(map[string]*proc),
-		scripts:   newSrcCache[*Script](4096),
-		exprs:     newSrcCache[exprNode](4096),
-		progs:     newSrcCache[*Program](4096),
-		procProgs: newSrcCache[*Program](4096),
-		out:       io.Discard,
-		maxSteps:  5_000_000,
-		cmdEpoch:  1, // 0 marks a call site that never resolved
+	return &Interp{
+		gslotOf:  make(map[string]int),
+		commands: make(map[string]binding),
+		procs:    make(map[string]*proc),
+		out:      io.Discard,
+		maxSteps: 5_000_000,
+		cmdEpoch: 1, // 0 marks a call site that never resolved
 	}
-	return in
 }
 
 // SetOutput directs puts output to w.
@@ -200,9 +187,9 @@ func (in *Interp) StepLimitHit() bool { return in.limitHit }
 func (in *Interp) Steps() int { return in.steps }
 
 // interpState is the script-visible mutable state of an interpreter:
-// global variables and script-defined procs. Host commands, caches, and
-// scratch space are excluded — commands are installed by the host once,
-// and the caches are semantically transparent.
+// global variables and script-defined procs. Host commands, the table of
+// compiled bodies, and scratch space are excluded — commands are installed
+// by the host once, and the table is semantically transparent.
 type interpState struct {
 	slots    []gslot
 	overflow map[string]string
@@ -418,7 +405,7 @@ func (in *Interp) gunset(name string) {
 	delete(in.goverflow, name)
 }
 
-// Eval parses (with caching) and runs src at the top level, resetting the
+// Eval parses (once per text) and runs src at the top level, resetting the
 // step budget. It returns the result of the last command.
 func (in *Interp) Eval(src string) (string, error) {
 	in.steps = 0
@@ -466,39 +453,57 @@ func (in *Interp) runAny(s *Script) (string, error) {
 	return v.String(), err
 }
 
-// program returns the VM program for s, compiling and memoizing on miss.
-// Global-scope and proc-scope compilations cache separately: the same body
-// text resolves variables to global slots in one and to frame maps in the
-// other. A one-entry memo short-circuits the cache for the hot case of
-// the same *Script executed every message.
-func (in *Interp) program(s *Script) *Program {
-	if len(in.frames) > 0 {
-		return in.programFor(s, in.procProgs, modeProc)
-	}
-	if s == in.lastScript {
-		return in.lastProg
-	}
-	p := in.programFor(s, in.progs, modeGlobal)
-	in.lastScript, in.lastProg = s, p
-	return p
+// body is what one source text compiled to, each part filled the first
+// time it is asked for: its parse, its program per frame mode (a global
+// run resolves variables to slots, a proc run to frame maps), and its
+// expr tree.
+type body struct {
+	script *Script
+	progs  [2]*Program // by progMode
+	expr   exprNode
 }
 
-// programFor fetches s's compilation from cache, compiling on miss. A
-// Program never needs revalidating: what can change after compilation
-// (command bindings) is checked at run time by its inline caches, and the
-// special forms it inlined cannot be rebound.
-func (in *Interp) programFor(s *Script, cache *srcCache[*Program], mode progMode) *Program {
-	if p, ok := cache.get(s.src); ok {
-		return p
+// maxBodies bounds the table, which a script that evaluates texts it builds
+// would otherwise grow without end. At the bound the table starts over
+// empty; what it handed out (a proc's script, a Prepared program) stays.
+const maxBodies = 4096
+
+// bodyOf returns src's body, entering an empty one if the table has none.
+func (in *Interp) bodyOf(src string) *body {
+	b := in.bodies[src]
+	if b == nil {
+		if in.bodies == nil || len(in.bodies) >= maxBodies {
+			in.bodies = make(map[string]*body)
+		}
+		b = &body{}
+		in.bodies[src] = b
 	}
-	statCompiles.Add(1)
-	p := compileProgram(in, s, mode)
-	cache.put(s.src, p)
-	return p
+	return b
+}
+
+// program returns the VM program for s in the current frame's mode.
+func (in *Interp) program(s *Script) *Program {
+	if len(in.frames) > 0 {
+		return in.programFor(s, modeProc)
+	}
+	return in.programFor(s, modeGlobal)
+}
+
+// programFor returns s's program for mode, compiling it the first time
+// s's text runs in that mode. A Program never needs revalidating: what can
+// change after compilation (command bindings) is checked at run time by
+// its inline caches, and the special forms it inlined cannot be rebound.
+func (in *Interp) programFor(s *Script, mode progMode) *Program {
+	b := in.bodyOf(s.src)
+	if b.progs[mode] == nil {
+		statCompiles.Add(1)
+		b.progs[mode] = compileProgram(in, s, mode)
+	}
+	return b.progs[mode]
 }
 
 // Prepared binds a parsed script to its compiled program so per-message
-// execution skips the source-cache lookup entirely.
+// execution looks nothing up.
 type Prepared struct {
 	in *Interp
 	s  *Script
@@ -508,7 +513,7 @@ type Prepared struct {
 // Prepare compiles s for the global scope and returns a handle whose Run
 // is equivalent to Run(s).
 func (in *Interp) Prepare(s *Script) *Prepared {
-	return &Prepared{in: in, s: s, p: in.programFor(s, in.progs, modeGlobal)}
+	return &Prepared{in: in, s: s, p: in.programFor(s, modeGlobal)}
 }
 
 // Run executes the prepared script at the top level, like Interp.Run, but
@@ -530,21 +535,18 @@ func (pr *Prepared) Run() (Value, error) {
 	return v, nil
 }
 
-// compile parses src, memoizing results so control-flow bodies evaluated
-// every message parse only once. The cache is keyed by pointer identity
-// first (bodies are substrings of one parsed script, so repeated messages
-// present the same backing array) and evicts LRU-half when full, so hot
-// filter bodies survive long campaigns.
+// compile parses src the first time it is asked for, so a body that a
+// command the VM does not inline (`for`, `eval`) runs again and again
+// parses once. A text that fails to parse is not kept.
 func (in *Interp) compile(src string) (*Script, error) {
-	if s, ok := in.scripts.get(src); ok {
-		return s, nil
+	if b := in.bodies[src]; b != nil && b.script != nil {
+		return b.script, nil
 	}
 	s, err := Parse(src)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		in.bodyOf(src).script = s
 	}
-	in.scripts.put(src, s)
-	return s, nil
+	return s, err
 }
 
 // run tree-walks a parsed script in the current frame: the reference
@@ -553,12 +555,8 @@ func (in *Interp) run(s *Script) (string, error) {
 	var result string
 	for i := range s.cmds {
 		cmd := &s.cmds[i]
-		if in.maxSteps > 0 {
-			in.steps++
-			if in.steps > in.maxSteps {
-				in.limitHit = true
-				return "", &EvalError{Msg: fmt.Sprintf("step limit %d exceeded", in.maxSteps), Line: cmd.line}
-			}
+		if in.overBudget() {
+			return "", in.stepLimitErr(int32(cmd.line))
 		}
 		words, err := in.expandCommand(cmd)
 		if err != nil {

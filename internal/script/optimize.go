@@ -17,31 +17,22 @@ import "sync/atomic"
 // (FuzzCompiledParity, TestEngineDiff*, TestOptimizeDiff*) enforces
 // byte-identical behavior versus the tree-walker.
 
-// Compiler and cache statistics, process-wide. Counters are atomic so
-// the fleet /metrics endpoint can read them while campaign workers run.
+// Compiler statistics, process-wide. Counters are atomic so the fleet
+// /metrics endpoint can read them while campaign workers run.
 var (
-	statCompiles    atomic.Uint64 // programs compiled from source
-	statFusedOps    atomic.Uint64 // superinstructions emitted
-	statCacheHits   atomic.Uint64 // srcCache hits (scripts/exprs/programs)
-	statCacheMisses atomic.Uint64 // srcCache misses
+	statCompiles atomic.Uint64 // programs compiled from source
+	statFusedOps atomic.Uint64 // superinstructions emitted
 )
 
-// OptStats is a snapshot of the compiler and script-cache counters.
+// OptStats is a snapshot of the compiler counters.
 type OptStats struct {
-	Compiles    uint64
-	FusedOps    uint64
-	CacheHits   uint64
-	CacheMisses uint64
+	Compiles uint64
+	FusedOps uint64
 }
 
-// Stats returns the process-wide compiler and cache counters.
+// Stats returns the process-wide compiler counters.
 func Stats() OptStats {
-	return OptStats{
-		Compiles:    statCompiles.Load(),
-		FusedOps:    statFusedOps.Load(),
-		CacheHits:   statCacheHits.Load(),
-		CacheMisses: statCacheMisses.Load(),
-	}
+	return OptStats{Compiles: statCompiles.Load(), FusedOps: statFusedOps.Load()}
 }
 
 // leaders returns the set of instruction indices that are jump targets or

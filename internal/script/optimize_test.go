@@ -157,7 +157,7 @@ func TestOptimizeInfoExistsFastPath(t *testing.T) {
 }
 
 // TestOptStatsCounters: the compiler telemetry moves when the machinery
-// runs — compiles, fused sites, cache traffic.
+// runs — compiles and fused sites.
 func TestOptStatsCounters(t *testing.T) {
 	before := Stats()
 	in := New()
@@ -174,8 +174,5 @@ func TestOptStatsCounters(t *testing.T) {
 	}
 	if after.FusedOps <= before.FusedOps {
 		t.Errorf("FusedOps did not advance")
-	}
-	if after.CacheMisses <= before.CacheMisses {
-		t.Errorf("CacheMisses did not advance")
 	}
 }

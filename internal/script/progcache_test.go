@@ -1,112 +1,133 @@
 package script
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 )
 
-// These tests pin the interaction between srcCache and compiled Programs:
-// pointer-alias interning under the alias cap, recompile-on-miss after
-// eviction, and hot entries surviving the LRU half-drop.
+// These tests pin the table of compiled bodies (Interp.bodies): one entry
+// per source text, holding its parse, its program per frame mode and its
+// expr tree, bounded by starting over empty.
 
-func TestProgramCacheAliasCap(t *testing.T) {
+func TestInterpCompileCacheBounded(t *testing.T) {
 	in := New()
-	const src = `set alias_probe 1; incr alias_probe`
-	// Present the same content through many distinct string headers: each
-	// copy misses the pointer index but hits the content index, which may
-	// register at most maxAliases pointer aliases per entry.
-	for i := 0; i < 20; i++ {
-		copySrc := string([]byte(src))
-		evalOK(t, in, copySrc)
+	// Far more distinct texts than the bound: the table must stay bounded,
+	// and every text must still run right across each start-over.
+	for i := 0; i < 10000; i++ {
+		src := fmt.Sprintf("set v%d %d", i, i)
+		if got := evalOK(t, in, src); got != fmt.Sprint(i) {
+			t.Fatalf("Eval(%q) = %q, want %d", src, got, i)
+		}
 	}
-	if n := len(in.progs.bySrc); n != 1 {
-		t.Fatalf("progs cache has %d entries for one distinct source, want 1", n)
+	if got := len(in.bodies); got > maxBodies {
+		t.Fatalf("table grew to %d entries (bound %d)", got, maxBodies)
 	}
-	e := in.progs.bySrc[src]
-	if e == nil {
-		t.Fatalf("content index lost the entry")
-	}
-	if len(e.keys) > maxAliases {
-		t.Fatalf("entry holds %d pointer aliases, cap is %d", len(e.keys), maxAliases)
+	if b := in.bodies["set v9999 9999"]; b == nil || b.script == nil || b.progs[modeGlobal] == nil {
+		t.Error("the most recent text is not in the table")
 	}
 }
 
 func TestProgramCacheRecompileOnMiss(t *testing.T) {
 	in := New()
-	const hot = `set recompiled 1`
-	evalOK(t, in, hot)
-	p1, ok := in.progs.get(hot)
-	if !ok {
-		t.Fatalf("program not cached after eval")
+	const hot = `incr recompiled`
+	pr := in.Prepare(MustParse(hot))
+	if r := evalOK(t, in, hot); r != "1" {
+		t.Fatalf("first eval = %q, want 1", r)
 	}
-	// Flood the cache past its limit so eviction drops the now-cold entry.
-	for i := 0; i < 4100; i++ {
+	p1 := in.bodies[hot].progs[modeGlobal]
+	if p1 != pr.p {
+		t.Fatalf("Eval compiled a second program for a text Prepare had compiled")
+	}
+	// Fill the table to its bound so that it starts over.
+	for i := 0; i < maxBodies && (len(in.bodies) > 1 || i == 0); i++ {
 		evalOK(t, in, fmt.Sprintf(`set flood_%d %d`, i, i))
 	}
-	if _, ok := in.progs.get(hot); ok {
-		t.Fatalf("cold entry survived a full flood; eviction not exercised")
+	if _, ok := in.bodies[hot]; ok {
+		t.Fatalf("the table never started over")
 	}
-	// A miss must transparently recompile — same results, fresh Program.
-	if r := evalOK(t, in, hot); r != "1" {
-		t.Fatalf("recompiled eval = %q, want 1", r)
+	// A miss compiles again, transparently; the Prepared program it
+	// handed out earlier keeps working.
+	before := Stats().Compiles
+	if r := evalOK(t, in, hot); r != "2" {
+		t.Fatalf("recompiled eval = %q, want 2", r)
 	}
-	p2, ok := in.progs.get(hot)
-	if !ok {
-		t.Fatalf("program not re-cached after recompile")
+	if got := Stats().Compiles - before; got != 1 {
+		t.Fatalf("a text missing from the table compiled %d times, want 1", got)
 	}
-	if p1 == p2 {
-		t.Fatalf("expected a fresh Program after eviction, got the evicted pointer back")
+	if p2 := in.bodies[hot].progs[modeGlobal]; p2 == nil || p2 == p1 {
+		t.Fatalf("expected a fresh program after the table started over")
 	}
-}
-
-func TestProgramCacheHotEntrySurvivesEviction(t *testing.T) {
-	in := New()
-	const hot = `set hot_counter 0`
-	evalOK(t, in, hot)
-	p1, ok := in.progs.get(hot)
-	if !ok {
-		t.Fatalf("hot program not cached")
-	}
-	// Interleave hot touches with cold inserts: LRU half-drop must keep the
-	// hot entry because its lastUse stays recent.
-	for i := 0; i < 9000; i++ {
-		evalOK(t, in, fmt.Sprintf(`set cold_%d x`, i))
-		if i%100 == 0 {
-			evalOK(t, in, hot)
-		}
-	}
-	p2, ok := in.progs.get(hot)
-	if !ok {
-		t.Fatalf("hot program evicted despite frequent use")
-	}
-	if p1 != p2 {
-		t.Fatalf("hot program was recompiled (pointer changed) despite frequent use")
+	if res, err := pr.Run(); err != nil || res.String() != "3" {
+		t.Fatalf("prepared run = %q, %v; want 3", res, err)
 	}
 }
 
 func TestProcProgramsCacheSeparately(t *testing.T) {
-	// The same body text must compile per-mode: global evals resolve vars to
-	// slots, proc bodies to frame maps. A body evaluated both ways lands in
-	// both caches without cross-talk.
+	// One text run at global scope and inside a proc (through eval) is
+	// parsed once and compiled twice: the global program resolves its
+	// variables to slots, the proc one to the frame. Neither run sees the
+	// other's.
 	in := New()
-	const body = `set mode_probe 7; set mode_probe`
-	if r := evalOK(t, in, body); r != "7" {
-		t.Fatalf("global eval = %q", r)
+	const src = `set mode_probe $v; set mode_probe`
+	in.SetGlobal("src", src)
+	in.SetGlobal("v", "1")
+	evalOK(t, in, `proc p {} { set v 2; global src; eval $src }`)
+	if r := evalOK(t, in, src); r != "1" {
+		t.Fatalf("global run = %q, want 1", r)
 	}
-	evalOK(t, in, `proc p {} {set mode_probe 7; set mode_probe}`)
-	if r := evalOK(t, in, `p`); r != "7" {
-		t.Fatalf("proc eval = %q", r)
+	b := in.bodies[src]
+	if b == nil || b.script == nil {
+		t.Fatal("the global run left no parse in the table")
 	}
-	if _, ok := in.progs.get(body); !ok {
-		t.Fatalf("global program missing")
+	parsed := b.script
+	before := Stats().Compiles
+	if r := evalOK(t, in, `p`); r != "2" {
+		t.Fatalf("proc run = %q, want 2", r)
 	}
-	if _, ok := in.procProgs.get(body); !ok {
-		t.Fatalf("proc program missing")
+	// The text `p`, p's body, and src in proc mode.
+	if got := Stats().Compiles - before; got != 3 {
+		t.Fatalf("the proc call compiled %d programs, want 3", got)
 	}
-	// The global one wrote a global; the proc one wrote a frame local.
-	if v, ok := in.Var("mode_probe"); !ok || v != "7" {
-		t.Fatalf("global mode_probe = %q, %v", v, ok)
+	if in.bodies[src] != b || b.script != parsed {
+		t.Fatal("the proc run parsed the text again")
+	}
+	if b.progs[modeGlobal] == nil || b.progs[modeProc] == nil || b.progs[modeGlobal] == b.progs[modeProc] {
+		t.Fatalf("want one program per mode, got %p and %p", b.progs[modeGlobal], b.progs[modeProc])
+	}
+	// The proc's run wrote its frame, not the global.
+	if v, ok := in.Global("mode_probe"); !ok || v != "1" {
+		t.Fatalf("global mode_probe = %q, %v; want 1", v, ok)
+	}
+	if r := evalOK(t, in, src); r != "1" {
+		t.Fatalf("second global run = %q, want 1", r)
+	}
+}
+
+// TestBodyTableKeepsNoParseFailure: a script or an expression that fails
+// to parse leaves nothing in the table, and fails the same way again.
+func TestBodyTableKeepsNoParseFailure(t *testing.T) {
+	in := New()
+	for _, src := range []string{`set x {`, `expr {1 +}`} {
+		var errs [2]error
+		for i := range errs {
+			if _, errs[i] = in.Eval(src); errs[i] == nil {
+				t.Fatalf("Eval(%q) succeeded", src)
+			}
+		}
+		if errs[0].Error() != errs[1].Error() {
+			t.Errorf("Eval(%q) failed with %q, then with %q", src, errs[0], errs[1])
+		}
+		var pe *ParseError
+		if src == `set x {` && !errors.As(errs[1], &pe) {
+			t.Errorf("Eval(%q) = %T, want a *ParseError", src, errs[1])
+		}
+	}
+	for text, b := range in.bodies {
+		if text == `set x {` || text == `1 +` || (b.script == nil && b.expr == nil) {
+			t.Errorf("the table kept %q (script %v, expr %v)", text, b.script != nil, b.expr != nil)
+		}
 	}
 }
 

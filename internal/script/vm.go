@@ -238,8 +238,8 @@ type loopScope struct {
 }
 
 // Program is a compiled script plus its side tables. Programs are owned by
-// one interpreter (inline caches mutate at runtime) and cached in
-// Interp.progs/procProgs keyed by source text.
+// one interpreter (inline caches mutate at runtime), which keeps each in
+// its text's body, one per frame mode (Interp.bodies).
 type Program struct {
 	ins     []instr
 	consts  []string
