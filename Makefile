@@ -119,10 +119,12 @@ fuzz:
 # checksum). The fingerprints move with any change to what a candidate
 # world does — the scheduler's firing order, a protocol timer, a seeded
 # draw — so a change that moves one on purpose re-pins it here and in
-# bench/expected/pins.json. Repros land in a throwaway dir; promote one by
-# copying it plus its golden into internal/conformance/testdata/found/.
+# bench/expected/pins.json. Repros land in a throwaway dir under /tmp that
+# is removed, with the binary, on exit; to keep one, run pfifuzz with -out
+# and promote it by copying it plus its golden into
+# internal/conformance/testdata/found/.
 explore:
-	@set -e; dir=$$(mktemp -d /tmp/pfifuzz.XXXXXX); trap 'rm -f "$$dir/pfifuzz"' EXIT; \
+	@set -e; dir=$$(mktemp -d /tmp/pfifuzz.XXXXXX); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/pfifuzz" ./cmd/pfifuzz; \
 	pinned() { want=$$1; shift; echo "pfifuzz $$*"; \
 		out=$$("$$dir/pfifuzz" -q -out "$$(mktemp -d "$$dir/out.XXXXXX")" "$$@"); \

@@ -141,10 +141,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("within", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("within tolerance")
-		}
+	in.Register("within tolerance", func(_ *script.Interp, args []string) (string, error) {
 		d, err := parseDur(args[0])
 		if err != nil || d < 0 {
 			return "", fmt.Errorf("bad tolerance %q", args[0])
@@ -155,10 +152,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	// --- time and topology -------------------------------------------------
 
-	in.RegisterTyped("run", func(_ *script.Interp, args []string) (script.Value, error) {
-		if len(args) != 1 {
-			return script.Value{}, script.WrongArgs("run duration")
-		}
+	in.RegisterTyped("run duration", func(_ *script.Interp, args []string) (script.Value, error) {
 		if err := h.needWorld(); err != nil {
 			return script.Value{}, err
 		}
@@ -173,10 +167,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return script.Int(time.Duration(h.now()).Milliseconds()), nil
 	})
 
-	in.Register("unplug", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) < 1 {
-			return "", script.WrongArgs("unplug node ?node ...?")
-		}
+	in.Register("unplug node ?node ...?", func(_ *script.Interp, args []string) (string, error) {
 		names, err := expandNodeSet(args)
 		if err != nil {
 			return "", err
@@ -191,10 +182,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("replug", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) < 1 {
-			return "", script.WrongArgs("replug node ?node ...?")
-		}
+	in.Register("replug node ?node ...?", func(_ *script.Interp, args []string) (string, error) {
 		names, err := expandNodeSet(args)
 		if err != nil {
 			return "", err
@@ -209,12 +197,9 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("partition", func(_ *script.Interp, args []string) (string, error) {
+	in.Register("partition {node ...} ?{node ...} ...?", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needWorld(); err != nil {
 			return "", err
-		}
-		if len(args) < 1 {
-			return "", script.WrongArgs("partition {node ...} ?{node ...} ...?")
 		}
 		groups, err := h.partitionGroups(args)
 		if err != nil {
@@ -234,10 +219,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	// --- faultload ---------------------------------------------------------
 
-	in.Register("faultload", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", script.WrongArgs("faultload node send|receive script")
-		}
+	in.Register("faultload node send|receive script", func(_ *script.Interp, args []string) (string, error) {
 		l, err := h.pfi(args[0])
 		if err != nil {
 			return "", err
@@ -262,10 +244,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", l.SetReceiveScript(args[2])
 	})
 
-	in.Register("filter_set", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 4 {
-			return "", script.WrongArgs("filter_set node send|receive varName value")
-		}
+	in.Register("filter_set node send|receive varName value", func(_ *script.Interp, args []string) (string, error) {
 		l, err := h.pfi(args[0])
 		if err != nil {
 			return "", err
@@ -282,10 +261,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return args[3], nil
 	})
 
-	in.Register("inject", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 3 && len(args) != 4 {
-			return "", script.WrongArgs("inject node send|receive type ?{field value ...}?")
-		}
+	in.Register("inject node send|receive type ?{field value ...}?", func(_ *script.Interp, args []string) (string, error) {
 		l, err := h.pfi(args[0])
 		if err != nil {
 			return "", err
@@ -347,10 +323,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("tcp_keepalive", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("tcp_keepalive on|off")
-		}
+	in.Register("tcp_keepalive on|off", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needConn(); err != nil {
 			return "", err
 		}
@@ -363,10 +336,7 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	// tcp_send queues one write of n pattern bytes, n at most maxSendBytes.
-	in.Register("tcp_send", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("tcp_send bytes")
-		}
+	in.Register("tcp_send bytes", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needConn(); err != nil {
 			return "", err
 		}
@@ -382,10 +352,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", h.conn.Send(payload)
 	})
 
-	in.Register("tcp_stream", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("tcp_stream segments spacing")
-		}
+	in.Register("tcp_stream segments spacing", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needConn(); err != nil {
 			return "", err
 		}
@@ -470,10 +437,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("gmp_suspend", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("gmp_suspend node")
-		}
+	in.Register("gmp_suspend node", func(_ *script.Interp, args []string) (string, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return "", err
@@ -482,10 +446,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("gmp_resume", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("gmp_resume node")
-		}
+	in.Register("gmp_resume node", func(_ *script.Interp, args []string) (string, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return "", err
@@ -494,10 +455,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return "", nil
 	})
 
-	in.Register("gmp_group", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("gmp_group node")
-		}
+	in.Register("gmp_group node", func(_ *script.Interp, args []string) (string, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return "", err
@@ -505,10 +463,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return strings.Join(m.Gmd.Group().Members, " "), nil
 	})
 
-	in.RegisterTyped("gmp_gen", func(_ *script.Interp, args []string) (script.Value, error) {
-		if len(args) != 1 {
-			return script.Value{}, script.WrongArgs("gmp_gen node")
-		}
+	in.RegisterTyped("gmp_gen node", func(_ *script.Interp, args []string) (script.Value, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return script.Value{}, err
@@ -516,10 +471,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return script.Int(int64(m.Gmd.Group().Gen)), nil
 	})
 
-	in.Register("gmp_in_transition", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("gmp_in_transition node")
-		}
+	in.Register("gmp_in_transition node", func(_ *script.Interp, args []string) (string, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return "", err
@@ -532,10 +484,7 @@ func registerCommands(in *script.Interp, h *harness) {
 
 	// gmp_declared_dead reports whether the node's daemon has declared
 	// itself dead and stayed in its group (the self-death bug).
-	in.Register("gmp_declared_dead", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("gmp_declared_dead node")
-		}
+	in.Register("gmp_declared_dead node", func(_ *script.Interp, args []string) (string, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return "", err
@@ -547,10 +496,7 @@ func registerCommands(in *script.Interp, h *harness) {
 	})
 
 	// gmp_armed_hb_expect counts the node's armed heartbeat-expect timers.
-	in.RegisterTyped("gmp_armed_hb_expect", func(_ *script.Interp, args []string) (script.Value, error) {
-		if len(args) != 1 {
-			return script.Value{}, script.WrongArgs("gmp_armed_hb_expect node")
-		}
+	in.RegisterTyped("gmp_armed_hb_expect node", func(_ *script.Interp, args []string) (script.Value, error) {
 		m, err := h.member(args[0])
 		if err != nil {
 			return script.Value{}, err
@@ -572,10 +518,7 @@ func registerCommands(in *script.Interp, h *harness) {
 		return h.expect("expect_none", args, true)
 	})
 
-	in.Register("assert", func(si *script.Interp, args []string) (string, error) {
-		if len(args) != 1 && len(args) != 2 {
-			return "", script.WrongArgs("assert exprString ?label?")
-		}
+	in.Register("assert exprString ?label?", func(si *script.Interp, args []string) (string, error) {
 		ok, err := si.EvalExprBool(args[0])
 		if err != nil {
 			return "", err

@@ -144,10 +144,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// proposal was not accepted — scripts assert on the result rather than
 	// aborting, because "no leader right now" is a legitimate state under
 	// fault injection.
-	in.Register("raft_propose", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 && len(args) != 2 {
-			return "", script.WrongArgs("raft_propose data ?node?")
-		}
+	in.Register("raft_propose data ?node?", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needRaft(); err != nil {
 			return "", err
 		}
@@ -174,8 +171,8 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	// raft_expect_leader records the election-safety check of the moment:
 	// exactly one node in the leader role among the given set (default all).
 	// Returns the leader's name so scripts can target it.
-	in.Register("raft_expect_leader", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) > 2 || len(args) == 1 || (len(args) == 2 && args[0] != "among") {
+	in.Register("raft_expect_leader ?among {node ...}?", func(_ *script.Interp, args []string) (string, error) {
+		if len(args) == 1 || len(args) == 2 && args[0] != "among" {
 			return "", script.WrongArgs("raft_expect_leader ?among {node ...}?")
 		}
 		if err := h.needRaft(); err != nil {
@@ -220,9 +217,10 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 
 	// raft_expect_committed asserts the entry at a log index is applied —
 	// with the expected payload, on at least min nodes (default: a quorum
-	// of the whole cluster). Returns the count of nodes holding it.
+	// of the whole cluster). Returns the count of nodes holding it. Its
+	// options may repeat, so it declares no maximum and checks its pairs.
 	in.Register("raft_expect_committed", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) < 1 || len(args)%2 != 1 {
+		if len(args)%2 == 0 {
 			return "", script.WrongArgs("raft_expect_committed index ?data payload? ?min n?")
 		}
 		if err := h.needRaft(); err != nil {
@@ -275,10 +273,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 
 	// raft_partition_heal is the compound topology op: partition into the
 	// given groups, run for the duration, heal. One line per fault epoch.
-	in.Register("raft_partition_heal", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) < 2 {
-			return "", script.WrongArgs("raft_partition_heal duration {node ...} ?{node ...} ...?")
-		}
+	in.Register("raft_partition_heal duration {node ...} ?{node ...} ...?", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needRaft(); err != nil {
 			return "", err
 		}
@@ -306,10 +301,7 @@ func registerRaftCommands(in *script.Interp, h *harness) {
 	})
 
 	raftValue := func(name string, get func(*raft.Node) string) {
-		in.Register(name, func(_ *script.Interp, args []string) (string, error) {
-			if len(args) != 1 {
-				return "", script.WrongArgs(name + " node")
-			}
+		in.Register(name+" node", func(_ *script.Interp, args []string) (string, error) {
 			m, err := h.raftMember(args[0])
 			if err != nil {
 				return "", err

@@ -204,10 +204,7 @@ func NewShell(opts Options) *Shell {
 	registerCommands(in, h)
 	sh := &Shell{h: h, in: in, marks: map[string]*shellMark{}}
 
-	in.Register("snapshot", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) > 1 {
-			return "", script.WrongArgs("snapshot ?name?")
-		}
+	in.Register("snapshot ?name?", func(_ *script.Interp, args []string) (string, error) {
 		if err := h.needWorld(); err != nil {
 			return "", err
 		}
@@ -223,10 +220,7 @@ func NewShell(opts Options) *Shell {
 		return name, nil
 	})
 
-	in.Register("restore", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) > 1 {
-			return "", script.WrongArgs("restore ?name?")
-		}
+	in.Register("restore ?name?", func(_ *script.Interp, args []string) (string, error) {
 		name := "last"
 		if len(args) == 1 {
 			name = args[0]

@@ -59,30 +59,21 @@ func registerFilterCommands(f *Filter) {
 
 	// --- recognition stubs ---------------------------------------------
 
-	in.Register("msg_type", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("msg_type msgHandle")
-		}
+	in.Register("msg_type msgHandle", func(_ *script.Interp, args []string) (string, error) {
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
 		}
 		return f.curInfo.Type, nil
 	})
 
-	in.RegisterTyped("msg_field", func(_ *script.Interp, args []string) (script.Value, error) {
-		if len(args) != 2 {
-			return script.Value{}, script.WrongArgs("msg_field msgHandle fieldName")
-		}
+	in.RegisterTyped("msg_field msgHandle fieldName", func(_ *script.Interp, args []string) (script.Value, error) {
 		if _, err := curOf(f, args[0]); err != nil {
 			return script.Value{}, err
 		}
 		return f.fieldValue(args[1]), nil
 	})
 
-	in.RegisterTyped("msg_len", func(_ *script.Interp, args []string) (script.Value, error) {
-		if len(args) != 1 {
-			return script.Value{}, script.WrongArgs("msg_len msgHandle")
-		}
+	in.RegisterTyped("msg_len msgHandle", func(_ *script.Interp, args []string) (script.Value, error) {
 		m, err := curOf(f, args[0])
 		if err != nil {
 			return script.Value{}, err
@@ -90,10 +81,7 @@ func registerFilterCommands(f *Filter) {
 		return script.Int(int64(m.Len())), nil
 	})
 
-	in.Register("msg_data", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("msg_data msgHandle")
-		}
+	in.Register("msg_data msgHandle", func(_ *script.Interp, args []string) (string, error) {
 		m, err := curOf(f, args[0])
 		if err != nil {
 			return "", err
@@ -101,10 +89,7 @@ func registerFilterCommands(f *Filter) {
 		return string(m.CopyBytes()), nil
 	})
 
-	in.Register("msg_hex", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("msg_hex msgHandle")
-		}
+	in.Register("msg_hex msgHandle", func(_ *script.Interp, args []string) (string, error) {
 		m, err := curOf(f, args[0])
 		if err != nil {
 			return "", err
@@ -112,10 +97,7 @@ func registerFilterCommands(f *Filter) {
 		return fmt.Sprintf("%x", m.Bytes()), nil
 	})
 
-	in.Register("msg_log", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 && len(args) != 2 {
-			return "", script.WrongArgs("msg_log msgHandle ?note?")
-		}
+	in.Register("msg_log msgHandle ?note?", func(_ *script.Interp, args []string) (string, error) {
 		m, err := curOf(f, args[0])
 		if err != nil {
 			return "", err
@@ -137,10 +119,7 @@ func registerFilterCommands(f *Filter) {
 
 	// --- manipulation ----------------------------------------------------
 
-	in.Register("xDrop", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("xDrop msgHandle")
-		}
+	in.Register("xDrop msgHandle", func(_ *script.Interp, args []string) (string, error) {
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
 		}
@@ -148,10 +127,7 @@ func registerFilterCommands(f *Filter) {
 		return "", nil
 	})
 
-	in.Register("xDelay", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("xDelay msgHandle milliseconds")
-		}
+	in.Register("xDelay msgHandle milliseconds", func(_ *script.Interp, args []string) (string, error) {
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
 		}
@@ -163,10 +139,7 @@ func registerFilterCommands(f *Filter) {
 		return "", nil
 	})
 
-	in.Register("xDuplicate", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) < 1 || len(args) > 3 {
-			return "", script.WrongArgs("xDuplicate msgHandle ?copies? ?gap_ms?")
-		}
+	in.Register("xDuplicate msgHandle ?copies? ?gap_ms?", func(_ *script.Interp, args []string) (string, error) {
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
 		}
@@ -190,10 +163,7 @@ func registerFilterCommands(f *Filter) {
 		return "", nil
 	})
 
-	in.Register("msg_set_byte", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 3 {
-			return "", script.WrongArgs("msg_set_byte msgHandle offset value")
-		}
+	in.Register("msg_set_byte msgHandle offset value", func(_ *script.Interp, args []string) (string, error) {
 		m, err := curOf(f, args[0])
 		if err != nil {
 			return "", err
@@ -212,10 +182,7 @@ func registerFilterCommands(f *Filter) {
 		return "", m.SetByte(off, byte(val))
 	})
 
-	in.Register("msg_byte", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("msg_byte msgHandle offset")
-		}
+	in.Register("msg_byte msgHandle offset", func(_ *script.Interp, args []string) (string, error) {
 		m, err := curOf(f, args[0])
 		if err != nil {
 			return "", err
@@ -233,10 +200,7 @@ func registerFilterCommands(f *Filter) {
 
 	// --- hold / release (deterministic reordering) -----------------------
 
-	in.Register("xHold", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("xHold msgHandle")
-		}
+	in.Register("xHold msgHandle", func(_ *script.Interp, args []string) (string, error) {
 		if _, err := curOf(f, args[0]); err != nil {
 			return "", err
 		}
@@ -244,7 +208,7 @@ func registerFilterCommands(f *Filter) {
 		return "", nil
 	})
 
-	in.Register("xRelease", func(_ *script.Interp, args []string) (string, error) {
+	in.Register("xRelease ?count?", func(_ *script.Interp, args []string) (string, error) {
 		n := 0
 		if len(args) == 1 {
 			v, err := strconv.Atoi(args[0])
@@ -252,8 +216,6 @@ func registerFilterCommands(f *Filter) {
 				return "", fmt.Errorf("bad count %q", args[0])
 			}
 			n = v
-		} else if len(args) > 1 {
-			return "", script.WrongArgs("xRelease ?count?")
 		}
 		return "", f.release(n, false)
 	})
@@ -271,10 +233,7 @@ func registerFilterCommands(f *Filter) {
 
 	// --- injection --------------------------------------------------------
 
-	in.Register("xInject", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) < 1 || len(args) > 3 {
-			return "", script.WrongArgs("xInject type ?{field value ...}? ?down|up?")
-		}
+	in.Register("xInject type ?{field value ...}? ?down|up?", func(_ *script.Interp, args []string) (string, error) {
 		typ := args[0]
 		fields := map[string]string{}
 		if len(args) >= 2 {
@@ -313,10 +272,7 @@ func registerFilterCommands(f *Filter) {
 		return strconv.FormatFloat(l.env.Now().Seconds(), 'f', -1, 64), nil
 	})
 
-	in.Register("after", func(si *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("after milliseconds script")
-		}
+	in.Register("after milliseconds script", func(si *script.Interp, args []string) (string, error) {
 		d, ok := parseMS(args[0])
 		if !ok {
 			return "", fmt.Errorf("bad delay %q", args[0])
@@ -332,10 +288,7 @@ func registerFilterCommands(f *Filter) {
 
 	// --- probability distributions (the paper's dst_* utilities) ----------
 
-	in.Register("dst_normal", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("dst_normal mean variance")
-		}
+	in.Register("dst_normal mean variance", func(_ *script.Interp, args []string) (string, error) {
 		mean, ok1 := parseFinite(args[0])
 		variance, ok2 := parseFinite(args[1])
 		if !ok1 || !ok2 {
@@ -344,10 +297,7 @@ func registerFilterCommands(f *Filter) {
 		return formatFloat(l.rng.Normal(mean, variance)), nil
 	})
 
-	in.Register("dst_uniform", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("dst_uniform lo hi")
-		}
+	in.Register("dst_uniform lo hi", func(_ *script.Interp, args []string) (string, error) {
 		lo, ok1 := parseFinite(args[0])
 		hi, ok2 := parseFinite(args[1])
 		if !ok1 || !ok2 {
@@ -356,10 +306,7 @@ func registerFilterCommands(f *Filter) {
 		return formatFloat(l.rng.Uniform(lo, hi)), nil
 	})
 
-	in.Register("dst_exponential", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("dst_exponential mean")
-		}
+	in.Register("dst_exponential mean", func(_ *script.Interp, args []string) (string, error) {
 		mean, ok := parseFinite(args[0])
 		if !ok {
 			return "", fmt.Errorf("bad mean %q", args[0])
@@ -367,10 +314,7 @@ func registerFilterCommands(f *Filter) {
 		return formatFloat(l.rng.Exponential(mean)), nil
 	})
 
-	in.Register("coin", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("coin probability")
-		}
+	in.Register("coin probability", func(_ *script.Interp, args []string) (string, error) {
 		p, err := strconv.ParseFloat(args[0], 64)
 		if err != nil || math.IsNaN(p) { // ±Inf clamps like any p outside [0,1]
 			return "", fmt.Errorf("bad probability %q", args[0])
@@ -381,10 +325,7 @@ func registerFilterCommands(f *Filter) {
 		return "0", nil
 	})
 
-	in.Register("rand_int", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("rand_int n")
-		}
+	in.Register("rand_int n", func(_ *script.Interp, args []string) (string, error) {
 		n, err := strconv.Atoi(args[0])
 		if err != nil || n <= 0 {
 			return "", fmt.Errorf("bad bound %q", args[0])
@@ -394,18 +335,12 @@ func registerFilterCommands(f *Filter) {
 
 	// --- cross-interpreter state (send <-> receive) ------------------------
 
-	in.Register("peer_set", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("peer_set varName value")
-		}
+	in.Register("peer_set varName value", func(_ *script.Interp, args []string) (string, error) {
 		f.peer().engine().SetGlobal(args[0], args[1])
 		return args[1], nil
 	})
 
-	in.Register("peer_get", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 && len(args) != 2 {
-			return "", script.WrongArgs("peer_get varName ?default?")
-		}
+	in.Register("peer_get varName ?default?", func(_ *script.Interp, args []string) (string, error) {
 		v, ok := f.peer().engine().Global(args[0])
 		if !ok {
 			if len(args) == 2 {
@@ -418,36 +353,24 @@ func registerFilterCommands(f *Filter) {
 
 	// --- cross-node synchronization ----------------------------------------
 
-	in.Register("sync_signal", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("sync_signal name")
-		}
+	in.Register("sync_signal name", func(_ *script.Interp, args []string) (string, error) {
 		l.bus.Signal(args[0])
 		return "", nil
 	})
 
-	in.Register("sync_clear", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("sync_clear name")
-		}
+	in.Register("sync_clear name", func(_ *script.Interp, args []string) (string, error) {
 		l.bus.Clear(args[0])
 		return "", nil
 	})
 
-	in.Register("sync_test", func(_ *script.Interp, args []string) (string, error) {
-		if len(args) != 1 {
-			return "", script.WrongArgs("sync_test name")
-		}
+	in.Register("sync_test name", func(_ *script.Interp, args []string) (string, error) {
 		if l.bus.IsSet(args[0]) {
 			return "1", nil
 		}
 		return "0", nil
 	})
 
-	in.Register("sync_wait", func(si *script.Interp, args []string) (string, error) {
-		if len(args) != 2 {
-			return "", script.WrongArgs("sync_wait name script")
-		}
+	in.Register("sync_wait name script", func(si *script.Interp, args []string) (string, error) {
 		body := args[1]
 		l.bus.OnSignal(args[0], func() {
 			if _, err := si.Eval(body); err != nil {

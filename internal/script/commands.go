@@ -19,70 +19,92 @@ func WrongArgs(usage string) error {
 // before main runs and never written again, so every interpreter (and every
 // goroutine's) may read it. An interpreter's own table holds only what its
 // host registered or removed (Interp.lookup). It is filled by init because
-// the commands reach back to the table through the interpreter.
-var builtins map[string]Command
+// the commands reach back to the table through the interpreter. Each entry
+// is declared as a host's Register is, by its usage line. A bare name
+// checks its own arguments: if, switch and lsort take options no count
+// bounds, error ignores words its usage does not name, break and continue
+// take none, and list and concat take any.
+var builtins = map[string]binding{}
+
+// stringUsage declares the string subcommands that check their count; the
+// others take one argument, or two for the trims, and ignore the rest.
+var stringUsage = map[string]arity{}
 
 func init() {
-	builtins = map[string]Command{
-		"set":      cmdSet,
-		"unset":    cmdUnset,
-		"incr":     cmdIncr,
-		"append":   cmdAppend,
-		"if":       cmdIf,
-		"while":    cmdWhile,
-		"for":      cmdFor,
-		"foreach":  cmdForeach,
-		"switch":   cmdSwitch,
-		"proc":     cmdProc,
-		"return":   cmdReturn,
-		"break":    cmdBreak,
-		"continue": cmdContinue,
-		"expr":     cmdExpr,
-		"eval":     cmdEval,
-		"catch":    cmdCatch,
-		"error":    cmdError,
-		"global":   cmdGlobal,
-		"puts":     cmdPuts,
-		"list":     cmdList,
-		"lindex":   cmdLindex,
-		"llength":  cmdLlength,
-		"lappend":  cmdLappend,
-		"lrange":   cmdLrange,
-		"linsert":  cmdLinsert,
-		"lsearch":  cmdLsearch,
-		"lsort":    cmdLsort,
-		"lreverse": cmdLreverse,
-		"lreplace": cmdLreplace,
-		"lassign":  cmdLassign,
-		"concat":   cmdConcat,
-		"join":     cmdJoin,
-		"split":    cmdSplit,
-		"string":   cmdString,
-		"format":   cmdFormat,
-		"info":     cmdInfo,
+	for _, b := range []struct {
+		usage string
+		cmd   Command
+	}{
+		{"set varName ?newValue?", cmdSet},
+		{"unset varName ?varName ...?", cmdUnset},
+		{"incr varName ?increment?", cmdIncr},
+		{"append varName ?value ...?", cmdAppend},
+		{"if", cmdIf},
+		{"while test command", cmdWhile},
+		{"for start test next command", cmdFor},
+		{"foreach varList list command", cmdForeach},
+		{"switch", cmdSwitch},
+		{"proc name args body", cmdProc},
+		{"return ?value?", cmdReturn},
+		{"break", cmdBreak},
+		{"continue", cmdContinue},
+		{"expr arg ?arg ...?", cmdExpr},
+		{"eval arg ?arg ...?", cmdEval},
+		{"catch command ?varName?", cmdCatch},
+		{"error", cmdError},
+		{"global varName ?varName ...?", cmdGlobal},
+		{"puts ?-nonewline? string", cmdPuts},
+		{"list", cmdList},
+		{"lindex list index", cmdLindex},
+		{"llength list", cmdLlength},
+		{"lappend varName ?value ...?", cmdLappend},
+		{"lrange list first last", cmdLrange},
+		{"linsert list index element ?element ...?", cmdLinsert},
+		{"lsearch ?mode? list pattern", cmdLsearch},
+		{"lsort", cmdLsort},
+		{"lreverse list", cmdLreverse},
+		{"lreplace list first last ?element ...?", cmdLreplace},
+		{"lassign list varName ?varName ...?", cmdLassign},
+		{"concat", cmdConcat},
+		{"join list ?joinString?", cmdJoin},
+		{"split string ?splitChars?", cmdSplit},
+		{"string option arg ?arg ...?", cmdString},
+		{"format formatString ?arg ...?", cmdFormat},
+		{"info option ?arg ...?", cmdInfo},
+	} {
+		name, a := declare(b.usage)
+		builtins[name] = binding{cmd: b.cmd, arity: a}
+	}
+	for _, usage := range []string{
+		"string index string charIndex",
+		"string range string first last",
+		"string first needle haystack",
+		"string last needle haystack",
+		"string match pattern string",
+		"string compare string1 string2",
+		"string equal string1 string2",
+		"string repeat string count",
+		"string map {key value ...} string",
+	} {
+		op, a := declare(strings.TrimPrefix(usage, "string "))
+		a.usage = usage
+		stringUsage[op] = a
 	}
 }
 
 func cmdSet(in *Interp, args []string) (string, error) {
-	switch len(args) {
-	case 1:
-		v, ok := in.Var(args[0])
-		if !ok {
-			return "", fmt.Errorf("can't read %q: no such variable", args[0])
-		}
-		return v, nil
-	case 2:
+	if len(args) == 2 {
 		in.SetVar(args[0], args[1])
 		return args[1], nil
-	default:
-		return "", WrongArgs("set varName ?newValue?")
 	}
+	v, ok := in.Var(args[0])
+	if !ok {
+		return "", fmt.Errorf("can't read %q: no such variable", args[0])
+	}
+	return v, nil
 }
 
 func cmdUnset(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("unset varName ?varName ...?")
-	}
 	for _, name := range args {
 		in.UnsetVar(name)
 	}
@@ -90,9 +112,6 @@ func cmdUnset(in *Interp, args []string) (string, error) {
 }
 
 func cmdIncr(in *Interp, args []string) (string, error) {
-	if len(args) != 1 && len(args) != 2 {
-		return "", WrongArgs("incr varName ?increment?")
-	}
 	delta := int64(1)
 	if len(args) == 2 {
 		d, ok := parseInt(args[1])
@@ -113,9 +132,6 @@ func cmdIncr(in *Interp, args []string) (string, error) {
 }
 
 func cmdAppend(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("append varName ?value ...?")
-	}
 	cur, _ := in.Var(args[0])
 	cur += strings.Join(args[1:], "")
 	in.SetVar(args[0], cur)
@@ -178,9 +194,6 @@ func (in *Interp) evalBody(body string) (string, error) {
 }
 
 func cmdWhile(in *Interp, args []string) (string, error) {
-	if len(args) != 2 {
-		return "", WrongArgs("while test command")
-	}
 	for {
 		if in.overBudget() {
 			in.limitHit = true
@@ -210,9 +223,6 @@ func cmdWhile(in *Interp, args []string) (string, error) {
 }
 
 func cmdFor(in *Interp, args []string) (string, error) {
-	if len(args) != 4 {
-		return "", WrongArgs("for start test next command")
-	}
 	if _, err := in.evalBody(args[0]); err != nil {
 		return "", err
 	}
@@ -249,9 +259,6 @@ func cmdFor(in *Interp, args []string) (string, error) {
 }
 
 func cmdForeach(in *Interp, args []string) (string, error) {
-	if len(args) != 3 {
-		return "", WrongArgs("foreach varList list command")
-	}
 	vars, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -349,9 +356,6 @@ func cmdSwitch(in *Interp, args []string) (string, error) {
 }
 
 func cmdProc(in *Interp, args []string) (string, error) {
-	if len(args) != 3 {
-		return "", WrongArgs("proc name args body")
-	}
 	name := args[0]
 	if isSpecialForm(name) {
 		return "", fmt.Errorf("can't redefine special form %q", name)
@@ -391,8 +395,6 @@ func cmdReturn(in *Interp, args []string) (string, error) {
 	val := ""
 	if len(args) == 1 {
 		val = args[0]
-	} else if len(args) > 1 {
-		return "", WrongArgs("return ?value?")
 	}
 	return "", &flow{code: flowReturn, value: val}
 }
@@ -412,23 +414,14 @@ func cmdContinue(in *Interp, args []string) (string, error) {
 }
 
 func cmdExpr(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("expr arg ?arg ...?")
-	}
 	return in.EvalExpr(strings.Join(args, " "))
 }
 
 func cmdEval(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("eval arg ?arg ...?")
-	}
 	return in.evalBody(strings.Join(args, " "))
 }
 
 func cmdCatch(in *Interp, args []string) (string, error) {
-	if len(args) != 1 && len(args) != 2 {
-		return "", WrongArgs("catch command ?varName?")
-	}
 	res, err := in.evalBody(args[0])
 	code := 0
 	if err != nil {
@@ -468,9 +461,6 @@ func cmdError(in *Interp, args []string) (string, error) {
 }
 
 func cmdGlobal(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("global varName ?varName ...?")
-	}
 	f := in.curFrame()
 	if f == nil {
 		return "", nil // no-op at global scope
@@ -525,9 +515,6 @@ func listIndex(term string, length int) (int, error) {
 }
 
 func cmdLindex(in *Interp, args []string) (string, error) {
-	if len(args) != 2 {
-		return "", WrongArgs("lindex list index")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -543,9 +530,6 @@ func cmdLindex(in *Interp, args []string) (string, error) {
 }
 
 func cmdLlength(in *Interp, args []string) (string, error) {
-	if len(args) != 1 {
-		return "", WrongArgs("llength list")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -554,9 +538,6 @@ func cmdLlength(in *Interp, args []string) (string, error) {
 }
 
 func cmdLappend(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("lappend varName ?value ...?")
-	}
 	cur, _ := in.Var(args[0])
 	for _, v := range args[1:] {
 		if cur == "" {
@@ -570,9 +551,6 @@ func cmdLappend(in *Interp, args []string) (string, error) {
 }
 
 func cmdLrange(in *Interp, args []string) (string, error) {
-	if len(args) != 3 {
-		return "", WrongArgs("lrange list first last")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -598,9 +576,6 @@ func cmdLrange(in *Interp, args []string) (string, error) {
 }
 
 func cmdLinsert(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", WrongArgs("linsert list index element ?element ...?")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -636,9 +611,6 @@ func cmdLsearch(in *Interp, args []string) (string, error) {
 			return "", fmt.Errorf("bad option %q: must be -exact or -glob", args[0])
 		}
 		args = args[1:]
-	}
-	if len(args) != 2 {
-		return "", WrongArgs("lsearch ?mode? list pattern")
 	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
@@ -702,9 +674,6 @@ func cmdLsort(in *Interp, args []string) (string, error) {
 }
 
 func cmdLreplace(in *Interp, args []string) (string, error) {
-	if len(args) < 3 {
-		return "", WrongArgs("lreplace list first last ?element ...?")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -738,9 +707,6 @@ func cmdLreplace(in *Interp, args []string) (string, error) {
 }
 
 func cmdLassign(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", WrongArgs("lassign list varName ?varName ...?")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -759,9 +725,6 @@ func cmdLassign(in *Interp, args []string) (string, error) {
 }
 
 func cmdLreverse(in *Interp, args []string) (string, error) {
-	if len(args) != 1 {
-		return "", WrongArgs("lreverse list")
-	}
 	elems, err := ListSplit(args[0])
 	if err != nil {
 		return "", err
@@ -784,9 +747,6 @@ func cmdConcat(in *Interp, args []string) (string, error) {
 }
 
 func cmdJoin(in *Interp, args []string) (string, error) {
-	if len(args) != 1 && len(args) != 2 {
-		return "", WrongArgs("join list ?joinString?")
-	}
 	sep := " "
 	if len(args) == 2 {
 		sep = args[1]
@@ -799,9 +759,6 @@ func cmdJoin(in *Interp, args []string) (string, error) {
 }
 
 func cmdSplit(in *Interp, args []string) (string, error) {
-	if len(args) != 1 && len(args) != 2 {
-		return "", WrongArgs("split string ?splitChars?")
-	}
 	s := args[0]
 	chars := " \t\n\r"
 	if len(args) == 2 {
@@ -837,11 +794,11 @@ func splitKeepEmpty(s, chars string) []string {
 const maxRepeatBytes = 1 << 20
 
 func cmdString(in *Interp, args []string) (string, error) {
-	if len(args) < 2 {
-		return "", WrongArgs("string option arg ?arg ...?")
-	}
 	op := args[0]
 	rest := args[1:]
+	if a := stringUsage[op]; !a.takes(len(rest)) {
+		return "", WrongArgs(a.usage)
+	}
 	switch op {
 	case "length":
 		return strconv.Itoa(len(rest[0])), nil
@@ -865,9 +822,6 @@ func cmdString(in *Interp, args []string) (string, error) {
 		}
 		return strings.TrimRight(rest[0], " \t\n\r"), nil
 	case "index":
-		if len(rest) != 2 {
-			return "", WrongArgs("string index string charIndex")
-		}
 		idx, err := listIndex(rest[1], len(rest[0]))
 		if err != nil {
 			return "", err
@@ -877,9 +831,6 @@ func cmdString(in *Interp, args []string) (string, error) {
 		}
 		return string(rest[0][idx]), nil
 	case "range":
-		if len(rest) != 3 {
-			return "", WrongArgs("string range string first last")
-		}
 		s := rest[0]
 		first, err := listIndex(rest[1], len(s))
 		if err != nil {
@@ -900,34 +851,16 @@ func cmdString(in *Interp, args []string) (string, error) {
 		}
 		return s[first : last+1], nil
 	case "first":
-		if len(rest) != 2 {
-			return "", WrongArgs("string first needle haystack")
-		}
 		return strconv.Itoa(strings.Index(rest[1], rest[0])), nil
 	case "last":
-		if len(rest) != 2 {
-			return "", WrongArgs("string last needle haystack")
-		}
 		return strconv.Itoa(strings.LastIndex(rest[1], rest[0])), nil
 	case "match":
-		if len(rest) != 2 {
-			return "", WrongArgs("string match pattern string")
-		}
 		return boolStr(MatchGlob(rest[0], rest[1])), nil
 	case "compare":
-		if len(rest) != 2 {
-			return "", WrongArgs("string compare string1 string2")
-		}
 		return strconv.Itoa(strings.Compare(rest[0], rest[1])), nil
 	case "equal":
-		if len(rest) != 2 {
-			return "", WrongArgs("string equal string1 string2")
-		}
 		return boolStr(rest[0] == rest[1]), nil
 	case "repeat":
-		if len(rest) != 2 {
-			return "", WrongArgs("string repeat string count")
-		}
 		n, err := strconv.Atoi(rest[1])
 		if err != nil || n < 0 {
 			return "", fmt.Errorf("bad repeat count %q", rest[1])
@@ -937,9 +870,6 @@ func cmdString(in *Interp, args []string) (string, error) {
 		}
 		return strings.Repeat(rest[0], n), nil
 	case "map":
-		if len(rest) != 2 {
-			return "", WrongArgs("string map {key value ...} string")
-		}
 		pairs, err := ListSplit(rest[0])
 		if err != nil {
 			return "", err
@@ -960,17 +890,16 @@ func boolStr(b bool) string {
 	return "0"
 }
 
-// maxFormatField bounds a * width or precision: Go's fmt refuses one past
-// a million with error text in the result.
+// maxFormatField bounds a width or precision, literal or *: Go's fmt
+// refuses one past a million with error text in the result.
 const maxFormatField = 1_000_000
 
+func notDigit(r rune) bool { return r < '0' || r > '9' }
+
 // cmdFormat implements a C-printf-style format, mapping Tcl verbs onto
-// Go's fmt. Supported verbs: d i u x X o c s f e g % with width/precision
-// (either may be *).
+// Go's fmt. Supported verbs: d i u x X o c s f e g % with flags and
+// width/precision (either may be *).
 func cmdFormat(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("format formatString ?arg ...?")
-	}
 	spec := args[0]
 	vals := args[1:]
 	var b strings.Builder
@@ -996,6 +925,12 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 		if verb == '%' {
 			b.WriteByte('%')
 			continue
+		}
+		for _, digits := range strings.FieldsFunc(flags, notDigit) {
+			digits = strings.TrimLeft(digits, "0")
+			if n, err := strconv.Atoi(digits); digits != "" && err != nil || n > maxFormatField {
+				return "", fmt.Errorf("field size %s out of range", digits)
+			}
 		}
 		// A * width or precision takes the next argument, as in Tcl: a
 		// negative width left-justifies, a negative precision is 0.
@@ -1047,7 +982,7 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 			if err != nil {
 				return "", fmt.Errorf("expected integer but got %q", arg)
 			}
-			b.WriteRune(rune(n))
+			fmt.Fprintf(&b, "%"+flags+"c", append(fargs, rune(n))...)
 		case 's':
 			fmt.Fprintf(&b, "%"+flags+"s", append(fargs, arg)...)
 		case 'f', 'e', 'E', 'g', 'G':
@@ -1064,9 +999,6 @@ func cmdFormat(in *Interp, args []string) (string, error) {
 }
 
 func cmdInfo(in *Interp, args []string) (string, error) {
-	if len(args) == 0 {
-		return "", WrongArgs("info option ?arg ...?")
-	}
 	switch args[0] {
 	case "exists":
 		if len(args) != 2 {

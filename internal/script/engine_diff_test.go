@@ -241,7 +241,9 @@ func TestEngineDiffShadowing(t *testing.T) {
 
 // TestEngineDiffFormatStar: a * width or precision in format takes the
 // next argument, as in Tcl — no Go fmt error text reaches a value — and a
-// bad or missing one raises format's own errors on both engines.
+// bad or missing one raises format's own errors on both engines. A literal
+// width or precision past the bound is refused as a * one is, and %c
+// honours flags and width.
 func TestEngineDiffFormatStar(t *testing.T) {
 	const notInt = `expected integer but got "x" (while executing "format" near line 1)`
 	const tooFew = `not enough arguments for all format specifiers (while executing "format" near line 1)`
@@ -257,6 +259,13 @@ func TestEngineDiffFormatStar(t *testing.T) {
 		{`format {%*d|} 5`, "", tooFew},
 		{`format {%*d|}`, "", tooFew},
 		{`format {%*d|} 2000000 1`, "", `field size 2000000 out of range (while executing "format" near line 1)`},
+		{`format {%99999999999d|} 1`, "", `field size 99999999999 out of range (while executing "format" near line 1)`},
+		{`string length [format {%2000000d|} 1]`, "", `field size 2000000 out of range (while executing "format" near line 1)`},
+		{`format {%.2000000f|} 1`, "", `field size 2000000 out of range (while executing "format" near line 1)`},
+		{`string length [format {%01000000d|} 1]`, "1000001", ""},
+		{`format {%5c|} 65`, "    A|", ""},
+		{`format {%-*c|} 4 66`, "B   |", ""},
+		{`format {%*c|%c} -3 67 68`, "C  |D", ""},
 	} {
 		for _, tree := range []bool{true, false} {
 			res, errs, _ := runEngine(t, tree, tc.src, 0)

@@ -24,6 +24,66 @@ type TypedCommand func(in *Interp, args []string) (Value, error)
 type binding struct {
 	cmd   Command
 	typed TypedCommand
+	arity
+}
+
+// arity is the argument counts a command's usage line declares. The zero
+// arity declares nothing: the command checks its own arguments.
+type arity struct {
+	usage    string
+	min, max int // max < 0: no bound
+}
+
+// takes reports whether a command declaring a accepts n arguments.
+func (a arity) takes(n int) bool {
+	return a.usage == "" || n >= a.min && (a.max < 0 || n <= a.max)
+}
+
+// declare reads a Tcl usage line once, at registration. Its first word is
+// the command's name; each later word is an argument: a plain word is
+// required, a ?...? group is optional and adds its words to the maximum, a
+// group whose last word is ... lifts the maximum, and a braced word is one
+// word. A bare name declares nothing.
+func declare(line string) (string, arity) {
+	name, rest, ok := strings.Cut(line, " ")
+	if !ok {
+		return line, arity{}
+	}
+	a := arity{usage: line}
+	group := false
+	for i := 0; i < len(rest); {
+		if rest[i] == ' ' {
+			i++
+			continue
+		}
+		start, depth := i, 0
+		for ; i < len(rest) && (depth > 0 || rest[i] != ' '); i++ {
+			switch rest[i] {
+			case '{':
+				depth++
+			case '}':
+				depth--
+			}
+		}
+		w := rest[start:i]
+		if !group && w[0] == '?' {
+			group, w = true, w[1:]
+		}
+		closes := group && strings.HasSuffix(w, "?")
+		if closes {
+			w = w[:len(w)-1]
+		}
+		if !group {
+			a.min++
+		}
+		if w == "..." {
+			a.max = -1
+		} else if a.max >= 0 {
+			a.max++
+		}
+		group = group && !closes
+	}
+	return name, a
 }
 
 // flow carries Tcl's non-error result codes (return/break/continue) through
@@ -237,26 +297,30 @@ func (in *Interp) RestoreState(state any) {
 	in.cmdEpoch++
 }
 
-// Register installs (or replaces) a host command. It panics on a nil
-// command and on a special form's name, which no host may rebind.
-func (in *Interp) Register(name string, cmd Command) {
+// Register installs (or replaces) a host command under its name or its
+// usage line (see declare), which call checks every argument count against.
+// It panics on a nil command and on a special form's name, which no host
+// may rebind.
+func (in *Interp) Register(usage string, cmd Command) {
 	if cmd == nil {
-		panic("script: nil command for " + name)
+		panic("script: nil command for " + usage)
 	}
-	in.bind(name, binding{cmd: cmd})
+	in.bind(usage, binding{cmd: cmd})
 }
 
 // RegisterTyped installs (or replaces) a host command whose result is a
-// Value. It panics where Register does.
-func (in *Interp) RegisterTyped(name string, cmd TypedCommand) {
+// Value. Its usage is read, and it panics, as Register's.
+func (in *Interp) RegisterTyped(usage string, cmd TypedCommand) {
 	if cmd == nil {
-		panic("script: nil command for " + name)
+		panic("script: nil command for " + usage)
 	}
-	in.bind(name, binding{typed: cmd})
+	in.bind(usage, binding{typed: cmd})
 }
 
-func (in *Interp) bind(name string, b binding) {
+func (in *Interp) bind(usage string, b binding) {
+	name, a := declare(usage)
 	mustNotBeSpecialForm(name)
+	b.arity = a
 	in.commands[name] = b
 	in.cmdEpoch++
 }
@@ -270,7 +334,7 @@ func (in *Interp) lookup(name string) binding {
 	if b, ok := in.commands[name]; ok {
 		return b
 	}
-	return binding{cmd: builtins[name]}
+	return builtins[name]
 }
 
 // defineProc installs a script-defined procedure. Procs shadow host
@@ -662,7 +726,8 @@ func (in *Interp) invoke(words []string, line int) (string, error) {
 // call runs what a command name resolved to — procs first, then host
 // commands — and is the only place either is invoked: the tree-walker, the
 // VM's cached and dynamic call sites all come through here, so a result is
-// typed, and an error wrapped, the same way whoever asked.
+// typed, an error wrapped, and a host command's argument count checked
+// against its usage line, the same way whoever asked.
 func (in *Interp) call(name string, pr *proc, b binding, args []string, line int) (Value, error) {
 	if pr != nil {
 		res, err := in.callProc(pr, args, line)
@@ -671,6 +736,8 @@ func (in *Interp) call(name string, pr *proc, b binding, args []string, line int
 	var v Value
 	var err error
 	switch {
+	case !b.takes(len(args)):
+		err = WrongArgs(b.usage)
 	case b.typed != nil:
 		v, err = b.typed(in, args)
 	case b.cmd != nil:

@@ -175,6 +175,59 @@ func TestHostCommandRegistration(t *testing.T) {
 	}
 }
 
+// TestDeclareUsage: a usage line's words fix the counts a command takes.
+func TestDeclareUsage(t *testing.T) {
+	for _, tt := range []struct {
+		line, name string
+		min, max   int // max -1: no bound
+	}{
+		{"msg_field msgHandle fieldName", "msg_field", 2, 2},
+		{"msg_log msgHandle ?note?", "msg_log", 1, 2},
+		{"xDuplicate msgHandle ?copies? ?gap_ms?", "xDuplicate", 1, 3},
+		{"raft_propose ?data payload? ?min n?", "raft_propose", 0, 4},
+		{"xInject type ?{field value ...}? ?down|up?", "xInject", 1, 3},
+		{"partition {node ...} ?{node ...} ...?", "partition", 1, -1},
+		{"linsert list index element ?element ...?", "linsert", 3, -1},
+		{"string map {key value ...} string", "string", 3, 3},
+		{"heal", "heal", 0, 0},
+	} {
+		name, a := declare(tt.line)
+		want := arity{usage: tt.line, min: tt.min, max: tt.max}
+		if tt.name == tt.line {
+			want = arity{} // a bare name declares nothing
+		}
+		if name != tt.name || a != want {
+			t.Errorf("declare(%q) = %q, %+v; want %q, %+v", tt.line, name, a, tt.name, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { declare("xInject type ?{field value ...}? ?down|up?") }); n != 0 {
+		t.Errorf("declare allocates %v times", n)
+	}
+}
+
+// TestDeclaredCountCheckedBeforeTheCommand: a count outside the declared
+// range fails with the usage line and never reaches the command; a bare
+// name passes any count through.
+func TestDeclaredCountCheckedBeforeTheCommand(t *testing.T) {
+	for _, tree := range []bool{false, true} {
+		in := New()
+		in.tree = tree
+		calls := 0
+		count := func(*Interp, []string) (string, error) { calls++; return "", nil }
+		in.Register("f a ?b?", count)
+		in.Register("g", count)
+		for _, src := range []string{"f", "f 1 2 3", "set x [f]"} {
+			if _, err := in.Eval(src); err == nil || !strings.Contains(err.Error(), `wrong # args: should be "f a ?b?"`) {
+				t.Errorf("tree=%v: %s: err = %v", tree, src, err)
+			}
+		}
+		evalOK(t, in, "f 1; f 1 2; g; g 1 2 3 4 5 6 7 8 9")
+		if calls != 4 {
+			t.Errorf("tree=%v: %d calls reached the commands, want 4", tree, calls)
+		}
+	}
+}
+
 func TestHostVariableBridge(t *testing.T) {
 	in := New()
 	in.SetGlobal("cur_msg", "msg-42")

@@ -257,7 +257,7 @@ func TestBuiltinTableDoesNotBleed(t *testing.T) {
 	if got := run(prB); got != "3" {
 		t.Errorf("b saw a's Register: %q", got)
 	}
-	a.Register("string", builtins["string"])
+	a.Register("string", builtins["string"].cmd)
 	if got := run(prA); got != "3" {
 		t.Errorf("a after re-Register: %q", got)
 	}
