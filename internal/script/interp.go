@@ -49,23 +49,19 @@ func declare(line string) (string, arity) {
 	if !ok {
 		return line, arity{}
 	}
-	a := arity{usage: line}
-	group := false
-	for i := 0; i < len(rest); {
-		if rest[i] == ' ' {
-			i++
-			continue
-		}
-		start, depth := i, 0
-		for ; i < len(rest) && (depth > 0 || rest[i] != ' '); i++ {
-			switch rest[i] {
+	a, group := arity{usage: line}, false
+	for rest = strings.TrimLeft(rest, " "); rest != ""; {
+		end, depth := 0, 0
+		for ; end < len(rest) && (depth > 0 || rest[end] != ' '); end++ {
+			switch rest[end] {
 			case '{':
 				depth++
 			case '}':
 				depth--
 			}
 		}
-		w := rest[start:i]
+		w := rest[:end]
+		rest = strings.TrimLeft(rest[end:], " ")
 		if !group && w[0] == '?' {
 			group, w = true, w[1:]
 		}

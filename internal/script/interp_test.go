@@ -184,7 +184,7 @@ func TestDeclareUsage(t *testing.T) {
 		{"msg_field msgHandle fieldName", "msg_field", 2, 2},
 		{"msg_log msgHandle ?note?", "msg_log", 1, 2},
 		{"xDuplicate msgHandle ?copies? ?gap_ms?", "xDuplicate", 1, 3},
-		{"raft_propose ?data payload? ?min n?", "raft_propose", 0, 4},
+		{"raft_expect_committed index ?data payload? ?min n?", "raft_expect_committed", 1, 5},
 		{"xInject type ?{field value ...}? ?down|up?", "xInject", 1, 3},
 		{"partition {node ...} ?{node ...} ...?", "partition", 1, -1},
 		{"linsert list index element ?element ...?", "linsert", 3, -1},
